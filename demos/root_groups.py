@@ -45,5 +45,5 @@ print("  all %d projective points extremal: %s" % (line["points_checked"], line[
 print()
 pool = [A.x(r) for r in A.rootsystem.roots]
 probe = chain_nonexistence_probe(A.lie, pool)
-print("forbidden chain probe: tried %d triples, witness found: %s" % (
-    probe["triples_tried"], probe["witness"] is not None))
+print("forbidden chain probe: tried %d triples, outcome: %s" % (
+    probe["triples_tried"], probe["outcome"]))

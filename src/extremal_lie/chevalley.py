@@ -11,23 +11,24 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .scalars import Scalar
 from .rootdata import (
     CONVENTION_VERSION,
+    NonIntegral,
     RootSystem,
     chevalley_constants,
     root_system,
 )
 from .liealg import (
     AlgebraElement,
-    Echelon,
     LieAlgebra,
     NotExtremal,
+    extremal_closure,
     is_extremal,
     matrix_lie_algebra,
     subalgebra_generated,
 )
-from .linalg import echelon_from_rows
+from .linalg import Echelon, closure, echelon_from_rows, kernel, mat_mul
+from .nilquot import L_DIMS
 
 
 class UnsupportedType(ValueError):
@@ -56,7 +57,8 @@ class ChevalleyAlgebra:
         self.lie = LieAlgebra(field, labels, ftab)
         rs = self.rootsystem
         self.root_index = {t: k for k, t in enumerate(rs.roots)}
-        assert self.lie.n == len(rs.roots) + rs.rank
+        if self.lie.n != len(rs.roots) + rs.rank:
+            raise ValueError("a table of dimension %d does not fit %r" % (self.lie.n, rs))
 
     @property
     def dim(self):
@@ -127,15 +129,6 @@ class Automorphism:
         cols = [self.apply(AlgebraElement(self.lie, dict(col))).coeffs for col in other.cols]
         return Automorphism(self.lie, cols, check=False)
 
-    def matrix(self):
-        f = self.lie.field
-        n = self.lie.n
-        m = [[f.zero] * n for _ in range(n)]
-        for j, col in enumerate(self.cols):
-            for k, v in col.items():
-                m[k][j] = v
-        return m
-
     def __eq__(self, other):
         return isinstance(other, Automorphism) and self.lie is other.lie and [
             {k: v for k, v in c.items() if not self.lie.field.is_zero(v)} for c in self.cols
@@ -177,11 +170,11 @@ def exp_automorphism(L, x, s, check=True):
     """exp(x, s) = 1 + s ad_x + (s^2/2) ad_x^2 for an extremal element x."""
     if isinstance(L, ChevalleyAlgebra):
         L = L.lie
-    x = x if isinstance(x, AlgebraElement) else L.element(x)
+    x = L.element(x)
     if is_extremal(L, x) is None:
         raise NotExtremal("exp is defined at extremal elements")
     f = L.field
-    s = _raw_scalar(f, s)
+    s = f.raw(s)
     half_s2 = f.div(f.mul(s, s), f.from_int(2))
     cols = []
     for j in range(L.n):
@@ -201,7 +194,7 @@ def root_exponential(A, root, s=1, check=True):
     """exp(s ad x_root) with integral divided powers: an automorphism of the
     Chevalley algebra over any field of characteristic != 2."""
     f = A.field
-    s = _raw_scalar(f, s)
+    s = f.raw(s)
     int_cols = A.int_ad_columns(root)
     n = A.lie.n
     cols = []
@@ -222,21 +215,14 @@ def root_exponential(A, root, s=1, check=True):
             for _ in range(k):
                 sk = f.mul(sk, s)
             for t, v in vec.items():
-                assert v % factorial == 0, "divided power is not integral"
+                if v % factorial:
+                    raise NonIntegral("divided power of ad x_root is not integral")
                 add = f.mul(sk, f.from_int(v // factorial))
                 col[t] = f.add(col.get(t, f.zero), add)
         else:
             raise RuntimeError("ad x_root is not nilpotent of small index")
         cols.append({k: v for k, v in col.items() if not f.is_zero(v)})
     return Automorphism(A.lie, cols, check=check)
-
-
-def _raw_scalar(f, s):
-    if isinstance(s, Scalar):
-        return s.value
-    if isinstance(s, (int, Fraction)):
-        return f.from_fraction(Fraction(s))
-    return s
 
 
 # -- extremality reports --------------------------------------------------------
@@ -257,66 +243,16 @@ def long_root_extremality_check(A):
     return {"type": rs.type, "rank": rs.rank, "char": A.field.characteristic, "rows": rows, "pass": ok}
 
 
-def extremal_spanning_set(A, max_rounds=8):
+def extremal_spanning_set(A):
     """Extremal elements spanning the algebra: long root elements and their
     images under the root-group generators."""
-    L, f = A.lie, A.field
     rs = A.rootsystem
-    ech = Echelon(f, L.n)
-    out = []
-
-    def consider(v):
-        if ech.insert(v.to_dense()) is not None:
-            if is_extremal(L, v) is None:
-                raise NotExtremal("automorphism image failed the extremality test")
-            out.append(v)
-            return True
-        return False
-
-    for root in rs.roots:
-        if rs.is_long(root):
-            consider(A.x(root))
-    autos = []
-    for root in rs.roots:
-        for s in (1, -1):
-            autos.append(root_exponential(A, root, s, check=False))
-    for _ in range(max_rounds):
-        if ech.dim == L.n:
-            break
-        changed = False
-        for phi in autos:
-            if ech.dim == L.n:
-                break
-            for v in list(out):
-                if consider(phi.apply(v)):
-                    changed = True
-                if ech.dim == L.n:
-                    break
-        if not changed:
-            break
-    if ech.dim != L.n:
-        raise RuntimeError("extremal closure stalled at dimension %d of %d" % (ech.dim, L.n))
-    return out
-
-
-def exp_image(L, x, s, y, max_power=8):
-    """(sum_k s^k ad_x^k / k!) y over the rationals; formal exp image."""
-    f = L.field
-    s = _raw_scalar(f, s)
-    out = dict(y.coeffs)
-    vec = y
-    factorial = 1
-    sk = f.one
-    for k in range(1, max_power):
-        vec = L.bracket(x, vec)
-        if vec.is_zero():
-            return AlgebraElement(L, {k: v for k, v in out.items() if not f.is_zero(v)})
-        factorial *= k
-        sk = f.mul(sk, s)
-        coef = f.div(sk, f.from_int(factorial))
-        for k2, v in vec.coeffs.items():
-            out[k2] = f.add(out.get(k2, f.zero), f.mul(coef, v))
-    raise RuntimeError("ad_x is not nilpotent of small index")
+    autos = [root_exponential(A, root, s, check=False) for root in rs.roots for s in (1, -1)]
+    return extremal_closure(
+        A.lie,
+        [A.x(root) for root in rs.roots if rs.is_long(root)],
+        lambda v: (phi.apply(v) for phi in autos),
+    )
 
 
 def short_root_decomposition_check(type_, field):
@@ -580,7 +516,8 @@ def mingen_generators(A, signs=None):
     recipe = _mingen_recipe(A)
     gens = recipe.materialize(signs=signs)
     t = minimal_generator_count(A.rootsystem.type, A.rootsystem.rank)
-    assert len(gens) == t, "recipe size %d != t = %d" % (len(gens), t)
+    if len(gens) != t:
+        raise RuntimeError("recipe size %d != t = %d" % (len(gens), t))
     for g in gens:
         if is_extremal(A.lie, g) is None:
             raise NotExtremal("a recipe generator is not extremal")
@@ -593,16 +530,10 @@ def verify_generation(A, gens):
 
 
 def dimension_lower_bound(dim):
-    """Lower bound on the number of extremal generators from dim alone."""
-    if dim >= 29:
-        return 5
-    if dim >= 9:
-        return 4
-    if dim >= 4:
-        return 3
-    if dim >= 2:
-        return 2
-    return 1
+    """Lower bound on the number of extremal generators from dim alone: an
+    algebra generated by r extremal elements has dimension at most dim L_r.
+    Past the last tabulated r the bound stays at that r."""
+    return next((r for r in sorted(L_DIMS) if dim <= L_DIMS[r]), max(L_DIMS))
 
 
 def natural_representation(type_, rank, field):
@@ -630,16 +561,10 @@ def natural_representation(type_, rank, field):
             long_mat = _sum_mats(f, _unit_matrix(f, size, 0, 1), _scale_mat(f, -1, _unit_matrix(f, size, n + 1, n)))
     else:
         raise UnsupportedType("natural representation is for classical types")
-    L, mats = matrix_lie_algebra(f, gens + [long_mat])
+    L, mats, element_of = matrix_lie_algebra(f, gens + [long_mat])
     expected_dim = {"A": n * n + 2 * n, "B": n * (2 * n + 1), "C": n * (2 * n + 1), "D": n * (2 * n - 1)}[type_]
     size_n = len(long_mat)
-    flat_rows = [[m[i][j] for i in range(size_n) for j in range(size_n)] for m in mats]
-    coeffs = None
-    from .linalg import solve_in_span
-
-    coeffs = solve_in_span(f, flat_rows, size_n * size_n, [long_mat[i][j] for i in range(size_n) for j in range(size_n)])
-    elt = L.element({k: c for k, c in enumerate(coeffs)})
-    extremal = is_extremal(L, elt) is not None
+    extremal = is_extremal(L, element_of(long_mat)) is not None
     m = echelon_from_rows(f, size_n, long_mat).dim
     bound = -(-size_n // m)
     irreducible = _burnside_irreducible(f, mats, size_n)
@@ -699,42 +624,26 @@ def _matrices_preserving(f, gram, symplectic):
                 row[k * size + i] = f.add(row[k * size + i], gram[k][j])
                 row[k * size + j] = f.add(row[k * size + j], gram[i][k])
             rows.append(row)
-    from .linalg import kernel
-
     basis = kernel(f, rows, size * size)
     return [[[v[i * size + j] for j in range(size)] for i in range(size)] for v in basis]
 
 
 def _burnside_irreducible(f, mats, size):
     """Associative closure spans all size x size matrices (Burnside)."""
+    kept = []
+
+    def expand(v):
+        m = [v[i * size:(i + 1) * size] for i in range(size)]
+        kept.append(m)
+        return (
+            [x for row in p for x in row]
+            for other in tuple(kept)
+            for p in (mat_mul(f, other, m), mat_mul(f, m, other))
+        )
+
     ech = Echelon(f, size * size)
-    work = [m for m in mats]
-    basis = []
-    idx = 0
-    while idx < len(work):
-        m = work[idx]
-        idx += 1
-        if ech.insert([m[i][j] for i in range(size) for j in range(size)]) is not None:
-            basis.append(m)
-            if ech.dim == size * size:
-                return True
-            for other in list(basis):
-                work.append(_mat_mul_plain(f, other, m))
-                work.append(_mat_mul_plain(f, m, other))
+    closure(ech, ([x for row in m for x in row] for m in mats), expand)
     return ech.dim == size * size
-
-
-def _mat_mul_plain(f, a, b):
-    size = len(a)
-    out = [[f.zero] * size for _ in range(size)]
-    for i in range(size):
-        for k in range(size):
-            if f.is_zero(a[i][k]):
-                continue
-            for j in range(size):
-                if not f.is_zero(b[k][j]):
-                    out[i][j] = f.add(out[i][j], f.mul(a[i][k], b[k][j]))
-    return out
 
 
 def mingen_certify(type_, rank, field, cache_dir=None):

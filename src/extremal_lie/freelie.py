@@ -41,7 +41,8 @@ class LyndonWord:
     def standard_factorization(self):
         """w = uv with v the lexicographically least proper suffix; both Lyndon."""
         w = self.letters
-        assert len(w) >= 2
+        if len(w) < 2:
+            raise ValueError("a single letter has no standard factorization")
         v = min(w[i:] for i in range(1, len(w)))
         return LyndonWord(w[: len(w) - len(v)]), LyndonWord(v)
 
@@ -138,9 +139,6 @@ class FreeLieElement:
         """The common multidegree of all terms, or None for 0 / mixed elements."""
         mds = {w.multidegree(self.r) for w in self.terms}
         return mds.pop() if len(mds) == 1 else None
-
-    def degree_component(self, d):
-        return FreeLieElement(self.r, {w: c for w, c in self.terms.items() if len(w) == d})
 
     def __repr__(self):
         if not self.terms:

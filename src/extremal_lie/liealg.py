@@ -11,13 +11,14 @@ from fractions import Fraction
 
 from .scalars import QQ, Scalar
 from .linalg import (
+    Coordinates,
     Echelon,
     charpoly,
+    closure,
     echelon_from_rows,
     kernel,
     mat_mul,
     mat_vec,
-    solve_in_span,
 )
 
 
@@ -42,6 +43,10 @@ class NotSpanning(ValueError):
 
 
 class WellDefinednessFailure(ValueError):
+    pass
+
+
+class NotAssociative(WellDefinednessFailure):
     pass
 
 
@@ -182,10 +187,7 @@ class LieAlgebra:
         for k, v in items:
             if isinstance(k, str):
                 k = self.labels.index(k)
-            if isinstance(v, Scalar):
-                v = v.value
-            elif isinstance(v, (int, Fraction)):
-                v = f.from_fraction(Fraction(v))
+            v = f.raw(v)
             if not f.is_zero(v):
                 out[k] = v
         return AlgebraElement(self, out)
@@ -277,10 +279,7 @@ class AlgebraElement:
 
     def __rmul__(self, scale):
         f = self.algebra.field
-        if isinstance(scale, Scalar):
-            scale = scale.value
-        elif isinstance(scale, (int, Fraction)):
-            scale = f.from_fraction(Fraction(scale))
+        scale = f.raw(scale)
         if f.is_zero(scale):
             return AlgebraElement(self.algebra, {})
         return AlgebraElement(self.algebra, {k: f.mul(scale, v) for k, v in self.coeffs.items()})
@@ -364,23 +363,6 @@ class Subspace:
             e.insert(r)
         return Subspace(self.algebra, e)
 
-    def intersect(self, other):
-        f = self.algebra.field
-        mine = self.basis_rows()
-        if not mine:
-            return self
-        reduced = [other._ech.reduce(r) for r in mine]
-        coeffs = kernel(f, _columns(reduced), len(mine))
-        elems = []
-        for x in coeffs:
-            v = [f.zero] * self.algebra.n
-            for c, row in zip(x, mine):
-                if not f.is_zero(c):
-                    for idx in range(self.algebra.n):
-                        v[idx] = f.add(v[idx], f.mul(c, row[idx]))
-            elems.append(element_from_dense(self.algebra, v))
-        return Subspace.from_elements(self.algebra, elems)
-
     def is_ideal(self):
         L = self.algebra
         for v in self.basis():
@@ -399,13 +381,6 @@ class Subspace:
         return "Subspace(dim %d of %r)" % (self.dim, self.algebra)
 
 
-def _columns(rows):
-    """Rows of the transposed matrix (kernel() wants the map x -> x . rows)."""
-    if not rows:
-        return []
-    return [[row[c] for row in rows] for c in range(len(rows[0]))]
-
-
 def zero_subspace(L):
     return Subspace(L, Echelon(L.field, L.n))
 
@@ -417,33 +392,29 @@ def full_subspace(L):
 # -- generation ------------------------------------------------------------------
 
 
+def _element_closure(L, seeds, expand):
+    """``closure`` on elements of L: ``expand(x)`` yields the elements a kept
+    element x brings in.  Returns (echelon of the span, kept elements)."""
+    ech = Echelon(L.field, L.n)
+    kept = closure(
+        ech,
+        (L.element(s).to_dense() for s in seeds),
+        lambda v: (w.to_dense() for w in expand(element_from_dense(L, v))),
+    )
+    return ech, [element_from_dense(L, v) for v in kept]
+
+
 def subalgebra_generated(L, gens):
     """Smallest subalgebra containing ``gens`` (left-normed closure)."""
-    gens = [g if isinstance(g, AlgebraElement) else L.element(g) for g in gens]
-    e = Echelon(L.field, L.n)
-    work = list(gens)
-    idx = 0
-    while idx < len(work):
-        v = work[idx]
-        idx += 1
-        if e.insert(v.to_dense()) is not None:
-            for g in gens:
-                work.append(L.bracket(g, v))
-    return Subspace(L, e)
+    gens = [L.element(g) for g in gens]
+    ech, _ = _element_closure(L, gens, lambda v: (L.bracket(g, v) for g in gens))
+    return Subspace(L, ech)
 
 
 def ideal_generated(L, gens):
-    gens = [g if isinstance(g, AlgebraElement) else L.element(g) for g in gens]
-    e = Echelon(L.field, L.n)
-    work = list(gens)
-    idx = 0
-    while idx < len(work):
-        v = work[idx]
-        idx += 1
-        if e.insert(v.to_dense()) is not None:
-            for i in range(L.n):
-                work.append(L.bracket(L.basis_element(i), v))
-    return Subspace(L, e)
+    basis = L.basis_elements()
+    ech, _ = _element_closure(L, gens, lambda v: (L.bracket(b, v) for b in basis))
+    return Subspace(L, ech)
 
 
 def center(L):
@@ -544,8 +515,7 @@ class ExtremalFunctional:
 
 def is_extremal(L, x):
     """The functional f_x when im (ad_x)^2 lies in k.x; None otherwise."""
-    if isinstance(x, (list, dict)):
-        x = L.element(x)
+    x = L.element(x)
     if x.is_zero():
         raise ZeroElement("extremality is defined for nonzero elements")
     f = L.field
@@ -563,11 +533,6 @@ def is_extremal(L, x):
             return None
         values.append(lam)
     return ExtremalFunctional(L, values)
-
-
-def is_sandwich(L, x):
-    fx = is_extremal(L, x)
-    return fx is not None and fx.is_zero()
 
 
 class BilinearForm:
@@ -646,33 +611,23 @@ def extremal_form(L, spanning_set):
     """The unique symmetric associative form with f(x, .) = f_x on the given
     extremal spanning set, extended bilinearly to all of L."""
     f = L.field
-    spanning = [s if isinstance(s, AlgebraElement) else L.element(s) for s in spanning_set]
+    spanning = [L.element(s) for s in spanning_set]
     functionals = []
     for idx, s in enumerate(spanning):
         fx = is_extremal(L, s)
         if fx is None:
             raise NotExtremal("spanning element %d is not extremal" % idx)
         functionals.append(fx)
-    rows = [s.to_dense() for s in spanning]
-    m = len(rows)
-    aug = Echelon(f, L.n + m)
-    for i, row in enumerate(rows):
-        v = list(row) + [f.zero] * m
-        v[L.n + i] = f.one
-        aug.insert(v)
-    if len([c for c in aug.pivot_columns() if c < L.n]) != L.n:
+    m = len(spanning)
+    coordinates = Coordinates(f, [s.to_dense() for s in spanning], L.n)
+    if not coordinates.spans():
         raise NotSpanning("extremal set does not span the algebra")
     # symmetry of f on extremal pairs (Lemma-level consistency of the input)
     for a in range(m):
         for b in range(a):
             if functionals[a](spanning[b]) != functionals[b](spanning[a]):
                 raise WellDefinednessFailure("f_x(y) != f_y(x) on spanning pair (%d, %d)" % (a, b))
-    coords = []
-    for i in range(L.n):
-        unit = [f.zero] * (L.n + m)
-        unit[i] = f.one
-        residual = aug.reduce(unit)
-        coords.append([f.neg(x) for x in residual[L.n:]])
+    coords = [coordinates.solve(L.basis_element(i).to_dense()) for i in range(L.n)]
     fvals = [[functionals[a](spanning[b]).value for b in range(m)] for a in range(m)]
     half = mat_mul(f, coords, fvals)
     gram = mat_mul(f, half, [list(col) for col in zip(*coords)])
@@ -683,8 +638,10 @@ def extremal_form(L, spanning_set):
             direct = functionals[a](L.basis_element(j)).value
             if not f.is_zero(f.sub(form.value(s, L.basis_element(j)).value, direct)):
                 raise WellDefinednessFailure("bilinear extension disagrees with f_x")
-    if not form.is_symmetric() or not form.is_associative():
-        raise WellDefinednessFailure("extremal form not symmetric/associative")
+    if not form.is_symmetric():
+        raise WellDefinednessFailure("extremal form not symmetric")
+    if not form.is_associative():
+        raise NotAssociative("extremal form not associative")
     return form
 
 
@@ -692,7 +649,20 @@ def radical_of_form(form):
     return form.radical()
 
 
-def grow_extremal_spanning(L, seeds, max_rounds=6):
+def extremal_closure(L, seeds, expand):
+    """Extremal elements spanning L: ``seeds`` closed under ``expand`` (see
+    ``_element_closure``).  Raises NotSpanning when the closure stalls short
+    of L, and NotExtremal when a kept element is not extremal."""
+    ech, out = _element_closure(L, seeds, expand)
+    if ech.dim != L.n:
+        raise NotSpanning("extremal closure stalled at dimension %d of %d" % (ech.dim, L.n))
+    for v in out:
+        if is_extremal(L, v) is None:
+            raise NotExtremal("an element of the extremal closure is not extremal")
+    return out
+
+
+def grow_extremal_spanning(L, seeds):
     """Close a set of extremal elements under exp-images until it spans L.
 
     Images of extremal elements under exp(e, +-1) are extremal again, so the
@@ -701,40 +671,16 @@ def grow_extremal_spanning(L, seeds, max_rounds=6):
     """
     from .chevalley import exp_automorphism
 
-    f = L.field
-    seeds = [s if isinstance(s, AlgebraElement) else L.element(s) for s in seeds]
-    ech = Echelon(f, L.n)
-    out = []
+    kept, autos = [], []
 
-    def consider(v):
-        if ech.insert(v.to_dense()) is not None:
-            if is_extremal(L, v) is None:
-                raise NotExtremal("exp image failed the extremality test")
-            out.append(v)
-            return True
-        return False
+    def expand(x):
+        new = [exp_automorphism(L, x, s, check=False) for s in (1, -1)]
+        pairs = [(phi, x) for phi in autos] + [(phi, y) for phi in new for y in kept]
+        kept.append(x)
+        autos.extend(new)
+        return (phi.apply(y) for phi, y in pairs)
 
-    for s in seeds:
-        consider(s)
-    for _ in range(max_rounds):
-        if ech.dim == L.n:
-            break
-        changed = False
-        for base in list(out):
-            for sgn in (1, -1):
-                phi = exp_automorphism(L, base, sgn, check=False)
-                for v in list(out):
-                    if consider(phi.apply(v)):
-                        changed = True
-                if ech.dim == L.n:
-                    break
-            if ech.dim == L.n:
-                break
-        if not changed:
-            break
-    if ech.dim != L.n:
-        raise NotSpanning("extremal closure stalled at dimension %d of %d" % (ech.dim, L.n))
-    return out
+    return extremal_closure(L, seeds, expand)
 
 
 # -- structural subspaces -----------------------------------------------------
@@ -809,43 +755,42 @@ def _eigenvalue_candidates(f, m):
     return [f.from_fraction(c) for c in sorted(cands)]
 
 
+def _eigenvectors(f, rows, coords, lam):
+    """A basis of the lam-eigenspace of the map T on the span of ``rows``,
+    where coords[i] are the coordinates of T(rows[i]) in ``rows``."""
+    d = len(rows)
+    # x with x . M = lam x, i.e. (M^T - lam) x = 0
+    mt = [[f.sub(coords[i][j], lam if i == j else f.zero) for i in range(d)] for j in range(d)]
+    return mat_mul(f, kernel(f, mt, d), rows)
+
+
 def _weight_lines(L, torus, sub):
     """Split ``sub`` into joint eigenlines of ad(t), t in torus; None if the
     decomposition is not multiplicity-free over the base field."""
     f = L.field
     spaces = [sub.basis_rows()]
     for t in torus:
-        t = t if isinstance(t, AlgebraElement) else L.element(t)
+        t = L.element(t)
         adt = L.ad_matrix(t)
         new_spaces = []
         for rows in spaces:
             if len(rows) == 1:
                 new_spaces.append(rows)
                 continue
-            images = [mat_vec(f, adt, r) for r in rows]
-            coords = [solve_in_span(f, rows, L.n, img) for img in images]
+            span = Coordinates(f, rows, L.n)
+            coords = [span.solve(mat_vec(f, adt, r)) for r in rows]
             if any(c is None for c in coords):
                 return None
-            d = len(rows)
             cands = _eigenvalue_candidates(f, coords)
             if cands is None:
                 return None
             found = 0
             for lam in cands:
-                # x with x . M = lam x, i.e. (M^T - lam) x = 0
-                mt = [[f.sub(coords[i][j], lam if i == j else f.zero) for i in range(d)] for j in range(d)]
-                eig = []
-                for x in kernel(f, mt, d):
-                    vec = [f.zero] * L.n
-                    for c, row in zip(x, rows):
-                        if not f.is_zero(c):
-                            for idx in range(L.n):
-                                vec[idx] = f.add(vec[idx], f.mul(c, row[idx]))
-                    eig.append(vec)
+                eig = _eigenvectors(f, rows, coords, lam)
                 if eig:
                     new_spaces.append(eig)
                     found += len(eig)
-            if found != d:
+            if found != len(rows):
                 return None
         spaces = new_spaces
     if any(len(rows) != 1 for rows in spaces):
@@ -865,7 +810,7 @@ def solvable_radical(L, torus=None, extra_candidates=()):
             return R, True
         qtorus = None
         if torus is not None:
-            qtorus = [project(t if isinstance(t, AlgebraElement) else L.element(t)) for t in torus]
+            qtorus = [project(L.element(t)) for t in torus]
             qtorus = [t for t in qtorus if not t.is_zero()]
         cert = _no_solvable_ideal_certificate(Q, torus=qtorus)
         if cert is True:
@@ -914,8 +859,8 @@ def structural_subspaces(L, torus=None, extra_candidates=()):
 
 def phi_spectrum_check(L, x, y):
     """Eigenvalue structure of phi = ad_x ad_y for extremal x (exact char poly)."""
-    x = x if isinstance(x, AlgebraElement) else L.element(x)
-    y = y if isinstance(y, AlgebraElement) else L.element(y)
+    x = L.element(x)
+    y = L.element(y)
     f = L.field
     fx = is_extremal(L, x)
     if fx is None:
@@ -975,8 +920,8 @@ def _poly_shift(field, poly, root):
 
 def fourth_power_check(L, x, y, form):
     """ad_{[x,y]}^4 = 0 for extremal x outside Rad(f) and y inside Rad(f)."""
-    x = x if isinstance(x, AlgebraElement) else L.element(x)
-    y = y if isinstance(y, AlgebraElement) else L.element(y)
+    x = L.element(x)
+    y = L.element(y)
     if is_extremal(L, x) is None:
         raise PreconditionNotMet("x must be extremal")
     rad = form.radical()
@@ -1000,7 +945,7 @@ def sandwich_span_check(L, witnesses, form, torus=None):
     SanRad <= NilRad <= Rad(L) <= Rad(f) <= Rad(kappa)."""
     elems = []
     for idx, w in enumerate(witnesses):
-        w = w if isinstance(w, AlgebraElement) else L.element(w)
+        w = L.element(w)
         fx = is_extremal(L, w)
         if fx is None or not fx.is_zero():
             raise NotASandwich("witness %d is not a sandwich" % idx)
@@ -1067,7 +1012,7 @@ def direct_sum_orthogonality_check(L, part1_indices, part2_indices, spanning_set
     for part, indices in ((p1, part1_indices), (p2, part2_indices)):
         ech = Echelon(f, L.n)
         for s in spanning_set:
-            s = s if isinstance(s, AlgebraElement) else L.element(s)
+            s = L.element(s)
             proj = AlgebraElement(L, {k: c for k, c in s.coeffs.items() if k in indices})
             if proj.is_zero():
                 continue
@@ -1104,56 +1049,52 @@ def abelian(field, n):
 
 def matrix_lie_algebra(field, mats, labels=None):
     """Lie algebra spanned by the commutator closure of the given square
-    matrices; returns (LieAlgebra, basis matrices)."""
+    matrices.  Returns (LieAlgebra, basis matrices, element_of), where
+    ``element_of(m)`` is the element of the algebra that a matrix m of its
+    span stands for."""
     f = field
     size = len(mats[0])
 
     def flat(m):
-        return [m[i][j] for i in range(size) for j in range(size)]
+        return [x for row in m for x in row]
 
-    def comm(a, b):
-        return [
-            [f.sub(sum_ab(a, b, i, j), sum_ab(b, a, i, j)) for j in range(size)]
-            for i in range(size)
-        ]
+    def square(v):
+        return [v[i * size:(i + 1) * size] for i in range(size)]
 
-    def sum_ab(a, b, i, j):
-        s = f.zero
-        for k in range(size):
-            s = f.add(s, f.mul(a[i][k], b[k][j]))
-        return s
+    def commutator(a, b):
+        ab, ba = mat_mul(f, a, b), mat_mul(f, b, a)
+        return [f.sub(x, y) for ra, rb in zip(ab, ba) for x, y in zip(ra, rb)]
+
+    kept = []
+
+    def expand(v):
+        m = square(v)
+        kept.append(m)
+        return (commutator(other, m) for other in tuple(kept))
 
     ech = Echelon(f, size * size)
-    basis_mats = []
-    work = [[[f.from_fraction(Fraction(x)) if isinstance(x, (int, Fraction)) else x for x in row] for row in m] for m in mats]
-    idx = 0
-    while idx < len(work):
-        m = work[idx]
-        idx += 1
-        if ech.insert(flat(m)) is not None:
-            basis_mats.append(m)
-            for other in list(basis_mats):
-                work.append(comm(other, m))
-    # canonical basis: echelon rows as matrices
+    closure(ech, ([f.raw(x) for x in flat(m)] for m in mats), expand)
     rows = ech.basis()
-    basis_mats = [[[row[i * size + j] for j in range(size)] for i in range(size)] for row in rows]
+    basis_mats = [square(row) for row in rows]
     n = len(basis_mats)
-    width = size * size
-    aug = Echelon(f, width + n)
-    for i, row in enumerate(rows):
-        v = list(row) + [f.zero] * n
-        v[width + i] = f.one
-        aug.insert(v)
+    span = Coordinates(f, rows, size * size)
     table = {}
     for a in range(n):
         for b in range(a + 1, n):
-            c = comm(basis_mats[a], basis_mats[b])
-            residual = aug.reduce(flat(c) + [f.zero] * n)
-            if any(not f.is_zero(x) for x in residual[:width]):
+            coeffs = span.solve(commutator(basis_mats[a], basis_mats[b]))
+            if coeffs is None:
                 raise ValueError("matrix set is not closed under commutators")
-            row = {k: f.neg(v) for k, v in enumerate(residual[width:]) if not f.is_zero(v)}
+            row = {k: v for k, v in enumerate(coeffs) if not f.is_zero(v)}
             if row:
                 table[(a, b)] = row
     if labels is None:
         labels = ["m%d" % i for i in range(n)]
-    return LieAlgebra(f, labels, table), basis_mats
+    L = LieAlgebra(f, labels, table)
+
+    def element_of(m):
+        coeffs = span.solve(flat(m))
+        if coeffs is None:
+            raise ValueError("matrix is not in the algebra")
+        return L.element(coeffs)
+
+    return L, basis_mats, element_of

@@ -76,6 +76,28 @@ def echelon_from_rows(field, width, rows):
     return e
 
 
+def closure(echelon, seeds, expand):
+    """Close ``seeds`` under ``expand`` inside ``echelon``, breadth first.
+
+    Each vector that raises the dimension is kept, and ``expand(v)`` gives
+    the next candidates as an iterable that is only drawn from when its turn
+    comes, so a lazy one holds no candidates in memory.  Stops at the
+    fixpoint, or as soon as the echelon is full.  It always stops: every kept
+    vector raises the dimension and expands to finitely many candidates.
+    Returns the kept vectors in order.
+    """
+    kept = []
+    work = [seeds]
+    for candidates in work:  # grows while it is walked
+        for v in candidates:
+            if echelon.insert(v) is not None:
+                kept.append(v)
+                if echelon.dim == echelon.width:
+                    return kept
+                work.append(expand(v))
+    return kept
+
+
 def rank(field, rows, width=None):
     if not rows:
         return 0
@@ -99,40 +121,54 @@ def kernel(field, rows, width):
     return echelon_from_rows(field, width, basis).basis()
 
 
+class Coordinates:
+    """Coordinates of vectors in the span of fixed rows of length ``width``.
+
+    The augmented echelon [rows | identity] is built once; each query is one
+    reduction against it."""
+
+    def __init__(self, field, rows, width):
+        self.field = field
+        self.width = width
+        self.count = len(rows)
+        self._aug = Echelon(field, width + self.count)
+        for i, row in enumerate(rows):
+            v = list(row) + [field.zero] * self.count
+            v[width + i] = field.one
+            self._aug.insert(v)
+
+    def spans(self):
+        """Whether the rows span all of k^width."""
+        return sum(1 for c in self._aug.rows if c < self.width) == self.width
+
+    def solve(self, target):
+        """Coefficients c with sum_i c_i rows_i = ``target``, or None."""
+        f = self.field
+        residual = self._aug.reduce(list(target) + [f.zero] * self.count)
+        if any(not f.is_zero(x) for x in residual[: self.width]):
+            return None
+        return [f.neg(x) for x in residual[self.width:]]
+
+
 def solve_in_span(field, basis_rows, width, target):
     """Coefficients expressing ``target`` in the given (independent) rows, or None."""
-    f = field
-    aug = Echelon(f, width + len(basis_rows))
-    for i, row in enumerate(basis_rows):
-        v = list(row) + [f.zero] * len(basis_rows)
-        v[width + i] = f.one
-        aug.insert(v)
-    residual = aug.reduce(list(target) + [f.zero] * len(basis_rows))
-    if any(not f.is_zero(x) for x in residual[:width]):
-        return None
-    return [f.neg(x) for x in residual[width:]]
+    return Coordinates(field, basis_rows, width).solve(target)
 
-
-def identity_matrix(field, n):
-    return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
 
 def mat_mul(field, a, b):
+    """The product of an n x k matrix ``a`` and a k x m matrix ``b``, row by
+    row, skipping zero entries of both."""
     f = field
-    n, m = len(a), len(b[0])
-    k = len(b)
-    bt = [[b[r][c] for r in range(k)] for c in range(m)]
+    m = len(b[0]) if b else 0
     out = []
-    for i in range(n):
-        ai = a[i]
-        row = []
-        for c in range(m):
-            bc = bt[c]
-            s = f.zero
-            for r in range(k):
-                x = ai[r]
-                if not f.is_zero(x):
-                    s = f.add(s, f.mul(x, bc[r]))
-            row.append(s)
+    for ai in a:
+        row = [f.zero] * m
+        for k, x in enumerate(ai):
+            if f.is_zero(x):
+                continue
+            for j, y in enumerate(b[k]):
+                if not f.is_zero(y):
+                    row[j] = f.add(row[j], f.mul(x, y))
         out.append(row)
     return out
 
@@ -149,12 +185,6 @@ def mat_vec(field, a, v):
     return out
 
 
-def mat_eq(field, a, b):
-    return all(
-        all(field.is_zero(field.sub(x, y)) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
-
-
 def mat_inverse(field, a):
     f = field
     n = len(a)
@@ -167,18 +197,6 @@ def mat_inverse(field, a):
         raise ValueError("matrix is singular")
     rows = e.basis()
     return [r[n:] for r in rows]
-
-
-def mat_pow(field, a, k):
-    n = len(a)
-    out = identity_matrix(field, n)
-    for _ in range(k):
-        out = mat_mul(field, out, a)
-    return out
-
-
-def is_zero_matrix(field, a):
-    return all(all(field.is_zero(x) for x in row) for row in a)
 
 
 # -- polynomials (dense coefficient lists, low degree first) -----------------

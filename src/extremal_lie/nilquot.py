@@ -21,6 +21,16 @@ from .scalars import QQ
 from .linalg import Echelon
 from . import freelie
 
+# The universal dimensions the paper states: dim L_r, dim R_r, and the
+# dimension of each length component of R_r (the identity first).
+L_DIMS = {1: 1, 2: 3, 3: 8, 4: 28, 5: 537}
+R_DIMS = {1: 2, 2: 5, 3: 19, 4: 193}
+R_LENGTHS = {
+    2: [1, 2, 2],
+    3: [1, 3, 6, 6, 3],
+    4: [1, 4, 12, 24, 36, 40, 36, 24, 12, 4],
+}
+
 
 class DegreeCapExceeded(RuntimeError):
     """The graded construction failed to terminate below the safety cap."""

@@ -25,6 +25,16 @@ class InvalidRank(ValueError):
     pass
 
 
+class NonIntegral(ArithmeticError):
+    """A quantity that the theory makes an integer came out fractional."""
+
+
+def _integer(v, what):
+    if v.denominator != 1:
+        raise NonIntegral("%s is not an integer: %s" % (what, v))
+    return int(v)
+
+
 def cartan_matrix(type_, rank):
     """Bourbaki Cartan matrix; entry [i][j] = <alpha_j, alpha_i-check>."""
     n = rank
@@ -160,18 +170,14 @@ class RootSystem:
 
     def pairing(self, beta, alpha):
         """<beta, alpha-check> = 2 (beta, alpha)/(alpha, alpha); an integer."""
-        v = 2 * self.inner(beta, alpha) / self.norm2(alpha)
-        assert v.denominator == 1
-        return int(v)
+        return _integer(2 * self.inner(beta, alpha) / self.norm2(alpha), "a Cartan integer")
 
     def coroot_coords(self, alpha):
         """alpha-check over the simple coroots; integer coefficients."""
         dalpha = self.norm2(alpha) / 2
         out = []
         for i in range(self.rank):
-            c = Fraction(alpha[i]) * self.d[i] / dalpha
-            assert c.denominator == 1
-            out.append(int(c))
+            out.append(_integer(Fraction(alpha[i]) * self.d[i] / dalpha, "a coroot coordinate"))
         return tuple(out)
 
     def root_string_down(self, alpha, beta):
@@ -298,14 +304,10 @@ class ChevalleyConstants:
                 if d2 in rs._root_set:
                     t2 = self.N(_neg(a), xi) * self.N(eta, d2)
                 n_negag = Fraction(-(t1 + t2), self._pos[(xi, eta)])
-                val = n_negag * rs.norm2(gamma) / rs.norm2(b)
-                assert val.denominator == 1, "non-integer structure constant"
-                val = int(val)
+                val = _integer(n_negag * rs.norm2(gamma) / rs.norm2(b), "a structure constant")
                 expected = rs.root_string_down(a, b) + 1
-                assert abs(val) == expected, "extraspecial solve gave |N|=%d, want %d" % (
-                    abs(val),
-                    expected,
-                )
+                if abs(val) != expected:
+                    raise RuntimeError("extraspecial solve gave |N|=%d, want %d" % (abs(val), expected))
                 self._pos[(a, b)] = val
 
     def N(self, alpha, beta):
@@ -331,8 +333,7 @@ class ChevalleyConstants:
         else:
             # N(alpha,beta)/(s,s) = N(-s,alpha)/(beta,beta)
             v = Fraction(self.N(_neg(s), alpha)) * rs.norm2(s) / rs.norm2(beta)
-        assert v.denominator == 1
-        return int(v)
+        return _integer(v, "a structure constant")
 
     def integer_table(self):
         """Structure constants of the Chevalley algebra over the integers.

@@ -11,7 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import Scalar
-from .liealg import AlgebraElement, NotExtremal, PreconditionNotMet, is_extremal
+from .liealg import NotExtremal, PreconditionNotMet, is_extremal
+from .linalg import echelon_from_rows
 from .chevalley import exp_automorphism
 
 Q_SAMPLES = (1, -1, 2, -2, Fraction(1, 2), 3)
@@ -32,9 +33,9 @@ def parameter_samples(field, seed_extra=()):
     """All field elements for small GF(p); a fixed sample set over Q."""
     if field.characteristic and field.characteristic <= EXHAUSTIVE_CHAR_BOUND:
         return [field.from_int(k) for k in range(field.characteristic)]
-    vals = [field.from_fraction(Fraction(v)) for v in Q_SAMPLES]
+    vals = [field.raw(v) for v in Q_SAMPLES]
     for v in seed_extra:
-        v = field.from_fraction(Fraction(v))
+        v = field.raw(v)
         if v not in vals:
             vals.append(v)
     return vals
@@ -54,8 +55,6 @@ def classify_pair(L, x, y):
     fy = is_extremal(L, y)
     if fx is None or fy is None:
         raise NotExtremal("root group pairs need extremal elements")
-    from .linalg import echelon_from_rows
-
     if echelon_from_rows(L.field, L.n, [x.to_dense(), y.to_dense()]).dim == 1:
         return "same-line", fx
     if L.bracket(x, y).is_zero():
@@ -68,12 +67,12 @@ def classify_pair(L, x, y):
 def verify_abstract_root_properties(L, x, y, sample_params=None):
     """The five root-group properties, as exact matrix identities for every
     sampled (or exhaustive) parameter pair."""
-    x = x if isinstance(x, AlgebraElement) else L.element(x)
-    y = y if isinstance(y, AlgebraElement) else L.element(y)
+    x = L.element(x)
+    y = L.element(y)
     f = L.field
     case, fx = classify_pair(L, x, y)
     samples = sample_params if sample_params is not None else parameter_samples(f)
-    samples = [s.value if isinstance(s, Scalar) else f.from_fraction(Fraction(s)) if isinstance(s, (int, Fraction)) else s for s in samples]
+    samples = [f.raw(s) for s in samples]
     cache = {}
     checks = []
 
@@ -157,11 +156,16 @@ def verify_abstract_root_properties(L, x, y, sample_params=None):
     return {"case": case, "checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
+def _condition_2prime(L, x, y, fx, fy):
+    """(2'): 2[y,[x,z]] = f(x,z) y + f(y,z) x for all z, checked on the basis."""
+    return all(2 * L.bracket(y, L.bracket(x, z)) == fx(z) * y + fy(z) * x for z in L.basis_elements())
+
+
 def strongcomm_check(L, x, y, sample_params=None):
     """For commuting extremal x, y: the equivalent conditions for the line
     kx + ky to consist of extremal elements, and the product identity."""
-    x = x if isinstance(x, AlgebraElement) else L.element(x)
-    y = y if isinstance(y, AlgebraElement) else L.element(y)
+    x = L.element(x)
+    y = L.element(y)
     f = L.field
     if not L.bracket(x, y).is_zero():
         raise PreconditionNotMet("strongcomm needs [x, y] = 0")
@@ -169,18 +173,9 @@ def strongcomm_check(L, x, y, sample_params=None):
     if fx is None or fy is None:
         raise PreconditionNotMet("strongcomm needs extremal x, y")
     samples = sample_params if sample_params is not None else parameter_samples(f)
-    samples = [s.value if isinstance(s, Scalar) else f.from_fraction(Fraction(s)) if isinstance(s, (int, Fraction)) else s for s in samples]
+    samples = [f.raw(s) for s in samples]
 
-    # (2'): 2[y,[x,z]] = f(x,z) y + f(y,z) x for all z, checked on the basis
-    two = f.from_int(2)
-    cond2 = True
-    for j in range(L.n):
-        z = L.basis_element(j)
-        lhs = Scalar(f, two) * L.bracket(y, L.bracket(x, z))
-        rhs = fx(z) * y + fy(z) * x
-        if lhs != rhs:
-            cond2 = False
-            break
+    cond2 = _condition_2prime(L, x, y, fx, fy)
     # (1)/(1'): extremality of sx + ty over the samples
     results = []
     for s in samples:
@@ -218,12 +213,10 @@ def strongcomm_check(L, x, y, sample_params=None):
 def projective_line_check(L, x, y, third_point, sample_params=None):
     """If three commuting extremal points lie on one projective line, every
     nonzero point of the line is extremal (exhaustive over small GF(p))."""
-    from .linalg import echelon_from_rows
-
     f = L.field
-    x = x if isinstance(x, AlgebraElement) else L.element(x)
-    y = y if isinstance(y, AlgebraElement) else L.element(y)
-    third = third_point if isinstance(third_point, AlgebraElement) else L.element(third_point)
+    x = L.element(x)
+    y = L.element(y)
+    third = L.element(third_point)
     pts = [x, y, third]
     for p in pts:
         if is_extremal(L, p) is None:
@@ -236,7 +229,7 @@ def projective_line_check(L, x, y, third_point, sample_params=None):
     if ech.dim != 2 or not ech.contains(third.to_dense()):
         raise PreconditionNotMet("the three points must span one projective line")
     lambdas = sample_params if sample_params is not None else parameter_samples(f)
-    lambdas = [s.value if isinstance(s, Scalar) else f.from_fraction(Fraction(s)) if isinstance(s, (int, Fraction)) else s for s in lambdas]
+    lambdas = [f.raw(s) for s in lambdas]
     points = [y] + [x + Scalar(f, lam) * y for lam in lambdas]
     bad = []
     for p in points:
@@ -258,7 +251,7 @@ def line_is_fully_extremal(L, x, y, sample_params=None):
     preconditions; used to exhibit failing lines)."""
     f = L.field
     lambdas = sample_params if sample_params is not None else parameter_samples(f)
-    lambdas = [s.value if isinstance(s, Scalar) else f.from_fraction(Fraction(s)) if isinstance(s, (int, Fraction)) else s for s in lambdas]
+    lambdas = [f.raw(s) for s in lambdas]
     witness = None
     for lam in lambdas:
         p = x + Scalar(f, lam) * y
@@ -271,9 +264,13 @@ def line_is_fully_extremal(L, x, y, sample_params=None):
 def chain_nonexistence_probe(L, pool, max_triples=20000):
     """Search for a chain x1, x2, x3 of extremal elements with (x1, x2)
     satisfying the strong commuting conditions, [x2, x3] = 0 and
-    f(x1, x3) != 0.  Absence of a witness is reported, not proved."""
+    f(x1, x3) != 0.  Absence of a witness is reported, not proved.
+
+    ``outcome`` is "witness", "no witness" (every triple of the pool was
+    tried) or "inconclusive" (the budget of ``max_triples`` ran out first);
+    only "no witness" passes."""
     f = L.field
-    pool = [p if isinstance(p, AlgebraElement) else L.element(p) for p in pool]
+    pool = [L.element(p) for p in pool]
     funcs = []
     for p in pool:
         fx = is_extremal(L, p)
@@ -282,22 +279,12 @@ def chain_nonexistence_probe(L, pool, max_triples=20000):
     tried = 0
     for i, (x1, f1) in enumerate(funcs):
         for j, (x2, f2) in enumerate(funcs):
-            if i == j or not L.bracket(x1, x2).is_zero():
-                continue
-            ok2 = True
-            two = f.from_int(2)
-            for k in range(L.n):
-                z = L.basis_element(k)
-                lhs = Scalar(f, two) * L.bracket(x2, L.bracket(x1, z))
-                if lhs != f1(z) * x2 + f2(z) * x1:
-                    ok2 = False
-                    break
-            if not ok2:
+            if i == j or not L.bracket(x1, x2).is_zero() or not _condition_2prime(L, x1, x2, f1, f2):
                 continue
             for x3, f3 in funcs:
+                if tried == max_triples:
+                    return {"witness": None, "triples_tried": tried, "outcome": "inconclusive", "pass": False}
                 tried += 1
-                if tried > max_triples:
-                    return {"witness": None, "triples_tried": tried, "pass": True}
                 if L.bracket(x2, x3).is_zero() and not f.is_zero(f1(x3).value):
-                    return {"witness": (x1, x2, x3), "triples_tried": tried, "pass": False}
-    return {"witness": None, "triples_tried": tried, "pass": True}
+                    return {"witness": (x1, x2, x3), "triples_tried": tried, "outcome": "witness", "pass": False}
+    return {"witness": None, "triples_tried": tried, "outcome": "no witness", "pass": True}

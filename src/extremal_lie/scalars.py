@@ -162,22 +162,27 @@ class Field:
 
     def from_str(self, s):
         s = s.strip()
-        if self.characteristic:
-            return int(s) % self.characteristic
         if "/" in s:
             n, d = s.split("/")
-            return Fraction(int(n), int(d))
-        return Fraction(int(s))
+            return self.from_fraction(Fraction(int(n), int(d)))
+        return self.from_int(int(s))
 
-    def scalar(self, value):
-        """Wrap an int, Fraction or raw value as a Scalar of this field."""
+    def raw(self, value):
+        """The raw value of an int, Fraction or Scalar of this field (a raw
+        value is an int or a Fraction, so it comes back equal)."""
         if isinstance(value, Scalar):
             if value.field != self:
                 raise ValueError("scalar belongs to a different field")
+            return value.value
+        if isinstance(value, (int, Fraction)):
+            return self.from_fraction(value)
+        raise TypeError("%r is not a scalar of %r" % (value, self))
+
+    def scalar(self, value):
+        """Wrap an int, Fraction or raw value as a Scalar of this field."""
+        if isinstance(value, Scalar) and value.field == self:
             return value
-        if isinstance(value, Fraction):
-            return Scalar(self, self.from_fraction(value))
-        return Scalar(self, self.from_int(value))
+        return Scalar(self, self.raw(value))
 
 
 def _sqrt_mod_prime(a, p):
@@ -236,14 +241,8 @@ class Scalar:
         raise AttributeError("Scalar is immutable")
 
     def _coerce(self, other):
-        if isinstance(other, Scalar):
-            if other.field != self.field:
-                raise ValueError("mixed fields")
-            return other.value
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        if isinstance(other, Fraction):
-            return self.field.from_fraction(other)
+        if isinstance(other, (Scalar, int, Fraction)):
+            return self.field.raw(other)
         return NotImplemented
 
     def __add__(self, other):

@@ -13,15 +13,19 @@ reduction cannot survive silently.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .scalars import QQ, Scalar
+from .linalg import Coordinates, echelon_from_rows
 from .liealg import (
     LieAlgebra,
+    Subspace,
     abelian,
+    center,
+    derived_series,
     heisenberg,
     is_extremal,
+    lower_central_series,
     matrix_lie_algebra,
+    solvable_radical,
     subalgebra_generated,
 )
 
@@ -117,14 +121,9 @@ class TriangleParams:
 
     def __init__(self, field, edge_xy, edge_xz, edge_yz, central):
         self.field = field
-        vals = []
-        for v in (edge_xy, edge_xz, edge_yz, central):
-            if isinstance(v, Scalar):
-                v = v.value
-            elif isinstance(v, (int, Fraction)):
-                v = field.from_fraction(Fraction(v))
-            vals.append(v)
-        self.edge_xy, self.edge_xz, self.edge_yz, self.central = vals
+        self.edge_xy, self.edge_xz, self.edge_yz, self.central = (
+            field.raw(v) for v in (edge_xy, edge_xz, edge_yz, central)
+        )
 
     def edges(self):
         return (self.edge_xy, self.edge_xz, self.edge_yz)
@@ -173,10 +172,7 @@ class TriangleParams:
 def exp_transform_params(params, s):
     """Parameters of the triple (x, y, exp(x,s)z)."""
     f = params.field
-    if isinstance(s, Scalar):
-        s = s.value
-    elif isinstance(s, (int, Fraction)):
-        s = f.from_fraction(Fraction(s))
+    s = f.raw(s)
     a, b, c, d = params.edge_xy, params.edge_xz, params.edge_yz, params.central
     new_yz = f.add(f.sub(c, f.mul(s, d)), f.mul(_half(f), f.mul(f.mul(s, s), f.mul(a, b))))
     new_central = f.sub(d, f.mul(s, f.mul(b, a)))
@@ -188,16 +184,9 @@ def scale_params(params, alpha, beta, gamma):
     f = params.field
     if not f.is_zero(params.central):
         raise CentralNotZero("scaling is only applied after the central parameter vanishes")
-    vals = []
-    for v in (alpha, beta, gamma):
-        if isinstance(v, Scalar):
-            v = v.value
-        elif isinstance(v, (int, Fraction)):
-            v = f.from_fraction(Fraction(v))
-        if f.is_zero(v):
-            raise ValueError("scaling factors must be nonzero")
-        vals.append(v)
-    al, be, ga = vals
+    al, be, ga = (f.raw(v) for v in (alpha, beta, gamma))
+    if any(f.is_zero(v) for v in (al, be, ga)):
+        raise ValueError("scaling factors must be nonzero")
     return TriangleParams(
         f,
         f.mul(f.mul(al, be), params.edge_xy),
@@ -332,7 +321,8 @@ def normalize(params):
                 raise RuntimeError("sign adjustment failed")
         steps.append(("scale", f.to_str(al), f.to_str(be), f.to_str(ga)))
         p = scale_params(p, al, be, ga)
-    assert all(f.is_zero(e) or e == minus2 for e in p.edges())
+    if not all(f.is_zero(e) or e == minus2 for e in p.edges()):
+        raise RuntimeError("normalization left an edge other than 0 and -2")
     return NormalizationTrace(params, steps, p)
 
 
@@ -367,11 +357,8 @@ def two_gen_classify(f_xy, bracket_nonzero, field=QQ):
 
     Returns (label, algebra, (index of x, index of y)).
     """
-    f = field
-    if isinstance(f_xy, Scalar):
-        f, f_xy = f_xy.field, f_xy.value
-    elif isinstance(f_xy, (int, Fraction)):
-        f_xy = f.from_fraction(Fraction(f_xy))
+    f = f_xy.field if isinstance(f_xy, Scalar) else field
+    f_xy = f.raw(f_xy)
     if f.is_zero(f_xy):
         if not bracket_nonzero:
             return "abelian", abelian(f, 2), (0, 1)
@@ -417,9 +404,13 @@ def build_M(params):
         fx = is_extremal(M, M.basis_element(idx))
         if fx is None:
             raise RewriteIncomplete("generator %s lost extremality" % MONOMIAL_LABELS[idx])
-        assert fx(M.basis_element(other1)).value == val1
-        assert fx(M.basis_element(other2)).value == val2
-        assert f.is_zero(fx(M.basis_element(_YZ if idx == _X else _XZ if idx == _Y else _XY)).value)
+        opposite = _YZ if idx == _X else _XZ if idx == _Y else _XY
+        if (
+            fx(M.basis_element(other1)).value != val1
+            or fx(M.basis_element(other2)).value != val2
+            or not f.is_zero(fx(M.basis_element(opposite)).value)
+        ):
+            raise RewriteIncomplete("generator %s has the wrong form values" % MONOMIAL_LABELS[idx])
     return M, {"rules": applied, "case": params.nonzero_edges()}
 
 
@@ -436,17 +427,8 @@ def sl3_example(field=QQ):
         return [[f.from_int(v) for v in row] for row in m]
 
     mats = [conv(x), conv(y), conv(z)]
-    L, basis_mats = matrix_lie_algebra(f, mats)
-    from .linalg import solve_in_span
-
-    size = 3
-    flat_rows = [[m[i][j] for i in range(size) for j in range(size)] for m in basis_mats]
-
-    def elt(m):
-        coeffs = solve_in_span(f, flat_rows, size * size, [m[i][j] for i in range(size) for j in range(size)])
-        return L.element({k: v for k, v in enumerate(coeffs)})
-
-    return L, elt(mats[0]), elt(mats[1]), elt(mats[2])
+    L, _, element_of = matrix_lie_algebra(f, mats)
+    return (L,) + tuple(element_of(m) for m in mats)
 
 
 def _monomials_of(L, x, y, z):
@@ -459,15 +441,13 @@ def _monomials_of(L, x, y, z):
 def structure_constants_on(L, elements):
     """Brackets of the given spanning elements expressed over themselves, or
     None if they are not an independent spanning set."""
-    from .linalg import solve_in_span
-
     f = L.field
-    rows = [e.to_dense() for e in elements]
+    span = Coordinates(f, [e.to_dense() for e in elements], L.n)
     out = {}
     for i in range(len(elements)):
         for j in range(i + 1, len(elements)):
             w = L.bracket(elements[i], elements[j])
-            coeffs = solve_in_span(f, rows, L.n, w.to_dense())
+            coeffs = span.solve(w.to_dense())
             if coeffs is None:
                 return None
             row = {k: v for k, v in enumerate(coeffs) if not f.is_zero(v)}
@@ -480,32 +460,20 @@ def isomorphic_by_monomials(M, L, x, y, z):
     """Explicit isomorphism test: the monomial map m_i -> m_i(L) matches all
     structure constants and is invertible."""
     mons = _monomials_of(L, x, y, z)
-    from .linalg import echelon_from_rows
-
     if echelon_from_rows(L.field, L.n, [m.to_dense() for m in mons]).dim != 8 or L.n != 8:
         return False
     target = structure_constants_on(L, mons)
     if target is None:
         return False
-    source = {}
-    for (i, j), row in M._table.items():
-        source[(i, j)] = row
     for i in range(8):
         for j in range(i + 1, 8):
-            if source.get((i, j), {}) != target.get((i, j), {}):
+            if M._table.get((i, j), {}) != target.get((i, j), {}):
                 return False
     return True
 
 
 def verify_3gen_structure(M, case):
     """The per-case structural claims for the normalized algebra M."""
-    from .liealg import (
-        Subspace,
-        center,
-        derived_series,
-        lower_central_series,
-        solvable_radical,
-    )
     from . import nilquot
 
     f = M.field
@@ -577,10 +545,7 @@ def _scale(M, raw, elt):
 
 
 def _check_sl2_part(M):
-    from .liealg import Subspace
-
     e = M.basis_element
-    S = Subspace.from_elements(M, [e(_X), e(_XY), e(_Y)])
     if subalgebra_generated(M, [e(_X), e(_Y)]).dim != 3:
         return False
     # sl2 structure: [x,y] = m4, [x,m4] = -2x, [y,m4] = 2y
@@ -593,50 +558,24 @@ def _check_sl2_part(M):
 
 def _modules_irreducible(M, modules):
     """No S-invariant line inside the given 2-dimensional S-modules."""
-    from .liealg import _eigenvalue_candidates
-    from .linalg import kernel, solve_in_span
+    from .liealg import _eigenvalue_candidates, _eigenvectors
 
     f = M.field
     e = M.basis_element
     s_elts = [e(_X), e(_Y), e(_XY)]
     for mod in modules:
         rows = [v.to_dense() for v in mod]
+        span = Coordinates(f, rows, M.n)
         for s in s_elts:
             for v in mod:
-                if solve_in_span(f, rows, M.n, M.bracket(s, v).to_dense()) is None:
+                if span.solve(M.bracket(s, v).to_dense()) is None:
                     return False  # not even a module
         # common invariant line would be an eigenline of the [x,y]-action
-        h = e(_XY)
-        images = [M.bracket(h, v).to_dense() for v in mod]
-        coords = [solve_in_span(f, rows, M.n, img) for img in images]
-        cands = _eigenvalue_candidates(f, coords)
-        for lam in cands or []:
-            mt = [
-                [f.sub(coords[i][j], lam if i == j else f.zero) for i in range(2)]
-                for j in range(2)
-            ]
-            for xcoef in kernel(f, mt, 2):
-                line = xcoef[0] * mod[0] + xcoef[1] * mod[1]
-                line = Scalar(f, f.one) * M.element(dict(line.coeffs))
-                stable = True
-                for s in s_elts:
-                    w = M.bracket(s, line)
-                    if not w.is_zero():
-                        ratio = None
-                        for k, cval in w.coeffs.items():
-                            if k not in line.coeffs:
-                                stable = False
-                                break
-                            r = f.div(cval, line.coeffs[k])
-                            if ratio is None:
-                                ratio = r
-                            elif r != ratio:
-                                stable = False
-                                break
-                        if stable and set(w.coeffs) != set(line.coeffs):
-                            stable = False
-                    if not stable:
-                        break
-                if stable:
+        coords = [span.solve(M.bracket(e(_XY), v).to_dense()) for v in mod]
+        for lam in _eigenvalue_candidates(f, coords) or []:
+            for vec in _eigenvectors(f, rows, coords, lam):
+                x = M.element(vec)
+                line = Subspace.from_elements(M, [x])
+                if all(line.contains(M.bracket(s, x)) for s in s_elts):
                     return False
     return True

@@ -150,3 +150,30 @@ def test_mingen_f4_char5(capsys, tmp_path):
     byname = {c["name"]: c for c in data["checks"]}
     assert byname["F4/char5 t"]["actual"] == 5
     assert byname["F4/char5 lower bound"]["pass"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["mingen", "--type", "A2", "--char", "4"],
+    ["radicals", "--type", "A2", "--char", "9"],
+    ["threegen", "--edges", "1/0,1,1"],
+    ["threegen", "--edges", "1,2"],
+    ["tables", "rr-lengths", "--r", "5"],
+    ["tables", "lr", "--max-r", "0"],
+    ["mingen", "--type", "A2", "--rank", "3"],
+])
+def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, argv):
+    code, out, err = run_cli(capsys, "--cache", str(tmp_path), *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_radicals_reports_failed_form_check(capsys, tmp_path, monkeypatch):
+    from extremal_lie.liealg import BilinearForm
+
+    monkeypatch.setattr(BilinearForm, "is_associative", lambda self: False)
+    code, out, _ = run_cli(capsys, "--json", "--cache", str(tmp_path), "radicals", "--type", "A2")
+    assert code == 1
+    byname = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert byname["extremal form symmetric"]["pass"]
+    assert not byname["extremal form associative"]["pass"]

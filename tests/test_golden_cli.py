@@ -1,0 +1,53 @@
+"""Golden output of the CLI: a fixed list of cheap commands, every subcommand,
+over Q and over GF(p), whose ``--json`` stdout must match
+``golden/cli_json.txt`` byte for byte.
+
+Record the file again (only when a report is meant to change) with
+
+    PYTHONPATH=src python3 tests/test_golden_cli.py
+"""
+
+import contextlib
+import io
+import os
+import sys
+import tempfile
+
+from extremal_lie import cli
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "cli_json.txt")
+
+COMMANDS = [
+    ["tables", "lr", "--max-r", "4"],
+    ["tables", "rr", "--max-r", "3"],
+    ["tables", "rr-lengths", "--r", "3"],
+    ["mingen", "--type", "A2,B3,C2,G2"],
+    ["mingen", "--type", "A3,B3,G2", "--char", "5"],
+    ["radicals", "--type", "A2"],
+    ["radicals", "--type", "G2", "--char", "3"],
+    ["rootgroups", "--type", "A2", "--char", "5", "--seed", "7"],
+    ["threegen", "--edges", "-2,-2,-2"],
+    ["extremal-check", "--type", "B3"],
+]
+
+
+def transcript(cache_dir):
+    """One block per command: the command line, its exit code, its stdout."""
+    blocks = []
+    for argv in COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["--json", "--cache", cache_dir] + argv)
+        blocks.append("$ extremal-lie --json %s\n# exit %d\n%s" % (" ".join(argv), code, out.getvalue()))
+    return blocks
+
+
+def test_cli_json_matches_golden(tmp_path):
+    with open(GOLDEN) as fh:
+        want = fh.read()
+    assert "".join(transcript(str(tmp_path))) == want
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as d, open(GOLDEN, "w") as fh:
+        fh.write("".join(transcript(d)))

@@ -71,3 +71,17 @@ def test_charpoly_nilpotent_over_gf():
     f = GF(5)
     a = [[f.zero, f.one], [f.zero, f.zero]]
     assert charpoly(f, a) == [f.zero, f.zero, f.one]
+
+
+def test_mat_mul_matches_dense_reference_on_rectangular_matrices():
+    r = rng("mat_mul")
+    for f in (QQ, GF(7)):
+        for n, k, m in ((1, 1, 1), (2, 3, 4), (4, 3, 2), (5, 5, 5)):
+            a = [[f.from_int(r.choice((0, 0, r.randint(-3, 3)))) for _ in range(k)] for _ in range(n)]
+            b = [[f.from_int(r.choice((0, 0, r.randint(-3, 3)))) for _ in range(m)] for _ in range(k)]
+            dense = [[f.zero] * m for _ in range(n)]
+            for i in range(n):
+                for j in range(m):
+                    for t in range(k):
+                        dense[i][j] = f.add(dense[i][j], f.mul(a[i][t], b[t][j]))
+            assert mat_mul(f, a, b) == dense

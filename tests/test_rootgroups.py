@@ -135,3 +135,12 @@ def test_chain_nonexistence_probe():
         pool = [A.x(root) for root in A.rootsystem.roots if A.rootsystem.is_long(root)]
         rep = chain_nonexistence_probe(A.lie, pool)
         assert rep["pass"], rep["witness"]
+
+
+def test_chain_probe_out_of_budget_is_inconclusive():
+    A = chevalley("D", 4)
+    pool = [A.x(root) for root in A.rootsystem.roots if A.rootsystem.is_long(root)]
+    rep = chain_nonexistence_probe(A.lie, pool, max_triples=10)
+    assert rep["outcome"] == "inconclusive"
+    assert rep["pass"] is not True
+    assert rep["witness"] is None and rep["triples_tried"] == 10
