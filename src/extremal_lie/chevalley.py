@@ -22,6 +22,7 @@ from .liealg import (
     AlgebraElement,
     LieAlgebra,
     NotExtremal,
+    NotSpanning,
     extremal_closure,
     is_extremal,
     matrix_lie_algebra,
@@ -166,28 +167,42 @@ class Automorphism:
         return True
 
 
-def exp_automorphism(L, x, s, check=True):
-    """exp(x, s) = 1 + s ad_x + (s^2/2) ad_x^2 for an extremal element x."""
+def exp_map(L, x):
+    """s -> exp(x, s) = 1 + s ad_x + (s^2/2) ad_x^2 for an extremal element x.
+
+    Extremality is proved and the columns of ad_x and ad_x^2 are computed
+    once, so each parameter costs one sparse combination of them.  The map
+    re-checks that its value preserves the bracket only when ``check`` is set."""
     if isinstance(L, ChevalleyAlgebra):
         L = L.lie
     x = L.element(x)
     if is_extremal(L, x) is None:
         raise NotExtremal("exp is defined at extremal elements")
     f = L.field
-    s = f.raw(s)
-    half_s2 = f.div(f.mul(s, s), f.from_int(2))
-    cols = []
+    ad = []
     for j in range(L.n):
-        ej = L.basis_element(j)
-        one = L.bracket(x, ej)
-        two = L.bracket(x, one)
-        col = dict(ej.coeffs)
-        for k, v in one.coeffs.items():
-            col[k] = f.add(col.get(k, f.zero), f.mul(s, v))
-        for k, v in two.coeffs.items():
-            col[k] = f.add(col.get(k, f.zero), f.mul(half_s2, v))
-        cols.append({k: v for k, v in col.items() if not f.is_zero(v)})
-    return Automorphism(L, cols, check=check)
+        one = L.bracket(x, L.basis_element(j))
+        ad.append((one.coeffs, L.bracket(x, one).coeffs))
+
+    def exp(s, check=False):
+        s = f.raw(s)
+        half_s2 = f.div(f.mul(s, s), f.from_int(2))
+        cols = []
+        for j, (one, two) in enumerate(ad):
+            col = {j: f.one}
+            for k, v in one.items():
+                col[k] = f.add(col.get(k, f.zero), f.mul(s, v))
+            for k, v in two.items():
+                col[k] = f.add(col.get(k, f.zero), f.mul(half_s2, v))
+            cols.append({k: v for k, v in col.items() if not f.is_zero(v)})
+        return Automorphism(L, cols, check=check)
+
+    return exp
+
+
+def exp_automorphism(L, x, s, check=True):
+    """exp(x, s) for an extremal element x (see ``exp_map``)."""
+    return exp_map(L, x)(s, check)
 
 
 def root_exponential(A, root, s=1, check=True):
@@ -311,10 +326,21 @@ def short_root_decomposition_check(type_, field):
 
 
 def _long_class_generates(A):
-    """The class of long root elements generates the whole algebra."""
-    gens = [A.x(r) for r in A.rootsystem.roots if A.rootsystem.is_long(r)]
-    gens.extend(extremal_spanning_set(A))
-    return subalgebra_generated(A.lie, gens).dim == A.lie.n
+    """Whether the class of long root elements generates the algebra.
+
+    The closure of the long root elements under exp(+-ad x_r) lies in the
+    class, and its span is stable under every exp(t ad x_r) (t runs over the
+    integers), hence under every ad x_r: over Q, ad x_r = log exp(ad x_r); over
+    GF(p) when p exceeds the degree in t.  So that span is the ideal spanned by
+    the class, and the class generates exactly when the closure spans, which
+    ``extremal_spanning_set`` reports by raising NotSpanning when it does not.
+    (The elements x_r of the long roots alone generate only 6 of the 10
+    dimensions of B2.)"""
+    try:
+        extremal_spanning_set(A)
+    except NotSpanning:
+        return False
+    return True
 
 
 def simple_plus_lowest_generation_check(A):

@@ -253,6 +253,10 @@ def cmd_radicals(args):
         rep.add("Rad(L) dim", 0, dims["Rad(L)"])
         rep.add("Rad(f) dim", 7, dims["Rad(f)"])
         rep.add_bool("Rad(L) < Rad(f) strict", dims["Rad(f)"] > dims["Rad(L)"])
+    elif field.characteristic == 0:
+        # a Chevalley algebra over Q is simple
+        rep.add("Rad(L) dim", 0, dims["Rad(L)"])
+        rep.add("Rad(f) dim", 0, dims["Rad(f)"])
     else:
         rep.add("Rad(L) dim", dims["Rad(L)"], dims["Rad(L)"])
         rep.add("Rad(f) dim", dims["Rad(f)"], dims["Rad(f)"])
@@ -292,23 +296,15 @@ def cmd_rootgroups(args):
     long_roots = [root for root in rs.roots if rs.is_long(root)]
     theta = rs.highest_root
     pairs = [("same-line", A.x(theta), 2 * A.x(theta)), ("opposite", A.x(theta), A.x(tuple(-c for c in theta)))]
-    for a in long_roots:
-        for b in long_roots:
-            if a != b and not rs.is_root(_addt(a, b)) and _addt(a, b) != tuple(0 for _ in a):
-                pairs.append(("commuting", A.x(a), A.x(b)))
-                break
-        else:
-            continue
-        break
-    for a in long_roots:
-        for b in long_roots:
-            sum_ = _addt(a, b)
-            if rs.is_root(sum_) and rs.is_long(sum_):
-                pairs.append(("f0-noncommuting", A.x(a), A.x(b)))
-                break
-        else:
-            continue
-        break
+    # the first commuting and the first f0-noncommuting pair of long roots (A1 has neither)
+    zero = tuple(0 for _ in theta)
+    for case, sum_ok in (
+        ("commuting", lambda s: s != zero and not rs.is_root(s)),
+        ("f0-noncommuting", lambda s: rs.is_root(s) and rs.is_long(s)),
+    ):
+        pair = next(((a, b) for a in long_roots for b in long_roots if a != b and sum_ok(_addt(a, b))), None)
+        if pair is not None:
+            pairs.append((case, A.x(pair[0]), A.x(pair[1])))
     for expect_case, x, y in pairs:
         out = rg.verify_abstract_root_properties(A.lie, x, y, sample_params=samples)
         rep.add("%s pair classified" % expect_case, expect_case, out["case"])

@@ -8,6 +8,7 @@ operations are pure functions of their inputs, so concurrent use is safe.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .scalars import QQ, Scalar
 from .linalg import (
@@ -70,7 +71,7 @@ class LieAlgebra:
     coefficients (which is checked for antisymmetry first).
     """
 
-    def __init__(self, field, labels, table, _skip_validation=False):
+    def __init__(self, field, labels, table):
         self.field = field
         self.labels = list(labels)
         self.n = len(self.labels)
@@ -82,8 +83,7 @@ class LieAlgebra:
             if row:
                 tab[(i, j)] = row
         self._table = tab
-        if not _skip_validation:
-            self._validate_jacobi()
+        self._validate_jacobi()
 
     # -- construction helpers --------------------------------------------------
 
@@ -118,24 +118,19 @@ class LieAlgebra:
         return {k: self.field.neg(c) for k, c in row.items()}
 
     def _validate_jacobi(self):
-        f = self.field
-        p = f.characteristic
-        use_int = p != 0
-        if p == 0:
-            use_int = all(
-                Fraction(c).denominator == 1 for row in self._table.values() for c in row.values()
-            )
-        if use_int:
-            pairs = {}
-            for (i, j), row in self._table.items():
-                r = {k: int(c) if p else c.numerator for k, c in row.items()}
-                pairs[(i, j)] = r
-                pairs[(j, i)] = {k: -c for k, c in r.items()}
-        else:
-            pairs = {}
-            for (i, j), row in self._table.items():
-                pairs[(i, j)] = row
-                pairs[(j, i)] = {k: f.neg(c) for k, c in row.items()}
+        """Jacobi on every basis triple, in integer arithmetic.
+
+        A GF(p) table is checked on its integer representatives modulo p.  A
+        table over Q is first scaled by the lcm D of its denominators: each
+        Jacobi sum is quadratic in the constants, so the scaled sum is D^2
+        times the true one and vanishes exactly when it does."""
+        p = self.field.characteristic
+        scale = 1 if p else lcm(*(c.denominator for row in self._table.values() for c in row.values()))
+        pairs = {}
+        for (i, j), row in self._table.items():
+            r = {k: int(c) if p else c.numerator * (scale // c.denominator) for k, c in row.items()}
+            pairs[(i, j)] = r
+            pairs[(j, i)] = {k: -c for k, c in r.items()}
         empty = {}
         n = self.n
         for i in range(n):
@@ -147,29 +142,16 @@ class LieAlgebra:
                     if not (cij or cjk or cik):
                         continue
                     acc = {}
-                    if use_int:
-                        for m, v in cij.items():
-                            for t, w in pairs.get((m, k), empty).items():
-                                acc[t] = acc.get(t, 0) + v * w
-                        for m, v in cjk.items():
-                            for t, w in pairs.get((m, i), empty).items():
-                                acc[t] = acc.get(t, 0) + v * w
-                        for m, v in cik.items():
-                            for t, w in pairs.get((m, j), empty).items():
-                                acc[t] = acc.get(t, 0) - v * w
-                        bad = any(v % p if p else v for v in acc.values())
-                    else:
-                        for m, v in cij.items():
-                            for t, w in pairs.get((m, k), empty).items():
-                                acc[t] = f.add(acc.get(t, f.zero), f.mul(v, w))
-                        for m, v in cjk.items():
-                            for t, w in pairs.get((m, i), empty).items():
-                                acc[t] = f.add(acc.get(t, f.zero), f.mul(v, w))
-                        for m, v in cik.items():
-                            for t, w in pairs.get((m, j), empty).items():
-                                acc[t] = f.sub(acc.get(t, f.zero), f.mul(v, w))
-                        bad = any(not f.is_zero(v) for v in acc.values())
-                    if bad:
+                    for m, v in cij.items():
+                        for t, w in pairs.get((m, k), empty).items():
+                            acc[t] = acc.get(t, 0) + v * w
+                    for m, v in cjk.items():
+                        for t, w in pairs.get((m, i), empty).items():
+                            acc[t] = acc.get(t, 0) + v * w
+                    for m, v in cik.items():
+                        for t, w in pairs.get((m, j), empty).items():
+                            acc[t] = acc.get(t, 0) - v * w
+                    if any(v % p if p else v for v in acc.values()):
                         raise JacobiViolation("Jacobi fails on basis triple (%d, %d, %d)" % (i, j, k))
 
     # -- elements ----------------------------------------------------------------
@@ -669,12 +651,13 @@ def grow_extremal_spanning(L, seeds):
     result is a spanning set of extremal elements whenever the closure fills
     the space; a stall raises NotSpanning.
     """
-    from .chevalley import exp_automorphism
+    from .chevalley import exp_map
 
     kept, autos = [], []
 
     def expand(x):
-        new = [exp_automorphism(L, x, s, check=False) for s in (1, -1)]
+        exp = exp_map(L, x)
+        new = [exp(1), exp(-1)]
         pairs = [(phi, x) for phi in autos] + [(phi, y) for phi in new for y in kept]
         kept.append(x)
         autos.extend(new)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .scalars import Scalar
 from .liealg import NotExtremal, PreconditionNotMet, is_extremal
 from .linalg import echelon_from_rows
-from .chevalley import exp_automorphism
+from .chevalley import exp_automorphism, exp_map
 
 Q_SAMPLES = (1, -1, 2, -2, Fraction(1, 2), 3)
 EXHAUSTIVE_CHAR_BOUND = 11
@@ -41,13 +41,9 @@ def parameter_samples(field, seed_extra=()):
     return vals
 
 
-def _exp(L, x, s, cache):
-    key = (id(x), s if not isinstance(s, Fraction) else str(s))
-    got = cache.get(key)
-    if got is None:
-        got = exp_automorphism(L, x, s, check=False)
-        cache[key] = got
-    return got
+def _samples(field, sample_params):
+    """The given parameters, or ``parameter_samples``, as raw field values."""
+    return [field.raw(s) for s in (parameter_samples(field) if sample_params is None else sample_params)]
 
 
 def classify_pair(L, x, y):
@@ -71,9 +67,8 @@ def verify_abstract_root_properties(L, x, y, sample_params=None):
     y = L.element(y)
     f = L.field
     case, fx = classify_pair(L, x, y)
-    samples = sample_params if sample_params is not None else parameter_samples(f)
-    samples = [f.raw(s) for s in samples]
-    cache = {}
+    samples = _samples(f, sample_params)
+    ex, ey = exp_map(L, x), exp_map(L, y)
     checks = []
 
     def record(prop, ok):
@@ -83,23 +78,22 @@ def verify_abstract_root_properties(L, x, y, sample_params=None):
     ok = True
     for s in samples:
         for t in samples:
-            lhs = _exp(L, y, s, cache).compose(_exp(L, y, t, cache))
-            if lhs != _exp(L, y, f.add(s, t), cache):
+            if ey(s).compose(ey(t)) != ey(f.add(s, t)):
                 ok = False
     record("(1) exp(y,s)exp(y,t) = exp(y,s+t)", ok)
 
     # (2) conjugation transports the root group
     ok = True
     for s in samples:
-        g = _exp(L, y, s, cache)
-        ginv = _exp(L, y, f.neg(s), cache)
-        x2 = ginv.apply(x)
-        if is_extremal(L, x2) is None:
+        g = ey(s)
+        ginv = ey(f.neg(s))
+        try:
+            ex2 = exp_map(L, ginv.apply(x))
+        except NotExtremal:
             ok = False
             continue
         for t in samples:
-            lhs = ginv.compose(_exp(L, x, t, cache)).compose(g)
-            if lhs != exp_automorphism(L, x2, t, check=False):
+            if ginv.compose(ex(t)).compose(g) != ex2(t):
                 ok = False
     record("(2) (U_x)^{exp(y,s)} = U_{exp(y,-s)x}", ok)
 
@@ -107,48 +101,37 @@ def verify_abstract_root_properties(L, x, y, sample_params=None):
         ok = True
         for s in samples:
             for t in samples:
-                a = _exp(L, x, s, cache)
-                b = _exp(L, y, t, cache)
+                a, b = ex(s), ey(t)
                 if a.compose(b) != b.compose(a):
                     ok = False
         record("(3) (U_x, U_y) = 1", ok)
     elif case == "f0-noncommuting":
-        z = L.bracket(y, x)
-        ok = is_extremal(L, z) is not None
+        ez = exp_map(L, L.bracket(y, x))
+        ok = True
         for t in samples:
             for s in samples:
-                gy, gx = _exp(L, y, t, cache), _exp(L, x, s, cache)
-                comm = _exp(L, y, f.neg(t), cache).compose(_exp(L, x, f.neg(s), cache)).compose(gy).compose(gx)
-                if comm != exp_automorphism(L, z, f.mul(t, s), check=False):
+                comm = ey(f.neg(t)).compose(ex(f.neg(s))).compose(ey(t)).compose(ex(s))
+                if comm != ez(f.mul(t, s)):
                     ok = False
         # class 2: the commutator group is central in <U_x, U_y>
         for u in samples:
-            gz = exp_automorphism(L, z, u, check=False)
+            gz = ez(u)
             for s in samples:
-                for other in (x, y):
-                    g = _exp(L, other, s, cache)
+                for g in (ex(s), ey(s)):
                     if gz.compose(g) != g.compose(gz):
                         ok = False
         record("(4) (exp(y,t), exp(x,s)) = exp([y,x], ts), class 2", ok)
     else:
         fxy = fx(y).value
-        y2 = Scalar(f, f.div(f.from_int(-2), fxy)) * y
+        ey2 = exp_map(L, Scalar(f, f.div(f.from_int(-2), fxy)) * y)
         ok = True
         for s in samples:
             if f.is_zero(s):
                 continue
             sinv = f.inv(s)
             for t in samples:
-                lhs = (
-                    _exp(L, y2, f.neg(s), cache)
-                    .compose(_exp(L, x, f.mul(sinv, t), cache))
-                    .compose(_exp(L, y2, s, cache))
-                )
-                rhs = (
-                    _exp(L, x, f.neg(sinv), cache)
-                    .compose(_exp(L, y2, f.neg(f.mul(t, s)), cache))
-                    .compose(_exp(L, x, sinv, cache))
-                )
+                lhs = ey2(f.neg(s)).compose(ex(f.mul(sinv, t))).compose(ey2(s))
+                rhs = ex(f.neg(sinv)).compose(ey2(f.neg(f.mul(t, s)))).compose(ex(sinv))
                 if lhs != rhs:
                     ok = False
         record("(5) special rank 1 relation (f(x,y) = -2)", ok)
@@ -172,8 +155,7 @@ def strongcomm_check(L, x, y, sample_params=None):
     fx, fy = is_extremal(L, x), is_extremal(L, y)
     if fx is None or fy is None:
         raise PreconditionNotMet("strongcomm needs extremal x, y")
-    samples = sample_params if sample_params is not None else parameter_samples(f)
-    samples = [f.raw(s) for s in samples]
+    samples = _samples(f, sample_params)
 
     cond2 = _condition_2prime(L, x, y, fx, fy)
     # (1)/(1'): extremality of sx + ty over the samples
@@ -189,10 +171,10 @@ def strongcomm_check(L, x, y, sample_params=None):
     agree = cond2 == cond1_all == cond1_exists
     product_ok = True
     if cond2:
-        cache = {}
+        ex, ey = exp_map(L, x), exp_map(L, y)
         for s in samples:
             for t in samples:
-                lhs = _exp(L, y, t, cache).compose(_exp(L, x, s, cache))
+                lhs = ey(t).compose(ex(s))
                 v = Scalar(f, s) * x + Scalar(f, t) * y
                 if v.is_zero():
                     rhs_ok = lhs.is_identity()
@@ -208,6 +190,12 @@ def strongcomm_check(L, x, y, sample_params=None):
         "product_identity": product_ok,
         "pass": agree and (not cond2 or product_ok),
     }
+
+
+def _non_extremal_points(L, x, y, lambdas):
+    """The nonzero points x + lam y that are not extremal (lazily)."""
+    points = (x + Scalar(L.field, lam) * y for lam in lambdas)
+    return (p for p in points if not p.is_zero() and is_extremal(L, p) is None)
 
 
 def projective_line_check(L, x, y, third_point, sample_params=None):
@@ -228,18 +216,12 @@ def projective_line_check(L, x, y, third_point, sample_params=None):
     ech = echelon_from_rows(f, L.n, [x.to_dense(), y.to_dense()])
     if ech.dim != 2 or not ech.contains(third.to_dense()):
         raise PreconditionNotMet("the three points must span one projective line")
-    lambdas = sample_params if sample_params is not None else parameter_samples(f)
-    lambdas = [f.raw(s) for s in lambdas]
-    points = [y] + [x + Scalar(f, lam) * y for lam in lambdas]
-    bad = []
-    for p in points:
-        if p.is_zero():
-            continue
-        if is_extremal(L, p) is None:
-            bad.append(p)
+    # y is extremal (checked above); the other points are x + lam y
+    lambdas = _samples(f, sample_params)
+    bad = list(_non_extremal_points(L, x, y, lambdas))
     exhaustive = bool(f.characteristic and f.characteristic <= EXHAUSTIVE_CHAR_BOUND)
     return {
-        "points_checked": len(points),
+        "points_checked": 1 + len(lambdas),
         "exhaustive": exhaustive,
         "non_extremal_points": bad,
         "pass": not bad,
@@ -249,42 +231,34 @@ def projective_line_check(L, x, y, third_point, sample_params=None):
 def line_is_fully_extremal(L, x, y, sample_params=None):
     """Whether every sampled nonzero point of kx + ky is extremal (no
     preconditions; used to exhibit failing lines)."""
-    f = L.field
-    lambdas = sample_params if sample_params is not None else parameter_samples(f)
-    lambdas = [f.raw(s) for s in lambdas]
-    witness = None
-    for lam in lambdas:
-        p = x + Scalar(f, lam) * y
-        if not p.is_zero() and is_extremal(L, p) is None:
-            witness = p
-            break
+    witness = next(_non_extremal_points(L, x, y, _samples(L.field, sample_params)), None)
     return {"fully_extremal": witness is None, "witness": witness}
 
 
-def chain_nonexistence_probe(L, pool, max_triples=20000):
-    """Search for a chain x1, x2, x3 of extremal elements with (x1, x2)
-    satisfying the strong commuting conditions, [x2, x3] = 0 and
-    f(x1, x3) != 0.  Absence of a witness is reported, not proved.
+def chain_nonexistence_probe(L, pool):
+    """Search every triple of the pool for a chain x1, x2, x3 of extremal
+    elements with (x1, x2) satisfying the strong commuting conditions,
+    [x2, x3] = 0 and f(x1, x3) != 0.
 
-    ``outcome`` is "witness", "no witness" (every triple of the pool was
-    tried) or "inconclusive" (the budget of ``max_triples`` ran out first);
+    The conditions on x3 do not involve (2'), so the commuting relation and
+    the f != 0 relation of the pool are computed once, and (2') is tested
+    only on commuting pairs (x1, x2) that some x3 completes.  The first
+    witness in (x1, x2, x3) pool order is returned.  ``outcome`` is
+    "witness" or "no witness" (for the pool, not for every extremal element);
     only "no witness" passes."""
     f = L.field
-    pool = [L.element(p) for p in pool]
     funcs = []
-    for p in pool:
+    for p in map(L.element, pool):
         fx = is_extremal(L, p)
         if fx is not None:
             funcs.append((p, fx))
-    tried = 0
+    idx = range(len(funcs))
+    commutes = [{k for k in idx if L.bracket(x, funcs[k][0]).is_zero()} for x, _ in funcs]
+    f_nonzero = [{k for k in idx if not f.is_zero(fx(funcs[k][0]).value)} for _, fx in funcs]
     for i, (x1, f1) in enumerate(funcs):
-        for j, (x2, f2) in enumerate(funcs):
-            if i == j or not L.bracket(x1, x2).is_zero() or not _condition_2prime(L, x1, x2, f1, f2):
-                continue
-            for x3, f3 in funcs:
-                if tried == max_triples:
-                    return {"witness": None, "triples_tried": tried, "outcome": "inconclusive", "pass": False}
-                tried += 1
-                if L.bracket(x2, x3).is_zero() and not f.is_zero(f1(x3).value):
-                    return {"witness": (x1, x2, x3), "triples_tried": tried, "outcome": "witness", "pass": False}
-    return {"witness": None, "triples_tried": tried, "outcome": "no witness", "pass": True}
+        for j in sorted(commutes[i] - {i}):
+            x2, f2 = funcs[j]
+            completions = commutes[j] & f_nonzero[i]
+            if completions and _condition_2prime(L, x1, x2, f1, f2):
+                return {"witness": (x1, x2, funcs[min(completions)][0]), "outcome": "witness", "pass": False}
+    return {"witness": None, "outcome": "no witness", "pass": True}

@@ -3,10 +3,13 @@ from fractions import Fraction
 import pytest
 
 from extremal_lie.scalars import QQ, GF, Scalar
+from extremal_lie import chevalley as chevalley_module
 from extremal_lie.chevalley import (
+    Automorphism,
     NotExtremal,
     dimension_lower_bound,
     exp_automorphism,
+    exp_map,
     extremal_spanning_set,
     long_root_extremality_check,
     mingen_certify,
@@ -63,6 +66,20 @@ def test_exp_requires_extremal():
     short = B.x(B.rootsystem.root_from_eps({1: 1}))
     with pytest.raises(NotExtremal):
         exp_automorphism(B, short, 1)
+
+
+def test_exp_map_proves_extremality_once(monkeypatch):
+    calls = []
+    real = chevalley_module.is_extremal
+    monkeypatch.setattr(chevalley_module, "is_extremal", lambda L, x: calls.append(x) or real(L, x))
+    A = chevalley("A", 2)
+    x = A.x((1, 1))
+    exp = exp_map(A.lie, x)
+    maps = [exp(s) for s in (0, 1, -1, 2, Fraction(1, 2))]
+    assert len(calls) == 1
+    assert maps[0].is_identity()
+    assert maps[1].compose(maps[2]).is_identity()
+    assert maps[1] == exp_automorphism(A.lie, x, 1)
 
 
 def test_exp_preserves_bracket_and_form():
@@ -168,3 +185,15 @@ def test_minimal_generator_count_table():
     assert minimal_generator_count("E", 8) == 5
     assert minimal_generator_count("F", 4) == 5
     assert minimal_generator_count("G", 2) == 4
+
+
+def test_long_class_generation_check_can_fail(monkeypatch):
+    # with identity maps for the root exponentials the closure of the long
+    # root elements is their own span, a proper subspace of B2
+    def identity(A, root, s=1, check=True):
+        return Automorphism(A.lie, [{j: A.field.one} for j in range(A.lie.n)], check=False)
+
+    monkeypatch.setattr(chevalley_module, "root_exponential", identity)
+    rep = short_root_decomposition_check("B2", QQ)
+    assert rep["long_root_elements_generate"] is False
+    assert rep["pass"] is False

@@ -177,3 +177,25 @@ def test_radicals_reports_failed_form_check(capsys, tmp_path, monkeypatch):
     byname = {c["name"]: c for c in json.loads(out)["checks"]}
     assert byname["extremal form symmetric"]["pass"]
     assert not byname["extremal form associative"]["pass"]
+
+
+def test_radicals_over_q_expects_zero_radicals(capsys, tmp_path, monkeypatch):
+    real = cli.sandwich_span_check
+
+    def with_radical(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out["dims"]["Rad(L)"] = 1
+        return out
+
+    monkeypatch.setattr(cli, "sandwich_span_check", with_radical)
+    code, out, _ = run_cli(capsys, "--json", "--cache", str(tmp_path), "radicals", "--type", "A2")
+    assert code == 1
+    byname = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert byname["Rad(L) dim"] == {"name": "Rad(L) dim", "expected": 0, "actual": 1, "pass": False}
+
+
+def test_rootgroups_e6_probe_finds_no_witness(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "--json", "--cache", str(tmp_path), "rootgroups", "--type", "E6", "--char", "0")
+    assert code == 0
+    byname = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert byname["no forbidden chain found (probe)"]["pass"]

@@ -33,7 +33,7 @@ from extremal_lie.liealg import (
     structural_subspaces,
     subalgebra_generated,
 )
-from extremal_lie.smallgen import TriangleParams, build_M, sl3_example
+from extremal_lie.smallgen import TriangleParams, build_M, sl3_example, two_gen_classify
 from extremal_lie.chevalley import extremal_spanning_set
 
 from helpers import chevalley, rng, sandwich
@@ -61,6 +61,74 @@ def test_jacobi_violation_detected():
     table = {(0, 1): {2: f.one}, (0, 2): {0: f.one}}
     with pytest.raises(JacobiViolation):
         LieAlgebra(f, ["a", "b", "c"], table)
+
+
+def test_jacobi_violation_detected_on_fractional_constants():
+    # [a,b] = c/2, [a,c] = a/3: the Jacobi sum on (a,b,c) is -c/6
+    for f in (QQ, GF(5)):
+        table = {(0, 1): {2: f.raw(Fraction(1, 2))}, (0, 2): {0: f.raw(Fraction(1, 3))}}
+        with pytest.raises(JacobiViolation):
+            LieAlgebra(f, ["a", "b", "c"], table)
+
+
+def test_valid_fractional_table_constructs():
+    label, L, _ = two_gen_classify(Fraction(1, 2), True)
+    assert label == "sl2" and L.n == 3
+
+
+def _jacobi_holds_reference(n, table):
+    """Jacobi on every basis triple in Fraction arithmetic, from the table."""
+
+    def bracket(u, v):
+        out = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                if i < j:
+                    row = table.get((i, j), {})
+                else:
+                    row = {k: -c for k, c in table.get((j, i), {}).items()}
+                for k, c in row.items():
+                    out[k] = out.get(k, 0) + a * b * c
+        return out
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                total = {}
+                for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
+                    for t, c in bracket(bracket({u: 1}, {v: 1}), {w: 1}).items():
+                        total[t] = total.get(t, 0) + c
+                if any(total.values()):
+                    return False
+    return True
+
+
+def test_jacobi_on_rescaled_tables_matches_fraction_reference():
+    # sl3 in a basis rescaled by random fractions (a Lie algebra), and the same
+    # table with one constant perturbed (usually not)
+    r = rng("jacobi-rescaled")
+    base = chevalley("A", 2).lie
+    n = base.n
+    outcomes = set()
+    for _ in range(6):
+        c = [Fraction(r.choice([-1, 1]) * r.randint(1, 5), r.randint(1, 5)) for _ in range(n)]
+        table = {
+            (i, j): {k: Fraction(v) * c[i] * c[j] / c[k] for k, v in row.items()}
+            for (i, j), row in base._table.items()
+        }
+        key = r.choice(sorted(table))
+        bad = {ij: dict(row) for ij, row in table.items()}
+        m = r.choice(sorted(bad[key]))
+        bad[key][m] += Fraction(1, r.randint(2, 5))
+        for tab in (table, bad):
+            holds = _jacobi_holds_reference(n, tab)
+            outcomes.add(holds)
+            if holds:
+                assert LieAlgebra(QQ, base.labels, tab).n == n
+            else:
+                with pytest.raises(JacobiViolation):
+                    LieAlgebra(QQ, base.labels, tab)
+    assert outcomes == {True, False}
 
 
 def test_sl3_from_matrix_generators():

@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from extremal_lie.scalars import QQ, GF, Scalar
-from extremal_lie.liealg import PreconditionNotMet, sl2
+from extremal_lie import rootgroups
+from extremal_lie.liealg import PreconditionNotMet, is_extremal, sl2
 from extremal_lie.rootgroups import (
     RootGroupElement,
     chain_nonexistence_probe,
@@ -137,10 +138,45 @@ def test_chain_nonexistence_probe():
         assert rep["pass"], rep["witness"]
 
 
-def test_chain_probe_out_of_budget_is_inconclusive():
-    A = chevalley("D", 4)
-    pool = [A.x(root) for root in A.rootsystem.roots if A.rootsystem.is_long(root)]
-    rep = chain_nonexistence_probe(A.lie, pool, max_triples=10)
-    assert rep["outcome"] == "inconclusive"
-    assert rep["pass"] is not True
-    assert rep["witness"] is None and rep["triples_tried"] == 10
+def _reference_probe(L, pool):
+    """Every triple of the pool in (x1, x2, x3) order, (2') on every commuting pair."""
+    f = L.field
+    funcs = [(p, fx) for p, fx in ((p, is_extremal(L, p)) for p in pool) if fx is not None]
+    for i, (x1, f1) in enumerate(funcs):
+        for j, (x2, f2) in enumerate(funcs):
+            if i == j or not L.bracket(x1, x2).is_zero() or not rootgroups._condition_2prime(L, x1, x2, f1, f2):
+                continue
+            for x3, _ in funcs:
+                if L.bracket(x2, x3).is_zero() and not f.is_zero(f1(x3).value):
+                    return "witness", [w.coeffs for w in (x1, x2, x3)]
+    return "no witness", None
+
+
+def _long_root_pools():
+    for t, n, char in [("A", 2, 5), ("B", 3, 0), ("D", 4, 0)]:
+        A = chevalley(t, n, char)
+        yield t, A.lie, [A.x(root) for root in A.rootsystem.roots if A.rootsystem.is_long(root)]
+
+
+def _probe_outcome(L, pool):
+    rep = chain_nonexistence_probe(L, pool)
+    assert set(rep) == {"witness", "outcome", "pass"}
+    assert rep["pass"] == (rep["outcome"] == "no witness")
+    return rep["outcome"], rep["witness"] and [w.coeffs for w in rep["witness"]]
+
+
+def test_chain_probe_matches_reference_loop():
+    for _, L, pool in _long_root_pools():
+        assert _probe_outcome(L, pool) == _reference_probe(L, pool) == ("no witness", None)
+
+
+def test_chain_probe_first_witness_matches_reference_loop(monkeypatch):
+    # with (2') forced true every commuting pair qualifies: the witness branch
+    # and the order in which witnesses are found (A2 has no x3 to complete one).
+    # The doubled elements give each x1 two completing x3, which tests their order.
+    monkeypatch.setattr(rootgroups, "_condition_2prime", lambda *args: True)
+    for t, L, pool in _long_root_pools():
+        pool = pool + [2 * p for p in pool]
+        got = _probe_outcome(L, pool)
+        assert got[0] == ("no witness" if t == "A" else "witness")
+        assert got == _reference_probe(L, pool)

@@ -2,10 +2,19 @@
 
 import ast
 import os
+import subprocess
+import sys
+
+import pytest
 
 import extremal_lie
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(extremal_lie.__file__))
+REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# demos/tables.py is left out: it builds L_5 (about 30 s), and the acceptance
+# suite checks the same tables
+DEMOS = ("radical_chain.py", "root_groups.py", "three_generators.py", "minimal_generators.py")
 
 
 def test_no_assert_statements_in_package():
@@ -18,3 +27,11 @@ def test_no_assert_statements_in_package():
                 tree = ast.parse(fh.read(), filename=path)
             found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    done = subprocess.run(
+        [sys.executable, os.path.join("demos", demo)], cwd=REPO_DIR, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
