@@ -172,11 +172,14 @@ def exp_map(L, x):
 
     Extremality is proved and the columns of ad_x and ad_x^2 are computed
     once, so each parameter costs one sparse combination of them.  The map
-    re-checks that its value preserves the bracket only when ``check`` is set."""
+    re-checks that its value preserves the bracket only when ``check`` is set.
+    Its attribute ``functional`` is f_x, the proof's by-product, so a caller
+    that needs both proves x extremal once."""
     if isinstance(L, ChevalleyAlgebra):
         L = L.lie
     x = L.element(x)
-    if is_extremal(L, x) is None:
+    fx = is_extremal(L, x)
+    if fx is None:
         raise NotExtremal("exp is defined at extremal elements")
     f = L.field
     ad = []
@@ -197,6 +200,7 @@ def exp_map(L, x):
             cols.append({k: v for k, v in col.items() if not f.is_zero(v)})
         return Automorphism(L, cols, check=check)
 
+    exp.functional = fx
     return exp
 
 

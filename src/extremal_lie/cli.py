@@ -310,9 +310,10 @@ def cmd_rootgroups(args):
         rep.add("%s pair classified" % expect_case, expect_case, out["case"])
         rep.add_bool("%s properties" % expect_case, out["pass"])
     x = A.x(theta)
+    fx = is_extremal(A.lie, x)
     for b in long_roots:
         z = A.lie.bracket(x, A.x(b))
-        if not z.is_zero() and field.is_zero(is_extremal(A.lie, x)(A.x(b)).value):
+        if not z.is_zero() and field.is_zero(fx(A.x(b)).value):
             out = rg.strongcomm_check(A.lie, x, z, sample_params=samples)
             rep.add_bool("strongcomm conditions + product identity on (x, [x,y])", out["pass"])
             line = rg.projective_line_check(A.lie, x, z, x + z, sample_params=samples)

@@ -335,7 +335,7 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.algebra is other.algebra
-            and self._ech.rows.keys() == other._ech.rows.keys()
+            and self._ech.pivot_columns() == other._ech.pivot_columns()
             and self.basis_rows() == other.basis_rows()
         )
 

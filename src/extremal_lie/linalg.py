@@ -1,71 +1,175 @@
-"""Exact dense linear algebra over a Field, on raw values.
+"""Exact linear algebra over a Field, on raw values.
 
 Everything here is deterministic: pivots are chosen left to right, rows are
 kept in fully reduced echelon form, so a subspace has a unique canonical
 basis.
+
+``Echelon`` stores its rows sparse, as ``{column: value}`` dicts, in a form
+chosen per field so that elimination never builds a ``Fraction``:
+
+* over GF(p) a row is the reduced row itself, residues in ``[0, p)`` with
+  pivot entry 1;
+* over Q a row is the primitive integer multiple of the reduced row (the gcd
+  of its entries is 1) that is positive at its pivot.  An input vector is
+  first scaled by the lcm of its denominators, and each elimination step
+  scales by a cofactor instead of dividing.  A nonzero rational vector has
+  exactly one positive multiple that is a primitive integer vector with a
+  positive leading entry, so the stored row determines the reduced row and
+  back; pivots, ``basis()`` and ``row(c)`` are those of the reduced echelon
+  form computed with fractions.
+
+A reduced row vanishes at every other pivot column, so reducing a vector
+only visits the pivot columns in the vector's own support.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
+
+
+def _ratio(n, d):
+    """n/d for ints, d > 0: an int when d divides n, else a Fraction."""
+    return n // d if n % d == 0 else Fraction(n, d)
+
+
+def _make_primitive(v, lead):
+    """Divide the dict ``v`` of ints, in place, by the gcd of its entries,
+    signed so that ``v[lead]`` becomes positive."""
+    g = gcd(*v.values())
+    if v[lead] < 0:
+        g = -g
+    if g != 1:
+        for j in v:
+            v[j] //= g
+
 
 class Echelon:
-    """Incrementally maintained reduced row echelon basis of a subspace of k^width."""
+    """Incrementally maintained reduced row echelon basis of a subspace of k^width.
+
+    Vectors are given as dense lists of raw values or as ``{column: value}``
+    dicts."""
 
     def __init__(self, field, width):
         self.field = field
         self.width = width
-        self.rows = {}  # pivot column -> row (list of raw values), pivot entry = 1
+        self._p = field.characteristic
+        self._rows = {}  # pivot column -> {column: value}, see the module docstring
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self._rows)
+
+    def _sparse(self, vec):
+        """(v, den): the nonzero entries of ``vec`` as a new dict, reduced mod
+        p over GF(p); over Q as integers, ``vec`` scaled by ``den``, the lcm
+        of its denominators (den = 1 over GF(p))."""
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        p = self._p
+        if p:
+            return {j: x % p for j, x in items if x % p}, 1
+        v = {j: x for j, x in items if x}
+        if all(type(x) is int for x in v.values()):
+            return v, 1
+        den = lcm(*(x.denominator for x in v.values()))
+        return {j: x.numerator * (den // x.denominator) for j, x in v.items()}, den
+
+    def _cancel(self, u, c, r):
+        """Make the dict ``u`` vanish at column ``c``, in place, by
+        subtracting a multiple of the row ``r``, whose pivot is ``c``.  Over Q
+        ``u`` is first scaled by the least positive integer m that makes the
+        multiple integral; returns m (always 1 over GF(p), where r[c] = 1)."""
+        p = self._p
+        a, x = r[c], u[c]
+        m = 1
+        if a != 1:
+            g = gcd(a, x)
+            m, x = a // g, x // g
+            if m != 1:
+                for j in u:
+                    u[j] *= m
+        for j, z in r.items():
+            w = u.get(j, 0) - x * z
+            if p:
+                w %= p
+            if w:
+                u[j] = w
+            else:
+                del u[j]
+        return m
+
+    def _eliminate(self, v):
+        """Reduce the dict ``v`` in place against the rows, so that it
+        vanishes at every pivot column.  Returns the factor by which ``v`` was
+        scaled on the way (always 1 over GF(p))."""
+        rows = self._rows
+        scale = 1
+        for c in v.keys() & rows.keys():
+            scale *= self._cancel(v, c, rows[c])
+        return scale
 
     def reduce(self, vec):
-        """The residual of ``vec`` after reduction; does not modify the basis."""
-        f = self.field
-        v = list(vec)
-        for c in sorted(self.rows):
-            if not f.is_zero(v[c]):
-                coef = v[c]
-                row = self.rows[c]
-                for j in range(c, self.width):
-                    v[j] = f.sub(v[j], f.mul(coef, row[j]))
-        return v
+        """The residual of ``vec`` after reduction, as a dense list of raw
+        values; does not modify the basis."""
+        v, den = self._sparse(vec)
+        scale = den * self._eliminate(v)
+        out = [self.field.zero] * self.width
+        for j, x in v.items():
+            out[j] = x if self._p or scale == 1 else _ratio(x, scale)
+        return out
 
     def insert(self, vec):
         """Add ``vec`` to the span.  Returns the new pivot column, or None."""
-        f = self.field
-        v = self.reduce(vec)
-        piv = None
-        for c in range(self.width):
-            if not f.is_zero(v[c]):
-                piv = c
-                break
-        if piv is None:
+        v, _ = self._sparse(vec)
+        self._eliminate(v)
+        if not v:
             return None
-        inv = f.inv(v[piv])
-        v = [f.mul(inv, x) for x in v]
-        for c, row in self.rows.items():
-            coef = row[piv]
-            if not f.is_zero(coef):
-                self.rows[c] = [f.sub(row[j], f.mul(coef, v[j])) for j in range(self.width)]
-        self.rows[piv] = v
+        piv = min(v)
+        p = self._p
+        if p:
+            inv = pow(v[piv], -1, p)
+            if inv != 1:
+                v = {j: x * inv % p for j, x in v.items()}
+        else:
+            _make_primitive(v, piv)
+        for c, r in self._rows.items():
+            if piv in r:
+                self._cancel(r, piv, v)
+                if not p:
+                    _make_primitive(r, c)
+        self._rows[piv] = v
         return piv
 
     def contains(self, vec):
-        f = self.field
-        return all(f.is_zero(x) for x in self.reduce(vec))
+        v, _ = self._sparse(vec)
+        self._eliminate(v)
+        return not v
+
+    def row(self, c):
+        """The reduced row with pivot column ``c``, as {column: raw value}
+        over its nonzero entries (the entry at ``c`` is 1)."""
+        r = self._rows[c]
+        a = r[c]
+        if a == 1:
+            return dict(r)
+        return {j: _ratio(x, a) for j, x in r.items()}
 
     def basis(self):
-        """Canonical basis rows, ordered by pivot column."""
-        return [list(self.rows[c]) for c in sorted(self.rows)]
+        """Canonical basis rows (dense lists), ordered by pivot column."""
+        out = []
+        for c in sorted(self._rows):
+            v = [self.field.zero] * self.width
+            for j, x in self.row(c).items():
+                v[j] = x
+            out.append(v)
+        return out
 
     def pivot_columns(self):
-        return sorted(self.rows)
+        return sorted(self._rows)
 
     def copy(self):
         e = Echelon(self.field, self.width)
-        e.rows = {c: list(r) for c, r in self.rows.items()}
+        e._rows = {c: dict(r) for c, r in self._rows.items()}
         return e
 
 
@@ -109,13 +213,15 @@ def kernel(field, rows, width):
     """Canonical basis of the right kernel {v : rows . v = 0}, rows of length ``width``."""
     e = echelon_from_rows(field, width, rows)
     piv = e.pivot_columns()
-    free = [c for c in range(width) if c not in piv]
+    rows = {pc: e.row(pc) for pc in piv}
+    free = [c for c in range(width) if c not in rows]
     basis = []
     for c in free:
         v = [field.zero] * width
         v[c] = field.one
-        for pc in piv:
-            v[pc] = field.neg(e.rows[pc][c])
+        for pc, row in rows.items():
+            if c in row:
+                v[pc] = field.neg(row[c])
         basis.append(v)
     # already reduced echelon w.r.t. the free columns; canonicalize anyway
     return echelon_from_rows(field, width, basis).basis()
@@ -133,18 +239,18 @@ class Coordinates:
         self.count = len(rows)
         self._aug = Echelon(field, width + self.count)
         for i, row in enumerate(rows):
-            v = list(row) + [field.zero] * self.count
+            v = dict(enumerate(row))
             v[width + i] = field.one
             self._aug.insert(v)
 
     def spans(self):
         """Whether the rows span all of k^width."""
-        return sum(1 for c in self._aug.rows if c < self.width) == self.width
+        return sum(1 for c in self._aug.pivot_columns() if c < self.width) == self.width
 
     def solve(self, target):
         """Coefficients c with sum_i c_i rows_i = ``target``, or None."""
         f = self.field
-        residual = self._aug.reduce(list(target) + [f.zero] * self.count)
+        residual = self._aug.reduce(target)
         if any(not f.is_zero(x) for x in residual[: self.width]):
             return None
         return [f.neg(x) for x in residual[self.width:]]

@@ -148,13 +148,21 @@ class _CoverEngine:
         prev = self.by_degree[d - 1]
         gens = self.by_degree[1]
 
+        succ_memo = {}
+
+        def succ(md):
+            """(md + e_1, ..., md + e_r), built once per multidegree."""
+            got = succ_memo.get(md)
+            if got is None:
+                got = succ_memo[md] = tuple(_mdeg_add(md, i) for i in range(1, self.r + 1))
+            return got
+
         blocks = {}  # mdeg -> list of symbol keys (w_index, i)
         sym_pos = {}
         for w in prev:
-            for i in range(1, self.r + 1):
-                md = _mdeg_add(w.mdeg, i)
+            for i, md in enumerate(succ(w.mdeg), 1):
                 lst = blocks.setdefault(md, [])
-                sym_pos[(w.index, i)] = (md, len(lst))
+                sym_pos[(w.index, i)] = len(lst)
                 lst.append((w.index, i))
 
         ech = {md: Echelon(f, len(keys)) for md, keys in blocks.items()}
@@ -173,41 +181,29 @@ class _CoverEngine:
             esym_memo[key] = out
             return out
 
-        def block_of(*mds):
-            total = list(mds[0])
-            for m in mds[1:]:
-                for q in range(self.r):
-                    total[q] += m[q]
-            return tuple(total)
-
         def add_row(md, row):
             if rank_full[md] or not row:
                 return 0
-            width = len(blocks[md])
-            vec = [f.zero] * width
-            for key, c in row.items():
-                vec[sym_pos[key][1]] = c
-            piv = ech[md].insert(vec)
-            if ech[md].dim == width:
+            e = ech[md]
+            piv = e.insert({sym_pos[key]: c for key, c in row.items()})
+            if e.dim == e.width:
                 rank_full[md] = True
             return 0 if piv is None else 1
-
-        gen_mdeg = {i: gens[i - 1].mdeg for i in range(1, self.r + 1)}
 
         if d == 2:
             for i in range(1, self.r + 1):
                 xi = gens[i - 1]
-                add_row(block_of(xi.mdeg, gen_mdeg[i]), {(xi.index, i): f.one})
+                add_row(succ(xi.mdeg)[i - 1], {(xi.index, i): f.one})
                 for k in range(1, i):
                     xk = gens[k - 1]
-                    md = block_of(xk.mdeg, gen_mdeg[i])
+                    md = succ(xk.mdeg)[i - 1]
                     add_row(md, {(xk.index, i): f.one, (xi.index, k): f.one})
         else:
             # defining relations [f_i,[f_i,u]] = 0, u over the degree-(d-2) basis
             if self.sandwich:
                 for b in self.by_degree[d - 2]:
                     for i in range(1, self.r + 1):
-                        md = block_of(b.mdeg, gen_mdeg[i], gen_mdeg[i])
+                        md = succ(succ(b.mdeg)[i - 1])[i - 1]
                         if rank_full.get(md, True):
                             continue
                         row = {}
@@ -224,8 +220,7 @@ class _CoverEngine:
                     for v in vs:
                         if au == av and v.index >= u.index:
                             continue
-                        for i in range(1, self.r + 1):
-                            md = block_of(u.mdeg, v.mdeg, gen_mdeg[i])
+                        for i, md in enumerate(succ(_mdeg_sum(u.mdeg, v.mdeg)), 1):
                             if rank_full.get(md, True):
                                 continue
                             row = {}
@@ -247,7 +242,7 @@ class _CoverEngine:
                     for v in self.by_degree[av]:
                         if au == av and v.index > u.index:
                             continue
-                        md = block_of(u.mdeg, v.mdeg)
+                        md = _mdeg_sum(u.mdeg, v.mdeg)
                         if rank_full.get(md, True):
                             continue
                         if u.index == v.index:
@@ -258,7 +253,7 @@ class _CoverEngine:
                                 _acc(f, row, key, c)
                         add_row(md, _strip(f, row))
             if self.extra_consistency:
-                self._heavy_jacobi_rows(d, esym, block_of, rank_full, add_row)
+                self._heavy_jacobi_rows(d, esym, rank_full, add_row)
 
         # harvest: non-pivot symbols become the new basis
         new_elts = []
@@ -283,14 +278,11 @@ class _CoverEngine:
                 self.by_mdeg.setdefault((d, md), []).append(elt)
                 free_map[pos] = elt
                 rewrites[key] = {elt.index: f.one}
-            for pc, row in e.rows.items():
-                w, i = keys[pc]
-                expansion = {}
-                for pos, elt in free_map.items():
-                    c = row[pos]
-                    if not f.is_zero(c):
-                        expansion[elt.index] = f.neg(c)
-                rewrites[(w, i)] = expansion
+            for pc in e.pivot_columns():
+                row = e.row(pc)
+                rewrites[keys[pc]] = {
+                    free_map[pos].index: f.neg(row[pos]) for pos in sorted(row) if pos != pc
+                }
         self.gen_bracket.update(rewrites)
         self.by_degree.append(new_elts)
         self.relation_ranks.append(total_rank)
@@ -311,7 +303,7 @@ class _CoverEngine:
                 _acc(f, out, key, f.neg(f.mul(c, cz)))
         return _strip(f, out)
 
-    def _heavy_jacobi_rows(self, d, esym, block_of, rank_full, add_row):
+    def _heavy_jacobi_rows(self, d, esym, rank_full, add_row):
         """Jacobi rows on triples of weight >= 2 each (verification mode only)."""
         f = self.field
 
@@ -333,7 +325,7 @@ class _CoverEngine:
             for u in self.by_degree[a]:
                 for v in self.by_degree[b]:
                     for w in self.by_degree[c]:
-                        md = block_of(u.mdeg, v.mdeg, w.mdeg)
+                        md = _mdeg_sum(u.mdeg, v.mdeg, w.mdeg)
                         if rank_full.get(md, True):
                             continue
                         row = elin(self.bracket_basis(u, v), w)
@@ -365,6 +357,10 @@ def _mdeg_add(md, i):
     out = list(md)
     out[i - 1] += 1
     return tuple(out)
+
+
+def _mdeg_sum(*mds):
+    return tuple(map(sum, zip(*mds)))
 
 
 class GradedQuotient:
@@ -575,10 +571,7 @@ def spanning_set_check_4gen(field=QQ):
     ech = Echelon(f, n)
     inserted = 0
     for word in SPANNING_MONOMIALS_4GEN:
-        vec = [f.zero] * n
-        for k, c in q.eval_monomial(word).items():
-            vec[k] = c
-        if ech.insert(vec) is not None:
+        if ech.insert(q.eval_monomial(word)) is not None:
             inserted += 1
     identities_ok = []
     for ident in SPANNING_IDENTITIES_4GEN:
@@ -608,15 +601,13 @@ def spanning_set_check_4gen(field=QQ):
 def assoc_algebra_direct_dims(r, max_len=8):
     """R_r by elimination in the free associative algebra: y_i^2 = 0 and
     y_i w y_i = 0 for Lie bracketings w.  Independent of the L_{r+1} route."""
-    from fractions import Fraction
-
     dims = [1]
     cores = {}  # core length -> list of {word: coeff}
-    cores[2] = [{(i, i): Fraction(1)} for i in range(1, r + 1)]
+    cores[2] = [{(i, i): 1} for i in range(1, r + 1)]
     for m in range(1, max_len - 1):
         lst = []
         for w in freelie.lyndon_basis(r, m):
-            poly = freelie.as_tensor(freelie.FreeLieElement(r, {w: Fraction(1)}))
+            poly = freelie.as_tensor(freelie.FreeLieElement(r, {w: 1}))
             for i in range(1, r + 1):
                 lst.append({(i,) + t + (i,): c for t, c in poly.items()})
         if lst:
@@ -633,10 +624,7 @@ def assoc_algebra_direct_dims(r, max_len=8):
                 for a in itertools.product(range(1, r + 1), repeat=a_len):
                     for b in itertools.product(range(1, r + 1), repeat=b_len):
                         for poly in polys:
-                            vec = [Fraction(0)] * len(words)
-                            for t, c in poly.items():
-                                vec[pos[a + t + b]] += c
-                            ech.insert(vec)
+                            ech.insert({pos[a + t + b]: c for t, c in poly.items()})
         dims.append(len(words) - ech.dim)
         if dims[-1] == 0:
             break

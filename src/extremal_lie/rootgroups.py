@@ -46,18 +46,15 @@ def _samples(field, sample_params):
     return [field.raw(s) for s in (parameter_samples(field) if sample_params is None else sample_params)]
 
 
-def classify_pair(L, x, y):
-    fx = is_extremal(L, x)
-    fy = is_extremal(L, y)
-    if fx is None or fy is None:
-        raise NotExtremal("root group pairs need extremal elements")
+def classify_pair(L, x, y, fx):
+    """The class of a pair of extremal elements x, y, where fx is f_x."""
     if echelon_from_rows(L.field, L.n, [x.to_dense(), y.to_dense()]).dim == 1:
-        return "same-line", fx
+        return "same-line"
     if L.bracket(x, y).is_zero():
-        return "commuting", fx
+        return "commuting"
     if L.field.is_zero(fx(y).value):
-        return "f0-noncommuting", fx
-    return "opposite", fx
+        return "f0-noncommuting"
+    return "opposite"
 
 
 def verify_abstract_root_properties(L, x, y, sample_params=None):
@@ -66,9 +63,13 @@ def verify_abstract_root_properties(L, x, y, sample_params=None):
     x = L.element(x)
     y = L.element(y)
     f = L.field
-    case, fx = classify_pair(L, x, y)
+    try:
+        ex, ey = exp_map(L, x), exp_map(L, y)
+    except NotExtremal:
+        raise NotExtremal("root group pairs need extremal elements") from None
+    fx = ex.functional
+    case = classify_pair(L, x, y, fx)
     samples = _samples(f, sample_params)
-    ex, ey = exp_map(L, x), exp_map(L, y)
     checks = []
 
     def record(prop, ok):
@@ -152,26 +153,32 @@ def strongcomm_check(L, x, y, sample_params=None):
     f = L.field
     if not L.bracket(x, y).is_zero():
         raise PreconditionNotMet("strongcomm needs [x, y] = 0")
-    fx, fy = is_extremal(L, x), is_extremal(L, y)
-    if fx is None or fy is None:
-        raise PreconditionNotMet("strongcomm needs extremal x, y")
+    try:
+        ex, ey = exp_map(L, x), exp_map(L, y)
+    except NotExtremal:
+        raise PreconditionNotMet("strongcomm needs extremal x, y") from None
     samples = _samples(f, sample_params)
 
-    cond2 = _condition_2prime(L, x, y, fx, fy)
-    # (1)/(1'): extremality of sx + ty over the samples
+    cond2 = _condition_2prime(L, x, y, ex.functional, ey.functional)
+    # (1)/(1'): extremality of sx + ty over the samples; exp(sx + ty, 1) of
+    # each extremal point is kept for the product identity
+    unit = {}
     results = []
     for s in samples:
         for t in samples:
             if f.is_zero(s) or f.is_zero(t):
                 continue
-            v = Scalar(f, s) * x + Scalar(f, t) * y
-            results.append(is_extremal(L, v) is not None)
+            try:
+                unit[(s, t)] = exp_automorphism(L, Scalar(f, s) * x + Scalar(f, t) * y, f.one, check=False)
+            except NotExtremal:
+                results.append(False)
+            else:
+                results.append(True)
     cond1_all = all(results) if results else True
     cond1_exists = any(results) if results else True
     agree = cond2 == cond1_all == cond1_exists
     product_ok = True
     if cond2:
-        ex, ey = exp_map(L, x), exp_map(L, y)
         for s in samples:
             for t in samples:
                 lhs = ey(t).compose(ex(s))
@@ -179,7 +186,10 @@ def strongcomm_check(L, x, y, sample_params=None):
                 if v.is_zero():
                     rhs_ok = lhs.is_identity()
                 else:
-                    rhs_ok = lhs == exp_automorphism(L, v, f.one, check=False)
+                    rhs = unit.get((s, t))
+                    if rhs is None:  # s or t is 0, so v was not in the loop above
+                        rhs = exp_automorphism(L, v, f.one, check=False)
+                    rhs_ok = lhs == rhs
                 if not rhs_ok:
                     product_ok = False
     return {

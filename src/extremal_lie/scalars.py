@@ -1,8 +1,13 @@
 """Exact field arithmetic over the rationals and prime fields GF(p), p an odd prime.
 
-Fields act as arithmetic contexts on *raw* values (``Fraction`` for the
-rationals, canonical residues ``int`` in ``[0, p)`` for GF(p)); ``Scalar``
-wraps a raw value together with its field for user-facing code.  Fields and
+Fields act as arithmetic contexts on *raw* values; ``Scalar`` wraps a raw
+value together with its field for user-facing code.  Over GF(p) a raw value
+is a canonical residue, an ``int`` in ``[0, p)``.  Over Q it is an ``int``
+when it is integral and a ``Fraction`` otherwise: the field's constructors
+(``zero``, ``one``, ``from_int``, ``from_fraction``, ``inv``) return an
+``int`` whenever they can.  Python's int and Fraction arithmetic mix exactly,
+and an integral Fraction equals and hashes like the int, so a sum or product
+that comes back as an integral ``Fraction`` is the same raw value.  Fields and
 scalars are immutable and safe to share between threads.
 """
 
@@ -10,6 +15,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+
+
+def _integral(q):
+    """A Fraction as an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
 
 
 class CharacteristicTwoUnsupported(ValueError):
@@ -45,7 +55,10 @@ def _is_prime(n):
 
 
 class Field:
-    """Arithmetic context: kind 'rationals' (char 0) or 'prime-field' (char p odd)."""
+    """Arithmetic context: kind 'rationals' (char 0) or 'prime-field' (char p odd).
+
+    A raw value of the rationals is an ``int`` when integral and a
+    ``Fraction`` otherwise; of GF(p), an ``int`` in ``[0, p)``."""
 
     __slots__ = ("kind", "characteristic")
 
@@ -73,21 +86,21 @@ class Field:
 
     @property
     def zero(self):
-        return 0 if self.characteristic else Fraction(0)
+        return 0
 
     @property
     def one(self):
-        return 1 if self.characteristic else Fraction(1)
+        return 1
 
     def from_int(self, n):
         p = self.characteristic
-        return n % p if p else Fraction(n)
+        return n % p if p else _integral(Fraction(n))
 
     def from_fraction(self, q):
         p = self.characteristic
-        if not p:
-            return Fraction(q)
         q = Fraction(q)
+        if not p:
+            return _integral(q)
         den = q.denominator % p
         if den == 0:
             raise ZeroDivisionError("denominator divisible by %d" % p)
@@ -117,7 +130,7 @@ class Field:
             return pow(a, -1, p)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return _integral(1 / Fraction(a))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
@@ -140,7 +153,7 @@ class Field:
                 return None
             rn, rd = isqrt(a.numerator), isqrt(a.denominator)
             if rn * rn == a.numerator and rd * rd == a.denominator:
-                return Fraction(rn, rd)
+                return _integral(Fraction(rn, rd))
             return None
         a %= p
         if a == 0:

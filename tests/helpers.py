@@ -86,6 +86,67 @@ def random_fraction(r, span=4):
     return Fraction(r.randint(-span, span), r.randint(1, span))
 
 
+class DenseEchelon:
+    """Reference row reduction: the dense reduced echelon form with
+    ``Fraction`` entries over Q (field arithmetic over GF(p)), as the package
+    computed it before its rows became sparse and fraction-free.  It has the
+    interface of ``linalg.Echelon`` (vectors as dense lists or dicts), so it
+    can stand in for it."""
+
+    def __init__(self, field, width):
+        self.field = field
+        self.width = width
+        self.rows = {}  # pivot column -> dense row, pivot entry 1
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    def _dense(self, vec):
+        v = [self.field.zero] * self.width
+        for j, x in vec.items() if isinstance(vec, dict) else enumerate(vec):
+            v[j] = x
+        return [Fraction(x) for x in v] if self.field.characteristic == 0 else v
+
+    def reduce(self, vec):
+        f = self.field
+        v = self._dense(vec)
+        for c in sorted(self.rows):
+            if not f.is_zero(v[c]):
+                coef = v[c]
+                row = self.rows[c]
+                for j in range(c, self.width):
+                    v[j] = f.sub(v[j], f.mul(coef, row[j]))
+        return v
+
+    def insert(self, vec):
+        f = self.field
+        v = self.reduce(vec)
+        piv = next((c for c in range(self.width) if not f.is_zero(v[c])), None)
+        if piv is None:
+            return None
+        inv = f.inv(v[piv])
+        v = [f.mul(inv, x) for x in v]
+        for c, row in self.rows.items():
+            coef = row[piv]
+            if not f.is_zero(coef):
+                self.rows[c] = [f.sub(row[j], f.mul(coef, v[j])) for j in range(self.width)]
+        self.rows[piv] = v
+        return piv
+
+    def contains(self, vec):
+        return all(self.field.is_zero(x) for x in self.reduce(vec))
+
+    def row(self, c):
+        return {j: x for j, x in enumerate(self.rows[c]) if not self.field.is_zero(x)}
+
+    def basis(self):
+        return [list(self.rows[c]) for c in sorted(self.rows)]
+
+    def pivot_columns(self):
+        return sorted(self.rows)
+
+
 def tensor_bracket(ta, tb):
     """Commutator in the tensor algebra on word dicts (oracle for freelie)."""
     out = {}

@@ -28,6 +28,9 @@ COMMANDS = [
     ["rootgroups", "--type", "A2", "--char", "5", "--seed", "7"],
     ["threegen", "--edges", "-2,-2,-2"],
     ["extremal-check", "--type", "B3"],
+    ["tables", "rr-lengths", "--r", "4"],
+    ["rootgroups", "--type", "A2", "--char", "0", "--seed", "7"],
+    ["threegen", "--edges", "1/2,-3,5/4", "--central", "2"],
 ]
 
 

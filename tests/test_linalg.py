@@ -1,7 +1,13 @@
 from fractions import Fraction
+from unittest import mock
 
+from hypothesis import given, settings, strategies as st
+
+from extremal_lie import linalg
 from extremal_lie.scalars import QQ, GF
 from extremal_lie.linalg import (
+    Coordinates,
+    Echelon,
     charpoly,
     echelon_from_rows,
     kernel,
@@ -11,7 +17,7 @@ from extremal_lie.linalg import (
     solve_in_span,
 )
 
-from helpers import rng
+from helpers import DenseEchelon, rng
 
 
 def _q(rows):
@@ -85,3 +91,106 @@ def test_mat_mul_matches_dense_reference_on_rectangular_matrices():
                     for t in range(k):
                         dense[i][j] = f.add(dense[i][j], f.mul(a[i][t], b[t][j]))
             assert mat_mul(f, a, b) == dense
+
+
+# -- the sparse kernel against the dense Fraction reference --------------------
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+FIELDS = (QQ, GF(3), GF(5), GF(101))
+
+
+def _entries(field):
+    """Raw values, about half of them zero.  Over Q: ints and Fractions,
+    negative, fractional and integral ones (Fraction(2) as well as 2)."""
+    if field.characteristic:
+        nonzero = st.integers(1, field.characteristic - 1)
+    else:
+        nonzero = st.one_of(st.integers(-6, 6), st.fractions(-5, 5, max_denominator=6))
+    return st.one_of(st.just(0), nonzero)
+
+
+@st.composite
+def matrices(draw, square=False):
+    """(field, width, rows): rows as dense lists."""
+    field = draw(st.sampled_from(FIELDS))
+    width = draw(st.integers(1, 7))
+    count = width if square else draw(st.integers(0, 9))
+    rows = [draw(st.lists(_entries(field), min_size=width, max_size=width)) for _ in range(count)]
+    return field, width, rows
+
+
+def _sparse(row):
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def _reference():
+    """Run the linalg functions on the reference echelon."""
+    return mock.patch.object(linalg, "Echelon", DenseEchelon)
+
+
+@PROPERTY
+@given(matrices(), st.booleans(), st.data())
+def test_echelon_matches_dense_reference(mat, as_dict, data):
+    field, width, rows = mat
+    fast, slow = Echelon(field, width), DenseEchelon(field, width)
+    for row in rows:
+        vec = _sparse(row) if as_dict else row
+        assert fast.insert(vec) == slow.insert(vec)
+        assert fast.dim == slow.dim
+    assert fast.pivot_columns() == slow.pivot_columns()
+    assert fast.basis() == slow.basis()
+    for c in fast.pivot_columns():
+        assert fast.row(c) == slow.row(c)
+    copy = fast.copy()
+    probes = data.draw(st.lists(st.lists(_entries(field), min_size=width, max_size=width), max_size=4))
+    for vec in probes + rows:
+        vec = _sparse(vec) if as_dict else vec
+        assert fast.reduce(vec) == slow.reduce(vec)
+        assert fast.contains(vec) == slow.contains(vec)
+        copy.insert(vec)
+    assert fast.basis() == slow.basis()  # a copy's inserts leave the original alone
+
+
+@PROPERTY
+@given(matrices(), st.booleans())
+def test_rank_and_kernel_match_dense_reference(mat, as_dict):
+    field, width, rows = mat
+    vecs = [_sparse(r) for r in rows] if as_dict else rows
+    got = (rank(field, vecs, width), kernel(field, vecs, width))
+    with _reference():
+        want = (rank(field, vecs, width), kernel(field, vecs, width))
+    assert got == want
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_coordinates_match_dense_reference(mat, data):
+    field, width, rows = mat
+    coeffs = data.draw(st.lists(_entries(field), min_size=len(rows), max_size=len(rows)))
+    combo = [field.zero] * width
+    for c, row in zip(coeffs, rows):
+        combo = [field.add(a, field.mul(c, b)) for a, b in zip(combo, row)]
+    other = data.draw(st.lists(_entries(field), min_size=width, max_size=width))
+    got = Coordinates(field, rows, width)
+    with _reference():
+        want = Coordinates(field, rows, width)
+    assert got.spans() == want.spans()
+    for target in (combo, other):
+        assert got.solve(target) == want.solve(target)
+
+
+@PROPERTY
+@given(matrices(square=True))
+def test_mat_inverse_matches_dense_reference(mat):
+    field, _, rows = mat
+
+    def inverse():
+        try:
+            return mat_inverse(field, rows)
+        except ValueError:
+            return "singular"
+
+    got = inverse()
+    with _reference():
+        want = inverse()
+    assert got == want

@@ -1,9 +1,11 @@
+from unittest import mock
+
 import pytest
 
 from extremal_lie import nilquot
-from extremal_lie.scalars import GF
+from extremal_lie.scalars import QQ, GF
 
-from helpers import sandwich, witt, witt_multidegree
+from helpers import DenseEchelon, sandwich, witt, witt_multidegree
 
 
 def test_free_mode_matches_witt():
@@ -155,3 +157,20 @@ def test_subalgebra_embedding_r5_recovers_l4():
     rep = nilquot.check_subalgebra_embedding(5)
     assert rep["pass"]
     assert rep["recovered_total"] == 28
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "GF5"])
+def test_engine_state_matches_dense_reference_echelon(field):
+    """The sparse kernel and the dense Fraction echelon build the same
+    engine: basis words, multidegree dims, relation ranks and rewrites."""
+
+    def state(r):
+        q = nilquot.sandwich_algebra(r, field=field)
+        eng = q._engine
+        return [b.word for b in eng.basis], q.multidegree_dims, q.relation_ranks, eng.gen_bracket
+
+    for r in (1, 2, 3, 4):
+        fast = state(r)
+        with mock.patch.object(nilquot, "Echelon", DenseEchelon):
+            slow = state(r)
+        assert fast == slow, r

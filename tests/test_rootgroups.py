@@ -1,9 +1,11 @@
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
 
 from extremal_lie.scalars import QQ, GF, Scalar
-from extremal_lie import rootgroups
+from extremal_lie import chevalley as chevalley_module, cli, liealg, rootgroups
 from extremal_lie.liealg import PreconditionNotMet, is_extremal, sl2
 from extremal_lie.rootgroups import (
     RootGroupElement,
@@ -180,3 +182,23 @@ def test_chain_probe_first_witness_matches_reference_loop(monkeypatch):
         got = _probe_outcome(L, pool)
         assert got[0] == ("no witness" if t == "A" else "witness")
         assert got == _reference_probe(L, pool)
+
+
+def test_rootgroups_proves_each_element_extremal_once(monkeypatch, tmp_path):
+    """Each element is proved extremal once: the map exp_map builds carries
+    f_x, so classifying a pair and checking strongcomm reuse that proof."""
+    real = liealg.is_extremal
+    calls = []
+
+    def counting(L, x):
+        calls.append(x)
+        return real(L, x)
+
+    for mod in (liealg, chevalley_module, rootgroups, cli):
+        for name, value in list(vars(mod).items()):
+            if value is real:
+                monkeypatch.setattr(mod, name, counting)
+    argv = ["--json", "--cache", str(tmp_path), "rootgroups", "--type", "B3", "--char", "0", "--seed", "5"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert 0 < len(calls) <= 132

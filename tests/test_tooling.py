@@ -12,9 +12,8 @@ import extremal_lie
 PACKAGE_DIR = os.path.dirname(os.path.abspath(extremal_lie.__file__))
 REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# demos/tables.py is left out: it builds L_5 (about 30 s), and the acceptance
-# suite checks the same tables
-DEMOS = ("radical_chain.py", "root_groups.py", "three_generators.py", "minimal_generators.py")
+# demos/tables.py builds L_5 twice (about 5 s on a 2-core host)
+DEMOS = ("radical_chain.py", "root_groups.py", "three_generators.py", "minimal_generators.py", "tables.py")
 
 
 def test_no_assert_statements_in_package():
