@@ -28,8 +28,9 @@ from .liealg import (
     matrix_lie_algebra,
     subalgebra_generated,
 )
-from .linalg import Echelon, closure, echelon_from_rows, kernel, mat_mul
+from .linalg import Echelon, axpy, canonical, closure, echelon_from_rows, kernel, mat_mul
 from .nilquot import L_DIMS
+from .scalars import QQ
 
 
 class UnsupportedType(ValueError):
@@ -51,11 +52,7 @@ class ChevalleyAlgebra:
             self.constants = None
         self.convention_version = CONVENTION_VERSION
         self.int_table = integer_table
-        ftab = {
-            key: {k: field.from_int(v) for k, v in row.items()}
-            for key, row in integer_table.items()
-        }
-        self.lie = LieAlgebra(field, labels, ftab)
+        self.lie = LieAlgebra(field, labels, integer_table)
         rs = self.rootsystem
         self.root_index = {t: k for k, t in enumerate(rs.roots)}
         if self.lie.n != len(rs.roots) + rs.rank:
@@ -105,7 +102,8 @@ def chevalley_algebra(type_, rank, field, cache_dir=None):
 
 
 class Automorphism:
-    """Invertible bracket-preserving linear map, stored as sparse columns."""
+    """Invertible bracket-preserving linear map, stored as canonical sparse
+    columns (see ``linalg``), so equal maps have equal columns."""
 
     def __init__(self, lie, cols, check=True):
         self.lie = lie
@@ -114,43 +112,31 @@ class Automorphism:
             raise ValueError("map does not preserve the bracket")
 
     def apply(self, elt):
-        f = self.lie.field
         out = {}
         for j, c in elt.coeffs.items():
-            for k, v in self.cols[j].items():
-                s = f.add(out.get(k, f.zero), f.mul(c, v))
-                out[k] = s
-        return AlgebraElement(self.lie, {k: v for k, v in out.items() if not f.is_zero(v)})
+            axpy(out, c, self.cols[j])
+        return AlgebraElement(self.lie, canonical(self.lie.field, out))
 
     def __call__(self, elt):
         return self.apply(elt)
 
     def compose(self, other):
         """self after other."""
-        cols = [self.apply(AlgebraElement(self.lie, dict(col))).coeffs for col in other.cols]
+        cols = [self.apply(AlgebraElement(self.lie, col)).coeffs for col in other.cols]
         return Automorphism(self.lie, cols, check=False)
 
     def __eq__(self, other):
-        return isinstance(other, Automorphism) and self.lie is other.lie and [
-            {k: v for k, v in c.items() if not self.lie.field.is_zero(v)} for c in self.cols
-        ] == [
-            {k: v for k, v in c.items() if not other.lie.field.is_zero(v)} for c in other.cols
-        ]
+        return isinstance(other, Automorphism) and self.lie is other.lie and self.cols == other.cols
 
     def is_identity(self):
-        f = self.lie.field
-        for j, col in enumerate(self.cols):
-            clean = {k: v for k, v in col.items() if not f.is_zero(v)}
-            if clean != {j: f.one}:
-                return False
-        return True
+        return all(col == {j: 1} for j, col in enumerate(self.cols))
 
     def preserves_bracket(self):
-        L, f = self.lie, self.lie.field
+        L = self.lie
         for i in range(L.n):
             bi = self.apply(L.basis_element(i))
             for j in range(i + 1, L.n):
-                lhs = self.apply(AlgebraElement(L, dict(L.bracket_basis(i, j))))
+                lhs = self.apply(AlgebraElement(L, L.bracket_basis(i, j)))
                 rhs = L.bracket(bi, self.apply(L.basis_element(j)))
                 if lhs != rhs:
                     return False
@@ -192,12 +178,10 @@ def exp_map(L, x):
         half_s2 = f.div(f.mul(s, s), f.from_int(2))
         cols = []
         for j, (one, two) in enumerate(ad):
-            col = {j: f.one}
-            for k, v in one.items():
-                col[k] = f.add(col.get(k, f.zero), f.mul(s, v))
-            for k, v in two.items():
-                col[k] = f.add(col.get(k, f.zero), f.mul(half_s2, v))
-            cols.append({k: v for k, v in col.items() if not f.is_zero(v)})
+            col = {j: 1}
+            axpy(col, s, one)
+            axpy(col, half_s2, two)
+            cols.append(canonical(f, col))
         return Automorphism(L, cols, check=check)
 
     exp.functional = fx
@@ -218,29 +202,24 @@ def root_exponential(A, root, s=1, check=True):
     n = A.lie.n
     cols = []
     for j in range(n):
-        col = {j: f.one}
-        vec = {j: 1}
-        factorial = 1
+        col = {j: 1}
+        vec = {j: 1}  # (ad x_root)^k b_j over the integers
+        factorial, sk = 1, 1
         for k in range(1, 8):
             nxt = {}
             for idx, c in vec.items():
-                for t, v in int_cols[idx].items():
-                    nxt[t] = nxt.get(t, 0) + c * v
-            vec = {t: v for t, v in nxt.items() if v}
+                axpy(nxt, c, int_cols[idx])
+            vec = canonical(QQ, nxt)
             if not vec:
                 break
             factorial *= k
-            sk = f.one
-            for _ in range(k):
-                sk = f.mul(sk, s)
-            for t, v in vec.items():
-                if v % factorial:
-                    raise NonIntegral("divided power of ad x_root is not integral")
-                add = f.mul(sk, f.from_int(v // factorial))
-                col[t] = f.add(col.get(t, f.zero), add)
+            sk = f.mul(sk, s)
+            if any(v % factorial for v in vec.values()):
+                raise NonIntegral("divided power of ad x_root is not integral")
+            axpy(col, sk, {t: v // factorial for t, v in vec.items()})
         else:
             raise RuntimeError("ad x_root is not nilpotent of small index")
-        cols.append({k: v for k, v in col.items() if not f.is_zero(v)})
+        cols.append(canonical(f, col))
     return Automorphism(A.lie, cols, check=check)
 
 
@@ -291,10 +270,8 @@ def short_root_decomposition_check(type_, field):
         support = set(image.coeffs)
         expected_support = {A.root_index[base], A.root_index[short], A.root_index[long2]}
         coeff_short = image.coeffs.get(A.root_index[short])
-        span = Echelon(field, A.lie.n)
-        for v in (A.x(base), A.x(long2), image):
-            span.insert(v.to_dense())
-        short_in_span = span.contains(A.x(short).to_dense())
+        span = echelon_from_rows(field, A.lie.n, [A.x(base).coeffs, A.x(long2).coeffs, image.coeffs])
+        short_in_span = span.contains(A.x(short).coeffs)
         ok = (
             support == expected_support
             and coeff_short is not None

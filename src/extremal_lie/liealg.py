@@ -8,18 +8,18 @@ operations are pure functions of their inputs, so concurrent use is safe.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .scalars import QQ, Scalar
 from .linalg import (
     Coordinates,
     Echelon,
+    axpy,
+    canonical,
     charpoly,
     closure,
     echelon_from_rows,
     kernel,
     mat_mul,
-    mat_vec,
 )
 
 
@@ -75,14 +75,15 @@ class LieAlgebra:
         self.field = field
         self.labels = list(labels)
         self.n = len(self.labels)
-        tab = {}
+        self._table = {}  # (i, j), i < j -> canonical row, as given
+        self._brackets = {}  # (i, j) and (j, i) -> canonical row
         for (i, j), row in table.items():
             if not 0 <= i < j < self.n:
                 raise ValueError("table keys must satisfy 0 <= i < j < n")
-            row = {k: c for k, c in row.items() if not field.is_zero(c)}
+            row = canonical(field, row)
             if row:
-                tab[(i, j)] = row
-        self._table = tab
+                self._table[(i, j)] = self._brackets[(i, j)] = row
+                self._brackets[(j, i)] = canonical(field, {k: -c for k, c in row.items()})
         self._validate_jacobi()
 
     # -- construction helpers --------------------------------------------------
@@ -98,39 +99,20 @@ class LieAlgebra:
                 for k in range(n):
                     if not field.is_zero(field.add(cube[i][j][k], cube[j][i][k])):
                         raise AntisymmetryViolation("c[%d][%d] != -c[%d][%d]" % (i, j, j, i))
-        table = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                row = {k: cube[i][j][k] for k in range(n) if not field.is_zero(cube[i][j][k])}
-                if row:
-                    table[(i, j)] = row
+        table = {(i, j): dict(enumerate(cube[i][j])) for i in range(n) for j in range(i + 1, n)}
         return cls(field, labels, table)
 
     def bracket_basis(self, i, j):
         """[b_i, b_j] as a sparse row (shared; do not mutate)."""
-        if i == j:
-            return {}
-        if i < j:
-            return self._table.get((i, j), {})
-        row = self._table.get((j, i))
-        if not row:
-            return {}
-        return {k: self.field.neg(c) for k, c in row.items()}
+        return self._brackets.get((i, j), {})
 
     def _validate_jacobi(self):
-        """Jacobi on every basis triple, in integer arithmetic.
-
-        A GF(p) table is checked on its integer representatives modulo p.  A
-        table over Q is first scaled by the lcm D of its denominators: each
-        Jacobi sum is quadratic in the constants, so the scaled sum is D^2
-        times the true one and vanishes exactly when it does."""
+        """Jacobi on every basis triple, exactly: each sum is accumulated
+        unreduced, as in ``axpy``, and tested once at the end.  The loops are
+        written out because a call per term makes E7 construction measurably
+        slower."""
         p = self.field.characteristic
-        scale = 1 if p else lcm(*(c.denominator for row in self._table.values() for c in row.values()))
-        pairs = {}
-        for (i, j), row in self._table.items():
-            r = {k: int(c) if p else c.numerator * (scale // c.denominator) for k, c in row.items()}
-            pairs[(i, j)] = r
-            pairs[(j, i)] = {k: -c for k, c in r.items()}
+        pairs = self._brackets
         empty = {}
         n = self.n
         for i in range(n):
@@ -169,10 +151,8 @@ class LieAlgebra:
         for k, v in items:
             if isinstance(k, str):
                 k = self.labels.index(k)
-            v = f.raw(v)
-            if not f.is_zero(v):
-                out[k] = v
-        return AlgebraElement(self, out)
+            out[k] = f.raw(v)
+        return AlgebraElement(self, canonical(f, out))
 
     def basis_element(self, i):
         return AlgebraElement(self, {i: self.field.one})
@@ -184,27 +164,22 @@ class LieAlgebra:
         return AlgebraElement(self, {})
 
     def bracket(self, a, b):
-        f = self.field
+        pairs = self._brackets
         out = {}
         for i, ci in a.coeffs.items():
             for j, cj in b.coeffs.items():
-                c = f.mul(ci, cj)
-                if f.is_zero(c):
-                    continue
-                for k, ck in self.bracket_basis(i, j).items():
-                    s = f.add(out.get(k, f.zero), f.mul(c, ck))
-                    out[k] = s
-        return AlgebraElement(self, {k: v for k, v in out.items() if not f.is_zero(v)})
+                row = pairs.get((i, j))
+                if row:
+                    axpy(out, ci * cj, row)
+        return AlgebraElement(self, canonical(self.field, out))
 
     def ad_matrix(self, a):
         """Matrix of ad_a on the basis (columns are [a, b_j])."""
-        f = self.field
         n = self.n
-        m = [[f.zero] * n for _ in range(n)]
-        for i, ci in a.coeffs.items():
-            for j in range(n):
-                for k, ck in self.bracket_basis(i, j).items():
-                    m[k][j] = f.add(m[k][j], f.mul(ci, ck))
+        m = [[self.field.zero] * n for _ in range(n)]
+        for j in range(n):
+            for k, c in self.bracket(a, self.basis_element(j)).coeffs.items():
+                m[k][j] = c
         return m
 
     # -- serialization -------------------------------------------------------------
@@ -246,25 +221,18 @@ class AlgebraElement:
         return not self.coeffs
 
     def __add__(self, other):
-        f = self.algebra.field
         out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = f.add(out.get(k, f.zero), v)
-            if f.is_zero(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return AlgebraElement(self.algebra, out)
+        axpy(out, 1, other.coeffs)
+        return AlgebraElement(self.algebra, canonical(self.algebra.field, out))
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __rmul__(self, scale):
         f = self.algebra.field
-        scale = f.raw(scale)
-        if f.is_zero(scale):
-            return AlgebraElement(self.algebra, {})
-        return AlgebraElement(self.algebra, {k: f.mul(scale, v) for k, v in self.coeffs.items()})
+        out = {}
+        axpy(out, f.raw(scale), self.coeffs)
+        return AlgebraElement(self.algebra, canonical(f, out))
 
     def __neg__(self):
         return (-1) * self
@@ -279,13 +247,6 @@ class AlgebraElement:
     def bracket(self, other):
         return self.algebra.bracket(self, other)
 
-    def to_dense(self):
-        f = self.algebra.field
-        v = [f.zero] * self.algebra.n
-        for k, c in self.coeffs.items():
-            v[k] = c
-        return v
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -294,10 +255,6 @@ class AlgebraElement:
         for k in sorted(self.coeffs):
             bits.append("%s*%s" % (f.to_str(self.coeffs[k]), self.algebra.labels[k]))
         return " + ".join(bits)
-
-
-def element_from_dense(L, dense):
-    return AlgebraElement(L, {k: c for k, c in enumerate(dense) if not L.field.is_zero(c)})
 
 
 class Subspace:
@@ -311,7 +268,7 @@ class Subspace:
     def from_elements(cls, algebra, elements):
         e = Echelon(algebra.field, algebra.n)
         for v in elements:
-            e.insert(v.to_dense() if isinstance(v, AlgebraElement) else list(v))
+            e.insert(v.coeffs if isinstance(v, AlgebraElement) else v)
         return cls(algebra, e)
 
     @property
@@ -319,30 +276,21 @@ class Subspace:
         return self._ech.dim
 
     def basis(self):
-        return [element_from_dense(self.algebra, row) for row in self._ech.basis()]
-
-    def basis_rows(self):
-        return self._ech.basis()
+        return [AlgebraElement(self.algebra, self._ech.row(c)) for c in self._ech.pivot_columns()]
 
     def contains(self, elt):
-        v = elt.to_dense() if isinstance(elt, AlgebraElement) else list(elt)
-        return self._ech.contains(v)
+        return self._ech.contains(elt.coeffs if isinstance(elt, AlgebraElement) else elt)
 
     def contains_subspace(self, other):
-        return all(self._ech.contains(r) for r in other.basis_rows())
+        return all(self.contains(v) for v in other.basis())
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.algebra is other.algebra
-            and self._ech.pivot_columns() == other._ech.pivot_columns()
-            and self.basis_rows() == other.basis_rows()
-        )
+        return isinstance(other, Subspace) and self.algebra is other.algebra and self.basis() == other.basis()
 
     def sum(self, other):
         e = self._ech.copy()
-        for r in other.basis_rows():
-            e.insert(r)
+        for v in other.basis():
+            e.insert(v.coeffs)
         return Subspace(self.algebra, e)
 
     def is_ideal(self):
@@ -380,10 +328,10 @@ def _element_closure(L, seeds, expand):
     ech = Echelon(L.field, L.n)
     kept = closure(
         ech,
-        (L.element(s).to_dense() for s in seeds),
-        lambda v: (w.to_dense() for w in expand(element_from_dense(L, v))),
+        (L.element(s).coeffs for s in seeds),
+        lambda v: (w.coeffs for w in expand(AlgebraElement(L, v))),
     )
-    return ech, [element_from_dense(L, v) for v in kept]
+    return ech, [AlgebraElement(L, v) for v in kept]
 
 
 def subalgebra_generated(L, gens):
@@ -408,9 +356,7 @@ def center(L):
             for k, c in L.bracket_basis(i, j).items():
                 block[k][i] = c
         rows.extend(block)
-    return Subspace.from_elements(
-        L, [element_from_dense(L, v) for v in kernel(f, rows, L.n)]
-    )
+    return Subspace.from_elements(L, kernel(f, rows, L.n))
 
 
 def derived_series(L, sub=None):
@@ -446,26 +392,26 @@ def is_nilpotent_subspace(sub):
 
 def quotient_algebra(L, ideal):
     """(Q, lift, project): Q = L/ideal on the non-pivot coordinates."""
+    if not ideal.dim:
+        return L, (lambda elt: elt), (lambda elt: elt)
     f = L.field
     piv = set(ideal._ech.pivot_columns())
     keep = [i for i in range(L.n) if i not in piv]
     pos = {i: t for t, i in enumerate(keep)}
 
-    def project_dense(v):
+    def project_coeffs(v):
         red = ideal._ech.reduce(v)
-        return {pos[i]: red[i] for i in keep if not f.is_zero(red[i])}
+        return canonical(f, {pos[i]: red[i] for i in keep})
 
     table = {}
     for a in range(len(keep)):
         for b in range(a + 1, len(keep)):
             w = L.bracket(L.basis_element(keep[a]), L.basis_element(keep[b]))
-            row = project_dense(w.to_dense())
-            if row:
-                table[(a, b)] = row
+            table[(a, b)] = project_coeffs(w.coeffs)
     Q = LieAlgebra(f, [L.labels[i] for i in keep], table)
 
     def project(elt):
-        return AlgebraElement(Q, project_dense(elt.to_dense()))
+        return AlgebraElement(Q, project_coeffs(elt.coeffs))
 
     def lift(qelt):
         return AlgebraElement(L, {keep[i]: c for i, c in qelt.coeffs.items()})
@@ -510,8 +456,9 @@ def is_extremal(L, x):
             values.append(f.zero)
             continue
         lam = f.div(w.coeffs.get(ref, f.zero), xr)
-        expected = {k: f.mul(lam, v) for k, v in x.coeffs.items()}
-        if w.coeffs != {k: v for k, v in expected.items() if not f.is_zero(v)}:
+        expected = {}
+        axpy(expected, lam, x.coeffs)
+        if w.coeffs != canonical(f, expected):
             return None
         values.append(lam)
     return ExtremalFunctional(L, values)
@@ -534,10 +481,7 @@ class BilinearForm:
         return Scalar(f, s)
 
     def radical(self):
-        return Subspace.from_elements(
-            self.algebra,
-            [element_from_dense(self.algebra, v) for v in kernel(self.algebra.field, self.gram, self.algebra.n)],
-        )
+        return Subspace.from_elements(self.algebra, kernel(self.algebra.field, self.gram, self.algebra.n))
 
     def is_symmetric(self):
         f = self.algebra.field
@@ -601,7 +545,7 @@ def extremal_form(L, spanning_set):
             raise NotExtremal("spanning element %d is not extremal" % idx)
         functionals.append(fx)
     m = len(spanning)
-    coordinates = Coordinates(f, [s.to_dense() for s in spanning], L.n)
+    coordinates = Coordinates(f, [s.coeffs for s in spanning], L.n)
     if not coordinates.spans():
         raise NotSpanning("extremal set does not span the algebra")
     # symmetry of f on extremal pairs (Lemma-level consistency of the input)
@@ -609,7 +553,7 @@ def extremal_form(L, spanning_set):
         for b in range(a):
             if functionals[a](spanning[b]) != functionals[b](spanning[a]):
                 raise WellDefinednessFailure("f_x(y) != f_y(x) on spanning pair (%d, %d)" % (a, b))
-    coords = [coordinates.solve(L.basis_element(i).to_dense()) for i in range(L.n)]
+    coords = [coordinates.solve({i: f.one}) for i in range(L.n)]
     fvals = [[functionals[a](spanning[b]).value for b in range(m)] for a in range(m)]
     half = mat_mul(f, coords, fvals)
     gram = mat_mul(f, half, [list(col) for col in zip(*coords)])
@@ -692,29 +636,33 @@ def _no_solvable_ideal_certificate(L, torus=None):
     """True if L provably has no nonzero solvable ideal; a Subspace witness
     if one is found; None when undecided.
 
-    Any nonzero solvable ideal contains a nonzero abelian ideal, and abelian
-    ideals always sit inside Rad(kappa); when Rad(kappa) splits into joint
-    eigenlines of a torus the abelian ideals are exhaustively enumerable.
-    """
-    import itertools as _it
+    The ideals generated by the basis vectors of Rad(kappa) are tried first.
+    Then, when Rad(kappa) splits into multiplicity-free weight lines of the
+    torus, one ideal per line decides the question:
 
+    * a nonzero solvable ideal contains a nonzero abelian ideal A (the last
+      nonzero term of its derived series), and A lies in Rad(kappa), since
+      ad_a ad_y squares to zero for a in A;
+    * A is stable under the torus, so it is a sum of some of the lines;
+    * for any line kv in A, the ideal generated by v lies in A and is abelian;
+    * so some line generates a solvable ideal exactly when a nonzero
+      solvable ideal exists.
+    """
     kappa_rad = killing_form(L).radical()
     if kappa_rad.dim == 0:
         return True
     for v in kappa_rad.basis():
         ideal = ideal_generated(L, [v])
-        if ideal.dim and is_solvable_subspace(ideal):
+        if is_solvable_subspace(ideal):
             return ideal
-    if torus is not None and kappa_rad.dim <= 12:
-        lines = _weight_lines(L, torus, kappa_rad)
-        if lines is not None:
-            for size in range(1, len(lines) + 1):
-                for subset in _it.combinations(lines, size):
-                    sub = Subspace.from_elements(L, [v for v in subset])
-                    if sub.dim and sub.is_ideal() and is_solvable_subspace(sub):
-                        return sub
-            return True
-    return None
+    lines = None if torus is None else _weight_lines(L, torus, kappa_rad)
+    if lines is None:
+        return None
+    for v in lines:
+        ideal = ideal_generated(L, [v])
+        if is_solvable_subspace(ideal):
+            return ideal
+    return True
 
 
 def _eigenvalue_candidates(f, m):
@@ -738,30 +686,30 @@ def _eigenvalue_candidates(f, m):
     return [f.from_fraction(c) for c in sorted(cands)]
 
 
-def _eigenvectors(f, rows, coords, lam):
-    """A basis of the lam-eigenspace of the map T on the span of ``rows``,
-    where coords[i] are the coordinates of T(rows[i]) in ``rows``."""
-    d = len(rows)
+def _eigenvectors(f, elems, coords, lam):
+    """A basis of the lam-eigenspace of the map T on the span of the
+    elements ``elems``, where coords[i] are the coordinates of T(elems[i])."""
+    d = len(elems)
     # x with x . M = lam x, i.e. (M^T - lam) x = 0
     mt = [[f.sub(coords[i][j], lam if i == j else f.zero) for i in range(d)] for j in range(d)]
-    return mat_mul(f, kernel(f, mt, d), rows)
+    zero = elems[0].algebra.zero()
+    return [sum((c * e for c, e in zip(x, elems)), zero) for x in kernel(f, mt, d)]
 
 
 def _weight_lines(L, torus, sub):
     """Split ``sub`` into joint eigenlines of ad(t), t in torus; None if the
     decomposition is not multiplicity-free over the base field."""
     f = L.field
-    spaces = [sub.basis_rows()]
+    spaces = [sub.basis()]
     for t in torus:
         t = L.element(t)
-        adt = L.ad_matrix(t)
         new_spaces = []
-        for rows in spaces:
-            if len(rows) == 1:
-                new_spaces.append(rows)
+        for elems in spaces:
+            if len(elems) == 1:
+                new_spaces.append(elems)
                 continue
-            span = Coordinates(f, rows, L.n)
-            coords = [span.solve(mat_vec(f, adt, r)) for r in rows]
+            span = Coordinates(f, [e.coeffs for e in elems], L.n)
+            coords = [span.solve(L.bracket(t, e).coeffs) for e in elems]
             if any(c is None for c in coords):
                 return None
             cands = _eigenvalue_candidates(f, coords)
@@ -769,16 +717,16 @@ def _weight_lines(L, torus, sub):
                 return None
             found = 0
             for lam in cands:
-                eig = _eigenvectors(f, rows, coords, lam)
+                eig = _eigenvectors(f, elems, coords, lam)
                 if eig:
                     new_spaces.append(eig)
                     found += len(eig)
-            if found != len(rows):
+            if found != len(elems):
                 return None
         spaces = new_spaces
-    if any(len(rows) != 1 for rows in spaces):
+    if any(len(elems) != 1 for elems in spaces):
         return None
-    return [element_from_dense(L, rows[0]) for rows in spaces]
+    return [elems[0] for elems in spaces]
 
 
 def solvable_radical(L, torus=None, extra_candidates=()):
@@ -876,7 +824,7 @@ def phi_spectrum_check(L, x, y):
             comb[i][j] = f.add(comb[i][j], f.mul(minus_one, phi[i][j]))
     target = Subspace.from_elements(L, [x, L.bracket(x, y2)])
     img_ok = all(
-        target.contains(element_from_dense(L, [comb[i][j] for i in range(L.n)]))
+        target.contains([comb[i][j] for i in range(L.n)])
         for j in range(L.n)
     )
     ok = cp == expected and kap == f.from_int(s + 2) and img_ok
@@ -1001,7 +949,7 @@ def direct_sum_orthogonality_check(L, part1_indices, part2_indices, spanning_set
                 continue
             if is_extremal(L, proj) is None:
                 proj_ok = False
-            ech.insert(proj.to_dense())
+            ech.insert(proj.coeffs)
         if ech.dim != part.dim:
             proj_ok = False
     return {"orthogonal": orth, "projections_span_and_extremal": proj_ok, "pass": orth and proj_ok}
@@ -1067,9 +1015,7 @@ def matrix_lie_algebra(field, mats, labels=None):
             coeffs = span.solve(commutator(basis_mats[a], basis_mats[b]))
             if coeffs is None:
                 raise ValueError("matrix set is not closed under commutators")
-            row = {k: v for k, v in enumerate(coeffs) if not f.is_zero(v)}
-            if row:
-                table[(a, b)] = row
+            table[(a, b)] = dict(enumerate(coeffs))
     if labels is None:
         labels = ["m%d" % i for i in range(n)]
     L = LieAlgebra(f, labels, table)

@@ -1,5 +1,14 @@
 """Exact linear algebra over a Field, on raw values.
 
+A vector is a sparse ``{index: raw value}`` dict.  It is *canonical* when it
+holds no zero entry and, over GF(p), every entry is a residue in ``[0, p)``
+(over Q an entry is an int or a Fraction).  Every vector that one layer hands
+to another (algebra elements, structure constants, automorphism columns, the
+rows of L_r) is canonical, so two vectors are equal exactly when their dicts
+are.  ``axpy`` adds a multiple of one vector into another with plain ``+``
+and ``*`` and never reduces; ``canonical`` makes the result canonical once,
+at the end.  These two functions are where that rule is written down.
+
 Everything here is deterministic: pivots are chosen left to right, rows are
 kept in fully reduced echelon form, so a subspace has a unique canonical
 basis.
@@ -26,6 +35,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+
+def axpy(acc, c, v):
+    """Add c * v into the dict ``acc``, in place, with plain ``+`` and ``*``:
+    over GF(p) the entries are left unreduced until ``canonical``."""
+    get = acc.get
+    for j, x in v.items():
+        acc[j] = get(j, 0) + c * x
+
+
+def canonical(field, acc):
+    """The canonical vector of the dict ``acc``: its entries reduced mod p
+    over GF(p), its zeros dropped (see the module docstring)."""
+    p = field.characteristic
+    if p:
+        return {j: r for j, x in acc.items() if (r := x % p)}
+    return {j: x for j, x in acc.items() if x}
 
 
 def _ratio(n, d):
@@ -61,15 +87,11 @@ class Echelon:
         return len(self._rows)
 
     def _sparse(self, vec):
-        """(v, den): the nonzero entries of ``vec`` as a new dict, reduced mod
-        p over GF(p); over Q as integers, ``vec`` scaled by ``den``, the lcm
-        of its denominators (den = 1 over GF(p))."""
-        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        p = self._p
-        if p:
-            return {j: x % p for j, x in items if x % p}, 1
-        v = {j: x for j, x in items if x}
-        if all(type(x) is int for x in v.values()):
+        """(v, den): ``vec`` as a new canonical dict; over Q as integers,
+        ``vec`` scaled by ``den``, the lcm of its denominators (den = 1 over
+        GF(p))."""
+        v = canonical(self.field, vec if isinstance(vec, dict) else dict(enumerate(vec)))
+        if self._p or all(type(x) is int for x in v.values()):
             return v, 1
         den = lcm(*(x.denominator for x in v.values()))
         return {j: x.numerator * (den // x.denominator) for j, x in v.items()}, den
@@ -230,7 +252,8 @@ def kernel(field, rows, width):
 class Coordinates:
     """Coordinates of vectors in the span of fixed rows of length ``width``.
 
-    The augmented echelon [rows | identity] is built once; each query is one
+    Rows and targets are dense lists or dicts, as for ``Echelon``.  The
+    augmented echelon [rows | identity] is built once; each query is one
     reduction against it."""
 
     def __init__(self, field, rows, width):
@@ -239,7 +262,7 @@ class Coordinates:
         self.count = len(rows)
         self._aug = Echelon(field, width + self.count)
         for i, row in enumerate(rows):
-            v = dict(enumerate(row))
+            v = dict(row) if isinstance(row, dict) else dict(enumerate(row))
             v[width + i] = field.one
             self._aug.insert(v)
 
@@ -276,18 +299,6 @@ def mat_mul(field, a, b):
                 if not f.is_zero(y):
                     row[j] = f.add(row[j], f.mul(x, y))
         out.append(row)
-    return out
-
-
-def mat_vec(field, a, v):
-    f = field
-    out = []
-    for row in a:
-        s = f.zero
-        for x, y in zip(row, v):
-            if not f.is_zero(x) and not f.is_zero(y):
-                s = f.add(s, f.mul(x, y))
-        out.append(s)
     return out
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 
 from .scalars import QQ
-from .linalg import Echelon
+from .linalg import Echelon, axpy, canonical
 from . import freelie
 
 # The universal dimensions the paper states: dim L_r, dim R_r, and the
@@ -89,47 +89,39 @@ class _CoverEngine:
         """[u, v] for basis elements, as {basis_index: raw}; degrees completed."""
         if u.index == v.index:
             return {}
+        out = {}
         if (u.degree, -u.index) < (v.degree, -v.index):
-            return _neg(self.field, self.bracket_basis(v, u))
+            axpy(out, -1, self.bracket_basis(v, u))
+            return canonical(self.field, out)
         if v.degree == 1:
             return self.gen_bracket.get((u.index, v.gen), {})
         key = (u.index, v.index)
         memo = self.pair_memo.get(key)
         if memo is not None:
             return memo
-        f = self.field
         vp, j = v.parent, v.gen
-        out = {}
         for w, c in self.bracket_basis(u, vp).items():
-            for z, cz in self.gen_bracket.get((w, j), {}).items():
-                _acc(f, out, z, f.mul(c, cz))
+            axpy(out, c, self.gen_bracket.get((w, j), {}))
         for w, c in self.gen_bracket.get((u.index, j), {}).items():
-            for z, cz in self.bracket_basis(self.basis[w], vp).items():
-                _acc(f, out, z, f.neg(f.mul(c, cz)))
-        out = {k: c for k, c in out.items() if not f.is_zero(c)}
-        self.pair_memo[key] = out
+            axpy(out, -c, self.bracket_basis(self.basis[w], vp))
+        out = self.pair_memo[key] = canonical(self.field, out)
         return out
 
     def bracket_sparse(self, a, b):
         """Bracket of two sparse vectors over the global basis."""
-        f = self.field
         out = {}
         for i, ci in a.items():
             bi = self.basis[i]
             for j, cj in b.items():
-                c = f.mul(ci, cj)
-                for k, ck in self.bracket_basis(bi, self.basis[j]).items():
-                    _acc(f, out, k, f.mul(c, ck))
-        return {k: c for k, c in out.items() if not f.is_zero(c)}
+                axpy(out, ci * cj, self.bracket_basis(bi, self.basis[j]))
+        return canonical(self.field, out)
 
     def gen_action(self, i, vec):
         """[x_i, vec] for a sparse vector over the global basis."""
-        f = self.field
         out = {}
         for w, c in vec.items():
-            for z, cz in self.gen_bracket.get((w, i), {}).items():
-                _acc(f, out, z, f.neg(f.mul(c, cz)))
-        return {k: c for k, c in out.items() if not f.is_zero(c)}
+            axpy(out, -c, self.gen_bracket.get((w, i), {}))
+        return canonical(self.field, out)
 
     def eval_word(self, word):
         """Left-normed monomial [x_{w_1},[x_{w_2},...]] as a sparse vector."""
@@ -182,10 +174,13 @@ class _CoverEngine:
             return out
 
         def add_row(md, row):
-            if rank_full[md] or not row:
+            if rank_full[md]:
+                return 0
+            row = canonical(f, {sym_pos[key]: c for key, c in row.items()})
+            if not row:
                 return 0
             e = ech[md]
-            piv = e.insert({sym_pos[key]: c for key, c in row.items()})
+            piv = e.insert(row)
             if e.dim == e.width:
                 rank_full[md] = True
             return 0 if piv is None else 1
@@ -206,10 +201,7 @@ class _CoverEngine:
                         md = succ(succ(b.mdeg)[i - 1])[i - 1]
                         if rank_full.get(md, True):
                             continue
-                        row = {}
-                        for w, c in self.gen_bracket.get((b.index, i), {}).items():
-                            _acc(f, row, (w, i), c)
-                        add_row(md, _strip(f, row))
+                        add_row(md, {(w, i): c for w, c in self.gen_bracket.get((b.index, i), {}).items()})
             # Jacobi instances [[u,v],x_i] = [[u,x_i],v] + [u,[v,x_i]]
             for au in range(1, d - 1):
                 av = d - 1 - au
@@ -223,16 +215,12 @@ class _CoverEngine:
                         for i, md in enumerate(succ(_mdeg_sum(u.mdeg, v.mdeg)), 1):
                             if rank_full.get(md, True):
                                 continue
-                            row = {}
-                            for w, c in self.bracket_basis(u, v).items():
-                                _acc(f, row, (w, i), c)
+                            row = {(w, i): c for w, c in self.bracket_basis(u, v).items()}
                             for w, c in self.gen_bracket.get((u.index, i), {}).items():
-                                for key, cz in esym(self.basis[w], v).items():
-                                    _acc(f, row, key, f.neg(f.mul(c, cz)))
+                                axpy(row, -c, esym(self.basis[w], v))
                             for w, c in self.gen_bracket.get((v.index, i), {}).items():
-                                for key, cz in esym(u, self.basis[w]).items():
-                                    _acc(f, row, key, f.neg(f.mul(c, cz)))
-                            add_row(md, _strip(f, row))
+                                axpy(row, -c, esym(u, self.basis[w]))
+                            add_row(md, row)
             # antisymmetry of every pair, expanded through definitions
             for au in range(1, d):
                 av = d - au
@@ -249,9 +237,8 @@ class _CoverEngine:
                             row = self._esym_raw(u, u, esym)
                         else:
                             row = dict(esym(u, v))
-                            for key, c in esym(v, u).items():
-                                _acc(f, row, key, c)
-                        add_row(md, _strip(f, row))
+                            axpy(row, 1, esym(v, u))
+                        add_row(md, row)
             if self.extra_consistency:
                 self._heavy_jacobi_rows(d, esym, rank_full, add_row)
 
@@ -280,9 +267,9 @@ class _CoverEngine:
                 rewrites[key] = {elt.index: f.one}
             for pc in e.pivot_columns():
                 row = e.row(pc)
-                rewrites[keys[pc]] = {
-                    free_map[pos].index: f.neg(row[pos]) for pos in sorted(row) if pos != pc
-                }
+                rewrites[keys[pc]] = canonical(
+                    f, {free_map[pos].index: -row[pos] for pos in sorted(row) if pos != pc}
+                )
         self.gen_bracket.update(rewrites)
         self.by_degree.append(new_elts)
         self.relation_ranks.append(total_rank)
@@ -291,27 +278,21 @@ class _CoverEngine:
 
     def _esym_raw(self, a, b, esym):
         """[a, b] expanded into degree-d symbols via the definition of b."""
-        f = self.field
         if b.degree == 1:
-            return {(a.index, b.gen): f.one}
+            return {(a.index, b.gen): self.field.one}
         vp, j = b.parent, b.gen
-        out = {}
-        for w, c in self.bracket_basis(a, vp).items():
-            _acc(f, out, (w, j), c)
+        out = {(w, j): c for w, c in self.bracket_basis(a, vp).items()}
         for w, c in self.gen_bracket.get((a.index, j), {}).items():
-            for key, cz in esym(self.basis[w], vp).items():
-                _acc(f, out, key, f.neg(f.mul(c, cz)))
-        return _strip(f, out)
+            axpy(out, -c, esym(self.basis[w], vp))
+        return canonical(self.field, out)
 
     def _heavy_jacobi_rows(self, d, esym, rank_full, add_row):
         """Jacobi rows on triples of weight >= 2 each (verification mode only)."""
-        f = self.field
 
         def elin(expansion, w):
             out = {}
             for z, c in expansion.items():
-                for key, cz in esym(self.basis[z], w).items():
-                    _acc(f, out, key, f.mul(c, cz))
+                axpy(out, c, esym(self.basis[z], w))
             return out
 
         triples = []
@@ -329,28 +310,10 @@ class _CoverEngine:
                         if rank_full.get(md, True):
                             continue
                         row = elin(self.bracket_basis(u, v), w)
-                        for key, cc in elin(self.bracket_basis(u, w), v).items():
-                            _acc(f, row, key, f.neg(cc))
+                        axpy(row, -1, elin(self.bracket_basis(u, w), v))
                         for z, cz in self.bracket_basis(v, w).items():
-                            for key, cc in esym(u, self.basis[z]).items():
-                                _acc(f, row, key, f.neg(f.mul(cz, cc)))
-                        add_row(md, _strip(f, row))
-
-
-def _acc(field, d, key, val):
-    cur = d.get(key)
-    if cur is None:
-        d[key] = val
-    else:
-        d[key] = field.add(cur, val)
-
-
-def _strip(field, d):
-    return {k: v for k, v in d.items() if not field.is_zero(v)}
-
-
-def _neg(field, d):
-    return {k: field.neg(v) for k, v in d.items()}
+                            axpy(row, -cz, esym(u, self.basis[z]))
+                        add_row(md, row)
 
 
 def _mdeg_add(md, i):
@@ -577,9 +540,8 @@ def spanning_set_check_4gen(field=QQ):
     for ident in SPANNING_IDENTITIES_4GEN:
         total = {}
         for coeff, term in ident:
-            for k, c in _eval_identity_term(q, term).items():
-                _acc(f, total, k, f.mul(f.from_int(coeff), c))
-        identities_ok.append(all(f.is_zero(c) for c in total.values()))
+            axpy(total, coeff, _eval_identity_term(q, term))
+        identities_ok.append(not canonical(f, total))
     length6_zero = all(
         not q.eval_monomial(word) for word in itertools.product((1, 2, 3, 4), repeat=6)
     )

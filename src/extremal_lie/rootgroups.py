@@ -48,7 +48,7 @@ def _samples(field, sample_params):
 
 def classify_pair(L, x, y, fx):
     """The class of a pair of extremal elements x, y, where fx is f_x."""
-    if echelon_from_rows(L.field, L.n, [x.to_dense(), y.to_dense()]).dim == 1:
+    if echelon_from_rows(L.field, L.n, [x.coeffs, y.coeffs]).dim == 1:
         return "same-line"
     if L.bracket(x, y).is_zero():
         return "commuting"
@@ -223,8 +223,8 @@ def projective_line_check(L, x, y, third_point, sample_params=None):
         for j in range(i + 1, 3):
             if not L.bracket(pts[i], pts[j]).is_zero():
                 raise PreconditionNotMet("line points must commute pairwise")
-    ech = echelon_from_rows(f, L.n, [x.to_dense(), y.to_dense()])
-    if ech.dim != 2 or not ech.contains(third.to_dense()):
+    ech = echelon_from_rows(f, L.n, [x.coeffs, y.coeffs])
+    if ech.dim != 2 or not ech.contains(third.coeffs):
         raise PreconditionNotMet("the three points must span one projective line")
     # y is extremal (checked above); the other points are x + lam y
     lambdas = _samples(f, sample_params)

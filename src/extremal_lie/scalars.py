@@ -9,6 +9,10 @@ when it is integral and a ``Fraction`` otherwise: the field's constructors
 and an integral Fraction equals and hashes like the int, so a sum or product
 that comes back as an integral ``Fraction`` is the same raw value.  Fields and
 scalars are immutable and safe to share between threads.
+
+The methods of ``Field`` work on one value at a time.  Sparse vectors of raw
+values, and the rule that keeps them canonical, are described in ``linalg``
+(``axpy`` and ``canonical``).
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ reduction cannot survive silently.
 from __future__ import annotations
 
 from .scalars import QQ, Scalar
-from .linalg import Coordinates, echelon_from_rows
+from .linalg import Coordinates, canonical, echelon_from_rows
 from .liealg import (
     LieAlgebra,
     Subspace,
@@ -60,11 +60,7 @@ def _pair_rules(field, a, b, c):
 
     def m(**kw):
         idx = {"x": _X, "y": _Y, "z": _Z, "xy": _XY, "xz": _XZ, "yz": _YZ, "xyz": _XYZ, "yxz": _YXZ}
-        out = {}
-        for key, v in kw.items():
-            if not f.is_zero(v):
-                out[idx[key]] = v
-        return out
+        return canonical(f, {idx[key]: v for key, v in kw.items()})
 
     neg, mul = f.neg, f.mul
     rules = {
@@ -442,15 +438,15 @@ def structure_constants_on(L, elements):
     """Brackets of the given spanning elements expressed over themselves, or
     None if they are not an independent spanning set."""
     f = L.field
-    span = Coordinates(f, [e.to_dense() for e in elements], L.n)
+    span = Coordinates(f, [e.coeffs for e in elements], L.n)
     out = {}
     for i in range(len(elements)):
         for j in range(i + 1, len(elements)):
             w = L.bracket(elements[i], elements[j])
-            coeffs = span.solve(w.to_dense())
+            coeffs = span.solve(w.coeffs)
             if coeffs is None:
                 return None
-            row = {k: v for k, v in enumerate(coeffs) if not f.is_zero(v)}
+            row = canonical(f, dict(enumerate(coeffs)))
             if row:
                 out[(i, j)] = row
     return out
@@ -460,7 +456,7 @@ def isomorphic_by_monomials(M, L, x, y, z):
     """Explicit isomorphism test: the monomial map m_i -> m_i(L) matches all
     structure constants and is invertible."""
     mons = _monomials_of(L, x, y, z)
-    if echelon_from_rows(L.field, L.n, [m.to_dense() for m in mons]).dim != 8 or L.n != 8:
+    if echelon_from_rows(L.field, L.n, [m.coeffs for m in mons]).dim != 8 or L.n != 8:
         return False
     target = structure_constants_on(L, mons)
     if target is None:
@@ -564,17 +560,15 @@ def _modules_irreducible(M, modules):
     e = M.basis_element
     s_elts = [e(_X), e(_Y), e(_XY)]
     for mod in modules:
-        rows = [v.to_dense() for v in mod]
-        span = Coordinates(f, rows, M.n)
+        span = Coordinates(f, [v.coeffs for v in mod], M.n)
         for s in s_elts:
             for v in mod:
-                if span.solve(M.bracket(s, v).to_dense()) is None:
+                if span.solve(M.bracket(s, v).coeffs) is None:
                     return False  # not even a module
         # common invariant line would be an eigenline of the [x,y]-action
-        coords = [span.solve(M.bracket(e(_XY), v).to_dense()) for v in mod]
+        coords = [span.solve(M.bracket(e(_XY), v).coeffs) for v in mod]
         for lam in _eigenvalue_candidates(f, coords) or []:
-            for vec in _eigenvectors(f, rows, coords, lam):
-                x = M.element(vec)
+            for x in _eigenvectors(f, mod, coords, lam):
                 line = Subspace.from_elements(M, [x])
                 if all(line.contains(M.bracket(s, x)) for s in s_elts):
                     return False

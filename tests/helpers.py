@@ -5,6 +5,7 @@ code paths they check: expected dimensions and bracket values in the test
 files are frozen from these, not from the implementation.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from math import factorial, gcd
@@ -155,3 +156,36 @@ def tensor_bracket(ta, tb):
             out[wa + wb] = out.get(wa + wb, Fraction(0)) + ca * cb
             out[wb + wa] = out.get(wb + wa, Fraction(0)) - ca * cb
     return {w: c for w, c in out.items() if c}
+
+
+def subset_certificate(L, torus=None):
+    """Reference for ``liealg._no_solvable_ideal_certificate``: the search
+    the package ran before it checked one ideal per weight line.  After the
+    same basis-vector loop it tries every subset of the weight lines of
+    Rad(kappa) as a solvable ideal, and gives up (None) when Rad(kappa) has
+    dimension above 12."""
+    from extremal_lie.liealg import (
+        Subspace,
+        _weight_lines,
+        ideal_generated,
+        is_solvable_subspace,
+        killing_form,
+    )
+
+    kappa_rad = killing_form(L).radical()
+    if kappa_rad.dim == 0:
+        return True
+    for v in kappa_rad.basis():
+        ideal = ideal_generated(L, [v])
+        if ideal.dim and is_solvable_subspace(ideal):
+            return ideal
+    if torus is not None and kappa_rad.dim <= 12:
+        lines = _weight_lines(L, torus, kappa_rad)
+        if lines is not None:
+            for size in range(1, len(lines) + 1):
+                for subset in itertools.combinations(lines, size):
+                    sub = Subspace.from_elements(L, list(subset))
+                    if sub.dim and sub.is_ideal() and is_solvable_subspace(sub):
+                        return sub
+            return True
+    return None

@@ -174,7 +174,7 @@ def test_extremal_spanning_set_gf3_g2():
     G = chevalley("G", 2, 3)
     span = extremal_spanning_set(G)
     from extremal_lie.linalg import echelon_from_rows
-    assert echelon_from_rows(G.field, G.lie.n, [v.to_dense() for v in span]).dim == 14
+    assert echelon_from_rows(G.field, G.lie.n, [v.coeffs for v in span]).dim == 14
 
 
 def test_minimal_generator_count_table():
@@ -197,3 +197,34 @@ def test_long_class_generation_check_can_fail(monkeypatch):
     rep = short_root_decomposition_check("B2", QQ)
     assert rep["long_root_elements_generate"] is False
     assert rep["pass"] is False
+
+
+def test_outputs_are_canonical_over_gf():
+    # Automorphism.__eq__ and is_identity compare columns as dicts, which is
+    # sound only if every vector comes out canonical: residues in [0, p), no
+    # zero entries
+    def canonical(vec, p):
+        return all(type(x) is int and 0 < x < p for x in vec.values())
+
+    r = rng("canonical")
+    for t, n, p in (("G", 2, 3), ("B", 3, 7), ("A", 2, 5)):
+        A = chevalley(t, n, p)
+        L = A.lie
+        long_roots = [root for root in A.rootsystem.roots if A.rootsystem.is_long(root)]
+        elts = [L.element({k: r.randint(-3 * p, 3 * p) for k in r.sample(range(L.n), 4)}) for _ in range(6)]
+        elts += [A.x(root) for root in A.rootsystem.roots[:4]]
+        for a in elts:
+            for b in elts:
+                assert canonical(L.bracket(a, b).coeffs, p)
+        for s in (1, -1, 2, p - 1, p + 1, -2 * p + 1):
+            for root in A.rootsystem.roots[:6]:
+                phi = root_exponential(A, root, s, check=False)
+                assert all(canonical(col, p) for col in phi.cols)
+                assert all(canonical(phi.apply(a).coeffs, p) for a in elts)
+                back = root_exponential(A, root, -s, check=False)
+                assert phi.compose(back).is_identity()
+            exp = exp_map(L, A.x(long_roots[0]))
+            psi = exp(s)
+            assert all(canonical(col, p) for col in psi.cols)
+            assert psi.compose(exp(-s)).is_identity()
+            assert psi.compose(exp(s)) == exp(2 * s)

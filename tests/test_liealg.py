@@ -5,6 +5,7 @@ import pytest
 from extremal_lie.scalars import QQ, GF, Scalar
 from extremal_lie.liealg import (
     AntisymmetryViolation,
+    Subspace,
     JacobiViolation,
     LieAlgebra,
     NotADirectSum,
@@ -22,6 +23,7 @@ from extremal_lie.liealg import (
     heisenberg,
     ideal_generated,
     is_extremal,
+    is_solvable_subspace,
     killing_form,
     lower_central_series,
     phi_spectrum_check,
@@ -32,11 +34,14 @@ from extremal_lie.liealg import (
     solvable_radical,
     structural_subspaces,
     subalgebra_generated,
+    zero_subspace,
 )
 from extremal_lie.smallgen import TriangleParams, build_M, sl3_example, two_gen_classify
 from extremal_lie.chevalley import extremal_spanning_set
 
-from helpers import chevalley, rng, sandwich
+from extremal_lie.liealg import _no_solvable_ideal_certificate
+
+from helpers import chevalley, rng, sandwich, subset_certificate
 
 
 def test_sl2_construction_and_dims():
@@ -348,6 +353,10 @@ def test_quotient_algebra():
     Q, lift, project = quotient_algebra(H, center(H))
     assert Q.n == 2
     assert all(not Q.bracket_basis(i, j) for i in range(2) for j in range(2))
+    # the quotient by the zero ideal is the algebra itself, not a rebuilt copy
+    Q, lift, project = quotient_algebra(H, zero_subspace(H))
+    x = H.basis_element(0)
+    assert Q is H and lift(x) == x and project(x) == x
 
 
 def test_radical_chain_on_fleet():
@@ -438,3 +447,38 @@ def test_derived_and_lower_central_series():
     assert [s.dim for s in lcs] == [8, 5, 2, 0]
     ds = derived_series(L)
     assert ds[1].dim == 5 and ds[2].dim == 0
+
+
+def _takiff(f):
+    """sl2 (e, h, f) extended by an abelian ideal (E, H, F), the adjoint module."""
+    two, m2 = f.from_int(2), f.from_int(-2)
+    table = {
+        (0, 1): {0: m2}, (0, 2): {1: f.one}, (1, 2): {2: m2},
+        (0, 4): {3: m2}, (0, 5): {4: f.one}, (1, 3): {3: two},
+        (1, 5): {5: m2}, (2, 3): {4: f.from_int(-1)}, (2, 4): {5: two},
+    }
+    return LieAlgebra(f, ["e", "h", "f", "E", "H", "F"], table)
+
+
+def test_line_certificate_matches_subset_search():
+    cases = []
+    for t, n, ch in (("G", 2, 3), ("A", 2, 3), ("B", 3, 7)):
+        A = chevalley(t, n, ch)
+        cases.append((A.lie, A.cartan_elements()))
+    for f in (QQ, GF(5)):
+        T = _takiff(f)
+        D = direct_sum(sl2(f), heisenberg(f))
+        cases += [(T, [T.basis_element(1)]), (D, [D.basis_element(1)])]
+    verdicts = []
+    for L, torus in cases:
+        new = _no_solvable_ideal_certificate(L, torus)
+        old = subset_certificate(L, torus)
+        for cert in (new, old):
+            if isinstance(cert, Subspace):
+                assert cert.dim and cert.is_ideal() and is_solvable_subspace(cert)
+        verdict = "witness" if isinstance(new, Subspace) else new
+        assert verdict == ("witness" if isinstance(old, Subspace) else old)
+        verdicts.append(verdict)
+    # G2 in char 3 is decided by its seven weight lines, A2 in char 3 is not
+    # multiplicity-free, the extensions have solvable ideals
+    assert verdicts == [True, None, True] + ["witness"] * 4

@@ -8,6 +8,8 @@ from extremal_lie.scalars import QQ, GF
 from extremal_lie.linalg import (
     Coordinates,
     Echelon,
+    axpy,
+    canonical,
     charpoly,
     echelon_from_rows,
     kernel,
@@ -163,20 +165,63 @@ def test_rank_and_kernel_match_dense_reference(mat, as_dict):
 
 
 @PROPERTY
-@given(matrices(), st.data())
-def test_coordinates_match_dense_reference(mat, data):
+@given(matrices(), st.booleans(), st.data())
+def test_coordinates_match_dense_reference(mat, as_dict, data):
     field, width, rows = mat
     coeffs = data.draw(st.lists(_entries(field), min_size=len(rows), max_size=len(rows)))
     combo = [field.zero] * width
     for c, row in zip(coeffs, rows):
         combo = [field.add(a, field.mul(c, b)) for a, b in zip(combo, row)]
     other = data.draw(st.lists(_entries(field), min_size=width, max_size=width))
-    got = Coordinates(field, rows, width)
+    got = Coordinates(field, [_sparse(r) for r in rows] if as_dict else rows, width)
     with _reference():
         want = Coordinates(field, rows, width)
     assert got.spans() == want.spans()
     for target in (combo, other):
-        assert got.solve(target) == want.solve(target)
+        assert got.solve(_sparse(target) if as_dict else target) == want.solve(target)
+
+
+@st.composite
+def raw_sums(draw):
+    """(field, terms): a list of (c, v) with v a dict of raw values.  Entries
+    and coefficients are negative or unreduced mod p; over Q they include
+    Fractions and integral Fractions; a term may be followed by its negative,
+    so that keys cancel."""
+    field = draw(st.sampled_from((QQ, GF(3), GF(101))))
+    p = field.characteristic
+    if p:
+        value = st.integers(-3 * p, 3 * p)
+    else:
+        value = st.one_of(
+            st.integers(-6, 6),
+            st.fractions(-5, 5, max_denominator=4),
+            st.integers(-6, 6).map(Fraction),
+        )
+    vector = st.dictionaries(st.integers(0, 5), value, max_size=5)
+    terms = draw(st.lists(st.tuples(value, vector), max_size=5))
+    if terms and draw(st.booleans()):
+        c, v = draw(st.sampled_from(terms))
+        terms.append((-c, v))
+    return field, terms
+
+
+@PROPERTY
+@given(raw_sums())
+def test_axpy_and_canonical_match_field_reference(case):
+    field, terms = case
+    want = {}
+    for c, v in terms:
+        for j, x in v.items():
+            want[j] = field.add(want.get(j, field.zero), field.mul(c, x))
+    want = {j: x for j, x in want.items() if not field.is_zero(x)}
+    acc = {}
+    for c, v in terms:
+        axpy(acc, c, v)
+    got = canonical(field, acc)
+    assert got == want
+    p = field.characteristic
+    assert all(x != 0 and (not p or 0 < x < p) for x in got.values())
+    assert canonical(field, got) == got
 
 
 @PROPERTY
