@@ -36,7 +36,7 @@ from extremal_lie.liealg import (
     subalgebra_generated,
     zero_subspace,
 )
-from extremal_lie.smallgen import TriangleParams, build_M, sl3_example, two_gen_classify
+from extremal_lie.smallgen import TriangleParams, build_M, sl3_example, structure_constants_on, two_gen_classify
 from extremal_lie.chevalley import extremal_spanning_set
 
 from extremal_lie.liealg import _no_solvable_ideal_certificate
@@ -460,6 +460,22 @@ def _takiff(f):
     return LieAlgebra(f, ["e", "h", "f", "E", "H", "F"], table)
 
 
+def _hidden_solvable_line():
+    """G2 in char 3 plus the algebra [t, a] = a, with a replaced in the basis
+    by a + x_s, x_s a short root vector.  Each echelon basis vector of
+    Rad(kappa) then generates a non-solvable ideal, while the weight line ka
+    of the torus (h1, h2, t) is a solvable ideal.  Returns (L, torus)."""
+    G = chevalley("G", 2, 3)
+    f = G.field
+    L0 = direct_sum(G.lie, LieAlgebra(f, ["t", "a"], {(0, 1): {1: f.one}}))
+    short = next(r for r in G.rootsystem.roots if not G.rootsystem.is_long(r))
+    basis = L0.basis_elements()
+    basis[-1] = basis[-1] + L0.basis_element(G.root_index[short])
+    L = LieAlgebra(f, L0.labels, structure_constants_on(L0, basis))
+    torus = [L.basis_element(L0.labels.index(label)) for label in ("A.h1", "A.h2", "B.t")]
+    return L, torus
+
+
 def test_line_certificate_matches_subset_search():
     cases = []
     for t, n, ch in (("G", 2, 3), ("A", 2, 3), ("B", 3, 7)):
@@ -469,6 +485,10 @@ def test_line_certificate_matches_subset_search():
         T = _takiff(f)
         D = direct_sum(sl2(f), heisenberg(f))
         cases += [(T, [T.basis_element(1)]), (D, [D.basis_element(1)])]
+    hidden, torus = _hidden_solvable_line()
+    # only the per-line step can find its solvable ideal
+    assert not any(is_solvable_subspace(ideal_generated(hidden, [v])) for v in killing_form(hidden).radical().basis())
+    cases.append((hidden, torus))
     verdicts = []
     for L, torus in cases:
         new = _no_solvable_ideal_certificate(L, torus)
@@ -481,4 +501,4 @@ def test_line_certificate_matches_subset_search():
         verdicts.append(verdict)
     # G2 in char 3 is decided by its seven weight lines, A2 in char 3 is not
     # multiplicity-free, the extensions have solvable ideals
-    assert verdicts == [True, None, True] + ["witness"] * 4
+    assert verdicts == [True, None, True] + ["witness"] * 5
