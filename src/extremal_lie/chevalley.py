@@ -142,16 +142,6 @@ class Automorphism:
                     return False
         return True
 
-    def preserves_form(self, form):
-        L, f = self.lie, self.lie.field
-        for i in range(L.n):
-            fi = self.apply(L.basis_element(i))
-            for j in range(i, L.n):
-                v = form.value(fi, self.apply(L.basis_element(j))).value
-                if not f.is_zero(f.sub(v, form.gram[i][j])):
-                    return False
-        return True
-
 
 def exp_map(L, x):
     """s -> exp(x, s) = 1 + s ad_x + (s^2/2) ad_x^2 for an extremal element x.

@@ -347,16 +347,20 @@ def ideal_generated(L, gens):
     return Subspace(L, ech)
 
 
+def _by_position(L):
+    """The structure constants indexed by position: (j, k) -> {i: c_ij^k},
+    the coefficient of b_k in [b_i, b_j], over the nonzero ones."""
+    at = {}
+    for (i, j), row in L._brackets.items():
+        for k, c in row.items():
+            at.setdefault((j, k), {})[i] = c
+    return at
+
+
 def center(L):
-    f = L.field
-    rows = []
-    for j in range(L.n):
-        block = [[f.zero] * L.n for _ in range(L.n)]
-        for i in range(L.n):
-            for k, c in L.bracket_basis(i, j).items():
-                block[k][i] = c
-        rows.extend(block)
-    return Subspace.from_elements(L, kernel(f, rows, L.n))
+    """Z(L), the kernel of the rows {i: c_ij^k}: x = sum x_i b_i is central
+    when the coefficient of b_k in [x, b_j] vanishes for every (j, k)."""
+    return Subspace.from_elements(L, kernel(L.field, list(_by_position(L).values()), L.n))
 
 
 def derived_series(L, sub=None):
@@ -431,14 +435,12 @@ class ExtremalFunctional:
 
     def __call__(self, y):
         f = self.algebra.field
-        s = f.zero
-        for k, c in y.coeffs.items():
-            s = f.add(s, f.mul(c, self.values[k]))
-        return Scalar(f, s)
+        p = f.characteristic
+        s = sum(c * self.values[k] for k, c in y.coeffs.items())
+        return Scalar(f, s % p if p else s)
 
     def is_zero(self):
-        f = self.algebra.field
-        return all(f.is_zero(v) for v in self.values)
+        return not canonical(self.algebra.field, dict(enumerate(self.values)))
 
 
 def is_extremal(L, x):
@@ -474,62 +476,62 @@ class BilinearForm:
 
     def value(self, u, v):
         f = self.algebra.field
-        s = f.zero
-        for i, ci in u.coeffs.items():
-            for j, cj in v.coeffs.items():
-                s = f.add(s, f.mul(f.mul(ci, cj), self.gram[i][j]))
-        return Scalar(f, s)
+        p = f.characteristic
+        g = self.gram
+        s = sum(ci * cj * g[i][j] for i, ci in u.coeffs.items() for j, cj in v.coeffs.items())
+        return Scalar(f, s % p if p else s)
+
+    def rows(self):
+        """The Gram matrix as canonical sparse rows: rows()[i] is f(b_i, .)."""
+        f = self.algebra.field
+        return [canonical(f, dict(enumerate(row))) for row in self.gram]
 
     def radical(self):
         return Subspace.from_elements(self.algebra, kernel(self.algebra.field, self.gram, self.algebra.n))
 
     def is_symmetric(self):
-        f = self.algebra.field
-        n = self.algebra.n
-        return all(
-            f.is_zero(f.sub(self.gram[i][j], self.gram[j][i])) for i in range(n) for j in range(i)
-        )
+        G = self.rows()
+        return all(G[j].get(i, 0) == c for i, row in enumerate(G) for j, c in row.items())
 
     def is_associative(self):
-        """f([x,y],z) == f(x,[y,z]) on all basis triples."""
-        L, f = self.algebra, self.algebra.field
-        n = L.n
-        for i in range(n):
-            for j in range(n):
-                row = L.bracket_basis(i, j)
-                for k in range(n):
-                    lhs = f.zero
-                    for m, c in row.items():
-                        lhs = f.add(lhs, f.mul(c, self.gram[m][k]))
-                    rhs = f.zero
-                    for m, c in L.bracket_basis(j, k).items():
-                        rhs = f.add(rhs, f.mul(c, self.gram[i][m]))
-                    if not f.is_zero(f.sub(lhs, rhs)):
-                        return False
+        """f([x,y],z) == f(x,[y,z]) on all basis triples.  For each j and i
+        both sides are compared over all k at once, as canonical sparse rows:
+        f([b_i,b_j], .) = sum_m c_ij^m G[m] and f(b_i, [b_j, .]) =
+        sum_m G[i][m] ad[m], where G[m] = f(b_m, .) and ad[m] = {k: c_jk^m}."""
+        L = self.algebra
+        f, n = L.field, L.n
+        G = self.rows()
+        for j in range(n):
+            ad = [{} for _ in range(n)]
+            for k in range(n):
+                for m, c in L.bracket_basis(j, k).items():
+                    ad[m][k] = c
+            for i in range(n):
+                lhs, rhs = {}, {}
+                for m, c in L.bracket_basis(i, j).items():
+                    axpy(lhs, c, G[m])
+                for m, g in G[i].items():
+                    axpy(rhs, g, ad[m])
+                if canonical(f, lhs) != canonical(f, rhs):
+                    return False
         return True
 
 
 def killing_form(L):
-    """kappa(x, y) = trace(ad_x ad_y)."""
-    f = L.field
-    n = L.n
-    ad_rows = []  # ad_i as {(k, j): c} with [b_i, b_j] = sum c b_k
+    """kappa(x, y) = trace(ad_x ad_y).  Row i is kappa(b_i, .) = the sum over
+    (l, k) of c_il^k {x: c_xk^l}, one sparse sum per row."""
+    f, n = L.field, L.n
+    at = _by_position(L)
+    gram = []
     for i in range(n):
-        m = {}
-        for j in range(n):
-            for k, c in L.bracket_basis(i, j).items():
-                m[(k, j)] = c
-        ad_rows.append(m)
-    gram = [[f.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            s = f.zero
-            for (k, l), c in ad_rows[j].items():
-                d = ad_rows[i].get((l, k))
-                if d is not None:
-                    s = f.add(s, f.mul(c, d))
-            gram[i][j] = s
-            gram[j][i] = s
+        acc = {}
+        for l in range(n):
+            for k, c in L.bracket_basis(i, l).items():
+                axpy(acc, c, at.get((k, l), {}))
+        row = [f.zero] * n
+        for x, c in canonical(f, acc).items():
+            row[x] = c
+        gram.append(row)
     return BilinearForm(L, gram, "killing")
 
 
@@ -559,11 +561,13 @@ def extremal_form(L, spanning_set):
     gram = mat_mul(f, half, [list(col) for col in zip(*coords)])
     form = BilinearForm(L, gram, "extremal-f")
     # well-definedness: the bilinear extension must reproduce every f_x directly
+    G = form.rows()
     for a, s in enumerate(spanning):
-        for j in range(L.n):
-            direct = functionals[a](L.basis_element(j)).value
-            if not f.is_zero(f.sub(form.value(s, L.basis_element(j)).value, direct)):
-                raise WellDefinednessFailure("bilinear extension disagrees with f_x")
+        row = {}
+        for i, c in s.coeffs.items():
+            axpy(row, c, G[i])
+        if canonical(f, row) != canonical(f, dict(enumerate(functionals[a].values))):
+            raise WellDefinednessFailure("bilinear extension disagrees with f_x")
     if not form.is_symmetric():
         raise WellDefinednessFailure("extremal form not symmetric")
     if not form.is_associative():

@@ -2,7 +2,10 @@
 
 The Witt formulas and the tensor-algebra expansion are independent of the
 code paths they check: expected dimensions and bracket values in the test
-files are frozen from these, not from the implementation.
+files are frozen from these, not from the implementation.  The dense form
+kernels (``dense_is_associative``, ``dense_killing_gram``, ``dense_center``)
+are the per-coefficient ``Field`` loops the package ran before its form
+kernels became sparse; the tests hold the sparse ones to them.
 """
 
 import itertools
@@ -189,3 +192,78 @@ def subset_certificate(L, torus=None):
                         return sub
             return True
     return None
+
+
+def dense_is_associative(form):
+    """Reference for ``BilinearForm.is_associative``: f([b_i,b_j],b_k) ==
+    f(b_i,[b_j,b_k]) on every basis triple, one ``Field`` call per term."""
+    L, f = form.algebra, form.algebra.field
+    n = L.n
+    for i in range(n):
+        for j in range(n):
+            row = L.bracket_basis(i, j)
+            for k in range(n):
+                lhs = f.zero
+                for m, c in row.items():
+                    lhs = f.add(lhs, f.mul(c, form.gram[m][k]))
+                rhs = f.zero
+                for m, c in L.bracket_basis(j, k).items():
+                    rhs = f.add(rhs, f.mul(c, form.gram[i][m]))
+                if not f.is_zero(f.sub(lhs, rhs)):
+                    return False
+    return True
+
+
+def dense_killing_gram(L):
+    """Reference for ``killing_form``: the Gram matrix of trace(ad_x ad_y),
+    entry by entry, from the matrices of ad_{b_i} as {(k, j): c} dicts."""
+    f = L.field
+    n = L.n
+    ad_rows = []  # ad_i as {(k, j): c} with [b_i, b_j] = sum c b_k
+    for i in range(n):
+        m = {}
+        for j in range(n):
+            for k, c in L.bracket_basis(i, j).items():
+                m[(k, j)] = c
+        ad_rows.append(m)
+    gram = [[f.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            s = f.zero
+            for (k, l), c in ad_rows[j].items():
+                d = ad_rows[i].get((l, k))
+                if d is not None:
+                    s = f.add(s, f.mul(c, d))
+            gram[i][j] = s
+            gram[j][i] = s
+    return gram
+
+
+def dense_center(L):
+    """Reference for ``liealg.center``: the kernel of the n blocks of n x n
+    dense rows, block j holding the matrix of x -> [x, b_j]."""
+    from extremal_lie.linalg import kernel
+    from extremal_lie.liealg import Subspace
+
+    f = L.field
+    rows = []
+    for j in range(L.n):
+        block = [[f.zero] * L.n for _ in range(L.n)]
+        for i in range(L.n):
+            for k, c in L.bracket_basis(i, j).items():
+                block[k][i] = c
+        rows.extend(block)
+    return Subspace.from_elements(L, kernel(f, rows, L.n))
+
+
+def preserves_form(phi, form):
+    """Whether the automorphism ``phi`` keeps the bilinear form: f(phi b_i,
+    phi b_j) equals the Gram entry f(b_i, b_j) on every basis pair."""
+    L, f = phi.lie, phi.lie.field
+    for i in range(L.n):
+        fi = phi.apply(L.basis_element(i))
+        for j in range(i, L.n):
+            v = form.value(fi, phi.apply(L.basis_element(j))).value
+            if not f.is_zero(f.sub(v, form.gram[i][j])):
+                return False
+    return True

@@ -32,7 +32,7 @@ from extremal_lie.chevalley import (
 from extremal_lie.smallgen import TriangleParams, build_M, sl3_example, verify_3gen_structure
 from extremal_lie import rootgroups as rg
 
-from helpers import chevalley, field_of, rng, sandwich, witt
+from helpers import chevalley, field_of, preserves_form, rng, sandwich, witt
 
 FLEET = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -272,5 +272,5 @@ def test_criterion_10_property_suites_standalone():
     form = extremal_form(L, span)
     for base in (A.x((1, 0)), A.x((1, 1))):
         phi = exp_automorphism(L, base, 2)
-        ok = ok and phi.preserves_form(form)
+        ok = ok and preserves_form(phi, form)
     _verdict(10, ok, "standalone property suites: validators, Witt, Cor 3.4/3.8, form preservation")

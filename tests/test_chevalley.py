@@ -23,7 +23,7 @@ from extremal_lie.chevalley import (
 )
 from extremal_lie.liealg import extremal_form, is_extremal
 
-from helpers import chevalley, rng
+from helpers import chevalley, preserves_form, rng
 
 
 def test_dimensions():
@@ -88,7 +88,7 @@ def test_exp_preserves_bracket_and_form():
     form = extremal_form(A.lie, span)
     phi = exp_automorphism(A, A.x((1, 1)), 2)
     assert phi.preserves_bracket()
-    assert phi.preserves_form(form)
+    assert preserves_form(phi, form)
 
 
 def test_root_exponential_is_automorphism_any_char():

@@ -1,0 +1,220 @@
+"""The sparse form kernels against their dense references.
+
+``BilinearForm.is_associative``, ``killing_form`` and ``center`` are held to
+the per-coefficient ``Field`` loops in ``helpers`` on small algebras over Q,
+GF(3) and GF(101): on true forms, on Gram matrices with one entry changed
+(symmetric or not), and on rescaled tables.  The center is also checked
+against the Cartan matrix, and the kernels against calling ``Field`` at all.
+"""
+
+from functools import lru_cache
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from extremal_lie.chevalley import ChevalleyAlgebra, extremal_spanning_set
+from extremal_lie.liealg import (
+    BilinearForm,
+    LieAlgebra,
+    center,
+    direct_sum,
+    extremal_form,
+    heisenberg,
+    killing_form,
+    sl2,
+)
+from extremal_lie.scalars import QQ, Field, GF
+
+from helpers import chevalley, dense_center, dense_is_associative, dense_killing_gram, field_of
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=120)
+CHARS = (0, 3, 101)
+CHEVALLEY = {"A2": ("A", 2), "B3": ("B", 3), "G2": ("G", 2)}
+ALGEBRAS = ("A2", "B3", "G2", "sl2", "heisenberg", "sl2+heisenberg")
+
+
+@lru_cache(maxsize=None)
+def algebra(name, char):
+    f = field_of(char)
+    if name in CHEVALLEY:
+        return chevalley(*CHEVALLEY[name], char).lie
+    if name == "sl2":
+        return sl2(f)
+    if name == "heisenberg":
+        return heisenberg(f)
+    return direct_sum(sl2(f), heisenberg(f))
+
+
+@lru_cache(maxsize=None)
+def true_gram(name, char, kind):
+    """The Killing form, or for a Chevalley algebra also its extremal form."""
+    L = algebra(name, char)
+    if kind == "extremal" and name in CHEVALLEY:
+        A = chevalley(*CHEVALLEY[name], char)
+        return tuple(map(tuple, extremal_form(L, extremal_spanning_set(A)).gram))
+    return tuple(map(tuple, dense_killing_gram(L)))
+
+
+def rescaled(L, scales):
+    """L on the basis scales[i] * b_i: c_ij^k becomes scales[i] scales[j] /
+    scales[k] c_ij^k.  A valid table again, isomorphic to L."""
+    f = L.field
+    table = {
+        (i, j): {k: f.div(f.mul(f.mul(scales[i], scales[j]), c), scales[k]) for k, c in row.items()}
+        for (i, j), row in L._table.items()
+    }
+    return LieAlgebra(f, L.labels, table)
+
+
+def nonzero(char):
+    if char:
+        return st.integers(1, char - 1)
+    return st.one_of(st.integers(-5, 5).filter(bool), st.fractions(-4, 4, max_denominator=5).filter(bool))
+
+
+@st.composite
+def form_cases(draw):
+    """(form, expected): a Gram matrix on an algebra, and whether it is
+    associative when that is known without the reference (else None).  The
+    Gram is the true form; or it has one entry changed, together with its
+    mirror or alone (then it is not symmetric); or it is the true form paired
+    with the table that has one basis vector b_r rescaled by s != 1."""
+    char = draw(st.sampled_from(CHARS))
+    name = draw(st.sampled_from(ALGEBRAS))
+    kind = draw(st.sampled_from(("killing", "extremal")))
+    variant = draw(st.sampled_from(("true", "perturbed", "nonsymmetric", "rescaled")))
+    L = algebra(name, char)
+    f = L.field
+    gram = [list(row) for row in true_gram(name, char, kind)]
+    n = L.n
+    expected = True if variant == "true" else None
+    if variant in ("perturbed", "nonsymmetric"):
+        a = draw(st.integers(0, n - 1))
+        b = draw(st.integers(0, n - 1).filter(lambda b: variant == "perturbed" or b != a))
+        delta = f.raw(draw(nonzero(char)))
+        gram[a][b] = f.add(gram[a][b], delta)
+        if variant == "perturbed" and a != b:
+            gram[b][a] = f.add(gram[b][a], delta)
+    if variant == "rescaled":
+        r = draw(st.integers(0, n - 1))
+        s = f.raw(draw(nonzero(char).filter(lambda s: f.raw(s) != 1)))
+        # A nondegenerate associative form of these algebras is fixed up to
+        # a scalar on each simple summand.  On the new basis it is the old
+        # Gram with row and column r times s, and entry (r, r) times s^2, so
+        # the old Gram is not associative for the new table unless row r
+        # is zero off the diagonal and s^2 = 1.
+        if not BilinearForm(L, gram, kind).radical().dim:
+            off_diagonal = any(gram[r][j] for j in range(n) if j != r)
+            expected = False if off_diagonal or f.mul(s, s) != 1 else None
+        L = rescaled(L, [s if i == r else f.one for i in range(n)])
+    return BilinearForm(L, gram, kind), expected
+
+
+@PROPERTY
+@given(form_cases())
+# f(x, z) = 1 on the Heisenberg algebra: not associative, but it passes the
+# check that reads the Gram by column on the right, f([x,y],z) == f([y,z],x)
+@example((BilinearForm(heisenberg(GF(3)), [[0, 0, 1], [0, 0, 0], [0, 0, 0]], "custom"), False))
+# f(z, x) = 1 on the Heisenberg algebra: its transpose, not associative either
+@example((BilinearForm(heisenberg(GF(3)), [[0, 0, 0], [0, 0, 0], [1, 0, 0]], "custom"), False))
+# f(x, y) = 1 on the Heisenberg algebra: associative and not symmetric
+@example((BilinearForm(heisenberg(QQ), [[0, 1, 0], [0, 0, 0], [0, 0, 0]], "custom"), True))
+def test_is_associative_matches_dense_reference(case):
+    form, expected = case
+    fast = form.is_associative()
+    assert fast == dense_is_associative(form)
+    if expected is not None:
+        assert fast == expected
+
+
+@st.composite
+def rescaled_algebras(draw):
+    """An algebra of the list, on a randomly rescaled basis (over Q the
+    structure constants become fractions)."""
+    char = draw(st.sampled_from(CHARS))
+    L = algebra(draw(st.sampled_from(ALGEBRAS)), char)
+    if draw(st.booleans()):
+        L = rescaled(L, [L.field.raw(draw(nonzero(char))) for _ in range(L.n)])
+    return L
+
+
+@PROPERTY
+@given(rescaled_algebras())
+def test_killing_form_and_center_match_dense_reference(L):
+    kappa = killing_form(L)
+    assert kappa.gram == dense_killing_gram(L)
+    if all(type(c) is int for row in L._table.values() for c in row.values()):
+        # integral constants give int entries over Q, residues over GF(p)
+        assert all(type(c) is int for row in kappa.gram for c in row)
+    assert center(L) == dense_center(L)
+
+
+# -- the center against the Cartan matrix ---------------------------------------
+
+# Dynkin diagrams, Bourbaki numbering from 0: (i, j, m) joins nodes i and j,
+# with A[i][j] = -m and A[j][i] = -1
+DIAGRAMS = {
+    "A": lambda n: [(i, i + 1, 1) for i in range(n - 1)],
+    "B": lambda n: [(i, i + 1, 1) for i in range(n - 2)] + [(n - 2, n - 1, 2)],
+    "C": lambda n: [(i, i + 1, 1) for i in range(n - 2)] + [(n - 1, n - 2, 2)],
+    "D": lambda n: [(i, i + 1, 1) for i in range(n - 2)] + [(n - 3, n - 1, 1)],
+    "E": lambda n: [(0, 2, 1), (1, 3, 1)] + [(i, i + 1, 1) for i in range(2, n - 1)],
+    "F": lambda n: [(0, 1, 1), (1, 2, 2), (2, 3, 1)],
+    "G": lambda n: [(0, 1, 3)],
+}
+
+
+def cartan_nullity(type_, rank, p):
+    """Dimension of the kernel of the Cartan matrix mod p."""
+    a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j, m in DIAGRAMS[type_](rank):
+        a[i][j], a[j][i] = -m, -1
+    rows = [[x % p for x in row] for row in a]
+    r = 0
+    for c in range(rank):
+        piv = next((i for i in range(r, rank) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        for i in range(rank):
+            if i != r and rows[i][c]:
+                t = rows[i][c] * inv
+                rows[i] = [(x - t * y) % p for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return rank - r
+
+
+@pytest.mark.parametrize(
+    "type_,rank,p,dim",
+    [
+        ("A", 2, 3, 1), ("A", 5, 3, 1), ("A", 4, 5, 1), ("E", 6, 3, 1),
+        ("B", 3, 7, 0), ("G", 2, 3, 0), ("D", 4, 3, 0), ("C", 4, 5, 0), ("F", 4, 3, 0), ("E", 7, 3, 0),
+    ],
+)
+def test_center_dimension_is_cartan_nullity_mod_p(type_, rank, p, dim):
+    """The center of a Chevalley algebra over GF(p) is the part of the
+    Cartan subalgebra killed by every simple root: sum c_i h_i with
+    sum c_i A[i][j] = 0 mod p for all j."""
+    assert cartan_nullity(type_, rank, p) == dim
+    assert center(ChevalleyAlgebra(type_, rank, GF(p)).lie).dim == dim
+
+
+# -- no per-coefficient Field calls ---------------------------------------------------
+
+
+def test_form_kernels_call_no_field_arithmetic(monkeypatch):
+    L = chevalley("E", 6, 5).lie
+    calls = []
+    for name in ("add", "mul", "sub", "is_zero"):
+        def counted(self, *args, _orig=getattr(Field, name), _name=name):
+            calls.append(_name)
+            return _orig(self, *args)
+
+        monkeypatch.setattr(Field, name, counted)
+    kappa = killing_form(L)
+    assert kappa.is_associative()
+    assert center(L).dim == 0
+    assert calls == []
+    L.field.is_zero(0)  # the counters are live
+    assert calls == ["is_zero"]

@@ -31,6 +31,9 @@ COMMANDS = [
     ["tables", "rr-lengths", "--r", "4"],
     ["rootgroups", "--type", "A2", "--char", "0", "--seed", "7"],
     ["threegen", "--edges", "1/2,-3,5/4", "--central", "2"],
+    ["radicals", "--type", "A2", "--char", "3"],
+    ["radicals", "--type", "B3", "--char", "7"],
+    ["radicals", "--type", "D4"],
 ]
 
 
