@@ -69,9 +69,6 @@ class ChevalleyAlgebra:
         """Cartan element h_i for the i-th simple root (1-indexed)."""
         return self.lie.basis_element(len(self.rootsystem.roots) + i - 1)
 
-    def cartan_elements(self):
-        return [self.h(i) for i in range(1, self.rootsystem.rank + 1)]
-
     def int_ad_columns(self, root):
         """Integer columns of ad x_root, from the integer structure constants."""
         idx = self.root_index[tuple(root)]

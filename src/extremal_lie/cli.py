@@ -17,7 +17,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .scalars import QQ, GF, CharacteristicTwoUnsupported, NotPrime
-from .rootdata import CONVENTION_VERSION, SCHEMA_VERSION, InvalidRank, chevalley_constants, root_system
+from .rootdata import CONVENTION_VERSION, SCHEMA_VERSION, InvalidRank, cartan_nullity
+from .rootdata import chevalley_constants, root_system
 from . import nilquot
 from .liealg import (
     NotAssociative,
@@ -46,12 +47,24 @@ class Report:
         self.command = command
         self.parameters = parameters
         self.checks = []
+        self.reported = []  # computed values with no independent expected value
         self.runtime_ms = 0
 
     def add(self, name, expected, actual):
         self.checks.append(
             {"name": name, "expected": expected, "actual": actual, "pass": expected == actual}
         )
+
+    def report(self, name, value):
+        self.reported.append({"name": name, "value": value})
+
+    def add_known(self, name, known, key, actual):
+        """A check against ``known[key]`` when the table has that key; else
+        ``actual`` is only reported."""
+        if key in known:
+            self.add(name, known[key], actual)
+        else:
+            self.report(name, actual)
 
     def add_bool(self, name, ok):
         self.checks.append({"name": name, "expected": True, "actual": bool(ok), "pass": bool(ok)})
@@ -61,12 +74,15 @@ class Report:
         return all(c["pass"] for c in self.checks)
 
     def to_json(self):
-        return {
+        out = {
             "command": self.command,
             "parameters": self.parameters,
             "checks": self.checks,
             "pass": self.ok,
         }
+        if self.reported:
+            out["reported"] = self.reported
+        return out
 
     def emit(self, json_mode):
         if json_mode:
@@ -78,6 +94,8 @@ class Report:
                     "%-6s %s: expected=%s actual=%s\n"
                     % ("PASS" if c["pass"] else "FAIL", c["name"], c["expected"], c["actual"])
                 )
+            for c in self.reported:
+                sys.stdout.write("%-6s %s: %s\n" % ("INFO", c["name"], c["value"]))
             sys.stdout.write("overall: %s\n" % ("PASS" if self.ok else "FAIL"))
         sys.stderr.write("runtime_ms=%d\n" % self.runtime_ms)
 
@@ -180,14 +198,14 @@ def cmd_tables(args):
                 rep.add_bool("dim L_%d skipped (use --experimental beyond r=5)" % r, False)
                 continue
             q = nilquot.sandwich_algebra(r)
-            rep.add("dim L_%d" % r, nilquot.L_DIMS.get(r, q.total_dim), q.total_dim)
+            rep.add_known("dim L_%d" % r, nilquot.L_DIMS, r, q.total_dim)
     elif args.which == "rr":
         for r in range(1, args.max_r + 1):
             if r > 4 and not args.experimental:
                 rep.add_bool("dim R_%d skipped (use --experimental beyond r=4)" % r, False)
                 continue
             a = nilquot.assoc_dims_via_embedding(r)
-            rep.add("dim R_%d" % r, nilquot.R_DIMS.get(r, a.total_dim), a.total_dim)
+            rep.add_known("dim R_%d" % r, nilquot.R_DIMS, r, a.total_dim)
     else:  # rr-lengths
         r = args.r or args.max_r
         if r < 1:
@@ -195,7 +213,7 @@ def cmd_tables(args):
         if r > 4 and not args.experimental:
             raise UsageError("rr-lengths beyond r=4 needs --experimental")
         a = nilquot.assoc_dims_via_embedding(r)
-        rep.add("R_%d lengths" % r, nilquot.R_LENGTHS.get(r, a.dims_by_length), a.dims_by_length)
+        rep.add_known("R_%d lengths" % r, nilquot.R_LENGTHS, r, a.dims_by_length)
         rep.add_bool("R_%d palindromic after identity (reported)" % r, a.palindromic_after_identity)
     return rep
 
@@ -241,7 +259,7 @@ def cmd_radicals(args):
     rep.add_bool("extremal form associative", broken is None)
     if form is None:
         return rep
-    chain = sandwich_span_check(A.lie, [], form, torus=A.cartan_elements())
+    chain = sandwich_span_check(A.lie, [], form, raising=[A.x(a) for a in A.rootsystem.simple_roots])
     dims = chain["dims"]
     holds = {link["link"]: link["holds"] for link in chain["links"]}
     rep.add_bool("chain SanRad <= NilRad <= Rad(L) <= Rad(f) <= Rad(kappa)", chain["pass"])
@@ -253,13 +271,12 @@ def cmd_radicals(args):
         rep.add("Rad(L) dim", 0, dims["Rad(L)"])
         rep.add("Rad(f) dim", 7, dims["Rad(f)"])
         rep.add_bool("Rad(L) < Rad(f) strict", dims["Rad(f)"] > dims["Rad(L)"])
-    elif field.characteristic == 0:
-        # a Chevalley algebra over Q is simple
-        rep.add("Rad(L) dim", 0, dims["Rad(L)"])
-        rep.add("Rad(f) dim", 0, dims["Rad(f)"])
     else:
-        rep.add("Rad(L) dim", dims["Rad(L)"], dims["Rad(L)"])
-        rep.add("Rad(f) dim", dims["Rad(f)"], dims["Rad(f)"])
+        # Rad(L) = Rad(f) = Z(L) (Hogeweij's tables; 0 over Q, where L is
+        # simple), and dim Z(L) is read off the Cartan matrix
+        z = cartan_nullity(t, r, field.characteristic)
+        rep.add("Rad(L) dim", z, dims["Rad(L)"])
+        rep.add("Rad(f) dim", z, dims["Rad(f)"])
     rep.add_bool("solvable radical certified", chain["solvable_radical_certified"])
     return rep
 
@@ -272,7 +289,7 @@ def cmd_threegen(args):
     trace = smallgen.normalize(p)
     rep.add_bool("normalization replay consistent", trace.replay() == trace.final)
     if trace.extension_required:
-        rep.add_bool("extension required (square root missing); reported", True)
+        rep.report("extension required (square root missing)", True)
         return rep
     rep.add("central after normalization", "0", field.to_str(trace.final.central))
     M, info = smallgen.build_M(trace.final)

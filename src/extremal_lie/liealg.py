@@ -7,8 +7,6 @@ operations are pure functions of their inputs, so concurrent use is safe.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .scalars import QQ, Scalar
 from .linalg import (
     Coordinates,
@@ -617,143 +615,84 @@ def grow_extremal_spanning(L, seeds):
 # -- structural subspaces -----------------------------------------------------
 
 
-def _solvable_candidates(L, extra=()):
-    cands = [center(L)]
-    kappa_rad = killing_form(L).radical()
-    chain = [kappa_rad]
-    while True:
-        nxt = chain[-1].bracket_with(chain[-1])
-        if nxt.dim in (chain[-1].dim, 0):
-            chain.append(nxt)
-            break
-        chain.append(nxt)
-    cands.extend(chain)
-    cands.extend(extra)
+def _solvable_candidates(L, kappa_rad, extra=()):
     out = zero_subspace(L)
-    for c in cands:
+    for c in [center(L)] + derived_series(L, kappa_rad) + list(extra):
         if c.dim and c.is_ideal() and is_solvable_subspace(c):
             out = out.sum(c)
     return out
 
 
-def _no_solvable_ideal_certificate(L, torus=None):
+def _no_solvable_ideal_certificate(L, raising=(), kappa_rad=None):
     """True if L provably has no nonzero solvable ideal; a Subspace witness
     if one is found; None when undecided.
 
-    The ideals generated by the basis vectors of Rad(kappa) are tried first.
-    Then, when Rad(kappa) splits into multiplicity-free weight lines of the
-    torus, one ideal per line decides the question:
+    The adjoint maps of the ``raising`` elements must generate a nilpotent
+    associative algebra; for a Chevalley algebra and its quotients, the
+    simple root elements e_i qualify, since each ad e_i raises height by one.
+    Let K' be the vectors of Rad(kappa) that every ad e kills.  Then:
 
     * a nonzero solvable ideal contains a nonzero abelian ideal A (the last
       nonzero term of its derived series), and A lies in Rad(kappa), since
       ad_a ad_y squares to zero for a in A;
-    * A is stable under the torus, so it is a sum of some of the lines;
-    * for any line kv in A, the ideal generated by v lies in A and is abelian;
-    * so some line generates a solvable ideal exactly when a nonzero
-      solvable ideal exists.
+    * the ad e map A to itself and generate a nilpotent algebra there, so
+      some nonzero v in A is killed by all of them (Engel): A meets K';
+    * the ideal generated by such a v lies in A, so it is abelian;
+    * so L has a nonzero solvable ideal exactly when some nonzero vector of
+      K' generates a solvable ideal.
+
+    The canonical basis vectors of K' are tried; when K' is a line, that
+    decides the question (with no raising elements, K' = Rad(kappa)).  When
+    Rad(kappa) is nonzero, the chain V = L, V <- span [e, V] must reach 0,
+    or PreconditionNotMet is raised.  ``kappa_rad`` is Rad(kappa), if known.
     """
-    kappa_rad = killing_form(L).radical()
+    if kappa_rad is None:
+        kappa_rad = killing_form(L).radical()
     if kappa_rad.dim == 0:
         return True
-    for v in kappa_rad.basis():
+    span = full_subspace(L)
+    while span.dim:
+        nxt = Subspace.from_elements(L, [L.bracket(e, v) for e in raising for v in span.basis()])
+        if nxt.dim == span.dim:
+            raise PreconditionNotMet("the raising elements do not act nilpotently")
+        span = nxt
+    # K' = {sum_i c_i b_i : sum_i c_i [e, b_i] = 0 for every e}, b a basis of Rad(kappa)
+    basis, rows = kappa_rad.basis(), {}
+    for t, e in enumerate(raising):
+        for i, b in enumerate(basis):
+            for k, c in L.bracket(e, b).coeffs.items():
+                rows.setdefault((t, k), {})[i] = c
+    k_prime = Subspace.from_elements(
+        L, [sum((c * b for c, b in zip(x, basis)), L.zero()) for x in kernel(L.field, list(rows.values()), len(basis))]
+    )
+    for v in k_prime.basis():
         ideal = ideal_generated(L, [v])
         if is_solvable_subspace(ideal):
             return ideal
-    lines = None if torus is None else _weight_lines(L, torus, kappa_rad)
-    if lines is None:
-        return None
-    for v in lines:
-        ideal = ideal_generated(L, [v])
-        if is_solvable_subspace(ideal):
-            return ideal
-    return True
+    return True if k_prime.dim == 1 else None
 
 
-def _eigenvalue_candidates(f, m):
-    """Possible eigenvalues of the small matrix m over the base field."""
-    if f.characteristic:
-        if f.characteristic > 101:
-            return None
-        return [f.from_int(k) for k in range(f.characteristic)]
-    cp = charpoly(f, m)
-    const = next((c for c in cp if not f.is_zero(c)), None)
-    cands = {Fraction(0)}
-    if const is not None:
-        c = Fraction(const)
-        if abs(c.numerator) > 10000:
-            return None
-        for d in range(1, abs(c.numerator) + 1):
-            if c.numerator % d == 0:
-                for q in (1, c.denominator):
-                    cands.add(Fraction(d, q))
-                    cands.add(Fraction(-d, q))
-    return [f.from_fraction(c) for c in sorted(cands)]
-
-
-def _eigenvectors(f, elems, coords, lam):
-    """A basis of the lam-eigenspace of the map T on the span of the
-    elements ``elems``, where coords[i] are the coordinates of T(elems[i])."""
-    d = len(elems)
-    # x with x . M = lam x, i.e. (M^T - lam) x = 0
-    mt = [[f.sub(coords[i][j], lam if i == j else f.zero) for i in range(d)] for j in range(d)]
-    zero = elems[0].algebra.zero()
-    return [sum((c * e for c, e in zip(x, elems)), zero) for x in kernel(f, mt, d)]
-
-
-def _weight_lines(L, torus, sub):
-    """Split ``sub`` into joint eigenlines of ad(t), t in torus; None if the
-    decomposition is not multiplicity-free over the base field."""
-    f = L.field
-    spaces = [sub.basis()]
-    for t in torus:
-        t = L.element(t)
-        new_spaces = []
-        for elems in spaces:
-            if len(elems) == 1:
-                new_spaces.append(elems)
-                continue
-            span = Coordinates(f, [e.coeffs for e in elems], L.n)
-            coords = [span.solve(L.bracket(t, e).coeffs) for e in elems]
-            if any(c is None for c in coords):
-                return None
-            cands = _eigenvalue_candidates(f, coords)
-            if cands is None:
-                return None
-            found = 0
-            for lam in cands:
-                eig = _eigenvectors(f, elems, coords, lam)
-                if eig:
-                    new_spaces.append(eig)
-                    found += len(eig)
-            if found != len(elems):
-                return None
-        spaces = new_spaces
-    if any(len(elems) != 1 for elems in spaces):
-        return None
-    return [elems[0] for elems in spaces]
-
-
-def solvable_radical(L, torus=None, extra_candidates=()):
+def solvable_radical(L, raising=(), extra_candidates=()):
     """Largest solvable ideal found, with a maximality certificate when possible.
 
-    Returns (Subspace, certified: bool).
+    Returns (Subspace, certified: bool).  ``raising`` is passed, projected to
+    each quotient, to ``_no_solvable_ideal_certificate``.
     """
-    R = _solvable_candidates(L, extra=extra_candidates)
+    return _solvable_radical(L, killing_form(L).radical(), raising, extra_candidates)
+
+
+def _solvable_radical(L, kappa_rad, raising, extra_candidates):
+    R = _solvable_candidates(L, kappa_rad, extra=extra_candidates)
     for _ in range(L.n + 1):
         Q, lift, project = quotient_algebra(L, R)
         if Q.n == 0:
             return R, True
-        qtorus = None
-        if torus is not None:
-            qtorus = [project(L.element(t)) for t in torus]
-            qtorus = [t for t in qtorus if not t.is_zero()]
-        cert = _no_solvable_ideal_certificate(Q, torus=qtorus)
+        cert = _no_solvable_ideal_certificate(Q, [project(L.element(e)) for e in raising], kappa_rad if Q is L else None)
         if cert is True:
             return R, True
         if cert is None:
             return R, False
-        lifted = [lift(v) for v in cert.basis()]
-        R = ideal_generated(L, [w for w in lifted] + [v for v in R.basis()])
+        R = ideal_generated(L, [lift(v) for v in cert.basis()] + R.basis())
     return R, False
 
 
@@ -777,8 +716,8 @@ def nilradical(L, rad=None, extra_candidates=()):
     return out
 
 
-def structural_subspaces(L, torus=None, extra_candidates=()):
-    rad, certified = solvable_radical(L, torus=torus, extra_candidates=extra_candidates)
+def structural_subspaces(L, raising=(), extra_candidates=()):
+    rad, certified = solvable_radical(L, raising=raising, extra_candidates=extra_candidates)
     return {
         "center": center(L),
         "derived_series": derived_series(L),
@@ -875,7 +814,7 @@ def fourth_power_check(L, x, y, form):
     return {"bracket_zero": False, "fourth_power_zero": ok, "pass": ok}
 
 
-def sandwich_span_check(L, witnesses, form, torus=None):
+def sandwich_span_check(L, witnesses, form, raising=()):
     """Ideal span of sandwich witnesses and the chain
     SanRad <= NilRad <= Rad(L) <= Rad(f) <= Rad(kappa)."""
     elems = []
@@ -886,10 +825,10 @@ def sandwich_span_check(L, witnesses, form, torus=None):
             raise NotASandwich("witness %d is not a sandwich" % idx)
         elems.append(w)
     san = ideal_generated(L, elems)
-    rad, certified = solvable_radical(L, torus=torus)
+    rad_k = killing_form(L).radical()
+    rad, certified = _solvable_radical(L, rad_k, raising, ())
     nil = nilradical(L, rad, extra_candidates=[san])
     rad_f = form.radical()
-    rad_k = killing_form(L).radical()
     chain = [
         ("SanRad_lower_bound", san),
         ("NilRad", nil),

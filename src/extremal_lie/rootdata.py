@@ -13,6 +13,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .linalg import rank as linalg_rank
+from .scalars import GF, QQ
+
 CONVENTION_VERSION = "extraspecial-heightlex-p1"
 SCHEMA_VERSION = 1
 
@@ -74,6 +77,16 @@ def cartan_matrix(type_, rank):
     else:
         raise InvalidRank("unknown type %r" % type_)
     return a
+
+
+def cartan_nullity(type_, rank, p):
+    """dim Z(L) of the Chevalley algebra of this type over a field of
+    characteristic p (0 for Q): rank minus the rank of the Cartan matrix
+    over that field.  Z(L) lies in the Cartan subalgebra (a root vector
+    component x_a of z would leave h_a in [x_-a, z]), and sum_j c_j h_j is
+    central exactly when every alpha_i(sum_j c_j h_j) = sum_j c_j A[j][i]
+    vanishes.  Only the Cartan matrix is read, not the structure constants."""
+    return rank - linalg_rank(GF(p) if p else QQ, cartan_matrix(type_, rank), rank)
 
 
 def _symmetrizer(type_, rank):

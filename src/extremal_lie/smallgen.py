@@ -13,8 +13,10 @@ reduction cannot survive silently.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .scalars import QQ, Scalar
-from .linalg import Coordinates, canonical, echelon_from_rows
+from .linalg import Coordinates, canonical, charpoly, echelon_from_rows, kernel
 from .liealg import (
     LieAlgebra,
     Subspace,
@@ -552,10 +554,39 @@ def _check_sl2_part(M):
     )
 
 
+def _eigenvalue_candidates(f, m):
+    """Possible eigenvalues of the small matrix m over the base field."""
+    if f.characteristic:
+        if f.characteristic > 101:
+            return None
+        return [f.from_int(k) for k in range(f.characteristic)]
+    cp = charpoly(f, m)
+    const = next((c for c in cp if not f.is_zero(c)), None)
+    cands = {Fraction(0)}
+    if const is not None:
+        c = Fraction(const)
+        if abs(c.numerator) > 10000:
+            return None
+        for d in range(1, abs(c.numerator) + 1):
+            if c.numerator % d == 0:
+                for q in (1, c.denominator):
+                    cands.add(Fraction(d, q))
+                    cands.add(Fraction(-d, q))
+    return [f.from_fraction(c) for c in sorted(cands)]
+
+
+def _eigenvectors(f, elems, coords, lam):
+    """A basis of the lam-eigenspace of the map T on the span of the
+    elements ``elems``, where coords[i] are the coordinates of T(elems[i])."""
+    d = len(elems)
+    # x with x . M = lam x, i.e. (M^T - lam) x = 0
+    mt = [[f.sub(coords[i][j], lam if i == j else f.zero) for i in range(d)] for j in range(d)]
+    zero = elems[0].algebra.zero()
+    return [sum((c * e for c, e in zip(x, elems)), zero) for x in kernel(f, mt, d)]
+
+
 def _modules_irreducible(M, modules):
     """No S-invariant line inside the given 2-dimensional S-modules."""
-    from .liealg import _eigenvalue_candidates, _eigenvectors
-
     f = M.field
     e = M.basis_element
     s_elts = [e(_X), e(_Y), e(_XY)]

@@ -161,15 +161,53 @@ def tensor_bracket(ta, tb):
     return {w: c for w, c in out.items() if c}
 
 
+def _weight_lines(L, torus, sub):
+    """Split ``sub`` into joint eigenlines of ad(t), t in torus; None if the
+    decomposition is not multiplicity-free over the base field.  (The
+    package used this for its no-solvable-ideal certificate before that
+    certificate took the raising operators instead of a torus.)"""
+    from extremal_lie.linalg import Coordinates
+    from extremal_lie.smallgen import _eigenvalue_candidates, _eigenvectors
+
+    f = L.field
+    spaces = [sub.basis()]
+    for t in torus:
+        t = L.element(t)
+        new_spaces = []
+        for elems in spaces:
+            if len(elems) == 1:
+                new_spaces.append(elems)
+                continue
+            span = Coordinates(f, [e.coeffs for e in elems], L.n)
+            coords = [span.solve(L.bracket(t, e).coeffs) for e in elems]
+            if any(c is None for c in coords):
+                return None
+            cands = _eigenvalue_candidates(f, coords)
+            if cands is None:
+                return None
+            found = 0
+            for lam in cands:
+                eig = _eigenvectors(f, elems, coords, lam)
+                if eig:
+                    new_spaces.append(eig)
+                    found += len(eig)
+            if found != len(elems):
+                return None
+        spaces = new_spaces
+    if any(len(elems) != 1 for elems in spaces):
+        return None
+    return [elems[0] for elems in spaces]
+
+
 def subset_certificate(L, torus=None):
     """Reference for ``liealg._no_solvable_ideal_certificate``: the search
-    the package ran before it checked one ideal per weight line.  After the
-    same basis-vector loop it tries every subset of the weight lines of
-    Rad(kappa) as a solvable ideal, and gives up (None) when Rad(kappa) has
-    dimension above 12."""
+    the package ran before it checked one ideal per weight line, and before
+    it took the raising operators in place of a torus.  After the same
+    basis-vector loop over Rad(kappa) it tries every subset of the weight
+    lines of Rad(kappa) as a solvable ideal, and gives up (None) when
+    Rad(kappa) has dimension above 12 or does not split into lines."""
     from extremal_lie.liealg import (
         Subspace,
-        _weight_lines,
         ideal_generated,
         is_solvable_subspace,
         killing_form,

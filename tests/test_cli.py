@@ -199,3 +199,98 @@ def test_rootgroups_e6_probe_finds_no_witness(capsys, tmp_path):
     assert code == 0
     byname = {c["name"]: c for c in json.loads(out)["checks"]}
     assert byname["no forbidden chain found (probe)"]["pass"]
+
+
+HEAVY = os.environ.get("EXTREMAL_LIE_HEAVY") == "1"
+
+# (type, p, dim Rad(L), dim Rad(f)) at the primes that divide the dual Coxeter
+# number, where the Killing form vanishes on the Cartan subalgebra.  Rad(L) =
+# Rad(f) = Z(L), of dimension 1 for A_n with p | n + 1 and for E6 with p = 3
+# (the determinant of the Cartan matrix is n + 1, resp. 3), 0 otherwise; G2
+# in characteristic 3 has Rad(L) = 0 and Rad(f) = the 7-dimensional ideal of
+# the short root elements.
+SMALL_CHAR_RADICALS = [
+    ("A2", 3, 1, 1), ("A4", 5, 1, 1), ("A5", 3, 1, 1), ("B3", 5, 0, 0), ("C4", 5, 0, 0),
+    ("D4", 3, 0, 0), ("F4", 3, 0, 0), ("E6", 3, 1, 1), ("E7", 3, 0, 0), ("G2", 3, 0, 7),
+]
+
+SWEEP_TYPES = (
+    ["A%d" % n for n in range(1, 8)] + ["B%d" % n for n in range(2, 8)] + ["C%d" % n for n in range(2, 8)]
+    + ["D%d" % n for n in range(4, 8)] + ["E6", "E7", "F4", "G2"]
+)
+
+
+@pytest.fixture
+def shared_algebras(monkeypatch):
+    """Let the CLI build its Chevalley algebras through ``helpers.chevalley``,
+    so that they are shared with the other tests of the run."""
+    from helpers import chevalley
+
+    monkeypatch.setattr(cli, "chevalley_algebra", lambda t, r, field, cache_dir=None: chevalley(t, r, field.characteristic))
+
+
+def _radicals_checks(capsys, tmp_path, type_, p):
+    code, out, _ = run_cli(capsys, "--json", "--cache", str(tmp_path), "radicals", "--type", type_, "--char", str(p))
+    return code, {c["name"]: c for c in json.loads(out)["checks"]}
+
+
+@pytest.mark.parametrize("type_, p, rad_l, rad_f", SMALL_CHAR_RADICALS)
+def test_radicals_certified_in_small_characteristic(capsys, tmp_path, shared_algebras, type_, p, rad_l, rad_f):
+    code, byname = _radicals_checks(capsys, tmp_path, type_, p)
+    assert code == 0
+    assert byname["solvable radical certified"]["pass"]
+    assert byname["Rad(L) dim"] == {"name": "Rad(L) dim", "expected": rad_l, "actual": rad_l, "pass": True}
+    assert byname["Rad(f) dim"] == {"name": "Rad(f) dim", "expected": rad_f, "actual": rad_f, "pass": True}
+
+
+@pytest.mark.skipif(not HEAVY, reason="the full sweep runs only with EXTREMAL_LIE_HEAVY=1")
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("type_", SWEEP_TYPES)
+def test_radicals_sweep_small_characteristic(capsys, tmp_path, type_, p):
+    code, byname = _radicals_checks(capsys, tmp_path, type_, p)
+    assert code == 0
+    assert byname["solvable radical certified"]["pass"]
+
+
+@pytest.mark.parametrize("type_, p, calls", [("B3", 53, 1), ("A2", 3, 2)])
+def test_radicals_computes_each_killing_form_once(capsys, tmp_path, monkeypatch, type_, p, calls):
+    # one Killing form for L, and one for L/Z(L) when the center is nonzero
+    from extremal_lie import liealg
+
+    real, seen = liealg.killing_form, []
+
+    def counting(L):
+        seen.append(L)
+        return real(L)
+
+    monkeypatch.setattr(liealg, "killing_form", counting)
+    code, _ = _radicals_checks(capsys, tmp_path, type_, p)
+    assert code == 0
+    assert len(seen) == len({id(L) for L in seen}) == calls
+
+
+def test_unknown_values_are_reported_not_checked(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "--json", "--cache", str(tmp_path), "threegen", "--edges", "1/2,-3,5/4", "--central", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert [c["name"] for c in data["checks"]] == ["normalization replay consistent"]
+    assert data["reported"] == [{"name": "extension required (square root missing)", "value": True}]
+    code, out, _ = run_cli(capsys, "--cache", str(tmp_path), "threegen", "--edges", "1/2,-3,5/4", "--central", "2")
+    assert "INFO   extension required (square root missing): True" in out
+    code, out, _ = run_cli(capsys, "--json", "--cache", str(tmp_path), "threegen", "--edges", "-2,-2,-2")
+    assert "reported" not in json.loads(out)
+
+
+def test_tables_beyond_known_values_are_reported(capsys, tmp_path, monkeypatch):
+    from extremal_lie import nilquot
+
+    monkeypatch.setattr(nilquot, "L_DIMS", {r: d for r, d in nilquot.L_DIMS.items() if r < 3})
+    monkeypatch.setattr(nilquot, "R_LENGTHS", {})
+    code, out, _ = run_cli(capsys, "--json", "--cache", str(tmp_path), "tables", "lr", "--max-r", "3")
+    assert code == 0
+    data = json.loads(out)
+    assert [c["name"] for c in data["checks"]] == ["dim L_1", "dim L_2"]
+    assert data["reported"] == [{"name": "dim L_3", "value": 8}]
+    code, out, _ = run_cli(capsys, "--json", "--cache", str(tmp_path), "tables", "rr-lengths", "--r", "2")
+    data = json.loads(out)
+    assert [c["name"] for c in data["reported"]] == ["R_2 lengths"]

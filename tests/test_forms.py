@@ -12,7 +12,8 @@ from functools import lru_cache
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from extremal_lie.chevalley import ChevalleyAlgebra, extremal_spanning_set
+from extremal_lie import rootdata
+from extremal_lie.chevalley import extremal_spanning_set
 from extremal_lie.liealg import (
     BilinearForm,
     LieAlgebra,
@@ -197,7 +198,18 @@ def test_center_dimension_is_cartan_nullity_mod_p(type_, rank, p, dim):
     Cartan subalgebra killed by every simple root: sum c_i h_i with
     sum c_i A[i][j] = 0 mod p for all j."""
     assert cartan_nullity(type_, rank, p) == dim
-    assert center(ChevalleyAlgebra(type_, rank, GF(p)).lie).dim == dim
+    assert center(chevalley(type_, rank, p).lie).dim == dim
+
+
+@pytest.mark.parametrize("p", [0, 3, 5, 7, 11, 13])
+def test_rootdata_cartan_nullity_matches_reference(p):
+    """``rootdata.cartan_nullity``, the expected dim Z(L) of ``radicals``,
+    against the test's own Cartan matrices, on every type of rank <= 8."""
+    types = [("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)] + [("C", n) for n in range(2, 9)]
+    types += [("D", n) for n in range(4, 9)] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+    for type_, rank in types:
+        want = cartan_nullity(type_, rank, p) if p else 0
+        assert rootdata.cartan_nullity(type_, rank, p) == want, (type_, rank, p)
 
 
 # -- no per-coefficient Field calls ---------------------------------------------------

@@ -12,6 +12,7 @@ from extremal_lie.liealg import (
     NotASandwich,
     NotExtremal,
     NotSpanning,
+    PreconditionNotMet,
     ZeroElement,
     abelian,
     center,
@@ -366,18 +367,18 @@ def test_radical_chain_on_fleet():
     for t, n, ch in [("A", 2, 0), ("A", 2, 5), ("B", 3, 0), ("G", 2, 3), ("G", 2, 5)]:
         A = chevalley(t, n, ch)
         form = extremal_form(A.lie, extremal_spanning_set(A))
-        cases.append((A.lie, form, A.cartan_elements(), ch))
+        cases.append((A.lie, form, _raising(A), ch))
     L3 = sandwich(3).as_lie_algebra()
-    cases.append((L3, extremal_form(L3, L3.basis_elements()), None, 0))
+    cases.append((L3, extremal_form(L3, L3.basis_elements()), (), 0))
     M, _ = build_M(TriangleParams(QQ, -2, -2, 0, 0))
-    cases.append((M, extremal_form(M, _extremal_span_m(M)), None, 0))
-    for L, form, torus, ch in cases:
+    cases.append((M, extremal_form(M, _extremal_span_m(M)), (), 0))
+    for L, form, raising, ch in cases:
         rad_f = form.radical()
         rad_k = killing_form(L).radical()
         assert rad_k.contains_subspace(rad_f)
         if ch == 0:
             assert rad_f.dim == rad_k.dim and rad_f.contains_subspace(rad_k)
-        rad_l, _ = solvable_radical(L, torus=torus)
+        rad_l, _ = solvable_radical(L, raising=raising)
         assert rad_f.contains_subspace(rad_l)
         if ch not in (2, 3):
             assert rad_l.dim == rad_f.dim  # Rad(f) = Rad(L) away from char 3
@@ -460,11 +461,18 @@ def _takiff(f):
     return LieAlgebra(f, ["e", "h", "f", "E", "H", "F"], table)
 
 
+def _raising(A):
+    """The simple root elements e_i of a Chevalley algebra."""
+    return [A.x(a) for a in A.rootsystem.simple_roots]
+
+
 def _hidden_solvable_line():
     """G2 in char 3 plus the algebra [t, a] = a, with a replaced in the basis
     by a + x_s, x_s a short root vector.  Each echelon basis vector of
     Rad(kappa) then generates a non-solvable ideal, while the weight line ka
-    of the torus (h1, h2, t) is a solvable ideal.  Returns (L, torus)."""
+    of the torus (h1, h2, t) is a solvable ideal, and so is the line ka of
+    the vectors of Rad(kappa) killed by G2's e_1, e_2.  Returns (L, torus,
+    raising)."""
     G = chevalley("G", 2, 3)
     f = G.field
     L0 = direct_sum(G.lie, LieAlgebra(f, ["t", "a"], {(0, 1): {1: f.one}}))
@@ -473,32 +481,56 @@ def _hidden_solvable_line():
     basis[-1] = basis[-1] + L0.basis_element(G.root_index[short])
     L = LieAlgebra(f, L0.labels, structure_constants_on(L0, basis))
     torus = [L.basis_element(L0.labels.index(label)) for label in ("A.h1", "A.h2", "B.t")]
-    return L, torus
+    # the basis vectors of L before the last one are those of L0
+    return L, torus, [L.basis_element(G.root_index[a]) for a in G.rootsystem.simple_roots]
 
 
 def test_line_certificate_matches_subset_search():
     cases = []
     for t, n, ch in (("G", 2, 3), ("A", 2, 3), ("B", 3, 7)):
         A = chevalley(t, n, ch)
-        cases.append((A.lie, A.cartan_elements()))
+        cases.append((A.lie, [A.h(i) for i in range(1, n + 1)], _raising(A)))
     for f in (QQ, GF(5)):
         T = _takiff(f)
         D = direct_sum(sl2(f), heisenberg(f))
-        cases += [(T, [T.basis_element(1)]), (D, [D.basis_element(1)])]
-    hidden, torus = _hidden_solvable_line()
-    # only the per-line step can find its solvable ideal
+        cases += [(T, [T.basis_element(1)], [T.basis_element(0)]), (D, [D.basis_element(1)], [D.basis_element(0)])]
+    hidden, torus, raising = _hidden_solvable_line()
+    # no echelon basis vector of Rad(kappa) finds its solvable ideal
     assert not any(is_solvable_subspace(ideal_generated(hidden, [v])) for v in killing_form(hidden).radical().basis())
-    cases.append((hidden, torus))
+    cases.append((hidden, torus, raising))
     verdicts = []
-    for L, torus in cases:
-        new = _no_solvable_ideal_certificate(L, torus)
+    for L, torus, raising in cases:
+        new = _no_solvable_ideal_certificate(L, raising)
         old = subset_certificate(L, torus)
         for cert in (new, old):
             if isinstance(cert, Subspace):
                 assert cert.dim and cert.is_ideal() and is_solvable_subspace(cert)
         verdict = "witness" if isinstance(new, Subspace) else new
-        assert verdict == ("witness" if isinstance(old, Subspace) else old)
+        if old is not None:
+            assert verdict == ("witness" if isinstance(old, Subspace) else old)
         verdicts.append(verdict)
-    # G2 in char 3 is decided by its seven weight lines, A2 in char 3 is not
-    # multiplicity-free, the extensions have solvable ideals
-    assert verdicts == [True, None, True] + ["witness"] * 5
+    # G2 in char 3 and B3 in char 7 have none; A2 in char 3 has its center,
+    # which the old search missed (Rad(kappa) = L is not multiplicity-free
+    # under the torus); the extensions have solvable ideals
+    assert verdicts == [True, "witness", True] + ["witness"] * 5
+
+
+@pytest.mark.parametrize("f", [QQ, GF(5)], ids=["Q", "GF5"])
+def test_certificate_rejects_raising_elements_that_are_not_nilpotent(f):
+    T = _takiff(f)
+    e, f_ = T.basis_element(0), T.basis_element(2)
+    assert killing_form(T).radical().dim == 3
+    assert isinstance(_no_solvable_ideal_certificate(T, [e]), Subspace)
+    # e and f generate sl2, whose adjoint action is not nilpotent
+    with pytest.raises(PreconditionNotMet):
+        _no_solvable_ideal_certificate(T, [e, f_])
+
+
+def test_certificate_decides_a_line_of_kernel_vectors():
+    # G2 in char 3: Rad(kappa) is the 7-dimensional ideal of the short root
+    # elements; the e_i kill only its top line, whose ideal is not solvable
+    G = chevalley("G", 2, 3)
+    assert killing_form(G.lie).radical().dim == 7
+    assert _no_solvable_ideal_certificate(G.lie, _raising(G)) is True
+    # without the raising elements the seven basis vectors of Rad(kappa) decide nothing
+    assert _no_solvable_ideal_certificate(G.lie) is None

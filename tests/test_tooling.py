@@ -14,6 +14,8 @@ REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # demos/tables.py builds L_5 twice (about 5 s on a 2-core host)
 DEMOS = ("radical_chain.py", "root_groups.py", "three_generators.py", "minimal_generators.py", "tables.py")
+# a line a demo must print: sl3 over GF(3), where the Killing form vanishes
+DEMO_LINES = {"radical_chain.py": "Rad(L) dim: 1 (the center; certified maximal: True)"}
 
 
 def test_no_assert_statements_in_package():
@@ -28,9 +30,55 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def _report_checks_that_cannot_fail(path):
+    """Lines of ``rep.add(name, expected, actual)`` calls whose expected
+    expression contains the actual one (``X.get(r, actual)``, ``actual``
+    itself), and of ``rep.add_bool(name, True)`` calls."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        if node.func.attr == "add" and len(node.args) == 3:
+            actual = ast.dump(node.args[2])
+            if any(ast.dump(sub) == actual for sub in ast.walk(node.args[1])):
+                found.append(node.lineno)
+        elif node.func.attr == "add_bool" and len(node.args) == 2:
+            ok = node.args[1]
+            if isinstance(ok, ast.Constant) and ok.value is True:
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_report_checks_can_fail():
+    """Every check of a report compares with a value the check did not
+    compute; a value without an independent source goes to ``reported``."""
+    found = []
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if name.endswith(".py"):
+            found += ["%s:%d" % (name, line) for line in _report_checks_that_cannot_fail(os.path.join(PACKAGE_DIR, name))]
+    assert found == []
+
+
+def test_report_check_guard_finds_each_pattern(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "rep.add('a', X.get(r, q.total_dim), q.total_dim)\n"
+        "rep.add('b', dims['x'], dims['x'])\n"
+        "rep.add_bool('c', True)\n"
+        "rep.add('d', X[r], q.total_dim)\n"
+        "rep.add_bool('e', False)\n"
+        "rep.add_bool('f', ok)\n"
+        "seen.add(x)\n"
+    )
+    assert _report_checks_that_cannot_fail(str(path)) == [1, 2, 3]
+
+
 @pytest.mark.parametrize("demo", DEMOS)
 def test_demo_runs(demo):
     done = subprocess.run(
         [sys.executable, os.path.join("demos", demo)], cwd=REPO_DIR, capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stderr
+    assert DEMO_LINES.get(demo, "") in done.stdout
