@@ -105,34 +105,51 @@ class LieAlgebra:
         return self._brackets.get((i, j), {})
 
     def _validate_jacobi(self):
-        """Jacobi on every basis triple, exactly: each sum is accumulated
-        unreduced, as in ``axpy``, and tested once at the end.  The loops are
+        """Jacobi on every basis triple i < j < k, exactly, in derivation form:
+        D_i(j, k) = [b_i,[b_j,b_k]] - [[b_i,b_j],b_k] - [b_j,[b_i,b_k]] is zero.
+        Given antisymmetry this is the Jacobi identity on (i, j, k).
+
+        For each i the sums D_i(j, k) over all j, k > i are accumulated at
+        once, driven by the nonzero constants only: the first term from
+        ``above[m]`` (the nonzero c_jk^m) for each m with [b_i,b_m] != 0, the
+        other two as the one family [[b_i,b_x],b_y], x, y > i, which lands
+        on (x, y) with sign - when x < y and on (y, x) with sign + otherwise.
+        Every term is a product of two nonzero constants, so a triple no term
+        reaches has Jacobi sum 0 and is decided without a visit.  Sums are
+        accumulated unreduced, as in ``axpy``, and tested once per i; the
+        first failing triple in lexicographic order is named.  The loops are
         written out because a call per term makes E7 construction measurably
         slower."""
         p = self.field.characteristic
-        pairs = self._brackets
-        empty = {}
         n = self.n
+        adj = [[] for _ in range(n)]  # adj[a]: (b, [b_a, b_b]) per nonzero bracket
+        above = [[] for _ in range(n)]  # above[m]: (j, k, c_jk^m), j < k, nonzero
+        for (a, b), row in self._brackets.items():
+            adj[a].append((b, row))
+        for (j, k), row in self._table.items():
+            for m, c in row.items():
+                above[m].append((j, k, c))
         for i in range(n):
-            for j in range(i + 1, n):
-                cij = pairs.get((i, j), empty)
-                for k in range(j + 1, n):
-                    cjk = pairs.get((j, k), empty)
-                    cik = pairs.get((i, k), empty)
-                    if not (cij or cjk or cik):
-                        continue
-                    acc = {}
-                    for m, v in cij.items():
-                        for t, w in pairs.get((m, k), empty).items():
-                            acc[t] = acc.get(t, 0) + v * w
-                    for m, v in cjk.items():
-                        for t, w in pairs.get((m, i), empty).items():
-                            acc[t] = acc.get(t, 0) + v * w
-                    for m, v in cik.items():
-                        for t, w in pairs.get((m, j), empty).items():
-                            acc[t] = acc.get(t, 0) - v * w
-                    if any(v % p if p else v for v in acc.values()):
-                        raise JacobiViolation("Jacobi fails on basis triple (%d, %d, %d)" % (i, j, k))
+            acc = {}  # (j, k, t) -> coefficient of b_t in D_i(j, k)
+            for m, row_im in adj[i]:
+                for j, k, c in above[m]:
+                    if j > i:
+                        for t, w in row_im.items():
+                            key = (j, k, t)
+                            acc[key] = acc.get(key, 0) + c * w
+            for x, row_ix in adj[i]:
+                if x > i:
+                    for m, r in row_ix.items():
+                        for y, row_my in adj[m]:
+                            if y > i and y != x:
+                                j, k, s = (x, y, -r) if x < y else (y, x, r)
+                                for t, w in row_my.items():
+                                    key = (j, k, t)
+                                    acc[key] = acc.get(key, 0) + s * w
+            failing = [(j, k) for (j, k, _), v in acc.items() if (v % p if p else v)]
+            if failing:
+                j, k = min(failing)
+                raise JacobiViolation("Jacobi fails on basis triple (%d, %d, %d)" % (i, j, k))
 
     # -- elements ----------------------------------------------------------------
 
@@ -535,26 +552,31 @@ def killing_form(L):
 
 def extremal_form(L, spanning_set):
     """The unique symmetric associative form with f(x, .) = f_x on the given
-    extremal spanning set, extended bilinearly to all of L."""
+    extremal spanning set, extended bilinearly to all of L.  The functionals
+    of an ``ExtremalSet`` of L are taken as proved; other elements are
+    proved extremal here."""
     f = L.field
     spanning = [L.element(s) for s in spanning_set]
-    functionals = []
-    for idx, s in enumerate(spanning):
-        fx = is_extremal(L, s)
-        if fx is None:
-            raise NotExtremal("spanning element %d is not extremal" % idx)
-        functionals.append(fx)
+    if isinstance(spanning_set, ExtremalSet) and spanning_set.algebra is L:
+        functionals = spanning_set.functionals
+    else:
+        functionals = []
+        for idx, s in enumerate(spanning):
+            fx = is_extremal(L, s)
+            if fx is None:
+                raise NotExtremal("spanning element %d is not extremal" % idx)
+            functionals.append(fx)
     m = len(spanning)
     coordinates = Coordinates(f, [s.coeffs for s in spanning], L.n)
     if not coordinates.spans():
         raise NotSpanning("extremal set does not span the algebra")
+    fvals = [[functionals[a](spanning[b]).value for b in range(m)] for a in range(m)]
     # symmetry of f on extremal pairs (Lemma-level consistency of the input)
     for a in range(m):
         for b in range(a):
-            if functionals[a](spanning[b]) != functionals[b](spanning[a]):
+            if fvals[a][b] != fvals[b][a]:
                 raise WellDefinednessFailure("f_x(y) != f_y(x) on spanning pair (%d, %d)" % (a, b))
     coords = [coordinates.solve({i: f.one}) for i in range(L.n)]
-    fvals = [[functionals[a](spanning[b]).value for b in range(m)] for a in range(m)]
     half = mat_mul(f, coords, fvals)
     gram = mat_mul(f, half, [list(col) for col in zip(*coords)])
     form = BilinearForm(L, gram, "extremal-f")
@@ -577,17 +599,28 @@ def radical_of_form(form):
     return form.radical()
 
 
+class ExtremalSet(list):
+    """Elements of ``algebra`` proved extremal, with their functionals:
+    ``functionals[i]`` is f_x for x = self[i]."""
+
+    def __init__(self, algebra, elements, functionals):
+        super().__init__(elements)
+        self.algebra = algebra
+        self.functionals = functionals
+
+
 def extremal_closure(L, seeds, expand):
     """Extremal elements spanning L: ``seeds`` closed under ``expand`` (see
-    ``_element_closure``).  Raises NotSpanning when the closure stalls short
-    of L, and NotExtremal when a kept element is not extremal."""
+    ``_element_closure``), as an ``ExtremalSet``.  Raises NotSpanning when
+    the closure stalls short of L, and NotExtremal when a kept element is
+    not extremal."""
     ech, out = _element_closure(L, seeds, expand)
     if ech.dim != L.n:
         raise NotSpanning("extremal closure stalled at dimension %d of %d" % (ech.dim, L.n))
-    for v in out:
-        if is_extremal(L, v) is None:
-            raise NotExtremal("an element of the extremal closure is not extremal")
-    return out
+    functionals = [is_extremal(L, v) for v in out]
+    if None in functionals:
+        raise NotExtremal("an element of the extremal closure is not extremal")
+    return ExtremalSet(L, out, functionals)
 
 
 def grow_extremal_spanning(L, seeds):

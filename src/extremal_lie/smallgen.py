@@ -13,12 +13,11 @@ reduction cannot survive silently.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .scalars import QQ, Scalar
-from .linalg import Coordinates, canonical, charpoly, echelon_from_rows, kernel
+from .linalg import Coordinates, canonical, echelon_from_rows, kernel
 from .liealg import (
     LieAlgebra,
+    PreconditionNotMet,
     Subspace,
     abelian,
     center,
@@ -554,53 +553,32 @@ def _check_sl2_part(M):
     )
 
 
-def _eigenvalue_candidates(f, m):
-    """Possible eigenvalues of the small matrix m over the base field."""
-    if f.characteristic:
-        if f.characteristic > 101:
-            return None
-        return [f.from_int(k) for k in range(f.characteristic)]
-    cp = charpoly(f, m)
-    const = next((c for c in cp if not f.is_zero(c)), None)
-    cands = {Fraction(0)}
-    if const is not None:
-        c = Fraction(const)
-        if abs(c.numerator) > 10000:
-            return None
-        for d in range(1, abs(c.numerator) + 1):
-            if c.numerator % d == 0:
-                for q in (1, c.denominator):
-                    cands.add(Fraction(d, q))
-                    cands.add(Fraction(-d, q))
-    return [f.from_fraction(c) for c in sorted(cands)]
-
-
-def _eigenvectors(f, elems, coords, lam):
-    """A basis of the lam-eigenspace of the map T on the span of the
-    elements ``elems``, where coords[i] are the coordinates of T(elems[i])."""
-    d = len(elems)
-    # x with x . M = lam x, i.e. (M^T - lam) x = 0
-    mt = [[f.sub(coords[i][j], lam if i == j else f.zero) for i in range(d)] for j in range(d)]
-    zero = elems[0].algebra.zero()
-    return [sum((c * e for c, e in zip(x, elems)), zero) for x in kernel(f, mt, d)]
-
-
 def _modules_irreducible(M, modules):
-    """No S-invariant line inside the given 2-dimensional S-modules."""
+    """No S-invariant line inside the given S-modules, S = span{x, y, [x,y]}.
+
+    S is sl2, so [S, S] = S in characteristic != 2 (checked here).  S acts on
+    an invariant line by a character, which vanishes on [S, S] = S: the
+    invariant lines are the lines that x and y kill.  So each module is
+    decided in every characteristic by one kernel, of ad x and ad y stacked
+    and restricted to the module."""
     f = M.field
     e = M.basis_element
     s_elts = [e(_X), e(_Y), e(_XY)]
+    S = Subspace.from_elements(M, s_elts)
+    if S.bracket_with(S) != S:
+        raise PreconditionNotMet("span{x, y, [x,y]} is not perfect")
     for mod in modules:
         span = Coordinates(f, [v.coeffs for v in mod], M.n)
         for s in s_elts:
             for v in mod:
                 if span.solve(M.bracket(s, v).coeffs) is None:
                     return False  # not even a module
-        # common invariant line would be an eigenline of the [x,y]-action
-        coords = [span.solve(M.bracket(e(_XY), v).coeffs) for v in mod]
-        for lam in _eigenvalue_candidates(f, coords) or []:
-            for x in _eigenvectors(f, mod, coords, lam):
-                line = Subspace.from_elements(M, [x])
-                if all(line.contains(M.bracket(s, x)) for s in s_elts):
-                    return False
+        # row (a, k): the b_k-coefficients of [s, v], s = x (a = 0) or y (a = 1)
+        rows = {}
+        for c, v in enumerate(mod):
+            for a, s in enumerate(s_elts[:2]):
+                for k, w in M.bracket(s, v).coeffs.items():
+                    rows.setdefault((a, k), {})[c] = w
+        if kernel(f, list(rows.values()), len(mod)):
+            return False
     return True

@@ -5,7 +5,9 @@ code paths they check: expected dimensions and bracket values in the test
 files are frozen from these, not from the implementation.  The dense form
 kernels (``dense_is_associative``, ``dense_killing_gram``, ``dense_center``)
 are the per-coefficient ``Field`` loops the package ran before its form
-kernels became sparse; the tests hold the sparse ones to them.
+kernels became sparse, and ``dense_jacobi`` is the walk over all basis
+triples that the Jacobi check made before it became term-driven; the tests
+hold the fast code to them.
 """
 
 import itertools
@@ -13,8 +15,11 @@ import random
 from fractions import Fraction
 from math import factorial, gcd
 
+from hypothesis import strategies as st
+
 from extremal_lie.scalars import QQ, GF
 from extremal_lie.chevalley import ChevalleyAlgebra
+from extremal_lie.liealg import LieAlgebra
 from extremal_lie import nilquot
 
 
@@ -80,6 +85,25 @@ def sandwich(r):
     if r not in _sandwich_cache:
         _sandwich_cache[r] = nilquot.sandwich_algebra(r)
     return _sandwich_cache[r]
+
+
+def rescaled(L, scales):
+    """L on the basis scales[i] * b_i: c_ij^k becomes scales[i] scales[j] /
+    scales[k] c_ij^k.  A valid table again, isomorphic to L."""
+    f = L.field
+    table = {
+        (i, j): {k: f.div(f.mul(f.mul(scales[i], scales[j]), c), scales[k]) for k, c in row.items()}
+        for (i, j), row in L._table.items()
+    }
+    return LieAlgebra(f, L.labels, table)
+
+
+def nonzero(char):
+    """Hypothesis strategy: a nonzero scalar of characteristic ``char``, as
+    an int in [1, char) or a small int or fraction over Q."""
+    if char:
+        return st.integers(1, char - 1)
+    return st.one_of(st.integers(-5, 5).filter(bool), st.fractions(-4, 4, max_denominator=5).filter(bool))
 
 
 def rng(name):
@@ -151,6 +175,47 @@ class DenseEchelon:
         return sorted(self.rows)
 
 
+class _UncheckedLieAlgebra(LieAlgebra):
+    def _validate_jacobi(self):
+        pass
+
+
+def unchecked_lie_algebra(field, labels, table):
+    """A ``LieAlgebra`` on ``table`` built without the Jacobi check, so that
+    ``LieAlgebra._validate_jacobi`` and ``dense_jacobi`` can judge it."""
+    return _UncheckedLieAlgebra(field, labels, table)
+
+
+def dense_jacobi(L):
+    """Reference for ``LieAlgebra._validate_jacobi``: the first basis triple
+    i < j < k (in lexicographic order) on which [[b_i,b_j],b_k] +
+    [[b_j,b_k],b_i] + [[b_k,b_i],b_j] is nonzero, or None.  It walks every
+    triple, skipping only those whose three brackets are all zero."""
+    p = L.field.characteristic
+    br = L.bracket_basis
+    n = L.n
+    for i in range(n):
+        for j in range(i + 1, n):
+            cij = br(i, j)
+            for k in range(j + 1, n):
+                cjk, cik = br(j, k), br(i, k)
+                if not (cij or cjk or cik):
+                    continue
+                acc = {}
+                for m, v in cij.items():
+                    for t, w in br(m, k).items():
+                        acc[t] = acc.get(t, 0) + v * w
+                for m, v in cjk.items():
+                    for t, w in br(m, i).items():
+                        acc[t] = acc.get(t, 0) + v * w
+                for m, v in cik.items():
+                    for t, w in br(m, j).items():
+                        acc[t] = acc.get(t, 0) - v * w
+                if any(v % p if p else v for v in acc.values()):
+                    return (i, j, k)
+    return None
+
+
 def tensor_bracket(ta, tb):
     """Commutator in the tensor algebra on word dicts (oracle for freelie)."""
     out = {}
@@ -161,13 +226,82 @@ def tensor_bracket(ta, tb):
     return {w: c for w, c in out.items() if c}
 
 
+def eigenvalue_candidates(f, m):
+    """Possible eigenvalues of the small matrix m over the base field: all
+    of GF(p) for p <= 101; over Q the rationals +-d/q with d dividing the
+    numerator and q the denominator of the lowest nonzero coefficient of the
+    characteristic polynomial, up to numerator 10,000.  None beyond these
+    bounds."""
+    from extremal_lie.linalg import charpoly
+
+    if f.characteristic:
+        if f.characteristic > 101:
+            return None
+        return [f.from_int(k) for k in range(f.characteristic)]
+    cp = charpoly(f, m)
+    const = next((c for c in cp if not f.is_zero(c)), None)
+    cands = {Fraction(0)}
+    if const is not None:
+        c = Fraction(const)
+        if abs(c.numerator) > 10000:
+            return None
+        for d in range(1, abs(c.numerator) + 1):
+            if c.numerator % d == 0:
+                for q in (1, c.denominator):
+                    cands.add(Fraction(d, q))
+                    cands.add(Fraction(-d, q))
+    return [f.from_fraction(c) for c in sorted(cands)]
+
+
+def eigenvectors(f, elems, coords, lam):
+    """A basis of the lam-eigenspace of the map T on the span of the
+    elements ``elems``, where coords[i] are the coordinates of T(elems[i])."""
+    from extremal_lie.linalg import kernel
+
+    d = len(elems)
+    # x with x . M = lam x, i.e. (M^T - lam) x = 0
+    mt = [[f.sub(coords[i][j], lam if i == j else f.zero) for i in range(d)] for j in range(d)]
+    zero = elems[0].algebra.zero()
+    return [sum((c * e for c, e in zip(x, elems)), zero) for x in kernel(f, mt, d)]
+
+
+def eigenline_modules_irreducible(M, modules):
+    """Reference for ``smallgen._modules_irreducible``, as the package ran it
+    before it took one kernel per module: an S-invariant line is an
+    eigenline of ad [x,y], searched among ``eigenvalue_candidates``.  None
+    where the candidates are not known (GF(p) with p > 101, or Q with a
+    lowest charpoly coefficient above 10,000)."""
+    from extremal_lie.linalg import Coordinates
+    from extremal_lie.liealg import Subspace
+    from extremal_lie.smallgen import _X, _XY, _Y
+
+    f = M.field
+    e = M.basis_element
+    s_elts = [e(_X), e(_Y), e(_XY)]
+    for mod in modules:
+        span = Coordinates(f, [v.coeffs for v in mod], M.n)
+        for s in s_elts:
+            for v in mod:
+                if span.solve(M.bracket(s, v).coeffs) is None:
+                    return False  # not even a module
+        coords = [span.solve(M.bracket(e(_XY), v).coeffs) for v in mod]
+        cands = eigenvalue_candidates(f, coords)
+        if cands is None:
+            return None
+        for lam in cands:
+            for x in eigenvectors(f, mod, coords, lam):
+                line = Subspace.from_elements(M, [x])
+                if all(line.contains(M.bracket(s, x)) for s in s_elts):
+                    return False
+    return True
+
+
 def _weight_lines(L, torus, sub):
     """Split ``sub`` into joint eigenlines of ad(t), t in torus; None if the
     decomposition is not multiplicity-free over the base field.  (The
     package used this for its no-solvable-ideal certificate before that
     certificate took the raising operators instead of a torus.)"""
     from extremal_lie.linalg import Coordinates
-    from extremal_lie.smallgen import _eigenvalue_candidates, _eigenvectors
 
     f = L.field
     spaces = [sub.basis()]
@@ -182,12 +316,12 @@ def _weight_lines(L, torus, sub):
             coords = [span.solve(L.bracket(t, e).coeffs) for e in elems]
             if any(c is None for c in coords):
                 return None
-            cands = _eigenvalue_candidates(f, coords)
+            cands = eigenvalue_candidates(f, coords)
             if cands is None:
                 return None
             found = 0
             for lam in cands:
-                eig = _eigenvectors(f, elems, coords, lam)
+                eig = eigenvectors(f, elems, coords, lam)
                 if eig:
                     new_spaces.append(eig)
                     found += len(eig)

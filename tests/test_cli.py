@@ -269,6 +269,27 @@ def test_radicals_computes_each_killing_form_once(capsys, tmp_path, monkeypatch,
     assert len(seen) == len({id(L) for L in seen}) == calls
 
 
+@pytest.mark.parametrize("type_, p, most", [("E7", 53, 133), ("E6", 0, 78)])
+def test_radicals_proves_each_spanning_element_extremal_once(capsys, tmp_path, monkeypatch, type_, p, most):
+    """The extremal closure proves each spanning element extremal, and the
+    extremal form takes those functionals instead of proving them again."""
+    from extremal_lie import chevalley as chevalley_module, liealg
+
+    real, calls = liealg.is_extremal, []
+
+    def counting(L, x):
+        calls.append(x)
+        return real(L, x)
+
+    for mod in (liealg, chevalley_module, cli):
+        for name, value in list(vars(mod).items()):
+            if value is real:
+                monkeypatch.setattr(mod, name, counting)
+    code, _ = _radicals_checks(capsys, tmp_path, type_, p)
+    assert code == 0
+    assert 0 < len(calls) <= most
+
+
 def test_unknown_values_are_reported_not_checked(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "--json", "--cache", str(tmp_path), "threegen", "--edges", "1/2,-3,5/4", "--central", "2")
     assert code == 0

@@ -16,7 +16,6 @@ from extremal_lie import rootdata
 from extremal_lie.chevalley import extremal_spanning_set
 from extremal_lie.liealg import (
     BilinearForm,
-    LieAlgebra,
     center,
     direct_sum,
     extremal_form,
@@ -26,7 +25,15 @@ from extremal_lie.liealg import (
 )
 from extremal_lie.scalars import QQ, Field, GF
 
-from helpers import chevalley, dense_center, dense_is_associative, dense_killing_gram, field_of
+from helpers import (
+    chevalley,
+    dense_center,
+    dense_is_associative,
+    dense_killing_gram,
+    field_of,
+    nonzero,
+    rescaled,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=120)
 CHARS = (0, 3, 101)
@@ -54,23 +61,6 @@ def true_gram(name, char, kind):
         A = chevalley(*CHEVALLEY[name], char)
         return tuple(map(tuple, extremal_form(L, extremal_spanning_set(A)).gram))
     return tuple(map(tuple, dense_killing_gram(L)))
-
-
-def rescaled(L, scales):
-    """L on the basis scales[i] * b_i: c_ij^k becomes scales[i] scales[j] /
-    scales[k] c_ij^k.  A valid table again, isomorphic to L."""
-    f = L.field
-    table = {
-        (i, j): {k: f.div(f.mul(f.mul(scales[i], scales[j]), c), scales[k]) for k, c in row.items()}
-        for (i, j), row in L._table.items()
-    }
-    return LieAlgebra(f, L.labels, table)
-
-
-def nonzero(char):
-    if char:
-        return st.integers(1, char - 1)
-    return st.one_of(st.integers(-5, 5).filter(bool), st.fractions(-4, 4, max_denominator=5).filter(bool))
 
 
 @st.composite

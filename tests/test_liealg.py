@@ -1,6 +1,8 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extremal_lie.scalars import QQ, GF, Scalar
 from extremal_lie.liealg import (
@@ -13,6 +15,7 @@ from extremal_lie.liealg import (
     NotExtremal,
     NotSpanning,
     PreconditionNotMet,
+    WellDefinednessFailure,
     ZeroElement,
     abelian,
     center,
@@ -42,7 +45,17 @@ from extremal_lie.chevalley import extremal_spanning_set
 
 from extremal_lie.liealg import _no_solvable_ideal_certificate
 
-from helpers import chevalley, rng, sandwich, subset_certificate
+from helpers import (
+    chevalley,
+    dense_jacobi,
+    field_of,
+    nonzero,
+    rescaled,
+    rng,
+    sandwich,
+    subset_certificate,
+    unchecked_lie_algebra,
+)
 
 
 def test_sl2_construction_and_dims():
@@ -82,33 +95,6 @@ def test_valid_fractional_table_constructs():
     assert label == "sl2" and L.n == 3
 
 
-def _jacobi_holds_reference(n, table):
-    """Jacobi on every basis triple in Fraction arithmetic, from the table."""
-
-    def bracket(u, v):
-        out = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                if i < j:
-                    row = table.get((i, j), {})
-                else:
-                    row = {k: -c for k, c in table.get((j, i), {}).items()}
-                for k, c in row.items():
-                    out[k] = out.get(k, 0) + a * b * c
-        return out
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                total = {}
-                for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
-                    for t, c in bracket(bracket({u: 1}, {v: 1}), {w: 1}).items():
-                        total[t] = total.get(t, 0) + c
-                if any(total.values()):
-                    return False
-    return True
-
-
 def test_jacobi_on_rescaled_tables_matches_fraction_reference():
     # sl3 in a basis rescaled by random fractions (a Lie algebra), and the same
     # table with one constant perturbed (usually not)
@@ -127,7 +113,7 @@ def test_jacobi_on_rescaled_tables_matches_fraction_reference():
         m = r.choice(sorted(bad[key]))
         bad[key][m] += Fraction(1, r.randint(2, 5))
         for tab in (table, bad):
-            holds = _jacobi_holds_reference(n, tab)
+            holds = dense_jacobi(unchecked_lie_algebra(QQ, base.labels, tab)) is None
             outcomes.add(holds)
             if holds:
                 assert LieAlgebra(QQ, base.labels, tab).n == n
@@ -135,6 +121,65 @@ def test_jacobi_on_rescaled_tables_matches_fraction_reference():
                 with pytest.raises(JacobiViolation):
                     LieAlgebra(QQ, base.labels, tab)
     assert outcomes == {True, False}
+
+
+JACOBI_CHEVALLEY = {"A2": ("A", 2), "B3": ("B", 3), "G2": ("G", 2), "C3": ("C", 3), "sl3-rescaled": ("A", 2)}
+JACOBI_ALGEBRAS = tuple(JACOBI_CHEVALLEY) + ("heisenberg", "takiff", "sl2+heisenberg")
+
+
+@lru_cache(maxsize=None)
+def _jacobi_algebra(name, char):
+    f = field_of(char)
+    if name in JACOBI_CHEVALLEY:
+        return chevalley(*JACOBI_CHEVALLEY[name], char).lie
+    if name == "heisenberg":
+        return heisenberg(f)
+    if name == "takiff":
+        return _takiff(f)
+    return direct_sum(sl2(f), heisenberg(f))
+
+
+@st.composite
+def jacobi_tables(draw):
+    """(field, labels, table, variant): a Lie algebra's table ("true"), or
+    that table with one constant changed by a nonzero amount ("changed") or
+    with one entry added where the constant was zero ("added"); these are
+    usually not Lie algebras any more."""
+    char = draw(st.sampled_from((0, 3, 7, 101)))
+    name = draw(st.sampled_from(JACOBI_ALGEBRAS))
+    L = _jacobi_algebra(name, char)
+    f, n = L.field, L.n
+    if name == "sl3-rescaled":
+        L = rescaled(L, [f.raw(draw(nonzero(char))) for _ in range(n)])
+    table = {ij: dict(row) for ij, row in L._table.items()}
+    variant = draw(st.sampled_from(("true", "changed", "added")))
+    if variant == "changed":
+        key = draw(st.sampled_from(sorted(table)))
+        m = draw(st.sampled_from(sorted(table[key])))
+        table[key][m] = f.add(table[key][m], f.raw(draw(nonzero(char))))
+    elif variant == "added":
+        i = draw(st.integers(0, n - 2))
+        row = table.setdefault((i, draw(st.integers(i + 1, n - 1))), {})
+        k = draw(st.integers(0, n - 1).filter(lambda k: k not in row))
+        row[k] = f.raw(draw(nonzero(char)))
+    return f, L.labels, table, variant
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(jacobi_tables())
+def test_validate_jacobi_matches_dense_reference(case):
+    """The term-driven check gives the verdict of the walk over all triples,
+    and names the same (first) failing triple."""
+    f, labels, table, variant = case
+    L = unchecked_lie_algebra(f, labels, table)
+    bad = dense_jacobi(L)
+    assert bad is None or variant != "true"
+    if bad is None:
+        LieAlgebra._validate_jacobi(L)
+    else:
+        with pytest.raises(JacobiViolation) as exc:
+            LieAlgebra._validate_jacobi(L)
+        assert str(exc.value) == "Jacobi fails on basis triple (%d, %d, %d)" % bad
 
 
 def test_sl3_from_matrix_generators():
@@ -198,6 +243,21 @@ def test_extremal_form_errors():
         extremal_form(L, [e, f_])
     with pytest.raises(NotExtremal):
         extremal_form(L, [e, h, f_])
+
+
+def test_extremal_form_checks_the_functionals_it_is_handed():
+    # the closure's functionals are not proved again, but a wrong one is
+    # still caught: f_e doubled breaks f_e(f) = f_f(e)
+    from extremal_lie.liealg import ExtremalFunctional, ExtremalSet, grow_extremal_spanning
+
+    L = sl2(QQ)
+    e, h, f_ = L.basis_elements()
+    span = grow_extremal_spanning(L, [e, f_])
+    assert isinstance(span, ExtremalSet) and span.functionals[0](f_) == QQ.scalar(-2)
+    fe = ExtremalFunctional(L, [2 * v for v in span.functionals[0].values])
+    bad = ExtremalSet(L, list(span), [fe] + span.functionals[1:])
+    with pytest.raises(WellDefinednessFailure, match="on spanning pair"):
+        extremal_form(L, bad)
 
 
 def test_killing_form_values():

@@ -4,6 +4,14 @@ import pytest
 
 from extremal_lie.scalars import QQ, GF
 from extremal_lie.smallgen import (
+    _X,
+    _XY,
+    _XYZ,
+    _XZ,
+    _Y,
+    _YXZ,
+    _YZ,
+    _modules_irreducible,
     CentralNotZero,
     TriangleParams,
     build_M,
@@ -14,9 +22,9 @@ from extremal_lie.smallgen import (
     two_gen_classify,
     verify_3gen_structure,
 )
-from extremal_lie.liealg import is_extremal, center, lower_central_series
+from extremal_lie.liealg import LieAlgebra, PreconditionNotMet, is_extremal, center, lower_central_series
 
-from helpers import rng
+from helpers import eigenline_modules_irreducible, rng
 
 
 def test_two_gen_classification():
@@ -177,3 +185,66 @@ def test_build_m_parameters_round_trip_through_extremal_form():
     m2 = QQ.scalar(-2)
     assert form.value(x, y) == m2 and form.value(x, z) == m2 and form.value(y, z) == m2
     assert form.value(x, M.bracket(y, z)) == QQ.scalar(0)
+
+
+def _sl2_with_modules(f, n):
+    """sl2 = span{x, y, h} (x, y, h at the indices _X, _Y, _XY, with [x,y] = h,
+    [h,x] = 2x, [h,y] = -2y) extended by an abelian ideal: a trivial line t
+    (index 2) and the irreducible module V(n) on v_0..v_n, where h v_i =
+    (n - 2i) v_i, x v_i = (n - i + 1) v_{i-1} and y v_i = (i + 1) v_{i+1}."""
+    num = f.from_int
+    v = [4 + i for i in range(n + 1)]
+    table = {(_X, _Y): {_XY: f.one}, (_X, _XY): {_X: num(-2)}, (_Y, _XY): {_Y: num(2)}}
+    for i in range(n + 1):
+        table[(_XY, v[i])] = {v[i]: num(n - 2 * i)}
+        if i:
+            table[(_X, v[i])] = {v[i - 1]: num(n - i + 1)}
+        if i < n:
+            table[(_Y, v[i])] = {v[i + 1]: num(i + 1)}
+    labels = ["x", "y", "t", "h"] + ["v%d" % i for i in range(n + 1)]
+    L = LieAlgebra(f, labels, table)
+    return L, [L.basis_element(2)], [L.basis_element(j) for j in v]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(103)], ids=["Q", "GF103"])
+def test_modules_irreducible_finds_invariant_line_beyond_eigenvalue_bounds(field):
+    # t + V(7): the line t is invariant.  ad h has the weights 0, +-1, +-3,
+    # +-5, +-7; over Q the lowest nonzero charpoly coefficient is 1 * 9 * 25
+    # * 49 = 11025 > 10,000, over GF(103) p > 101: the eigenvalue search of
+    # the reference has no candidates in either case
+    L, line, module = _sl2_with_modules(field, 7)
+    assert eigenline_modules_irreducible(L, [line + module]) is None
+    assert _modules_irreducible(L, [line + module]) is False
+    assert _modules_irreducible(L, [module]) is True
+
+
+@pytest.mark.parametrize("char", [0, 3, 5, 7, 101])
+def test_modules_irreducible_matches_eigenline_reference(char):
+    f = QQ if char == 0 else GF(char)
+    cases = []
+    for n in (1, 2, 3):
+        L, line, module = _sl2_with_modules(f, n)
+        cases += [(L, [module]), (L, [line + module]), (L, [module[:-1]])]
+    # case 1 of the three-generator theorem, with its two 2-dimensional modules
+    M, info = build_M(TriangleParams(f, -2, 0, 0, 0))
+    assert info["case"] == 1
+    e = M.basis_element
+    cases.append((M, [[e(_XZ), e(_YXZ)], [e(_YZ), e(_XYZ)]]))
+    verdicts = []
+    for L, modules in cases:
+        got = _modules_irreducible(L, modules)
+        assert got == eigenline_modules_irreducible(L, modules)
+        verdicts.append(got)
+    # V(n) is irreducible for n < p and t + V(n) has the invariant line t;
+    # v_0..v_{n-1} is not a module (y v_{n-1} = n v_n), except for n = 3 in
+    # characteristic 3, where it is a module with no line killed by x and y
+    per_n = [[True, False, n == 3 and char == 3] for n in (1, 2, 3)]
+    assert verdicts == sum(per_n, []) + [True]
+
+
+def test_modules_irreducible_requires_a_perfect_sl2_part():
+    # [x, y] = h central: [S, S] = kh is not S, so an S-invariant line need
+    # not be one that x and y kill
+    L = LieAlgebra(QQ, ["x", "y", "t", "h"], {(_X, _Y): {_XY: QQ.one}})
+    with pytest.raises(PreconditionNotMet):
+        _modules_irreducible(L, [[L.basis_element(2)]])

@@ -30,6 +30,30 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_invariants_hold_under_python_O(tmp_path):
+    """Under ``python -O`` a bad table still raises JacobiViolation, and a
+    malformed command still exits 2 with one stderr line."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_DIR))
+    script = (
+        "import sys\n"
+        "from extremal_lie.liealg import JacobiViolation, LieAlgebra\n"
+        "from extremal_lie.scalars import QQ\n"
+        "assert False, 'asserts are stripped'\n"
+        "try:\n"
+        "    LieAlgebra(QQ, ['a', 'b', 'c'], {(0, 1): {2: 1}, (0, 2): {0: 1}})\n"
+        "except JacobiViolation as exc:\n"
+        "    print(sys.flags.optimize, exc)\n"
+    )
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1 Jacobi fails on basis triple (0, 1, 2)\n"
+    argv = [sys.executable, "-O", "-m", "extremal_lie.cli", "--cache", str(tmp_path), "radicals", "--type", "A2", "--char", "4"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert len(done.stderr.splitlines()) == 1 and "Traceback" not in done.stderr
+
+
 def _report_checks_that_cannot_fail(path):
     """Lines of ``rep.add(name, expected, actual)`` calls whose expected
     expression contains the actual one (``X.get(r, actual)``, ``actual``
