@@ -51,7 +51,6 @@ from .liealg import (
     lower_central_series,
     phi_spectrum_check,
     quotient_algebra,
-    radical_of_form,
     sandwich_span_check,
     solvable_radical,
     structural_subspaces,

@@ -28,7 +28,7 @@ from .liealg import (
     matrix_lie_algebra,
     subalgebra_generated,
 )
-from .linalg import Echelon, axpy, canonical, closure, echelon_from_rows, kernel, mat_mul
+from .linalg import Echelon, axpy, canonical, closure, combine, echelon_from_rows, kernel, mat_mul
 from .nilquot import L_DIMS
 from .scalars import QQ
 
@@ -46,10 +46,7 @@ class ChevalleyAlgebra:
         if field.characteristic == 2:
             raise ValueError("characteristic 2 is unsupported")
         if integer_table is None:
-            self.constants = chevalley_constants(self.rootsystem)
-            labels, integer_table = self.constants.integer_table()
-        else:
-            self.constants = None
+            labels, integer_table = chevalley_constants(self.rootsystem).integer_table()
         self.convention_version = CONVENTION_VERSION
         self.int_table = integer_table
         self.lie = LieAlgebra(field, labels, integer_table)
@@ -90,12 +87,12 @@ class ChevalleyAlgebra:
 
 
 def chevalley_algebra(type_, rank, field, cache_dir=None):
-    if cache_dir is not None:
-        from .cli import cached_integer_table
+    """The Chevalley algebra on the per-process constants of
+    ``cli.cached_integer_table``; ``cache_dir`` is accepted and ignored."""
+    from .cli import cached_integer_table
 
-        labels, table = cached_integer_table(type_, rank, cache_dir)
-        return ChevalleyAlgebra(type_, rank, field, integer_table=table, labels=labels)
-    return ChevalleyAlgebra(type_, rank, field)
+    labels, table = cached_integer_table(type_, rank, cache_dir)
+    return ChevalleyAlgebra(type_, rank, field, integer_table=table, labels=labels)
 
 
 class Automorphism:
@@ -109,10 +106,7 @@ class Automorphism:
             raise ValueError("map does not preserve the bracket")
 
     def apply(self, elt):
-        out = {}
-        for j, c in elt.coeffs.items():
-            axpy(out, c, self.cols[j])
-        return AlgebraElement(self.lie, canonical(self.lie.field, out))
+        return AlgebraElement(self.lie, combine(self.lie.field, elt.coeffs, self.cols))
 
     def __call__(self, elt):
         return self.apply(elt)
@@ -640,10 +634,10 @@ def _burnside_irreducible(f, mats, size):
     return ech.dim == size * size
 
 
-def mingen_certify(type_, rank, field, cache_dir=None):
+def mingen_certify(type_, rank, field):
     """Build the recipe generators, verify generation, and match the lower
     bound: together this certifies the table value t(g)."""
-    A = chevalley_algebra(type_, rank, field, cache_dir=cache_dir)
+    A = chevalley_algebra(type_, rank, field)
     t = minimal_generator_count(type_, rank)
     recipe = _mingen_recipe(A)
     gens = recipe.materialize()

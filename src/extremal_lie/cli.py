@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .scalars import QQ, GF, CharacteristicTwoUnsupported, NotPrime
-from .rootdata import CONVENTION_VERSION, SCHEMA_VERSION, InvalidRank, cartan_nullity
+from .rootdata import InvalidRank, cartan_nullity
 from .rootdata import chevalley_constants, root_system
 from . import nilquot
 from .liealg import (
@@ -100,55 +99,19 @@ class Report:
         sys.stderr.write("runtime_ms=%d\n" % self.runtime_ms)
 
 
-# -- cache ------------------------------------------------------------------
+# -- constants memo -------------------------------------------------------------
 
-
-def cache_directory(explicit=None):
-    return explicit or os.environ.get("EXTREMAL_LIE_CACHE", "./.cache")
+_TABLES = {}
 
 
 def cached_integer_table(type_, rank, cache_dir):
-    """Integer Chevalley constants with a versioned on-disk cache.
-
-    Stale schema or convention versions are ignored; the payload is
-    revalidated downstream because algebra construction re-runs the Jacobi
-    validator on every load."""
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, "chev_%s%d.json" % (type_, rank))
-    if os.path.exists(path):
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-            if (
-                data.get("schema_version") == SCHEMA_VERSION
-                and data.get("convention_version") == CONVENTION_VERSION
-            ):
-                table = {}
-                for i, j, k, v in data["constants"]:
-                    table.setdefault((i, j), {})[k] = int(v)
-                return data["labels"], table
-        except (ValueError, KeyError):
-            pass
-    rs = root_system(type_, rank)
-    cc = chevalley_constants(rs)
-    labels, table = cc.integer_table()
-    # the payload reuses the algebra serialization schema of the library
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "convention_version": CONVENTION_VERSION,
-        "type": type_,
-        "rank": rank,
-        "labels": labels,
-        "field": {"kind": "rationals", "characteristic": 0},
-        "constants": sorted(
-            [i, j, k, str(v)] for (i, j), row in table.items() for k, v in row.items()
-        ),
-    }
-    tmp = path + ".tmp.%d" % os.getpid()
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-    os.replace(tmp, path)
-    return labels, table
+    """Integer Chevalley constants ``(labels, table)`` of a type, built once
+    per process and shared by every caller, which must not mutate them.
+    ``cache_dir`` is accepted and ignored (see ``--cache``)."""
+    key = (type_, rank)
+    if key not in _TABLES:
+        _TABLES[key] = chevalley_constants(root_system(type_, rank)).integer_table()
+    return _TABLES[key]
 
 
 # -- helpers ------------------------------------------------------------------
@@ -219,8 +182,8 @@ def cmd_tables(args):
 
 
 def _mingen_one(spec):
-    type_, rank, char, cache_dir = spec
-    return mingen_certify(type_, rank, field_of_char(char), cache_dir=cache_dir)
+    type_, rank, char = spec
+    return mingen_certify(type_, rank, field_of_char(char))
 
 
 def cmd_mingen(args):
@@ -230,7 +193,7 @@ def cmd_mingen(args):
         if t == "E" and r == 8 and not args.heavy:
             sys.stderr.write("E8 is the heavyweight case; rerun with --heavy\n")
             raise SystemExit(2)
-        specs.append((t, r, args.char, args.cache))
+        specs.append((t, r, args.char))
     rep = Report("mingen", {"type": args.type, "rank": args.rank, "char": args.char})
     if args.jobs > 1 and len(specs) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -249,7 +212,7 @@ def cmd_mingen(args):
 def cmd_radicals(args):
     t, r = parse_type(args.type, args.rank)
     field = field_of_char(args.char)
-    A = chevalley_algebra(t, r, field, cache_dir=args.cache)
+    A = chevalley_algebra(t, r, field)
     rep = Report("radicals", {"type": "%s%d" % (t, r), "char": args.char})
     try:
         form, broken = extremal_form(A.lie, extremal_spanning_set(A)), None
@@ -305,7 +268,7 @@ def cmd_threegen(args):
 def cmd_rootgroups(args):
     t, r = parse_type(args.type, args.rank)
     field = field_of_char(args.char)
-    A = chevalley_algebra(t, r, field, cache_dir=args.cache)
+    A = chevalley_algebra(t, r, field)
     rs = A.rootsystem
     rep = Report("rootgroups", {"type": "%s%d" % (t, r), "char": args.char, "seed": args.seed})
     extra = () if args.seed is None else (args.seed, -args.seed)
@@ -349,7 +312,7 @@ def _addt(a, b):
 def cmd_extremal_check(args):
     t, r = parse_type(args.type, args.rank)
     field = field_of_char(args.char)
-    A = chevalley_algebra(t, r, field, cache_dir=args.cache)
+    A = chevalley_algebra(t, r, field)
     out = long_root_extremality_check(A)
     rep = Report("extremal-check", {"type": "%s%d" % (t, r), "char": args.char})
     n_long = sum(1 for row in out["rows"] if row["long"])
@@ -373,7 +336,9 @@ def build_parser():
         description="Exact checks for Lie algebras generated by extremal elements.",
     )
     ap.add_argument("--json", action="store_true", help="emit the JSON report schema")
-    ap.add_argument("--cache", default=None, help="cache dir (default $EXTREMAL_LIE_CACHE or ./.cache)")
+    # the constants are built once per process; --cache and $EXTREMAL_LIE_CACHE
+    # named an on-disk cache and are accepted and ignored for one release
+    ap.add_argument("--cache", default=None, help="ignored (the constants are no longer cached on disk)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tables", help="reproduce the L_r / R_r dimension tables")
@@ -438,8 +403,6 @@ def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     args = ap.parse_args(_merge_value_flags(list(argv)))
-    if args.cache is None:
-        args.cache = cache_directory()
     t0 = time.time()
     try:
         field_of_char(getattr(args, "char", 0))

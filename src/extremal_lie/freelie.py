@@ -59,11 +59,6 @@ class LyndonWord:
         return self.bracketing_str()
 
 
-def is_lyndon(letters):
-    w = tuple(letters)
-    return len(w) >= 1 and all(w < w[i:] for i in range(1, len(w)))
-
-
 @lru_cache(maxsize=None)
 def lyndon_words(r, d):
     """All Lyndon words of length d on r letters, lexicographically sorted (Duval)."""

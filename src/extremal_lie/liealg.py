@@ -15,6 +15,7 @@ from .linalg import (
     canonical,
     charpoly,
     closure,
+    combine,
     echelon_from_rows,
     kernel,
     mat_mul,
@@ -196,28 +197,6 @@ class LieAlgebra:
             for k, c in self.bracket(a, self.basis_element(j)).coeffs.items():
                 m[k][j] = c
         return m
-
-    # -- serialization -------------------------------------------------------------
-
-    def to_json(self):
-        f = self.field
-        constants = []
-        for (i, j) in sorted(self._table):
-            for k in sorted(self._table[(i, j)]):
-                constants.append([i, j, k, f.to_str(self._table[(i, j)][k])])
-        field_desc = {"kind": f.kind, "characteristic": f.characteristic}
-        return {"field": field_desc, "labels": list(self.labels), "constants": constants}
-
-    @classmethod
-    def from_json(cls, data):
-        from .scalars import field_create
-
-        fd = data["field"]
-        f = QQ if fd["characteristic"] == 0 else field_create("prime-field", fd["characteristic"])
-        table = {}
-        for i, j, k, val in data["constants"]:
-            table.setdefault((i, j), {})[k] = f.from_str(val)
-        return cls(f, data["labels"], table)
 
     def __repr__(self):
         return "LieAlgebra(dim %d over %r)" % (self.n, self.field)
@@ -419,8 +398,7 @@ def quotient_algebra(L, ideal):
     pos = {i: t for t, i in enumerate(keep)}
 
     def project_coeffs(v):
-        red = ideal._ech.reduce(v)
-        return canonical(f, {pos[i]: red[i] for i in keep})
+        return {pos[i]: x for i, x in sorted(ideal._ech.reduce(v).items())}
 
     table = {}
     for a in range(len(keep)):
@@ -522,12 +500,7 @@ class BilinearForm:
                 for m, c in L.bracket_basis(j, k).items():
                     ad[m][k] = c
             for i in range(n):
-                lhs, rhs = {}, {}
-                for m, c in L.bracket_basis(i, j).items():
-                    axpy(lhs, c, G[m])
-                for m, g in G[i].items():
-                    axpy(rhs, g, ad[m])
-                if canonical(f, lhs) != canonical(f, rhs):
+                if combine(f, L.bracket_basis(i, j), G) != combine(f, G[i], ad):
                     return False
         return True
 
@@ -576,27 +549,31 @@ def extremal_form(L, spanning_set):
         for b in range(a):
             if fvals[a][b] != fvals[b][a]:
                 raise WellDefinednessFailure("f_x(y) != f_y(x) on spanning pair (%d, %d)" % (a, b))
-    coords = [coordinates.solve({i: f.one}) for i in range(L.n)]
-    half = mat_mul(f, coords, fvals)
-    gram = mat_mul(f, half, [list(col) for col in zip(*coords)])
+    # Gram G[i][j] = sum_ab C[i][a] F[a][b] C[j][b], C[i] the coordinates of
+    # b_i over the spanning set: row i is sum_b (C F)[i][b] C^T[b]
+    coords = [canonical(f, dict(enumerate(coordinates.solve({i: f.one})))) for i in range(L.n)]
+    frows = [canonical(f, dict(enumerate(row))) for row in fvals]
+    by_spanning = [{} for _ in range(m)]  # C^T
+    for i, row in enumerate(coords):
+        for a, c in row.items():
+            by_spanning[a][i] = c
+    gram = []
+    for row in coords:
+        dense = [f.zero] * L.n
+        for j, c in combine(f, combine(f, row, frows), by_spanning).items():
+            dense[j] = c
+        gram.append(dense)
     form = BilinearForm(L, gram, "extremal-f")
     # well-definedness: the bilinear extension must reproduce every f_x directly
     G = form.rows()
     for a, s in enumerate(spanning):
-        row = {}
-        for i, c in s.coeffs.items():
-            axpy(row, c, G[i])
-        if canonical(f, row) != canonical(f, dict(enumerate(functionals[a].values))):
+        if combine(f, s.coeffs, G) != canonical(f, dict(enumerate(functionals[a].values))):
             raise WellDefinednessFailure("bilinear extension disagrees with f_x")
     if not form.is_symmetric():
         raise WellDefinednessFailure("extremal form not symmetric")
     if not form.is_associative():
         raise NotAssociative("extremal form not associative")
     return form
-
-
-def radical_of_form(form):
-    return form.radical()
 
 
 class ExtremalSet(list):
@@ -621,28 +598,6 @@ def extremal_closure(L, seeds, expand):
     if None in functionals:
         raise NotExtremal("an element of the extremal closure is not extremal")
     return ExtremalSet(L, out, functionals)
-
-
-def grow_extremal_spanning(L, seeds):
-    """Close a set of extremal elements under exp-images until it spans L.
-
-    Images of extremal elements under exp(e, +-1) are extremal again, so the
-    result is a spanning set of extremal elements whenever the closure fills
-    the space; a stall raises NotSpanning.
-    """
-    from .chevalley import exp_map
-
-    kept, autos = [], []
-
-    def expand(x):
-        exp = exp_map(L, x)
-        new = [exp(1), exp(-1)]
-        pairs = [(phi, x) for phi in autos] + [(phi, y) for phi in new for y in kept]
-        kept.append(x)
-        autos.extend(new)
-        return (phi.apply(y) for phi, y in pairs)
-
-    return extremal_closure(L, seeds, expand)
 
 
 # -- structural subspaces -----------------------------------------------------

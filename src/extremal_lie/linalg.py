@@ -54,6 +54,15 @@ def canonical(field, acc):
     return {j: x for j, x in acc.items() if x}
 
 
+def combine(field, coeffs, vecs):
+    """The canonical vector sum_k c_k vecs[k], over the items (k, c_k) of
+    the dict ``coeffs``."""
+    acc = {}
+    for k, c in coeffs.items():
+        axpy(acc, c, vecs[k])
+    return canonical(field, acc)
+
+
 def _ratio(n, d):
     """n/d for ints, d > 0: an int when d divides n, else a Fraction."""
     return n // d if n % d == 0 else Fraction(n, d)
@@ -131,14 +140,13 @@ class Echelon:
         return scale
 
     def reduce(self, vec):
-        """The residual of ``vec`` after reduction, as a dense list of raw
-        values; does not modify the basis."""
+        """The residual of ``vec`` after reduction, as a canonical vector;
+        does not modify the basis."""
         v, den = self._sparse(vec)
         scale = den * self._eliminate(v)
-        out = [self.field.zero] * self.width
-        for j, x in v.items():
-            out[j] = x if self._p or scale == 1 else _ratio(x, scale)
-        return out
+        if self._p or scale == 1:
+            return v
+        return {j: _ratio(x, scale) for j, x in v.items()}
 
     def insert(self, vec):
         """Add ``vec`` to the span.  Returns the new pivot column, or None."""
@@ -271,12 +279,16 @@ class Coordinates:
         return sum(1 for c in self._aug.pivot_columns() if c < self.width) == self.width
 
     def solve(self, target):
-        """Coefficients c with sum_i c_i rows_i = ``target``, or None."""
-        f = self.field
+        """Coefficients c with sum_i c_i rows_i = ``target`` (a dense list),
+        or None.  Only the support of the reduced residual is read."""
+        f, w = self.field, self.width
         residual = self._aug.reduce(target)
-        if any(not f.is_zero(x) for x in residual[: self.width]):
+        if any(j < w for j in residual):
             return None
-        return [f.neg(x) for x in residual[self.width:]]
+        out = [f.zero] * self.count
+        for j, x in residual.items():
+            out[j - w] = f.neg(x)
+        return out
 
 
 def solve_in_span(field, basis_rows, width, target):

@@ -348,19 +348,6 @@ class GradedQuotient:
     def nilpotency_class(self):
         return len(self.dims_by_degree)
 
-    @property
-    def components(self):
-        """Per degree: (chosen basis monomial words, relation matrix rank)."""
-        out = []
-        for d in range(1, len(self.dims_by_degree) + 1):
-            rank = self.relation_ranks[d - 2] if d >= 2 else 0
-            out.append((self.component_words(d), rank))
-        return out
-
-    def component_words(self, d):
-        """Basis monomial words of the degree-d component."""
-        return [b.word for b in self._engine.by_degree[d]] if d <= self._engine.completed else []
-
     def eval_monomial(self, word):
         """Left-normed monomial evaluated in the quotient, as {basis_index: raw}."""
         if len(word) > self._engine.completed:

@@ -5,19 +5,19 @@ Roots are integer coefficient tuples over the simple roots.  Signs: positive
 roots are ordered by (height, coefficients); for each non-simple positive
 root the extraspecial pair gets N = +(p+1); every other constant is forced
 from those by antisymmetry, N(-a,-b) = -N(a,b), and the cyclic relation
-N(a,b)/(c,c) = N(b,c)/(a,a) for a+b+c = 0.  The convention string is embedded
-in every serialization so results are never mixed across conventions.
+N(a,b)/(c,c) = N(b,c)/(a,a) for a+b+c = 0.  ``CONVENTION_VERSION`` names this
+convention; every ``ChevalleyConstants`` and ``ChevalleyAlgebra`` carries it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .linalg import rank as linalg_rank
 from .scalars import GF, QQ
 
 CONVENTION_VERSION = "extraspecial-heightlex-p1"
-SCHEMA_VERSION = 1
 
 _VALID = {"A": lambda n: n >= 1, "B": lambda n: n >= 2, "C": lambda n: n >= 2,
           "D": lambda n: n >= 4, "E": lambda n: n in (6, 7, 8), "F": lambda n: n == 4,
@@ -32,10 +32,12 @@ class NonIntegral(ArithmeticError):
     """A quantity that the theory makes an integer came out fractional."""
 
 
-def _integer(v, what):
-    if v.denominator != 1:
-        raise NonIntegral("%s is not an integer: %s" % (what, v))
-    return int(v)
+def _exact(num, den, what):
+    """num/den for ints, which the theory makes an integer."""
+    q, r = divmod(num, den)
+    if r:
+        raise NonIntegral("%s is not an integer: %s" % (what, Fraction(num, den)))
+    return q
 
 
 def cartan_matrix(type_, rank):
@@ -106,6 +108,11 @@ def _symmetrizer(type_, rank):
 
 
 class RootSystem:
+    """Inner products are kept as integers: ``_gram`` is the symmetrised
+    Cartan matrix (alpha_i, alpha_j) = d_i A[i][j] times ``_scale``, the lcm
+    of the denominators of the d_i, and ``_norm`` memoises the scaled norm of
+    each root.  A ratio of two inner products is then a ratio of ints."""
+
     def __init__(self, type_, rank):
         type_ = type_.upper()
         if type_ not in _VALID or not _VALID[type_](rank):
@@ -113,7 +120,10 @@ class RootSystem:
         self.type = type_
         self.rank = rank
         self.cartan = cartan_matrix(type_, rank)
-        self.d = _symmetrizer(type_, rank)
+        d = _symmetrizer(type_, rank)
+        self._scale = lcm(*(x.denominator for x in d))
+        self._gram = [[int(self._scale * di * aij) for aij in row] for di, row in zip(d, self.cartan)]
+        self._norm = {}
         self._build_roots()
         self._classify()
 
@@ -153,9 +163,9 @@ class RootSystem:
         self.highest_root = max(self.positive_roots, key=lambda t: (sum(t), t))
 
     def _classify(self):
-        norms = {t: self.norm2(t) for t in self.positive_roots}
-        self._max_norm = max(norms.values())
-        self._long = {t for t, v in norms.items() if v == self._max_norm}
+        norms = {t: self._scaled_norm(t) for t in self.positive_roots}
+        top = max(norms.values())
+        self._long = {t for t, v in norms.items() if v == top}
         self._long |= {_neg(t) for t in self._long}
 
     # -- queries ---------------------------------------------------------------
@@ -169,29 +179,36 @@ class RootSystem:
     def height(self, t):
         return sum(t)
 
-    def inner(self, s, t):
-        v = Fraction(0)
-        for i in range(self.rank):
-            if s[i]:
-                for j in range(self.rank):
-                    if t[j]:
-                        v += s[i] * t[j] * self.d[i] * self.cartan[i][j]
+    def _scaled_inner(self, s, t):
+        """``_scale`` * (s, t), an int."""
+        g = self._gram
+        tj = [(j, c) for j, c in enumerate(t) if c]
+        return sum(si * sum(c * g[i][j] for j, c in tj) for i, si in enumerate(s) if si)
+
+    def _scaled_norm(self, t):
+        """``_scale`` * (t, t), memoised per root."""
+        t = tuple(t)
+        v = self._norm.get(t)
+        if v is None:
+            v = self._norm[t] = self._scaled_inner(t, t)
         return v
 
+    def inner(self, s, t):
+        return Fraction(self._scaled_inner(s, t), self._scale)
+
     def norm2(self, t):
-        return self.inner(t, t)
+        return Fraction(self._scaled_norm(t), self._scale)
 
     def pairing(self, beta, alpha):
         """<beta, alpha-check> = 2 (beta, alpha)/(alpha, alpha); an integer."""
-        return _integer(2 * self.inner(beta, alpha) / self.norm2(alpha), "a Cartan integer")
+        return _exact(2 * self._scaled_inner(beta, alpha), self._scaled_norm(alpha), "a Cartan integer")
 
     def coroot_coords(self, alpha):
-        """alpha-check over the simple coroots; integer coefficients."""
-        dalpha = self.norm2(alpha) / 2
-        out = []
-        for i in range(self.rank):
-            out.append(_integer(Fraction(alpha[i]) * self.d[i] / dalpha, "a coroot coordinate"))
-        return tuple(out)
+        """alpha-check over the simple coroots; integer coefficients:
+        alpha_i d_i / ((alpha, alpha)/2), where 2 d_i ``_scale`` is
+        ``_gram[i][i]``."""
+        n = self._scaled_norm(alpha)
+        return tuple(_exact(c * self._gram[i][i], n, "a coroot coordinate") for i, c in enumerate(alpha))
 
     def root_string_down(self, alpha, beta):
         """Largest p with beta - p*alpha a root."""
@@ -316,8 +333,8 @@ class ChevalleyConstants:
                 d2 = _sub(xi, a)
                 if d2 in rs._root_set:
                     t2 = self.N(_neg(a), xi) * self.N(eta, d2)
-                n_negag = Fraction(-(t1 + t2), self._pos[(xi, eta)])
-                val = _integer(n_negag * rs.norm2(gamma) / rs.norm2(b), "a structure constant")
+                num = -(t1 + t2) * rs._scaled_norm(gamma)
+                val = _exact(num, self._pos[(xi, eta)] * rs._scaled_norm(b), "a structure constant")
                 expected = rs.root_string_down(a, b) + 1
                 if abs(val) != expected:
                     raise RuntimeError("extraspecial solve gave |N|=%d, want %d" % (abs(val), expected))
@@ -342,11 +359,11 @@ class ChevalleyConstants:
         # alpha > 0 > beta
         if min(s) >= 0:
             # N(alpha,beta)/(s,s) = N(beta,-s)/(alpha,alpha); N(beta,-s) = -N(-beta,s)
-            v = -Fraction(self.N(_neg(beta), s)) * rs.norm2(s) / rs.norm2(alpha)
+            num, den = -self.N(_neg(beta), s), rs._scaled_norm(alpha)
         else:
             # N(alpha,beta)/(s,s) = N(-s,alpha)/(beta,beta)
-            v = Fraction(self.N(_neg(s), alpha)) * rs.norm2(s) / rs.norm2(beta)
-        return _integer(v, "a structure constant")
+            num, den = self.N(_neg(s), alpha), rs._scaled_norm(beta)
+        return _exact(num * rs._scaled_norm(s), den, "a structure constant")
 
     def integer_table(self):
         """Structure constants of the Chevalley algebra over the integers.
@@ -355,7 +372,6 @@ class ChevalleyConstants:
         h_1..h_rank.  Returns (labels, {(i, j): {k: int}}) with i < j.
         """
         rs = self.rs
-        pos = rs.positive_roots
         nroots = len(rs.roots)
         index = {t: k for k, t in enumerate(rs.roots)}
         labels = ["x[%s]" % ",".join(map(str, t)) for t in rs.roots] + [
@@ -371,19 +387,13 @@ class ChevalleyConstants:
             else:
                 table[(j, i)] = {k: -c for k, c in row.items()}
 
-        for a in rs.roots:
-            ia = index[a]
-            for b in rs.roots:
-                ib = index[b]
-                if ia >= ib:
-                    continue
+        zero = tuple(0 for _ in range(rs.rank))
+        for ia, a in enumerate(rs.roots):
+            for ib in range(ia + 1, nroots):
+                b = rs.roots[ib]
                 s = _add(a, b)
-                if s == tuple(0 for _ in range(rs.rank)):
-                    row = {}
-                    for i, c in enumerate(rs.coroot_coords(a)):
-                        if c:
-                            row[nroots + i] = c
-                    put(ia, ib, row)
+                if s == zero:
+                    put(ia, ib, {nroots + i: c for i, c in enumerate(rs.coroot_coords(a)) if c})
                 elif s in rs._root_set:
                     put(ia, ib, {index[s]: self.N(a, b)})
         for i in range(rs.rank):

@@ -238,13 +238,6 @@ def projective_line_check(L, x, y, third_point, sample_params=None):
     }
 
 
-def line_is_fully_extremal(L, x, y, sample_params=None):
-    """Whether every sampled nonzero point of kx + ky is extremal (no
-    preconditions; used to exhibit failing lines)."""
-    witness = next(_non_extremal_points(L, x, y, _samples(L.field, sample_params)), None)
-    return {"fully_extremal": witness is None, "witness": witness}
-
-
 def chain_nonexistence_probe(L, pool):
     """Search every triple of the pool for a chain x1, x2, x3 of extremal
     elements with (x1, x2) satisfying the strong commuting conditions,

@@ -6,8 +6,12 @@ files are frozen from these, not from the implementation.  The dense form
 kernels (``dense_is_associative``, ``dense_killing_gram``, ``dense_center``)
 are the per-coefficient ``Field`` loops the package ran before its form
 kernels became sparse, and ``dense_jacobi`` is the walk over all basis
-triples that the Jacobi check made before it became term-driven; the tests
-hold the fast code to them.
+triples that the Jacobi check made before it became term-driven;
+``dense_extremal_gram`` is the Gram of the extremal form as two dense matrix
+products, and ``fraction_inner`` the inner product of roots with one
+``Fraction`` per term.  The tests hold the fast code to them.  The last
+functions here (``grow_extremal_spanning``, ``line_is_fully_extremal``,
+``graded_components``) are ones that only the tests call.
 """
 
 import itertools
@@ -136,7 +140,7 @@ class DenseEchelon:
             v[j] = x
         return [Fraction(x) for x in v] if self.field.characteristic == 0 else v
 
-    def reduce(self, vec):
+    def _reduce(self, vec):
         f = self.field
         v = self._dense(vec)
         for c in sorted(self.rows):
@@ -149,7 +153,7 @@ class DenseEchelon:
 
     def insert(self, vec):
         f = self.field
-        v = self.reduce(vec)
+        v = self._reduce(vec)
         piv = next((c for c in range(self.width) if not f.is_zero(v[c])), None)
         if piv is None:
             return None
@@ -163,7 +167,10 @@ class DenseEchelon:
         return piv
 
     def contains(self, vec):
-        return all(self.field.is_zero(x) for x in self.reduce(vec))
+        return all(self.field.is_zero(x) for x in self._reduce(vec))
+
+    def reduce(self, vec):
+        return {j: x for j, x in enumerate(self._reduce(vec)) if not self.field.is_zero(x)}
 
     def row(self, c):
         return {j: x for j, x in enumerate(self.rows[c]) if not self.field.is_zero(x)}
@@ -439,3 +446,79 @@ def preserves_form(phi, form):
             if not f.is_zero(f.sub(v, form.gram[i][j])):
                 return False
     return True
+
+
+def fraction_inner(rs, s, t):
+    """Reference for ``RootSystem.inner``: (s, t) = sum_ij s_i t_j d_i A[i][j]
+    with one ``Fraction`` per term, as the package computed it before its root
+    data became integral."""
+    from extremal_lie.rootdata import _symmetrizer
+
+    d = _symmetrizer(rs.type, rs.rank)
+    v = Fraction(0)
+    for i in range(rs.rank):
+        if s[i]:
+            for j in range(rs.rank):
+                if t[j]:
+                    v += s[i] * t[j] * d[i] * rs.cartan[i][j]
+    return v
+
+
+def dense_extremal_gram(L, spanning):
+    """Reference for the Gram matrix of ``extremal_form``: C F C^T as two
+    dense ``mat_mul`` products, C the coordinates of the basis over
+    ``spanning`` and F[a][b] = f_a(s_b), as it was computed before the Gram
+    became sparse."""
+    from extremal_lie.liealg import is_extremal
+    from extremal_lie.linalg import Coordinates, mat_mul
+
+    f = L.field
+    elems = [L.element(s) for s in spanning]
+    fvals = [[is_extremal(L, a)(b).value for b in elems] for a in elems]
+    coordinates = Coordinates(f, [s.coeffs for s in elems], L.n)
+    coords = [coordinates.solve({i: f.one}) for i in range(L.n)]
+    half = mat_mul(f, coords, fvals)
+    return mat_mul(f, half, [list(col) for col in zip(*coords)])
+
+
+def grow_extremal_spanning(L, seeds):
+    """Close a set of extremal elements under exp-images until it spans L.
+
+    Images of extremal elements under exp(e, +-1) are extremal again, so the
+    result is a spanning set of extremal elements whenever the closure fills
+    the space; a stall raises NotSpanning.
+    """
+    from extremal_lie.chevalley import exp_map
+    from extremal_lie.liealg import extremal_closure
+
+    kept, autos = [], []
+
+    def expand(x):
+        exp = exp_map(L, x)
+        new = [exp(1), exp(-1)]
+        pairs = [(phi, x) for phi in autos] + [(phi, y) for phi in new for y in kept]
+        kept.append(x)
+        autos.extend(new)
+        return (phi.apply(y) for phi, y in pairs)
+
+    return extremal_closure(L, seeds, expand)
+
+
+def line_is_fully_extremal(L, x, y, sample_params=None):
+    """Whether every sampled nonzero point of kx + ky is extremal (no
+    preconditions; used to exhibit failing lines)."""
+    from extremal_lie.rootgroups import _non_extremal_points, _samples
+
+    witness = next(_non_extremal_points(L, x, y, _samples(L.field, sample_params)), None)
+    return {"fully_extremal": witness is None, "witness": witness}
+
+
+def graded_components(q):
+    """Per degree of the ``GradedQuotient`` q: (chosen basis monomial words,
+    relation matrix rank)."""
+    eng = q._engine
+    out = []
+    for d in range(1, len(q.dims_by_degree) + 1):
+        words = [b.word for b in eng.by_degree[d]] if d <= eng.completed else []
+        out.append((words, q.relation_ranks[d - 2] if d >= 2 else 0))
+    return out

@@ -15,7 +15,6 @@ from extremal_lie import nilquot
 from extremal_lie.liealg import (
     extremal_form,
     fourth_power_check,
-    grow_extremal_spanning,
     is_extremal,
     killing_form,
     phi_spectrum_check,
@@ -32,7 +31,7 @@ from extremal_lie.chevalley import (
 from extremal_lie.smallgen import TriangleParams, build_M, sl3_example, verify_3gen_structure
 from extremal_lie import rootgroups as rg
 
-from helpers import chevalley, field_of, preserves_form, rng, sandwich, witt
+from helpers import chevalley, field_of, grow_extremal_spanning, preserves_form, rng, sandwich, witt
 
 FLEET = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),

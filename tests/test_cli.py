@@ -99,25 +99,61 @@ def test_char2_rejected(capsys, tmp_path):
     assert code == 2
 
 
-def test_cache_roundtrip_and_stale_schema(capsys, tmp_path):
-    cache = str(tmp_path / "c1")
-    code1, out1, _ = run_cli(capsys, "--json", "--cache", cache, "extremal-check", "--type", "G2")
-    files = os.listdir(cache)
-    assert any(f.startswith("chev_G2") for f in files)
-    # warm rerun: identical output
-    code2, out2, _ = run_cli(capsys, "--json", "--cache", cache, "extremal-check", "--type", "G2")
-    assert (code1, out1) == (code2, out2)
-    # stale schema entries are ignored and rebuilt
-    path = os.path.join(cache, [f for f in files if f.startswith("chev_G2")][0])
-    with open(path) as fh:
-        payload = json.load(fh)
-    payload["schema_version"] = -1
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-    code3, out3, _ = run_cli(capsys, "--json", "--cache", cache, "extremal-check", "--type", "G2")
-    assert (code3, out3) == (code1, out1)
-    with open(path) as fh:
-        assert json.load(fh)["schema_version"] != -1
+def test_cache_flag_and_environment_are_accepted_and_write_nothing(capsys, tmp_path, monkeypatch):
+    flag_dir, env_dir = tmp_path / "flag", tmp_path / "env"
+    flag_dir.mkdir()
+    env_dir.mkdir()
+    monkeypatch.setenv("EXTREMAL_LIE_CACHE", str(env_dir))
+    code1, out1, _ = run_cli(capsys, "--json", "--cache", str(flag_dir), "extremal-check", "--type", "G2")
+    code2, out2, _ = run_cli(capsys, "--json", "extremal-check", "--type", "G2")
+    assert code1 == code2 == 0 and out1 == out2
+    assert os.listdir(flag_dir) == [] and os.listdir(env_dir) == []
+    assert not (tmp_path / ".cache").exists()
+
+
+def _old_cache_payload(perm):
+    """A G2 entry of the removed on-disk cache, in the schema it read back,
+    with basis index i relabelled perm[i]: a valid Lie algebra again."""
+    from extremal_lie.rootdata import RootSystem, chevalley_constants
+
+    labels, table = chevalley_constants(RootSystem("G", 2)).integer_table()
+    constants = []
+    for (i, j), row in table.items():
+        a, b = perm[i], perm[j]
+        for k, v in row.items():
+            constants.append([a, b, perm[k], str(v)] if a < b else [b, a, perm[k], str(-v)])
+    return {
+        "schema_version": 1,
+        "convention_version": "extraspecial-heightlex-p1",
+        "type": "G",
+        "rank": 2,
+        "labels": [labels[perm.index(i)] for i in range(len(labels))],
+        "field": {"kind": "rationals", "characteristic": 0},
+        "constants": sorted(constants),
+    }
+
+
+@pytest.mark.parametrize("planted", ["relabelled", "corrupt"])
+def test_planted_cache_file_changes_nothing(capsys, tmp_path, planted):
+    argv = ("--json", "--cache", str(tmp_path), "extremal-check", "--type", "G2")
+    want = run_cli(capsys, *argv)
+    # swap x[1,0] (short) with x[0,1] (long), and their negatives
+    perm = list(range(14))
+    perm[0], perm[1], perm[6], perm[7] = 1, 0, 7, 6
+    text = json.dumps(_old_cache_payload(perm)) if planted == "relabelled" else '{"schema_version": 1, "lab'
+    (tmp_path / "chev_G2.json").write_text(text)
+    assert run_cli(capsys, *argv)[:2] == want[:2]
+    assert want[0] == 0
+
+
+def test_memo_is_shared_and_left_unmutated(capsys):
+    from extremal_lie.rootdata import RootSystem, chevalley_constants
+
+    code, out, _ = run_cli(capsys, "--json", "radicals", "--type", "E6")
+    assert code == 0 and json.loads(out)["pass"] is True
+    memo = cli.cached_integer_table("E", 6, None)
+    assert memo is cli.cached_integer_table("E", 6, "ignored")
+    assert memo == chevalley_constants(RootSystem("E", 6)).integer_table()
 
 
 def test_cached_table_matches_fresh():
@@ -125,7 +161,7 @@ def test_cached_table_matches_fresh():
     from extremal_lie.rootdata import RootSystem, chevalley_constants
     with tempfile.TemporaryDirectory() as d:
         labels1, table1 = cli.cached_integer_table("F", 4, d)
-        labels2, table2 = cli.cached_integer_table("F", 4, d)  # from disk
+        labels2, table2 = cli.cached_integer_table("F", 4, d)  # from the memo
     fresh_labels, fresh = chevalley_constants(RootSystem("F", 4)).integer_table()
     assert labels1 == labels2 == fresh_labels
     assert table1 == table2 == fresh

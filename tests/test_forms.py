@@ -3,7 +3,8 @@
 ``BilinearForm.is_associative``, ``killing_form`` and ``center`` are held to
 the per-coefficient ``Field`` loops in ``helpers`` on small algebras over Q,
 GF(3) and GF(101): on true forms, on Gram matrices with one entry changed
-(symmetric or not), and on rescaled tables.  The center is also checked
+(symmetric or not), and on rescaled tables.  The Gram of ``extremal_form``
+is held to the dense matrix product on shuffled, rescaled spanning sets.  The center is also checked
 against the Cartan matrix, and the kernels against calling ``Field`` at all.
 """
 
@@ -28,6 +29,7 @@ from extremal_lie.scalars import QQ, Field, GF
 from helpers import (
     chevalley,
     dense_center,
+    dense_extremal_gram,
     dense_is_associative,
     dense_killing_gram,
     field_of,
@@ -116,6 +118,34 @@ def test_is_associative_matches_dense_reference(case):
     assert fast == dense_is_associative(form)
     if expected is not None:
         assert fast == expected
+
+
+@lru_cache(maxsize=None)
+def spanning_set(name, char):
+    return extremal_spanning_set(chevalley(*CHEVALLEY[name], char))
+
+
+@st.composite
+def extremal_spanning_cases(draw):
+    """(L, spanning): the extremal spanning set of a Chevalley algebra as it
+    is, with its functionals; or shuffled, each element times a nonzero
+    scalar, with some elements repeated (then the functionals are found
+    again, and the coordinates over the set are not unique)."""
+    char = draw(st.sampled_from(CHARS))
+    name = draw(st.sampled_from(sorted(CHEVALLEY)))
+    base = spanning_set(name, char)
+    if draw(st.booleans()):
+        return base.algebra, base
+    order = draw(st.permutations(range(len(base))))
+    order += draw(st.lists(st.integers(0, len(base) - 1), max_size=3))
+    return base.algebra, [draw(nonzero(char)) * base[i] for i in order]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(extremal_spanning_cases())
+def test_extremal_form_gram_matches_dense_reference(case):
+    L, spanning = case
+    assert extremal_form(L, spanning).gram == dense_extremal_gram(L, spanning)
 
 
 @st.composite

@@ -5,7 +5,7 @@ import pytest
 from extremal_lie import nilquot
 from extremal_lie.scalars import QQ, GF
 
-from helpers import DenseEchelon, sandwich, witt, witt_multidegree
+from helpers import DenseEchelon, graded_components, sandwich, witt, witt_multidegree
 
 
 def test_free_mode_matches_witt():
@@ -140,7 +140,7 @@ def test_bracket_in_quotient_multidegree_additive():
 
 def test_components_expose_words_and_ranks():
     q = sandwich(3)
-    comps = q.components
+    comps = graded_components(q)
     assert [len(words) for words, _ in comps] == [3, 3, 2]
     assert comps[0][0] == [(1,), (2,), (3,)]
     assert all(rank >= 0 for _, rank in comps[1:])

@@ -10,14 +10,13 @@ from extremal_lie.liealg import PreconditionNotMet, is_extremal, sl2
 from extremal_lie.rootgroups import (
     RootGroupElement,
     chain_nonexistence_probe,
-    line_is_fully_extremal,
     parameter_samples,
     projective_line_check,
     strongcomm_check,
     verify_abstract_root_properties,
 )
 
-from helpers import chevalley
+from helpers import chevalley, line_is_fully_extremal
 
 
 def test_root_group_depends_only_on_the_line():

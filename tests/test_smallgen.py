@@ -24,7 +24,7 @@ from extremal_lie.smallgen import (
 )
 from extremal_lie.liealg import LieAlgebra, PreconditionNotMet, is_extremal, center, lower_central_series
 
-from helpers import eigenline_modules_irreducible, rng
+from helpers import eigenline_modules_irreducible, grow_extremal_spanning, rng
 
 
 def test_two_gen_classification():
@@ -176,7 +176,7 @@ def test_rule_table_covers_all_pairs():
 
 
 def test_build_m_parameters_round_trip_through_extremal_form():
-    from extremal_lie.liealg import extremal_form, grow_extremal_spanning
+    from extremal_lie.liealg import extremal_form
 
     M, _ = build_M(TriangleParams(QQ, -2, -2, -2, 0))
     span = grow_extremal_spanning(M, [M.basis_element(i) for i in range(3)])
