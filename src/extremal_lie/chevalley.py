@@ -8,7 +8,6 @@ sign convention, so every verification is convention-independent.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .rootdata import (
@@ -86,12 +85,12 @@ class ChevalleyAlgebra:
         )
 
 
-def chevalley_algebra(type_, rank, field, cache_dir=None):
+def chevalley_algebra(type_, rank, field):
     """The Chevalley algebra on the per-process constants of
-    ``cli.cached_integer_table``; ``cache_dir`` is accepted and ignored."""
+    ``cli.cached_integer_table``."""
     from .cli import cached_integer_table
 
-    labels, table = cached_integer_table(type_, rank, cache_dir)
+    labels, table = cached_integer_table(type_, rank, None)
     return ChevalleyAlgebra(type_, rank, field, integer_table=table, labels=labels)
 
 
@@ -339,8 +338,8 @@ def _neg(t):
 
 
 class _Recipe:
-    """Generators described as root elements and exp-chains; the chain signs
-    can be varied when hunting for a convention-compatible variant."""
+    """Generators described as root elements and exp-chains exp(x_r1, 1) ...
+    exp(x_rk, 1) x_base, evaluated in this package's sign convention."""
 
     def __init__(self, A):
         self.A = A
@@ -352,10 +351,9 @@ class _Recipe:
     def chain(self, exp_roots, base_root):
         self.items.append(("chain", [tuple(r) for r in exp_roots], tuple(base_root)))
 
-    def materialize(self, signs=None):
+    def materialize(self):
         A = self.A
         out = []
-        pos = 0
         for item in self.items:
             if item[0] == "x":
                 out.append(A.x(item[1]))
@@ -363,9 +361,7 @@ class _Recipe:
             _, exp_roots, base = item
             v = A.x(base)
             for root in reversed(exp_roots):  # rightmost factor acts first
-                s = 1 if signs is None else signs[pos]
-                pos += 1
-                v = root_exponential(A, root, s, check=False).apply(v)
+                v = root_exponential(A, root, 1, check=False).apply(v)
             out.append(v)
         return out
 
@@ -499,10 +495,9 @@ def _d4_into_e(rs):
     return emb
 
 
-def mingen_generators(A, signs=None):
+def mingen_generators(A):
     """The recipe generators: exactly t(g) extremal elements."""
-    recipe = _mingen_recipe(A)
-    gens = recipe.materialize(signs=signs)
+    gens = _mingen_recipe(A).materialize()
     t = minimal_generator_count(A.rootsystem.type, A.rootsystem.rank)
     if len(gens) != t:
         raise RuntimeError("recipe size %d != t = %d" % (len(gens), t))
@@ -639,18 +634,8 @@ def mingen_certify(type_, rank, field):
     bound: together this certifies the table value t(g)."""
     A = chevalley_algebra(type_, rank, field)
     t = minimal_generator_count(type_, rank)
-    recipe = _mingen_recipe(A)
-    gens = recipe.materialize()
-    variant = None
+    gens = _mingen_recipe(A).materialize()
     gen = verify_generation(A, gens)
-    if not gen["pass"]:
-        nfac = sum(len(item[1]) for item in recipe.items if item[0] == "chain")
-        for signs in itertools.product((1, -1), repeat=nfac):
-            gens = recipe.materialize(signs=signs)
-            gen = verify_generation(A, gens)
-            if gen["pass"]:
-                variant = signs
-                break
     extremal_ok = all(is_extremal(A.lie, g) is not None for g in gens)
     if type_ in ("A", "B", "C", "D") and not (type_ == "B" and rank == 2):
         nat = natural_representation(type_, rank, field)
@@ -668,7 +653,6 @@ def mingen_certify(type_, rank, field):
         "generation_ok": gen["pass"],
         "generated_dim": gen["dim"],
         "lower_bound": lower,
-        "sign_variant": variant,
         "pass": gen["pass"] and extremal_ok and lower == t == len(gens),
     }
     return report

@@ -107,7 +107,7 @@ _TABLES = {}
 def cached_integer_table(type_, rank, cache_dir):
     """Integer Chevalley constants ``(labels, table)`` of a type, built once
     per process and shared by every caller, which must not mutate them.
-    ``cache_dir`` is accepted and ignored (see ``--cache``)."""
+    ``cache_dir`` is ignored: nothing is cached on disk."""
     key = (type_, rank)
     if key not in _TABLES:
         _TABLES[key] = chevalley_constants(root_system(type_, rank)).integer_table()
@@ -336,9 +336,6 @@ def build_parser():
         description="Exact checks for Lie algebras generated by extremal elements.",
     )
     ap.add_argument("--json", action="store_true", help="emit the JSON report schema")
-    # the constants are built once per process; --cache and $EXTREMAL_LIE_CACHE
-    # named an on-disk cache and are accepted and ignored for one release
-    ap.add_argument("--cache", default=None, help="ignored (the constants are no longer cached on disk)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tables", help="reproduce the L_r / R_r dimension tables")

@@ -66,8 +66,7 @@ class LieAlgebra:
     """Lie algebra over an exact field, given by labeled basis and constants.
 
     ``table`` maps pairs (i, j) with i < j to sparse rows {k: coefficient};
-    antisymmetry fills in the rest.  Use ``from_dense`` for a full cube of
-    coefficients (which is checked for antisymmetry first).
+    antisymmetry fills in the rest.
     """
 
     def __init__(self, field, labels, table):
@@ -84,22 +83,6 @@ class LieAlgebra:
                 self._table[(i, j)] = self._brackets[(i, j)] = row
                 self._brackets[(j, i)] = canonical(field, {k: -c for k, c in row.items()})
         self._validate_jacobi()
-
-    # -- construction helpers --------------------------------------------------
-
-    @classmethod
-    def from_dense(cls, field, labels, cube):
-        """cube[i][j] is the coefficient vector of [b_i, b_j]; antisymmetry checked."""
-        n = len(labels)
-        for i in range(n):
-            if any(not field.is_zero(c) for c in cube[i][i]):
-                raise AntisymmetryViolation("[b_%d, b_%d] != 0" % (i, i))
-            for j in range(i + 1, n):
-                for k in range(n):
-                    if not field.is_zero(field.add(cube[i][j][k], cube[j][i][k])):
-                        raise AntisymmetryViolation("c[%d][%d] != -c[%d][%d]" % (i, j, j, i))
-        table = {(i, j): dict(enumerate(cube[i][j])) for i in range(n) for j in range(i + 1, n)}
-        return cls(field, labels, table)
 
     def bracket_basis(self, i, j):
         """[b_i, b_j] as a sparse row (shared; do not mutate)."""
@@ -603,14 +586,6 @@ def extremal_closure(L, seeds, expand):
 # -- structural subspaces -----------------------------------------------------
 
 
-def _solvable_candidates(L, kappa_rad, extra=()):
-    out = zero_subspace(L)
-    for c in [center(L)] + derived_series(L, kappa_rad) + list(extra):
-        if c.dim and c.is_ideal() and is_solvable_subspace(c):
-            out = out.sum(c)
-    return out
-
-
 def _no_solvable_ideal_certificate(L, raising=(), kappa_rad=None):
     """True if L provably has no nonzero solvable ideal; a Subspace witness
     if one is found; None when undecided.
@@ -660,17 +635,20 @@ def _no_solvable_ideal_certificate(L, raising=(), kappa_rad=None):
     return True if k_prime.dim == 1 else None
 
 
-def solvable_radical(L, raising=(), extra_candidates=()):
+def solvable_radical(L, raising=()):
     """Largest solvable ideal found, with a maximality certificate when possible.
 
     Returns (Subspace, certified: bool).  ``raising`` is passed, projected to
     each quotient, to ``_no_solvable_ideal_certificate``.
     """
-    return _solvable_radical(L, killing_form(L).radical(), raising, extra_candidates)
+    return _solvable_radical(L, killing_form(L).radical(), raising)
 
 
-def _solvable_radical(L, kappa_rad, raising, extra_candidates):
-    R = _solvable_candidates(L, kappa_rad, extra=extra_candidates)
+def _solvable_radical(L, kappa_rad, raising):
+    """R grows from 0 by the certificate's witness ideals only; each is a
+    solvable ideal of L/R, so R stays solvable and grows strictly until
+    L/R is certified to have no nonzero solvable ideal (R = Rad(L))."""
+    R = zero_subspace(L)
     for _ in range(L.n + 1):
         Q, lift, project = quotient_algebra(L, R)
         if Q.n == 0:
@@ -684,11 +662,9 @@ def _solvable_radical(L, kappa_rad, raising, extra_candidates):
     return R, False
 
 
-def nilradical(L, rad=None, extra_candidates=()):
-    """Largest nilpotent ideal found in the candidate lattice (a certified
-    lower bound for the nilpotent radical)."""
-    if rad is None:
-        rad, _ = solvable_radical(L)
+def nilradical(L, rad, extra_candidates=()):
+    """Largest nilpotent ideal found in the candidate lattice of the solvable
+    ideal ``rad`` (a certified lower bound for the nilpotent radical)."""
     cands = [rad]
     cands.extend(derived_series(L, rad)[1:])
     cands.extend(lower_central_series(L, rad)[1:])
@@ -704,15 +680,15 @@ def nilradical(L, rad=None, extra_candidates=()):
     return out
 
 
-def structural_subspaces(L, raising=(), extra_candidates=()):
-    rad, certified = solvable_radical(L, raising=raising, extra_candidates=extra_candidates)
+def structural_subspaces(L, raising=()):
+    rad, certified = solvable_radical(L, raising=raising)
     return {
         "center": center(L),
         "derived_series": derived_series(L),
         "lower_central_series": lower_central_series(L),
         "solvable_radical": rad,
         "solvable_radical_certified": certified,
-        "nilradical": nilradical(L, rad, extra_candidates=extra_candidates),
+        "nilradical": nilradical(L, rad),
     }
 
 
@@ -814,7 +790,7 @@ def sandwich_span_check(L, witnesses, form, raising=()):
         elems.append(w)
     san = ideal_generated(L, elems)
     rad_k = killing_form(L).radical()
-    rad, certified = _solvable_radical(L, rad_k, raising, ())
+    rad, certified = _solvable_radical(L, rad_k, raising)
     nil = nilradical(L, rad, extra_candidates=[san])
     rad_f = form.radical()
     chain = [

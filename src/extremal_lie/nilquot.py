@@ -358,17 +358,6 @@ class GradedQuotient:
         out = self._engine.bracket_sparse(a, b)
         return {k: c for k, c in out.items() if self._engine.basis[k].degree <= len(self.dims_by_degree)}
 
-    def to_report(self):
-        return {
-            "r": self.r,
-            "dims_by_degree": list(self.dims_by_degree),
-            "total": self.total_dim,
-            "multidegree_dims": [
-                {"degree": list(md), "dim": self.multidegree_dims[md]}
-                for md in sorted(self.multidegree_dims)
-            ],
-        }
-
     def as_lie_algebra(self):
         """The quotient as a validated structure-constant algebra."""
         from .liealg import LieAlgebra
@@ -425,14 +414,6 @@ class AssocDims:
         while t and t[-1] == 0:
             t.pop()
         return t == t[::-1]
-
-    def to_report(self):
-        return {
-            "r": self.r,
-            "dims_by_length": list(self.dims_by_length),
-            "total": self.total_dim,
-            "palindromic_after_identity": self.palindromic_after_identity,
-        }
 
 
 def assoc_dims_via_embedding(r, field=QQ, max_degree=16):

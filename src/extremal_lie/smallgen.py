@@ -142,10 +142,6 @@ class TriangleParams:
             f.to_str(v) for v in (self.edge_xy, self.edge_xz, self.edge_yz, self.central)
         )
 
-    def to_strings(self):
-        f = self.field
-        return [f.to_str(v) for v in (self.edge_xy, self.edge_xz, self.edge_yz, self.central)]
-
     def permute(self, sigma):
         """Parameters of the reordered triple (u_{sigma[0]}, u_{sigma[1]}, u_{sigma[2]})."""
         f = self.field
@@ -219,14 +215,6 @@ class NormalizationTrace:
                 f = p.field
                 p = scale_params(p, f.from_str(al), f.from_str(be), f.from_str(ga))
         return p
-
-    def to_report(self):
-        return {
-            "steps": [list(map(str, s)) for s in self.steps],
-            "final": self.final.to_strings(),
-            "case": self.case,
-            "extension_required": self.extension_required,
-        }
 
 
 _ROLES = "xyz"

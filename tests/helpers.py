@@ -522,3 +522,55 @@ def graded_components(q):
         words = [b.word for b in eng.by_degree[d]] if d <= eng.completed else []
         out.append((words, q.relation_ranks[d - 2] if d >= 2 else 0))
     return out
+
+
+def graded_report(q):
+    """The ``GradedQuotient`` q as a plain dict: r, degree and multidegree
+    dims, total."""
+    return {
+        "r": q.r,
+        "dims_by_degree": list(q.dims_by_degree),
+        "total": q.total_dim,
+        "multidegree_dims": [{"degree": list(md), "dim": q.multidegree_dims[md]} for md in sorted(q.multidegree_dims)],
+    }
+
+
+def lie_algebra_from_dense(field, labels, cube):
+    """A ``LieAlgebra`` from a full cube, cube[i][j] the coefficient vector
+    of [b_i, b_j], after checking antisymmetry."""
+    from extremal_lie.liealg import AntisymmetryViolation
+
+    n = len(labels)
+    for i in range(n):
+        if any(not field.is_zero(c) for c in cube[i][i]):
+            raise AntisymmetryViolation("[b_%d, b_%d] != 0" % (i, i))
+        for j in range(i + 1, n):
+            for k in range(n):
+                if not field.is_zero(field.add(cube[i][j][k], cube[j][i][k])):
+                    raise AntisymmetryViolation("c[%d][%d] != -c[%d][%d]" % (i, j, j, i))
+    table = {(i, j): dict(enumerate(cube[i][j])) for i in range(n) for j in range(i + 1, n)}
+    return LieAlgebra(field, labels, table)
+
+
+def candidate_seeded_radical(L, raising=()):
+    """Reference for ``liealg.solvable_radical``: R starts as the sum of the
+    solvable ideals among center(L) and the derived series of Rad(kappa),
+    then grows by the certificate's witnesses.  Returns (R, certified)."""
+    from extremal_lie import liealg as la
+
+    kappa_rad = la.killing_form(L).radical()
+    R = la.zero_subspace(L)
+    for c in [la.center(L)] + la.derived_series(L, kappa_rad):
+        if c.dim and c.is_ideal() and la.is_solvable_subspace(c):
+            R = R.sum(c)
+    for _ in range(L.n + 1):
+        Q, lift, project = la.quotient_algebra(L, R)
+        if Q.n == 0:
+            return R, True
+        cert = la._no_solvable_ideal_certificate(
+            Q, [project(L.element(e)) for e in raising], kappa_rad if Q is L else None
+        )
+        if cert is True or cert is None:
+            return R, cert is True
+        R = la.ideal_generated(L, [lift(v) for v in cert.basis()] + R.basis())
+    return R, False

@@ -31,7 +31,7 @@ from extremal_lie.chevalley import (
 from extremal_lie.smallgen import TriangleParams, build_M, sl3_example, verify_3gen_structure
 from extremal_lie import rootgroups as rg
 
-from helpers import chevalley, field_of, grow_extremal_spanning, preserves_form, rng, sandwich, witt
+from helpers import chevalley, field_of, grow_extremal_spanning, lie_algebra_from_dense, preserves_form, rng, sandwich, witt
 
 FLEET = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -229,7 +229,7 @@ def test_criterion_10_property_suites_standalone():
     cube = [[[QQ.zero] * 2 for _ in range(2)] for _ in range(2)]
     cube[0][0][1] = QQ.one
     try:
-        LieAlgebra.from_dense(QQ, ["a", "b"], cube)
+        lie_algebra_from_dense(QQ, ["a", "b"], cube)
         ok = False
     except AntisymmetryViolation:
         pass

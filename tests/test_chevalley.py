@@ -1,3 +1,4 @@
+import os
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,9 @@ from extremal_lie.chevalley import (
 )
 from extremal_lie.liealg import extremal_form, is_extremal
 
-from helpers import chevalley, preserves_form, rng
+from helpers import chevalley, field_of, preserves_form, rng
+
+HEAVY = os.environ.get("EXTREMAL_LIE_HEAVY") == "1"
 
 
 def test_dimensions():
@@ -168,6 +171,27 @@ def test_mingen_certify_small():
 def test_mingen_certify_gf5():
     rep = mingen_certify("B", 3, GF(5))
     assert rep["pass"] and rep["t_claimed"] == 4
+
+
+RECIPE_TYPES = (
+    [("A", n) for n in range(1, 8)] + [("B", n) for n in range(2, 8)] + [("C", n) for n in range(2, 8)]
+    + [("D", n) for n in range(4, 8)] + [("E", 6), ("E", 7), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.skipif(not HEAVY, reason="the recipe sweep (about 5 s per characteristic) runs only with EXTREMAL_LIE_HEAVY=1")
+@pytest.mark.parametrize("char", [0, 3, 5, 7])
+def test_mingen_recipe_sweep(char):
+    # each recipe is checked as written: a wrong chain sign fails generation
+    failed = [(t, n) for t, n in RECIPE_TYPES if not mingen_certify(t, n, field_of(char))["pass"]]
+    assert failed == []
+
+
+@pytest.mark.skipif(not HEAVY, reason="E8 runs only with EXTREMAL_LIE_HEAVY=1")
+@pytest.mark.parametrize("char", [0, 3])
+def test_mingen_recipe_e8(char):
+    rep = mingen_certify("E", 8, field_of(char))
+    assert rep["pass"] and rep["generated_dim"] == 248
 
 
 def test_extremal_spanning_set_gf3_g2():

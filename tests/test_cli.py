@@ -12,17 +12,17 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_tables_lr(capsys, tmp_path):
-    code, out, err = run_cli(capsys, "--cache", str(tmp_path), "tables", "lr", "--max-r", "4")
+def test_tables_lr(capsys):
+    code, out, err = run_cli(capsys, "tables", "lr", "--max-r", "4")
     assert code == 0
     for want in ("dim L_1", "dim L_4", "overall: PASS"):
         assert want in out
     assert "runtime_ms" in err and "runtime_ms" not in out
 
 
-def test_tables_rr_json_deterministic(capsys, tmp_path):
-    code1, out1, _ = run_cli(capsys, "--json", "--cache", str(tmp_path), "tables", "rr", "--max-r", "3")
-    code2, out2, _ = run_cli(capsys, "--json", "--cache", str(tmp_path), "tables", "rr", "--max-r", "3")
+def test_tables_rr_json_deterministic(capsys):
+    code1, out1, _ = run_cli(capsys, "--json", "tables", "rr", "--max-r", "3")
+    code2, out2, _ = run_cli(capsys, "--json", "tables", "rr", "--max-r", "3")
     assert code1 == code2 == 0
     assert out1 == out2  # byte identical
     data = json.loads(out1)
@@ -30,36 +30,36 @@ def test_tables_rr_json_deterministic(capsys, tmp_path):
     assert [c["actual"] for c in data["checks"]] == [2, 5, 19]
 
 
-def test_tables_rr_lengths(capsys, tmp_path):
-    code, out, _ = run_cli(capsys, "--json", "--cache", str(tmp_path), "tables", "rr-lengths", "--r", "4")
+def test_tables_rr_lengths(capsys):
+    code, out, _ = run_cli(capsys, "--json", "tables", "rr-lengths", "--r", "4")
     assert code == 0
     data = json.loads(out)
     row = data["checks"][0]
     assert row["actual"] == [1, 4, 12, 24, 36, 40, 36, 24, 12, 4]
 
 
-def test_mingen_g2(capsys, tmp_path):
-    code, out, _ = run_cli(capsys, "--cache", str(tmp_path), "mingen", "--type", "G2", "--char", "0")
+def test_mingen_g2(capsys):
+    code, out, _ = run_cli(capsys, "mingen", "--type", "G2", "--char", "0")
     assert code == 0
     assert "overall: PASS" in out
 
 
-def test_mingen_e8_requires_heavy(capsys, tmp_path):
+def test_mingen_e8_requires_heavy(capsys):
     with pytest.raises(SystemExit) as exc:
-        run_cli(capsys, "--cache", str(tmp_path), "mingen", "--type", "E8")
+        run_cli(capsys, "mingen", "--type", "E8")
     assert exc.value.code == 2
 
 
-def test_mingen_jobs_flag(capsys, tmp_path):
+def test_mingen_jobs_flag(capsys):
     code, out, _ = run_cli(
-        capsys, "--cache", str(tmp_path), "mingen", "--type", "A1,A2", "--jobs", "2"
+        capsys, "mingen", "--type", "A1,A2", "--jobs", "2"
     )
     assert code == 0
     assert "A1/char0" in out and "A2/char0" in out
 
 
-def test_radicals_g2_char3(capsys, tmp_path):
-    code, out, _ = run_cli(capsys, "--json", "--cache", str(tmp_path), "radicals", "--type", "G2", "--char", "3")
+def test_radicals_g2_char3(capsys):
+    code, out, _ = run_cli(capsys, "--json", "radicals", "--type", "G2", "--char", "3")
     assert code == 0
     data = json.loads(out)
     byname = {c["name"]: c for c in data["checks"]}
@@ -68,9 +68,9 @@ def test_radicals_g2_char3(capsys, tmp_path):
     assert data["pass"]
 
 
-def test_threegen(capsys, tmp_path):
+def test_threegen(capsys):
     code, out, _ = run_cli(
-        capsys, "--json", "--cache", str(tmp_path), "threegen", "--edges", "-2,-2,-2", "--central", "0"
+        capsys, "--json", "threegen", "--edges", "-2,-2,-2", "--central", "0"
     )
     assert code == 0
     data = json.loads(out)
@@ -79,14 +79,14 @@ def test_threegen(capsys, tmp_path):
     assert byname["case 3 isomorphic_to_sl3"]["pass"]
 
 
-def test_rootgroups_a2_char5(capsys, tmp_path):
-    code, out, _ = run_cli(capsys, "--cache", str(tmp_path), "rootgroups", "--type", "A2", "--char", "5")
+def test_rootgroups_a2_char5(capsys):
+    code, out, _ = run_cli(capsys, "rootgroups", "--type", "A2", "--char", "5")
     assert code == 0
     assert "overall: PASS" in out
 
 
-def test_extremal_check(capsys, tmp_path):
-    code, out, _ = run_cli(capsys, "--json", "--cache", str(tmp_path), "extremal-check", "--type", "B3")
+def test_extremal_check(capsys):
+    code, out, _ = run_cli(capsys, "--json", "extremal-check", "--type", "B3")
     assert code == 0
     data = json.loads(out)
     byname = {c["name"]: c for c in data["checks"]}
@@ -94,19 +94,22 @@ def test_extremal_check(capsys, tmp_path):
     assert byname["short root elements not extremal"]["actual"] == 6
 
 
-def test_char2_rejected(capsys, tmp_path):
-    code, out, err = run_cli(capsys, "--cache", str(tmp_path), "mingen", "--type", "A2", "--char", "2")
+def test_char2_rejected(capsys):
+    code, out, err = run_cli(capsys, "mingen", "--type", "A2", "--char", "2")
     assert code == 2
 
 
-def test_cache_flag_and_environment_are_accepted_and_write_nothing(capsys, tmp_path, monkeypatch):
+def test_cache_flag_is_rejected_and_environment_writes_nothing(capsys, tmp_path, monkeypatch):
     flag_dir, env_dir = tmp_path / "flag", tmp_path / "env"
     flag_dir.mkdir()
     env_dir.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "--json", "--cache", str(flag_dir), "extremal-check", "--type", "G2")
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
     monkeypatch.setenv("EXTREMAL_LIE_CACHE", str(env_dir))
-    code1, out1, _ = run_cli(capsys, "--json", "--cache", str(flag_dir), "extremal-check", "--type", "G2")
-    code2, out2, _ = run_cli(capsys, "--json", "extremal-check", "--type", "G2")
-    assert code1 == code2 == 0 and out1 == out2
+    code, out, _ = run_cli(capsys, "--json", "extremal-check", "--type", "G2")
+    assert code == 0 and json.loads(out)["pass"] is True
     assert os.listdir(flag_dir) == [] and os.listdir(env_dir) == []
     assert not (tmp_path / ".cache").exists()
 
@@ -134,8 +137,9 @@ def _old_cache_payload(perm):
 
 
 @pytest.mark.parametrize("planted", ["relabelled", "corrupt"])
-def test_planted_cache_file_changes_nothing(capsys, tmp_path, planted):
-    argv = ("--json", "--cache", str(tmp_path), "extremal-check", "--type", "G2")
+def test_planted_cache_file_changes_nothing(capsys, tmp_path, monkeypatch, planted):
+    monkeypatch.setenv("EXTREMAL_LIE_CACHE", str(tmp_path))
+    argv = ("--json", "extremal-check", "--type", "G2")
     want = run_cli(capsys, *argv)
     # swap x[1,0] (short) with x[0,1] (long), and their negatives
     perm = list(range(14))
@@ -173,14 +177,14 @@ def test_report_exit_code_on_failure(capsys):
     assert not rep.ok
 
 
-def test_usage_error_exit_code(capsys, tmp_path):
+def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
-        run_cli(capsys, "--cache", str(tmp_path), "tables", "bogus")
+        run_cli(capsys, "tables", "bogus")
     assert exc.value.code == 2
 
 
-def test_mingen_f4_char5(capsys, tmp_path):
-    code, out, _ = run_cli(capsys, "--json", "--cache", str(tmp_path), "mingen", "--type", "F4", "--char", "5")
+def test_mingen_f4_char5(capsys):
+    code, out, _ = run_cli(capsys, "--json", "mingen", "--type", "F4", "--char", "5")
     assert code == 0
     data = json.loads(out)
     byname = {c["name"]: c for c in data["checks"]}
@@ -197,25 +201,25 @@ def test_mingen_f4_char5(capsys, tmp_path):
     ["tables", "lr", "--max-r", "0"],
     ["mingen", "--type", "A2", "--rank", "3"],
 ])
-def test_malformed_input_exits_2_with_one_line(capsys, tmp_path, argv):
-    code, out, err = run_cli(capsys, "--cache", str(tmp_path), *argv)
+def test_malformed_input_exits_2_with_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
-def test_radicals_reports_failed_form_check(capsys, tmp_path, monkeypatch):
+def test_radicals_reports_failed_form_check(capsys, monkeypatch):
     from extremal_lie.liealg import BilinearForm
 
     monkeypatch.setattr(BilinearForm, "is_associative", lambda self: False)
-    code, out, _ = run_cli(capsys, "--json", "--cache", str(tmp_path), "radicals", "--type", "A2")
+    code, out, _ = run_cli(capsys, "--json", "radicals", "--type", "A2")
     assert code == 1
     byname = {c["name"]: c for c in json.loads(out)["checks"]}
     assert byname["extremal form symmetric"]["pass"]
     assert not byname["extremal form associative"]["pass"]
 
 
-def test_radicals_over_q_expects_zero_radicals(capsys, tmp_path, monkeypatch):
+def test_radicals_over_q_expects_zero_radicals(capsys, monkeypatch):
     real = cli.sandwich_span_check
 
     def with_radical(*args, **kwargs):
@@ -224,14 +228,14 @@ def test_radicals_over_q_expects_zero_radicals(capsys, tmp_path, monkeypatch):
         return out
 
     monkeypatch.setattr(cli, "sandwich_span_check", with_radical)
-    code, out, _ = run_cli(capsys, "--json", "--cache", str(tmp_path), "radicals", "--type", "A2")
+    code, out, _ = run_cli(capsys, "--json", "radicals", "--type", "A2")
     assert code == 1
     byname = {c["name"]: c for c in json.loads(out)["checks"]}
     assert byname["Rad(L) dim"] == {"name": "Rad(L) dim", "expected": 0, "actual": 1, "pass": False}
 
 
-def test_rootgroups_e6_probe_finds_no_witness(capsys, tmp_path):
-    code, out, _ = run_cli(capsys, "--json", "--cache", str(tmp_path), "rootgroups", "--type", "E6", "--char", "0")
+def test_rootgroups_e6_probe_finds_no_witness(capsys):
+    code, out, _ = run_cli(capsys, "--json", "rootgroups", "--type", "E6", "--char", "0")
     assert code == 0
     byname = {c["name"]: c for c in json.loads(out)["checks"]}
     assert byname["no forbidden chain found (probe)"]["pass"]
@@ -262,17 +266,17 @@ def shared_algebras(monkeypatch):
     so that they are shared with the other tests of the run."""
     from helpers import chevalley
 
-    monkeypatch.setattr(cli, "chevalley_algebra", lambda t, r, field, cache_dir=None: chevalley(t, r, field.characteristic))
+    monkeypatch.setattr(cli, "chevalley_algebra", lambda t, r, field: chevalley(t, r, field.characteristic))
 
 
-def _radicals_checks(capsys, tmp_path, type_, p):
-    code, out, _ = run_cli(capsys, "--json", "--cache", str(tmp_path), "radicals", "--type", type_, "--char", str(p))
+def _radicals_checks(capsys, type_, p):
+    code, out, _ = run_cli(capsys, "--json", "radicals", "--type", type_, "--char", str(p))
     return code, {c["name"]: c for c in json.loads(out)["checks"]}
 
 
 @pytest.mark.parametrize("type_, p, rad_l, rad_f", SMALL_CHAR_RADICALS)
-def test_radicals_certified_in_small_characteristic(capsys, tmp_path, shared_algebras, type_, p, rad_l, rad_f):
-    code, byname = _radicals_checks(capsys, tmp_path, type_, p)
+def test_radicals_certified_in_small_characteristic(capsys, shared_algebras, type_, p, rad_l, rad_f):
+    code, byname = _radicals_checks(capsys, type_, p)
     assert code == 0
     assert byname["solvable radical certified"]["pass"]
     assert byname["Rad(L) dim"] == {"name": "Rad(L) dim", "expected": rad_l, "actual": rad_l, "pass": True}
@@ -282,14 +286,14 @@ def test_radicals_certified_in_small_characteristic(capsys, tmp_path, shared_alg
 @pytest.mark.skipif(not HEAVY, reason="the full sweep runs only with EXTREMAL_LIE_HEAVY=1")
 @pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("type_", SWEEP_TYPES)
-def test_radicals_sweep_small_characteristic(capsys, tmp_path, type_, p):
-    code, byname = _radicals_checks(capsys, tmp_path, type_, p)
+def test_radicals_sweep_small_characteristic(capsys, type_, p):
+    code, byname = _radicals_checks(capsys, type_, p)
     assert code == 0
     assert byname["solvable radical certified"]["pass"]
 
 
 @pytest.mark.parametrize("type_, p, calls", [("B3", 53, 1), ("A2", 3, 2)])
-def test_radicals_computes_each_killing_form_once(capsys, tmp_path, monkeypatch, type_, p, calls):
+def test_radicals_computes_each_killing_form_once(capsys, monkeypatch, type_, p, calls):
     # one Killing form for L, and one for L/Z(L) when the center is nonzero
     from extremal_lie import liealg
 
@@ -300,13 +304,13 @@ def test_radicals_computes_each_killing_form_once(capsys, tmp_path, monkeypatch,
         return real(L)
 
     monkeypatch.setattr(liealg, "killing_form", counting)
-    code, _ = _radicals_checks(capsys, tmp_path, type_, p)
+    code, _ = _radicals_checks(capsys, type_, p)
     assert code == 0
     assert len(seen) == len({id(L) for L in seen}) == calls
 
 
 @pytest.mark.parametrize("type_, p, most", [("E7", 53, 133), ("E6", 0, 78)])
-def test_radicals_proves_each_spanning_element_extremal_once(capsys, tmp_path, monkeypatch, type_, p, most):
+def test_radicals_proves_each_spanning_element_extremal_once(capsys, monkeypatch, type_, p, most):
     """The extremal closure proves each spanning element extremal, and the
     extremal form takes those functionals instead of proving them again."""
     from extremal_lie import chevalley as chevalley_module, liealg
@@ -321,33 +325,33 @@ def test_radicals_proves_each_spanning_element_extremal_once(capsys, tmp_path, m
         for name, value in list(vars(mod).items()):
             if value is real:
                 monkeypatch.setattr(mod, name, counting)
-    code, _ = _radicals_checks(capsys, tmp_path, type_, p)
+    code, _ = _radicals_checks(capsys, type_, p)
     assert code == 0
     assert 0 < len(calls) <= most
 
 
-def test_unknown_values_are_reported_not_checked(capsys, tmp_path):
-    code, out, _ = run_cli(capsys, "--json", "--cache", str(tmp_path), "threegen", "--edges", "1/2,-3,5/4", "--central", "2")
+def test_unknown_values_are_reported_not_checked(capsys):
+    code, out, _ = run_cli(capsys, "--json", "threegen", "--edges", "1/2,-3,5/4", "--central", "2")
     assert code == 0
     data = json.loads(out)
     assert [c["name"] for c in data["checks"]] == ["normalization replay consistent"]
     assert data["reported"] == [{"name": "extension required (square root missing)", "value": True}]
-    code, out, _ = run_cli(capsys, "--cache", str(tmp_path), "threegen", "--edges", "1/2,-3,5/4", "--central", "2")
+    code, out, _ = run_cli(capsys, "threegen", "--edges", "1/2,-3,5/4", "--central", "2")
     assert "INFO   extension required (square root missing): True" in out
-    code, out, _ = run_cli(capsys, "--json", "--cache", str(tmp_path), "threegen", "--edges", "-2,-2,-2")
+    code, out, _ = run_cli(capsys, "--json", "threegen", "--edges", "-2,-2,-2")
     assert "reported" not in json.loads(out)
 
 
-def test_tables_beyond_known_values_are_reported(capsys, tmp_path, monkeypatch):
+def test_tables_beyond_known_values_are_reported(capsys, monkeypatch):
     from extremal_lie import nilquot
 
     monkeypatch.setattr(nilquot, "L_DIMS", {r: d for r, d in nilquot.L_DIMS.items() if r < 3})
     monkeypatch.setattr(nilquot, "R_LENGTHS", {})
-    code, out, _ = run_cli(capsys, "--json", "--cache", str(tmp_path), "tables", "lr", "--max-r", "3")
+    code, out, _ = run_cli(capsys, "--json", "tables", "lr", "--max-r", "3")
     assert code == 0
     data = json.loads(out)
     assert [c["name"] for c in data["checks"]] == ["dim L_1", "dim L_2"]
     assert data["reported"] == [{"name": "dim L_3", "value": 8}]
-    code, out, _ = run_cli(capsys, "--json", "--cache", str(tmp_path), "tables", "rr-lengths", "--r", "2")
+    code, out, _ = run_cli(capsys, "--json", "tables", "rr-lengths", "--r", "2")
     data = json.loads(out)
     assert [c["name"] for c in data["reported"]] == ["R_2 lengths"]

@@ -5,7 +5,7 @@ import pytest
 from extremal_lie import nilquot
 from extremal_lie.scalars import QQ, GF
 
-from helpers import DenseEchelon, graded_components, sandwich, witt, witt_multidegree
+from helpers import DenseEchelon, graded_components, graded_report, sandwich, witt, witt_multidegree
 
 
 def test_free_mode_matches_witt():
@@ -43,7 +43,7 @@ def test_sandwich_terminates_with_zero_component():
 
 
 def test_graded_report_schema():
-    rep = sandwich(3).to_report()
+    rep = graded_report(sandwich(3))
     assert rep["r"] == 3
     assert rep["total"] == 8
     assert rep["dims_by_degree"] == [3, 3, 2]

@@ -183,7 +183,7 @@ def test_chain_probe_first_witness_matches_reference_loop(monkeypatch):
         assert got == _reference_probe(L, pool)
 
 
-def test_rootgroups_proves_each_element_extremal_once(monkeypatch, tmp_path):
+def test_rootgroups_proves_each_element_extremal_once(monkeypatch):
     """Each element is proved extremal once: the map exp_map builds carries
     f_x, so classifying a pair and checking strongcomm reuse that proof."""
     real = liealg.is_extremal
@@ -197,7 +197,7 @@ def test_rootgroups_proves_each_element_extremal_once(monkeypatch, tmp_path):
         for name, value in list(vars(mod).items()):
             if value is real:
                 monkeypatch.setattr(mod, name, counting)
-    argv = ["--json", "--cache", str(tmp_path), "rootgroups", "--type", "B3", "--char", "0", "--seed", "5"]
+    argv = ["--json", "rootgroups", "--type", "B3", "--char", "0", "--seed", "5"]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(argv) == 0
     assert 0 < len(calls) <= 132
