@@ -24,7 +24,7 @@ for r in range(1, 6):
     print("%3d %8d %8d  %s   (%.1fs)" % (r, q.total_dim, q.nilpotency_class, q.dims_by_degree, time.time() - t0))
 
 print()
-print("associative companions R_r (read off the multidegrees of L_{r+1})")
+print("associative companions R_r (read off the blocks of L_{r+1} where x_{r+1} appears at most once)")
 for r in range(1, 5):
     a = nilquot.assoc_dims_via_embedding(r)
     print("%3d %8d  lengths %s  palindromic after the identity: %s" % (

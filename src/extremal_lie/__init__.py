@@ -94,7 +94,6 @@ from .smallgen import (
     verify_3gen_structure,
 )
 from .rootgroups import (
-    RootGroupElement,
     chain_nonexistence_probe,
     projective_line_check,
     strongcomm_check,

@@ -22,10 +22,6 @@ from .linalg import (
 )
 
 
-class AntisymmetryViolation(ValueError):
-    pass
-
-
 class JacobiViolation(ValueError):
     pass
 

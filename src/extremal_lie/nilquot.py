@@ -9,6 +9,25 @@ definitions, and the Jacobi instances involving a generator).  All relations
 are homogeneous in the multidegree, so elimination happens in small
 per-multidegree blocks; this is what makes r = 5 fast.
 
+R_r is read off L_{r+1}: its length-k component is the sum of the multidegree
+blocks of L_{r+1} whose last coordinate is 1 and whose total degree is k+1.
+The engine builds only those blocks and the ones they are made from, by
+capping each coordinate of the multidegree (here (inf, ..., inf, 1)), as in
+the graded nilpotent-quotient algorithm of Havas, Newman and Vaughan-Lee
+("A nilpotent quotient algorithm for graded Lie rings", J. Symbolic Comput.
+9, 1990).  The capped result is exact on every block inside the box:
+
+* every relation row is homogeneous, so a block is eliminated against its
+  own rows only; and a row of block m expands through brackets and
+  definitions of multidegree at most m, which lie in the box because a box
+  is downward-closed.  A block in the box thus receives the same symbols,
+  in the same order, and the same rows as in the full construction.
+* a degree-(d+1) symbol [w, x_i] lies in a box block only if the block of w
+  does, so once a degree has no basis element inside the box, no later
+  degree has one: the capped run stops at its first empty degree.  The
+  full L_{r+1} is nilpotent (Zelmanov and Kostrikin, "A theorem on sandwich
+  algebras", 1990), so the capped run stops no later than it does.
+
 Basis elements are labeled by words: the word (a_1, ..., a_s) stands for the
 left-nested bracketing [[...[x_{a_1}, x_{a_2}], x_{a_3}], ..., x_{a_s}].
 """
@@ -16,6 +35,7 @@ left-nested bracketing [[...[x_{a_1}, x_{a_2}], x_{a_3}], ..., x_{a_s}].
 from __future__ import annotations
 
 import itertools
+import math
 
 from .scalars import QQ
 from .linalg import Echelon, axpy, canonical
@@ -24,12 +44,13 @@ from . import freelie
 # The universal dimensions the paper states: dim L_r, dim R_r, and the
 # dimension of each length component of R_r (the identity first).
 L_DIMS = {1: 1, 2: 3, 3: 8, 4: 28, 5: 537}
-R_DIMS = {1: 2, 2: 5, 3: 19, 4: 193}
 R_LENGTHS = {
+    1: [1, 1],
     2: [1, 2, 2],
     3: [1, 3, 6, 6, 3],
     4: [1, 4, 12, 24, 36, 40, 36, 24, 12, 4],
 }
+R_DIMS = {r: sum(p) for r, p in R_LENGTHS.items()}
 
 
 class DegreeCapExceeded(RuntimeError):
@@ -60,13 +81,18 @@ def _word_bracket_str(word, prefix="x"):
 
 
 class _CoverEngine:
-    """Degree-by-degree construction of F/J on r generators."""
+    """Degree-by-degree construction of F/J on r generators.
 
-    def __init__(self, r, field=QQ, sandwich=True, extra_consistency=False):
+    ``cap`` bounds each coordinate of the multidegree (entries at least 1);
+    blocks outside the box are neither built nor reduced, and a bracket that
+    lands outside it comes out as 0.  ``None`` builds every block."""
+
+    def __init__(self, r, field=QQ, sandwich=True, extra_consistency=False, cap=None):
         self.r = r
         self.field = field
         self.sandwich = sandwich
         self.extra_consistency = extra_consistency
+        self.cap = cap
         self.basis = []  # all BasisElements, by global index
         self.by_degree = [[]]  # by_degree[d] = list of BasisElements
         self.by_mdeg = {}  # (degree, mdeg) -> list of BasisElements
@@ -149,10 +175,13 @@ class _CoverEngine:
                 got = succ_memo[md] = tuple(_mdeg_add(md, i) for i in range(1, self.r + 1))
             return got
 
+        cap = self.cap
         blocks = {}  # mdeg -> list of symbol keys (w_index, i)
         sym_pos = {}
         for w in prev:
             for i, md in enumerate(succ(w.mdeg), 1):
+                if cap is not None and md[i - 1] > cap[i - 1]:
+                    continue
                 lst = blocks.setdefault(md, [])
                 sym_pos[(w.index, i)] = len(lst)
                 lst.append((w.index, i))
@@ -174,7 +203,7 @@ class _CoverEngine:
             return out
 
         def add_row(md, row):
-            if rank_full[md]:
+            if rank_full.get(md, True):
                 return 0
             row = canonical(f, {sym_pos[key]: c for key, c in row.items()})
             if not row:
@@ -380,15 +409,20 @@ class GradedQuotient:
         return LieAlgebra(self.field, labels, table)
 
 
+def _extend_until_empty(eng, max_degree):
+    """Extend ``eng`` until a degree comes out empty; returns ``eng``."""
+    for _ in range(max_degree):
+        if eng.extend() == 0:
+            return eng
+    raise DegreeCapExceeded("no zero component reached below degree %d" % max_degree)
+
+
 def sandwich_algebra(r, field=QQ, max_degree=16):
     """The universal Lie algebra on r sandwich generators, L_r = F/J."""
     if r < 1:
         raise ValueError("need r >= 1")
-    eng = _CoverEngine(r, field=field, sandwich=True)
-    for _ in range(max_degree):
-        if eng.extend() == 0:
-            return GradedQuotient(eng, terminated=True)
-    raise DegreeCapExceeded("no zero component reached below degree %d" % max_degree)
+    eng = _extend_until_empty(_CoverEngine(r, field=field, sandwich=True), max_degree)
+    return GradedQuotient(eng, terminated=True)
 
 
 def free_nilpotent_quotient(r, up_to_degree, field=QQ, extra_consistency=False):
@@ -416,16 +450,22 @@ class AssocDims:
         return t == t[::-1]
 
 
+def _companion_engine(r, field, max_degree):
+    """L_{r+1} built only on the multidegrees whose last coordinate is at
+    most 1 (see the module docstring), run to its first empty degree."""
+    cap = (math.inf,) * r + (1,)
+    return _extend_until_empty(_CoverEngine(r + 1, field=field, sandwich=True, cap=cap), max_degree)
+
+
 def assoc_dims_via_embedding(r, field=QQ, max_degree=16):
     """dim profile of R_r from the multidegrees of L_{r+1} where the last
     generator appears exactly once (length = total degree of the others)."""
-    big = sandwich_algebra(r + 1, field=field, max_degree=max_degree)
+    eng = _companion_engine(r, field, max_degree)
     by_len = {}
-    for md, dim in big.multidegree_dims.items():
+    for (d, md), elts in eng.by_mdeg.items():
         if md[r] == 1:
-            by_len[sum(md[:r])] = by_len.get(sum(md[:r]), 0) + dim
-    top = max(by_len) if by_len else 0
-    return AssocDims(r, [by_len.get(k, 0) for k in range(top + 1)])
+            by_len[d - 1] = by_len.get(d - 1, 0) + len(elts)
+    return AssocDims(r, [by_len.get(k, 0) for k in range(max(by_len) + 1)])
 
 
 def check_subalgebra_embedding(r, field=QQ):

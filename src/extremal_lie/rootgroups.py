@@ -19,16 +19,6 @@ Q_SAMPLES = (1, -1, 2, -2, Fraction(1, 2), 3)
 EXHAUSTIVE_CHAR_BOUND = 11
 
 
-class RootGroupElement:
-    """exp(base, parameter) with its matrix; the group U_y depends only on ky."""
-
-    def __init__(self, lie, base, parameter):
-        self.lie = lie
-        self.base = base
-        self.parameter = parameter
-        self.matrix = exp_automorphism(lie, base, parameter, check=False)
-
-
 def parameter_samples(field, seed_extra=()):
     """All field elements for small GF(p); a fixed sample set over Q."""
     if field.characteristic and field.characteristic <= EXHAUSTIVE_CHAR_BOUND:

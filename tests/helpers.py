@@ -22,7 +22,7 @@ from math import factorial, gcd
 from hypothesis import strategies as st
 
 from extremal_lie.scalars import QQ, GF
-from extremal_lie.chevalley import ChevalleyAlgebra
+from extremal_lie.chevalley import ChevalleyAlgebra, exp_automorphism
 from extremal_lie.liealg import LieAlgebra
 from extremal_lie import nilquot
 
@@ -513,6 +513,16 @@ def line_is_fully_extremal(L, x, y, sample_params=None):
     return {"fully_extremal": witness is None, "witness": witness}
 
 
+class RootGroupElement:
+    """exp(base, parameter) with its matrix; the group U_y depends only on ky."""
+
+    def __init__(self, lie, base, parameter):
+        self.lie = lie
+        self.base = base
+        self.parameter = parameter
+        self.matrix = exp_automorphism(lie, base, parameter, check=False)
+
+
 def graded_components(q):
     """Per degree of the ``GradedQuotient`` q: (chosen basis monomial words,
     relation matrix rank)."""
@@ -535,11 +545,13 @@ def graded_report(q):
     }
 
 
+class AntisymmetryViolation(ValueError):
+    """A dense structure-constant cube that is not antisymmetric."""
+
+
 def lie_algebra_from_dense(field, labels, cube):
     """A ``LieAlgebra`` from a full cube, cube[i][j] the coefficient vector
     of [b_i, b_j], after checking antisymmetry."""
-    from extremal_lie.liealg import AntisymmetryViolation
-
     n = len(labels)
     for i in range(n):
         if any(not field.is_zero(c) for c in cube[i][i]):

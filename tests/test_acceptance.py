@@ -31,7 +31,17 @@ from extremal_lie.chevalley import (
 from extremal_lie.smallgen import TriangleParams, build_M, sl3_example, verify_3gen_structure
 from extremal_lie import rootgroups as rg
 
-from helpers import chevalley, field_of, grow_extremal_spanning, lie_algebra_from_dense, preserves_form, rng, sandwich, witt
+from helpers import (
+    AntisymmetryViolation,
+    chevalley,
+    field_of,
+    grow_extremal_spanning,
+    lie_algebra_from_dense,
+    preserves_form,
+    rng,
+    sandwich,
+    witt,
+)
 
 FLEET = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -219,7 +229,7 @@ def test_criterion_10_property_suites_standalone():
     # runnable with no other criteria: rebuild everything from scratch here
     ok = True
     # Jacobi/antisymmetry validators fire on bad tables
-    from extremal_lie.liealg import AntisymmetryViolation, JacobiViolation, LieAlgebra
+    from extremal_lie.liealg import JacobiViolation, LieAlgebra
 
     try:
         LieAlgebra(QQ, ["a", "b", "c"], {(0, 1): {2: QQ.one}, (0, 2): {0: QQ.one}})

@@ -32,6 +32,7 @@ COMMANDS = [
     ["radicals", "--type", "A2", "--char", "3"],
     ["radicals", "--type", "B3", "--char", "7"],
     ["radicals", "--type", "D4"],
+    ["tables", "rr", "--max-r", "4"],
 ]
 
 

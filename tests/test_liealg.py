@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from extremal_lie.scalars import QQ, GF, Scalar
 from extremal_lie.liealg import (
-    AntisymmetryViolation,
     Subspace,
     JacobiViolation,
     LieAlgebra,
@@ -45,6 +44,7 @@ from extremal_lie.chevalley import extremal_spanning_set
 from extremal_lie.liealg import _no_solvable_ideal_certificate
 
 from helpers import (
+    AntisymmetryViolation,
     candidate_seeded_radical,
     chevalley,
     dense_jacobi,

@@ -174,3 +174,32 @@ def test_engine_state_matches_dense_reference_echelon(field):
         with mock.patch.object(nilquot, "Echelon", DenseEchelon):
             slow = state(r)
         assert fast == slow, r
+
+
+def _block_state(eng, keep=lambda md: True):
+    """The engine's basis words per (degree, multidegree) block, and the
+    rewrite of each symbol [w, x_i] as {word: coefficient}, on the blocks
+    ``keep`` accepts."""
+    words = {key: [b.word for b in elts] for key, elts in eng.by_mdeg.items() if keep(key[1])}
+    rewrites = {}
+    for (w, i), vec in eng.gen_bracket.items():
+        parent = eng.basis[w]
+        if keep(nilquot._mdeg_add(parent.mdeg, i)):
+            rewrites[parent.word + (i,)] = {eng.basis[k].word: c for k, c in vec.items()}
+    return words, rewrites
+
+
+@pytest.mark.parametrize(
+    "r, field",
+    [(r, f) for r in (1, 2, 3) for f in (QQ, GF(3), GF(101))] + [(4, QQ), (4, GF(101))],
+    ids=repr,
+)
+def test_capped_engine_matches_full_engine_on_its_blocks(r, field):
+    """The engine R_r is read from builds the blocks of L_{r+1} whose last
+    coordinate is at most 1, with the same words and rewrites as the full
+    L_{r+1}, and nothing else."""
+    capped = nilquot._companion_engine(r, field, 16)
+    full = nilquot._CoverEngine(r + 1, field=field)
+    while full.extend():
+        pass
+    assert _block_state(capped) == _block_state(full, keep=lambda md: md[r] <= 1)

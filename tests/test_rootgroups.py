@@ -8,7 +8,6 @@ from extremal_lie.scalars import QQ, GF, Scalar
 from extremal_lie import chevalley as chevalley_module, cli, liealg, rootgroups
 from extremal_lie.liealg import PreconditionNotMet, is_extremal, sl2
 from extremal_lie.rootgroups import (
-    RootGroupElement,
     chain_nonexistence_probe,
     parameter_samples,
     projective_line_check,
@@ -16,7 +15,7 @@ from extremal_lie.rootgroups import (
     verify_abstract_root_properties,
 )
 
-from helpers import chevalley, line_is_fully_extremal
+from helpers import RootGroupElement, chevalley, line_is_fully_extremal
 
 
 def test_root_group_depends_only_on_the_line():

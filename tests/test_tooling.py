@@ -12,7 +12,7 @@ import extremal_lie
 PACKAGE_DIR = os.path.dirname(os.path.abspath(extremal_lie.__file__))
 REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# demos/tables.py builds L_5 twice (about 5 s on a 2-core host)
+# demos/tables.py builds L_5 once (about 3 s on a 2-core host)
 DEMOS = ("radical_chain.py", "root_groups.py", "three_generators.py", "minimal_generators.py", "tables.py")
 # a line a demo must print: sl3 over GF(3), where the Killing form vanishes
 DEMO_LINES = {"radical_chain.py": "Rad(L) dim: 1 (the center; certified maximal: True)"}
@@ -125,19 +125,21 @@ UNCALLED_ALLOWED = {
 
 
 def _definitions(tree):
-    """Module-level functions, and the non-dunder methods of module-level
-    classes as ``Class.method``, with the name a use would write."""
+    """Module-level functions and classes, and the non-dunder methods of
+    module-level classes as ``Class.method``, with the name a use would
+    write."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             yield node.name, node.name
         elif isinstance(node, ast.ClassDef):
+            yield node.name, node.name
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not (item.name.startswith("__") and item.name.endswith("__")):
                     yield "%s.%s" % (node.name, item.name), item.name
 
 
 def _uncalled_functions(package_dir, other_dirs):
-    """Module-level functions and methods (see ``_definitions``) of
+    """Module-level functions, classes and methods (see ``_definitions``) of
     ``package_dir``/*.py that no module of the package or of ``other_dirs``
     names, by a name, an attribute or an import, outside its own definition.
     Re-exports in ``__init__.py`` are not uses."""
@@ -163,8 +165,8 @@ def _uncalled_functions(package_dir, other_dirs):
 
 
 def test_every_package_function_has_a_caller():
-    """ROADMAP aim 2: no functions that nothing calls.  Code only the tests
-    call lives in tests/helpers."""
+    """ROADMAP aim 2: no functions or classes that nothing uses.  Code only
+    the tests use lives in tests/helpers."""
     uncalled = _uncalled_functions(PACKAGE_DIR, [os.path.join(REPO_DIR, "demos")])
     assert sorted(u for u in uncalled if u.split(":")[1] not in UNCALLED_ALLOWED) == []
     assert {u.split(":")[1] for u in uncalled} == UNCALLED_ALLOWED  # no stale entry
@@ -181,8 +183,9 @@ def test_uncalled_function_guard_finds_each_case(tmp_path):
         "class K:\n    def __init__(self):\n        self.by_self()\n\n"
         "    def by_self(self):\n        return called()\n\n"
         "    @property\n    def prop(self):\n        pass\n\n"
-        "    def unused(self):\n        return self.prop\n"
+        "    def unused(self):\n        return self.prop\n\n\n"
+        "class Planted(ValueError):\n    pass\n"
     )
-    (pkg / "b.py").write_text("from . import a\n\nx = a.by_attribute\n")
+    (pkg / "b.py").write_text("from . import a\n\nx = a.by_attribute\ny = a.K()\n")
     (demos / "d.py").write_text("from pkg.a import by_demo\n")
-    assert _uncalled_functions(str(pkg), [str(demos)]) == ["a.py:exported", "a.py:K.unused"]
+    assert _uncalled_functions(str(pkg), [str(demos)]) == ["a.py:exported", "a.py:K.unused", "a.py:Planted"]
