@@ -9,6 +9,32 @@ definitions, and the Jacobi instances involving a generator).  All relations
 are homogeneous in the multidegree, so elimination happens in small
 per-multidegree blocks; this is what makes r = 5 fast.
 
+The rows are generated block by block.  A block md draws its sandwich rows
+from the block md - 2e_i, its Jacobi rows from the pairs of lower blocks whose
+multidegrees sum to md - e_i (balanced degree splits first), and its
+antisymmetry rows from the pairs that sum to md.  Most blocks do not need all
+of their rows.  Call two blocks of a degree one orbit when a permutation of
+the coordinates that carry equal caps maps one onto the other (the key is
+sorted(zip(cap, md))); the first of them in sorted order is the orbit's
+representative.  The representative takes its rows until they run out or its
+echelon is full.  Every other block stops as soon as its rank equals the
+representative's.  This is exact:
+
+* permuting the generators is an automorphism of F/J that maps the box onto
+  itself, so the dimension of a block of L and its number of symbols (the
+  dimensions of the blocks below it) are the same for every block of an
+  orbit, and so is the rank of its relations, their difference;
+* a set of relations whose rank is that of the whole relation space spans
+  it;
+* the ``Echelon`` keeps rows in reduced echelon form with leftmost pivots,
+  which is unique for a subspace, so the basis words, the rewrites and the
+  relation ranks are those of inserting every row.
+
+A block whose rows run out below the representative's rank, or whose width
+differs from it, raises ``OrbitRankMismatch``.  The verification mode
+(``extra_consistency``) makes every block its own representative and adds
+the Jacobi rows on triples of degree at least 2 each.
+
 R_r is read off L_{r+1}: its length-k component is the sum of the multidegree
 blocks of L_{r+1} whose last coordinate is 1 and whose total degree is k+1.
 The engine builds only those blocks and the ones they are made from, by
@@ -55,6 +81,11 @@ R_DIMS = {r: sum(p) for r, p in R_LENGTHS.items()}
 
 class DegreeCapExceeded(RuntimeError):
     """The graded construction failed to terminate below the safety cap."""
+
+
+class OrbitRankMismatch(RuntimeError):
+    """A block's relations did not reach the rank of its orbit's first block,
+    or the two blocks have different widths (see the module docstring)."""
 
 
 class BasisElement:
@@ -160,34 +191,29 @@ class _CoverEngine:
     # -- degree step -----------------------------------------------------------
 
     def extend(self):
-        """Construct the next degree; returns the new component dimension."""
+        """Construct the next degree; returns the new component dimension.
+
+        The blocks of the degree are reduced in sorted order.  The first
+        block of each orbit (see the module docstring) takes its rows until
+        they run out or its echelon is full; every other block stops as soon
+        as it reaches the rank of its orbit's first block."""
         d = self.completed + 1
         f = self.field
-        prev = self.by_degree[d - 1]
-        gens = self.by_degree[1]
-
-        succ_memo = {}
-
-        def succ(md):
-            """(md + e_1, ..., md + e_r), built once per multidegree."""
-            got = succ_memo.get(md)
-            if got is None:
-                got = succ_memo[md] = tuple(_mdeg_add(md, i) for i in range(1, self.r + 1))
-            return got
-
-        cap = self.cap
+        cap = self.cap or (math.inf,) * self.r
         blocks = {}  # mdeg -> list of symbol keys (w_index, i)
         sym_pos = {}
-        for w in prev:
-            for i, md in enumerate(succ(w.mdeg), 1):
-                if cap is not None and md[i - 1] > cap[i - 1]:
+        for w in self.by_degree[d - 1]:
+            for i in range(1, self.r + 1):
+                md = _mdeg_add(w.mdeg, i)
+                if md[i - 1] > cap[i - 1]:
                     continue
                 lst = blocks.setdefault(md, [])
                 sym_pos[(w.index, i)] = len(lst)
                 lst.append((w.index, i))
 
-        ech = {md: Echelon(f, len(keys)) for md, keys in blocks.items()}
-        rank_full = {md: False for md in blocks}
+        lower = {}  # degree -> {mdeg: basis elements}, the nonempty blocks below d
+        for (deg, md), elts in self.by_mdeg.items():
+            lower.setdefault(deg, {})[md] = elts
         esym_memo = {}
 
         def esym(a, b):
@@ -196,88 +222,32 @@ class _CoverEngine:
                 return {}
             key = (a.index, b.index)
             got = esym_memo.get(key)
-            if got is not None:
-                return got
-            out = self._esym_raw(a, b, esym)
-            esym_memo[key] = out
-            return out
+            if got is None:
+                got = esym_memo[key] = self._esym_raw(a, b, esym)
+            return got
 
-        def add_row(md, row):
-            if rank_full.get(md, True):
-                return 0
-            row = canonical(f, {sym_pos[key]: c for key, c in row.items()})
-            if not row:
-                return 0
-            e = ech[md]
-            piv = e.insert(row)
-            if e.dim == e.width:
-                rank_full[md] = True
-            return 0 if piv is None else 1
-
-        if d == 2:
-            for i in range(1, self.r + 1):
-                xi = gens[i - 1]
-                add_row(succ(xi.mdeg)[i - 1], {(xi.index, i): f.one})
-                for k in range(1, i):
-                    xk = gens[k - 1]
-                    md = succ(xk.mdeg)[i - 1]
-                    add_row(md, {(xk.index, i): f.one, (xi.index, k): f.one})
-        else:
-            # defining relations [f_i,[f_i,u]] = 0, u over the degree-(d-2) basis
-            if self.sandwich:
-                for b in self.by_degree[d - 2]:
-                    for i in range(1, self.r + 1):
-                        md = succ(succ(b.mdeg)[i - 1])[i - 1]
-                        if rank_full.get(md, True):
-                            continue
-                        add_row(md, {(w, i): c for w, c in self.gen_bracket.get((b.index, i), {}).items()})
-            # Jacobi instances [[u,v],x_i] = [[u,x_i],v] + [u,[v,x_i]]
-            for au in range(1, d - 1):
-                av = d - 1 - au
-                if av > au or av < 1:
-                    continue
-                for u in self.by_degree[au]:
-                    vs = self.by_degree[av]
-                    for v in vs:
-                        if au == av and v.index >= u.index:
-                            continue
-                        for i, md in enumerate(succ(_mdeg_sum(u.mdeg, v.mdeg)), 1):
-                            if rank_full.get(md, True):
-                                continue
-                            row = {(w, i): c for w, c in self.bracket_basis(u, v).items()}
-                            for w, c in self.gen_bracket.get((u.index, i), {}).items():
-                                axpy(row, -c, esym(self.basis[w], v))
-                            for w, c in self.gen_bracket.get((v.index, i), {}).items():
-                                axpy(row, -c, esym(u, self.basis[w]))
-                            add_row(md, row)
-            # antisymmetry of every pair, expanded through definitions
-            for au in range(1, d):
-                av = d - au
-                if av > au or av < 1:
-                    continue
-                for u in self.by_degree[au]:
-                    for v in self.by_degree[av]:
-                        if au == av and v.index > u.index:
-                            continue
-                        md = _mdeg_sum(u.mdeg, v.mdeg)
-                        if rank_full.get(md, True):
-                            continue
-                        if u.index == v.index:
-                            row = self._esym_raw(u, u, esym)
-                        else:
-                            row = dict(esym(u, v))
-                            axpy(row, 1, esym(v, u))
-                        add_row(md, row)
-            if self.extra_consistency:
-                self._heavy_jacobi_rows(d, esym, rank_full, add_row)
-
-        # harvest: non-pivot symbols become the new basis
+        reps = {}  # orbit key -> (mdeg, Echelon) of its first block
         new_elts = []
         rewrites = {}
         total_rank = 0
         for md in sorted(blocks):
             keys = blocks[md]
-            e = ech[md]
+            e = Echelon(f, len(keys))
+            orbit = tuple(sorted(zip(cap, md)))
+            rep_md, rep = (md, e) if self.extra_consistency else reps.setdefault(orbit, (md, e))
+            if rep.width != e.width:
+                raise OrbitRankMismatch("block %s has %d symbols, its orbit's first block %s has %d"
+                                        % (md, e.width, rep_md, rep.width))
+            goal = rep.dim if rep is not e else e.width
+            if e.dim < goal:
+                for row in self._block_rows(d, md, lower, esym):
+                    row = canonical(f, {sym_pos[key]: c for key, c in row.items()})
+                    if row and e.insert(row) is not None and e.dim == goal:
+                        break
+            if rep is not e and e.dim != goal:
+                raise OrbitRankMismatch("block %s reached rank %d, its orbit's first block %s has %d"
+                                        % (md, e.dim, rep_md, goal))
+            # harvest: non-pivot symbols become the new basis
             total_rank += e.dim
             piv = set(e.pivot_columns())
             free_map = {}
@@ -305,6 +275,58 @@ class _CoverEngine:
         self.completed = d
         return len(new_elts)
 
+    def _block_rows(self, d, md, lower, esym):
+        """The relation rows of the degree-d block ``md``, as dicts over its
+        symbols (w_index, i): the sandwich rows, the Jacobi rows with a
+        generator (balanced degree splits first), the antisymmetry rows and,
+        in verification mode, the Jacobi rows on heavier triples.  ``lower``
+        maps each degree below d to its nonempty blocks."""
+        gb = self.gen_bracket
+        empty = {}
+
+        def pairs(a, b, m, diagonal):
+            """(u, v) with deg u = a >= deg v = b and mdeg u + mdeg v = m; for
+            a = b only v.index < u.index (<= when ``diagonal``)."""
+            vs_of = lower.get(b, empty)
+            for ma, us in lower.get(a, empty).items():
+                vs = vs_of.get(tuple(x - y for x, y in zip(m, ma)))
+                if vs is None:
+                    continue
+                for u in us:
+                    for v in vs:
+                        if a > b or v.index < u.index or (diagonal and v is u):
+                            yield u, v
+
+        # defining relations [[u, x_i], x_i] = 0, u of degree d - 2
+        if self.sandwich:
+            for i in range(1, self.r + 1):
+                if md[i - 1] >= 2:
+                    for b in lower.get(d - 2, empty).get(_mdeg_add(md, i, -2), ()):
+                        yield {(w, i): c for w, c in gb.get((b.index, i), empty).items()}
+        # Jacobi instances [[u,v],x_i] = [[u,x_i],v] + [u,[v,x_i]]
+        for a in range(d // 2, d - 1):
+            for i in range(1, self.r + 1):
+                if not md[i - 1]:
+                    continue
+                for u, v in pairs(a, d - 1 - a, _mdeg_add(md, i, -1), False):
+                    row = {(w, i): c for w, c in self.bracket_basis(u, v).items()}
+                    for w, c in gb.get((u.index, i), empty).items():
+                        axpy(row, -c, esym(self.basis[w], v))
+                    for w, c in gb.get((v.index, i), empty).items():
+                        axpy(row, -c, esym(u, self.basis[w]))
+                    yield row
+        # antisymmetry of every pair, expanded through definitions
+        for a in range((d + 1) // 2, d):
+            for u, v in pairs(a, d - a, md, True):
+                if u is v:
+                    yield self._esym_raw(u, u, esym)
+                else:
+                    row = dict(esym(u, v))
+                    axpy(row, 1, esym(v, u))
+                    yield row
+        if self.extra_consistency:
+            yield from self._heavy_jacobi_rows(d, md, lower, esym)
+
     def _esym_raw(self, a, b, esym):
         """[a, b] expanded into degree-d symbols via the definition of b."""
         if b.degree == 1:
@@ -315,8 +337,9 @@ class _CoverEngine:
             axpy(out, -c, esym(self.basis[w], vp))
         return canonical(self.field, out)
 
-    def _heavy_jacobi_rows(self, d, esym, rank_full, add_row):
-        """Jacobi rows on triples of weight >= 2 each (verification mode only)."""
+    def _heavy_jacobi_rows(self, d, md, lower, esym):
+        """Jacobi rows of block ``md`` on triples of weight >= 2 each
+        (verification mode only)."""
 
         def elin(expansion, w):
             out = {}
@@ -324,35 +347,30 @@ class _CoverEngine:
                 axpy(out, c, esym(self.basis[z], w))
             return out
 
-        triples = []
         for a in range(2, d - 3):
             for b in range(2, d - 1 - a):
                 c = d - a - b
                 if c < 2:
                     continue
-                triples.append((a, b, c))
-        for a, b, c in triples:
-            for u in self.by_degree[a]:
-                for v in self.by_degree[b]:
-                    for w in self.by_degree[c]:
-                        md = _mdeg_sum(u.mdeg, v.mdeg, w.mdeg)
-                        if rank_full.get(md, True):
-                            continue
-                        row = elin(self.bracket_basis(u, v), w)
-                        axpy(row, -1, elin(self.bracket_basis(u, w), v))
-                        for z, cz in self.bracket_basis(v, w).items():
-                            axpy(row, -cz, esym(u, self.basis[z]))
-                        add_row(md, row)
+                ws_of = lower.get(c, {})
+                for ma, us in lower.get(a, {}).items():
+                    for mb, vs in lower.get(b, {}).items():
+                        ws = ws_of.get(tuple(x - y - z for x, y, z in zip(md, ma, mb)), ())
+                        for u in us:
+                            for v in vs:
+                                for w in ws:
+                                    row = elin(self.bracket_basis(u, v), w)
+                                    axpy(row, -1, elin(self.bracket_basis(u, w), v))
+                                    for z, cz in self.bracket_basis(v, w).items():
+                                        axpy(row, -cz, esym(u, self.basis[z]))
+                                    yield row
 
 
-def _mdeg_add(md, i):
+def _mdeg_add(md, i, k=1):
+    """md + k e_i."""
     out = list(md)
-    out[i - 1] += 1
+    out[i - 1] += k
     return tuple(out)
-
-
-def _mdeg_sum(*mds):
-    return tuple(map(sum, zip(*mds)))
 
 
 class GradedQuotient:

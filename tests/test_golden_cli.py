@@ -33,6 +33,7 @@ COMMANDS = [
     ["radicals", "--type", "B3", "--char", "7"],
     ["radicals", "--type", "D4"],
     ["tables", "rr", "--max-r", "4"],
+    ["tables", "lr", "--max-r", "5"],
 ]
 
 

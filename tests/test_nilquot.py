@@ -1,3 +1,5 @@
+import hashlib
+import math
 from unittest import mock
 
 import pytest
@@ -203,3 +205,90 @@ def test_capped_engine_matches_full_engine_on_its_blocks(r, field):
     while full.extend():
         pass
     assert _block_state(capped) == _block_state(full, keep=lambda md: md[r] <= 1)
+
+
+def _engine_state(eng):
+    """Basis words per block, rewrites and relation ranks of an engine."""
+    return _block_state(eng) + (eng.relation_ranks,)
+
+
+def _state_digest(eng):
+    """sha256 of ``_engine_state``, written out in sorted order."""
+    words, rewrites, ranks = _engine_state(eng)
+    h = hashlib.sha256()
+    for key in sorted(words):
+        h.update(repr((key, words[key])).encode())
+    for key in sorted(rewrites):
+        h.update(repr((key, sorted((w, str(c)) for w, c in rewrites[key].items()))).encode())
+    h.update(repr(ranks).encode())
+    return h.hexdigest()
+
+
+def _all_rows_engine(r, field, cap=None):
+    """The verification engine: every block is its own orbit and takes
+    every row, the heavy Jacobi rows included."""
+    eng = nilquot._CoverEngine(r, field=field, extra_consistency=True, cap=cap)
+    return nilquot._extend_until_empty(eng, 16)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(101)], ids=repr)
+def test_orbit_rank_stop_matches_all_rows_engine(r, field):
+    fast = nilquot.sandwich_algebra(r, field=field)._engine
+    assert _engine_state(fast) == _engine_state(_all_rows_engine(r, field))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(101)], ids=repr)
+def test_orbit_rank_stop_matches_all_rows_engine_capped(r, field):
+    fast = nilquot._companion_engine(r, field, 16)
+    slow = _all_rows_engine(r + 1, field, cap=(math.inf,) * r + (1,))
+    assert _engine_state(fast) == _engine_state(slow)
+
+
+# sha256 of the engine state, recorded with the element-pair row loops that
+# inserted every row into every block
+PINNED_L5 = {
+    "Q": "6623ca7f21b18a3346aaa52e539a85b3e807b4c11ebb4db198ce268dca3e5d82",
+    "GF3": "7723c57fc7ae7148a7af67c92f90c3e85ea3ee24ddc68cbdcc2377df6b6ed29f",
+}
+PINNED_R4_CAPPED = {
+    "Q": "bd2aaef32075c00d795253e73c48ebbda341efdf6d44be70b58c17747ba9fcca",
+    "GF101": "985a34184b7b96fe4c0d45586ef8a8bff9a82e8937098065685dae06fe63abef",
+}
+
+
+@pytest.mark.parametrize("name, field", [("Q", QQ), ("GF3", GF(3))])
+def test_l5_engine_state_is_pinned(name, field):
+    assert _state_digest(nilquot.sandwich_algebra(5, field=field)._engine) == PINNED_L5[name]
+
+
+@pytest.mark.parametrize("name, field", [("Q", QQ), ("GF101", GF(101))])
+def test_capped_r4_engine_state_is_pinned(name, field):
+    assert _state_digest(nilquot._companion_engine(4, field, 16)) == PINNED_R4_CAPPED[name]
+
+
+def test_orbit_block_whose_rows_run_out_raises():
+    """On two generators (0,2) is the first block of the orbit {(0,2), (2,0)};
+    a (2,0) that gets no rows stays below its rank 1."""
+    rows = nilquot._CoverEngine._block_rows
+
+    def planted(self, d, md, lower, esym):
+        return iter(()) if md == (2, 0) else rows(self, d, md, lower, esym)
+
+    with mock.patch.object(nilquot._CoverEngine, "_block_rows", planted):
+        with pytest.raises(nilquot.OrbitRankMismatch, match="reached rank 0"):
+            nilquot.sandwich_algebra(2)
+        # the verification mode reduces every block on its own rows, so the
+        # fault shows only as a basis word [x_1, x_1]
+        eng = nilquot._CoverEngine(2, extra_consistency=True)
+        eng.extend()
+        assert [b.word for b in eng.by_degree[2]] == [(2, 1), (1, 1)]
+
+
+def test_orbit_block_of_other_width_raises():
+    """x_1 listed twice doubles the symbols of block (2,0) but not of (0,2)."""
+    eng = nilquot._CoverEngine(2)
+    eng.by_degree[1].append(eng.by_degree[1][0])
+    with pytest.raises(nilquot.OrbitRankMismatch, match="has 2 symbols"):
+        eng.extend()
