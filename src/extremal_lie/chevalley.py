@@ -9,6 +9,7 @@ sign convention, so every verification is convention-independent.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .rootdata import (
     CONVENTION_VERSION,
@@ -27,7 +28,18 @@ from .liealg import (
     matrix_lie_algebra,
     subalgebra_generated,
 )
-from .linalg import Echelon, axpy, canonical, closure, combine, echelon_from_rows, kernel, mat_mul
+from .linalg import (
+    Echelon,
+    axpy,
+    canonical,
+    clear_denominators,
+    closure,
+    combine,
+    divide,
+    echelon_from_rows,
+    kernel,
+    mat_mul,
+)
 from .nilquot import L_DIMS
 from .scalars import QQ
 
@@ -95,52 +107,116 @@ def chevalley_algebra(type_, rank, field):
 
 
 class Automorphism:
-    """Invertible bracket-preserving linear map, stored as canonical sparse
-    columns (see ``linalg``), so equal maps have equal columns."""
+    """Invertible bracket-preserving linear map C / den, stored as sparse
+    integer columns C (see ``linalg``) and one positive int ``den``.
 
-    def __init__(self, lie, cols, check=True):
+    Over GF(p) ``den`` is 1 and the columns are canonical residues.  Over Q
+    the columns and ``den`` together are primitive, their gcd is 1, the same
+    convention as the rows of ``Echelon``, so equal maps have equal
+    ``(den, cols)``.  The constructor is the one place where columns of raw
+    values (possibly unreduced, possibly rational) become this form;
+    ``compose`` multiplies the denominators and normalises once, and
+    ``apply`` divides once at the end, so its images are canonical vectors.
+    ``exp_map`` hands the same map to every caller: treat it as immutable."""
+
+    def __init__(self, lie, cols, den=1, check=True):
+        if type(den) is not int or den < 1:
+            raise ValueError("the denominator of a map is a positive int")
+        f = lie.field
+        if f.characteristic:
+            if den != 1:
+                raise ValueError("a map over GF(p) has denominator 1")
+            cols = [canonical(f, col) for col in cols]
+        else:
+            cols, den = _primitive(cols, den)
         self.lie = lie
         self.cols = cols
-        if check and not self.preserves_bracket():
-            raise ValueError("map does not preserve the bracket")
+        self.den = den
+        if check:
+            self.require_bracket()
+
+    def _image(self, coeffs):
+        """sum_k c_k C[k] for a dict of ints, unreduced."""
+        acc = {}
+        cols = self.cols
+        for k, c in coeffs.items():
+            axpy(acc, c, cols[k])
+        return acc
 
     def apply(self, elt):
-        return AlgebraElement(self.lie, combine(self.lie.field, elt.coeffs, self.cols))
+        L = self.lie
+        if L.field.characteristic:
+            return AlgebraElement(L, combine(L.field, elt.coeffs, self.cols))
+        coeffs, e = clear_denominators(elt.coeffs)
+        return AlgebraElement(L, divide(self._image(coeffs), self.den * e))
 
     def __call__(self, elt):
         return self.apply(elt)
 
     def compose(self, other):
         """self after other."""
-        cols = [self.apply(AlgebraElement(self.lie, col)).coeffs for col in other.cols]
-        return Automorphism(self.lie, cols, check=False)
+        if other.lie is not self.lie:
+            raise ValueError("maps of different algebras do not compose")
+        cols = [self._image(col) for col in other.cols]
+        return Automorphism(self.lie, cols, self.den * other.den, check=False)
 
     def __eq__(self, other):
-        return isinstance(other, Automorphism) and self.lie is other.lie and self.cols == other.cols
+        return (
+            isinstance(other, Automorphism)
+            and self.lie is other.lie
+            and self.den == other.den
+            and self.cols == other.cols
+        )
 
     def is_identity(self):
-        return all(col == {j: 1} for j, col in enumerate(self.cols))
+        return self.den == 1 and all(col == {j: 1} for j, col in enumerate(self.cols))
 
     def preserves_bracket(self):
+        """Whether phi[b_i, b_j] = [phi b_i, phi b_j] for all i < j; for
+        phi = C / den that is den C[b_i, b_j] = [C b_i, C b_j]."""
         L = self.lie
+        f, den = L.field, self.den
+        images = [AlgebraElement(L, col) for col in self.cols]
         for i in range(L.n):
-            bi = self.apply(L.basis_element(i))
             for j in range(i + 1, L.n):
-                lhs = self.apply(AlgebraElement(L, L.bracket_basis(i, j)))
-                rhs = L.bracket(bi, self.apply(L.basis_element(j)))
-                if lhs != rhs:
+                lhs = combine(f, L.bracket_basis(i, j), self.cols)
+                if den != 1:
+                    lhs = {k: den * c for k, c in lhs.items()}
+                if lhs != L.bracket(images[i], images[j]).coeffs:
                     return False
         return True
+
+    def require_bracket(self):
+        """Raise ValueError unless the map preserves the bracket."""
+        if not self.preserves_bracket():
+            raise ValueError("map does not preserve the bracket")
+
+
+def _primitive(cols, den):
+    """Rational columns over ``den`` as (integer columns, den'), the same
+    map, with no zero entries and the gcd of all entries and den' equal to 1."""
+    d = lcm(*(x.denominator for col in cols for x in col.values()))
+    if d != 1:
+        cols = [{j: x.numerator * (d // x.denominator) for j, x in col.items()} for col in cols]
+        den *= d
+    # every entry is integral now, but may still be an integral Fraction
+    g = gcd(den, *(x.numerator for col in cols for x in col.values()))
+    return [{j: x.numerator // g for j, x in col.items() if x} for col in cols], den // g
 
 
 def exp_map(L, x):
     """s -> exp(x, s) = 1 + s ad_x + (s^2/2) ad_x^2 for an extremal element x.
 
-    Extremality is proved and the columns of ad_x and ad_x^2 are computed
-    once, so each parameter costs one sparse combination of them.  The map
-    re-checks that its value preserves the bracket only when ``check`` is set.
-    Its attribute ``functional`` is f_x, the proof's by-product, so a caller
-    that needs both proves x extremal once."""
+    Extremality is proved once; its by-product f_x gives ad_x^2 b_j =
+    f_x(b_j) x, the identity it checked, so the columns of ad_x need one
+    bracket each and those of ad_x^2 none.  Over Q both are scaled to
+    integers by the lcm D of their denominators, and exp(x, a/b) is built as
+    (2b^2 D e_j + 2ab D ad_x b_j + a^2 D ad_x^2 b_j) / (2b^2 D).  Each
+    parameter's map is built once and kept: a later call with the same raw
+    value returns the same ``Automorphism``.  The map re-checks that its
+    value preserves the bracket only when ``check`` is set, on every call.
+    Its attribute ``functional`` is f_x, so a caller that needs both proves x
+    extremal once."""
     if isinstance(L, ChevalleyAlgebra):
         L = L.lie
     x = L.element(x)
@@ -148,21 +224,37 @@ def exp_map(L, x):
     if fx is None:
         raise NotExtremal("exp is defined at extremal elements")
     f = L.field
+    p = f.characteristic
     ad = []
-    for j in range(L.n):
-        one = L.bracket(x, L.basis_element(j))
-        ad.append((one.coeffs, L.bracket(x, one).coeffs))
+    for j, lam in enumerate(fx.values):
+        two = {}
+        axpy(two, lam, x.coeffs)
+        ad.append((L.bracket(x, L.basis_element(j)).coeffs, canonical(f, two)))
+    if not p:
+        d = lcm(*(v.denominator for pair in ad for vec in pair for v in vec.values()))
+        ad = [tuple({j: v.numerator * (d // v.denominator) for j, v in vec.items()} for vec in pair) for pair in ad]
+    memo = {}
 
     def exp(s, check=False):
         s = f.raw(s)
-        half_s2 = f.div(f.mul(s, s), f.from_int(2))
-        cols = []
-        for j, (one, two) in enumerate(ad):
-            col = {j: 1}
-            axpy(col, s, one)
-            axpy(col, half_s2, two)
-            cols.append(canonical(f, col))
-        return Automorphism(L, cols, check=check)
+        phi = memo.get(s)
+        if phi is None:
+            if p:
+                c0, c1, c2, den = 1, s, f.div(s * s, 2), 1
+            else:
+                a, b = s.numerator, s.denominator
+                den = 2 * b * b * d
+                c0, c1, c2 = den, 2 * a * b, a * a
+            cols = []
+            for j, (one, two) in enumerate(ad):
+                col = {j: c0}
+                axpy(col, c1, one)
+                axpy(col, c2, two)
+                cols.append(col)
+            phi = memo[s] = Automorphism(L, cols, den, check=False)
+        if check:
+            phi.require_bracket()
+        return phi
 
     exp.functional = fx
     return exp
@@ -199,7 +291,7 @@ def root_exponential(A, root, s=1, check=True):
             axpy(col, sk, {t: v // factorial for t, v in vec.items()})
         else:
             raise RuntimeError("ad x_root is not nilpotent of small index")
-        cols.append(canonical(f, col))
+        cols.append(col)
     return Automorphism(A.lie, cols, check=check)
 
 

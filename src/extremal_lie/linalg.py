@@ -68,6 +68,24 @@ def _ratio(n, d):
     return n // d if n % d == 0 else Fraction(n, d)
 
 
+def clear_denominators(v):
+    """(w, d) for a dict ``v`` of rationals: d is the lcm of the denominators
+    of its entries and w = d * v, a dict of ints (``v`` itself when its
+    entries are all ints)."""
+    if all(type(x) is int for x in v.values()):
+        return v, 1
+    d = lcm(*(x.denominator for x in v.values()))
+    return {j: x.numerator * (d // x.denominator) for j, x in v.items()}, d
+
+
+def divide(v, d):
+    """The canonical rational vector v / d, for a dict ``v`` of ints and an
+    int d > 0: its zeros dropped, an entry an int where d divides it."""
+    if d == 1:
+        return {j: x for j, x in v.items() if x}
+    return {j: _ratio(x, d) for j, x in v.items() if x}
+
+
 def _make_primitive(v, lead):
     """Divide the dict ``v`` of ints, in place, by the gcd of its entries,
     signed so that ``v[lead]`` becomes positive."""
@@ -100,10 +118,9 @@ class Echelon:
         ``vec`` scaled by ``den``, the lcm of its denominators (den = 1 over
         GF(p))."""
         v = canonical(self.field, vec if isinstance(vec, dict) else dict(enumerate(vec)))
-        if self._p or all(type(x) is int for x in v.values()):
+        if self._p:
             return v, 1
-        den = lcm(*(x.denominator for x in v.values()))
-        return {j: x.numerator * (den // x.denominator) for j, x in v.items()}, den
+        return clear_denominators(v)
 
     def _cancel(self, u, c, r):
         """Make the dict ``u`` vanish at column ``c``, in place, by
@@ -146,7 +163,7 @@ class Echelon:
         scale = den * self._eliminate(v)
         if self._p or scale == 1:
             return v
-        return {j: _ratio(x, scale) for j, x in v.items()}
+        return divide(v, scale)
 
     def insert(self, vec):
         """Add ``vec`` to the span.  Returns the new pivot column, or None."""

@@ -8,8 +8,11 @@ are the per-coefficient ``Field`` loops the package ran before its form
 kernels became sparse, and ``dense_jacobi`` is the walk over all basis
 triples that the Jacobi check made before it became term-driven;
 ``dense_extremal_gram`` is the Gram of the extremal form as two dense matrix
-products, and ``fraction_inner`` the inner product of roots with one
-``Fraction`` per term.  The tests hold the fast code to them.  The last
+products, ``fraction_inner`` the inner product of roots with one
+``Fraction`` per term, and ``FractionAutomorphism``/``fraction_exp_map``
+the exp-automorphisms on ``Fraction`` columns with two brackets per basis
+vector, as they were before the columns became integers over one
+denominator.  The tests hold the fast code to them.  The last
 functions here (``grow_extremal_spanning``, ``line_is_fully_extremal``,
 ``graded_components``) are ones that only the tests call.
 """
@@ -23,7 +26,8 @@ from hypothesis import strategies as st
 
 from extremal_lie.scalars import QQ, GF
 from extremal_lie.chevalley import ChevalleyAlgebra, exp_automorphism
-from extremal_lie.liealg import LieAlgebra
+from extremal_lie.liealg import AlgebraElement, LieAlgebra, is_extremal
+from extremal_lie.linalg import axpy, canonical, combine, divide
 from extremal_lie import nilquot
 
 
@@ -479,6 +483,66 @@ def dense_extremal_gram(L, spanning):
     coords = [coordinates.solve({i: f.one}) for i in range(L.n)]
     half = mat_mul(f, coords, fvals)
     return mat_mul(f, half, [list(col) for col in zip(*coords)])
+
+
+class FractionAutomorphism:
+    """Reference map: one canonical column of raw values (``Fraction`` over
+    Q) per basis vector, as ``chevalley.Automorphism`` stored it before its
+    columns became integers over one common denominator."""
+
+    def __init__(self, lie, cols):
+        self.lie = lie
+        self.cols = cols
+
+    def apply(self, elt):
+        return AlgebraElement(self.lie, combine(self.lie.field, elt.coeffs, self.cols))
+
+    def compose(self, other):
+        """self after other."""
+        return FractionAutomorphism(self.lie, [self.apply(AlgebraElement(self.lie, col)).coeffs for col in other.cols])
+
+    def __eq__(self, other):
+        return isinstance(other, FractionAutomorphism) and self.lie is other.lie and self.cols == other.cols
+
+    def is_identity(self):
+        return all(col == {j: 1} for j, col in enumerate(self.cols))
+
+
+def fraction_exp_map(L, x):
+    """Reference for ``chevalley.exp_map``: s -> exp(x, s) as a
+    ``FractionAutomorphism``, with ad_x^2 b_j taken as a second bracket
+    [x, [x, b_j]] and the columns combined in field arithmetic."""
+    if isinstance(L, ChevalleyAlgebra):
+        L = L.lie
+    x = L.element(x)
+    if is_extremal(L, x) is None:
+        raise ValueError("exp is defined at extremal elements")
+    f = L.field
+    ad = []
+    for j in range(L.n):
+        one = L.bracket(x, L.basis_element(j))
+        ad.append((one.coeffs, L.bracket(x, one).coeffs))
+
+    def exp(s):
+        s = f.raw(s)
+        half_s2 = f.div(f.mul(s, s), f.from_int(2))
+        cols = []
+        for j, (one, two) in enumerate(ad):
+            col = {j: 1}
+            axpy(col, s, one)
+            axpy(col, half_s2, two)
+            cols.append(canonical(f, col))
+        return FractionAutomorphism(L, cols)
+
+    return exp
+
+
+def rational_columns(phi):
+    """The columns of a ``chevalley.Automorphism`` C / den as canonical raw
+    values, comparable with a ``FractionAutomorphism``'s."""
+    if phi.lie.field.characteristic:
+        return phi.cols
+    return [divide(col, phi.den) for col in phi.cols]
 
 
 def grow_extremal_spanning(L, seeds):

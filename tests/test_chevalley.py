@@ -1,10 +1,16 @@
+import io
 import os
+from collections import Counter
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extremal_lie.scalars import QQ, GF, Scalar
 from extremal_lie import chevalley as chevalley_module
+from extremal_lie import cli
+from extremal_lie import rootgroups as rootgroups_module
 from extremal_lie.chevalley import (
     Automorphism,
     NotExtremal,
@@ -24,7 +30,14 @@ from extremal_lie.chevalley import (
 )
 from extremal_lie.liealg import extremal_form, is_extremal
 
-from helpers import chevalley, field_of, preserves_form, rng
+from helpers import (
+    chevalley,
+    field_of,
+    fraction_exp_map,
+    preserves_form,
+    rational_columns,
+    rng,
+)
 
 HEAVY = os.environ.get("EXTREMAL_LIE_HEAVY") == "1"
 
@@ -252,3 +265,158 @@ def test_outputs_are_canonical_over_gf():
             assert all(canonical(col, p) for col in psi.cols)
             assert psi.compose(exp(-s)).is_identity()
             assert psi.compose(exp(s)) == exp(2 * s)
+
+
+def _long_roots(A):
+    return [root for root in A.rootsystem.roots if A.rootsystem.is_long(root)]
+
+
+@pytest.mark.parametrize("char", [0, 3, 101])
+@pytest.mark.parametrize("type_, rank", [("A", 2), ("B", 3), ("G", 2)])
+def test_exp_columns_match_two_bracket_reference(type_, rank, char):
+    # exp_map reads ad_x^2 b_j as f_x(b_j) x; the reference takes
+    # [x, [x, b_j]]; on root elements and on exp(y, -s)x, whose coefficients
+    # are rational over Q, the columns agree
+    A = chevalley(type_, rank, char)
+    longs = _long_roots(A)
+    elements = [A.x(root) for root in longs]
+    elements.append(fraction_exp_map(A, A.x(longs[-1]))(Fraction(-1, 2)).apply(A.x(longs[0])))
+    for x in elements:
+        fast, ref = exp_map(A, x), fraction_exp_map(A, x)
+        for s in (1, -2, Fraction(1, 2), Fraction(-5, 4)):
+            assert rational_columns(fast(s)) == ref(s).cols
+
+
+REFERENCE_TYPES = (("A", 2), ("B", 3), ("G", 2))
+REFERENCE_CHARS = (0, 3, 7, 101)
+
+
+def _parameters(char):
+    """Exp parameters: any integer over GF(p), denominators 1 to 4 over Q."""
+    if char:
+        return st.integers(-2 * char, 2 * char)
+    return st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def exp_words(draw):
+    """(A, word, other, v): a word [(x_i, s_i)] of exp(x_i, s_i) over a
+    Chevalley algebra A, a second word (half the time the same map written
+    with its first factor split in two), and an element v to apply them to.
+    The x_i are long root elements and their images exp(y, -s)x; half the
+    words end with their own inverse, so they are the identity."""
+    type_, rank = draw(st.sampled_from(REFERENCE_TYPES))
+    char = draw(st.sampled_from(REFERENCE_CHARS))
+    A = chevalley(type_, rank, char)
+    roots = st.sampled_from(_long_roots(A))
+    params = _parameters(char)
+
+    def element():
+        x = A.x(draw(roots))
+        if draw(st.booleans()):
+            x = fraction_exp_map(A, A.x(draw(roots)))(-draw(params)).apply(x)
+        return x
+
+    def word():
+        return [(element(), draw(params)) for _ in range(draw(st.integers(1, 3)))]
+
+    first = word()
+    if draw(st.booleans()):
+        first += [(x, -s) for x, s in reversed(first)]
+    if draw(st.booleans()):
+        (x, s), s1 = first[0], draw(params)
+        other = [(x, s1), (x, s - s1)] + first[1:]
+    else:
+        other = word()
+    coeffs = {k: draw(params) for k in draw(st.sets(st.integers(0, A.dim - 1), min_size=1, max_size=4))}
+    return A, first, other, A.lie.element(coeffs)
+
+
+def _evaluate(A, word, exp_of):
+    """The product of the exp(x, s) of the word, leftmost factor last."""
+    phi = None
+    for x, s in word:
+        g = exp_of(A, x)(s)
+        phi = g if phi is None else phi.compose(g)
+    return phi
+
+
+def _is_canonical(elt):
+    p = elt.algebra.field.characteristic
+    if p:
+        return all(type(c) is int and 0 < c < p for c in elt.coeffs.values())
+    return all(type(c) is int or c.denominator > 1 for c in elt.coeffs.values())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(exp_words())
+def test_exp_words_match_fraction_reference(case):
+    # integer columns over one primitive denominator against Fraction columns:
+    # compose, apply, == and is_identity agree
+    A, word, other, v = case
+    L, f = A.lie, A.field
+    fast, ref = _evaluate(A, word, exp_map), _evaluate(A, word, fraction_exp_map)
+    assert rational_columns(fast) == ref.cols
+    assert fast.is_identity() == ref.is_identity()
+    image = fast.apply(v)
+    assert image == ref.apply(v) and _is_canonical(image)
+    fast2, ref2 = _evaluate(A, other, exp_map), _evaluate(A, other, fraction_exp_map)
+    assert (fast == fast2) == (ref == ref2)
+    assert rational_columns(fast.compose(fast2)) == ref.compose(ref2).cols
+    # the same columns over twice the denominator are another map
+    half = [{j: f.div(c, 2) for j, c in col.items()} for col in ref.cols]
+    assert not fast == Automorphism(L, half, check=False)
+
+
+def test_exp_map_keeps_one_map_per_parameter(monkeypatch):
+    A = chevalley("A", 2)
+    exp = exp_map(A, A.x((1, 1)))
+    assert exp(Fraction(1, 2)) is exp(Fraction(1, 2))
+    assert exp(2) is exp(Fraction(4, 2))
+    p = 7
+    exp_p = exp_map(chevalley("A", 2, p), chevalley("A", 2, p).x((1, 1)))
+    assert exp_p(1) is exp_p(p + 1)
+    checked = []
+    real = Automorphism.preserves_bracket
+    monkeypatch.setattr(Automorphism, "preserves_bracket", lambda self: checked.append(self) or real(self))
+    phi = exp(3)
+    assert checked == []
+    assert exp(3, check=True) is phi and checked == [phi]  # a memo hit is checked too
+
+
+def test_rootgroups_builds_each_exp_once(monkeypatch):
+    # every (map, parameter) pair of a rootgroups run builds one Automorphism
+    builds = Counter()
+    current = []  # the (map, parameter) pair whose exp call is running
+    maps = []  # keeps every map alive, so that no id is reused
+    real_init = Automorphism.__init__
+
+    def init(self, *args, **kwargs):
+        if current:
+            builds[current[-1]] += 1
+        real_init(self, *args, **kwargs)
+
+    real_exp_map = chevalley_module.exp_map
+
+    def counting_exp_map(L, x):
+        exp = real_exp_map(L, x)
+        maps.append(exp)
+        field = L.field
+
+        def spy(s, check=False):
+            current.append((id(exp), field.raw(s)))
+            try:
+                return exp(s, check)
+            finally:
+                current.pop()
+
+        spy.functional = exp.functional
+        return spy
+
+    monkeypatch.setattr(Automorphism, "__init__", init)
+    monkeypatch.setattr(chevalley_module, "exp_map", counting_exp_map)
+    monkeypatch.setattr(rootgroups_module, "exp_map", counting_exp_map)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["--json", "rootgroups", "--type", "B3", "--char", "0", "--seed", "5"]) == 0
+    assert len(builds) > 500
+    assert max(builds.values()) == 1

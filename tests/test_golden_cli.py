@@ -34,6 +34,8 @@ COMMANDS = [
     ["radicals", "--type", "D4"],
     ["tables", "rr", "--max-r", "4"],
     ["tables", "lr", "--max-r", "5"],
+    ["rootgroups", "--type", "B3", "--char", "7"],
+    ["rootgroups", "--type", "G2", "--char", "0", "--seed", "5"],
 ]
 
 
