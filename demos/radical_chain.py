@@ -42,7 +42,7 @@ print()
 print("sl3 over GF(3): the Killing form vanishes identically")
 A3 = ChevalleyAlgebra("A", 2, GF(3))
 k3 = killing_form(A3.lie)
-print("  kappa == 0:", all(A3.field.is_zero(c) for row in k3.gram for c in row))
+print("  kappa == 0:", not any(k3.rows))
 rad, certified = solvable_radical(A3.lie, raising=[A3.x(a) for a in A3.rootsystem.simple_roots])
 print("  Rad(L) dim:", rad.dim, "(the center; certified maximal: %s)" % certified)
 

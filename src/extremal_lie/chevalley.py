@@ -226,9 +226,9 @@ def exp_map(L, x):
     f = L.field
     p = f.characteristic
     ad = []
-    for j, lam in enumerate(fx.values):
+    for j in range(L.n):
         two = {}
-        axpy(two, lam, x.coeffs)
+        axpy(two, fx.values.get(j, 0), x.coeffs)
         ad.append((L.bracket(x, L.basis_element(j)).coeffs, canonical(f, two)))
     if not p:
         d = lcm(*(v.denominator for pair in ad for vec in pair for v in vec.values()))
@@ -616,39 +616,37 @@ def natural_representation(type_, rank, field):
     long-root matrix in it, and the generation lower bound ceil(N/m)."""
     f = field
     n = rank
+    minus_one = f.from_int(-1)
     if type_ == "A":
         size = n + 1
         gens = []
         for i in range(n):
-            gens.append(_unit_matrix(f, size, i, i + 1))
-            gens.append(_unit_matrix(f, size, i + 1, i))
-        long_mat = _unit_matrix(f, size, 0, 1)
+            gens.append(_matrix(size, {(i, i + 1): 1}))
+            gens.append(_matrix(size, {(i + 1, i): 1}))
+        long_mat = _matrix(size, {(0, 1): 1})
     elif type_ in ("B", "C", "D"):
         size = 2 * n + 1 if type_ == "B" else 2 * n
-        gram = _split_gram(f, type_, n)
-        basis = _matrices_preserving(f, gram, symplectic=(type_ == "C"))
-        gens = basis
+        gens = _matrices_preserving(f, _split_gram(f, type_, n))
         if type_ == "B":
-            long_mat = _sum_mats(f, _unit_matrix(f, size, 1, 2), _scale_mat(f, -1, _unit_matrix(f, size, n + 2, n + 1)))
+            long_mat = _matrix(size, {(1, 2): 1, (n + 2, n + 1): minus_one})
         elif type_ == "C":
-            long_mat = _unit_matrix(f, size, 0, n)
+            long_mat = _matrix(size, {(0, n): 1})
         else:
-            long_mat = _sum_mats(f, _unit_matrix(f, size, 0, 1), _scale_mat(f, -1, _unit_matrix(f, size, n + 1, n)))
+            long_mat = _matrix(size, {(0, 1): 1, (n + 1, n): minus_one})
     else:
         raise UnsupportedType("natural representation is for classical types")
     L, mats, element_of = matrix_lie_algebra(f, gens + [long_mat])
     expected_dim = {"A": n * n + 2 * n, "B": n * (2 * n + 1), "C": n * (2 * n + 1), "D": n * (2 * n - 1)}[type_]
-    size_n = len(long_mat)
     extremal = is_extremal(L, element_of(long_mat)) is not None
-    m = echelon_from_rows(f, size_n, long_mat).dim
-    bound = -(-size_n // m)
-    irreducible = _burnside_irreducible(f, mats, size_n)
+    m = echelon_from_rows(f, size, long_mat).dim
+    bound = -(-size // m)
+    irreducible = _burnside_irreducible(f, mats, size)
     return {
         "type": type_,
         "rank": rank,
         "dim": L.n,
         "dim_expected": expected_dim,
-        "module_dim": size_n,
+        "module_dim": size,
         "extremal_matrix_rank": m,
         "extremal_ok": extremal,
         "irreducible": irreducible,
@@ -657,67 +655,63 @@ def natural_representation(type_, rank, field):
     }
 
 
-def _unit_matrix(f, size, i, j):
-    m = [[f.zero] * size for _ in range(size)]
-    m[i][j] = f.one
+def _matrix(size, entries):
+    """The size x size matrix with the canonical ``{(i, j): value}``
+    entries, as sparse rows."""
+    m = [{} for _ in range(size)]
+    for (i, j), x in entries.items():
+        m[i][j] = x
     return m
 
 
-def _scale_mat(f, c, m):
-    c = f.from_int(c)
-    return [[f.mul(c, x) for x in row] for row in m]
-
-
-def _sum_mats(f, a, b):
-    return [[f.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def _split_gram(f, type_, n):
+    """The Gram matrix of the split form of type B, C or D."""
     size = 2 * n + 1 if type_ == "B" else 2 * n
-    g = [[f.zero] * size for _ in range(size)]
     off = 1 if type_ == "B" else 0
-    if type_ == "B":
-        g[0][0] = f.one
+    entries = {(0, 0): 1} if type_ == "B" else {}
     for i in range(n):
         if type_ == "C":
-            g[i][n + i] = f.one
-            g[n + i][i] = f.from_int(-1)
+            entries[(i, n + i)] = 1
+            entries[(n + i, i)] = f.from_int(-1)
         else:
-            g[off + i][off + n + i] = f.one
-            g[off + n + i][off + i] = f.one
-    return g
+            entries[(off + i, off + n + i)] = 1
+            entries[(off + n + i, off + i)] = 1
+    return _matrix(size, entries)
 
 
-def _matrices_preserving(f, gram, symplectic):
-    """Basis of {X : X^T G + G X = 0}."""
+def _matrices_preserving(f, gram):
+    """Basis of {X : X^T G + G X = 0}.  The (i, j) entry of X^T G + G X is
+    sum_k X[k][i] G[k][j] + G[i][k] X[k][j]; on X flattened row-major that
+    is one row per (i, j), two entries for a Gram with one entry per row and
+    column."""
     size = len(gram)
+    by_column = [{} for _ in range(size)]  # G^T
+    for k, row in enumerate(gram):
+        for j, g in row.items():
+            by_column[j][k] = g
     rows = []
     for i in range(size):
         for j in range(size):
-            row = [f.zero] * (size * size)
-            for k in range(size):
-                row[k * size + i] = f.add(row[k * size + i], gram[k][j])
-                row[k * size + j] = f.add(row[k * size + j], gram[i][k])
-            rows.append(row)
-    basis = kernel(f, rows, size * size)
-    return [[[v[i * size + j] for j in range(size)] for i in range(size)] for v in basis]
+            acc = {k * size + i: g for k, g in by_column[j].items()}
+            axpy(acc, 1, {k * size + j: g for k, g in gram[i].items()})
+            rows.append(canonical(f, acc))
+    return [_matrix(size, {divmod(c, size): x for c, x in v.items()}) for v in kernel(f, rows, size * size)]
 
 
 def _burnside_irreducible(f, mats, size):
     """Associative closure spans all size x size matrices (Burnside)."""
     kept = []
 
+    def flat(m):
+        return {i * size + j: x for i, row in enumerate(m) for j, x in row.items()}
+
     def expand(v):
-        m = [v[i * size:(i + 1) * size] for i in range(size)]
+        m = _matrix(size, {divmod(c, size): x for c, x in v.items()})
         kept.append(m)
-        return (
-            [x for row in p for x in row]
-            for other in tuple(kept)
-            for p in (mat_mul(f, other, m), mat_mul(f, m, other))
-        )
+        return (flat(p) for other in tuple(kept) for p in (mat_mul(f, other, m), mat_mul(f, m, other)))
 
     ech = Echelon(f, size * size)
-    closure(ech, ([x for row in m for x in row] for m in mats), expand)
+    closure(ech, (flat(m) for m in mats), expand)
     return ech.dim == size * size
 
 

@@ -170,7 +170,7 @@ def cmd_tables(args):
             a = nilquot.assoc_dims_via_embedding(r)
             rep.add_known("dim R_%d" % r, nilquot.R_DIMS, r, a.total_dim)
     else:  # rr-lengths
-        r = args.r or args.max_r
+        r = args.max_r if args.r is None else args.r
         if r < 1:
             raise UsageError("--r must be at least 1")
         if r > 4 and not args.experimental:
@@ -187,12 +187,13 @@ def _mingen_one(spec):
 
 
 def cmd_mingen(args):
+    if args.jobs < 1:
+        raise UsageError("--jobs must be at least 1")
     specs = []
     for ts in args.type.split(","):
         t, r = parse_type(ts, args.rank)
         if t == "E" and r == 8 and not args.heavy:
-            sys.stderr.write("E8 is the heavyweight case; rerun with --heavy\n")
-            raise SystemExit(2)
+            raise UsageError("E8 is the heavyweight case; rerun with --heavy")
         specs.append((t, r, args.char))
     rep = Report("mingen", {"type": args.type, "rank": args.rank, "char": args.char})
     if args.jobs > 1 and len(specs) > 1:

@@ -16,9 +16,9 @@ from .linalg import (
     charpoly,
     closure,
     combine,
-    echelon_from_rows,
     kernel,
     mat_mul,
+    rank,
 )
 
 
@@ -167,15 +167,6 @@ class LieAlgebra:
                 if row:
                     axpy(out, ci * cj, row)
         return AlgebraElement(self, canonical(self.field, out))
-
-    def ad_matrix(self, a):
-        """Matrix of ad_a on the basis (columns are [a, b_j])."""
-        n = self.n
-        m = [[self.field.zero] * n for _ in range(n)]
-        for j in range(n):
-            for k, c in self.bracket(a, self.basis_element(j)).coeffs.items():
-                m[k][j] = c
-        return m
 
     def __repr__(self):
         return "LieAlgebra(dim %d over %r)" % (self.n, self.field)
@@ -403,16 +394,16 @@ class ExtremalFunctional:
 
     def __init__(self, algebra, values):
         self.algebra = algebra
-        self.values = values  # raw value per basis index
+        self.values = values  # canonical vector {j: f_x(b_j)}
 
     def __call__(self, y):
         f = self.algebra.field
         p = f.characteristic
-        s = sum(c * self.values[k] for k, c in y.coeffs.items())
+        s = sum(c * self.values.get(k, 0) for k, c in y.coeffs.items())
         return Scalar(f, s % p if p else s)
 
     def is_zero(self):
-        return not canonical(self.algebra.field, dict(enumerate(self.values)))
+        return not self.values
 
 
 def is_extremal(L, x):
@@ -423,46 +414,41 @@ def is_extremal(L, x):
     f = L.field
     ref = min(x.coeffs)
     xr = x.coeffs[ref]
-    values = []
+    values = {}
     for j in range(L.n):
         w = L.bracket(x, L.bracket(x, L.basis_element(j)))
         if w.is_zero():
-            values.append(f.zero)
             continue
         lam = f.div(w.coeffs.get(ref, f.zero), xr)
         expected = {}
         axpy(expected, lam, x.coeffs)
         if w.coeffs != canonical(f, expected):
             return None
-        values.append(lam)
+        values[j] = lam
     return ExtremalFunctional(L, values)
 
 
 class BilinearForm:
-    """Symmetric bilinear form given by its Gram matrix on the basis."""
+    """Bilinear form given by its Gram matrix on the basis, as canonical
+    sparse rows: ``rows[i]`` is f(b_i, .)."""
 
-    def __init__(self, algebra, gram, kind):
+    def __init__(self, algebra, rows, kind):
         self.algebra = algebra
-        self.gram = gram
+        self.rows = rows
         self.kind = kind
 
     def value(self, u, v):
         f = self.algebra.field
         p = f.characteristic
-        g = self.gram
-        s = sum(ci * cj * g[i][j] for i, ci in u.coeffs.items() for j, cj in v.coeffs.items())
+        G = self.rows
+        s = sum(ci * cj * G[i].get(j, 0) for i, ci in u.coeffs.items() for j, cj in v.coeffs.items())
         return Scalar(f, s % p if p else s)
 
-    def rows(self):
-        """The Gram matrix as canonical sparse rows: rows()[i] is f(b_i, .)."""
-        f = self.algebra.field
-        return [canonical(f, dict(enumerate(row))) for row in self.gram]
-
     def radical(self):
-        return Subspace.from_elements(self.algebra, kernel(self.algebra.field, self.gram, self.algebra.n))
+        return Subspace.from_elements(self.algebra, kernel(self.algebra.field, self.rows, self.algebra.n))
 
     def is_symmetric(self):
-        G = self.rows()
+        G = self.rows
         return all(G[j].get(i, 0) == c for i, row in enumerate(G) for j, c in row.items())
 
     def is_associative(self):
@@ -472,7 +458,7 @@ class BilinearForm:
         sum_m G[i][m] ad[m], where G[m] = f(b_m, .) and ad[m] = {k: c_jk^m}."""
         L = self.algebra
         f, n = L.field, L.n
-        G = self.rows()
+        G = self.rows
         for j in range(n):
             ad = [{} for _ in range(n)]
             for k in range(n):
@@ -489,17 +475,14 @@ def killing_form(L):
     (l, k) of c_il^k {x: c_xk^l}, one sparse sum per row."""
     f, n = L.field, L.n
     at = _by_position(L)
-    gram = []
+    rows = []
     for i in range(n):
         acc = {}
         for l in range(n):
             for k, c in L.bracket_basis(i, l).items():
                 axpy(acc, c, at.get((k, l), {}))
-        row = [f.zero] * n
-        for x, c in canonical(f, acc).items():
-            row[x] = c
-        gram.append(row)
-    return BilinearForm(L, gram, "killing")
+        rows.append(canonical(f, acc))
+    return BilinearForm(L, rows, "killing")
 
 
 def extremal_form(L, spanning_set):
@@ -522,31 +505,24 @@ def extremal_form(L, spanning_set):
     coordinates = Coordinates(f, [s.coeffs for s in spanning], L.n)
     if not coordinates.spans():
         raise NotSpanning("extremal set does not span the algebra")
-    fvals = [[functionals[a](spanning[b]).value for b in range(m)] for a in range(m)]
+    # F[a] = {b: f_a(s_b)}
+    frows = [canonical(f, {b: functionals[a](spanning[b]).value for b in range(m)}) for a in range(m)]
     # symmetry of f on extremal pairs (Lemma-level consistency of the input)
     for a in range(m):
         for b in range(a):
-            if fvals[a][b] != fvals[b][a]:
+            if frows[a].get(b, 0) != frows[b].get(a, 0):
                 raise WellDefinednessFailure("f_x(y) != f_y(x) on spanning pair (%d, %d)" % (a, b))
     # Gram G[i][j] = sum_ab C[i][a] F[a][b] C[j][b], C[i] the coordinates of
     # b_i over the spanning set: row i is sum_b (C F)[i][b] C^T[b]
-    coords = [canonical(f, dict(enumerate(coordinates.solve({i: f.one})))) for i in range(L.n)]
-    frows = [canonical(f, dict(enumerate(row))) for row in fvals]
+    coords = [coordinates.solve({i: 1}) for i in range(L.n)]
     by_spanning = [{} for _ in range(m)]  # C^T
     for i, row in enumerate(coords):
         for a, c in row.items():
             by_spanning[a][i] = c
-    gram = []
-    for row in coords:
-        dense = [f.zero] * L.n
-        for j, c in combine(f, combine(f, row, frows), by_spanning).items():
-            dense[j] = c
-        gram.append(dense)
-    form = BilinearForm(L, gram, "extremal-f")
+    form = BilinearForm(L, mat_mul(f, mat_mul(f, coords, frows), by_spanning), "extremal-f")
     # well-definedness: the bilinear extension must reproduce every f_x directly
-    G = form.rows()
     for a, s in enumerate(spanning):
-        if combine(f, s.coeffs, G) != canonical(f, dict(enumerate(functionals[a].values))):
+        if combine(f, s.coeffs, form.rows) != functionals[a].values:
             raise WellDefinednessFailure("bilinear extension disagrees with f_x")
     if not form.is_symmetric():
         raise WellDefinednessFailure("extremal form not symmetric")
@@ -621,8 +597,9 @@ def _no_solvable_ideal_certificate(L, raising=(), kappa_rad=None):
         for i, b in enumerate(basis):
             for k, c in L.bracket(e, b).coeffs.items():
                 rows.setdefault((t, k), {})[i] = c
+    vecs = [b.coeffs for b in basis]
     k_prime = Subspace.from_elements(
-        L, [sum((c * b for c, b in zip(x, basis)), L.zero()) for x in kernel(L.field, list(rows.values()), len(basis))]
+        L, [combine(L.field, x, vecs) for x in kernel(L.field, list(rows.values()), len(basis))]
     )
     for v in k_prime.basis():
         ideal = ideal_generated(L, [v])
@@ -692,7 +669,11 @@ def structural_subspaces(L, raising=()):
 
 
 def phi_spectrum_check(L, x, y):
-    """Eigenvalue structure of phi = ad_x ad_y for extremal x (exact char poly)."""
+    """Eigenvalue structure of phi = ad_x ad_y for extremal x (exact char poly).
+
+    phi is held by its columns phi(b_j) = [x,[y,b_j]], as the rows of phi
+    transposed: det(t - phi) = det(t - phi^T), and the rows of
+    (phi^T)^2 are the columns of phi^2."""
     x = L.element(x)
     y = L.element(y)
     f = L.field
@@ -701,34 +682,31 @@ def phi_spectrum_check(L, x, y):
         raise PreconditionNotMet("x must be extremal")
     fxy = fx(y).value
     kappa = killing_form(L)
+    basis = L.basis_elements()
     if f.is_zero(fxy):
-        phi = mat_mul(f, L.ad_matrix(x), L.ad_matrix(y))
-        cp = charpoly(f, phi)
-        expected = [f.zero] * L.n + [f.one]
+        cols = [L.bracket(x, L.bracket(y, b)).coeffs for b in basis]
+        cp = charpoly(f, cols)
+        expected = [f.one]
+        for _ in range(L.n):
+            expected = _poly_shift(f, expected, f.zero)
         ok = cp == expected and f.is_zero(kappa.value(x, y).value)
         return {"case": "a", "all_eigenvalues_zero": cp == expected, "kappa_zero": f.is_zero(kappa.value(x, y).value), "pass": ok}
     # rescale so that f(x, y') = -2
     scale = f.div(f.from_int(-2), fxy)
     y2 = Scalar(f, scale) * y
-    adx = L.ad_matrix(x)
-    s = echelon_from_rows(f, L.n, adx).dim
-    phi = mat_mul(f, adx, L.ad_matrix(y2))
-    cp = charpoly(f, phi)
+    s = rank(f, [L.bracket(x, b).coeffs for b in basis], L.n)
+    cols = [L.bracket(x, L.bracket(y2, b)).coeffs for b in basis]
+    cp = charpoly(f, cols)
     expected = [f.one]
     for root, mult in ((f.from_int(2), 2), (f.from_int(1), s - 2), (f.zero, L.n - s)):
         for _ in range(mult):
             expected = _poly_shift(f, expected, root)
     kap = kappa.value(x, y2).value
     # phi^2 + (1/2) f(x,y') phi maps into kx + k[x,y'], with f(x,y') = -2
-    comb = mat_mul(f, phi, phi)
-    minus_one = f.from_int(-1)
-    for i in range(L.n):
-        for j in range(L.n):
-            comb[i][j] = f.add(comb[i][j], f.mul(minus_one, phi[i][j]))
     target = Subspace.from_elements(L, [x, L.bracket(x, y2)])
     img_ok = all(
-        target.contains([comb[i][j] for i in range(L.n)])
-        for j in range(L.n)
+        target.contains(combine(f, {0: 1, 1: -1}, (sq, col)))
+        for sq, col in zip(mat_mul(f, cols, cols), cols)
     )
     ok = cp == expected and kap == f.from_int(s + 2) and img_ok
     return {
@@ -766,11 +744,11 @@ def fourth_power_check(L, x, y, form):
     z = L.bracket(x, y)
     if z.is_zero():
         return {"bracket_zero": True, "fourth_power_zero": True, "pass": True}
-    m = L.ad_matrix(z)
-    f = L.field
-    sq = mat_mul(f, m, m)
-    fourth = mat_mul(f, sq, sq)
-    ok = all(all(f.is_zero(c) for c in row) for row in fourth)
+    ok = True
+    for v in L.basis_elements():
+        for _ in range(4):
+            v = L.bracket(z, v)
+        ok = ok and v.is_zero()
     return {"bracket_zero": False, "fourth_power_zero": ok, "pass": ok}
 
 
@@ -883,21 +861,26 @@ def abelian(field, n):
 
 def matrix_lie_algebra(field, mats, labels=None):
     """Lie algebra spanned by the commutator closure of the given square
-    matrices.  Returns (LieAlgebra, basis matrices, element_of), where
-    ``element_of(m)`` is the element of the algebra that a matrix m of its
-    span stands for."""
+    matrices (lists of sparse rows, see ``linalg``).  Returns (LieAlgebra,
+    basis matrices, element_of), where ``element_of(m)`` is the element of
+    the algebra that a matrix m of its span stands for.  A matrix is
+    flattened row-major to a vector of length size^2."""
     f = field
     size = len(mats[0])
 
     def flat(m):
-        return [x for row in m for x in row]
+        return {i * size + j: x for i, row in enumerate(m) for j, x in row.items()}
 
     def square(v):
-        return [v[i * size:(i + 1) * size] for i in range(size)]
+        m = [{} for _ in range(size)]
+        for c, x in v.items():
+            m[c // size][c % size] = x
+        return m
 
     def commutator(a, b):
-        ab, ba = mat_mul(f, a, b), mat_mul(f, b, a)
-        return [f.sub(x, y) for ra, rb in zip(ab, ba) for x, y in zip(ra, rb)]
+        acc = flat(mat_mul(f, a, b))
+        axpy(acc, -1, flat(mat_mul(f, b, a)))
+        return canonical(f, acc)
 
     kept = []
 
@@ -907,8 +890,8 @@ def matrix_lie_algebra(field, mats, labels=None):
         return (commutator(other, m) for other in tuple(kept))
 
     ech = Echelon(f, size * size)
-    closure(ech, ([f.raw(x) for x in flat(m)] for m in mats), expand)
-    rows = ech.basis()
+    closure(ech, ({c: f.raw(x) for c, x in flat(m).items()} for m in mats), expand)
+    rows = [ech.row(c) for c in ech.pivot_columns()]
     basis_mats = [square(row) for row in rows]
     n = len(basis_mats)
     span = Coordinates(f, rows, size * size)
@@ -918,7 +901,7 @@ def matrix_lie_algebra(field, mats, labels=None):
             coeffs = span.solve(commutator(basis_mats[a], basis_mats[b]))
             if coeffs is None:
                 raise ValueError("matrix set is not closed under commutators")
-            table[(a, b)] = dict(enumerate(coeffs))
+            table[(a, b)] = coeffs
     if labels is None:
         labels = ["m%d" % i for i in range(n)]
     L = LieAlgebra(f, labels, table)

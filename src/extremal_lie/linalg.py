@@ -2,12 +2,16 @@
 
 A vector is a sparse ``{index: raw value}`` dict.  It is *canonical* when it
 holds no zero entry and, over GF(p), every entry is a residue in ``[0, p)``
-(over Q an entry is an int or a Fraction).  Every vector that one layer hands
-to another (algebra elements, structure constants, automorphism columns, the
-rows of L_r) is canonical, so two vectors are equal exactly when their dicts
-are.  ``axpy`` adds a multiple of one vector into another with plain ``+``
-and ``*`` and never reduces; ``canonical`` makes the result canonical once,
-at the end.  These two functions are where that rule is written down.
+(over Q an entry is an int or a Fraction).  A matrix is a list of canonical
+sparse rows.  Every vector and matrix that one layer hands to another
+(algebra elements, structure constants, automorphism columns, Gram rows,
+kernels, coordinates, the rows of L_r, matrix algebras) is in this form, so
+two vectors are equal exactly when their dicts are.  ``axpy`` adds a
+multiple of one vector into another with plain ``+`` and ``*`` and never
+reduces; ``canonical`` makes the result canonical once, at the end.  These
+two functions are where that rule is written down.  ``charpoly`` is the one
+dense routine: it densifies its matrix internally, and polynomials are
+dense coefficient lists.
 
 Everything here is deterministic: pivots are chosen left to right, rows are
 kept in fully reduced echelon form, so a subspace has a unique canonical
@@ -24,8 +28,8 @@ chosen per field so that elimination never builds a ``Fraction``:
   scales by a cofactor instead of dividing.  A nonzero rational vector has
   exactly one positive multiple that is a primitive integer vector with a
   positive leading entry, so the stored row determines the reduced row and
-  back; pivots, ``basis()`` and ``row(c)`` are those of the reduced echelon
-  form computed with fractions.
+  back; pivots and ``row(c)`` are those of the reduced echelon form computed
+  with fractions.
 
 A reduced row vanishes at every other pivot column, so reducing a vector
 only visits the pivot columns in the vector's own support.
@@ -98,10 +102,8 @@ def _make_primitive(v, lead):
 
 
 class Echelon:
-    """Incrementally maintained reduced row echelon basis of a subspace of k^width.
-
-    Vectors are given as dense lists of raw values or as ``{column: value}``
-    dicts."""
+    """Incrementally maintained reduced row echelon basis of a subspace of
+    k^width; vectors are dicts (see the module docstring)."""
 
     def __init__(self, field, width):
         self.field = field
@@ -117,7 +119,7 @@ class Echelon:
         """(v, den): ``vec`` as a new canonical dict; over Q as integers,
         ``vec`` scaled by ``den``, the lcm of its denominators (den = 1 over
         GF(p))."""
-        v = canonical(self.field, vec if isinstance(vec, dict) else dict(enumerate(vec)))
+        v = canonical(self.field, vec)
         if self._p:
             return v, 1
         return clear_denominators(v)
@@ -201,16 +203,6 @@ class Echelon:
             return dict(r)
         return {j: _ratio(x, a) for j, x in r.items()}
 
-    def basis(self):
-        """Canonical basis rows (dense lists), ordered by pivot column."""
-        out = []
-        for c in sorted(self._rows):
-            v = [self.field.zero] * self.width
-            for j, x in self.row(c).items():
-                v[j] = x
-            out.append(v)
-        return out
-
     def pivot_columns(self):
         return sorted(self._rows)
 
@@ -250,45 +242,43 @@ def closure(echelon, seeds, expand):
 
 
 def rank(field, rows, width=None):
-    if not rows:
-        return 0
-    w = width if width is not None else len(rows[0])
-    return echelon_from_rows(field, w, rows).dim
+    """The rank of the matrix ``rows``; ``width`` defaults to one past its
+    largest column."""
+    if width is None:
+        width = 1 + max((c for row in rows for c in row), default=-1)
+    return echelon_from_rows(field, width, rows).dim
 
 
 def kernel(field, rows, width):
-    """Canonical basis of the right kernel {v : rows . v = 0}, rows of length ``width``."""
+    """The canonical basis of the right kernel {v : rows . v = 0} of the
+    matrix ``rows`` with ``width`` columns, as sparse rows."""
     e = echelon_from_rows(field, width, rows)
-    piv = e.pivot_columns()
-    rows = {pc: e.row(pc) for pc in piv}
-    free = [c for c in range(width) if c not in rows]
+    reduced = {pc: e.row(pc) for pc in e.pivot_columns()}
     basis = []
-    for c in free:
-        v = [field.zero] * width
-        v[c] = field.one
-        for pc, row in rows.items():
-            if c in row:
-                v[pc] = field.neg(row[c])
-        basis.append(v)
+    for c in range(width):
+        if c not in reduced:
+            v = {c: 1}
+            for pc, row in reduced.items():
+                if c in row:
+                    v[pc] = -row[c]
+            basis.append(v)
     # already reduced echelon w.r.t. the free columns; canonicalize anyway
-    return echelon_from_rows(field, width, basis).basis()
+    e = echelon_from_rows(field, width, basis)
+    return [e.row(c) for c in e.pivot_columns()]
 
 
 class Coordinates:
-    """Coordinates of vectors in the span of fixed rows of length ``width``.
-
-    Rows and targets are dense lists or dicts, as for ``Echelon``.  The
-    augmented echelon [rows | identity] is built once; each query is one
-    reduction against it."""
+    """Coordinates of vectors in the span of the fixed sparse ``rows`` of
+    length ``width``.  The augmented echelon [rows | identity] is built
+    once; each query is one reduction against it."""
 
     def __init__(self, field, rows, width):
         self.field = field
         self.width = width
-        self.count = len(rows)
-        self._aug = Echelon(field, width + self.count)
+        self._aug = Echelon(field, width + len(rows))
         for i, row in enumerate(rows):
-            v = dict(row) if isinstance(row, dict) else dict(enumerate(row))
-            v[width + i] = field.one
+            v = dict(row)
+            v[width + i] = 1
             self._aug.insert(v)
 
     def spans(self):
@@ -296,16 +286,14 @@ class Coordinates:
         return sum(1 for c in self._aug.pivot_columns() if c < self.width) == self.width
 
     def solve(self, target):
-        """Coefficients c with sum_i c_i rows_i = ``target`` (a dense list),
-        or None.  Only the support of the reduced residual is read."""
-        f, w = self.field, self.width
+        """The canonical coefficient dict c with sum_i c_i rows_i =
+        ``target``, or None.  Only the support of the reduced residual is
+        read."""
+        w = self.width
         residual = self._aug.reduce(target)
         if any(j < w for j in residual):
             return None
-        out = [f.zero] * self.count
-        for j, x in residual.items():
-            out[j - w] = f.neg(x)
-        return out
+        return canonical(self.field, {j - w: -x for j, x in residual.items()})
 
 
 def solve_in_span(field, basis_rows, width, target):
@@ -314,35 +302,22 @@ def solve_in_span(field, basis_rows, width, target):
 
 
 def mat_mul(field, a, b):
-    """The product of an n x k matrix ``a`` and a k x m matrix ``b``, row by
-    row, skipping zero entries of both."""
-    f = field
-    m = len(b[0]) if b else 0
-    out = []
-    for ai in a:
-        row = [f.zero] * m
-        for k, x in enumerate(ai):
-            if f.is_zero(x):
-                continue
-            for j, y in enumerate(b[k]):
-                if not f.is_zero(y):
-                    row[j] = f.add(row[j], f.mul(x, y))
-        out.append(row)
-    return out
+    """The product of the matrices ``a`` and ``b``: row i is the combination
+    of the rows of ``b`` with the entries of row i of ``a``."""
+    return [combine(field, row, b) for row in a]
 
 
 def mat_inverse(field, a):
-    f = field
+    """The inverse of the square matrix ``a``; ValueError when singular."""
     n = len(a)
-    e = Echelon(f, 2 * n)
-    for i in range(n):
-        row = list(a[i]) + [f.zero] * n
-        row[n + i] = f.one
-        e.insert(row)
+    e = Echelon(field, 2 * n)
+    for i, row in enumerate(a):
+        v = dict(row)
+        v[n + i] = 1
+        e.insert(v)
     if e.pivot_columns()[: n] != list(range(n)) or e.dim != n:
         raise ValueError("matrix is singular")
-    rows = e.basis()
-    return [r[n:] for r in rows]
+    return [{j - n: x for j, x in e.row(c).items() if j >= n} for c in range(n)]
 
 
 # -- polynomials (dense coefficient lists, low degree first) -----------------
@@ -360,13 +335,17 @@ def poly_mul(field, a, b):
 
 
 def charpoly(field, a):
-    """Characteristic polynomial det(t*I - A), via Hessenberg reduction.
+    """Characteristic polynomial det(t*I - A) of the square matrix ``a``,
+    via Hessenberg reduction on a dense copy.
 
     Works over any field; returns monic coefficients, low degree first.
     """
     f = field
     n = len(a)
-    h = [list(row) for row in a]
+    h = [[f.zero] * n for _ in range(n)]
+    for i, row in enumerate(a):
+        for j, x in row.items():
+            h[i][j] = x
     for j in range(n - 2):
         piv = None
         for i in range(j + 1, n):

@@ -88,7 +88,8 @@ def cartan_nullity(type_, rank, p):
     component x_a of z would leave h_a in [x_-a, z]), and sum_j c_j h_j is
     central exactly when every alpha_i(sum_j c_j h_j) = sum_j c_j A[j][i]
     vanishes.  Only the Cartan matrix is read, not the structure constants."""
-    return rank - linalg_rank(GF(p) if p else QQ, cartan_matrix(type_, rank), rank)
+    rows = [dict(enumerate(row)) for row in cartan_matrix(type_, rank)]
+    return rank - linalg_rank(GF(p) if p else QQ, rows, rank)
 
 
 def _symmetrizer(type_, rank):

@@ -404,14 +404,10 @@ def sl3_example(field=QQ):
     are all -2 with vanishing central parameter; returns
     (algebra, x, y, z) with the generators as elements of the algebra."""
     f = field
-    x = [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
-    y = [[0, 0, 0], [1, 0, 0], [0, 0, 0]]
-    z = [[1, 1, 1], [1, 1, 1], [-2, -2, -2]]
-
-    def conv(m):
-        return [[f.from_int(v) for v in row] for row in m]
-
-    mats = [conv(x), conv(y), conv(z)]
+    x = [{1: 1}, {}, {}]
+    y = [{}, {0: 1}, {}]
+    z = [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 1, 2: 1}, {0: -2, 1: -2, 2: -2}]
+    mats = [[canonical(f, row) for row in m] for m in (x, y, z)]
     L, _, element_of = matrix_lie_algebra(f, mats)
     return (L,) + tuple(element_of(m) for m in mats)
 
@@ -432,10 +428,9 @@ def structure_constants_on(L, elements):
     for i in range(len(elements)):
         for j in range(i + 1, len(elements)):
             w = L.bracket(elements[i], elements[j])
-            coeffs = span.solve(w.coeffs)
-            if coeffs is None:
+            row = span.solve(w.coeffs)
+            if row is None:
                 return None
-            row = canonical(f, dict(enumerate(coeffs)))
             if row:
                 out[(i, j)] = row
     return out

@@ -12,9 +12,15 @@ products, ``fraction_inner`` the inner product of roots with one
 ``Fraction`` per term, and ``FractionAutomorphism``/``fraction_exp_map``
 the exp-automorphisms on ``Fraction`` columns with two brackets per basis
 vector, as they were before the columns became integers over one
-denominator.  The tests hold the fast code to them.  The last
-functions here (``grow_extremal_spanning``, ``line_is_fully_extremal``,
-``graded_components``) are ones that only the tests call.
+denominator.  ``dense_mat_mul``, ``dense_matrix_lie_algebra``,
+``dense_natural_representation``, ``dense_phi_spectrum_check`` and
+``dense_fourth_power_check`` are the matrix layer on dense lists of raw
+values, with one ``Field`` call per entry and the matrices of ad, as it ran
+before matrices became lists of sparse rows.  The tests hold the fast code
+to them.  ``echelon_basis`` (the dense basis rows of an ``Echelon``) and
+the last functions here (``grow_extremal_spanning``,
+``line_is_fully_extremal``, ``graded_components``) are ones that only the
+tests call.
 """
 
 import itertools
@@ -120,6 +126,28 @@ def rng(name):
 
 def random_fraction(r, span=4):
     return Fraction(r.randint(-span, span), r.randint(1, span))
+
+
+def sparse(rows):
+    """Dense rows as sparse rows, zeros dropped (entries already reduced)."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def dense(rows, width):
+    """Sparse rows as dense lists of length ``width``."""
+    out = []
+    for row in rows:
+        v = [0] * width
+        for j, x in row.items():
+            v[j] = x
+        out.append(v)
+    return out
+
+
+def echelon_basis(e):
+    """The canonical basis rows of an ``Echelon`` (or ``DenseEchelon``) as
+    dense lists, ordered by pivot column."""
+    return dense([e.row(c) for c in e.pivot_columns()], e.width)
 
 
 class DenseEchelon:
@@ -271,9 +299,9 @@ def eigenvectors(f, elems, coords, lam):
 
     d = len(elems)
     # x with x . M = lam x, i.e. (M^T - lam) x = 0
-    mt = [[f.sub(coords[i][j], lam if i == j else f.zero) for i in range(d)] for j in range(d)]
+    mt = [{i: f.sub(coords[i].get(j, f.zero), lam if i == j else f.zero) for i in range(d)} for j in range(d)]
     zero = elems[0].algebra.zero()
-    return [sum((c * e for c, e in zip(x, elems)), zero) for x in kernel(f, mt, d)]
+    return [sum((c * elems[i] for i, c in x.items()), zero) for x in kernel(f, mt, d)]
 
 
 def eigenline_modules_irreducible(M, modules):
@@ -382,16 +410,17 @@ def dense_is_associative(form):
     f(b_i,[b_j,b_k]) on every basis triple, one ``Field`` call per term."""
     L, f = form.algebra, form.algebra.field
     n = L.n
+    gram = dense(form.rows, n)
     for i in range(n):
         for j in range(n):
             row = L.bracket_basis(i, j)
             for k in range(n):
                 lhs = f.zero
                 for m, c in row.items():
-                    lhs = f.add(lhs, f.mul(c, form.gram[m][k]))
+                    lhs = f.add(lhs, f.mul(c, gram[m][k]))
                 rhs = f.zero
                 for m, c in L.bracket_basis(j, k).items():
-                    rhs = f.add(rhs, f.mul(c, form.gram[i][m]))
+                    rhs = f.add(rhs, f.mul(c, gram[i][m]))
                 if not f.is_zero(f.sub(lhs, rhs)):
                     return False
     return True
@@ -436,7 +465,7 @@ def dense_center(L):
             for k, c in L.bracket_basis(i, j).items():
                 block[k][i] = c
         rows.extend(block)
-    return Subspace.from_elements(L, kernel(f, rows, L.n))
+    return Subspace.from_elements(L, kernel(f, sparse(rows), L.n))
 
 
 def preserves_form(phi, form):
@@ -447,7 +476,7 @@ def preserves_form(phi, form):
         fi = phi.apply(L.basis_element(i))
         for j in range(i, L.n):
             v = form.value(fi, phi.apply(L.basis_element(j))).value
-            if not f.is_zero(f.sub(v, form.gram[i][j])):
+            if not f.is_zero(f.sub(v, form.rows[i].get(j, f.zero))):
                 return False
     return True
 
@@ -474,15 +503,15 @@ def dense_extremal_gram(L, spanning):
     ``spanning`` and F[a][b] = f_a(s_b), as it was computed before the Gram
     became sparse."""
     from extremal_lie.liealg import is_extremal
-    from extremal_lie.linalg import Coordinates, mat_mul
+    from extremal_lie.linalg import Coordinates
 
     f = L.field
     elems = [L.element(s) for s in spanning]
     fvals = [[is_extremal(L, a)(b).value for b in elems] for a in elems]
     coordinates = Coordinates(f, [s.coeffs for s in elems], L.n)
-    coords = [coordinates.solve({i: f.one}) for i in range(L.n)]
-    half = mat_mul(f, coords, fvals)
-    return mat_mul(f, half, [list(col) for col in zip(*coords)])
+    coords = dense([coordinates.solve({i: f.one}) for i in range(L.n)], len(elems))
+    half = dense_mat_mul(f, coords, fvals)
+    return dense_mat_mul(f, half, [list(col) for col in zip(*coords)])
 
 
 class FractionAutomorphism:
@@ -650,3 +679,281 @@ def candidate_seeded_radical(L, raising=()):
             return R, cert is True
         R = la.ideal_generated(L, [lift(v) for v in cert.basis()] + R.basis())
     return R, False
+
+
+# -- the dense matrix layer ------------------------------------------------------
+
+
+def dense_mat_mul(field, a, b):
+    """Reference for ``linalg.mat_mul`` on dense lists: the product of an
+    n x k and a k x m matrix, one ``Field`` call per term."""
+    f = field
+    m = len(b[0]) if b else 0
+    out = []
+    for ai in a:
+        row = [f.zero] * m
+        for k, x in enumerate(ai):
+            if f.is_zero(x):
+                continue
+            for j, y in enumerate(b[k]):
+                if not f.is_zero(y):
+                    row[j] = f.add(row[j], f.mul(x, y))
+        out.append(row)
+    return out
+
+
+def dense_matrix_lie_algebra(field, mats, labels=None):
+    """Reference for ``liealg.matrix_lie_algebra`` on dense matrices: the
+    commutator closure on flattened dense vectors in a ``DenseEchelon``.
+    Coordinates are solved by ``linalg.Coordinates`` and read back dense."""
+    from extremal_lie.linalg import Coordinates, closure
+
+    f = field
+    size = len(mats[0])
+
+    def flat(m):
+        return [x for row in m for x in row]
+
+    def square(v):
+        return [v[i * size:(i + 1) * size] for i in range(size)]
+
+    def commutator(a, b):
+        ab, ba = dense_mat_mul(f, a, b), dense_mat_mul(f, b, a)
+        return [f.sub(x, y) for ra, rb in zip(ab, ba) for x, y in zip(ra, rb)]
+
+    kept = []
+
+    def expand(v):
+        m = square(v)
+        kept.append(m)
+        return (commutator(other, m) for other in tuple(kept))
+
+    ech = DenseEchelon(f, size * size)
+    closure(ech, ([f.raw(x) for x in flat(m)] for m in mats), expand)
+    rows = ech.basis()
+    basis_mats = [square(row) for row in rows]
+    n = len(basis_mats)
+    span = Coordinates(f, sparse(rows), size * size)
+
+    def solve(v):
+        coeffs = span.solve({j: x for j, x in enumerate(v) if not f.is_zero(x)})
+        return None if coeffs is None else dense([coeffs], n)[0]
+
+    table = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            coeffs = solve(commutator(basis_mats[a], basis_mats[b]))
+            if coeffs is None:
+                raise ValueError("matrix set is not closed under commutators")
+            table[(a, b)] = dict(enumerate(coeffs))
+    if labels is None:
+        labels = ["m%d" % i for i in range(n)]
+    L = LieAlgebra(f, labels, table)
+
+    def element_of(m):
+        coeffs = solve(flat(m))
+        if coeffs is None:
+            raise ValueError("matrix is not in the algebra")
+        return L.element(coeffs)
+
+    return L, basis_mats, element_of
+
+
+def _unit_matrix(f, size, i, j):
+    m = [[f.zero] * size for _ in range(size)]
+    m[i][j] = f.one
+    return m
+
+
+def _scale_mat(f, c, m):
+    c = f.from_int(c)
+    return [[f.mul(c, x) for x in row] for row in m]
+
+
+def _sum_mats(f, a, b):
+    return [[f.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _split_gram(f, type_, n):
+    size = 2 * n + 1 if type_ == "B" else 2 * n
+    g = [[f.zero] * size for _ in range(size)]
+    off = 1 if type_ == "B" else 0
+    if type_ == "B":
+        g[0][0] = f.one
+    for i in range(n):
+        if type_ == "C":
+            g[i][n + i] = f.one
+            g[n + i][i] = f.from_int(-1)
+        else:
+            g[off + i][off + n + i] = f.one
+            g[off + n + i][off + i] = f.one
+    return g
+
+
+def _matrices_preserving(f, gram):
+    """Basis of {X : X^T G + G X = 0}, from one dense row per (i, j)."""
+    from extremal_lie.linalg import kernel
+
+    size = len(gram)
+    rows = []
+    for i in range(size):
+        for j in range(size):
+            row = [f.zero] * (size * size)
+            for k in range(size):
+                row[k * size + i] = f.add(row[k * size + i], gram[k][j])
+                row[k * size + j] = f.add(row[k * size + j], gram[i][k])
+            rows.append(row)
+    basis = dense(kernel(f, sparse(rows), size * size), size * size)
+    return [[[v[i * size + j] for j in range(size)] for i in range(size)] for v in basis]
+
+
+def _burnside_irreducible(f, mats, size):
+    from extremal_lie.linalg import closure
+
+    kept = []
+
+    def expand(v):
+        m = [v[i * size:(i + 1) * size] for i in range(size)]
+        kept.append(m)
+        return (
+            [x for row in p for x in row]
+            for other in tuple(kept)
+            for p in (dense_mat_mul(f, other, m), dense_mat_mul(f, m, other))
+        )
+
+    ech = DenseEchelon(f, size * size)
+    closure(ech, ([x for row in m for x in row] for m in mats), expand)
+    return ech.dim == size * size
+
+
+def dense_natural_representation(type_, rank, field):
+    """Reference for ``chevalley.natural_representation`` on dense
+    matrices.  Returns (report, algebra, basis matrices)."""
+    f = field
+    n = rank
+    if type_ == "A":
+        size = n + 1
+        gens = []
+        for i in range(n):
+            gens.append(_unit_matrix(f, size, i, i + 1))
+            gens.append(_unit_matrix(f, size, i + 1, i))
+        long_mat = _unit_matrix(f, size, 0, 1)
+    else:
+        size = 2 * n + 1 if type_ == "B" else 2 * n
+        gens = _matrices_preserving(f, _split_gram(f, type_, n))
+        if type_ == "B":
+            long_mat = _sum_mats(f, _unit_matrix(f, size, 1, 2), _scale_mat(f, -1, _unit_matrix(f, size, n + 2, n + 1)))
+        elif type_ == "C":
+            long_mat = _unit_matrix(f, size, 0, n)
+        else:
+            long_mat = _sum_mats(f, _unit_matrix(f, size, 0, 1), _scale_mat(f, -1, _unit_matrix(f, size, n + 1, n)))
+    L, mats, element_of = dense_matrix_lie_algebra(f, gens + [long_mat])
+    expected_dim = {"A": n * n + 2 * n, "B": n * (2 * n + 1), "C": n * (2 * n + 1), "D": n * (2 * n - 1)}[type_]
+    extremal = is_extremal(L, element_of(long_mat)) is not None
+    ech = DenseEchelon(f, size)
+    for row in long_mat:
+        ech.insert(row)
+    m = ech.dim
+    irreducible = _burnside_irreducible(f, mats, size)
+    report = {
+        "type": type_,
+        "rank": rank,
+        "dim": L.n,
+        "dim_expected": expected_dim,
+        "module_dim": size,
+        "extremal_matrix_rank": m,
+        "extremal_ok": extremal,
+        "irreducible": irreducible,
+        "lower_bound": -(-size // m),
+        "pass": L.n == expected_dim and extremal and irreducible,
+    }
+    return report, L, mats
+
+
+def ad_matrix(L, a):
+    """The dense matrix of ad_a on the basis (columns are [a, b_j])."""
+    n = L.n
+    m = [[L.field.zero] * n for _ in range(n)]
+    for j in range(n):
+        for k, c in L.bracket(a, L.basis_element(j)).coeffs.items():
+            m[k][j] = c
+    return m
+
+
+def dense_phi_spectrum_check(L, x, y):
+    """Reference for ``liealg.phi_spectrum_check``: phi = ad_x ad_y as a
+    dense product of ad matrices, its square taken the same way."""
+    from extremal_lie.liealg import PreconditionNotMet, Subspace, _poly_shift, killing_form
+    from extremal_lie.linalg import charpoly
+    from extremal_lie.scalars import Scalar
+
+    x = L.element(x)
+    y = L.element(y)
+    f = L.field
+    fx = is_extremal(L, x)
+    if fx is None:
+        raise PreconditionNotMet("x must be extremal")
+    fxy = fx(y).value
+    kappa = killing_form(L)
+    if f.is_zero(fxy):
+        phi = dense_mat_mul(f, ad_matrix(L, x), ad_matrix(L, y))
+        cp = charpoly(f, sparse(phi))
+        expected = [f.zero] * L.n + [f.one]
+        ok = cp == expected and f.is_zero(kappa.value(x, y).value)
+        return {"case": "a", "all_eigenvalues_zero": cp == expected, "kappa_zero": f.is_zero(kappa.value(x, y).value), "pass": ok}
+    scale = f.div(f.from_int(-2), fxy)
+    y2 = Scalar(f, scale) * y
+    adx = ad_matrix(L, x)
+    ech = DenseEchelon(f, L.n)
+    for row in adx:
+        ech.insert(row)
+    s = ech.dim
+    phi = dense_mat_mul(f, adx, ad_matrix(L, y2))
+    cp = charpoly(f, sparse(phi))
+    expected = [f.one]
+    for root, mult in ((f.from_int(2), 2), (f.from_int(1), s - 2), (f.zero, L.n - s)):
+        for _ in range(mult):
+            expected = _poly_shift(f, expected, root)
+    kap = kappa.value(x, y2).value
+    comb = dense_mat_mul(f, phi, phi)
+    minus_one = f.from_int(-1)
+    for i in range(L.n):
+        for j in range(L.n):
+            comb[i][j] = f.add(comb[i][j], f.mul(minus_one, phi[i][j]))
+    target = Subspace.from_elements(L, [x, L.bracket(x, y2)])
+    img_ok = all(target.contains({i: comb[i][j] for i in range(L.n)}) for j in range(L.n))
+    ok = cp == expected and kap == f.from_int(s + 2) and img_ok
+    return {
+        "case": "b",
+        "s": s,
+        "kappa": Scalar(f, kap),
+        "kappa_expected": Scalar(f, f.from_int(s + 2)),
+        "charpoly_matches": cp == expected,
+        "quadratic_image_ok": img_ok,
+        "pass": ok,
+    }
+
+
+def dense_fourth_power_check(L, x, y, form):
+    """Reference for ``liealg.fourth_power_check``: the fourth power of the
+    dense matrix of ad_[x,y], as two dense squarings."""
+    from extremal_lie.liealg import PreconditionNotMet
+
+    x = L.element(x)
+    y = L.element(y)
+    if is_extremal(L, x) is None:
+        raise PreconditionNotMet("x must be extremal")
+    rad = form.radical()
+    if rad.contains(x):
+        raise PreconditionNotMet("x must lie outside Rad(f)")
+    if not rad.contains(y):
+        raise PreconditionNotMet("y must lie in Rad(f)")
+    z = L.bracket(x, y)
+    if z.is_zero():
+        return {"bracket_zero": True, "fourth_power_zero": True, "pass": True}
+    m = ad_matrix(L, z)
+    f = L.field
+    sq = dense_mat_mul(f, m, m)
+    fourth = dense_mat_mul(f, sq, sq)
+    ok = all(all(f.is_zero(c) for c in row) for row in fourth)
+    return {"bracket_zero": False, "fourth_power_zero": ok, "pass": ok}

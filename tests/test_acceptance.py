@@ -152,7 +152,7 @@ def test_criterion_07_killing_and_radicals():
     kap = killing_form(A.lie)
     ok = ok and kap.value(A.x((1, 0)), A.x((-1, 0))) == QQ.scalar(6)
     A3 = chevalley("A", 2, 3)
-    ok = ok and all(A3.field.is_zero(c) for row in killing_form(A3.lie).gram for c in row)
+    ok = ok and not any(killing_form(A3.lie).rows)
     L2 = sl2(QQ)
     rep = phi_spectrum_check(L2, L2.basis_element(0), L2.basis_element(2))
     ok = ok and rep["pass"] and rep["s"] == 2 and rep["kappa"] == QQ.scalar(4)

@@ -28,10 +28,14 @@ from extremal_lie.chevalley import (
     simple_plus_lowest_generation_check,
     verify_generation,
 )
+from extremal_lie import liealg
 from extremal_lie.liealg import extremal_form, is_extremal
+from extremal_lie.scalars import Field
 
 from helpers import (
     chevalley,
+    dense,
+    dense_natural_representation,
     field_of,
     fraction_exp_map,
     preserves_form,
@@ -420,3 +424,63 @@ def test_rootgroups_builds_each_exp_once(monkeypatch):
         assert cli.main(["--json", "rootgroups", "--type", "B3", "--char", "0", "--seed", "5"]) == 0
     assert len(builds) > 500
     assert max(builds.values()) == 1
+
+
+NATURAL_TYPES = (("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("D", 4), ("D", 5))
+
+
+@pytest.mark.parametrize("char", [0, 3, 5, 53])
+def test_natural_representation_matches_dense_reference(char, monkeypatch):
+    """The report, the basis matrices and the structure table of the
+    natural representation on sparse rows equal those of the dense matrix
+    layer in ``helpers``."""
+    f = field_of(char)
+    built = []
+
+    def spy(field, mats, labels=None):
+        built.append(liealg.matrix_lie_algebra(field, mats, labels))
+        return built[-1]
+
+    monkeypatch.setattr(chevalley_module, "matrix_lie_algebra", spy)
+    for type_, rank in NATURAL_TYPES:
+        rep = natural_representation(type_, rank, f)
+        want, ref_lie, ref_mats = dense_natural_representation(type_, rank, f)
+        (lie, mats, _), = built
+        built.clear()
+        assert rep == want, (type_, rank)
+        assert [dense(m, rep["module_dim"]) for m in mats] == ref_mats
+        n = lie.n
+        assert [dense([lie.bracket_basis(i, j) for j in range(n)], n) for i in range(n)] == [
+            dense([ref_lie.bracket_basis(i, j) for j in range(n)], n) for i in range(n)
+        ]
+
+
+def test_matrix_algebras_call_no_field_arithmetic(monkeypatch):
+    """Building so(10) and sp(6) from matrices and deciding their
+    irreducibility makes no per-entry ``Field`` call."""
+    calls = []
+    for name in ("add", "sub", "mul", "is_zero"):
+        def counted(self, *args, _orig=getattr(Field, name), _name=name):
+            calls.append(_name)
+            return _orig(self, *args)
+
+        monkeypatch.setattr(Field, name, counted)
+    f = GF(53)
+    for type_, rank in (("D", 5), ("C", 3)):
+        gens = chevalley_module._matrices_preserving(f, chevalley_module._split_gram(f, type_, rank))
+        lie, mats, _ = liealg.matrix_lie_algebra(f, gens)
+        assert chevalley_module._burnside_irreducible(f, mats, 2 * rank)
+    assert calls == []
+    f.is_zero(0)  # the counters are live
+    assert calls == ["is_zero"]
+
+
+def test_burnside_irreducibility_check_can_fail():
+    """E_01 and E_10 generate all 2 x 2 matrices as an associative algebra
+    (E_01 E_10 = E_00, E_10 E_01 = E_11); E_01 alone, or with E_00, keeps
+    the line of the first basis vector invariant."""
+    f = GF(5)
+    e01, e10, e00 = [{1: 1}, {}], [{}, {0: 1}], [{0: 1}, {}]
+    assert chevalley_module._burnside_irreducible(f, [e01, e10], 2)
+    assert not chevalley_module._burnside_irreducible(f, [e01], 2)
+    assert not chevalley_module._burnside_irreducible(f, [e01, e00], 2)

@@ -45,9 +45,10 @@ def test_mingen_g2(capsys):
 
 
 def test_mingen_e8_requires_heavy(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(capsys, "mingen", "--type", "E8")
-    assert exc.value.code == 2
+    code, out, err = run_cli(capsys, "mingen", "--type", "E8")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["E8 is the heavyweight case; rerun with --heavy"]
 
 
 def test_mingen_jobs_flag(capsys):
@@ -200,6 +201,9 @@ def test_mingen_f4_char5(capsys):
     ["tables", "rr-lengths", "--r", "5"],
     ["tables", "lr", "--max-r", "0"],
     ["mingen", "--type", "A2", "--rank", "3"],
+    ["tables", "rr-lengths", "--r", "0"],
+    ["mingen", "--type", "A2", "--jobs", "0"],
+    ["mingen", "--type", "A1,A2", "--jobs", "-1"],
 ])
 def test_malformed_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -28,6 +28,7 @@ from extremal_lie.scalars import QQ, Field, GF
 
 from helpers import (
     chevalley,
+    dense,
     dense_center,
     dense_extremal_gram,
     dense_is_associative,
@@ -35,6 +36,7 @@ from helpers import (
     field_of,
     nonzero,
     rescaled,
+    sparse,
 )
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=120)
@@ -61,7 +63,7 @@ def true_gram(name, char, kind):
     L = algebra(name, char)
     if kind == "extremal" and name in CHEVALLEY:
         A = chevalley(*CHEVALLEY[name], char)
-        return tuple(map(tuple, extremal_form(L, extremal_spanning_set(A)).gram))
+        return tuple(map(tuple, dense(extremal_form(L, extremal_spanning_set(A)).rows, L.n)))
     return tuple(map(tuple, dense_killing_gram(L)))
 
 
@@ -96,22 +98,22 @@ def form_cases(draw):
         # Gram with row and column r times s, and entry (r, r) times s^2, so
         # the old Gram is not associative for the new table unless row r
         # is zero off the diagonal and s^2 = 1.
-        if not BilinearForm(L, gram, kind).radical().dim:
+        if not BilinearForm(L, sparse(gram), kind).radical().dim:
             off_diagonal = any(gram[r][j] for j in range(n) if j != r)
             expected = False if off_diagonal or f.mul(s, s) != 1 else None
         L = rescaled(L, [s if i == r else f.one for i in range(n)])
-    return BilinearForm(L, gram, kind), expected
+    return BilinearForm(L, sparse(gram), kind), expected
 
 
 @PROPERTY
 @given(form_cases())
 # f(x, z) = 1 on the Heisenberg algebra: not associative, but it passes the
 # check that reads the Gram by column on the right, f([x,y],z) == f([y,z],x)
-@example((BilinearForm(heisenberg(GF(3)), [[0, 0, 1], [0, 0, 0], [0, 0, 0]], "custom"), False))
+@example((BilinearForm(heisenberg(GF(3)), [{2: 1}, {}, {}], "custom"), False))
 # f(z, x) = 1 on the Heisenberg algebra: its transpose, not associative either
-@example((BilinearForm(heisenberg(GF(3)), [[0, 0, 0], [0, 0, 0], [1, 0, 0]], "custom"), False))
+@example((BilinearForm(heisenberg(GF(3)), [{}, {}, {0: 1}], "custom"), False))
 # f(x, y) = 1 on the Heisenberg algebra: associative and not symmetric
-@example((BilinearForm(heisenberg(QQ), [[0, 1, 0], [0, 0, 0], [0, 0, 0]], "custom"), True))
+@example((BilinearForm(heisenberg(QQ), [{1: 1}, {}, {}], "custom"), True))
 def test_is_associative_matches_dense_reference(case):
     form, expected = case
     fast = form.is_associative()
@@ -145,7 +147,7 @@ def extremal_spanning_cases(draw):
 @given(extremal_spanning_cases())
 def test_extremal_form_gram_matches_dense_reference(case):
     L, spanning = case
-    assert extremal_form(L, spanning).gram == dense_extremal_gram(L, spanning)
+    assert dense(extremal_form(L, spanning).rows, L.n) == dense_extremal_gram(L, spanning)
 
 
 @st.composite
@@ -163,10 +165,10 @@ def rescaled_algebras(draw):
 @given(rescaled_algebras())
 def test_killing_form_and_center_match_dense_reference(L):
     kappa = killing_form(L)
-    assert kappa.gram == dense_killing_gram(L)
+    assert dense(kappa.rows, L.n) == dense_killing_gram(L)
     if all(type(c) is int for row in L._table.values() for c in row.values()):
         # integral constants give int entries over Q, residues over GF(p)
-        assert all(type(c) is int for row in kappa.gram for c in row)
+        assert all(type(c) is int for row in kappa.rows for c in row.values())
     assert center(L) == dense_center(L)
 
 

@@ -47,7 +47,9 @@ from helpers import (
     AntisymmetryViolation,
     candidate_seeded_radical,
     chevalley,
+    dense_fourth_power_check,
     dense_jacobi,
+    dense_phi_spectrum_check,
     field_of,
     grow_extremal_spanning,
     lie_algebra_from_dense,
@@ -223,7 +225,7 @@ def test_extremal_form_sl3_values():
 def test_extremal_form_zero_on_sandwich_algebra():
     L = sandwich(3).as_lie_algebra()
     form = extremal_form(L, L.basis_elements())
-    assert all(QQ.is_zero(c) for row in form.gram for c in row)
+    assert not any(form.rows)
     assert form.radical().dim == L.n
 
 
@@ -254,7 +256,7 @@ def test_extremal_form_checks_the_functionals_it_is_handed():
     e, h, f_ = L.basis_elements()
     span = grow_extremal_spanning(L, [e, f_])
     assert isinstance(span, ExtremalSet) and span.functionals[0](f_) == QQ.scalar(-2)
-    fe = ExtremalFunctional(L, [2 * v for v in span.functionals[0].values])
+    fe = ExtremalFunctional(L, {j: 2 * v for j, v in span.functionals[0].values.items()})
     bad = ExtremalSet(L, list(span), [fe] + span.functionals[1:])
     with pytest.raises(WellDefinednessFailure, match="on spanning pair"):
         extremal_form(L, bad)
@@ -267,7 +269,7 @@ def test_killing_form_values():
     assert kap.value(x, mx) == QQ.scalar(6)
     A3 = chevalley("A", 2, 3)
     kap3 = killing_form(A3.lie)
-    assert all(A3.field.is_zero(c) for row in kap3.gram for c in row)
+    assert not any(kap3.rows)
     # kappa(x, y) = 0 whenever f(x, y) = 0 for extremal x
     assert kap.value(A.x((1, 0)), A.x((0, 1))) == QQ.scalar(0)
 
@@ -609,3 +611,80 @@ def test_solvable_radical_matches_candidate_seeded_reference():
         seen[name] = (rad.dim, certified)
     assert seen["A2/3"] == seen["E6/3"] == (1, True) and seen["G2/3"] == (0, True)
     assert seen["hidden line"] == (0, False) and seen["M(-2, 0, 0)"] == (5, True)
+
+
+# -- phi and the fourth power against the dense ad matrices ---------------------
+
+
+@lru_cache(maxsize=None)
+def _fourth_power_setting(name):
+    """(L, form, extremal elements outside Rad(form), basis of Rad(form)):
+    G2 over GF(3) with long root elements, or the three-generator algebra of
+    case 2 over Q with its generators."""
+    if name == "G2/3":
+        A = chevalley("G", 2, 3)
+        rs = A.rootsystem
+        form = extremal_form(A.lie, extremal_spanning_set(A))
+        return A.lie, form, tuple(A.x(r) for r in rs.roots if rs.is_long(r)), tuple(form.radical().basis())
+    M, _ = build_M(TriangleParams(QQ, -2, -2, 0, 0))
+    form = extremal_form(M, _extremal_span_m(M))
+    return M, form, tuple(M.basis_element(i) for i in range(3)), tuple(form.radical().basis())
+
+
+def test_phi_and_fourth_power_match_dense_reference_on_fixed_inputs():
+    L = sl2(QQ)
+    A = chevalley("A", 2)
+    for lie, x, y in (
+        (L, L.basis_element(0), L.basis_element(2)),
+        (A.lie, A.x((1, 0)), A.x((-1, 0))),
+        (A.lie, A.x((1, 0)), A.x((0, 1))),
+    ):
+        assert phi_spectrum_check(lie, x, y) == dense_phi_spectrum_check(lie, x, y)
+    G3 = chevalley("G", 2, 3)
+    lie, form, _, _ = _fourth_power_setting("G2/3")
+    cases = [(lie, G3.x((0, 1)), G3.x((1, 0)), form)]
+    M, formM, _, rad = _fourth_power_setting("M")
+    cases += [(M, M.basis_element(0), rad[0], formM), (M, M.basis_element(0), M.basis_element(6), formM)]
+    for lie, x, y, form in cases:
+        assert fourth_power_check(lie, x, y, form) == dense_fourth_power_check(lie, x, y, form)
+
+
+@st.composite
+def phi_cases(draw):
+    """(L, x, y): x = c x_a for a long root a of A2 or B3 over Q or GF(7);
+    y a root element, or up to three basis elements with nonzero
+    coefficients, half the time plus a multiple of x_-a, so that f(x, y) is
+    nonzero (case b)."""
+    char = draw(st.sampled_from((0, 7)))
+    A = chevalley(*draw(st.sampled_from((("A", 2), ("B", 3)))), char)
+    rs = A.rootsystem
+    root = draw(st.sampled_from([r for r in rs.roots if rs.is_long(r)]))
+    x = draw(nonzero(char)) * A.x(root)
+    if draw(st.booleans()):
+        y = A.x(draw(st.sampled_from(rs.roots)))
+    else:
+        idx = draw(st.lists(st.integers(0, A.lie.n - 1), max_size=3, unique=True))
+        y = A.lie.element({i: A.lie.field.raw(draw(nonzero(char))) for i in idx})
+    if draw(st.booleans()):
+        y = y + draw(nonzero(char)) * A.x(tuple(-t for t in root))
+    return A.lie, x, y
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(phi_cases())
+def test_phi_spectrum_matches_dense_reference(case):
+    L, x, y = case
+    assert phi_spectrum_check(L, x, y) == dense_phi_spectrum_check(L, x, y)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.sampled_from(("G2/3", "M")), st.data())
+def test_fourth_power_matches_dense_reference(name, data):
+    L, form, outside, rad = _fourth_power_setting(name)
+    char = L.field.characteristic
+    x = data.draw(st.sampled_from(outside))
+    coeffs = data.draw(st.lists(st.one_of(st.just(0), nonzero(char)), min_size=len(rad), max_size=len(rad)))
+    y = L.zero()
+    for c, v in zip(coeffs, rad):
+        y = y + c * v
+    assert fourth_power_check(L, x, y, form) == dense_fourth_power_check(L, x, y, form)

@@ -19,7 +19,7 @@ from extremal_lie.linalg import (
     solve_in_span,
 )
 
-from helpers import DenseEchelon, rng
+from helpers import DenseEchelon, dense_mat_mul, echelon_basis, rng, sparse
 
 
 def _q(rows):
@@ -27,49 +27,49 @@ def _q(rows):
 
 
 def test_echelon_rank_and_canonical_form():
-    rows = _q([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    rows = sparse([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     e = echelon_from_rows(QQ, 3, rows)
     assert e.dim == 2
-    assert e.basis() == _q([[1, 0, 1], [0, 1, 1]])
+    assert echelon_basis(e) == _q([[1, 0, 1], [0, 1, 1]])
 
 
 def test_echelon_insertion_order_irrelevant_for_canonical_basis():
     r = rng("echelon")
-    rows = [[Fraction(r.randint(-5, 5)) for _ in range(5)] for _ in range(6)]
+    rows = sparse([[Fraction(r.randint(-5, 5)) for _ in range(5)] for _ in range(6)])
     e1 = echelon_from_rows(QQ, 5, rows)
     shuffled = list(rows)
     r.shuffle(shuffled)
     e2 = echelon_from_rows(QQ, 5, shuffled)
-    assert e1.basis() == e2.basis()
+    assert echelon_basis(e1) == echelon_basis(e2)
 
 
 def test_kernel_exact():
-    rows = _q([[1, 2, 3], [4, 5, 6]])
+    rows = sparse([[1, 2, 3], [4, 5, 6]])
     for v in kernel(QQ, rows, 3):
         for row in rows:
-            assert sum(a * b for a, b in zip(row, v)) == 0
+            assert sum(a * v.get(j, 0) for j, a in row.items()) == 0
     assert rank(QQ, rows) + len(kernel(QQ, rows, 3)) == 3
 
 
 def test_solve_in_span():
-    rows = _q([[1, 0, 1], [0, 1, 1]])
-    coeffs = solve_in_span(QQ, rows, 3, _q([[2, 3, 5]])[0])
-    assert coeffs == [Fraction(2), Fraction(3)]
-    assert solve_in_span(QQ, rows, 3, _q([[1, 0, 0]])[0]) is None
+    rows = sparse([[1, 0, 1], [0, 1, 1]])
+    coeffs = solve_in_span(QQ, rows, 3, {0: 2, 1: 3, 2: 5})
+    assert coeffs == {0: 2, 1: 3}
+    assert solve_in_span(QQ, rows, 3, {0: 1}) is None
 
 
 def test_matrix_inverse_over_gf():
     f = GF(7)
-    m = [[f.from_int(v) for v in row] for row in [[1, 2], [3, 4]]]
+    m = sparse([[f.from_int(v) for v in row] for row in [[1, 2], [3, 4]]])
     inv = mat_inverse(f, m)
     prod = mat_mul(f, m, inv)
-    assert prod == [[f.one, f.zero], [f.zero, f.one]]
+    assert prod == [{0: f.one}, {1: f.one}]
 
 
 def test_charpoly_matches_direct_expansion():
     # det(tI - A) for a fixed 3x3 matrix, expanded by hand:
     # A = [[2,1,0],[0,2,0],[1,0,3]] -> (t-2)^2 (t-3)
-    a = _q([[2, 1, 0], [0, 2, 0], [1, 0, 3]])
+    a = sparse([[2, 1, 0], [0, 2, 0], [1, 0, 3]])
     cp = charpoly(QQ, a)
     # (t-2)^2 (t-3) = t^3 - 7t^2 + 16t - 12
     assert cp == _q([[-12, 16, -7, 1]])[0]
@@ -77,7 +77,7 @@ def test_charpoly_matches_direct_expansion():
 
 def test_charpoly_nilpotent_over_gf():
     f = GF(5)
-    a = [[f.zero, f.one], [f.zero, f.zero]]
+    a = [{1: f.one}, {}]
     assert charpoly(f, a) == [f.zero, f.zero, f.one]
 
 
@@ -92,7 +92,8 @@ def test_mat_mul_matches_dense_reference_on_rectangular_matrices():
                 for j in range(m):
                     for t in range(k):
                         dense[i][j] = f.add(dense[i][j], f.mul(a[i][t], b[t][j]))
-            assert mat_mul(f, a, b) == dense
+            assert mat_mul(f, sparse(a), sparse(b)) == sparse(dense)
+            assert dense_mat_mul(f, a, b) == dense
 
 
 # -- the sparse kernel against the dense Fraction reference --------------------
@@ -131,33 +132,33 @@ def _reference():
 
 
 @PROPERTY
-@given(matrices(), st.booleans(), st.data())
-def test_echelon_matches_dense_reference(mat, as_dict, data):
+@given(matrices(), st.data())
+def test_echelon_matches_dense_reference(mat, data):
     field, width, rows = mat
     fast, slow = Echelon(field, width), DenseEchelon(field, width)
     for row in rows:
-        vec = _sparse(row) if as_dict else row
+        vec = _sparse(row)
         assert fast.insert(vec) == slow.insert(vec)
         assert fast.dim == slow.dim
     assert fast.pivot_columns() == slow.pivot_columns()
-    assert fast.basis() == slow.basis()
+    assert echelon_basis(fast) == slow.basis()
     for c in fast.pivot_columns():
         assert fast.row(c) == slow.row(c)
     copy = fast.copy()
     probes = data.draw(st.lists(st.lists(_entries(field), min_size=width, max_size=width), max_size=4))
     for vec in probes + rows:
-        vec = _sparse(vec) if as_dict else vec
+        vec = _sparse(vec)
         assert fast.reduce(vec) == slow.reduce(vec)
         assert fast.contains(vec) == slow.contains(vec)
         copy.insert(vec)
-    assert fast.basis() == slow.basis()  # a copy's inserts leave the original alone
+    assert echelon_basis(fast) == slow.basis()  # a copy's inserts leave the original alone
 
 
 @PROPERTY
-@given(matrices(), st.booleans())
-def test_rank_and_kernel_match_dense_reference(mat, as_dict):
+@given(matrices())
+def test_rank_and_kernel_match_dense_reference(mat):
     field, width, rows = mat
-    vecs = [_sparse(r) for r in rows] if as_dict else rows
+    vecs = [_sparse(r) for r in rows]
     got = (rank(field, vecs, width), kernel(field, vecs, width))
     with _reference():
         want = (rank(field, vecs, width), kernel(field, vecs, width))
@@ -165,20 +166,21 @@ def test_rank_and_kernel_match_dense_reference(mat, as_dict):
 
 
 @PROPERTY
-@given(matrices(), st.booleans(), st.data())
-def test_coordinates_match_dense_reference(mat, as_dict, data):
+@given(matrices(), st.data())
+def test_coordinates_match_dense_reference(mat, data):
     field, width, rows = mat
     coeffs = data.draw(st.lists(_entries(field), min_size=len(rows), max_size=len(rows)))
     combo = [field.zero] * width
     for c, row in zip(coeffs, rows):
         combo = [field.add(a, field.mul(c, b)) for a, b in zip(combo, row)]
     other = data.draw(st.lists(_entries(field), min_size=width, max_size=width))
-    got = Coordinates(field, [_sparse(r) for r in rows] if as_dict else rows, width)
+    vecs = [_sparse(r) for r in rows]
+    got = Coordinates(field, vecs, width)
     with _reference():
-        want = Coordinates(field, rows, width)
+        want = Coordinates(field, vecs, width)
     assert got.spans() == want.spans()
     for target in (combo, other):
-        assert got.solve(_sparse(target) if as_dict else target) == want.solve(target)
+        assert got.solve(_sparse(target)) == want.solve(_sparse(target))
 
 
 @st.composite
@@ -231,7 +233,7 @@ def test_mat_inverse_matches_dense_reference(mat):
 
     def inverse():
         try:
-            return mat_inverse(field, rows)
+            return mat_inverse(field, [_sparse(r) for r in rows])
         except ValueError:
             return "singular"
 

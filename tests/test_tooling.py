@@ -189,3 +189,57 @@ def test_uncalled_function_guard_finds_each_case(tmp_path):
     (pkg / "b.py").write_text("from . import a\n\nx = a.by_attribute\ny = a.K()\n")
     (demos / "d.py").write_text("from pkg.a import by_demo\n")
     assert _uncalled_functions(str(pkg), [str(demos)]) == ["a.py:exported", "a.py:K.unused", "a.py:Planted"]
+
+
+# Functions of the package that may build a list out of ``<x>.zero``: they
+# build polynomials (dense coefficient lists), not vectors
+DENSE_ALLOWED = {"linalg.charpoly", "linalg.poly_mul", "liealg._poly_shift"}
+
+
+def _dense_vector_builds(package_dir):
+    """``module.name`` of each function (``module.Class.method``, or
+    ``module.<module>`` at module level) of ``package_dir``/*.py that
+    multiplies a list holding ``<x>.zero``: a dense field vector.  A nested
+    function counts for the function it is defined in."""
+    found = []
+    for name in sorted(os.listdir(package_dir)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package_dir, name)) as fh:
+            tree = ast.parse(fh.read())
+        units = []
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                units += [("%s.%s" % (node.name, getattr(item, "name", "<class>")), item) for item in node.body]
+            else:
+                units.append((node.name if isinstance(node, ast.FunctionDef) else "<module>", node))
+        for qual, unit in units:
+            for node in ast.walk(unit):
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and any(
+                    isinstance(side, ast.List)
+                    and any(isinstance(e, ast.Attribute) and e.attr == "zero" for e in side.elts)
+                    for side in (node.left, node.right)
+                ):
+                    found.append("%s.%s" % (name[:-3], qual))
+    return found
+
+
+def test_no_dense_field_vectors_in_package():
+    """Vectors and matrices cross layers as canonical sparse dicts (see the
+    ``linalg`` docstring); only the polynomial routines build dense lists."""
+    found = set(_dense_vector_builds(PACKAGE_DIR))
+    assert sorted(found - DENSE_ALLOWED) == []
+    assert found == DENSE_ALLOWED  # no stale entry
+
+
+def test_dense_vector_guard_finds_each_case(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def a(f, n):\n    return [f.zero] * n\n\n\n"
+        "def b(self):\n    return 3 * [self.field.zero, 1]\n\n\n"
+        "class K:\n    def c(self, n):\n        return [[self.f.zero] * n for _ in range(n)]\n\n"
+        "    def fine(self, n):\n        return [0] * n, [self.zero_count] * n, {0: self.f.zero}, [self.f.zero] + [1]\n\n\n"
+        "def d(f, n):\n    def inner():\n        return [f.one] + [f.zero] * n\n\n    return inner\n\n\n"
+        "V = [QQ.zero] * 3\n"
+    )
+    (tmp_path / "notes.txt").write_text("[f.zero] * n\n")
+    assert _dense_vector_builds(str(tmp_path)) == ["m.a", "m.b", "m.K.c", "m.d", "m.<module>"]
