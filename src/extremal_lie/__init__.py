@@ -13,9 +13,7 @@ from .scalars import (
     CharacteristicTwoUnsupported,
     Field,
     NotPrime,
-    Scalar,
     field_create,
-    sqrt,
 )
 from .freelie import (
     FreeLieElement,

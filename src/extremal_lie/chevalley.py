@@ -12,7 +12,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .rootdata import (
-    CONVENTION_VERSION,
     NonIntegral,
     RootSystem,
     chevalley_constants,
@@ -58,7 +57,6 @@ class ChevalleyAlgebra:
             raise ValueError("characteristic 2 is unsupported")
         if integer_table is None:
             labels, integer_table = chevalley_constants(self.rootsystem).integer_table()
-        self.convention_version = CONVENTION_VERSION
         self.int_table = integer_table
         self.lie = LieAlgebra(field, labels, integer_table)
         rs = self.rootsystem
@@ -616,7 +614,7 @@ def natural_representation(type_, rank, field):
     long-root matrix in it, and the generation lower bound ceil(N/m)."""
     f = field
     n = rank
-    minus_one = f.from_int(-1)
+    minus_one = f.raw(-1)
     if type_ == "A":
         size = n + 1
         gens = []
@@ -672,7 +670,7 @@ def _split_gram(f, type_, n):
     for i in range(n):
         if type_ == "C":
             entries[(i, n + i)] = 1
-            entries[(n + i, i)] = f.from_int(-1)
+            entries[(n + i, i)] = f.raw(-1)
         else:
             entries[(off + i, off + n + i)] = 1
             entries[(off + n + i, off + i)] = 1

@@ -294,7 +294,7 @@ def cmd_rootgroups(args):
     fx = is_extremal(A.lie, x)
     for b in long_roots:
         z = A.lie.bracket(x, A.x(b))
-        if not z.is_zero() and field.is_zero(fx(A.x(b)).value):
+        if not z.is_zero() and field.is_zero(fx(A.x(b))):
             out = rg.strongcomm_check(A.lie, x, z, sample_params=samples)
             rep.add_bool("strongcomm conditions + product identity on (x, [x,y])", out["pass"])
             line = rg.projective_line_check(A.lie, x, z, x + z, sample_params=samples)

@@ -1,14 +1,16 @@
 """Exact field arithmetic over the rationals and prime fields GF(p), p an odd prime.
 
-Fields act as arithmetic contexts on *raw* values; ``Scalar`` wraps a raw
-value together with its field for user-facing code.  Over GF(p) a raw value
-is a canonical residue, an ``int`` in ``[0, p)``.  Over Q it is an ``int``
-when it is integral and a ``Fraction`` otherwise: the field's constructors
-(``zero``, ``one``, ``from_int``, ``from_fraction``, ``inv``) return an
-``int`` whenever they can.  Python's int and Fraction arithmetic mix exactly,
-and an integral Fraction equals and hashes like the int, so a sum or product
-that comes back as an integral ``Fraction`` is the same raw value.  Fields and
-scalars are immutable and safe to share between threads.
+A field value inside the package is a *raw* value, and only that; a
+``Field`` is the arithmetic context that gives it meaning.  Over GF(p) a raw
+value is a canonical residue, an ``int`` in ``[0, p)``.  Over Q it is an
+``int`` when it is integral and a ``Fraction`` otherwise: ``zero``, ``one``,
+``raw``, ``inv`` and ``sqrt_raw`` return an ``int`` whenever they can.
+Python's int and Fraction arithmetic mix exactly, and an integral Fraction
+equals and hashes like the int, so a sum or product that comes back as an
+integral ``Fraction`` is the same raw value.  ``Field.raw`` is the one place
+where an int or a Fraction becomes a raw value.  Text appears only at the
+command-line boundary: ``from_str`` reads an argument and ``to_str`` writes a
+report.  Fields are immutable and safe to share between threads.
 
 The methods of ``Field`` work on one value at a time.  Sparse vectors of raw
 values, and the rule that keeps them canonical, are described in ``linalg``
@@ -96,20 +98,6 @@ class Field:
     def one(self):
         return 1
 
-    def from_int(self, n):
-        p = self.characteristic
-        return n % p if p else _integral(Fraction(n))
-
-    def from_fraction(self, q):
-        p = self.characteristic
-        q = Fraction(q)
-        if not p:
-            return _integral(q)
-        den = q.denominator % p
-        if den == 0:
-            raise ZeroDivisionError("denominator divisible by %d" % p)
-        return q.numerator * pow(den, -1, p) % p
-
     def add(self, a, b):
         p = self.characteristic
         return (a + b) % p if p else a + b
@@ -178,28 +166,27 @@ class Field:
         return "%d/%d" % (a.numerator, a.denominator)
 
     def from_str(self, s):
+        """The raw value of a command-line scalar: an integer or ``n/d``."""
         s = s.strip()
         if "/" in s:
             n, d = s.split("/")
-            return self.from_fraction(Fraction(int(n), int(d)))
-        return self.from_int(int(s))
+            return self.raw(Fraction(int(n), int(d)))
+        return self.raw(int(s))
 
     def raw(self, value):
-        """The raw value of an int, Fraction or Scalar of this field (a raw
-        value is an int or a Fraction, so it comes back equal)."""
-        if isinstance(value, Scalar):
-            if value.field != self:
-                raise ValueError("scalar belongs to a different field")
-            return value.value
-        if isinstance(value, (int, Fraction)):
-            return self.from_fraction(value)
-        raise TypeError("%r is not a scalar of %r" % (value, self))
-
-    def scalar(self, value):
-        """Wrap an int, Fraction or raw value as a Scalar of this field."""
-        if isinstance(value, Scalar) and value.field == self:
-            return value
-        return Scalar(self, self.raw(value))
+        """The raw value of an int or a Fraction: the one place where a
+        number becomes a value of this field."""
+        p = self.characteristic
+        if isinstance(value, int):
+            return value % p if p else int(value)
+        if isinstance(value, Fraction):
+            if not p:
+                return _integral(value)
+            den = value.denominator % p
+            if den == 0:
+                raise ZeroDivisionError("denominator divisible by %d" % p)
+            return value.numerator * pow(den, -1, p) % p
+        raise TypeError("%r is neither an int nor a Fraction" % (value,))
 
 
 def _sqrt_mod_prime(a, p):
@@ -243,86 +230,3 @@ def field_create(kind, modulus=None):
 
 def GF(p):
     return field_create("prime-field", p)
-
-
-class Scalar:
-    """Immutable field element in canonical form; equality is structural."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field, value):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Scalar is immutable")
-
-    def _coerce(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            return self.field.raw(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.add(self.value, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.sub(self.value, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.sub(v, self.value))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.div(self.value, v))
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, self.field.div(v, self.value))
-
-    def __neg__(self):
-        return Scalar(self.field, self.field.neg(self.value))
-
-    def __eq__(self, other):
-        if isinstance(other, Scalar):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, (int, Fraction)):
-            return self.value == self._coerce(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __bool__(self):
-        return not self.field.is_zero(self.value)
-
-    def __repr__(self):
-        return self.field.to_str(self.value)
-
-
-def sqrt(a):
-    """Square root of a Scalar, or None when absent (absence is a value)."""
-    r = a.field.sqrt_raw(a.value)
-    return None if r is None else Scalar(a.field, r)

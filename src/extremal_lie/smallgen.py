@@ -13,7 +13,10 @@ reduction cannot survive silently.
 
 from __future__ import annotations
 
-from .scalars import QQ, Scalar
+from fractions import Fraction
+
+from .scalars import QQ
+from .rootdata import cartan_nullity
 from .linalg import Coordinates, canonical, echelon_from_rows, kernel
 from .liealg import (
     LieAlgebra,
@@ -26,6 +29,7 @@ from .liealg import (
     is_extremal,
     lower_central_series,
     matrix_lie_algebra,
+    quotient_algebra,
     solvable_radical,
     subalgebra_generated,
 )
@@ -44,9 +48,14 @@ MONOMIAL_LABELS = ["x", "y", "z", "[x,y]", "[x,z]", "[y,z]", "[x,[y,z]]", "[y,[x
 # index shorthands
 _X, _Y, _Z, _XY, _XZ, _YZ, _XYZ, _YXZ = range(8)
 
+# E_12 = x and E_23 = -y + ([x,y] + [y,z] + [y,[x,z]])/2 of ``sl3_example``
+# on the eight monomials (the map that ``isomorphic_by_monomials`` checks):
+# strictly upper triangular, so their adjoint maps raise
+_SL3_RAISING = ({_X: 1}, {_Y: -1, _XY: Fraction(1, 2), _YZ: Fraction(1, 2), _YXZ: Fraction(1, 2)})
+
 
 def _half(field):
-    return field.div(field.one, field.from_int(2))
+    return field.div(field.one, field.raw(2))
 
 
 def _pair_rules(field, a, b, c):
@@ -190,9 +199,9 @@ def scale_params(params, alpha, beta, gamma):
 
 
 class NormalizationTrace:
-    """Steps is a list of ("exp", pivot, target, s-string) and
-    ("scale", a-string, b-string, c-string); replaying them on the input
-    parameters yields ``final``."""
+    """Steps is a list of ("exp", pivot, target, s), ("permute", sigma) and
+    ("scale", alpha, beta, gamma), with raw field values; replaying them on
+    the input parameters yields ``final``."""
 
     def __init__(self, start, steps, final, extension_required=False):
         self.start = start
@@ -206,18 +215,14 @@ class NormalizationTrace:
 
     def replay(self):
         p = self.start
-        for step in self.steps:
-            if step[0] == "exp":
-                _, pivot, target, s = step
-                p = _exp_step(p, pivot, target, p.field.from_str(s))
+        for kind, *args in self.steps:
+            if kind == "exp":
+                p = _exp_step(p, *args)
+            elif kind == "permute":
+                p = p.permute(*args)
             else:
-                _, al, be, ga = step
-                f = p.field
-                p = scale_params(p, f.from_str(al), f.from_str(be), f.from_str(ga))
+                p = scale_params(p, *args)
         return p
-
-
-_ROLES = "xyz"
 
 
 def _exp_step(params, pivot, target, s):
@@ -232,7 +237,8 @@ def _exp_step(params, pivot, target, s):
 
 
 def normalize(params):
-    """Transform to central = 0 with all nonzero edges equal to -2.
+    """Transform to central = 0 with all nonzero edges equal to -2, one at xy
+    or two at xy and xz.
 
     Needs a square root for the three-edge case; over a field where it is
     missing the trace is returned with extension_required = True.
@@ -266,7 +272,7 @@ def normalize(params):
             sigma = (pivot, other, target)
             central_frame = p.permute(sigma).central
             s = f.div(central_frame, f.mul(ep_t, ep_o))
-            steps.append(("exp", pivot, target, f.to_str(s)))
+            steps.append(("exp", pivot, target, s))
             p = _exp_step(p, pivot, target, s)
             continue
         # at most one nonzero edge: create one more edge first
@@ -277,17 +283,24 @@ def normalize(params):
             pivot = i
         else:
             pivot, target = 0, 2
-        steps.append(("exp", pivot, target, f.to_str(f.one)))
+        steps.append(("exp", pivot, target, f.one))
         p = _exp_step(p, pivot, target, f.one)
+    # move one nonzero edge to xy, two to xy and xz
+    sigma = _placement(f, p)
+    if sigma != (0, 1, 2):
+        steps.append(("permute", sigma))
+        p = p.permute(sigma)
     # scale nonzero edges to -2
-    minus2 = f.from_int(-2)
+    minus2 = f.raw(-2)
     nz = p.nonzero_edges()
     if nz and not all(f.is_zero(e) or e == minus2 for e in p.edges()):
+        a, b, c = p.edge_xy, p.edge_xz, p.edge_yz
         al = be = ga = f.one
         if nz < 3:
-            al, be, ga = _partial_scaling(f, p)
+            be = f.div(minus2, a)
+            if nz == 2:
+                ga = f.div(minus2, b)
         else:
-            a, b, c = p.edge_xy, p.edge_xz, p.edge_yz
             ra = f.sqrt_raw(f.div(f.mul(minus2, c), f.mul(a, b)))
             rb = f.sqrt_raw(f.div(f.mul(minus2, b), f.mul(a, c)))
             rc = f.sqrt_raw(f.div(f.mul(minus2, a), f.mul(b, c)))
@@ -295,46 +308,34 @@ def normalize(params):
                 return NormalizationTrace(params, steps, p, extension_required=True)
             al, be, ga = ra, rb, rc
             for flips in ((1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1)):
-                tal = f.mul(f.from_int(flips[0]), al)
-                tbe = f.mul(f.from_int(flips[1]), be)
-                tga = f.mul(f.from_int(flips[2]), ga)
+                tal = f.mul(f.raw(flips[0]), al)
+                tbe = f.mul(f.raw(flips[1]), be)
+                tga = f.mul(f.raw(flips[2]), ga)
                 q = scale_params(p, tal, tbe, tga)
                 if all(e == minus2 for e in q.edges()):
                     al, be, ga = tal, tbe, tga
                     break
             else:
                 raise RuntimeError("sign adjustment failed")
-        steps.append(("scale", f.to_str(al), f.to_str(be), f.to_str(ga)))
+        steps.append(("scale", al, be, ga))
         p = scale_params(p, al, be, ga)
     if not all(f.is_zero(e) or e == minus2 for e in p.edges()):
         raise RuntimeError("normalization left an edge other than 0 and -2")
     return NormalizationTrace(params, steps, p)
 
 
-def _partial_scaling(f, p):
-    """Scaling factors normalizing at most two nonzero edges to -2."""
-    minus2 = f.from_int(-2)
-    factors = [f.one, f.one, f.one]
-    edges = [
-        (frozenset((0, 1)), p.edge_xy),
-        (frozenset((0, 2)), p.edge_xz),
-        (frozenset((1, 2)), p.edge_yz),
-    ]
-    nz = [(key, e) for key, e in edges if not f.is_zero(e)]
-    if not nz:
-        return tuple(factors)
+def _placement(f, p):
+    """The order of the generators that puts one nonzero edge at xy, or two
+    at xy and xz (the edges the case checks of ``verify_3gen_structure``
+    read); the identity order otherwise."""
+    nz = [k for k, e in zip(((0, 1), (0, 2), (1, 2)), p.edges()) if not f.is_zero(e)]
     if len(nz) == 1:
-        (key, e) = nz[0]
-        i, j = sorted(key)
-        factors[j] = f.div(minus2, e)
-        return tuple(factors)
-    (k1, e1), (k2, e2) = nz
-    shared = next(iter(k1 & k2))
-    o1 = next(iter(k1 - {shared}))
-    o2 = next(iter(k2 - {shared}))
-    factors[o1] = f.div(minus2, e1)
-    factors[o2] = f.div(minus2, e2)
-    return tuple(factors)
+        i, j = nz[0]
+        return (i, j, 3 - i - j)
+    if len(nz) == 2:
+        shared = (set(nz[0]) & set(nz[1])).pop()
+        return (shared,) + tuple(k for k in range(3) if k != shared)
+    return (0, 1, 2)
 
 
 def two_gen_classify(f_xy, bracket_nonzero, field=QQ):
@@ -342,7 +343,7 @@ def two_gen_classify(f_xy, bracket_nonzero, field=QQ):
 
     Returns (label, algebra, (index of x, index of y)).
     """
-    f = f_xy.field if isinstance(f_xy, Scalar) else field
+    f = field
     f_xy = f.raw(f_xy)
     if f.is_zero(f_xy):
         if not bracket_nonzero:
@@ -363,7 +364,7 @@ def build_M(params):
     f = params.field
     if not f.is_zero(params.central):
         raise ValueError("build_M needs the central parameter reduced to zero")
-    minus2 = f.from_int(-2)
+    minus2 = f.raw(-2)
     for e in params.edges():
         if not (f.is_zero(e) or e == minus2):
             raise ValueError("build_M needs nonzero edges normalized to -2")
@@ -391,9 +392,9 @@ def build_M(params):
             raise RewriteIncomplete("generator %s lost extremality" % MONOMIAL_LABELS[idx])
         opposite = _YZ if idx == _X else _XZ if idx == _Y else _XY
         if (
-            fx(M.basis_element(other1)).value != val1
-            or fx(M.basis_element(other2)).value != val2
-            or not f.is_zero(fx(M.basis_element(opposite)).value)
+            fx(M.basis_element(other1)) != val1
+            or fx(M.basis_element(other2)) != val2
+            or not f.is_zero(fx(M.basis_element(opposite)))
         ):
             raise RewriteIncomplete("generator %s has the wrong form values" % MONOMIAL_LABELS[idx])
     return M, {"rules": applied, "case": params.nonzero_edges()}
@@ -492,8 +493,8 @@ def verify_3gen_structure(M, case):
         checks["perfect"] = derived_series(M)[1].dim == 8
         half = _half(f)
         r_vecs = [
-            e(_Y) - _scale(M, half, e(_YXZ)),
-            e(_Z) - _scale(M, half, e(_YXZ)),
+            e(_Y) - half * e(_YXZ),
+            e(_Z) - half * e(_YXZ),
             e(_XY) - e(_XZ),
             e(_YZ),
             e(_XYZ),
@@ -513,15 +514,17 @@ def verify_3gen_structure(M, case):
     elif case == 3:
         L, x, y, z = sl3_example(f)
         checks["isomorphic_to_sl3"] = isomorphic_by_monomials(M, L, x, y, z)
-        rad, certified = solvable_radical(M)
-        checks["simple_radical_zero"] = rad.dim == 0 and certified
+        # Rad(M) = Z(M): the center is abelian and M/Z(M) has no solvable
+        # ideal (Z(M) is not 0 when p = 3)
+        checks["radical"] = False
+        if checks["isomorphic_to_sl3"]:
+            Z = center(M)
+            Q, _, project = quotient_algebra(M, Z)
+            rad, certified = solvable_radical(Q, [project(M.element(r)) for r in _SL3_RAISING])
+            checks["radical"] = Z.dim == cartan_nullity("A", 2, f.characteristic) and rad.dim == 0 and certified
     checks["dim8"] = M.n == 8
     checks["pass"] = all(checks.values())
     return checks
-
-
-def _scale(M, raw, elt):
-    return Scalar(M.field, raw) * elt
 
 
 def _check_sl2_part(M):
@@ -531,8 +534,8 @@ def _check_sl2_part(M):
     # sl2 structure: [x,y] = m4, [x,m4] = -2x, [y,m4] = 2y
     f = M.field
     return (
-        M.bracket(e(_X), e(_XY)) == M.element({_X: f.from_int(-2)})
-        and M.bracket(e(_Y), e(_XY)) == M.element({_Y: f.from_int(2)})
+        M.bracket(e(_X), e(_XY)) == M.element({_X: f.raw(-2)})
+        and M.bracket(e(_Y), e(_XY)) == M.element({_Y: f.raw(2)})
     )
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from extremal_lie.scalars import QQ, GF, Scalar
+from extremal_lie.scalars import QQ, GF
 from extremal_lie import nilquot
 from extremal_lie.liealg import (
     extremal_form,
@@ -130,12 +130,12 @@ def test_criterion_05_long_root_extremality():
 def test_criterion_06_extremal_form_properties():
     L, x, y, z = sl3_example(QQ)
     form = extremal_form(L, grow_extremal_spanning(L, [x, y, z]))
-    m2 = QQ.scalar(-2)
+    m2 = -2
     ok = (
         form.value(x, y) == m2
         and form.value(x, z) == m2
         and form.value(y, z) == m2
-        and form.value(x, L.bracket(y, z)) == QQ.scalar(0)
+        and form.value(x, L.bracket(y, z)) == 0
         and form.is_symmetric()
         and form.is_associative()
     )
@@ -150,14 +150,14 @@ def test_criterion_07_killing_and_radicals():
     ok = True
     A = chevalley("A", 2)
     kap = killing_form(A.lie)
-    ok = ok and kap.value(A.x((1, 0)), A.x((-1, 0))) == QQ.scalar(6)
+    ok = ok and kap.value(A.x((1, 0)), A.x((-1, 0))) == 6
     A3 = chevalley("A", 2, 3)
     ok = ok and not any(killing_form(A3.lie).rows)
     L2 = sl2(QQ)
     rep = phi_spectrum_check(L2, L2.basis_element(0), L2.basis_element(2))
-    ok = ok and rep["pass"] and rep["s"] == 2 and rep["kappa"] == QQ.scalar(4)
+    ok = ok and rep["pass"] and rep["s"] == 2 and rep["kappa"] == 4
     rep = phi_spectrum_check(A.lie, A.x((1, 0)), A.x((-1, 0)))
-    ok = ok and rep["pass"] and rep["s"] == 4 and rep["kappa"] == QQ.scalar(6)
+    ok = ok and rep["pass"] and rep["s"] == 4 and rep["kappa"] == 6
     rep = phi_spectrum_check(A.lie, A.x((1, 0)), A.x((0, 1)))
     ok = ok and rep["pass"] and rep["case"] == "a"
     for (t, n) in FLEET:
@@ -254,13 +254,13 @@ def test_criterion_10_property_suites_standalone():
     A = chevalley("A", 2)
     L = A.lie
     pool = [A.x(root) for root in A.rootsystem.roots]
-    half = Scalar(QQ, Fraction(1, 2))
+    half = Fraction(1, 2)
     hits = 0
     for _ in range(120):
         u, v = r.choice(pool), r.choice(pool)
         fu, fv = is_extremal(L, u), is_extremal(L, v)
         w = L.bracket(u, v)
-        if w.is_zero() or not QQ.is_zero(fu(v).value):
+        if w.is_zero() or not QQ.is_zero(fu(v)):
             continue
         hits += 1
         fw = is_extremal(L, w)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extremal_lie.scalars import QQ, GF, Scalar
+from extremal_lie.scalars import QQ, GF
 from extremal_lie import chevalley as chevalley_module
 from extremal_lie import cli
 from extremal_lie import rootgroups as rootgroups_module
@@ -77,7 +77,7 @@ def test_exp_action_on_extremal_element():
     x, y = A.x((1, 0)), A.x((-1, 0))
     fx = is_extremal(L, x)
     phi = exp_automorphism(L, x, 1)
-    half = Scalar(QQ, Fraction(1, 2))
+    half = Fraction(1, 2)
     assert phi.apply(y) == y + L.bracket(x, y) + (half * fx(y)) * x
 
 

@@ -8,6 +8,7 @@ is held to the dense matrix product on shuffled, rescaled spanning sets.  The ce
 against the Cartan matrix, and the kernels against calling ``Field`` at all.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -148,6 +149,33 @@ def extremal_spanning_cases(draw):
 def test_extremal_form_gram_matches_dense_reference(case):
     L, spanning = case
     assert dense(extremal_form(L, spanning).rows, L.n) == dense_extremal_gram(L, spanning)
+
+
+def is_canonical_raw(f, v):
+    """An int in [0, p) over GF(p); over Q an int when integral, else a
+    Fraction."""
+    p = f.characteristic
+    if p:
+        return type(v) is int and 0 <= v < p
+    return type(v) is int or (type(v) is Fraction and v.denominator > 1)
+
+
+@pytest.mark.parametrize("char", CHARS)
+@pytest.mark.parametrize("name", sorted(CHEVALLEY))
+def test_functional_and_form_values_are_canonical_raw_values(name, char):
+    """f_x(y), form.value(u, v) and kappa(u, v) come back as raw values, on
+    elements scaled by 1/2 and 2 so that over Q the products are integral
+    Fractions."""
+    span = spanning_set(name, char)
+    L = span.algebra
+    f = L.field
+    halves = [Fraction(1, 2) * b for b in L.basis_elements()]
+    twos = [2 * b for b in L.basis_elements()]
+    values = [fx(u) for fx in span.functionals for u in halves]
+    for form in (extremal_form(L, span), killing_form(L)):
+        values += [form.value(u, v) for u in halves for v in twos]
+    assert all(is_canonical_raw(f, v) for v in values)
+    assert any(not f.is_zero(v) for v in values)
 
 
 @st.composite

@@ -134,7 +134,7 @@ def test_integer_table_produces_valid_algebras():
         rs = RootSystem(t, n)
         labels, table = chevalley_constants(rs).integer_table()
         for f in (QQ, GF(5)):
-            ftab = {k: {kk: f.from_int(v) for kk, v in row.items()} for k, row in table.items()}
+            ftab = {k: {kk: f.raw(v) for kk, v in row.items()} for k, row in table.items()}
             L = LieAlgebra(f, labels, ftab)
             assert L.n == len(rs.roots) + rs.rank
 

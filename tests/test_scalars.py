@@ -8,7 +8,6 @@ from extremal_lie.scalars import (
     CharacteristicTwoUnsupported,
     NotPrime,
     field_create,
-    sqrt,
 )
 
 from helpers import rng
@@ -38,10 +37,10 @@ def test_composite_modulus_rejected():
 
 
 def test_sqrt_rationals():
-    assert sqrt(QQ.scalar(4)) == QQ.scalar(2)
-    assert sqrt(QQ.scalar(Fraction(9, 4))) == QQ.scalar(Fraction(3, 2))
-    assert sqrt(QQ.scalar(2)) is None
-    assert sqrt(QQ.scalar(-4)) is None
+    assert QQ.sqrt_raw(4) == 2 and type(QQ.sqrt_raw(4)) is int
+    assert QQ.sqrt_raw(Fraction(9, 4)) == Fraction(3, 2)
+    assert QQ.sqrt_raw(2) is None
+    assert QQ.sqrt_raw(-4) is None
 
 
 def test_sqrt_gf7_exhaustive():
@@ -50,42 +49,42 @@ def test_sqrt_gf7_exhaustive():
     for a in range(7):
         squares.setdefault(a * a % 7, set()).add(a)
     for a in range(7):
-        s = sqrt(f.scalar(a))
+        s = f.sqrt_raw(a)
         if a in squares:
             assert s is not None
-            assert s.value == min(squares[a])
-            assert (s * s).value == a
+            assert s == min(squares[a])
+            assert f.mul(s, s) == a
         else:
             assert s is None
     # the documented choices
-    assert sqrt(f.scalar(2)).value == 3
-    assert sqrt(f.scalar(3)) is None
+    assert f.sqrt_raw(2) == 3
+    assert f.sqrt_raw(3) is None
 
 
 def test_sqrt_large_prime_property():
     f = GF(10007)
     r = rng("sqrt")
     for _ in range(50):
-        a = f.scalar(r.randrange(10007))
-        s = sqrt(a)
+        a = r.randrange(10007)
+        s = f.sqrt_raw(a)
         if s is not None:
-            assert s * s == a
-            assert s.value <= 10007 - s.value
+            assert f.mul(s, s) == a
+            assert s <= 10007 - s
 
 
 def test_field_axioms_random_samples():
     r = rng("axioms")
     for field in (QQ, GF(11)):
+        add, mul = field.add, field.mul
         for _ in range(60):
-            a = field.scalar(r.randint(-20, 20))
-            b = field.scalar(r.randint(-20, 20))
-            c = field.scalar(r.randint(-20, 20))
-            assert (a + b) + c == a + (b + c)
-            assert a * (b + c) == a * b + a * c
-            assert (a * b) * c == a * (b * c)
-            assert a + (-a) == field.scalar(0)
-            if b:
-                assert b * (a / b) == a
+            a, b, c = (field.raw(r.randint(-20, 20)) for _ in range(3))
+            assert add(add(a, b), c) == add(a, add(b, c))
+            assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+            assert mul(mul(a, b), c) == mul(a, mul(b, c))
+            assert field.is_zero(add(a, field.neg(a)))
+            assert field.sub(a, b) == add(a, field.neg(b))
+            if not field.is_zero(b):
+                assert mul(b, field.div(a, b)) == a
 
 
 def test_serialization_round_trip():
@@ -95,7 +94,39 @@ def test_serialization_round_trip():
 
 
 def test_scalar_immutable_and_hashable():
-    a = QQ.scalar(Fraction(1, 2))
+    # a raw value is an int or a Fraction, both immutable; so is its field
+    a = QQ.raw(Fraction(1, 2))
     with pytest.raises(AttributeError):
-        a.value = Fraction(1)
-    assert hash(a) == hash(QQ.scalar(Fraction(1, 2)))
+        a.numerator = 2
+    with pytest.raises(AttributeError):
+        QQ.characteristic = 5
+    assert hash(a) == hash(QQ.raw(Fraction(2, 4)))
+    assert hash(GF(7)) == hash(field_create("prime-field", 7)) and GF(7) != QQ
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(101)], ids=repr)
+def test_raw_is_the_one_canonical_conversion(field):
+    from extremal_lie import scalars
+
+    # no second conversion and no wrapper type beside the raw value
+    assert not any(hasattr(field, name) for name in ("from_int", "from_fraction", "scalar"))
+    assert not hasattr(scalars, "Scalar") and not hasattr(scalars, "sqrt")
+    p = field.characteristic
+    for n in range(-7, 8):
+        v = field.raw(n)
+        assert type(v) is int and v == (n % p if p else n)
+        assert field.raw(Fraction(n)) == v and type(field.raw(Fraction(n))) is int
+        assert field.from_str(str(n)) == v
+    for q in (Fraction(1, 2), Fraction(-5, 4), Fraction(7, 8)):
+        v = field.raw(q)
+        if p:
+            assert type(v) is int and 0 <= v < p and v * q.denominator % p == q.numerator % p
+        else:
+            assert v == q and type(v) is Fraction
+        assert field.from_str("%d/%d" % (q.numerator, q.denominator)) == v
+    assert type(QQ.raw(Fraction(6, 3))) is int
+    with pytest.raises(TypeError):
+        field.raw(0.5)
+    if p:
+        with pytest.raises(ZeroDivisionError):
+            field.raw(Fraction(1, p))
