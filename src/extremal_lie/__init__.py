@@ -2,7 +2,7 @@
 
 Universal sandwich algebras L_r and their associative companions R_r,
 Chevalley algebras of all types with extremality / bilinear-form / radical
-machinery, the two- and three-generator classification, minimal extremal
+machinery, the three-generator classification, minimal extremal
 generation certificates, and root-group identity checks -- all over the
 rationals or GF(p) with p an odd prime, all in exact arithmetic.
 """
@@ -15,20 +15,11 @@ from .scalars import (
     NotPrime,
     field_create,
 )
-from .freelie import (
-    FreeLieElement,
-    LyndonWord,
-    bracket,
-    generator,
-    lyndon_basis,
-    monomial,
-)
 from .nilquot import (
     AssocDims,
     GradedQuotient,
     assoc_dims_via_embedding,
     check_subalgebra_embedding,
-    free_nilpotent_quotient,
     sandwich_algebra,
     spanning_set_check_4gen,
 )
@@ -39,10 +30,7 @@ from .liealg import (
     Subspace,
     center,
     derived_series,
-    direct_sum,
-    direct_sum_orthogonality_check,
     extremal_form,
-    fourth_power_check,
     ideal_generated,
     is_extremal,
     killing_form,
@@ -76,8 +64,6 @@ from .chevalley import (
     minimal_generator_count,
     natural_representation,
     root_exponential,
-    short_root_decomposition_check,
-    simple_plus_lowest_generation_check,
     verify_generation,
 )
 from .smallgen import (
@@ -88,7 +74,6 @@ from .smallgen import (
     normalize,
     scale_params,
     sl3_example,
-    two_gen_classify,
     verify_3gen_structure,
 )
 from .rootgroups import (

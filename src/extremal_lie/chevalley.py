@@ -21,7 +21,6 @@ from .liealg import (
     AlgebraElement,
     LieAlgebra,
     NotExtremal,
-    NotSpanning,
     extremal_closure,
     is_extremal,
     matrix_lie_algebra,
@@ -321,86 +320,6 @@ def extremal_spanning_set(A):
         [A.x(root) for root in rs.roots if rs.is_long(root)],
         lambda v: (phi.apply(v) for phi in autos),
     )
-
-
-def short_root_decomposition_check(type_, field):
-    """The rank-2 decompositions: short root elements lie in the span
-    of at most three long root element images (signs are convention-local)."""
-    if type_ not in ("B2", "G2"):
-        raise UnsupportedType("the rank-2 decompositions exist for B2 and G2")
-    if type_ == "B2":
-        A = ChevalleyAlgebra("B", 2, field)
-        rs = A.rootsystem
-        e = rs.root_from_eps
-        base = e({1: -1, 2: 1})  # -(eps1 - eps2), long
-        phi = root_exponential(A, e({1: 1}), 1)  # exp at the short x_{eps1}
-        image = phi.apply(A.x(base))
-        short = e({2: 1})
-        long2 = e({1: 1, 2: 1})
-        support = set(image.coeffs)
-        expected_support = {A.root_index[base], A.root_index[short], A.root_index[long2]}
-        coeff_short = image.coeffs.get(A.root_index[short])
-        span = echelon_from_rows(field, A.lie.n, [A.x(base).coeffs, A.x(long2).coeffs, image.coeffs])
-        short_in_span = span.contains(A.x(short).coeffs)
-        ok = (
-            support == expected_support
-            and coeff_short is not None
-            and short_in_span
-        )
-        gen_ok = _long_class_generates(A)
-        return {
-            "type": "B2",
-            "char": field.characteristic,
-            "image_support_matches": support == expected_support,
-            "short_coefficient_nonzero": coeff_short is not None,
-            "short_in_span_of_long_images": short_in_span,
-            "long_root_elements_generate": gen_ok,
-            "pass": ok and gen_ok,
-        }
-    A = ChevalleyAlgebra("G", 2, field)
-    alpha, beta = (1, 0), (0, 1)  # alpha short, beta long
-    phi_plus = root_exponential(A, alpha, 1)
-    phi_minus = root_exponential(A, alpha, -1)
-    xb = A.x(beta)
-    combo = phi_plus.apply(xb) + phi_minus.apply(xb) - (2 * xb)
-    target = A.root_index[(2, 1)]  # 2*alpha + beta, short
-    in_line = set(combo.coeffs) == {target}
-    gen_ok = _long_class_generates(A)
-    return {
-        "type": "G2",
-        "char": field.characteristic,
-        "combination_in_short_line": in_line,
-        "combination_nonzero": bool(combo.coeffs),
-        "long_root_elements_generate": gen_ok,
-        "pass": in_line and bool(combo.coeffs) and gen_ok,
-    }
-
-
-def _long_class_generates(A):
-    """Whether the class of long root elements generates the algebra.
-
-    The closure of the long root elements under exp(+-ad x_r) lies in the
-    class, and its span is stable under every exp(t ad x_r) (t runs over the
-    integers), hence under every ad x_r: over Q, ad x_r = log exp(ad x_r); over
-    GF(p) when p exceeds the degree in t.  So that span is the ideal spanned by
-    the class, and the class generates exactly when the closure spans, which
-    ``extremal_spanning_set`` reports by raising NotSpanning when it does not.
-    (The elements x_r of the long roots alone generate only 6 of the 10
-    dimensions of B2.)"""
-    try:
-        extremal_spanning_set(A)
-    except NotSpanning:
-        return False
-    return True
-
-
-def simple_plus_lowest_generation_check(A):
-    """Root elements of the simple roots plus the lowest root generate."""
-    rs = A.rootsystem
-    gens = [A.x(t) for t in rs.simple_roots]
-    gens.append(A.x(tuple(-c for c in rs.highest_root)))
-    dim = subalgebra_generated(A.lie, gens).dim
-    return {"generators": rs.rank + 1, "dim": dim, "pass": dim == A.lie.n}
 
 
 # -- minimal generation recipes -------------------------------------------------

@@ -155,19 +155,29 @@ def cmd_tables(args):
     rep = Report("tables", {"which": args.which, "max_r": args.max_r, "r": args.r})
     if args.which != "rr-lengths" and args.max_r < 1:
         raise UsageError("--max-r must be at least 1")
+    if args.which != "rr-lengths" and args.r is not None:
+        raise UsageError("--r applies to rr-lengths only; tables %s takes --max-r" % args.which)
     if args.which == "lr":
         for r in range(1, args.max_r + 1):
             if r > 5 and not args.experimental:
                 rep.add_bool("dim L_%d skipped (use --experimental beyond r=5)" % r, False)
                 continue
-            q = nilquot.sandwich_algebra(r)
+            try:
+                q = nilquot.sandwich_algebra(r)
+            except nilquot.DegreeCapExceeded:
+                rep.add_bool("dim L_%d reached an empty degree below the cap" % r, False)
+                continue
             rep.add_known("dim L_%d" % r, nilquot.L_DIMS, r, q.total_dim)
     elif args.which == "rr":
         for r in range(1, args.max_r + 1):
             if r > 4 and not args.experimental:
                 rep.add_bool("dim R_%d skipped (use --experimental beyond r=4)" % r, False)
                 continue
-            a = nilquot.assoc_dims_via_embedding(r)
+            try:
+                a = nilquot.assoc_dims_via_embedding(r)
+            except nilquot.DegreeCapExceeded:
+                rep.add_bool("dim R_%d reached an empty degree below the cap" % r, False)
+                continue
             rep.add_known("dim R_%d" % r, nilquot.R_DIMS, r, a.total_dim)
     else:  # rr-lengths
         r = args.max_r if args.r is None else args.r
@@ -175,7 +185,11 @@ def cmd_tables(args):
             raise UsageError("--r must be at least 1")
         if r > 4 and not args.experimental:
             raise UsageError("rr-lengths beyond r=4 needs --experimental")
-        a = nilquot.assoc_dims_via_embedding(r)
+        try:
+            a = nilquot.assoc_dims_via_embedding(r)
+        except nilquot.DegreeCapExceeded:
+            rep.add_bool("R_%d lengths reached an empty degree below the cap" % r, False)
+            return rep
         rep.add_known("R_%d lengths" % r, nilquot.R_LENGTHS, r, a.dims_by_length)
         rep.add_bool("R_%d palindromic after identity (reported)" % r, a.palindromic_after_identity)
     return rep

@@ -54,10 +54,6 @@ class PreconditionNotMet(ValueError):
     pass
 
 
-class NotADirectSum(ValueError):
-    pass
-
-
 class LieAlgebra:
     """Lie algebra over an exact field, given by labeled basis and constants.
 
@@ -726,28 +722,6 @@ def _poly_shift(field, poly, root):
     return out
 
 
-def fourth_power_check(L, x, y, form):
-    """ad_{[x,y]}^4 = 0 for extremal x outside Rad(f) and y inside Rad(f)."""
-    x = L.element(x)
-    y = L.element(y)
-    if is_extremal(L, x) is None:
-        raise PreconditionNotMet("x must be extremal")
-    rad = form.radical()
-    if rad.contains(x):
-        raise PreconditionNotMet("x must lie outside Rad(f)")
-    if not rad.contains(y):
-        raise PreconditionNotMet("y must lie in Rad(f)")
-    z = L.bracket(x, y)
-    if z.is_zero():
-        return {"bracket_zero": True, "fourth_power_zero": True, "pass": True}
-    ok = True
-    for v in L.basis_elements():
-        for _ in range(4):
-            v = L.bracket(z, v)
-        ok = ok and v.is_zero()
-    return {"bracket_zero": False, "fourth_power_zero": ok, "pass": ok}
-
-
 def sandwich_span_check(L, witnesses, form, raising=()):
     """Ideal span of sandwich witnesses and the chain
     SanRad <= NilRad <= Rad(L) <= Rad(f) <= Rad(kappa)."""
@@ -785,53 +759,6 @@ def sandwich_span_check(L, witnesses, form, raising=()):
     }
 
 
-def direct_sum(L1, L2):
-    """Direct sum of two algebras over the same field (block structure constants)."""
-    if L1.field != L2.field:
-        raise ValueError("mixed fields")
-    labels = ["A." + s for s in L1.labels] + ["B." + s for s in L2.labels]
-    table = {}
-    for (i, j), row in L1._table.items():
-        table[(i, j)] = dict(row)
-    off = L1.n
-    for (i, j), row in L2._table.items():
-        table[(i + off, j + off)] = {k + off: c for k, c in row.items()}
-    return LieAlgebra(L1.field, labels, table)
-
-
-def direct_sum_orthogonality_check(L, part1_indices, part2_indices, spanning_set):
-    """For an ideal direct sum L = L1 (+) L2: f(L1, L2) = 0 and each part is
-    spanned by projections of the extremal spanning elements."""
-    f = L.field
-    all_idx = sorted(part1_indices) + sorted(part2_indices)
-    if all_idx != list(range(L.n)):
-        raise NotADirectSum("parts must partition the basis")
-    p1 = Subspace.from_elements(L, [L.basis_element(i) for i in part1_indices])
-    p2 = Subspace.from_elements(L, [L.basis_element(i) for i in part2_indices])
-    if not (p1.is_ideal() and p2.is_ideal()):
-        raise NotADirectSum("parts are not ideals")
-    form = extremal_form(L, spanning_set)
-    orth = all(
-        f.is_zero(form.value(L.basis_element(i), L.basis_element(j)))
-        for i in part1_indices
-        for j in part2_indices
-    )
-    proj_ok = True
-    for part, indices in ((p1, part1_indices), (p2, part2_indices)):
-        ech = Echelon(f, L.n)
-        for s in spanning_set:
-            s = L.element(s)
-            proj = AlgebraElement(L, {k: c for k, c in s.coeffs.items() if k in indices})
-            if proj.is_zero():
-                continue
-            if is_extremal(L, proj) is None:
-                proj_ok = False
-            ech.insert(proj.coeffs)
-        if ech.dim != part.dim:
-            proj_ok = False
-    return {"orthogonal": orth, "projections_span_and_extremal": proj_ok, "pass": orth and proj_ok}
-
-
 # -- tiny standard algebras -----------------------------------------------------
 
 
@@ -844,15 +771,6 @@ def sl2(field=QQ):
         (1, 2): {2: f.raw(-2)},
     }
     return LieAlgebra(f, ["e", "h", "f"], table)
-
-
-def heisenberg(field=QQ):
-    """[x, y] = z, z central."""
-    return LieAlgebra(field, ["x", "y", "z"], {(0, 1): {2: field.one}})
-
-
-def abelian(field, n):
-    return LieAlgebra(field, ["a%d" % i for i in range(n)], {})
 
 
 def matrix_lie_algebra(field, mats, labels=None):

@@ -65,7 +65,6 @@ import math
 
 from .scalars import QQ
 from .linalg import Echelon, axpy, canonical
-from . import freelie
 
 # The universal dimensions the paper states: dim L_r, dim R_r, and the
 # dimension of each length component of R_r (the identity first).
@@ -116,7 +115,10 @@ class _CoverEngine:
 
     ``cap`` bounds each coordinate of the multidegree (entries at least 1);
     blocks outside the box are neither built nor reduced, and a bracket that
-    lands outside it comes out as 0.  ``None`` builds every block."""
+    lands outside it comes out as 0.  ``None`` builds every block.
+    ``sandwich=False`` drops the defining relations: in this free mode the
+    tests check that the consistency rows alone give the Witt and necklace
+    dimensions."""
 
     def __init__(self, r, field=QQ, sandwich=True, extra_consistency=False, cap=None):
         self.r = r
@@ -443,14 +445,6 @@ def sandwich_algebra(r, field=QQ, max_degree=16):
     return GradedQuotient(eng, terminated=True)
 
 
-def free_nilpotent_quotient(r, up_to_degree, field=QQ, extra_consistency=False):
-    """Free Lie algebra truncated at a degree (no sandwich relations); test oracle."""
-    eng = _CoverEngine(r, field=field, sandwich=False, extra_consistency=extra_consistency)
-    while eng.completed < up_to_degree:
-        eng.extend()
-    return GradedQuotient(eng, terminated=False)
-
-
 class AssocDims:
     """Dimension profile of R_r, read off the multidegree data of L_{r+1}."""
 
@@ -581,41 +575,3 @@ def spanning_set_check_4gen(field=QQ):
         and all(identities_ok)
         and length6_zero,
     }
-
-
-# -- direct associative construction of R_r (secondary validation, small r) ---
-
-
-def assoc_algebra_direct_dims(r, max_len=8):
-    """R_r by elimination in the free associative algebra: y_i^2 = 0 and
-    y_i w y_i = 0 for Lie bracketings w.  Independent of the L_{r+1} route."""
-    dims = [1]
-    cores = {}  # core length -> list of {word: coeff}
-    cores[2] = [{(i, i): 1} for i in range(1, r + 1)]
-    for m in range(1, max_len - 1):
-        lst = []
-        for w in freelie.lyndon_basis(r, m):
-            poly = freelie.as_tensor(freelie.FreeLieElement(r, {w: 1}))
-            for i in range(1, r + 1):
-                lst.append({(i,) + t + (i,): c for t, c in poly.items()})
-        if lst:
-            cores[m + 2] = lst
-    for length in range(1, max_len + 1):
-        words = sorted(itertools.product(range(1, r + 1), repeat=length))
-        pos = {w: k for k, w in enumerate(words)}
-        ech = Echelon(QQ, len(words))
-        for clen, polys in cores.items():
-            if clen > length:
-                continue
-            for a_len in range(0, length - clen + 1):
-                b_len = length - clen - a_len
-                for a in itertools.product(range(1, r + 1), repeat=a_len):
-                    for b in itertools.product(range(1, r + 1), repeat=b_len):
-                        for poly in polys:
-                            ech.insert({pos[a + t + b]: c for t, c in poly.items()})
-        dims.append(len(words) - ech.dim)
-        if dims[-1] == 0:
-            break
-    while dims and dims[-1] == 0:
-        dims.pop()
-    return AssocDims(r, dims)

@@ -1,4 +1,4 @@
-"""Lie algebras on two and three extremal generators.
+"""Lie algebras on three extremal generators.
 
 The three-generator algebra M is built on the eight spanning monomials
 x, y, z, [x,y], [x,z], [y,z], [x,[y,z]], [y,[x,z]] with a rewrite table:
@@ -22,10 +22,8 @@ from .liealg import (
     LieAlgebra,
     PreconditionNotMet,
     Subspace,
-    abelian,
     center,
     derived_series,
-    heisenberg,
     is_extremal,
     lower_central_series,
     matrix_lie_algebra,
@@ -336,27 +334,6 @@ def _placement(f, p):
         shared = (set(nz[0]) & set(nz[1])).pop()
         return (shared,) + tuple(k for k in range(3) if k != shared)
     return (0, 1, 2)
-
-
-def two_gen_classify(f_xy, bracket_nonzero, field=QQ):
-    """Lemma-level trichotomy for two extremal generators.
-
-    Returns (label, algebra, (index of x, index of y)).
-    """
-    f = field
-    f_xy = f.raw(f_xy)
-    if f.is_zero(f_xy):
-        if not bracket_nonzero:
-            return "abelian", abelian(f, 2), (0, 1)
-        return "heisenberg", heisenberg(f), (0, 1)
-    lam = f_xy
-    table = {
-        (0, 1): {0: lam},  # [x, [x,y]] = f(x,y) x
-        (0, 2): {1: f.one},
-        (1, 2): {2: lam},  # [[x,y], y] = f(x,y) y
-    }
-    L = LieAlgebra(f, ["x", "[x,y]", "y"], table)
-    return "sl2", L, (0, 2)
 
 
 def build_M(params):

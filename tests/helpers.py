@@ -17,10 +17,15 @@ denominator.  ``dense_mat_mul``, ``dense_matrix_lie_algebra``,
 ``dense_fourth_power_check`` are the matrix layer on dense lists of raw
 values, with one ``Field`` call per entry and the matrices of ad, as it ran
 before matrices became lists of sparse rows.  The tests hold the fast code
-to them.  ``echelon_basis`` (the dense basis rows of an ``Echelon``) and
-the last functions here (``grow_extremal_spanning``,
-``line_is_fully_extremal``, ``graded_components``) are ones that only the
-tests call.
+to them.  ``echelon_basis`` (the dense basis rows of an ``Echelon``),
+``grow_extremal_spanning``, ``line_is_fully_extremal`` and
+``graded_components`` are ones that only the tests call.  So is the last
+section: the free mode of the cover engine (``free_nilpotent_quotient``),
+the direct route to R_r (``assoc_algebra_direct_dims`` on
+``left_normed_expansions``), and the checks of the paper's lemmas that no
+command reports (the B2/G2 short-root decompositions, generation by the
+simple roots and the lowest root, the fourth-power lemma, orthogonality of
+ideal direct sums, the two-generator trichotomy).
 """
 
 import itertools
@@ -31,9 +36,24 @@ from math import factorial, gcd
 from hypothesis import strategies as st
 
 from extremal_lie.scalars import QQ, GF
-from extremal_lie.chevalley import ChevalleyAlgebra, exp_automorphism
-from extremal_lie.liealg import AlgebraElement, LieAlgebra, is_extremal
-from extremal_lie.linalg import axpy, canonical, combine, divide
+from extremal_lie.chevalley import (
+    ChevalleyAlgebra,
+    UnsupportedType,
+    exp_automorphism,
+    extremal_spanning_set,
+    root_exponential,
+)
+from extremal_lie.liealg import (
+    AlgebraElement,
+    LieAlgebra,
+    NotSpanning,
+    PreconditionNotMet,
+    Subspace,
+    extremal_form,
+    is_extremal,
+    subalgebra_generated,
+)
+from extremal_lie.linalg import Echelon, axpy, canonical, combine, divide, echelon_from_rows
 from extremal_lie import nilquot
 
 
@@ -256,7 +276,8 @@ def dense_jacobi(L):
 
 
 def tensor_bracket(ta, tb):
-    """Commutator in the tensor algebra on word dicts (oracle for freelie)."""
+    """Commutator in the tensor algebra on word dicts (oracle for
+    ``left_normed_expansions``)."""
     out = {}
     for wa, ca in ta.items():
         for wb, cb in tb.items():
@@ -934,10 +955,8 @@ def dense_phi_spectrum_check(L, x, y):
 
 
 def dense_fourth_power_check(L, x, y, form):
-    """Reference for ``liealg.fourth_power_check``: the fourth power of the
-    dense matrix of ad_[x,y], as two dense squarings."""
-    from extremal_lie.liealg import PreconditionNotMet
-
+    """Reference for ``fourth_power_check``: the fourth power of the dense
+    matrix of ad_[x,y], as two dense squarings."""
     x = L.element(x)
     y = L.element(y)
     if is_extremal(L, x) is None:
@@ -956,3 +975,248 @@ def dense_fourth_power_check(L, x, y, form):
     fourth = dense_mat_mul(f, sq, sq)
     ok = all(all(f.is_zero(c) for c in row) for row in fourth)
     return {"bracket_zero": False, "fourth_power_zero": ok, "pass": ok}
+
+
+# -- routes and lemma checks that only the tests reach ---------------------------
+
+
+def free_nilpotent_quotient(r, up_to_degree, field=QQ, extra_consistency=False):
+    """The free Lie algebra on r generators truncated at a degree: the cover
+    engine of ``nilquot`` without the sandwich relations."""
+    eng = nilquot._CoverEngine(r, field=field, sandwich=False, extra_consistency=extra_consistency)
+    while eng.completed < up_to_degree:
+        eng.extend()
+    return nilquot.GradedQuotient(eng, terminated=False)
+
+
+def left_normed_expansions(r, m):
+    """{word: tensor expansion} of the left-normed brackets
+    [[...[x_a1, x_a2], ...], x_am] on letters 1..r with a1 != a2 (every
+    letter when m = 1), with int coefficients.  They span the degree-m
+    component of the free Lie algebra (Reutenauer, "Free Lie Algebras",
+    1993).  Each expansion is P a - a P from that of its prefix P."""
+    out = {(a,): {(a,): 1} for a in range(1, r + 1)}
+    for _ in range(m - 1):
+        longer = {}
+        for word, poly in out.items():
+            for a in range(1, r + 1):
+                if word != (a,):
+                    exp = {t + (a,): c for t, c in poly.items()}
+                    for t, c in poly.items():
+                        exp[(a,) + t] = exp.get((a,) + t, 0) - c
+                    longer[word + (a,)] = {t: c for t, c in exp.items() if c}
+        out = longer
+    return out
+
+
+def assoc_algebra_direct_dims(r, max_len=8):
+    """R_r by elimination in the free associative algebra: y_i^2 = 0 and
+    y_i w y_i = 0 for w in a spanning set of the free Lie algebra.
+    Independent of the L_{r+1} route of ``nilquot``."""
+    cores = {2: [{(i, i): 1} for i in range(1, r + 1)]}  # core length -> polynomials
+    for m in range(1, max_len - 1):
+        cores[m + 2] = [
+            {(i,) + t + (i,): c for t, c in poly.items()}
+            for poly in left_normed_expansions(r, m).values()
+            for i in range(1, r + 1)
+        ]
+    dims = [1]
+    for length in range(1, max_len + 1):
+        words = sorted(itertools.product(range(1, r + 1), repeat=length))
+        pos = {w: k for k, w in enumerate(words)}
+        ech = Echelon(QQ, len(words))
+        for clen, polys in cores.items():
+            for a_len in range(0, length - clen + 1):
+                for a in itertools.product(range(1, r + 1), repeat=a_len):
+                    for b in itertools.product(range(1, r + 1), repeat=length - clen - a_len):
+                        for poly in polys:
+                            ech.insert({pos[a + t + b]: c for t, c in poly.items()})
+        dims.append(len(words) - ech.dim)
+        if dims[-1] == 0:
+            break
+    while dims and dims[-1] == 0:
+        dims.pop()
+    return nilquot.AssocDims(r, dims)
+
+
+def short_root_decomposition_check(type_, field):
+    """The rank-2 decompositions: short root elements lie in the span
+    of at most three long root element images (signs are convention-local)."""
+    if type_ not in ("B2", "G2"):
+        raise UnsupportedType("the rank-2 decompositions exist for B2 and G2")
+    if type_ == "B2":
+        A = ChevalleyAlgebra("B", 2, field)
+        rs = A.rootsystem
+        e = rs.root_from_eps
+        base = e({1: -1, 2: 1})  # -(eps1 - eps2), long
+        phi = root_exponential(A, e({1: 1}), 1)  # exp at the short x_{eps1}
+        image = phi.apply(A.x(base))
+        short = e({2: 1})
+        long2 = e({1: 1, 2: 1})
+        support = set(image.coeffs)
+        expected_support = {A.root_index[base], A.root_index[short], A.root_index[long2]}
+        coeff_short = image.coeffs.get(A.root_index[short])
+        span = echelon_from_rows(field, A.lie.n, [A.x(base).coeffs, A.x(long2).coeffs, image.coeffs])
+        short_in_span = span.contains(A.x(short).coeffs)
+        ok = (
+            support == expected_support
+            and coeff_short is not None
+            and short_in_span
+        )
+        gen_ok = _long_class_generates(A)
+        return {
+            "type": "B2",
+            "char": field.characteristic,
+            "image_support_matches": support == expected_support,
+            "short_coefficient_nonzero": coeff_short is not None,
+            "short_in_span_of_long_images": short_in_span,
+            "long_root_elements_generate": gen_ok,
+            "pass": ok and gen_ok,
+        }
+    A = ChevalleyAlgebra("G", 2, field)
+    alpha, beta = (1, 0), (0, 1)  # alpha short, beta long
+    phi_plus = root_exponential(A, alpha, 1)
+    phi_minus = root_exponential(A, alpha, -1)
+    xb = A.x(beta)
+    combo = phi_plus.apply(xb) + phi_minus.apply(xb) - (2 * xb)
+    target = A.root_index[(2, 1)]  # 2*alpha + beta, short
+    in_line = set(combo.coeffs) == {target}
+    gen_ok = _long_class_generates(A)
+    return {
+        "type": "G2",
+        "char": field.characteristic,
+        "combination_in_short_line": in_line,
+        "combination_nonzero": bool(combo.coeffs),
+        "long_root_elements_generate": gen_ok,
+        "pass": in_line and bool(combo.coeffs) and gen_ok,
+    }
+
+
+def _long_class_generates(A):
+    """Whether the class of long root elements generates the algebra.
+
+    The closure of the long root elements under exp(+-ad x_r) lies in the
+    class, and its span is stable under every exp(t ad x_r) (t runs over the
+    integers), hence under every ad x_r: over Q, ad x_r = log exp(ad x_r); over
+    GF(p) when p exceeds the degree in t.  So that span is the ideal spanned by
+    the class, and the class generates exactly when the closure spans, which
+    ``extremal_spanning_set`` reports by raising NotSpanning when it does not.
+    (The elements x_r of the long roots alone generate only 6 of the 10
+    dimensions of B2.)"""
+    try:
+        extremal_spanning_set(A)
+    except NotSpanning:
+        return False
+    return True
+
+
+def simple_plus_lowest_generation_check(A):
+    """Root elements of the simple roots plus the lowest root generate."""
+    rs = A.rootsystem
+    gens = [A.x(t) for t in rs.simple_roots]
+    gens.append(A.x(tuple(-c for c in rs.highest_root)))
+    dim = subalgebra_generated(A.lie, gens).dim
+    return {"generators": rs.rank + 1, "dim": dim, "pass": dim == A.lie.n}
+
+
+def fourth_power_check(L, x, y, form):
+    """ad_{[x,y]}^4 = 0 for extremal x outside Rad(f) and y inside Rad(f)."""
+    x = L.element(x)
+    y = L.element(y)
+    if is_extremal(L, x) is None:
+        raise PreconditionNotMet("x must be extremal")
+    rad = form.radical()
+    if rad.contains(x):
+        raise PreconditionNotMet("x must lie outside Rad(f)")
+    if not rad.contains(y):
+        raise PreconditionNotMet("y must lie in Rad(f)")
+    z = L.bracket(x, y)
+    if z.is_zero():
+        return {"bracket_zero": True, "fourth_power_zero": True, "pass": True}
+    ok = True
+    for v in L.basis_elements():
+        for _ in range(4):
+            v = L.bracket(z, v)
+        ok = ok and v.is_zero()
+    return {"bracket_zero": False, "fourth_power_zero": ok, "pass": ok}
+
+
+class NotADirectSum(ValueError):
+    pass
+
+
+def direct_sum(L1, L2):
+    """Direct sum of two algebras over the same field (block structure constants)."""
+    if L1.field != L2.field:
+        raise ValueError("mixed fields")
+    labels = ["A." + s for s in L1.labels] + ["B." + s for s in L2.labels]
+    table = {}
+    for (i, j), row in L1._table.items():
+        table[(i, j)] = dict(row)
+    off = L1.n
+    for (i, j), row in L2._table.items():
+        table[(i + off, j + off)] = {k + off: c for k, c in row.items()}
+    return LieAlgebra(L1.field, labels, table)
+
+
+def direct_sum_orthogonality_check(L, part1_indices, part2_indices, spanning_set):
+    """For an ideal direct sum L = L1 (+) L2: f(L1, L2) = 0 and each part is
+    spanned by projections of the extremal spanning elements."""
+    f = L.field
+    all_idx = sorted(part1_indices) + sorted(part2_indices)
+    if all_idx != list(range(L.n)):
+        raise NotADirectSum("parts must partition the basis")
+    p1 = Subspace.from_elements(L, [L.basis_element(i) for i in part1_indices])
+    p2 = Subspace.from_elements(L, [L.basis_element(i) for i in part2_indices])
+    if not (p1.is_ideal() and p2.is_ideal()):
+        raise NotADirectSum("parts are not ideals")
+    form = extremal_form(L, spanning_set)
+    orth = all(
+        f.is_zero(form.value(L.basis_element(i), L.basis_element(j)))
+        for i in part1_indices
+        for j in part2_indices
+    )
+    proj_ok = True
+    for part, indices in ((p1, part1_indices), (p2, part2_indices)):
+        ech = Echelon(f, L.n)
+        for s in spanning_set:
+            s = L.element(s)
+            proj = AlgebraElement(L, {k: c for k, c in s.coeffs.items() if k in indices})
+            if proj.is_zero():
+                continue
+            if is_extremal(L, proj) is None:
+                proj_ok = False
+            ech.insert(proj.coeffs)
+        if ech.dim != part.dim:
+            proj_ok = False
+    return {"orthogonal": orth, "projections_span_and_extremal": proj_ok, "pass": orth and proj_ok}
+
+
+def heisenberg(field=QQ):
+    """[x, y] = z, z central."""
+    return LieAlgebra(field, ["x", "y", "z"], {(0, 1): {2: field.one}})
+
+
+def abelian(field, n):
+    return LieAlgebra(field, ["a%d" % i for i in range(n)], {})
+
+
+def two_gen_classify(f_xy, bracket_nonzero, field=QQ):
+    """Lemma-level trichotomy for two extremal generators.
+
+    Returns (label, algebra, (index of x, index of y)).
+    """
+    f = field
+    f_xy = f.raw(f_xy)
+    if f.is_zero(f_xy):
+        if not bracket_nonzero:
+            return "abelian", abelian(f, 2), (0, 1)
+        return "heisenberg", heisenberg(f), (0, 1)
+    lam = f_xy
+    table = {
+        (0, 1): {0: lam},  # [x, [x,y]] = f(x,y) x
+        (0, 2): {1: f.one},
+        (1, 2): {2: lam},  # [[x,y], y] = f(x,y) y
+    }
+    L = LieAlgebra(f, ["x", "[x,y]", "y"], table)
+    return "sl2", L, (0, 2)

@@ -24,8 +24,6 @@ from extremal_lie.chevalley import (
     minimal_generator_count,
     natural_representation,
     root_exponential,
-    short_root_decomposition_check,
-    simple_plus_lowest_generation_check,
     verify_generation,
 )
 from extremal_lie import liealg
@@ -41,6 +39,8 @@ from helpers import (
     preserves_form,
     rational_columns,
     rng,
+    short_root_decomposition_check,
+    simple_plus_lowest_generation_check,
 )
 
 HEAVY = os.environ.get("EXTREMAL_LIE_HEAVY") == "1"

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import os
@@ -248,12 +249,36 @@ def test_mingen_f4_char5(capsys):
     ["tables", "rr-lengths", "--r", "0"],
     ["mingen", "--type", "A2", "--jobs", "0"],
     ["mingen", "--type", "A1,A2", "--jobs", "-1"],
+    ["tables", "lr", "--r", "2"],
+    ["tables", "rr", "--r", "2"],
 ])
 def test_malformed_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_tables_report_a_degree_cap_as_a_failed_check(capsys, monkeypatch):
+    from extremal_lie import nilquot
+
+    for name in ("sandwich_algebra", "assoc_dims_via_embedding"):
+        monkeypatch.setattr(nilquot, name, functools.partial(getattr(nilquot, name), max_degree=3))
+    code, out, err = run_cli(capsys, "--json", "tables", "lr", "--max-r", "4")
+    assert code == 1 and "Traceback" not in err
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == ["dim L_1", "dim L_2", "dim L_3", "dim L_4 reached an empty degree below the cap"]
+    assert [c["pass"] for c in checks] == [True, True, True, False]
+    code, out, _ = run_cli(capsys, "--json", "tables", "rr", "--max-r", "3")
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == ["dim R_1", "dim R_2", "dim R_3 reached an empty degree below the cap"]
+    assert [c["pass"] for c in checks] == [True, True, False]
+    code, out, _ = run_cli(capsys, "--json", "tables", "rr-lengths", "--r", "3")
+    assert code == 1
+    assert json.loads(out)["checks"] == [
+        {"name": "R_3 lengths reached an empty degree below the cap", "expected": True, "actual": False, "pass": False}
+    ]
 
 
 def test_radicals_reports_failed_form_check(capsys, monkeypatch):

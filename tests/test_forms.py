@@ -19,9 +19,7 @@ from extremal_lie.chevalley import extremal_spanning_set
 from extremal_lie.liealg import (
     BilinearForm,
     center,
-    direct_sum,
     extremal_form,
-    heisenberg,
     killing_form,
     sl2,
 )
@@ -34,7 +32,9 @@ from helpers import (
     dense_extremal_gram,
     dense_is_associative,
     dense_killing_gram,
+    direct_sum,
     field_of,
+    heisenberg,
     nonzero,
     rescaled,
     sparse,

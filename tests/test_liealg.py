@@ -9,21 +9,15 @@ from extremal_lie.liealg import (
     Subspace,
     JacobiViolation,
     LieAlgebra,
-    NotADirectSum,
     NotASandwich,
     NotExtremal,
     NotSpanning,
     PreconditionNotMet,
     WellDefinednessFailure,
     ZeroElement,
-    abelian,
     center,
     derived_series,
-    direct_sum,
-    direct_sum_orthogonality_check,
     extremal_form,
-    fourth_power_check,
-    heisenberg,
     ideal_generated,
     is_extremal,
     is_solvable_subspace,
@@ -38,26 +32,33 @@ from extremal_lie.liealg import (
     subalgebra_generated,
     zero_subspace,
 )
-from extremal_lie.smallgen import TriangleParams, build_M, sl3_example, structure_constants_on, two_gen_classify
+from extremal_lie.smallgen import TriangleParams, build_M, sl3_example, structure_constants_on
 from extremal_lie.chevalley import extremal_spanning_set
 
 from extremal_lie.liealg import _no_solvable_ideal_certificate
 
 from helpers import (
     AntisymmetryViolation,
+    NotADirectSum,
+    abelian,
     candidate_seeded_radical,
     chevalley,
     dense_fourth_power_check,
     dense_jacobi,
     dense_phi_spectrum_check,
+    direct_sum,
+    direct_sum_orthogonality_check,
     field_of,
+    fourth_power_check,
     grow_extremal_spanning,
+    heisenberg,
     lie_algebra_from_dense,
     nonzero,
     rescaled,
     rng,
     sandwich,
     subset_certificate,
+    two_gen_classify,
     unchecked_lie_algebra,
 )
 

@@ -5,26 +5,38 @@ from unittest import mock
 import pytest
 
 from extremal_lie import nilquot
+from extremal_lie.linalg import Echelon
 from extremal_lie.scalars import QQ, GF
 
-from helpers import DenseEchelon, graded_components, graded_report, sandwich, witt, witt_multidegree
+from helpers import (
+    DenseEchelon,
+    assoc_algebra_direct_dims,
+    free_nilpotent_quotient,
+    graded_components,
+    graded_report,
+    left_normed_expansions,
+    sandwich,
+    tensor_bracket,
+    witt,
+    witt_multidegree,
+)
 
 
 def test_free_mode_matches_witt():
     for r, maxd in [(2, 8), (3, 6), (4, 5)]:
-        q = nilquot.free_nilpotent_quotient(r, maxd)
+        q = free_nilpotent_quotient(r, maxd)
         assert q.dims_by_degree == [witt(r, d) for d in range(1, maxd + 1)]
 
 
 def test_free_mode_multidegrees_match_necklace_counts():
-    q = nilquot.free_nilpotent_quotient(3, 5)
+    q = free_nilpotent_quotient(3, 5)
     for md, dim in q.multidegree_dims.items():
         assert dim == witt_multidegree(md), md
 
 
 def test_free_mode_extra_consistency_rows_change_nothing():
-    a = nilquot.free_nilpotent_quotient(3, 6)
-    b = nilquot.free_nilpotent_quotient(3, 6, extra_consistency=True)
+    a = free_nilpotent_quotient(3, 6)
+    b = free_nilpotent_quotient(3, 6, extra_consistency=True)
     assert a.dims_by_degree == b.dims_by_degree
     assert a.multidegree_dims == b.multidegree_dims
 
@@ -66,9 +78,31 @@ def test_assoc_dims_via_embedding():
 def test_assoc_direct_construction_agrees():
     # independent route: elimination in the free associative algebra
     for r in (1, 2, 3):
-        direct = nilquot.assoc_algebra_direct_dims(r)
+        direct = assoc_algebra_direct_dims(r)
         embedded = nilquot.assoc_dims_via_embedding(r)
         assert direct.dims_by_length == embedded.dims_by_length
+
+
+def test_left_normed_expansions_span_the_free_lie_algebra():
+    for r, max_m in ((2, 8), (3, 6), (4, 4)):
+        for m in range(1, max_m + 1):
+            ech = Echelon(QQ, r**m)
+            for poly in left_normed_expansions(r, m).values():
+                ech.insert({sum((a - 1) * r**k for k, a in enumerate(t)): c for t, c in poly.items()})
+            assert ech.dim == witt(r, m), (r, m)
+
+
+def test_left_normed_expansions_match_nested_tensor_brackets():
+    r = 3
+    for m in range(1, 6):
+        got = left_normed_expansions(r, m)
+        assert len(got) == (r if m == 1 else r * (r - 1) * r ** (m - 2))
+        for word, poly in got.items():
+            assert len(word) == m and (m == 1 or word[0] != word[1])
+            nested = {word[:1]: 1}
+            for a in word[1:]:
+                nested = tensor_bracket(nested, {(a,): 1})
+            assert poly == nested, word
 
 
 def test_subalgebra_embedding():

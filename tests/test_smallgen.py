@@ -19,12 +19,11 @@ from extremal_lie.smallgen import (
     normalize,
     scale_params,
     sl3_example,
-    two_gen_classify,
     verify_3gen_structure,
 )
 from extremal_lie.liealg import LieAlgebra, PreconditionNotMet, is_extremal, center, lower_central_series
 
-from helpers import eigenline_modules_irreducible, grow_extremal_spanning, rng
+from helpers import eigenline_modules_irreducible, grow_extremal_spanning, rng, two_gen_classify
 
 
 def test_two_gen_classification():

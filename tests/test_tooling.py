@@ -111,16 +111,10 @@ def test_demo_runs(demo):
 # Module-level functions and methods that nothing in src/ or demos/ calls,
 # kept on purpose
 UNCALLED_ALLOWED = {
-    # public entry points for the paper's checks, exported by __init__
-    "direct_sum", "direct_sum_orthogonality_check", "fourth_power_check", "free_nilpotent_quotient",
-    "monomial", "short_root_decomposition_check", "simple_plus_lowest_generation_check",
-    "two_gen_classify",
-    # public accessors of the root data and of the fields
+    # public accessors of the root data
     "RootSystem.height", "RootSystem.norm2",
     # span targets of bench/spans.py, which reports a missing target as absent
     "mat_inverse", "solve_in_span",
-    # the planned second route for `tables rr`
-    "assoc_algebra_direct_dims",
 }
 
 
