@@ -63,6 +63,7 @@ from .chevalley import (
     mingen_generators,
     minimal_generator_count,
     natural_representation,
+    root_exp_apply,
     root_exponential,
     verify_generation,
 )

@@ -4,6 +4,14 @@ exp-automorphisms, natural representations, and minimal extremal generation.
 The extra generators of the generation recipes are always computed as
 exp-compositions applied to root elements, evaluated in this package's own
 sign convention, so every verification is convention-independent.
+
+Root exponentials are applied to one vector at a time: exp(s ad x_root) v
+sums, over the support of v, the divided powers ad^k x_root b_j / k! of the
+columns it reaches, each built once per algebra and kept on the
+``ChevalleyAlgebra``.  The n x n map is never built to move one vector.
+Those divided powers are integral (Carter, "Simple Groups of Lie Type",
+1972), so one integer column, reduced mod p or read over Q, serves every
+field; over GF(3), where 3! = 0, only they give exp.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ class ChevalleyAlgebra:
         self.lie = LieAlgebra(field, labels, integer_table)
         rs = self.rootsystem
         self.root_index = {t: k for k, t in enumerate(rs.roots)}
+        self._divided = {}  # (root index, j) -> divided powers, see divided_powers
         if self.lie.n != len(rs.roots) + rs.rank:
             raise ValueError("a table of dimension %d does not fit %r" % (self.lie.n, rs))
 
@@ -74,17 +83,37 @@ class ChevalleyAlgebra:
         """Cartan element h_i for the i-th simple root (1-indexed)."""
         return self.lie.basis_element(len(self.rootsystem.roots) + i - 1)
 
-    def int_ad_columns(self, root):
-        """Integer columns of ad x_root, from the integer structure constants."""
-        idx = self.root_index[tuple(root)]
-        n = self.lie.n
-        cols = [dict() for _ in range(n)]
-        for (i, j), row in self.int_table.items():
-            if i == idx:
-                cols[j] = dict(row)
-            elif j == idx:
-                cols[i] = {k: -v for k, v in row.items()}
-        return cols
+    def divided_powers(self, idx, j):
+        """[ad^k x / k! b_j for k = 1, 2, ...] as integer dicts, x the root
+        element of basis index ``idx``, built on first use and kept.  Each
+        step reads the structure constants [x, b_a] straight from the integer
+        table."""
+        key = (idx, j)
+        out = self._divided.get(key)
+        if out is not None:
+            return out
+        table = self.int_table
+        out = []
+        vec = {j: 1}  # (ad x)^k b_j over the integers
+        factorial = 1
+        for k in range(1, 8):
+            nxt = {}
+            for a, c in vec.items():
+                if a > idx:
+                    axpy(nxt, c, table.get((idx, a), {}))
+                elif a < idx:
+                    axpy(nxt, -c, table.get((a, idx), {}))
+            vec = canonical(QQ, nxt)
+            if not vec:
+                break
+            factorial *= k
+            if any(v % factorial for v in vec.values()):
+                raise NonIntegral("divided power of ad x_root is not integral")
+            out.append({t: v // factorial for t, v in vec.items()})
+        else:
+            raise RuntimeError("ad x_root is not nilpotent of small index")
+        self._divided[key] = out
+        return out
 
     def __repr__(self):
         return "ChevalleyAlgebra(%s%d over %r)" % (
@@ -262,34 +291,37 @@ def exp_automorphism(L, x, s, check=True):
     return exp_map(L, x)(s, check)
 
 
-def root_exponential(A, root, s=1, check=True):
-    """exp(s ad x_root) with integral divided powers: an automorphism of the
-    Chevalley algebra over any field of characteristic != 2."""
+def root_exp_apply(A, root, s, v):
+    """exp(s ad x_root) v = sum_j v_j (b_j + sum_k s^k ad^k x_root b_j / k!),
+    canonical, from the divided powers of the columns in v's support
+    (``ChevalleyAlgebra.divided_powers``); the map itself is never built."""
     f = A.field
     s = f.raw(s)
-    int_cols = A.int_ad_columns(root)
-    n = A.lie.n
-    cols = []
-    for j in range(n):
-        col = {j: 1}
-        vec = {j: 1}  # (ad x_root)^k b_j over the integers
-        factorial, sk = 1, 1
-        for k in range(1, 8):
-            nxt = {}
-            for idx, c in vec.items():
-                axpy(nxt, c, int_cols[idx])
-            vec = canonical(QQ, nxt)
-            if not vec:
-                break
-            factorial *= k
-            sk = f.mul(sk, s)
-            if any(v % factorial for v in vec.values()):
-                raise NonIntegral("divided power of ad x_root is not integral")
-            axpy(col, sk, {t: v // factorial for t, v in vec.items()})
-        else:
-            raise RuntimeError("ad x_root is not nilpotent of small index")
-        cols.append(col)
-    return Automorphism(A.lie, cols, check=check)
+    idx = A.root_index[tuple(root)]
+    # v = w / e and s = a / b on ints (e = b = 1 over GF(p)); the image is
+    # accumulated times e b^K, K the largest k reached, and divided once
+    w, e = clear_denominators(v.coeffs)
+    a, b = s.numerator, s.denominator
+    columns = [(j, c, A.divided_powers(idx, j)) for j, c in w.items()]
+    top = max((len(ds) for _, _, ds in columns), default=0)
+    scale = [a**k * b ** (top - k) for k in range(top + 1)]
+    acc = {}
+    for j, c, ds in columns:
+        acc[j] = acc.get(j, 0) + c * scale[0]
+        for k, d in enumerate(ds, 1):
+            axpy(acc, c * scale[k], d)
+    if f.characteristic:
+        return AlgebraElement(A.lie, canonical(f, acc))
+    return AlgebraElement(A.lie, divide(acc, e * b**top))
+
+
+def root_exponential(A, root, s=1, check=True):
+    """exp(s ad x_root) with integral divided powers: an automorphism of the
+    Chevalley algebra over any field of characteristic != 2, its columns the
+    images of the basis vectors under ``root_exp_apply``."""
+    L = A.lie
+    cols = [root_exp_apply(A, root, s, L.basis_element(j)).coeffs for j in range(L.n)]
+    return Automorphism(L, cols, check=check)
 
 
 # -- extremality reports --------------------------------------------------------
@@ -314,11 +346,11 @@ def extremal_spanning_set(A):
     """Extremal elements spanning the algebra: long root elements and their
     images under the root-group generators."""
     rs = A.rootsystem
-    autos = [root_exponential(A, root, s, check=False) for root in rs.roots for s in (1, -1)]
+    steps = [(root, s) for root in rs.roots for s in (1, -1)]
     return extremal_closure(
         A.lie,
         [A.x(root) for root in rs.roots if rs.is_long(root)],
-        lambda v: (phi.apply(v) for phi in autos),
+        lambda v: (root_exp_apply(A, root, s, v) for root, s in steps),
     )
 
 
@@ -370,7 +402,7 @@ class _Recipe:
             _, exp_roots, base = item
             v = A.x(base)
             for root in reversed(exp_roots):  # rightmost factor acts first
-                v = root_exponential(A, root, 1, check=False).apply(v)
+                v = root_exp_apply(A, root, 1, v)
             out.append(v)
         return out
 

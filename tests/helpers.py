@@ -12,7 +12,11 @@ products, ``fraction_inner`` the inner product of roots with one
 ``Fraction`` per term, and ``FractionAutomorphism``/``fraction_exp_map``
 the exp-automorphisms on ``Fraction`` columns with two brackets per basis
 vector, as they were before the columns became integers over one
-denominator.  ``dense_mat_mul``, ``dense_matrix_lie_algebra``,
+denominator.  ``reference_root_exponential`` is the full root
+exponential, its ad x_root columns read by a scan of the whole integer
+table, as ``chevalley`` built it before it applied the divided powers to one
+vector at a time; ``reference_extremal_spanning_set`` is the closure over
+those full maps.  ``dense_mat_mul``, ``dense_matrix_lie_algebra``,
 ``dense_natural_representation``, ``dense_phi_spectrum_check`` and
 ``dense_fourth_power_check`` are the matrix layer on dense lists of raw
 values, with one ``Field`` call per entry and the matrices of ad, as it ran
@@ -36,7 +40,9 @@ from math import factorial, gcd
 from hypothesis import strategies as st
 
 from extremal_lie.scalars import QQ, GF
+from extremal_lie.rootdata import NonIntegral
 from extremal_lie.chevalley import (
+    Automorphism,
     ChevalleyAlgebra,
     UnsupportedType,
     exp_automorphism,
@@ -49,6 +55,7 @@ from extremal_lie.liealg import (
     NotSpanning,
     PreconditionNotMet,
     Subspace,
+    extremal_closure,
     extremal_form,
     is_extremal,
     subalgebra_generated,
@@ -593,6 +600,61 @@ def rational_columns(phi):
     if phi.lie.field.characteristic:
         return phi.cols
     return [divide(col, phi.den) for col in phi.cols]
+
+
+def reference_int_ad_columns(A, root):
+    """Integer columns of ad x_root, from the integer structure constants."""
+    idx = A.root_index[tuple(root)]
+    n = A.lie.n
+    cols = [dict() for _ in range(n)]
+    for (i, j), row in A.int_table.items():
+        if i == idx:
+            cols[j] = dict(row)
+        elif j == idx:
+            cols[i] = {k: -v for k, v in row.items()}
+    return cols
+
+
+def reference_root_exponential(A, root, s=1, check=True):
+    """exp(s ad x_root) with integral divided powers: an automorphism of the
+    Chevalley algebra over any field of characteristic != 2."""
+    f = A.field
+    s = f.raw(s)
+    int_cols = reference_int_ad_columns(A, root)
+    n = A.lie.n
+    cols = []
+    for j in range(n):
+        col = {j: 1}
+        vec = {j: 1}  # (ad x_root)^k b_j over the integers
+        factorial, sk = 1, 1
+        for k in range(1, 8):
+            nxt = {}
+            for idx, c in vec.items():
+                axpy(nxt, c, int_cols[idx])
+            vec = canonical(QQ, nxt)
+            if not vec:
+                break
+            factorial *= k
+            sk = f.mul(sk, s)
+            if any(v % factorial for v in vec.values()):
+                raise NonIntegral("divided power of ad x_root is not integral")
+            axpy(col, sk, {t: v // factorial for t, v in vec.items()})
+        else:
+            raise RuntimeError("ad x_root is not nilpotent of small index")
+        cols.append(col)
+    return Automorphism(A.lie, cols, check=check)
+
+
+def reference_extremal_spanning_set(A):
+    """``chevalley.extremal_spanning_set`` on the full maps of
+    ``reference_root_exponential``, all built before the closure starts."""
+    rs = A.rootsystem
+    autos = [reference_root_exponential(A, root, s, check=False) for root in rs.roots for s in (1, -1)]
+    return extremal_closure(
+        A.lie,
+        [A.x(root) for root in rs.roots if rs.is_long(root)],
+        lambda v: (phi.apply(v) for phi in autos),
+    )
 
 
 def grow_extremal_spanning(L, seeds):

@@ -83,6 +83,12 @@ def test_assoc_direct_construction_agrees():
         assert direct.dims_by_length == embedded.dims_by_length
 
 
+def test_assoc_direct_construction_r4_to_length_5():
+    # at length 5 the relations y_i w y_i need all of Lie_3: a spanning set
+    # short of it leaves 44 words where R_4 has 40
+    assert assoc_algebra_direct_dims(4, max_len=5).dims_by_length == nilquot.R_LENGTHS[4][:6]
+
+
 def test_left_normed_expansions_span_the_free_lie_algebra():
     for r, max_m in ((2, 8), (3, 6), (4, 4)):
         for m in range(1, max_m + 1):
