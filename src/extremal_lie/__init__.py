@@ -13,7 +13,6 @@ from .scalars import (
     CharacteristicTwoUnsupported,
     Field,
     NotPrime,
-    field_create,
 )
 from .nilquot import (
     AssocDims,

@@ -5,6 +5,9 @@ The extra generators of the generation recipes are always computed as
 exp-compositions applied to root elements, evaluated in this package's own
 sign convention, so every verification is convention-independent.
 
+A ``ChevalleyAlgebra`` is built one way, from type, rank and field, on the
+root system and integer constants of ``rootdata.integer_chevalley_data``.
+
 Root exponentials are applied to one vector at a time: exp(s ad x_root) v
 sums, over the support of v, the divided powers ad^k x_root b_j / k! of the
 columns it reaches, each built once per algebra and kept on the
@@ -19,12 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .rootdata import (
-    NonIntegral,
-    RootSystem,
-    chevalley_constants,
-    root_system,
-)
+from .rootdata import NonIntegral, RootSystem, integer_chevalley_data
 from .liealg import (
     AlgebraElement,
     LieAlgebra,
@@ -43,8 +41,10 @@ from .linalg import (
     combine,
     divide,
     echelon_from_rows,
+    flatten,
     kernel,
     mat_mul,
+    unflatten,
 )
 from .nilquot import L_DIMS
 from .scalars import QQ
@@ -57,20 +57,15 @@ class UnsupportedType(ValueError):
 class ChevalleyAlgebra:
     """Lie algebra of Chevalley type: basis {x_alpha} + {h_i}, exact field."""
 
-    def __init__(self, type_, rank, field, integer_table=None, labels=None):
-        self.rootsystem = root_system(type_, rank)
-        self.field = field
+    def __init__(self, type_, rank, field):
+        rs, labels, self.int_table = integer_chevalley_data(type_, rank)
         if field.characteristic == 2:
             raise ValueError("characteristic 2 is unsupported")
-        if integer_table is None:
-            labels, integer_table = chevalley_constants(self.rootsystem).integer_table()
-        self.int_table = integer_table
-        self.lie = LieAlgebra(field, labels, integer_table)
-        rs = self.rootsystem
+        self.rootsystem = rs
+        self.field = field
+        self.lie = LieAlgebra(field, labels, self.int_table)
         self.root_index = {t: k for k, t in enumerate(rs.roots)}
         self._divided = {}  # (root index, j) -> divided powers, see divided_powers
-        if self.lie.n != len(rs.roots) + rs.rank:
-            raise ValueError("a table of dimension %d does not fit %r" % (self.lie.n, rs))
 
     @property
     def dim(self):
@@ -124,12 +119,8 @@ class ChevalleyAlgebra:
 
 
 def chevalley_algebra(type_, rank, field):
-    """The Chevalley algebra on the per-process constants of
-    ``cli.cached_integer_table``."""
-    from .cli import cached_integer_table
-
-    labels, table = cached_integer_table(type_, rank, None)
-    return ChevalleyAlgebra(type_, rank, field, integer_table=table, labels=labels)
+    """The Chevalley algebra of a type over ``field``, as the commands build it."""
+    return ChevalleyAlgebra(type_, rank, field)
 
 
 class Automorphism:
@@ -644,23 +635,20 @@ def _matrices_preserving(f, gram):
             acc = {k * size + i: g for k, g in by_column[j].items()}
             axpy(acc, 1, {k * size + j: g for k, g in gram[i].items()})
             rows.append(canonical(f, acc))
-    return [_matrix(size, {divmod(c, size): x for c, x in v.items()}) for v in kernel(f, rows, size * size)]
+    return [unflatten(v, size) for v in kernel(f, rows, size * size)]
 
 
 def _burnside_irreducible(f, mats, size):
     """Associative closure spans all size x size matrices (Burnside)."""
     kept = []
 
-    def flat(m):
-        return {i * size + j: x for i, row in enumerate(m) for j, x in row.items()}
-
     def expand(v):
-        m = _matrix(size, {divmod(c, size): x for c, x in v.items()})
+        m = unflatten(v, size)
         kept.append(m)
-        return (flat(p) for other in tuple(kept) for p in (mat_mul(f, other, m), mat_mul(f, m, other)))
+        return (flatten(p) for other in tuple(kept) for p in (mat_mul(f, other, m), mat_mul(f, m, other)))
 
     ech = Echelon(f, size * size)
-    closure(ech, (flat(m) for m in mats), expand)
+    closure(ech, (flatten(m) for m in mats), expand)
     return ech.dim == size * size
 
 

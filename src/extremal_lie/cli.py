@@ -5,6 +5,9 @@ Subcommands: tables, mingen, radicals, threegen, rootgroups, extremal-check.
 Exit code 0 iff all checks pass, 1 on a failing check, 2 on usage errors.
 Reports serialize deterministically: the JSON output never contains timing,
 so byte-identical reruns are guaranteed; wall time goes to stderr.
+
+The CLI is the top layer: no module of the library imports it.  The
+per-process memo of the Chevalley constants is in ``rootdata``.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 from .scalars import QQ, GF, CharacteristicTwoUnsupported, NotPrime
-from .rootdata import InvalidRank, cartan_nullity
-from .rootdata import chevalley_constants, root_system
+from .rootdata import InvalidRank, cartan_nullity, integer_chevalley_data
 from . import nilquot
 from .liealg import (
     NotAssociative,
@@ -99,19 +101,13 @@ class Report:
         sys.stderr.write("runtime_ms=%d\n" % self.runtime_ms)
 
 
-# -- constants memo -------------------------------------------------------------
-
-_TABLES = {}
+# -- Chevalley constants -------------------------------------------------------
 
 
 def cached_integer_table(type_, rank, cache_dir):
-    """Integer Chevalley constants ``(labels, table)`` of a type, built once
-    per process and shared by every caller, which must not mutate them.
-    ``cache_dir`` is ignored: nothing is cached on disk."""
-    key = (type_, rank)
-    if key not in _TABLES:
-        _TABLES[key] = chevalley_constants(root_system(type_, rank)).integer_table()
-    return _TABLES[key]
+    """``(labels, table)`` of ``rootdata.integer_chevalley_data``, kept as the
+    set-up entry point of ``bench/child.py``; ``cache_dir`` is ignored."""
+    return integer_chevalley_data(type_, rank)[1:]
 
 
 # -- helpers ------------------------------------------------------------------

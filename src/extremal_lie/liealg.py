@@ -16,9 +16,12 @@ from .linalg import (
     charpoly,
     closure,
     combine,
+    flatten,
     kernel,
     mat_mul,
+    poly_mul,
     rank,
+    unflatten,
 )
 
 
@@ -426,10 +429,9 @@ class BilinearForm:
     """Bilinear form given by its Gram matrix on the basis, as canonical
     sparse rows: ``rows[i]`` is f(b_i, .)."""
 
-    def __init__(self, algebra, rows, kind):
+    def __init__(self, algebra, rows):
         self.algebra = algebra
         self.rows = rows
-        self.kind = kind
 
     def value(self, u, v):
         G = self.rows
@@ -474,7 +476,7 @@ def killing_form(L):
             for k, c in L.bracket_basis(i, l).items():
                 axpy(acc, c, at.get((k, l), {}))
         rows.append(canonical(f, acc))
-    return BilinearForm(L, rows, "killing")
+    return BilinearForm(L, rows)
 
 
 def extremal_form(L, spanning_set):
@@ -511,7 +513,7 @@ def extremal_form(L, spanning_set):
     for i, row in enumerate(coords):
         for a, c in row.items():
             by_spanning[a][i] = c
-    form = BilinearForm(L, mat_mul(f, mat_mul(f, coords, frows), by_spanning), "extremal-f")
+    form = BilinearForm(L, mat_mul(f, mat_mul(f, coords, frows), by_spanning))
     # well-definedness: the bilinear extension must reproduce every f_x directly
     for a, s in enumerate(spanning):
         if combine(f, s.coeffs, form.rows) != functionals[a].values:
@@ -680,7 +682,7 @@ def phi_spectrum_check(L, x, y):
         cp = charpoly(f, cols)
         expected = [f.one]
         for _ in range(L.n):
-            expected = _poly_shift(f, expected, f.zero)
+            expected = poly_mul(f, expected, [f.zero, f.one])
         kz = f.is_zero(kappa.value(x, y))
         return {"case": "a", "all_eigenvalues_zero": cp == expected, "kappa_zero": kz, "pass": cp == expected and kz}
     # rescale so that f(x, y') = -2
@@ -692,7 +694,7 @@ def phi_spectrum_check(L, x, y):
     expected = [f.one]
     for root, mult in ((f.raw(2), 2), (f.raw(1), s - 2), (f.zero, L.n - s)):
         for _ in range(mult):
-            expected = _poly_shift(f, expected, root)
+            expected = poly_mul(f, expected, [f.neg(root), f.one])
     kap = kappa.value(x, y2)
     # phi^2 + (1/2) f(x,y') phi maps into kx + k[x,y'], with f(x,y') = -2
     target = Subspace.from_elements(L, [x, L.bracket(x, y2)])
@@ -710,16 +712,6 @@ def phi_spectrum_check(L, x, y):
         "quadratic_image_ok": img_ok,
         "pass": ok,
     }
-
-
-def _poly_shift(field, poly, root):
-    """poly * (t - root)."""
-    f = field
-    out = [f.zero] * (len(poly) + 1)
-    for i, c in enumerate(poly):
-        out[i + 1] = f.add(out[i + 1], c)
-        out[i] = f.sub(out[i], f.mul(root, c))
-    return out
 
 
 def sandwich_span_check(L, witnesses, form, raising=()):
@@ -773,40 +765,31 @@ def sl2(field=QQ):
     return LieAlgebra(f, ["e", "h", "f"], table)
 
 
-def matrix_lie_algebra(field, mats, labels=None):
+def matrix_lie_algebra(field, mats):
     """Lie algebra spanned by the commutator closure of the given square
     matrices (lists of sparse rows, see ``linalg``).  Returns (LieAlgebra,
     basis matrices, element_of), where ``element_of(m)`` is the element of
-    the algebra that a matrix m of its span stands for.  A matrix is
-    flattened row-major to a vector of length size^2."""
+    the algebra that a matrix m of its span stands for.  A matrix is a
+    vector of length size^2 by ``linalg.flatten``."""
     f = field
     size = len(mats[0])
 
-    def flat(m):
-        return {i * size + j: x for i, row in enumerate(m) for j, x in row.items()}
-
-    def square(v):
-        m = [{} for _ in range(size)]
-        for c, x in v.items():
-            m[c // size][c % size] = x
-        return m
-
     def commutator(a, b):
-        acc = flat(mat_mul(f, a, b))
-        axpy(acc, -1, flat(mat_mul(f, b, a)))
+        acc = flatten(mat_mul(f, a, b))
+        axpy(acc, -1, flatten(mat_mul(f, b, a)))
         return canonical(f, acc)
 
     kept = []
 
     def expand(v):
-        m = square(v)
+        m = unflatten(v, size)
         kept.append(m)
         return (commutator(other, m) for other in tuple(kept))
 
     ech = Echelon(f, size * size)
-    closure(ech, ({c: f.raw(x) for c, x in flat(m).items()} for m in mats), expand)
+    closure(ech, ({c: f.raw(x) for c, x in flatten(m).items()} for m in mats), expand)
     rows = [ech.row(c) for c in ech.pivot_columns()]
-    basis_mats = [square(row) for row in rows]
+    basis_mats = [unflatten(row, size) for row in rows]
     n = len(basis_mats)
     span = Coordinates(f, rows, size * size)
     table = {}
@@ -816,12 +799,10 @@ def matrix_lie_algebra(field, mats, labels=None):
             if coeffs is None:
                 raise ValueError("matrix set is not closed under commutators")
             table[(a, b)] = coeffs
-    if labels is None:
-        labels = ["m%d" % i for i in range(n)]
-    L = LieAlgebra(f, labels, table)
+    L = LieAlgebra(f, ["m%d" % i for i in range(n)], table)
 
     def element_of(m):
-        coeffs = span.solve(flat(m))
+        coeffs = span.solve(flatten(m))
         if coeffs is None:
             raise ValueError("matrix is not in the algebra")
         return L.element(coeffs)

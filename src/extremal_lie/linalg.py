@@ -307,6 +307,21 @@ def mat_mul(field, a, b):
     return [combine(field, row, b) for row in a]
 
 
+def flatten(m):
+    """The size x size matrix ``m`` as one vector of length size^2, row-major:
+    entry (i, j) at index i * size + j."""
+    size = len(m)
+    return {i * size + j: x for i, row in enumerate(m) for j, x in row.items()}
+
+
+def unflatten(v, size):
+    """The size x size matrix whose ``flatten`` is ``v``."""
+    m = [{} for _ in range(size)]
+    for c, x in v.items():
+        m[c // size][c % size] = x
+    return m
+
+
 def mat_inverse(field, a):
     """The inverse of the square matrix ``a``; ValueError when singular."""
     n = len(a)

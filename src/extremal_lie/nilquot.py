@@ -65,6 +65,7 @@ import math
 
 from .scalars import QQ
 from .linalg import Echelon, axpy, canonical
+from .liealg import LieAlgebra
 
 # The universal dimensions the paper states: dim L_r, dim R_r, and the
 # dimension of each length component of R_r (the identity first).
@@ -409,8 +410,6 @@ class GradedQuotient:
 
     def as_lie_algebra(self):
         """The quotient as a validated structure-constant algebra."""
-        from .liealg import LieAlgebra
-
         eng = self._engine
         elts = [b for d in range(1, len(self.dims_by_degree) + 1) for b in eng.by_degree[d]]
         index_of = {b.index: k for k, b in enumerate(elts)}

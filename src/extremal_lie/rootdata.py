@@ -7,6 +7,7 @@ root the extraspecial pair gets N = +(p+1); every other constant is forced
 from those by antisymmetry, N(-a,-b) = -N(a,b), and the cyclic relation
 N(a,b)/(c,c) = N(b,c)/(a,a) for a+b+c = 0.  ``CONVENTION_VERSION`` names this
 convention; every ``ChevalleyConstants`` and ``ChevalleyAlgebra`` carries it.
+``integer_chevalley_data`` memoises each type's roots and integer constants.
 """
 
 from __future__ import annotations
@@ -412,3 +413,16 @@ def root_system(type_, rank):
 
 def chevalley_constants(rs):
     return ChevalleyConstants(rs)
+
+
+_INTEGER_DATA = {}
+
+
+def integer_chevalley_data(type_, rank):
+    """``(root system, labels, table)`` of a type, the table as in
+    ``ChevalleyConstants.integer_table``: built once per process and shared
+    by every caller, which must not mutate them."""
+    if (type_, rank) not in _INTEGER_DATA:
+        rs = root_system(type_, rank)
+        _INTEGER_DATA[type_, rank] = (rs,) + chevalley_constants(rs).integer_table()
+    return _INTEGER_DATA[type_, rank]

@@ -61,15 +61,15 @@ def _is_prime(n):
 
 
 class Field:
-    """Arithmetic context: kind 'rationals' (char 0) or 'prime-field' (char p odd).
+    """Arithmetic context of one characteristic: 0 for the rationals, an odd
+    prime p for GF(p).  Two fields are equal when their characteristics are.
 
     A raw value of the rationals is an ``int`` when integral and a
     ``Fraction`` otherwise; of GF(p), an ``int`` in ``[0, p)``."""
 
-    __slots__ = ("kind", "characteristic")
+    __slots__ = ("characteristic",)
 
-    def __init__(self, kind, characteristic):
-        object.__setattr__(self, "kind", kind)
+    def __init__(self, characteristic):
         object.__setattr__(self, "characteristic", characteristic)
 
     def __setattr__(self, *a):
@@ -79,14 +79,10 @@ class Field:
         return "QQ" if self.characteristic == 0 else "GF(%d)" % self.characteristic
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Field)
-            and self.kind == other.kind
-            and self.characteristic == other.characteristic
-        )
+        return isinstance(other, Field) and self.characteristic == other.characteristic
 
     def __hash__(self):
-        return hash((self.kind, self.characteristic))
+        return hash(self.characteristic)
 
     # -- raw value arithmetic ------------------------------------------------
 
@@ -212,21 +208,13 @@ def _sqrt_mod_prime(a, p):
     return r
 
 
-QQ = Field("rationals", 0)
-
-
-def field_create(kind, modulus=None):
-    """Create a field handle: ``field_create("rationals")`` or ``field_create("prime-field", p)``."""
-    if kind in ("rationals", "QQ", "Q"):
-        return QQ
-    if kind in ("prime-field", "GF", "Fp"):
-        if modulus == 2:
-            raise CharacteristicTwoUnsupported("characteristic 2 is unsupported")
-        if modulus is None or not _is_prime(modulus):
-            raise NotPrime("modulus %r is not prime" % (modulus,))
-        return Field("prime-field", modulus)
-    raise ValueError("unknown field kind %r" % kind)
+QQ = Field(0)
 
 
 def GF(p):
-    return field_create("prime-field", p)
+    """The prime field of odd characteristic ``p``."""
+    if p == 2:
+        raise CharacteristicTwoUnsupported("characteristic 2 is unsupported")
+    if not _is_prime(p):
+        raise NotPrime("modulus %r is not prime" % (p,))
+    return Field(p)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import QQ
-from .rootdata import cartan_nullity
 from .linalg import Coordinates, canonical, echelon_from_rows, kernel
 from .liealg import (
     LieAlgebra,
@@ -31,6 +30,8 @@ from .liealg import (
     solvable_radical,
     subalgebra_generated,
 )
+from . import nilquot
+from .rootdata import cartan_nullity
 
 
 class RewriteIncomplete(RuntimeError):
@@ -431,9 +432,20 @@ def isomorphic_by_monomials(M, L, x, y, z):
 
 
 def verify_3gen_structure(M, case):
-    """The per-case structural claims for the normalized algebra M."""
-    from . import nilquot
+    """The per-case structural claims for the normalized algebra M.
 
+    Case 2 over GF(3).  Here a = b = -2, c = 0.  Let v = y + z - [x,[y,z]]
+    - [y,[x,z]] and take the basis r1 = y - [y,[x,z]]/2, r2 = z - [y,[x,z]]/2,
+    r3 = [x,y] - [x,z], r4 = [y,z], r5 = [x,[y,z]] of the radical R.  In
+    every characteristic the rules give [x, v] = [y, v] = 0, [z, v] =
+    -3[y,z], [r1, r2] = (3/2)[y,z], [r1, r3] = v, [r2, r3] = -v - 3[x,[y,z]]
+    and [ri, rj] = 0 for the other pairs.  When 3 = 0, v is central (x, y, z
+    generate M), so [R,R] = span{v} and [R,[R,R]] = 0.  Z(M), a solvable
+    ideal, lies in R.  For r = sum ci ri, [x, r] = (c2 - c1)([x,y] - [x,z])
+    + c4 [x,[y,z]] vanishes only if c1 = c2 and c4 = 0; then [y, r] =
+    (c2 + c5)[y,z] - c3 (y + [y,[x,z]]) vanishes only if c3 = 0 and
+    c5 = -c2.  So r = c1 v, and Z(M) = span{v}.  In other characteristics
+    case 2 checks Z(M) = 0 and the larger [R,R] and [R,[R,R]]."""
     f = M.field
     e = M.basis_element
     checks = {}
@@ -466,7 +478,14 @@ def verify_3gen_structure(M, case):
             M, [[e(_XZ), e(_YXZ)], [e(_YZ), e(_XYZ)]]
         )
     elif case == 2:
-        checks["center_trivial"] = center(M).dim == 0
+        v = e(_Y) + e(_Z) - e(_XYZ) - e(_YXZ)
+        if f.characteristic == 3:  # see the docstring
+            checks["center"] = center(M) == Subspace.from_elements(M, [v])
+            rr_span, rrr_span = [v], []
+        else:
+            checks["center_trivial"] = center(M).dim == 0
+            rr_span = [e(_Y) + e(_Z) - e(_YXZ), e(_YZ), e(_XYZ)]
+            rrr_span = [e(_YZ), e(_XYZ)]
         checks["perfect"] = derived_series(M)[1].dim == 8
         half = _half(f)
         r_vecs = [
@@ -480,11 +499,10 @@ def verify_3gen_structure(M, case):
         rad, certified = solvable_radical(M)
         checks["radical"] = rad == R and certified and R.dim == 5
         rr = R.bracket_with(R)
-        checks["RR"] = rr == Subspace.from_elements(M, [e(_Y) + e(_Z) - e(_YXZ), e(_YZ), e(_XYZ)])
+        checks["RR"] = rr == Subspace.from_elements(M, rr_span)
         rrr = R.bracket_with(rr)
-        checks["RRR"] = rrr == Subspace.from_elements(M, [e(_YZ), e(_XYZ)])
+        checks["RRR"] = rrr == Subspace.from_elements(M, rrr_span)
         checks["sl2_part"] = _check_sl2_part(M)
-        v = e(_Y) + e(_Z) - e(_XYZ) - e(_YXZ)
         checks["centralized_line"] = rr.contains(v) and all(
             M.bracket(e(i), v).is_zero() for i in (_X, _Y, _XY)
         )

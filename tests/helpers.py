@@ -785,7 +785,7 @@ def dense_mat_mul(field, a, b):
     return out
 
 
-def dense_matrix_lie_algebra(field, mats, labels=None):
+def dense_matrix_lie_algebra(field, mats):
     """Reference for ``liealg.matrix_lie_algebra`` on dense matrices: the
     commutator closure on flattened dense vectors in a ``DenseEchelon``.
     Coordinates are solved by ``linalg.Coordinates`` and read back dense."""
@@ -829,9 +829,7 @@ def dense_matrix_lie_algebra(field, mats, labels=None):
             if coeffs is None:
                 raise ValueError("matrix set is not closed under commutators")
             table[(a, b)] = dict(enumerate(coeffs))
-    if labels is None:
-        labels = ["m%d" % i for i in range(n)]
-    L = LieAlgebra(f, labels, table)
+    L = LieAlgebra(f, ["m%d" % i for i in range(n)], table)
 
     def element_of(m):
         coeffs = solve(flat(m))
@@ -966,8 +964,8 @@ def ad_matrix(L, a):
 def dense_phi_spectrum_check(L, x, y):
     """Reference for ``liealg.phi_spectrum_check``: phi = ad_x ad_y as a
     dense product of ad matrices, its square taken the same way."""
-    from extremal_lie.liealg import PreconditionNotMet, Subspace, _poly_shift, killing_form
-    from extremal_lie.linalg import charpoly
+    from extremal_lie.liealg import PreconditionNotMet, Subspace, killing_form
+    from extremal_lie.linalg import charpoly, poly_mul
 
     x = L.element(x)
     y = L.element(y)
@@ -995,7 +993,7 @@ def dense_phi_spectrum_check(L, x, y):
     expected = [f.one]
     for root, mult in ((f.raw(2), 2), (f.raw(1), s - 2), (f.zero, L.n - s)):
         for _ in range(mult):
-            expected = _poly_shift(f, expected, root)
+            expected = poly_mul(f, expected, [f.neg(root), f.one])
     kap = kappa.value(x, y2)
     comb = dense_mat_mul(f, phi, phi)
     minus_one = f.raw(-1)

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from extremal_lie import cli
+from extremal_lie.rootdata import RootSystem, chevalley_constants, integer_chevalley_data
 
 
 def run_cli(capsys, *argv):
@@ -86,7 +87,8 @@ EDGE_PATTERNS = [(edges, central) for edges in itertools.product((0, 1, -2), rep
 
 
 def _gf3_case2(edges, central):
-    """Over GF(3), 1 = -2: these patterns normalize to case 2 there."""
+    """Over GF(3), 1 = -2: these patterns normalize to case 2 there (see
+    ``test_threegen_case2_over_gf3``)."""
     return central == 0 and sum(1 for e in edges if e) == 2
 
 
@@ -115,13 +117,10 @@ def test_threegen_accepts_any_edge_placement(capsys, char):
     assert _threegen_failures(capsys, char, patterns) == []
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="case 2 over GF(3) has a center, so center_trivial, RR and RRR fail "
-    "(the FOUND line on case 2 in characteristic 3 in CHANGES.md)",
-)
 @pytest.mark.parametrize("edges", [e for e, c in EDGE_PATTERNS if _gf3_case2(e, c)])
 def test_threegen_case2_over_gf3(capsys, edges):
+    """Case 2 over GF(3) has the center span{v} that the
+    ``verify_3gen_structure`` docstring derives, and passes."""
     assert _threegen_failures(capsys, 3, [(edges, 0)]) == []
 
 
@@ -163,8 +162,6 @@ def test_cache_flag_is_rejected_and_environment_writes_nothing(capsys, tmp_path,
 def _old_cache_payload(perm):
     """A G2 entry of the removed on-disk cache, in the schema it read back,
     with basis index i relabelled perm[i]: a valid Lie algebra again."""
-    from extremal_lie.rootdata import RootSystem, chevalley_constants
-
     labels, table = chevalley_constants(RootSystem("G", 2)).integer_table()
     constants = []
     for (i, j), row in table.items():
@@ -197,24 +194,27 @@ def test_planted_cache_file_changes_nothing(capsys, tmp_path, monkeypatch, plant
 
 
 def test_memo_is_shared_and_left_unmutated(capsys):
-    from extremal_lie.rootdata import RootSystem, chevalley_constants
+    """The commands, a directly built ``ChevalleyAlgebra`` and the
+    benchmark's set-up entry point all read the one ``rootdata`` memo."""
+    from extremal_lie.chevalley import ChevalleyAlgebra
+    from extremal_lie.scalars import GF
 
     code, out, _ = run_cli(capsys, "--json", "radicals", "--type", "E6")
     assert code == 0 and json.loads(out)["pass"] is True
-    memo = cli.cached_integer_table("E", 6, None)
-    assert memo is cli.cached_integer_table("E", 6, "ignored")
-    assert memo == chevalley_constants(RootSystem("E", 6)).integer_table()
+    memo = integer_chevalley_data("E", 6)
+    assert memo is integer_chevalley_data("E", 6)
+    assert memo[1:] == chevalley_constants(RootSystem("E", 6)).integer_table()
+    A = ChevalleyAlgebra("E", 6, GF(5))
+    assert A.rootsystem is memo[0] and A.int_table is memo[2]
+    labels, table = cli.cached_integer_table("E", 6, "ignored")
+    assert labels is memo[1] and table is memo[2]
 
 
 def test_cached_table_matches_fresh():
-    import tempfile
-    from extremal_lie.rootdata import RootSystem, chevalley_constants
-    with tempfile.TemporaryDirectory() as d:
-        labels1, table1 = cli.cached_integer_table("F", 4, d)
-        labels2, table2 = cli.cached_integer_table("F", 4, d)  # from the memo
-    fresh_labels, fresh = chevalley_constants(RootSystem("F", 4)).integer_table()
-    assert labels1 == labels2 == fresh_labels
-    assert table1 == table2 == fresh
+    rs, labels, table = integer_chevalley_data("F", 4)
+    fresh = RootSystem("F", 4)
+    assert (rs.type, rs.rank, rs.roots) == (fresh.type, fresh.rank, fresh.roots)
+    assert (labels, table) == chevalley_constants(fresh).integer_table()
 
 
 def test_report_exit_code_on_failure(capsys):

@@ -99,22 +99,22 @@ def form_cases(draw):
         # Gram with row and column r times s, and entry (r, r) times s^2, so
         # the old Gram is not associative for the new table unless row r
         # is zero off the diagonal and s^2 = 1.
-        if not BilinearForm(L, sparse(gram), kind).radical().dim:
+        if not BilinearForm(L, sparse(gram)).radical().dim:
             off_diagonal = any(gram[r][j] for j in range(n) if j != r)
             expected = False if off_diagonal or f.mul(s, s) != 1 else None
         L = rescaled(L, [s if i == r else f.one for i in range(n)])
-    return BilinearForm(L, sparse(gram), kind), expected
+    return BilinearForm(L, sparse(gram)), expected
 
 
 @PROPERTY
 @given(form_cases())
 # f(x, z) = 1 on the Heisenberg algebra: not associative, but it passes the
 # check that reads the Gram by column on the right, f([x,y],z) == f([y,z],x)
-@example((BilinearForm(heisenberg(GF(3)), [{2: 1}, {}, {}], "custom"), False))
+@example((BilinearForm(heisenberg(GF(3)), [{2: 1}, {}, {}]), False))
 # f(z, x) = 1 on the Heisenberg algebra: its transpose, not associative either
-@example((BilinearForm(heisenberg(GF(3)), [{}, {}, {0: 1}], "custom"), False))
+@example((BilinearForm(heisenberg(GF(3)), [{}, {}, {0: 1}]), False))
 # f(x, y) = 1 on the Heisenberg algebra: associative and not symmetric
-@example((BilinearForm(heisenberg(QQ), [{1: 1}, {}, {}], "custom"), True))
+@example((BilinearForm(heisenberg(QQ), [{1: 1}, {}, {}]), True))
 def test_is_associative_matches_dense_reference(case):
     form, expected = case
     fast = form.is_associative()

@@ -6,34 +6,38 @@ from extremal_lie.scalars import (
     QQ,
     GF,
     CharacteristicTwoUnsupported,
+    Field,
     NotPrime,
-    field_create,
 )
 
 from helpers import rng
 
 
-def test_field_create_rationals():
-    f = field_create("rationals")
-    assert f.characteristic == 0
-    assert f.kind == "rationals"
+def test_rationals_have_characteristic_zero():
+    assert QQ.characteristic == 0 and repr(QQ) == "QQ"
+    assert QQ == Field(0) and hash(QQ) == hash(Field(0))
 
 
-def test_field_create_gf7():
-    f = field_create("prime-field", 7)
-    assert f.characteristic == 7
+def test_a_field_is_its_characteristic():
+    from extremal_lie import scalars
+
+    f = GF(7)
+    assert f.characteristic == 7 and repr(f) == "GF(7)"
+    assert f == GF(7) == Field(7) and hash(f) == hash(Field(7))
+    assert f != GF(5) and f != QQ and f != 7
+    assert not hasattr(f, "kind") and not hasattr(scalars, "field_create")
 
 
 def test_gf2_rejected():
     with pytest.raises(CharacteristicTwoUnsupported):
-        field_create("prime-field", 2)
+        GF(2)
 
 
 def test_composite_modulus_rejected():
     with pytest.raises(NotPrime):
-        field_create("prime-field", 9)
+        GF(9)
     with pytest.raises(NotPrime):
-        field_create("prime-field", 91)
+        GF(91)
 
 
 def test_sqrt_rationals():
@@ -101,7 +105,7 @@ def test_scalar_immutable_and_hashable():
     with pytest.raises(AttributeError):
         QQ.characteristic = 5
     assert hash(a) == hash(QQ.raw(Fraction(2, 4)))
-    assert hash(GF(7)) == hash(field_create("prime-field", 7)) and GF(7) != QQ
+    assert hash(GF(7)) == hash(Field(7)) and GF(7) != QQ
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3), GF(101)], ids=repr)

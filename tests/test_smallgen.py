@@ -11,6 +11,7 @@ from extremal_lie.smallgen import (
     _Y,
     _YXZ,
     _YZ,
+    _Z,
     _modules_irreducible,
     CentralNotZero,
     TriangleParams,
@@ -21,7 +22,7 @@ from extremal_lie.smallgen import (
     sl3_example,
     verify_3gen_structure,
 )
-from extremal_lie.liealg import LieAlgebra, PreconditionNotMet, is_extremal, center, lower_central_series
+from extremal_lie.liealg import LieAlgebra, PreconditionNotMet, Subspace, is_extremal, center, lower_central_series
 
 from helpers import eigenline_modules_irreducible, grow_extremal_spanning, rng, two_gen_classify
 
@@ -140,6 +141,25 @@ def test_build_m_all_cases():
         # generators carry exactly the prescribed parameter values
         fx = is_extremal(M, M.basis_element(0))
         assert fx(M.basis_element(1)) == M.field.raw(edges[0])
+
+
+def test_case2_over_gf3_checks_the_central_line():
+    """Over GF(3) case 2 checks Z(M) = [R,R] = span{v} and [R,[R,R]] = 0, as
+    the ``verify_3gen_structure`` docstring derives; each of those checks
+    reads False on the case-1 algebra, so each can fail.  In characteristic
+    5 and 7 case 2 still checks a trivial center."""
+    M, _ = build_M(TriangleParams(GF(3), -2, -2, 0, 0))
+    e = M.basis_element
+    v = e(_Y) + e(_Z) - e(_XYZ) - e(_YXZ)
+    assert center(M) == Subspace.from_elements(M, [v])
+    checks = verify_3gen_structure(M, 2)
+    assert checks["pass"] and checks["center"] and "center_trivial" not in checks
+    other, _ = build_M(TriangleParams(GF(3), -2, 0, 0, 0))
+    wrong = verify_3gen_structure(other, 2)
+    assert not wrong["center"] and not wrong["RR"] and not wrong["RRR"]
+    for p in (5, 7):
+        checks = verify_3gen_structure(build_M(TriangleParams(GF(p), -2, -2, 0, 0))[0], 2)
+        assert checks["pass"] and checks["center_trivial"] and "center" not in checks
 
 
 def test_build_m_over_gf5():

@@ -113,8 +113,9 @@ def test_demo_runs(demo):
 UNCALLED_ALLOWED = {
     # public accessors of the root data
     "RootSystem.height", "RootSystem.norm2",
-    # span targets of bench/spans.py, which reports a missing target as absent
-    "mat_inverse", "solve_in_span", "root_exponential",
+    # span targets of bench/spans.py, which reports a missing target as absent;
+    # cached_integer_table is also the set-up call of bench/child.py
+    "mat_inverse", "solve_in_span", "root_exponential", "cached_integer_table",
 }
 
 
@@ -187,7 +188,7 @@ def test_uncalled_function_guard_finds_each_case(tmp_path):
 
 # Functions of the package that may build a list out of ``<x>.zero``: they
 # build polynomials (dense coefficient lists), not vectors
-DENSE_ALLOWED = {"linalg.charpoly", "linalg.poly_mul", "liealg._poly_shift"}
+DENSE_ALLOWED = {"linalg.charpoly", "linalg.poly_mul"}
 
 
 def _dense_vector_builds(package_dir):
@@ -237,3 +238,74 @@ def test_dense_vector_guard_finds_each_case(tmp_path):
     )
     (tmp_path / "notes.txt").write_text("[f.zero] * n\n")
     assert _dense_vector_builds(str(tmp_path)) == ["m.a", "m.b", "m.K.c", "m.d", "m.<module>"]
+
+
+# The modules of the package, lowest layer first: a module imports only
+# modules before it.  ``__init__`` re-exports the library and comes last.
+LAYERS = ("scalars", "linalg", "liealg", "nilquot", "rootdata", "chevalley", "smallgen", "rootgroups", "cli", "__init__")
+
+
+def _imported_modules(node, package):
+    """The modules of ``package`` that an import node names."""
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names if a.name == package or a.name.startswith(package + ".")]
+        return [(n.split(".") + ["__init__"])[1] for n in names]
+    if node.level == 0:
+        if node.module != package and not (node.module or "").startswith(package + "."):
+            return []
+        module = node.module[len(package) + 1:]
+    elif node.level == 1:
+        module = node.module
+    else:
+        return []
+    return [module.split(".")[0]] if module else [a.name for a in node.names]
+
+
+def _layer_violations(package_dir, layers, package):
+    """``file:line module`` for each import node of ``package_dir``/*.py,
+    nested ones included, that names a module of ``package`` not earlier in
+    ``layers`` than its own module; and ``file:line module (nested)`` for an
+    import of the package made inside a function or class, where it would
+    hide an import the layers forbid at the top."""
+    found = []
+    for name in sorted(os.listdir(package_dir)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package_dir, name)) as fh:
+            tree = ast.parse(fh.read())
+        below = layers[:layers.index(name[:-3])] if name[:-3] in layers else ()
+        top = set(map(id, tree.body))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for module in _imported_modules(node, package):
+                if module not in below:
+                    found.append("%s:%d %s" % (name, node.lineno, module))
+                elif id(node) not in top:
+                    found.append("%s:%d %s (nested)" % (name, node.lineno, module))
+    return found
+
+
+def test_imports_follow_the_layers():
+    """Each module imports only the modules below it in ``LAYERS``, and
+    only at module level: the library never reaches up into the CLI."""
+    modules = sorted(name[:-3] for name in os.listdir(PACKAGE_DIR) if name.endswith(".py"))
+    assert modules == sorted(LAYERS)
+    assert _layer_violations(PACKAGE_DIR, LAYERS, "extremal_lie") == []
+
+
+def test_layer_guard_finds_each_case(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text("import os\nfrom . import b\n")
+    (pkg / "b.py").write_text(
+        "from .a import x\nimport pkg.c\n\n\ndef f():\n    from .a import y\n    return y\n"
+    )
+    (pkg / "c.py").write_text(
+        "from pkg import a\nfrom .b import z\nfrom .. import other\nfrom .d import w\n"
+        "from pkg.b import v\nimport pkg\nimport pkgs.c\n"
+    )
+    (pkg / "e.py").write_text("from .a import x\n")
+    assert _layer_violations(str(pkg), ("a", "b", "c", "__init__"), "pkg") == [
+        "a.py:2 b", "b.py:2 c", "b.py:6 a (nested)", "c.py:4 d", "c.py:6 __init__", "e.py:1 a",
+    ]
