@@ -74,10 +74,6 @@ class ChevalleyAlgebra:
     def x(self, root):
         return self.lie.basis_element(self.root_index[tuple(root)])
 
-    def h(self, i):
-        """Cartan element h_i for the i-th simple root (1-indexed)."""
-        return self.lie.basis_element(len(self.rootsystem.roots) + i - 1)
-
     def divided_powers(self, idx, j):
         """[ad^k x / k! b_j for k = 1, 2, ...] as integer dicts, x the root
         element of basis index ``idx``, built on first use and kept.  Each
@@ -370,32 +366,22 @@ def _neg(t):
 
 
 class _Recipe:
-    """Generators described as root elements and exp-chains exp(x_r1, 1) ...
-    exp(x_rk, 1) x_base, evaluated in this package's sign convention."""
+    """Generators given as root elements and exp-chains exp(x_r1, 1) ...
+    exp(x_rk, 1) x_base in this package's sign convention, evaluated into
+    ``gens`` as they are recorded."""
 
     def __init__(self, A):
         self.A = A
-        self.items = []  # ("x", root) or ("chain", [roots], base_root)
+        self.gens = []
 
     def x(self, root):
-        self.items.append(("x", tuple(root)))
+        self.gens.append(self.A.x(root))
 
     def chain(self, exp_roots, base_root):
-        self.items.append(("chain", [tuple(r) for r in exp_roots], tuple(base_root)))
-
-    def materialize(self):
-        A = self.A
-        out = []
-        for item in self.items:
-            if item[0] == "x":
-                out.append(A.x(item[1]))
-                continue
-            _, exp_roots, base = item
-            v = A.x(base)
-            for root in reversed(exp_roots):  # rightmost factor acts first
-                v = root_exp_apply(A, root, 1, v)
-            out.append(v)
-        return out
+        v = self.A.x(base_root)
+        for root in reversed(exp_roots):  # rightmost factor acts first
+            v = root_exp_apply(self.A, root, 1, v)
+        self.gens.append(v)
 
 
 def _mingen_recipe(A):
@@ -529,7 +515,7 @@ def _d4_into_e(rs):
 
 def mingen_generators(A):
     """The recipe generators: exactly t(g) extremal elements."""
-    gens = _mingen_recipe(A).materialize()
+    gens = _mingen_recipe(A).gens
     t = minimal_generator_count(A.rootsystem.type, A.rootsystem.rank)
     if len(gens) != t:
         raise RuntimeError("recipe size %d != t = %d" % (len(gens), t))
@@ -657,7 +643,7 @@ def mingen_certify(type_, rank, field):
     bound: together this certifies the table value t(g)."""
     A = chevalley_algebra(type_, rank, field)
     t = minimal_generator_count(type_, rank)
-    gens = _mingen_recipe(A).materialize()
+    gens = _mingen_recipe(A).gens
     gen = verify_generation(A, gens)
     extremal_ok = all(is_extremal(A.lie, g) is not None for g in gens)
     if type_ in ("A", "B", "C", "D") and not (type_ == "B" and rank == 2):

@@ -149,10 +149,11 @@ def parse_scalars(field, text, count, flag):
 
 def cmd_tables(args):
     rep = Report("tables", {"which": args.which, "max_r": args.max_r, "r": args.r})
-    if args.which != "rr-lengths" and args.max_r < 1:
-        raise UsageError("--max-r must be at least 1")
     if args.which != "rr-lengths" and args.r is not None:
         raise UsageError("--r applies to rr-lengths only; tables %s takes --max-r" % args.which)
+    flag, r = ("--max-r", args.max_r) if args.r is None else ("--r", args.r)
+    if r < 1:
+        raise UsageError("%s must be at least 1" % flag)
     if args.which == "lr":
         for r in range(1, args.max_r + 1):
             if r > 5 and not args.experimental:
@@ -176,9 +177,6 @@ def cmd_tables(args):
                 continue
             rep.add_known("dim R_%d" % r, nilquot.R_DIMS, r, a.total_dim)
     else:  # rr-lengths
-        r = args.max_r if args.r is None else args.r
-        if r < 1:
-            raise UsageError("--r must be at least 1")
         if r > 4 and not args.experimental:
             raise UsageError("rr-lengths beyond r=4 needs --experimental")
         try:

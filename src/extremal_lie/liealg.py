@@ -751,6 +751,24 @@ def sandwich_span_check(L, witnesses, form, raising=()):
     }
 
 
+def structure_constants_on(field, rows, width, bracket):
+    """The structure constants of the span of the independent sparse ``rows``
+    of length ``width``: the coordinates over the rows of ``bracket(i, j)``,
+    the vector of [row_i, row_j], for i < j.  Returns (table, the
+    ``Coordinates`` of the span); the table is None when a bracket leaves
+    the span."""
+    span = Coordinates(field, rows, width)
+    table = {}
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            coeffs = span.solve(bracket(i, j))
+            if coeffs is None:
+                return None, span
+            if coeffs:
+                table[(i, j)] = coeffs
+    return table, span
+
+
 # -- tiny standard algebras -----------------------------------------------------
 
 
@@ -790,16 +808,10 @@ def matrix_lie_algebra(field, mats):
     closure(ech, ({c: f.raw(x) for c, x in flatten(m).items()} for m in mats), expand)
     rows = [ech.row(c) for c in ech.pivot_columns()]
     basis_mats = [unflatten(row, size) for row in rows]
-    n = len(basis_mats)
-    span = Coordinates(f, rows, size * size)
-    table = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            coeffs = span.solve(commutator(basis_mats[a], basis_mats[b]))
-            if coeffs is None:
-                raise ValueError("matrix set is not closed under commutators")
-            table[(a, b)] = coeffs
-    L = LieAlgebra(f, ["m%d" % i for i in range(n)], table)
+    table, span = structure_constants_on(f, rows, size * size, lambda a, b: commutator(basis_mats[a], basis_mats[b]))
+    if table is None:
+        raise ValueError("matrix set is not closed under commutators")
+    L = LieAlgebra(f, ["m%d" % i for i in range(len(rows))], table)
 
     def element_of(m):
         coeffs = span.solve(flatten(m))

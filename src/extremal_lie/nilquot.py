@@ -54,8 +54,11 @@ the graded nilpotent-quotient algorithm of Havas, Newman and Vaughan-Lee
   full L_{r+1} is nilpotent (Zelmanov and Kostrikin, "A theorem on sandwich
   algebras", 1990), so the capped run stops no later than it does.
 
-Basis elements are labeled by words: the word (a_1, ..., a_s) stands for the
-left-nested bracketing [[...[x_{a_1}, x_{a_2}], x_{a_3}], ..., x_{a_s}].
+Basis elements are labeled by left-nested words: the word (a_1, ..., a_s)
+stands for [[...[x_{a_1}, x_{a_2}], x_{a_3}], ..., x_{a_s}].  A finished L_r
+is read through the validated ``LieAlgebra`` of
+``GradedQuotient.as_lie_algebra``; its words for ``monomial`` are
+right-nested: (w_1, ..., w_s) stands for [x_{w_1},[x_{w_2},[...,x_{w_s}]]].
 """
 
 from __future__ import annotations
@@ -166,30 +169,6 @@ class _CoverEngine:
             axpy(out, -c, self.bracket_basis(self.basis[w], vp))
         out = self.pair_memo[key] = canonical(self.field, out)
         return out
-
-    def bracket_sparse(self, a, b):
-        """Bracket of two sparse vectors over the global basis."""
-        out = {}
-        for i, ci in a.items():
-            bi = self.basis[i]
-            for j, cj in b.items():
-                axpy(out, ci * cj, self.bracket_basis(bi, self.basis[j]))
-        return canonical(self.field, out)
-
-    def gen_action(self, i, vec):
-        """[x_i, vec] for a sparse vector over the global basis."""
-        out = {}
-        for w, c in vec.items():
-            axpy(out, -c, self.gen_bracket.get((w, i), {}))
-        return canonical(self.field, out)
-
-    def eval_word(self, word):
-        """Left-normed monomial [x_{w_1},[x_{w_2},...]] as a sparse vector."""
-        gens = self.by_degree[1]
-        vec = {gens[word[-1] - 1].index: self.field.one}
-        for a in reversed(word[:-1]):
-            vec = self.gen_action(a, vec)
-        return vec
 
     # -- degree step -----------------------------------------------------------
 
@@ -398,16 +377,6 @@ class GradedQuotient:
     def nilpotency_class(self):
         return len(self.dims_by_degree)
 
-    def eval_monomial(self, word):
-        """Left-normed monomial evaluated in the quotient, as {basis_index: raw}."""
-        if len(word) > self._engine.completed:
-            return {}
-        return self._engine.eval_word(tuple(word))
-
-    def bracket(self, a, b):
-        out = self._engine.bracket_sparse(a, b)
-        return {k: c for k, c in out.items() if self._engine.basis[k].degree <= len(self.dims_by_degree)}
-
     def as_lie_algebra(self):
         """The quotient as a validated structure-constant algebra."""
         eng = self._engine
@@ -426,6 +395,16 @@ class GradedQuotient:
                 if row:
                     table[(a, b)] = row
         return LieAlgebra(self.field, labels, table)
+
+
+def monomial(L, word):
+    """The right-nested monomial [x_{w_1},[x_{w_2},[...,x_{w_s}]]] in the
+    algebra L of ``GradedQuotient.as_lie_algebra``, where x_i is basis
+    element i - 1 (the generators come first)."""
+    v = L.basis_element(word[-1] - 1)
+    for a in reversed(word[:-1]):
+        v = L.bracket(L.basis_element(a - 1), v)
+    return v
 
 
 def _extend_until_empty(eng, max_degree):
@@ -507,8 +486,6 @@ def check_subalgebra_embedding(r, field=QQ):
 
 # -- the 28 monomials spanning the 4-generator algebra ------------------------
 
-_X, _Y, _Z, _U = 1, 2, 3, 4
-
 SPANNING_MONOMIALS_4GEN = [
     (1,), (2,), (3,), (4,),
     (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
@@ -530,39 +507,35 @@ SPANNING_IDENTITIES_4GEN = [
     [(1, (2, 3, 1, 4)), (-1, (3, 2, 1, 4)), (1, "[[x,u],[y,z]]")],
 ]
 
-_PAIR_NAMES = {"x": (1,), "y": (2,), "z": (3,), "u": (4,)}
+_GENERATOR_NAMES = {"x": 1, "y": 2, "z": 3, "u": 4}
 
 
-def _eval_identity_term(quotient, term):
-    """A term is a left-normed word or a string "[[a,b],[c,d]]"."""
+def _eval_identity_term(L, term):
+    """A term is a right-nested word or a string "[[a,b],[c,d]]"."""
     if isinstance(term, tuple):
-        return quotient.eval_monomial(term)
-    inner = term.strip("[]").split("],[")
-    (a, b), (c, d) = [pair.split(",") for pair in inner]
-    left = quotient.eval_monomial(_PAIR_NAMES[a] + _PAIR_NAMES[b][-1:])
-    right = quotient.eval_monomial(_PAIR_NAMES[c] + _PAIR_NAMES[d][-1:])
-    return quotient.bracket(left, right)
+        return monomial(L, term)
+    (a, b), (c, d) = [[_GENERATOR_NAMES[g] for g in pair.split(",")] for pair in term.strip("[]").split("],[")]
+    return L.bracket(monomial(L, (a, b)), monomial(L, (c, d)))
 
 
 def spanning_set_check_4gen(field=QQ):
     """The 28 listed monomials are a basis of L_4, the nine Jacobi reductions
     vanish, and every length-6 monomial evaluates to zero."""
-    q = sandwich_algebra(4, field=field)
-    f = field
-    n = q.total_dim
-    ech = Echelon(f, n)
+    L = sandwich_algebra(4, field=field).as_lie_algebra()
+    n = L.n
+    ech = Echelon(field, n)
     inserted = 0
     for word in SPANNING_MONOMIALS_4GEN:
-        if ech.insert(q.eval_monomial(word)) is not None:
+        if ech.insert(monomial(L, word).coeffs) is not None:
             inserted += 1
     identities_ok = []
     for ident in SPANNING_IDENTITIES_4GEN:
-        total = {}
+        total = L.zero()
         for coeff, term in ident:
-            axpy(total, coeff, _eval_identity_term(q, term))
-        identities_ok.append(not canonical(f, total))
+            total = total + coeff * _eval_identity_term(L, term)
+        identities_ok.append(total.is_zero())
     length6_zero = all(
-        not q.eval_monomial(word) for word in itertools.product((1, 2, 3, 4), repeat=6)
+        monomial(L, word).is_zero() for word in itertools.product((1, 2, 3, 4), repeat=6)
     )
     return {
         "rank": ech.dim,

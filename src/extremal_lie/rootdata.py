@@ -195,15 +195,8 @@ class RootSystem:
             v = self._norm[t] = self._scaled_inner(t, t)
         return v
 
-    def inner(self, s, t):
-        return Fraction(self._scaled_inner(s, t), self._scale)
-
     def norm2(self, t):
         return Fraction(self._scaled_norm(t), self._scale)
-
-    def pairing(self, beta, alpha):
-        """<beta, alpha-check> = 2 (beta, alpha)/(alpha, alpha); an integer."""
-        return _exact(2 * self._scaled_inner(beta, alpha), self._scaled_norm(alpha), "a Cartan integer")
 
     def coroot_coords(self, alpha):
         """alpha-check over the simple coroots; integer coefficients:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import QQ
-from .linalg import Coordinates, canonical, echelon_from_rows, kernel
+from .linalg import Coordinates, canonical, kernel
 from .liealg import (
     LieAlgebra,
     PreconditionNotMet,
@@ -28,6 +28,7 @@ from .liealg import (
     matrix_lie_algebra,
     quotient_algebra,
     solvable_radical,
+    structure_constants_on,
     subalgebra_generated,
 )
 from . import nilquot
@@ -398,37 +399,19 @@ def _monomials_of(L, x, y, z):
     return [x, y, z, xy, xz, yz, L.bracket(x, yz), L.bracket(y, xz)]
 
 
-def structure_constants_on(L, elements):
-    """Brackets of the given spanning elements expressed over themselves, or
-    None if they are not an independent spanning set."""
-    f = L.field
-    span = Coordinates(f, [e.coeffs for e in elements], L.n)
-    out = {}
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            w = L.bracket(elements[i], elements[j])
-            row = span.solve(w.coeffs)
-            if row is None:
-                return None
-            if row:
-                out[(i, j)] = row
-    return out
-
-
 def isomorphic_by_monomials(M, L, x, y, z):
     """Explicit isomorphism test: the monomial map m_i -> m_i(L) matches all
     structure constants and is invertible."""
     mons = _monomials_of(L, x, y, z)
-    if echelon_from_rows(L.field, L.n, [m.coeffs for m in mons]).dim != 8 or L.n != 8:
-        return False
-    target = structure_constants_on(L, mons)
-    if target is None:
-        return False
-    for i in range(8):
-        for j in range(i + 1, 8):
-            if M._table.get((i, j), {}) != target.get((i, j), {}):
-                return False
-    return True
+    target, span = structure_constants_on(
+        L.field, [m.coeffs for m in mons], L.n, lambda i, j: L.bracket(mons[i], mons[j]).coeffs
+    )
+    return (
+        L.n == 8
+        and span.spans()
+        and target is not None
+        and all(M.bracket_basis(i, j) == target.get((i, j), {}) for i in range(8) for j in range(i + 1, 8))
+    )
 
 
 def verify_3gen_structure(M, case):
@@ -457,13 +440,8 @@ def verify_3gen_structure(M, case):
         zc = Subspace.from_elements(M, [e(_XYZ), e(_YXZ)])
         checks["center"] = center(M) == zc
         checks["center_is_second_lcs"] = lcs[2] == zc
-        q3 = nilquot.sandwich_algebra(3, field=f)
-        L3 = q3.as_lie_algebra()
-        words = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3), (2, 1, 3)]
-        elems = [L3.element(q3.eval_monomial(w)) for w in words]
-        checks["isomorphic_to_L3"] = structure_constants_on(L3, elems) == {
-            k: dict(v) for k, v in M._table.items()
-        }
+        L3 = nilquot.sandwich_algebra(3, field=f).as_lie_algebra()
+        checks["isomorphic_to_L3"] = isomorphic_by_monomials(M, L3, *L3.basis_elements()[:3])
     elif case == 1:
         zvec = e(_Z) - e(_XYZ) - e(_YXZ)
         zc = center(M)

@@ -22,14 +22,16 @@ those full maps.  ``dense_mat_mul``, ``dense_matrix_lie_algebra``,
 values, with one ``Field`` call per entry and the matrices of ad, as it ran
 before matrices became lists of sparse rows.  The tests hold the fast code
 to them.  ``echelon_basis`` (the dense basis rows of an ``Echelon``),
-``grow_extremal_spanning``, ``line_is_fully_extremal`` and
-``graded_components`` are ones that only the tests call.  So is the last
-section: the free mode of the cover engine (``free_nilpotent_quotient``),
-the direct route to R_r (``assoc_algebra_direct_dims`` on
-``left_normed_expansions``), and the checks of the paper's lemmas that no
-command reports (the B2/G2 short-root decompositions, generation by the
-simple roots and the lowest root, the fourth-power lemma, orthogonality of
-ideal direct sums, the two-generator trichotomy).
+``grow_extremal_spanning``, ``line_is_fully_extremal``,
+``graded_components`` and the root data accessors ``root_inner``,
+``root_pairing`` and ``cartan_element`` are ones that only the tests call.
+So is the last section: the free mode of the cover engine
+(``free_nilpotent_quotient``), the direct route to R_r
+(``assoc_algebra_direct_dims`` on ``left_normed_expansions``), and the
+checks of the paper's lemmas that no command reports (the B2/G2 short-root
+decompositions, generation by the simple roots and the lowest root, the
+fourth-power lemma, orthogonality of ideal direct sums, the two-generator
+trichotomy).
 """
 
 import itertools
@@ -61,7 +63,7 @@ from extremal_lie.liealg import (
     subalgebra_generated,
 )
 from extremal_lie.linalg import Echelon, axpy, canonical, combine, divide, echelon_from_rows
-from extremal_lie import nilquot
+from extremal_lie import nilquot, rootdata
 
 
 def mobius(n):
@@ -509,8 +511,24 @@ def preserves_form(phi, form):
     return True
 
 
+def root_inner(rs, s, t):
+    """The inner product (s, t) of two roots of ``rs``, from its integer Gram."""
+    return Fraction(rs._scaled_inner(s, t), rs._scale)
+
+
+def root_pairing(rs, beta, alpha):
+    """<beta, alpha-check> = 2 (beta, alpha)/(alpha, alpha), from the integer
+    Gram of ``rs``; NonIntegral when it is not an integer."""
+    return rootdata._exact(2 * rs._scaled_inner(beta, alpha), rs._scaled_norm(alpha), "a Cartan integer")
+
+
+def cartan_element(A, i):
+    """h_i of the Chevalley algebra ``A`` for the i-th simple root (1-indexed)."""
+    return A.lie.basis_element(len(A.rootsystem.roots) + i - 1)
+
+
 def fraction_inner(rs, s, t):
-    """Reference for ``RootSystem.inner``: (s, t) = sum_ij s_i t_j d_i A[i][j]
+    """Reference for ``root_inner``: (s, t) = sum_ij s_i t_j d_i A[i][j]
     with one ``Fraction`` per term, as the package computed it before its root
     data became integral."""
     from extremal_lie.rootdata import _symmetrizer

@@ -251,12 +251,24 @@ def test_mingen_f4_char5(capsys):
     ["mingen", "--type", "A1,A2", "--jobs", "-1"],
     ["tables", "lr", "--r", "2"],
     ["tables", "rr", "--r", "2"],
+    ["tables", "rr-lengths", "--max-r", "0"],
 ])
 def test_malformed_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["tables", "rr-lengths", "--max-r", "0"], "--max-r"),
+    (["tables", "rr-lengths", "--r", "0"], "--r"),
+    (["tables", "lr", "--max-r", "0"], "--max-r"),
+])
+def test_a_bound_below_one_names_the_flag_given(capsys, argv, flag):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err == "%s must be at least 1\n" % flag
 
 
 def test_tables_report_a_degree_cap_as_a_failed_check(capsys, monkeypatch):

@@ -36,6 +36,9 @@ COMMANDS = [
     ["tables", "lr", "--max-r", "5"],
     ["rootgroups", "--type", "B3", "--char", "7"],
     ["rootgroups", "--type", "G2", "--char", "0", "--seed", "5"],
+    ["threegen", "--edges", "0,0,0"],
+    ["threegen", "--edges", "-2,0,0", "--char", "3"],
+    ["threegen", "--edges", "-2,-2,0", "--char", "5"],
 ]
 
 

@@ -29,10 +29,11 @@ from extremal_lie.liealg import (
     sl2,
     solvable_radical,
     structural_subspaces,
+    structure_constants_on,
     subalgebra_generated,
     zero_subspace,
 )
-from extremal_lie.smallgen import TriangleParams, build_M, sl3_example, structure_constants_on
+from extremal_lie.smallgen import TriangleParams, build_M, sl3_example
 from extremal_lie.chevalley import extremal_spanning_set
 
 from extremal_lie.liealg import _no_solvable_ideal_certificate
@@ -42,6 +43,7 @@ from helpers import (
     NotADirectSum,
     abelian,
     candidate_seeded_radical,
+    cartan_element,
     chevalley,
     dense_fourth_power_check,
     dense_jacobi,
@@ -529,7 +531,9 @@ def _hidden_solvable_line():
     short = next(r for r in G.rootsystem.roots if not G.rootsystem.is_long(r))
     basis = L0.basis_elements()
     basis[-1] = basis[-1] + L0.basis_element(G.root_index[short])
-    L = LieAlgebra(f, L0.labels, structure_constants_on(L0, basis))
+    rows = [b.coeffs for b in basis]
+    table, _ = structure_constants_on(f, rows, L0.n, lambda i, j: L0.bracket(basis[i], basis[j]).coeffs)
+    L = LieAlgebra(f, L0.labels, table)
     torus = [L.basis_element(L0.labels.index(label)) for label in ("A.h1", "A.h2", "B.t")]
     # the basis vectors of L before the last one are those of L0
     return L, torus, [L.basis_element(G.root_index[a]) for a in G.rootsystem.simple_roots]
@@ -539,7 +543,7 @@ def test_line_certificate_matches_subset_search():
     cases = []
     for t, n, ch in (("G", 2, 3), ("A", 2, 3), ("B", 3, 7)):
         A = chevalley(t, n, ch)
-        cases.append((A.lie, [A.h(i) for i in range(1, n + 1)], _raising(A)))
+        cases.append((A.lie, [cartan_element(A, i) for i in range(1, n + 1)], _raising(A)))
     for f in (QQ, GF(5)):
         T = _takiff(f)
         D = direct_sum(sl2(f), heisenberg(f))

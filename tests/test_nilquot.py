@@ -128,12 +128,12 @@ def test_spanning_set_check_4gen():
 
 
 def test_monomial_evaluation_in_l3():
-    q = sandwich(3)
+    L = sandwich(3).as_lie_algebra()
     # [x1,[x1,x2]] is a defining relation, so it vanishes
-    assert q.eval_monomial((1, 1, 2)) == {}
+    assert nilquot.monomial(L, (1, 1, 2)).coeffs == {}
     # the eight spanning monomials are a basis
     words = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3), (2, 1, 3)]
-    vecs = [q.eval_monomial(w) for w in words]
+    vecs = [nilquot.monomial(L, w).coeffs for w in words]
     seen = set()
     for v in vecs:
         assert v
@@ -172,12 +172,12 @@ def test_degree_cap_guard():
 
 def test_bracket_in_quotient_multidegree_additive():
     q = sandwich(4)
-    a = q.eval_monomial((1, 2))
-    b = q.eval_monomial((3, 4))
-    out = q.bracket(a, b)
+    L = q.as_lie_algebra()
+    out = L.bracket(nilquot.monomial(L, (1, 2)), nilquot.monomial(L, (3, 4))).coeffs
     assert out  # [[x1,x2],[x3,x4]] is nonzero in L_4
-    eng = q._engine
-    assert all(eng.basis[k].degree == 4 for k in out)
+    # the basis of L runs by degree, so degree 4 is the fourth block
+    lo = sum(q.dims_by_degree[:3])
+    assert all(lo <= k < lo + q.dims_by_degree[3] for k in out)
 
 
 def test_components_expose_words_and_ranks():

@@ -17,6 +17,7 @@ from extremal_lie.smallgen import (
     TriangleParams,
     build_M,
     exp_transform_params,
+    isomorphic_by_monomials,
     normalize,
     scale_params,
     sl3_example,
@@ -267,3 +268,24 @@ def test_modules_irreducible_requires_a_perfect_sl2_part():
     L = LieAlgebra(QQ, ["x", "y", "t", "h"], {(_X, _Y): {_XY: QQ.one}})
     with pytest.raises(PreconditionNotMet):
         _modules_irreducible(L, [[L.basis_element(2)]])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)])
+def test_monomial_isomorphism_can_fail(field):
+    """Case 0 (M = L_3) and case 3 (M = sl3) are read by one check, which
+    fails on the other case's algebra, on generators whose monomials do not
+    span, and on an algebra of another dimension."""
+    from extremal_lie import nilquot
+
+    L3 = nilquot.sandwich_algebra(3, field=field).as_lie_algebra()
+    M0, _ = build_M(TriangleParams(field, 0, 0, 0, 0))
+    M3, _ = build_M(TriangleParams(field, -2, -2, -2, 0))
+    S, a, b, c = sl3_example(field)
+    x, y, z = L3.basis_elements()[:3]
+    assert isomorphic_by_monomials(M0, L3, x, y, z)
+    assert isomorphic_by_monomials(M3, S, a, b, c)
+    assert not isomorphic_by_monomials(M3, L3, x, y, z)
+    assert not isomorphic_by_monomials(M0, S, a, b, c)
+    assert not isomorphic_by_monomials(M0, L3, x, y, x)
+    L4 = nilquot.sandwich_algebra(4, field=field).as_lie_algebra()
+    assert not isomorphic_by_monomials(M0, L4, *L4.basis_elements()[:3])

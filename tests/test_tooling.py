@@ -137,8 +137,9 @@ def _uncalled_functions(package_dir, other_dirs):
     """Module-level functions, classes and methods (see ``_definitions``) of
     ``package_dir``/*.py that no module of the package or of ``other_dirs``
     names, by a name, an attribute or an import, outside its own definition.
-    Re-exports in ``__init__.py`` are not uses."""
-    defined, named = [], set()
+    A method counts as named only by an attribute: a local variable of the
+    same name is not a use.  Re-exports in ``__init__.py`` are not uses."""
+    defined, named, attributes = [], set(), set()
     paths = [os.path.join(package_dir, f) for f in sorted(os.listdir(package_dir))]
     for d in other_dirs:
         paths += [os.path.join(d, f) for f in sorted(os.listdir(d))]
@@ -153,10 +154,14 @@ def _uncalled_functions(package_dir, other_dirs):
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 named.update(alias.name for alias in node.names)
-    return ["%s:%s" % (mod, qual) for mod, qual, name in defined if name not in named]
+    return [
+        "%s:%s" % (mod, qual)
+        for mod, qual, name in defined
+        if name not in attributes and ("." in qual or name not in named)
+    ]
 
 
 def test_every_package_function_has_a_caller():
@@ -178,12 +183,15 @@ def test_uncalled_function_guard_finds_each_case(tmp_path):
         "class K:\n    def __init__(self):\n        self.by_self()\n\n"
         "    def by_self(self):\n        return called()\n\n"
         "    @property\n    def prop(self):\n        pass\n\n"
-        "    def unused(self):\n        return self.prop\n\n\n"
+        "    def unused(self):\n        return self.prop\n\n"
+        "    def shadowed(self):\n        pass\n\n\n"
         "class Planted(ValueError):\n    pass\n"
     )
-    (pkg / "b.py").write_text("from . import a\n\nx = a.by_attribute\ny = a.K()\n")
+    (pkg / "b.py").write_text("from . import a\n\nx = a.by_attribute\ny = a.K()\nshadowed = 1\n")
     (demos / "d.py").write_text("from pkg.a import by_demo\n")
-    assert _uncalled_functions(str(pkg), [str(demos)]) == ["a.py:exported", "a.py:K.unused", "a.py:Planted"]
+    assert _uncalled_functions(str(pkg), [str(demos)]) == [
+        "a.py:exported", "a.py:K.unused", "a.py:K.shadowed", "a.py:Planted",
+    ]
 
 
 # Functions of the package that may build a list out of ``<x>.zero``: they
