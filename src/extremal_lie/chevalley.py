@@ -130,9 +130,12 @@ class Automorphism:
     values (possibly unreduced, possibly rational) become this form;
     ``compose`` multiplies the denominators and normalises once, and
     ``apply`` divides once at the end, so its images are canonical vectors.
-    ``exp_map`` hands the same map to every caller: treat it as immutable."""
+    ``exp_map`` hands the same map to every caller: treat it as immutable.
+    The constructor does not re-check the bracket: each map is an exp of an
+    extremal element or of integral divided powers, and the tests hold them
+    to the bracket oracle of ``tests/helpers``."""
 
-    def __init__(self, lie, cols, den=1, check=True):
+    def __init__(self, lie, cols, den=1):
         if type(den) is not int or den < 1:
             raise ValueError("the denominator of a map is a positive int")
         f = lie.field
@@ -145,8 +148,6 @@ class Automorphism:
         self.lie = lie
         self.cols = cols
         self.den = den
-        if check:
-            self.require_bracket()
 
     def _image(self, coeffs):
         """sum_k c_k C[k] for a dict of ints, unreduced."""
@@ -163,15 +164,12 @@ class Automorphism:
         coeffs, e = clear_denominators(elt.coeffs)
         return AlgebraElement(L, divide(self._image(coeffs), self.den * e))
 
-    def __call__(self, elt):
-        return self.apply(elt)
-
     def compose(self, other):
         """self after other."""
         if other.lie is not self.lie:
             raise ValueError("maps of different algebras do not compose")
         cols = [self._image(col) for col in other.cols]
-        return Automorphism(self.lie, cols, self.den * other.den, check=False)
+        return Automorphism(self.lie, cols, self.den * other.den)
 
     def __eq__(self, other):
         return (
@@ -183,26 +181,6 @@ class Automorphism:
 
     def is_identity(self):
         return self.den == 1 and all(col == {j: 1} for j, col in enumerate(self.cols))
-
-    def preserves_bracket(self):
-        """Whether phi[b_i, b_j] = [phi b_i, phi b_j] for all i < j; for
-        phi = C / den that is den C[b_i, b_j] = [C b_i, C b_j]."""
-        L = self.lie
-        f, den = L.field, self.den
-        images = [AlgebraElement(L, col) for col in self.cols]
-        for i in range(L.n):
-            for j in range(i + 1, L.n):
-                lhs = combine(f, L.bracket_basis(i, j), self.cols)
-                if den != 1:
-                    lhs = {k: den * c for k, c in lhs.items()}
-                if lhs != L.bracket(images[i], images[j]).coeffs:
-                    return False
-        return True
-
-    def require_bracket(self):
-        """Raise ValueError unless the map preserves the bracket."""
-        if not self.preserves_bracket():
-            raise ValueError("map does not preserve the bracket")
 
 
 def _primitive(cols, den):
@@ -218,7 +196,8 @@ def _primitive(cols, den):
 
 
 def exp_map(L, x):
-    """s -> exp(x, s) = 1 + s ad_x + (s^2/2) ad_x^2 for an extremal element x.
+    """s -> exp(x, s) = 1 + s ad_x + (s^2/2) ad_x^2 for an extremal element x
+    of the ``LieAlgebra`` L.
 
     Extremality is proved once; its by-product f_x gives ad_x^2 b_j =
     f_x(b_j) x, the identity it checked, so the columns of ad_x need one
@@ -226,12 +205,8 @@ def exp_map(L, x):
     integers by the lcm D of their denominators, and exp(x, a/b) is built as
     (2b^2 D e_j + 2ab D ad_x b_j + a^2 D ad_x^2 b_j) / (2b^2 D).  Each
     parameter's map is built once and kept: a later call with the same raw
-    value returns the same ``Automorphism``.  The map re-checks that its
-    value preserves the bracket only when ``check`` is set, on every call.
-    Its attribute ``functional`` is f_x, so a caller that needs both proves x
-    extremal once."""
-    if isinstance(L, ChevalleyAlgebra):
-        L = L.lie
+    value returns the same ``Automorphism``.  Its attribute ``functional``
+    is f_x, so a caller that needs both proves x extremal once."""
     x = L.element(x)
     fx = is_extremal(L, x)
     if fx is None:
@@ -248,7 +223,7 @@ def exp_map(L, x):
         ad = [tuple({j: v.numerator * (d // v.denominator) for j, v in vec.items()} for vec in pair) for pair in ad]
     memo = {}
 
-    def exp(s, check=False):
+    def exp(s):
         s = f.raw(s)
         phi = memo.get(s)
         if phi is None:
@@ -264,18 +239,16 @@ def exp_map(L, x):
                 axpy(col, c1, one)
                 axpy(col, c2, two)
                 cols.append(col)
-            phi = memo[s] = Automorphism(L, cols, den, check=False)
-        if check:
-            phi.require_bracket()
+            phi = memo[s] = Automorphism(L, cols, den)
         return phi
 
     exp.functional = fx
     return exp
 
 
-def exp_automorphism(L, x, s, check=True):
+def exp_automorphism(L, x, s):
     """exp(x, s) for an extremal element x (see ``exp_map``)."""
-    return exp_map(L, x)(s, check)
+    return exp_map(L, x)(s)
 
 
 def root_exp_apply(A, root, s, v):
@@ -302,13 +275,13 @@ def root_exp_apply(A, root, s, v):
     return AlgebraElement(A.lie, divide(acc, e * b**top))
 
 
-def root_exponential(A, root, s=1, check=True):
+def root_exponential(A, root, s=1):
     """exp(s ad x_root) with integral divided powers: an automorphism of the
     Chevalley algebra over any field of characteristic != 2, its columns the
     images of the basis vectors under ``root_exp_apply``."""
     L = A.lie
     cols = [root_exp_apply(A, root, s, L.basis_element(j)).coeffs for j in range(L.n)]
-    return Automorphism(L, cols, check=check)
+    return Automorphism(L, cols)
 
 
 # -- extremality reports --------------------------------------------------------

@@ -339,8 +339,16 @@ def cmd_extremal_check(args):
     return rep
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors, like ``UsageError``, are one stderr
+    line and exit code 2; its subparsers are of the same class."""
+
+    def error(self, message):
+        self.exit(2, "%s\n" % message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="extremal-lie",
         description="Exact checks for Lie algebras generated by extremal elements.",
     )

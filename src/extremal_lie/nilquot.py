@@ -54,6 +54,10 @@ the graded nilpotent-quotient algorithm of Havas, Newman and Vaughan-Lee
   full L_{r+1} is nilpotent (Zelmanov and Kostrikin, "A theorem on sandwich
   algebras", 1990), so the capped run stops no later than it does.
 
+Every run, full or capped, extends at most ``MAX_DEGREE`` times; one that
+has not reached an empty degree by then raises ``DegreeCapExceeded``.  The
+constant is read at each call, so a test can lower it.
+
 Basis elements are labeled by left-nested words: the word (a_1, ..., a_s)
 stands for [[...[x_{a_1}, x_{a_2}], x_{a_3}], ..., x_{a_s}].  A finished L_r
 is read through the validated ``LieAlgebra`` of
@@ -81,6 +85,9 @@ R_LENGTHS = {
 }
 R_DIMS = {r: sum(p) for r, p in R_LENGTHS.items()}
 
+# The most degrees a construction extends before it raises DegreeCapExceeded
+MAX_DEGREE = 16
+
 
 class DegreeCapExceeded(RuntimeError):
     """The graded construction failed to terminate below the safety cap."""
@@ -92,25 +99,24 @@ class OrbitRankMismatch(RuntimeError):
 
 
 class BasisElement:
-    __slots__ = ("index", "degree", "mdeg", "parent", "gen", "word", "pos")
+    __slots__ = ("index", "degree", "mdeg", "parent", "gen", "word")
 
-    def __init__(self, index, degree, mdeg, parent, gen, word, pos):
+    def __init__(self, index, degree, mdeg, parent, gen, word):
         self.index = index
         self.degree = degree
         self.mdeg = mdeg
         self.parent = parent
         self.gen = gen
         self.word = word
-        self.pos = pos
 
     def __repr__(self):
         return "b%d<%s>" % (self.index, ".".join(map(str, self.word)))
 
 
-def _word_bracket_str(word, prefix="x"):
-    s = "%s%d" % (prefix, word[0])
+def _word_bracket_str(word):
+    s = "x%d" % word[0]
     for a in word[1:]:
-        s = "[%s,%s%d]" % (s, prefix, a)
+        s = "[%s,x%d]" % (s, a)
     return s
 
 
@@ -139,7 +145,7 @@ class _CoverEngine:
         gens = []
         for i in range(1, r + 1):
             md = tuple(1 if j == i - 1 else 0 for j in range(r))
-            b = BasisElement(len(self.basis), 1, md, None, i, (i,), i - 1)
+            b = BasisElement(len(self.basis), 1, md, None, i, (i,))
             self.basis.append(b)
             gens.append(b)
             self.by_mdeg.setdefault((1, md), []).append(b)
@@ -238,9 +244,7 @@ class _CoverEngine:
                     continue
                 w, i = key
                 parent = self.basis[w]
-                elt = BasisElement(
-                    len(self.basis), d, md, parent, i, parent.word + (i,), len(new_elts)
-                )
+                elt = BasisElement(len(self.basis), d, md, parent, i, parent.word + (i,))
                 self.basis.append(elt)
                 new_elts.append(elt)
                 self.by_mdeg.setdefault((d, md), []).append(elt)
@@ -358,11 +362,10 @@ def _mdeg_add(md, i, k=1):
 class GradedQuotient:
     """Per-degree exact data for L_r (or a free nilpotent quotient)."""
 
-    def __init__(self, engine, terminated):
+    def __init__(self, engine):
         self.r = engine.r
         self.field = engine.field
         self._engine = engine
-        self.terminated = terminated
         self.dims_by_degree = [len(engine.by_degree[d]) for d in range(1, engine.completed + 1)]
         while self.dims_by_degree and self.dims_by_degree[-1] == 0:
             self.dims_by_degree.pop()
@@ -407,20 +410,20 @@ def monomial(L, word):
     return v
 
 
-def _extend_until_empty(eng, max_degree):
-    """Extend ``eng`` until a degree comes out empty; returns ``eng``."""
-    for _ in range(max_degree):
+def _extend_until_empty(eng):
+    """Extend ``eng`` until a degree comes out empty, at most ``MAX_DEGREE``
+    times (read at each call); returns ``eng``."""
+    for _ in range(MAX_DEGREE):
         if eng.extend() == 0:
             return eng
-    raise DegreeCapExceeded("no zero component reached below degree %d" % max_degree)
+    raise DegreeCapExceeded("no zero component reached below degree %d" % MAX_DEGREE)
 
 
-def sandwich_algebra(r, field=QQ, max_degree=16):
+def sandwich_algebra(r, field=QQ):
     """The universal Lie algebra on r sandwich generators, L_r = F/J."""
     if r < 1:
         raise ValueError("need r >= 1")
-    eng = _extend_until_empty(_CoverEngine(r, field=field, sandwich=True), max_degree)
-    return GradedQuotient(eng, terminated=True)
+    return GradedQuotient(_extend_until_empty(_CoverEngine(r, field=field, sandwich=True)))
 
 
 class AssocDims:
@@ -440,17 +443,17 @@ class AssocDims:
         return t == t[::-1]
 
 
-def _companion_engine(r, field, max_degree):
+def _companion_engine(r, field):
     """L_{r+1} built only on the multidegrees whose last coordinate is at
     most 1 (see the module docstring), run to its first empty degree."""
     cap = (math.inf,) * r + (1,)
-    return _extend_until_empty(_CoverEngine(r + 1, field=field, sandwich=True, cap=cap), max_degree)
+    return _extend_until_empty(_CoverEngine(r + 1, field=field, sandwich=True, cap=cap))
 
 
-def assoc_dims_via_embedding(r, field=QQ, max_degree=16):
+def assoc_dims_via_embedding(r, field=QQ):
     """dim profile of R_r from the multidegrees of L_{r+1} where the last
     generator appears exactly once (length = total degree of the others)."""
-    eng = _companion_engine(r, field, max_degree)
+    eng = _companion_engine(r, field)
     by_len = {}
     for (d, md), elts in eng.by_mdeg.items():
         if md[r] == 1:

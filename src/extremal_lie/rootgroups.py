@@ -6,10 +6,11 @@ denominator, primitive over Q (residue columns over denominator 1 over
 GF(p)), so equal words have equal columns and equality of group words is
 decidable.  Words are composed in integers; a rational value appears only
 when a map is applied.  Each ``exp_map`` builds exp(y, t) once per
-parameter, so the double loops below reuse their factors.  Over small prime
-fields the parameter checks are exhaustive; over the rationals a fixed
-deterministic sample set is used (the identities are polynomial in the
-parameters, of low degree).
+parameter, so the double loops below reuse their factors.  No map is
+re-checked against the bracket: the identities below are the checks.  Over
+small prime fields the parameter checks are exhaustive; over the rationals
+a fixed deterministic sample set is used (the identities are polynomial in
+the parameters, of low degree).
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def strongcomm_check(L, x, y, sample_params=None):
             if f.is_zero(s) or f.is_zero(t):
                 continue
             try:
-                unit[(s, t)] = exp_automorphism(L, s * x + t * y, f.one, check=False)
+                unit[(s, t)] = exp_automorphism(L, s * x + t * y, f.one)
             except NotExtremal:
                 results.append(False)
             else:
@@ -183,7 +184,7 @@ def strongcomm_check(L, x, y, sample_params=None):
                 else:
                     rhs = unit.get((s, t))
                     if rhs is None:  # s or t is 0, so v was not in the loop above
-                        rhs = exp_automorphism(L, v, f.one, check=False)
+                        rhs = exp_automorphism(L, v, f.one)
                     rhs_ok = lhs == rhs
                 if not rhs_ok:
                     product_ok = False

@@ -240,8 +240,9 @@ def normalize(params):
     """Transform to central = 0 with all nonzero edges equal to -2, one at xy
     or two at xy and xz.
 
-    Needs a square root for the three-edge case; over a field where it is
-    missing the trace is returned with extension_required = True.
+    With three nonzero edges a, b, c it needs the square root of -2c/(ab);
+    over a field where it is missing the trace is returned with
+    extension_required = True.
     """
     f = params.field
     steps = []
@@ -301,22 +302,13 @@ def normalize(params):
             if nz == 2:
                 ga = f.div(minus2, b)
         else:
-            ra = f.sqrt_raw(f.div(f.mul(minus2, c), f.mul(a, b)))
-            rb = f.sqrt_raw(f.div(f.mul(minus2, b), f.mul(a, c)))
-            rc = f.sqrt_raw(f.div(f.mul(minus2, a), f.mul(b, c)))
-            if ra is None or rb is None or rc is None:
+            # al^2 = -2c/(ab), be = -2/(a al) and ga = -2/(b al) bring every
+            # edge to -2: only al needs a square root
+            al = f.sqrt_raw(f.div(f.mul(minus2, c), f.mul(a, b)))
+            if al is None:
                 return NormalizationTrace(params, steps, p, extension_required=True)
-            al, be, ga = ra, rb, rc
-            for flips in ((1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1)):
-                tal = f.mul(f.raw(flips[0]), al)
-                tbe = f.mul(f.raw(flips[1]), be)
-                tga = f.mul(f.raw(flips[2]), ga)
-                q = scale_params(p, tal, tbe, tga)
-                if all(e == minus2 for e in q.edges()):
-                    al, be, ga = tal, tbe, tga
-                    break
-            else:
-                raise RuntimeError("sign adjustment failed")
+            be = f.div(minus2, f.mul(a, al))
+            ga = f.div(minus2, f.mul(b, al))
         steps.append(("scale", al, be, ga))
         p = scale_params(p, al, be, ga)
     if not all(f.is_zero(e) or e == minus2 for e in p.edges()):

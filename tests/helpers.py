@@ -12,10 +12,11 @@ products, ``fraction_inner`` the inner product of roots with one
 ``Fraction`` per term, and ``FractionAutomorphism``/``fraction_exp_map``
 the exp-automorphisms on ``Fraction`` columns with two brackets per basis
 vector, as they were before the columns became integers over one
-denominator.  ``reference_root_exponential`` is the full root
-exponential, its ad x_root columns read by a scan of the whole integer
-table, as ``chevalley`` built it before it applied the divided powers to one
-vector at a time; ``reference_extremal_spanning_set`` is the closure over
+denominator.  ``preserves_bracket`` is the bracket oracle for an
+``Automorphism``, which the package builds without re-checking.
+``reference_root_exponential`` is the full root exponential, its ad x_root
+columns read by a scan of the whole integer table, as ``chevalley`` built it
+before it applied the divided powers to one vector at a time; ``reference_extremal_spanning_set`` is the closure over
 those full maps.  ``dense_mat_mul``, ``dense_matrix_lie_algebra``,
 ``dense_natural_representation``, ``dense_phi_spectrum_check`` and
 ``dense_fourth_power_check`` are the matrix layer on dense lists of raw
@@ -587,8 +588,6 @@ def fraction_exp_map(L, x):
     """Reference for ``chevalley.exp_map``: s -> exp(x, s) as a
     ``FractionAutomorphism``, with ad_x^2 b_j taken as a second bracket
     [x, [x, b_j]] and the columns combined in field arithmetic."""
-    if isinstance(L, ChevalleyAlgebra):
-        L = L.lie
     x = L.element(x)
     if is_extremal(L, x) is None:
         raise ValueError("exp is defined at extremal elements")
@@ -612,6 +611,23 @@ def fraction_exp_map(L, x):
     return exp
 
 
+def preserves_bracket(phi):
+    """The bracket oracle: whether the ``chevalley.Automorphism`` phi =
+    C / den satisfies phi[b_i, b_j] = [phi b_i, phi b_j] for all i < j, that
+    is den C[b_i, b_j] = [C b_i, C b_j]."""
+    L = phi.lie
+    f, den = L.field, phi.den
+    images = [AlgebraElement(L, col) for col in phi.cols]
+    for i in range(L.n):
+        for j in range(i + 1, L.n):
+            lhs = combine(f, L.bracket_basis(i, j), phi.cols)
+            if den != 1:
+                lhs = {k: den * c for k, c in lhs.items()}
+            if lhs != L.bracket(images[i], images[j]).coeffs:
+                return False
+    return True
+
+
 def rational_columns(phi):
     """The columns of a ``chevalley.Automorphism`` C / den as canonical raw
     values, comparable with a ``FractionAutomorphism``'s."""
@@ -633,7 +649,7 @@ def reference_int_ad_columns(A, root):
     return cols
 
 
-def reference_root_exponential(A, root, s=1, check=True):
+def reference_root_exponential(A, root, s=1):
     """exp(s ad x_root) with integral divided powers: an automorphism of the
     Chevalley algebra over any field of characteristic != 2."""
     f = A.field
@@ -660,14 +676,14 @@ def reference_root_exponential(A, root, s=1, check=True):
         else:
             raise RuntimeError("ad x_root is not nilpotent of small index")
         cols.append(col)
-    return Automorphism(A.lie, cols, check=check)
+    return Automorphism(A.lie, cols)
 
 
 def reference_extremal_spanning_set(A):
     """``chevalley.extremal_spanning_set`` on the full maps of
     ``reference_root_exponential``, all built before the closure starts."""
     rs = A.rootsystem
-    autos = [reference_root_exponential(A, root, s, check=False) for root in rs.roots for s in (1, -1)]
+    autos = [reference_root_exponential(A, root, s) for root in rs.roots for s in (1, -1)]
     return extremal_closure(
         A.lie,
         [A.x(root) for root in rs.roots if rs.is_long(root)],
@@ -714,7 +730,7 @@ class RootGroupElement:
         self.lie = lie
         self.base = base
         self.parameter = parameter
-        self.matrix = exp_automorphism(lie, base, parameter, check=False)
+        self.matrix = exp_automorphism(lie, base, parameter)
 
 
 def graded_components(q):
@@ -1064,7 +1080,7 @@ def free_nilpotent_quotient(r, up_to_degree, field=QQ, extra_consistency=False):
     eng = nilquot._CoverEngine(r, field=field, sandwich=False, extra_consistency=extra_consistency)
     while eng.completed < up_to_degree:
         eng.extend()
-    return nilquot.GradedQuotient(eng, terminated=False)
+    return nilquot.GradedQuotient(eng)
 
 
 def left_normed_expansions(r, m):

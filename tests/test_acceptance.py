@@ -37,6 +37,7 @@ from helpers import (
     free_nilpotent_quotient,
     grow_extremal_spanning,
     lie_algebra_from_dense,
+    preserves_bracket,
     preserves_form,
     rng,
     sandwich,
@@ -275,10 +276,10 @@ def test_criterion_10_property_suites_standalone():
             if not w.is_zero():
                 fw = is_extremal(L3, w)
                 ok = ok and fw is not None and fw.is_zero()
-    # form preservation under exp
+    # bracket and form preservation under exp
     span = extremal_spanning_set(A)
     form = extremal_form(L, span)
     for base in (A.x((1, 0)), A.x((1, 1))):
         phi = exp_automorphism(L, base, 2)
-        ok = ok and preserves_form(phi, form)
+        ok = ok and preserves_bracket(phi) and preserves_form(phi, form)
     _verdict(10, ok, "standalone property suites: validators, Witt, Cor 3.4/3.8, form preservation")

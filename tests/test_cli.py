@@ -1,4 +1,3 @@
-import functools
 import itertools
 import json
 import os
@@ -252,12 +251,30 @@ def test_mingen_f4_char5(capsys):
     ["tables", "lr", "--r", "2"],
     ["tables", "rr", "--r", "2"],
     ["tables", "rr-lengths", "--max-r", "0"],
+    ["tables", "lr", "--max-r", "abc"],
+    ["radicals", "--type", "A2", "--char", "x"],
+    ["rootgroups", "--type", "A2", "--seed", "x"],
+    ["mingen", "--char", "3"],
+    ["mingen", "--type", "A2", "--jobs", "x"],
 ])
 def test_malformed_input_exits_2_with_one_line(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # an error argparse catches exits from parse_args
+        code = exc.code
+    out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_help_keeps_its_usage_text(capsys):
+    for argv in (["--help"], ["tables", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: extremal-lie") and len(out.splitlines()) > 3
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -274,8 +291,7 @@ def test_a_bound_below_one_names_the_flag_given(capsys, argv, flag):
 def test_tables_report_a_degree_cap_as_a_failed_check(capsys, monkeypatch):
     from extremal_lie import nilquot
 
-    for name in ("sandwich_algebra", "assoc_dims_via_embedding"):
-        monkeypatch.setattr(nilquot, name, functools.partial(getattr(nilquot, name), max_degree=3))
+    monkeypatch.setattr(nilquot, "MAX_DEGREE", 3)
     code, out, err = run_cli(capsys, "--json", "tables", "lr", "--max-r", "4")
     assert code == 1 and "Traceback" not in err
     checks = json.loads(out)["checks"]

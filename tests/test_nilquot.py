@@ -52,7 +52,7 @@ def test_sandwich_dimensions_small():
 
 def test_sandwich_terminates_with_zero_component():
     q = sandwich(4)
-    assert q.terminated
+    assert q._engine.by_degree[-1] == []  # the run stopped at an empty degree
     assert all(d > 0 for d in q.dims_by_degree)
 
 
@@ -165,9 +165,10 @@ def test_gf_p_recomputation_matches_rationals_smallr():
         assert qp.multidegree_dims == q0.multidegree_dims
 
 
-def test_degree_cap_guard():
+def test_degree_cap_guard(monkeypatch):
+    monkeypatch.setattr(nilquot, "MAX_DEGREE", 2)
     with pytest.raises(nilquot.DegreeCapExceeded):
-        nilquot.sandwich_algebra(3, max_degree=2)
+        nilquot.sandwich_algebra(3)
 
 
 def test_bracket_in_quotient_multidegree_additive():
@@ -240,7 +241,7 @@ def test_capped_engine_matches_full_engine_on_its_blocks(r, field):
     """The engine R_r is read from builds the blocks of L_{r+1} whose last
     coordinate is at most 1, with the same words and rewrites as the full
     L_{r+1}, and nothing else."""
-    capped = nilquot._companion_engine(r, field, 16)
+    capped = nilquot._companion_engine(r, field)
     full = nilquot._CoverEngine(r + 1, field=field)
     while full.extend():
         pass
@@ -268,7 +269,7 @@ def _all_rows_engine(r, field, cap=None):
     """The verification engine: every block is its own orbit and takes
     every row, the heavy Jacobi rows included."""
     eng = nilquot._CoverEngine(r, field=field, extra_consistency=True, cap=cap)
-    return nilquot._extend_until_empty(eng, 16)
+    return nilquot._extend_until_empty(eng)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -281,7 +282,7 @@ def test_orbit_rank_stop_matches_all_rows_engine(r, field):
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("field", [QQ, GF(3), GF(101)], ids=repr)
 def test_orbit_rank_stop_matches_all_rows_engine_capped(r, field):
-    fast = nilquot._companion_engine(r, field, 16)
+    fast = nilquot._companion_engine(r, field)
     slow = _all_rows_engine(r + 1, field, cap=(math.inf,) * r + (1,))
     assert _engine_state(fast) == _engine_state(slow)
 
@@ -305,7 +306,7 @@ def test_l5_engine_state_is_pinned(name, field):
 
 @pytest.mark.parametrize("name, field", [("Q", QQ), ("GF101", GF(101))])
 def test_capped_r4_engine_state_is_pinned(name, field):
-    assert _state_digest(nilquot._companion_engine(4, field, 16)) == PINNED_R4_CAPPED[name]
+    assert _state_digest(nilquot._companion_engine(4, field)) == PINNED_R4_CAPPED[name]
 
 
 def test_orbit_block_whose_rows_run_out_raises():

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,43 @@ def test_normalize_extension_required():
     assert not tr.extension_required
     assert tr.case == 3
     assert all(e == Fraction(-2) for e in tr.final.edges())
+
+
+def _four_sign_scaling(f, a, b, c):
+    """(extension required, final edges) of the three-edge scaling as
+    ``normalize`` found it before its closed form: square roots of
+    -2c/(ab), -2b/(ac) and -2a/(bc), then the one of four sign patterns
+    that brings every edge to -2."""
+    m2 = f.raw(-2)
+    roots = [f.sqrt_raw(f.div(f.mul(m2, u), f.mul(v, w))) for u, v, w in ((c, a, b), (b, a, c), (a, b, c))]
+    if None in roots:
+        return True, (a, b, c)
+    p = TriangleParams(f, a, b, c, 0)
+    for flips in ((1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1)):
+        q = scale_params(p, *(f.mul(f.raw(sign), root) for sign, root in zip(flips, roots)))
+        if all(e == m2 for e in q.edges()):
+            return False, q.edges()
+    raise AssertionError("no sign pattern brings every edge to -2")
+
+
+THREE_EDGE_Q_GRID = (1, -1, 2, -2, 3, -8, Fraction(1, 2), Fraction(-1, 2), 9, Fraction(-9, 2))
+
+
+def test_three_edge_scaling_matches_the_four_sign_search():
+    # one square root of -2c/(ab) decides and builds the scaling: on every
+    # nonzero (a, b, c) over GF(3..13) and on a grid over Q it gives the
+    # verdict and the edges of the search over three roots and four signs
+    fields = [(GF(p), range(1, p)) for p in (3, 5, 7, 11, 13)] + [(QQ, THREE_EDGE_Q_GRID)]
+    verdicts = []
+    for f, values in fields:
+        values = [f.raw(v) for v in values]
+        for a, b, c in itertools.product(values, repeat=3):
+            tr = normalize(TriangleParams(f, a, b, c, 0))
+            assert (tr.extension_required, tr.final.edges()) == _four_sign_scaling(f, a, b, c)
+            assert tr.replay() == tr.final
+            verdicts.append(tr.extension_required)
+    assert len(verdicts) == 4016
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_normalize_traces_replay():
