@@ -130,10 +130,7 @@ class Automorphism:
     values (possibly unreduced, possibly rational) become this form;
     ``compose`` multiplies the denominators and normalises once, and
     ``apply`` divides once at the end, so its images are canonical vectors.
-    ``exp_map`` hands the same map to every caller: treat it as immutable.
-    The constructor does not re-check the bracket: each map is an exp of an
-    extremal element or of integral divided powers, and the tests hold them
-    to the bracket oracle of ``tests/helpers``."""
+    ``exp_map`` hands the same map to every caller: treat it as immutable."""
 
     def __init__(self, lie, cols, den=1):
         if type(den) is not int or den < 1:

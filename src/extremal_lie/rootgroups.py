@@ -6,11 +6,10 @@ denominator, primitive over Q (residue columns over denominator 1 over
 GF(p)), so equal words have equal columns and equality of group words is
 decidable.  Words are composed in integers; a rational value appears only
 when a map is applied.  Each ``exp_map`` builds exp(y, t) once per
-parameter, so the double loops below reuse their factors.  No map is
-re-checked against the bracket: the identities below are the checks.  Over
-small prime fields the parameter checks are exhaustive; over the rationals
-a fixed deterministic sample set is used (the identities are polynomial in
-the parameters, of low degree).
+parameter, so the double loops below reuse their factors.  Over small prime
+fields the parameter checks are exhaustive; over the rationals a fixed
+deterministic sample set is used (the identities are polynomial in the
+parameters, of low degree).
 """
 
 from __future__ import annotations

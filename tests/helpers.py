@@ -13,10 +13,10 @@ products, ``fraction_inner`` the inner product of roots with one
 the exp-automorphisms on ``Fraction`` columns with two brackets per basis
 vector, as they were before the columns became integers over one
 denominator.  ``preserves_bracket`` is the bracket oracle for an
-``Automorphism``, which the package builds without re-checking.
-``reference_root_exponential`` is the full root exponential, its ad x_root
-columns read by a scan of the whole integer table, as ``chevalley`` built it
-before it applied the divided powers to one vector at a time; ``reference_extremal_spanning_set`` is the closure over
+``Automorphism``.  ``reference_root_exponential`` is the full root
+exponential, its ad x_root columns read by a scan of the whole integer
+table, as ``chevalley`` built it before it applied the divided powers to one
+vector at a time; ``reference_extremal_spanning_set`` is the closure over
 those full maps.  ``dense_mat_mul``, ``dense_matrix_lie_algebra``,
 ``dense_natural_representation``, ``dense_phi_spectrum_check`` and
 ``dense_fourth_power_check`` are the matrix layer on dense lists of raw
@@ -1135,7 +1135,8 @@ def assoc_algebra_direct_dims(r, max_len=8):
 
 def short_root_decomposition_check(type_, field):
     """The rank-2 decompositions: short root elements lie in the span
-    of at most three long root element images (signs are convention-local)."""
+    of at most three long root element images (signs are convention-local).
+    The short root exponentials used are held to the bracket oracle."""
     if type_ not in ("B2", "G2"):
         raise UnsupportedType("the rank-2 decompositions exist for B2 and G2")
     if type_ == "B2":
@@ -1152,15 +1153,18 @@ def short_root_decomposition_check(type_, field):
         coeff_short = image.coeffs.get(A.root_index[short])
         span = echelon_from_rows(field, A.lie.n, [A.x(base).coeffs, A.x(long2).coeffs, image.coeffs])
         short_in_span = span.contains(A.x(short).coeffs)
+        bracket_ok = preserves_bracket(phi)
         ok = (
             support == expected_support
             and coeff_short is not None
             and short_in_span
+            and bracket_ok
         )
         gen_ok = _long_class_generates(A)
         return {
             "type": "B2",
             "char": field.characteristic,
+            "maps_preserve_bracket": bracket_ok,
             "image_support_matches": support == expected_support,
             "short_coefficient_nonzero": coeff_short is not None,
             "short_in_span_of_long_images": short_in_span,
@@ -1175,14 +1179,16 @@ def short_root_decomposition_check(type_, field):
     combo = phi_plus.apply(xb) + phi_minus.apply(xb) - (2 * xb)
     target = A.root_index[(2, 1)]  # 2*alpha + beta, short
     in_line = set(combo.coeffs) == {target}
+    bracket_ok = preserves_bracket(phi_plus) and preserves_bracket(phi_minus)
     gen_ok = _long_class_generates(A)
     return {
         "type": "G2",
         "char": field.characteristic,
+        "maps_preserve_bracket": bracket_ok,
         "combination_in_short_line": in_line,
         "combination_nonzero": bool(combo.coeffs),
         "long_root_elements_generate": gen_ok,
-        "pass": in_line and bool(combo.coeffs) and gen_ok,
+        "pass": bracket_ok and in_line and bool(combo.coeffs) and gen_ok,
     }
 
 

@@ -73,8 +73,9 @@ def test_exp_identity_and_one_parameter_group():
     r = rng("exp")
     for _ in range(5):
         s, t = Fraction(r.randint(-3, 3)), Fraction(r.randint(-3, 3))
-        lhs = exp_automorphism(L, x, s).compose(exp_automorphism(L, x, t))
-        assert lhs == exp_automorphism(L, x, s + t)
+        phi, psi = exp_automorphism(L, x, s), exp_automorphism(L, x, t)
+        assert preserves_bracket(phi) and preserves_bracket(psi)
+        assert phi.compose(psi) == exp_automorphism(L, x, s + t)
 
 
 def test_exp_action_on_extremal_element():
@@ -84,6 +85,7 @@ def test_exp_action_on_extremal_element():
     x, y = A.x((1, 0)), A.x((-1, 0))
     fx = is_extremal(L, x)
     phi = exp_automorphism(L, x, 1)
+    assert preserves_bracket(phi)
     half = Fraction(1, 2)
     assert phi.apply(y) == y + L.bracket(x, y) + (half * fx(y)) * x
 
@@ -104,6 +106,7 @@ def test_exp_map_proves_extremality_once(monkeypatch):
     exp = exp_map(A.lie, x)
     maps = [exp(s) for s in (0, 1, -1, 2, Fraction(1, 2))]
     assert len(calls) == 1
+    assert all(preserves_bracket(phi) for phi in maps)
     assert maps[0].is_identity()
     assert maps[1].compose(maps[2]).is_identity()
     assert maps[1] == exp_automorphism(A.lie, x, 1)
@@ -119,12 +122,15 @@ def test_exp_preserves_bracket_and_form():
 
 
 def test_root_exponential_is_automorphism_any_char():
+    # every root of B2 and G2, short and long, at s = 1 and s = -1
     for char in (0, 3, 5):
-        G = chevalley("G", 2, char)
-        for root in [(1, 0), (0, 1), (2, 1)]:
-            phi = root_exponential(G, root, 1)
-            assert preserves_bracket(phi)
-            assert not phi.is_identity()
+        for type_ in ("B", "G"):
+            A = chevalley(type_, 2, char)
+            for root in A.rootsystem.roots:
+                for s in (1, -1):
+                    phi = root_exponential(A, root, s)
+                    assert preserves_bracket(phi)
+                    assert not phi.is_identity()
 
 
 @pytest.mark.parametrize("char", [0, 3, 5])
@@ -165,6 +171,7 @@ def test_root_exp_apply_matches_full_map_reference(type_, rank, char):
             for v in vectors:
                 assert root_exp_apply(A, root, s, v).coeffs == ref.apply(v).coeffs
             assert root_exponential(A, root, s) == ref
+            assert preserves_bracket(ref)
 
 
 @pytest.mark.parametrize("char", [0, 3, 7])
@@ -192,10 +199,11 @@ def test_long_root_extremality_sweep():
 
 
 def test_short_root_decomposition_b2_g2():
-    assert short_root_decomposition_check("B2", QQ)["pass"]
-    assert short_root_decomposition_check("G2", QQ)["pass"]
-    assert short_root_decomposition_check("B2", GF(5))["pass"]
-    assert short_root_decomposition_check("G2", GF(5))["pass"]
+    for type_ in ("B2", "G2"):
+        for field in (QQ, GF(5)):
+            rep = short_root_decomposition_check(type_, field)
+            assert rep["maps_preserve_bracket"]
+            assert rep["pass"]
 
 
 def test_simple_plus_lowest_generates():
