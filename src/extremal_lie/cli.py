@@ -339,12 +339,20 @@ def cmd_extremal_check(args):
     return rep
 
 
+class _HelpShown(Exception):
+    """``--help`` has printed its text: exit code 0."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors, like ``UsageError``, are one stderr
-    line and exit code 2; its subparsers are of the same class."""
+    """An argument parser that raises instead of exiting: an error is a
+    ``UsageError``, and ``--help`` raises ``_HelpShown`` once its text is
+    printed; its subparsers are of the same class."""
 
     def error(self, message):
-        self.exit(2, "%s\n" % message)
+        raise UsageError(message)
+
+    def exit(self, *_):
+        raise _HelpShown()
 
 
 def build_parser():
@@ -413,14 +421,18 @@ def _merge_value_flags(argv):
 
 
 def main(argv=None):
-    ap = build_parser()
+    """Run one command and return its exit code; it never raises
+    ``SystemExit``.  A usage error, the parser's included, writes one stderr
+    line and returns 2; ``--help`` prints its text and returns 0."""
     if argv is None:
         argv = sys.argv[1:]
-    args = ap.parse_args(_merge_value_flags(list(argv)))
-    t0 = time.time()
     try:
+        args = build_parser().parse_args(_merge_value_flags(list(argv)))
+        t0 = time.time()
         field_of_char(getattr(args, "char", 0))
         rep = args.fn(args)
+    except _HelpShown:
+        return 0
     except (UsageError, InvalidRank, NotPrime, CharacteristicTwoUnsupported) as exc:
         sys.stderr.write("%s\n" % exc)
         return 2

@@ -9,16 +9,16 @@ definitions, and the Jacobi instances involving a generator).  All relations
 are homogeneous in the multidegree, so elimination happens in small
 per-multidegree blocks; this is what makes r = 5 fast.
 
-The rows are generated block by block.  A block md draws its sandwich rows
-from the block md - 2e_i, its Jacobi rows from the pairs of lower blocks whose
-multidegrees sum to md - e_i (balanced degree splits first), and its
-antisymmetry rows from the pairs that sum to md.  Most blocks do not need all
-of their rows.  Call two blocks of a degree one orbit when a permutation of
-the coordinates that carry equal caps maps one onto the other (the key is
-sorted(zip(cap, md))); the first of them in sorted order is the orbit's
-representative.  The representative takes its rows until they run out or its
-echelon is full.  Every other block stops as soon as its rank equals the
-representative's.  This is exact:
+The rows are generated block by block, the cheap families first.  A block md
+draws its sandwich rows from the block md - 2e_i, then its antisymmetry rows
+from the pairs of lower blocks that sum to md, then its Jacobi rows from the
+pairs that sum to md - e_i (balanced degree splits first).  Most blocks do
+not need all of their rows.  Call two blocks of a degree one orbit when a
+permutation of the coordinates that carry equal caps maps one onto the other
+(the key is sorted(zip(cap, md))); the first of them in sorted order is the
+orbit's representative.  The representative takes its rows until they run out
+or its echelon is full.  Every other block stops as soon as its rank equals
+the representative's.  This is exact, whatever the order of the rows:
 
 * permuting the generators is an automorphism of F/J that maps the box onto
   itself, so the dimension of a block of L and its number of symbols (the
@@ -30,10 +30,24 @@ representative's.  This is exact:
   which is unique for a subspace, so the basis words, the rewrites and the
   relation ranks are those of inserting every row.
 
+So the order only decides how soon a block stops.  The sandwich and
+antisymmetry rows are cheap to build and seldom zero, and on L_5 every block
+that is not a representative reaches its rank on them, before it builds a
+Jacobi row.
+
+A Jacobi instance (u, v, x_i) is skipped when [v, x_i] is the definition of
+a basis element z other than u (the symbol (v, i) was free, so its rewrite is
+{z: 1} with z.parent = v and z.gen = i).  Its row is [[u,v],x_i] minus the
+expansion of [[u,x_i],v] minus that of [u, z], and the recursion of the
+expansion writes [u, z], through the definition of z, as exactly the first
+term minus the second: the row is the zero dict before it is built.  (When z
+is u, the third term is [u, u] = 0 instead, and the row is kept.)
+
 A block whose rows run out below the representative's rank, or whose width
 differs from it, raises ``OrbitRankMismatch``.  The verification mode
-(``extra_consistency``) makes every block its own representative and adds
-the Jacobi rows on triples of degree at least 2 each.
+(``extra_consistency``) makes every block its own representative, builds
+every Jacobi instance, and adds the Jacobi rows on triples of degree at least
+2 each.
 
 R_r is read off L_{r+1}: its length-k component is the sum of the multidegree
 blocks of L_{r+1} whose last coordinate is 1 and whose total degree is k+1.
@@ -184,7 +198,10 @@ class _CoverEngine:
         The blocks of the degree are reduced in sorted order.  The first
         block of each orbit (see the module docstring) takes its rows until
         they run out or its echelon is full; every other block stops as soon
-        as it reaches the rank of its orbit's first block."""
+        as it reaches the rank of its orbit's first block.  The memo of the
+        symbol expansions is cleared at each block: [a, b] and every
+        expansion its recursion asks for lie in the block mdeg a + mdeg b,
+        so no other block could read an entry."""
         d = self.completed + 1
         f = self.field
         cap = self.cap or (math.inf,) * self.r
@@ -202,7 +219,7 @@ class _CoverEngine:
         lower = {}  # degree -> {mdeg: basis elements}, the nonempty blocks below d
         for (deg, md), elts in self.by_mdeg.items():
             lower.setdefault(deg, {})[md] = elts
-        esym_memo = {}
+        esym_memo = {}  # cleared at each block: [a, b] lies in mdeg a + mdeg b
 
         def esym(a, b):
             """Symbol-level expansion of [a, b] via the definition of b."""
@@ -227,6 +244,7 @@ class _CoverEngine:
                 raise OrbitRankMismatch("block %s has %d symbols, its orbit's first block %s has %d"
                                         % (md, e.width, rep_md, rep.width))
             goal = rep.dim if rep is not e else e.width
+            esym_memo.clear()
             if e.dim < goal:
                 for row in self._block_rows(d, md, lower, esym):
                     row = canonical(f, {sym_pos[key]: c for key, c in row.items()})
@@ -263,10 +281,13 @@ class _CoverEngine:
 
     def _block_rows(self, d, md, lower, esym):
         """The relation rows of the degree-d block ``md``, as dicts over its
-        symbols (w_index, i): the sandwich rows, the Jacobi rows with a
-        generator (balanced degree splits first), the antisymmetry rows and,
-        in verification mode, the Jacobi rows on heavier triples.  ``lower``
-        maps each degree below d to its nonempty blocks."""
+        symbols (w_index, i), cheap families first: the sandwich rows, the
+        antisymmetry rows, the Jacobi rows with a generator (balanced degree
+        splits first; outside verification mode without the instances that
+        ``_zero_by_definition`` finds) and, in verification mode, the Jacobi rows on
+        heavier triples.  The order does not change the result (see the
+        module docstring).  ``lower`` maps each degree below d to its
+        nonempty blocks."""
         gb = self.gen_bracket
         empty = {}
 
@@ -289,18 +310,6 @@ class _CoverEngine:
                 if md[i - 1] >= 2:
                     for b in lower.get(d - 2, empty).get(_mdeg_add(md, i, -2), ()):
                         yield {(w, i): c for w, c in gb.get((b.index, i), empty).items()}
-        # Jacobi instances [[u,v],x_i] = [[u,x_i],v] + [u,[v,x_i]]
-        for a in range(d // 2, d - 1):
-            for i in range(1, self.r + 1):
-                if not md[i - 1]:
-                    continue
-                for u, v in pairs(a, d - 1 - a, _mdeg_add(md, i, -1), False):
-                    row = {(w, i): c for w, c in self.bracket_basis(u, v).items()}
-                    for w, c in gb.get((u.index, i), empty).items():
-                        axpy(row, -c, esym(self.basis[w], v))
-                    for w, c in gb.get((v.index, i), empty).items():
-                        axpy(row, -c, esym(u, self.basis[w]))
-                    yield row
         # antisymmetry of every pair, expanded through definitions
         for a in range((d + 1) // 2, d):
             for u, v in pairs(a, d - a, md, True):
@@ -310,8 +319,37 @@ class _CoverEngine:
                     row = dict(esym(u, v))
                     axpy(row, 1, esym(v, u))
                     yield row
+        # Jacobi instances [[u,v],x_i] = [[u,x_i],v] + [u,[v,x_i]]
+        for a in range(d // 2, d - 1):
+            for i in range(1, self.r + 1):
+                if not md[i - 1]:
+                    continue
+                for u, v in pairs(a, d - 1 - a, _mdeg_add(md, i, -1), False):
+                    if self.extra_consistency or not self._zero_by_definition(u, v, i):
+                        yield self._jacobi_row(u, v, i, esym)
         if self.extra_consistency:
             yield from self._heavy_jacobi_rows(d, md, lower, esym)
+
+    def _zero_by_definition(self, u, v, i):
+        """Whether [v, x_i] is the definition of a basis element other than
+        u; the Jacobi row of (u, v, x_i) is then the zero dict (see the
+        module docstring)."""
+        g = self.gen_bracket[(v.index, i)]
+        if len(g) != 1:
+            return False
+        z = self.basis[next(iter(g))]
+        return z.parent is v and z.gen == i and z is not u
+
+    def _jacobi_row(self, u, v, i, esym):
+        """The row of [[u,v],x_i] = [[u,x_i],v] + [u,[v,x_i]], expanded into
+        symbols."""
+        gb = self.gen_bracket
+        row = {(w, i): c for w, c in self.bracket_basis(u, v).items()}
+        for w, c in gb.get((u.index, i), {}).items():
+            axpy(row, -c, esym(self.basis[w], v))
+        for w, c in gb.get((v.index, i), {}).items():
+            axpy(row, -c, esym(u, self.basis[w]))
+        return row
 
     def _esym_raw(self, a, b, esym):
         """[a, b] expanded into degree-d symbols via the definition of b."""

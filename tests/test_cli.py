@@ -147,10 +147,9 @@ def test_cache_flag_is_rejected_and_environment_writes_nothing(capsys, tmp_path,
     flag_dir, env_dir = tmp_path / "flag", tmp_path / "env"
     flag_dir.mkdir()
     env_dir.mkdir()
-    with pytest.raises(SystemExit) as exc:
-        run_cli(capsys, "--json", "--cache", str(flag_dir), "extremal-check", "--type", "G2")
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    code, out, _ = run_cli(capsys, "--json", "--cache", str(flag_dir), "extremal-check", "--type", "G2")
+    assert code == 2
+    assert out == ""
     monkeypatch.setenv("EXTREMAL_LIE_CACHE", str(env_dir))
     code, out, _ = run_cli(capsys, "--json", "extremal-check", "--type", "G2")
     assert code == 0 and json.loads(out)["pass"] is True
@@ -223,9 +222,9 @@ def test_report_exit_code_on_failure(capsys):
 
 
 def test_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(capsys, "tables", "bogus")
-    assert exc.value.code == 2
+    code, out, err = run_cli(capsys, "tables", "bogus")
+    assert code == 2
+    assert out == "" and len(err.splitlines()) == 1
 
 
 def test_mingen_f4_char5(capsys):
@@ -258,11 +257,7 @@ def test_mingen_f4_char5(capsys):
     ["mingen", "--type", "A2", "--jobs", "x"],
 ])
 def test_malformed_input_exits_2_with_one_line(capsys, argv):
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:  # an error argparse catches exits from parse_args
-        code = exc.code
-    out, err = capsys.readouterr()
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
@@ -270,10 +265,8 @@ def test_malformed_input_exits_2_with_one_line(capsys, argv):
 
 def test_help_keeps_its_usage_text(capsys):
     for argv in (["--help"], ["tables", "--help"]):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 0
-        out = capsys.readouterr().out
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
         assert out.startswith("usage: extremal-lie") and len(out.splitlines()) > 3
 
 

@@ -436,3 +436,71 @@ def test_layer_guard_finds_each_case(tmp_path):
     assert _layer_violations(str(pkg), ("a", "b", "c", "__init__"), "pkg") == [
         "a.py:2 b", "b.py:2 c", "b.py:6 a (nested)", "c.py:4 d", "c.py:6 __init__", "e.py:1 a",
     ]
+
+
+def _names_used(nodes):
+    """Every name, attribute and imported name that occurs in ``nodes``."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+            elif isinstance(sub, ast.ImportFrom):
+                out.update(alias.name for alias in sub.names)
+    return out
+
+
+def _unreached_helpers(helpers_path, test_paths):
+    """Top-level functions and classes of ``helpers_path`` that no module of
+    ``test_paths`` reaches.  A test module reaches what it names, by a name,
+    an attribute or an import; a reached helper reaches what its body names,
+    and the module-level statements of the helpers file reach what they
+    name.  A helper that only names itself is not reached."""
+    with open(helpers_path) as fh:
+        tree = ast.parse(fh.read(), filename=helpers_path)
+    defs = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    roots = _names_used(node for node in tree.body if node not in defs.values())
+    for path in test_paths:
+        with open(path) as fh:
+            roots |= _names_used([ast.parse(fh.read(), filename=path)])
+    todo, reached = [name for name in roots if name in defs], set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [used for used in _names_used([defs[name]]) if used in defs]
+    return [name for name in defs if name not in reached]
+
+
+def test_every_test_helper_is_reached_from_a_test():
+    """A function of tests/helpers.py is a reference or a check that some
+    test uses, directly or through another helper; one that no test reaches
+    is dead code."""
+    tests_dir = os.path.join(REPO_DIR, "tests")
+    test_paths = [os.path.join(tests_dir, name) for name in sorted(os.listdir(tests_dir))
+                  if name.startswith("test_") and name.endswith(".py")]
+    assert _unreached_helpers(os.path.join(tests_dir, "helpers.py"), test_paths) == []
+
+
+def test_unreached_helper_guard_finds_each_case(tmp_path):
+    (tmp_path / "helpers.py").write_text(
+        "import os\n\nTABLE = {'k': by_table}\n\n\n"
+        "def direct():\n    return through()\n\n\n"
+        "def through():\n    return deeper\n\n\n"
+        "def deeper():\n    pass\n\n\n"
+        "def by_table():\n    pass\n\n\n"
+        "def by_attribute():\n    pass\n\n\n"
+        "def recursive():\n    return recursive()\n\n\n"
+        "def from_dead():\n    pass\n\n\n"
+        "def dead():\n    return from_dead()\n\n\n"
+        "class Used:\n    pass\n\n\n"
+        "class Unused:\n    def direct(self):\n        pass\n"
+    )
+    (tmp_path / "test_a.py").write_text("from helpers import direct, Used\n\n\ndef test_x():\n    direct()\n")
+    (tmp_path / "test_b.py").write_text("import helpers\n\n\ndef test_y():\n    helpers.by_attribute()\n")
+    paths = [str(tmp_path / "test_a.py"), str(tmp_path / "test_b.py")]
+    assert _unreached_helpers(str(tmp_path / "helpers.py"), paths) == [
+        "recursive", "from_dead", "dead", "Unused",
+    ]
