@@ -219,7 +219,7 @@ class _CoverEngine:
         lower = {}  # degree -> {mdeg: basis elements}, the nonempty blocks below d
         for (deg, md), elts in self.by_mdeg.items():
             lower.setdefault(deg, {})[md] = elts
-        esym_memo = {}  # cleared at each block: [a, b] lies in mdeg a + mdeg b
+        esym_memo = {}
 
         def esym(a, b):
             """Symbol-level expansion of [a, b] via the definition of b."""
@@ -283,10 +283,10 @@ class _CoverEngine:
         """The relation rows of the degree-d block ``md``, as dicts over its
         symbols (w_index, i), cheap families first: the sandwich rows, the
         antisymmetry rows, the Jacobi rows with a generator (balanced degree
-        splits first; outside verification mode without the instances that
-        ``_zero_by_definition`` finds) and, in verification mode, the Jacobi rows on
-        heavier triples.  The order does not change the result (see the
-        module docstring).  ``lower`` maps each degree below d to its
+        splits first; outside verification mode, none that
+        ``_zero_by_definition`` finds) and, in verification mode, the Jacobi
+        rows on heavier triples.  The order does not change the result (see
+        the module docstring).  ``lower`` maps each degree below d to its
         nonempty blocks."""
         gb = self.gen_bracket
         empty = {}
