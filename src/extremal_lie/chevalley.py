@@ -27,10 +27,11 @@ from .liealg import (
     AlgebraElement,
     LieAlgebra,
     NotExtremal,
+    commutator,
     extremal_closure,
     is_extremal,
-    matrix_lie_algebra,
     subalgebra_generated,
+    trace_zero,
 )
 from .linalg import (
     Echelon,
@@ -508,47 +509,52 @@ def dimension_lower_bound(dim):
 
 
 def natural_representation(type_, rank, field):
-    """Matrix realization of the natural module, the rank m of an extremal
-    long-root matrix in it, and the generation lower bound ceil(N/m)."""
+    """The natural module of a classical type: the rank m of a long-root
+    matrix X in it and the generation lower bound ceil(N/m).
+
+    The matrix algebra g is a kernel: the trace-zero matrices for A, the
+    X with X^T G + G X = 0 for B, C and D.  Either kernel is closed under
+    commutators, so g needs no closure and no structure constants.  ``pass``
+    checks, on matrices, the premises of the bound: X lies in g and spans an
+    inner ideal ([X,[X,Y]] in kX for every basis matrix Y, so X is
+    extremal), g is irreducible on the module (Burnside), and dim g is the
+    dimension of the Chevalley algebra of the type.  It does not check that
+    every extremal element of g has rank at most m."""
     f = field
-    n = rank
-    minus_one = f.raw(-1)
-    if type_ == "A":
-        size = n + 1
-        gens = []
-        for i in range(n):
-            gens.append(_matrix(size, {(i, i + 1): 1}))
-            gens.append(_matrix(size, {(i + 1, i): 1}))
-        long_mat = _matrix(size, {(0, 1): 1})
-    elif type_ in ("B", "C", "D"):
-        size = 2 * n + 1 if type_ == "B" else 2 * n
-        gens = _matrices_preserving(f, _split_gram(f, type_, n))
-        if type_ == "B":
-            long_mat = _matrix(size, {(1, 2): 1, (n + 2, n + 1): minus_one})
-        elif type_ == "C":
-            long_mat = _matrix(size, {(0, n): 1})
-        else:
-            long_mat = _matrix(size, {(0, 1): 1, (n + 1, n): minus_one})
-    else:
-        raise UnsupportedType("natural representation is for classical types")
-    L, mats, element_of = matrix_lie_algebra(f, gens + [long_mat])
-    expected_dim = {"A": n * n + 2 * n, "B": n * (2 * n + 1), "C": n * (2 * n + 1), "D": n * (2 * n - 1)}[type_]
-    extremal = is_extremal(L, element_of(long_mat)) is not None
+    basis, long_mat = _natural_module(f, type_, rank)
+    size = len(long_mat)
+    x = flatten(long_mat)
+    line = echelon_from_rows(f, size * size, [x])
+    extremal = echelon_from_rows(f, size * size, map(flatten, basis)).contains(x) and all(
+        line.contains(commutator(f, long_mat, unflatten(commutator(f, long_mat, y), size))) for y in basis
+    )
+    dim_expected = len(integer_chevalley_data(type_, rank)[1])
     m = echelon_from_rows(f, size, long_mat).dim
-    bound = -(-size // m)
-    irreducible = _burnside_irreducible(f, mats, size)
+    irreducible = _burnside_irreducible(f, basis, size)
     return {
         "type": type_,
         "rank": rank,
-        "dim": L.n,
-        "dim_expected": expected_dim,
+        "dim": len(basis),
+        "dim_expected": dim_expected,
         "module_dim": size,
         "extremal_matrix_rank": m,
         "extremal_ok": extremal,
         "irreducible": irreducible,
-        "lower_bound": bound,
-        "pass": L.n == expected_dim and extremal and irreducible,
+        "lower_bound": -(-size // m),
+        "pass": len(basis) == dim_expected and extremal and irreducible,
     }
+
+
+def _natural_module(f, type_, n):
+    """(basis of g, a long-root matrix) for the natural module of a
+    classical type of rank n."""
+    if type_ not in ("A", "B", "C", "D"):
+        raise UnsupportedType("natural representation is for classical types")
+    size = {"A": n + 1, "B": 2 * n + 1}.get(type_, 2 * n)
+    basis = trace_zero(f, size) if type_ == "A" else _matrices_preserving(f, _split_gram(f, type_, n))
+    entries = {"A": {(0, 1): 1}, "B": {(1, 2): 1, (n + 2, n + 1): -1},
+               "C": {(0, n): 1}, "D": {(0, 1): 1, (n + 1, n): -1}}
+    return basis, _matrix(size, {k: f.raw(v) for k, v in entries[type_].items()})
 
 
 def _matrix(size, entries):

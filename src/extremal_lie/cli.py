@@ -154,28 +154,22 @@ def cmd_tables(args):
     flag, r = ("--max-r", args.max_r) if args.r is None else ("--r", args.r)
     if r < 1:
         raise UsageError("%s must be at least 1" % flag)
-    if args.which == "lr":
+    if args.which in ("lr", "rr"):
+        # the builder is looked up at call time, so a rebound nilquot attribute is seen
+        name, limit, build, dims = {
+            "lr": ("L", 5, "sandwich_algebra", nilquot.L_DIMS),
+            "rr": ("R", 4, "assoc_dims_via_embedding", nilquot.R_DIMS),
+        }[args.which]
         for r in range(1, args.max_r + 1):
-            if r > 5 and not args.experimental:
-                rep.add_bool("dim L_%d skipped (use --experimental beyond r=5)" % r, False)
+            if r > limit and not args.experimental:
+                rep.add_bool("dim %s_%d skipped (use --experimental beyond r=%d)" % (name, r, limit), False)
                 continue
             try:
-                q = nilquot.sandwich_algebra(r)
+                q = getattr(nilquot, build)(r)
             except nilquot.DegreeCapExceeded:
-                rep.add_bool("dim L_%d reached an empty degree below the cap" % r, False)
+                rep.add_bool("dim %s_%d reached an empty degree below the cap" % (name, r), False)
                 continue
-            rep.add_known("dim L_%d" % r, nilquot.L_DIMS, r, q.total_dim)
-    elif args.which == "rr":
-        for r in range(1, args.max_r + 1):
-            if r > 4 and not args.experimental:
-                rep.add_bool("dim R_%d skipped (use --experimental beyond r=4)" % r, False)
-                continue
-            try:
-                a = nilquot.assoc_dims_via_embedding(r)
-            except nilquot.DegreeCapExceeded:
-                rep.add_bool("dim R_%d reached an empty degree below the cap" % r, False)
-                continue
-            rep.add_known("dim R_%d" % r, nilquot.R_DIMS, r, a.total_dim)
+            rep.add_known("dim %s_%d" % (name, r), dims, r, q.total_dim)
     else:  # rr-lengths
         if r > 4 and not args.experimental:
             raise UsageError("rr-lengths beyond r=4 needs --experimental")

@@ -783,34 +783,30 @@ def sl2(field=QQ):
     return LieAlgebra(f, ["e", "h", "f"], table)
 
 
-def matrix_lie_algebra(field, mats):
-    """Lie algebra spanned by the commutator closure of the given square
-    matrices (lists of sparse rows, see ``linalg``).  Returns (LieAlgebra,
-    basis matrices, element_of), where ``element_of(m)`` is the element of
-    the algebra that a matrix m of its span stands for.  A matrix is a
-    vector of length size^2 by ``linalg.flatten``."""
+def commutator(field, a, b):
+    """The commutator ab - ba of the square matrices ``a`` and ``b`` (lists
+    of sparse rows, see ``linalg``), flattened by ``linalg.flatten``."""
+    acc = flatten(mat_mul(field, a, b))
+    axpy(acc, -1, flatten(mat_mul(field, b, a)))
+    return canonical(field, acc)
+
+
+def trace_zero(field, size):
+    """The canonical basis of sl(size), the kernel of the trace."""
+    return [unflatten(v, size) for v in kernel(field, [{i * (size + 1): 1 for i in range(size)}], size * size)]
+
+
+def matrix_lie_algebra(field, basis):
+    """The Lie algebra on ``basis``, independent square matrices whose span
+    is closed under commutators.  Returns (LieAlgebra, element_of), where
+    ``element_of(m)`` is the element of the algebra that a matrix m of the
+    span stands for."""
     f = field
-    size = len(mats[0])
-
-    def commutator(a, b):
-        acc = flatten(mat_mul(f, a, b))
-        axpy(acc, -1, flatten(mat_mul(f, b, a)))
-        return canonical(f, acc)
-
-    kept = []
-
-    def expand(v):
-        m = unflatten(v, size)
-        kept.append(m)
-        return (commutator(other, m) for other in tuple(kept))
-
-    ech = Echelon(f, size * size)
-    closure(ech, ({c: f.raw(x) for c, x in flatten(m).items()} for m in mats), expand)
-    rows = [ech.row(c) for c in ech.pivot_columns()]
-    basis_mats = [unflatten(row, size) for row in rows]
-    table, span = structure_constants_on(f, rows, size * size, lambda a, b: commutator(basis_mats[a], basis_mats[b]))
+    size = len(basis[0])
+    rows = [flatten(m) for m in basis]
+    table, span = structure_constants_on(f, rows, size * size, lambda a, b: commutator(f, basis[a], basis[b]))
     if table is None:
-        raise ValueError("matrix set is not closed under commutators")
+        raise ValueError("matrix span is not closed under commutators")
     L = LieAlgebra(f, ["m%d" % i for i in range(len(rows))], table)
 
     def element_of(m):
@@ -819,4 +815,4 @@ def matrix_lie_algebra(field, mats):
             raise ValueError("matrix is not in the algebra")
         return L.element(coeffs)
 
-    return L, basis_mats, element_of
+    return L, element_of

@@ -30,6 +30,7 @@ from .liealg import (
     solvable_radical,
     structure_constants_on,
     subalgebra_generated,
+    trace_zero,
 )
 from . import nilquot
 from .rootdata import cartan_nullity
@@ -372,15 +373,16 @@ def build_M(params):
 
 
 def sl3_example(field=QQ):
-    """sl3 realized by three explicit 3x3 matrices whose pairwise form values
-    are all -2 with vanishing central parameter; returns
-    (algebra, x, y, z) with the generators as elements of the algebra."""
+    """sl3 on the trace-zero basis, with three explicit 3x3 matrices whose
+    pairwise form values are all -2 with vanishing central parameter;
+    returns (algebra, x, y, z) with those as elements of the algebra.  That
+    they generate sl3 is checked by ``isomorphic_by_monomials``."""
     f = field
     x = [{1: 1}, {}, {}]
     y = [{}, {0: 1}, {}]
     z = [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 1, 2: 1}, {0: -2, 1: -2, 2: -2}]
     mats = [[canonical(f, row) for row in m] for m in (x, y, z)]
-    L, _, element_of = matrix_lie_algebra(f, mats)
+    L, element_of = matrix_lie_algebra(f, trace_zero(f, 3))
     return (L,) + tuple(element_of(m) for m in mats)
 
 

@@ -1,4 +1,5 @@
 import io
+import json
 import os
 from collections import Counter
 from contextlib import redirect_stdout
@@ -499,29 +500,108 @@ NATURAL_TYPES = (("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 3), ("B", 4), ("C
 
 
 @pytest.mark.parametrize("char", [0, 3, 5, 53])
-def test_natural_representation_matches_dense_reference(char, monkeypatch):
-    """The report, the basis matrices and the structure table of the
-    natural representation on sparse rows equal those of the dense matrix
-    layer in ``helpers``."""
+def test_natural_representation_matches_dense_reference(char):
+    """The report of the natural representation equals the one the dense
+    commutator closure in ``helpers`` gives, and the Lie algebra on the
+    kernel basis has the basis matrices and the structure table of that
+    closure: both are the canonical echelon basis of one span."""
     f = field_of(char)
-    built = []
-
-    def spy(field, mats):
-        built.append(liealg.matrix_lie_algebra(field, mats))
-        return built[-1]
-
-    monkeypatch.setattr(chevalley_module, "matrix_lie_algebra", spy)
     for type_, rank in NATURAL_TYPES:
         rep = natural_representation(type_, rank, f)
         want, ref_lie, ref_mats = dense_natural_representation(type_, rank, f)
-        (lie, mats, _), = built
-        built.clear()
         assert rep == want, (type_, rank)
-        assert [dense(m, rep["module_dim"]) for m in mats] == ref_mats
+        basis, _ = chevalley_module._natural_module(f, type_, rank)
+        lie, _ = liealg.matrix_lie_algebra(f, basis)
+        assert [dense(m, rep["module_dim"]) for m in basis] == ref_mats
         n = lie.n
         assert [dense([lie.bracket_basis(i, j) for j in range(n)], n) for i in range(n)] == [
             dense([ref_lie.bracket_basis(i, j) for j in range(n)], n) for i in range(n)
         ]
+
+
+def test_natural_representation_builds_no_lie_algebra(monkeypatch):
+    """The premises are checked on matrices: no ``LieAlgebra`` and no
+    structure constants are built, and the one closure is Burnside's."""
+    built, closures = [], []
+    real_init, real_constants = liealg.LieAlgebra.__init__, liealg.structure_constants_on
+    real_closure = chevalley_module.closure
+
+    def init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    def constants(*args):
+        built.append(args)
+        return real_constants(*args)
+
+    def counted_closure(*args):
+        closures.append(args)
+        return real_closure(*args)
+
+    monkeypatch.setattr(liealg.LieAlgebra, "__init__", init)
+    monkeypatch.setattr(liealg, "structure_constants_on", constants)
+    monkeypatch.setattr(chevalley_module, "closure", counted_closure)
+    for type_, rank in NATURAL_TYPES:
+        assert natural_representation(type_, rank, GF(53))["pass"], (type_, rank)
+    assert built == []
+    assert len(closures) == len(NATURAL_TYPES)
+
+
+def _degenerate_gram(real):
+    """``_split_gram`` with the pair of basis vectors 0 and n made null."""
+
+    def gram(f, type_, n):
+        g = real(f, type_, n)
+        g[0] = g[n] = {}
+        return g
+
+    return gram
+
+
+def _with_long_root_matrix(real, entries):
+    """``_natural_module`` with the long-root matrix replaced."""
+
+    def module(f, type_, n):
+        basis, long_mat = real(f, type_, n)
+        return basis, chevalley_module._matrix(len(long_mat), entries(f, n))
+
+    return module
+
+
+def _zero_gram(real):
+    """``_split_gram`` replaced by the zero form, which every matrix
+    preserves."""
+    return lambda f, type_, n: [{} for _ in real(f, type_, n)]
+
+
+@pytest.mark.parametrize("type_, attribute, planted, premise", [
+    # the zero Gram: g = gl(6), irreducible, and E_03 is extremal in it
+    ("C", "_split_gram", _zero_gram, "dim"),
+    # E_01 is not in so(8), yet [E_01, [E_01, Y]] = -2 Y_10 E_01 for every Y
+    ("D", "_natural_module", lambda real: _with_long_root_matrix(real, lambda f, n: {(0, 1): 1}), "extremal_ok"),
+    # a diagonal matrix of so(8): ad_X^2 scales E_01 - E_54, off the line kX
+    ("D", "_natural_module", lambda real: _with_long_root_matrix(real, lambda f, n: {(0, 0): 1, (n, n): f.raw(-1)}), "extremal_ok"),
+])
+def test_each_premise_of_the_natural_bound_can_fail(type_, attribute, planted, premise, monkeypatch):
+    """One planted fault per premise of the bound for C3 or D4: the faulted
+    premise is the only one that fails, and ``pass`` reads False."""
+    monkeypatch.setattr(chevalley_module, attribute, planted(getattr(chevalley_module, attribute)))
+    rep = natural_representation(type_, 3 if type_ == "C" else 4, QQ)
+    held = {"dim": rep["dim"] == rep["dim_expected"], "extremal_ok": rep["extremal_ok"], "irreducible": rep["irreducible"]}
+    assert held == dict.fromkeys(held, True) | {premise: False}
+    assert not rep["pass"]
+
+
+def test_degenerate_gram_fails_the_mingen_report(monkeypatch):
+    """With a null pair in the Gram of D4, g is larger than so(8) (and
+    reducible), so the lower bound reads False and the report exits 1."""
+    monkeypatch.setattr(chevalley_module, "_split_gram", _degenerate_gram(chevalley_module._split_gram))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["--json", "mingen", "--type", "D4"]) == 1
+    checks = {c["name"]: c for c in json.loads(out.getvalue())["checks"]}
+    assert not checks["D4/char0 lower bound"]["pass"]
+    assert checks["D4/char0 generation reaches dim 28"]["pass"]
 
 
 def test_matrix_algebras_call_no_field_arithmetic(monkeypatch):
@@ -536,9 +616,9 @@ def test_matrix_algebras_call_no_field_arithmetic(monkeypatch):
         monkeypatch.setattr(Field, name, counted)
     f = GF(53)
     for type_, rank in (("D", 5), ("C", 3)):
-        gens = chevalley_module._matrices_preserving(f, chevalley_module._split_gram(f, type_, rank))
-        lie, mats, _ = liealg.matrix_lie_algebra(f, gens)
-        assert chevalley_module._burnside_irreducible(f, mats, 2 * rank)
+        basis, _ = chevalley_module._natural_module(f, type_, rank)
+        liealg.matrix_lie_algebra(f, basis)
+        assert chevalley_module._burnside_irreducible(f, basis, 2 * rank)
     assert calls == []
     f.is_zero(0)  # the counters are live
     assert calls == ["is_zero"]

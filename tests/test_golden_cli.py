@@ -39,6 +39,8 @@ COMMANDS = [
     ["threegen", "--edges", "0,0,0"],
     ["threegen", "--edges", "-2,0,0", "--char", "3"],
     ["threegen", "--edges", "-2,-2,0", "--char", "5"],
+    ["mingen", "--type", "A4,B4,C3,D4,D5", "--char", "53"],
+    ["mingen", "--type", "C3,D4"],
 ]
 
 

@@ -47,6 +47,7 @@ from helpers import (
     chevalley,
     dense_fourth_power_check,
     dense_jacobi,
+    dense_matrix_lie_algebra,
     dense_phi_spectrum_check,
     direct_sum,
     direct_sum_orthogonality_check,
@@ -193,6 +194,24 @@ def test_sl3_from_matrix_generators():
     L, x, y, z = sl3_example(QQ)
     assert L.n == 8
     assert subalgebra_generated(L, [x, y, z]).dim == 8
+
+
+@pytest.mark.parametrize("char", [0, 3, 5])
+def test_sl3_example_is_the_dense_closure_of_its_generators(char):
+    """``sl3_example`` builds sl3 on the trace-zero basis; the dense
+    commutator closure of its three matrices gives the same structure table
+    and the same coordinates of x, y, z, so they generate sl3."""
+    f = field_of(char)
+    L, *gens = sl3_example(f)
+    mats = [
+        [[0, 1, 0], [0, 0, 0], [0, 0, 0]],
+        [[0, 0, 0], [1, 0, 0], [0, 0, 0]],
+        [[1, 1, 1], [1, 1, 1], [-2, -2, -2]],
+    ]
+    ref, _, element_of = dense_matrix_lie_algebra(f, mats)
+    assert ref.n == L.n == 8
+    assert all(L.bracket_basis(i, j) == ref.bracket_basis(i, j) for i in range(8) for j in range(8))
+    assert [g.coeffs for g in gens] == [element_of([[f.raw(v) for v in row] for row in m]).coeffs for m in mats]
 
 
 def test_is_extremal_cases():
