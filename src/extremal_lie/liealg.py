@@ -1,8 +1,11 @@
 """Finite-dimensional Lie algebras by exact structure constants.
 
-A LieAlgebra is immutable after construction; construction validates
-antisymmetry and the Jacobi identity on all basis triples, exactly.  All
-operations are pure functions of their inputs, so concurrent use is safe.
+A LieAlgebra is immutable after construction; construction finds a few
+basis elements that generate it under ad (``LieAlgebra.generators``) and
+decides the Jacobi identity, exactly, as "ad of each generator is a
+derivation".  The form, center and ideal checks then look at the generators
+only.  All operations are pure functions of their inputs, so concurrent use
+is safe.
 """
 
 from __future__ import annotations
@@ -61,7 +64,9 @@ class LieAlgebra:
     """Lie algebra over an exact field, given by labeled basis and constants.
 
     ``table`` maps pairs (i, j) with i < j to sparse rows {k: coefficient};
-    antisymmetry fills in the rest.
+    antisymmetry fills in the rest.  ``generators`` lists basis indices S
+    whose ad-closure is L: the least subspace that holds b_s for s in S and
+    is closed under v -> [b_s, v] for every s in S.
     """
 
     def __init__(self, field, labels, table):
@@ -77,28 +82,49 @@ class LieAlgebra:
             if row:
                 self._table[(i, j)] = self._brackets[(i, j)] = row
                 self._brackets[(j, i)] = canonical(field, {k: -c for k, c in row.items()})
+        self.generators = self._ad_generators()
         self._validate_jacobi()
 
     def bracket_basis(self, i, j):
         """[b_i, b_j] as a sparse row (shared; do not mutate)."""
         return self._brackets.get((i, j), {})
 
-    def _validate_jacobi(self):
-        """Jacobi on every basis triple i < j < k, exactly, in derivation form:
-        D_i(j, k) = [b_i,[b_j,b_k]] - [[b_i,b_j],b_k] - [b_j,[b_i,b_k]] is zero.
-        Given antisymmetry this is the Jacobi identity on (i, j, k).
+    def _ad(self, s, v):
+        """[b_s, v] for a sparse row v, as a canonical row."""
+        return self.bracket(self.basis_element(s), AlgebraElement(self, v)).coeffs
 
-        For each i the sums D_i(j, k) over all j, k > i are accumulated at
-        once, driven by the nonzero constants only: the first term from
-        ``above[m]`` (the nonzero c_jk^m) for each m with [b_i,b_m] != 0, the
-        other two as the one family [[b_i,b_x],b_y], x, y > i, which lands
-        on (x, y) with sign - when x < y and on (y, x) with sign + otherwise.
-        Every term is a product of two nonzero constants, so a triple no term
-        reaches has Jacobi sum 0 and is decided without a visit.  Sums are
-        accumulated unreduced, as in ``axpy``, and tested once per i; the
-        first failing triple in lexicographic order is named.  The loops are
-        written out because a call per term makes E7 construction measurably
-        slower."""
+    def _ad_generators(self):
+        """Basis indices whose ad-closure is L, taken greedily: b_i joins when
+        it is not in the ad-closure of those before it.  The closure then
+        grows by b_i, by [b_i, w] for the kept basis w of the old closure, and
+        by ad of every generator on each new vector.  It needs no Jacobi
+        identity, and it ends full because it holds every b_i.  A Chevalley
+        algebra gives its 2l simple root elements, L_r its r generators."""
+        one = self.field.one
+        ech = Echelon(self.field, self.n)
+        gens, kept = [], []
+        for i in range(self.n):
+            if ech.dim == self.n:
+                break
+            if not ech.contains({i: one}):
+                gens.append(i)
+                seeds = [{i: one}] + [self._ad(i, w) for w in kept]
+                kept += closure(ech, seeds, lambda v: (self._ad(s, v) for s in gens))
+        return gens
+
+    def _validate_jacobi(self):
+        """The Jacobi identity, exactly, in derivation form: the defect
+        D_i(j, k) = [b_i,[b_j,b_k]] - [[b_i,b_j],b_k] - [b_j,[b_i,b_k]]
+        vanishes.  Given antisymmetry, D_i(j, k) is the Jacobi sum on (i, j,
+        k), and it is enough that ad_s is a derivation (D_s = 0) for each s in
+        ``generators``: the x with ad_x a derivation form a subspace that
+        holds them, and ad_[s,x] = [ad_s, ad_x] (this uses only D_s = 0) is a
+        commutator of derivations, so the subspace is closed under ad of the
+        generators and holds their ad-closure, L.
+
+        The defects are summed by ``_derivation_defects``.  When a generator
+        fails, the scan of D_i(j, k) over all i < j < k (a complete check on
+        its own) names the first failing triple in lexicographic order."""
         p = self.field.characteristic
         n = self.n
         adj = [[] for _ in range(n)]  # adj[a]: (b, [b_a, b_b]) per nonzero bracket
@@ -108,27 +134,12 @@ class LieAlgebra:
         for (j, k), row in self._table.items():
             for m, c in row.items():
                 above[m].append((j, k, c))
-        for i in range(n):
-            acc = {}  # (j, k, t) -> coefficient of b_t in D_i(j, k)
-            for m, row_im in adj[i]:
-                for j, k, c in above[m]:
-                    if j > i:
-                        for t, w in row_im.items():
-                            key = (j, k, t)
-                            acc[key] = acc.get(key, 0) + c * w
-            for x, row_ix in adj[i]:
-                if x > i:
-                    for m, r in row_ix.items():
-                        for y, row_my in adj[m]:
-                            if y > i and y != x:
-                                j, k, s = (x, y, -r) if x < y else (y, x, r)
-                                for t, w in row_my.items():
-                                    key = (j, k, t)
-                                    acc[key] = acc.get(key, 0) + s * w
-            failing = [(j, k) for (j, k, _), v in acc.items() if (v % p if p else v)]
-            if failing:
-                j, k = min(failing)
-                raise JacobiViolation("Jacobi fails on basis triple (%d, %d, %d)" % (i, j, k))
+        if any(_derivation_defects(p, adj, above, s, -1) for s in self.generators):
+            for i in range(n):
+                failing = _derivation_defects(p, adj, above, i, i)
+                if failing:
+                    j, k = min(failing)
+                    raise JacobiViolation("Jacobi fails on basis triple (%d, %d, %d)" % (i, j, k))
 
     # -- elements ----------------------------------------------------------------
 
@@ -169,6 +180,36 @@ class LieAlgebra:
 
     def __repr__(self):
         return "LieAlgebra(dim %d over %r)" % (self.n, self.field)
+
+
+def _derivation_defects(p, adj, above, i, floor):
+    """The pairs (j, k), floor < j < k, on which D_i(j, k) is nonzero in
+    characteristic ``p`` (see ``LieAlgebra._validate_jacobi`` for D, ``adj``
+    and ``above``).  All of them are summed at once, driven by the nonzero
+    constants only: the first term from ``above[m]`` (the nonzero c_jk^m)
+    for each m with [b_i,b_m] != 0, the other two as the one family
+    [[b_i,b_x],b_y], which lands on (x, y) with sign - when x < y and on
+    (y, x) with sign + otherwise.  Every term is a product of two nonzero
+    constants, so a pair no term reaches has defect 0.  Sums are accumulated
+    unreduced, as in ``axpy``.  The loops are written out because a call per
+    term makes E7 construction measurably slower."""
+    acc = {}  # (j, k, t) -> coefficient of b_t in D_i(j, k)
+    for m, row_im in adj[i]:
+        for j, k, c in above[m]:
+            if j > floor:
+                for t, w in row_im.items():
+                    key = (j, k, t)
+                    acc[key] = acc.get(key, 0) + c * w
+    for x, row_ix in adj[i]:
+        if x > floor:
+            for m, r in row_ix.items():
+                for y, row_my in adj[m]:
+                    if y > floor and y != x:
+                        j, k, s = (x, y, -r) if x < y else (y, x, r)
+                        for t, w in row_my.items():
+                            key = (j, k, t)
+                            acc[key] = acc.get(key, 0) + s * w
+    return [(j, k) for (j, k, _), v in acc.items() if (v % p if p else v)]
 
 
 class AlgebraElement:
@@ -257,12 +298,13 @@ class Subspace:
         return Subspace(self.algebra, e)
 
     def is_ideal(self):
+        """[b_s, v] lies in the subspace W for every generator s and basis
+        vector v of W.  That is enough: the x with [x, W] in W form a
+        subspace that holds the generators and is closed under their ad,
+        since ad_[s,x] = [ad_s, ad_x], so it is all of L."""
         L = self.algebra
-        for v in self.basis():
-            for i in range(L.n):
-                if not self.contains(L.bracket(L.basis_element(i), v)):
-                    return False
-        return True
+        gens = [L.basis_element(s) for s in L.generators]
+        return all(self.contains(L.bracket(g, v)) for v in self.basis() for g in gens)
 
     def bracket_with(self, other):
         L = self.algebra
@@ -305,25 +347,32 @@ def subalgebra_generated(L, gens):
 
 
 def ideal_generated(L, gens):
-    basis = L.basis_elements()
-    ech, _ = _element_closure(L, gens, lambda v: (L.bracket(b, v) for b in basis))
+    """Smallest ideal containing ``gens``: their closure under ad of the
+    generators of L, an ideal by the argument of ``Subspace.is_ideal``."""
+    ad = [L.basis_element(s) for s in L.generators]
+    ech, _ = _element_closure(L, gens, lambda v: (L.bracket(b, v) for b in ad))
     return Subspace(L, ech)
 
 
-def _by_position(L):
+def _by_position(L, js):
     """The structure constants indexed by position: (j, k) -> {i: c_ij^k},
-    the coefficient of b_k in [b_i, b_j], over the nonzero ones."""
+    the coefficient of b_k in [b_i, b_j], over the nonzero ones with j in
+    ``js``."""
     at = {}
     for (i, j), row in L._brackets.items():
-        for k, c in row.items():
-            at.setdefault((j, k), {})[i] = c
+        if j in js:
+            for k, c in row.items():
+                at.setdefault((j, k), {})[i] = c
     return at
 
 
 def center(L):
-    """Z(L), the kernel of the rows {i: c_ij^k}: x = sum x_i b_i is central
-    when the coefficient of b_k in [x, b_j] vanishes for every (j, k)."""
-    return Subspace.from_elements(L, kernel(L.field, list(_by_position(L).values()), L.n))
+    """Z(L), the kernel of the rows {i: c_ij^k} for j in ``L.generators``:
+    x = sum x_i b_i is central when [x, b_j] = 0 for every generator j,
+    since the centralizer of x is a subalgebra, so it holds the ad-closure
+    of the generators, L."""
+    rows = _by_position(L, set(L.generators)).values()
+    return Subspace.from_elements(L, kernel(L.field, list(rows), L.n))
 
 
 def derived_series(L, sub=None):
@@ -446,14 +495,18 @@ class BilinearForm:
         return all(G[j].get(i, 0) == c for i, row in enumerate(G) for j, c in row.items())
 
     def is_associative(self):
-        """f([x,y],z) == f(x,[y,z]) on all basis triples.  For each j and i
-        both sides are compared over all k at once, as canonical sparse rows:
+        """f([x,y],z) == f(x,[y,z]) on the basis triples (i, j, k) with j in
+        ``L.generators``.  That is enough: at y = b_j the identity says ad_y
+        is f-skew, the f-skew maps are closed under commutators and
+        ad_[s,y] = [ad_s, ad_y], so the y with ad_y f-skew form a subspace
+        closed under ad of the generators, all of L.  For each j and i both
+        sides are compared over all k at once, as canonical sparse rows:
         f([b_i,b_j], .) = sum_m c_ij^m G[m] and f(b_i, [b_j, .]) =
         sum_m G[i][m] ad[m], where G[m] = f(b_m, .) and ad[m] = {k: c_jk^m}."""
         L = self.algebra
         f, n = L.field, L.n
         G = self.rows
-        for j in range(n):
+        for j in L.generators:
             ad = [{} for _ in range(n)]
             for k in range(n):
                 for m, c in L.bracket_basis(j, k).items():
@@ -468,7 +521,7 @@ def killing_form(L):
     """kappa(x, y) = trace(ad_x ad_y).  Row i is kappa(b_i, .) = the sum over
     (l, k) of c_il^k {x: c_xk^l}, one sparse sum per row."""
     f, n = L.field, L.n
-    at = _by_position(L)
+    at = _by_position(L, range(n))
     rows = []
     for i in range(n):
         acc = {}

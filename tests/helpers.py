@@ -6,7 +6,9 @@ files are frozen from these, not from the implementation.  The dense form
 kernels (``dense_is_associative``, ``dense_killing_gram``, ``dense_center``)
 are the per-coefficient ``Field`` loops the package ran before its form
 kernels became sparse, and ``dense_jacobi`` is the walk over all basis
-triples that the Jacobi check made before it became term-driven;
+triples that the Jacobi check made before it became term-driven and ran on
+the ad-generators only; ``dense_ideal_generated`` expands by every basis
+element, as ideal closure did before it expanded by the generators;
 ``dense_extremal_gram`` is the Gram of the extremal form as two dense matrix
 products, ``fraction_inner`` the inner product of roots with one
 ``Fraction`` per term, and ``FractionAutomorphism``/``fraction_exp_map``
@@ -497,6 +499,19 @@ def dense_center(L):
                 block[k][i] = c
         rows.extend(block)
     return Subspace.from_elements(L, kernel(f, sparse(rows), L.n))
+
+
+def dense_ideal_generated(L, gens):
+    """Reference for ``liealg.ideal_generated`` and ``Subspace.is_ideal``:
+    the span of ``gens`` grown by [b_i, v] for every basis element b_i and
+    every v of its basis, round by round until the dimension stops."""
+    sub = Subspace.from_elements(L, gens)
+    while True:
+        grown = sub.basis() + [L.bracket(b, v) for b in L.basis_elements() for v in sub.basis()]
+        nxt = Subspace.from_elements(L, grown)
+        if nxt.dim == sub.dim:
+            return sub
+        sub = nxt
 
 
 def preserves_form(phi, form):

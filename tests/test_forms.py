@@ -3,9 +3,10 @@
 ``BilinearForm.is_associative``, ``killing_form`` and ``center`` are held to
 the per-coefficient ``Field`` loops in ``helpers`` on small algebras over Q,
 GF(3) and GF(101): on true forms, on Gram matrices with one entry changed
-(symmetric or not), and on rescaled tables.  The Gram of ``extremal_form``
-is held to the dense matrix product on shuffled, rescaled spanning sets.  The center is also checked
-against the Cartan matrix, and the kernels against calling ``Field`` at all.
+(symmetric or not, or off the generators of the algebra), and on rescaled
+tables.  The Gram of ``extremal_form`` is held to the dense matrix product
+on shuffled, rescaled spanning sets.  The center is also checked against
+the Cartan matrix, and the kernels against calling ``Field`` at all.
 """
 
 from fractions import Fraction
@@ -44,6 +45,8 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 CHARS = (0, 3, 101)
 CHEVALLEY = {"A2": ("A", 2), "B3": ("B", 3), "G2": ("G", 2)}
 ALGEBRAS = ("A2", "B3", "G2", "sl2", "heisenberg", "sl2+heisenberg")
+# sl2 on (e, h, f) has all three basis elements among its generators
+OUTSIDE_ALGEBRAS = tuple(a for a in ALGEBRAS if a != "sl2")
 
 
 @lru_cache(maxsize=None)
@@ -73,23 +76,27 @@ def form_cases(draw):
     """(form, expected): a Gram matrix on an algebra, and whether it is
     associative when that is known without the reference (else None).  The
     Gram is the true form; or it has one entry changed, together with its
-    mirror or alone (then it is not symmetric); or it is the true form paired
-    with the table that has one basis vector b_r rescaled by s != 1."""
+    mirror or alone (then it is not symmetric), in the "outside" variant an
+    entry (a, b) with neither a nor b among the generators of the algebra,
+    which the check does not take as the middle argument; or it is the true
+    form paired with the table that has one basis vector b_r rescaled by
+    s != 1."""
     char = draw(st.sampled_from(CHARS))
-    name = draw(st.sampled_from(ALGEBRAS))
+    variant = draw(st.sampled_from(("true", "perturbed", "nonsymmetric", "outside", "rescaled")))
+    name = draw(st.sampled_from(ALGEBRAS if variant != "outside" else OUTSIDE_ALGEBRAS))
     kind = draw(st.sampled_from(("killing", "extremal")))
-    variant = draw(st.sampled_from(("true", "perturbed", "nonsymmetric", "rescaled")))
     L = algebra(name, char)
     f = L.field
     gram = [list(row) for row in true_gram(name, char, kind)]
     n = L.n
     expected = True if variant == "true" else None
-    if variant in ("perturbed", "nonsymmetric"):
-        a = draw(st.integers(0, n - 1))
-        b = draw(st.integers(0, n - 1).filter(lambda b: variant == "perturbed" or b != a))
+    if variant in ("perturbed", "nonsymmetric", "outside"):
+        pool = [i for i in range(n) if variant != "outside" or i not in L.generators]
+        a = draw(st.sampled_from(pool))
+        b = draw(st.sampled_from(pool).filter(lambda b: variant != "nonsymmetric" or b != a))
         delta = f.raw(draw(nonzero(char)))
         gram[a][b] = f.add(gram[a][b], delta)
-        if variant == "perturbed" and a != b:
+        if variant != "nonsymmetric" and a != b:
             gram[b][a] = f.add(gram[b][a], delta)
     if variant == "rescaled":
         r = draw(st.integers(0, n - 1))
@@ -115,6 +122,9 @@ def form_cases(draw):
 @example((BilinearForm(heisenberg(GF(3)), [{}, {}, {0: 1}]), False))
 # f(x, y) = 1 on the Heisenberg algebra: associative and not symmetric
 @example((BilinearForm(heisenberg(QQ), [{1: 1}, {}, {}]), True))
+# f(z, y) = 1 = -f(y, z): ad_x is skew for it and ad_y is not, so a check
+# that skipped the last generator y would pass it
+@example((BilinearForm(heisenberg(QQ), [{}, {2: -1}, {1: 1}]), False))
 def test_is_associative_matches_dense_reference(case):
     form, expected = case
     fast = form.is_associative()

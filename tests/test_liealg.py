@@ -2,7 +2,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from extremal_lie.scalars import QQ, GF
 from extremal_lie.liealg import (
@@ -37,6 +37,7 @@ from extremal_lie.smallgen import TriangleParams, build_M, sl3_example
 from extremal_lie.chevalley import extremal_spanning_set
 
 from extremal_lie.liealg import _no_solvable_ideal_certificate
+from extremal_lie import liealg, rootdata
 
 from helpers import (
     AntisymmetryViolation,
@@ -46,6 +47,7 @@ from helpers import (
     cartan_element,
     chevalley,
     dense_fourth_power_check,
+    dense_ideal_generated,
     dense_jacobi,
     dense_matrix_lie_algebra,
     dense_phi_spectrum_check,
@@ -147,21 +149,33 @@ def _jacobi_algebra(name, char):
     return direct_sum(sl2(f), heisenberg(f))
 
 
+# the algebras with two basis elements outside their generators
+OUTSIDE_ALGEBRAS = tuple(JACOBI_CHEVALLEY) + ("takiff",)
+
+
 @st.composite
 def jacobi_tables(draw):
     """(field, labels, table, variant): a Lie algebra's table ("true"), or
     that table with one constant changed by a nonzero amount ("changed") or
     with one entry added where the constant was zero ("added"); these are
-    usually not Lie algebras any more."""
+    usually not Lie algebras any more.  The "outside" variant changes one
+    constant c_jk^m, zero or not, with j, k and m all outside the
+    generators, where a check that looked at them alone would miss it."""
     char = draw(st.sampled_from((0, 3, 7, 101)))
-    name = draw(st.sampled_from(JACOBI_ALGEBRAS))
+    variant = draw(st.sampled_from(("true", "changed", "added", "outside")))
+    name = draw(st.sampled_from(OUTSIDE_ALGEBRAS if variant == "outside" else JACOBI_ALGEBRAS))
     L = _jacobi_algebra(name, char)
     f, n = L.field, L.n
     if name == "sl3-rescaled":
         L = rescaled(L, [f.raw(draw(nonzero(char))) for _ in range(n)])
     table = {ij: dict(row) for ij, row in L._table.items()}
-    variant = draw(st.sampled_from(("true", "changed", "added")))
-    if variant == "changed":
+    if variant == "outside":
+        outside = [i for i in range(n) if i not in L.generators]
+        j, k = draw(st.sampled_from([(j, k) for j in outside for k in outside if j < k]))
+        m = draw(st.sampled_from(outside))
+        row = table.setdefault((j, k), {})
+        row[m] = f.add(row.get(m, f.zero), f.raw(draw(nonzero(char))))
+    elif variant == "changed":
         key = draw(st.sampled_from(sorted(table)))
         m = draw(st.sampled_from(sorted(table[key])))
         table[key][m] = f.add(table[key][m], f.raw(draw(nonzero(char))))
@@ -175,6 +189,9 @@ def jacobi_tables(draw):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(jacobi_tables())
+# generators (a, b): ad_a is a derivation and ad_b is not, so a check that
+# skipped the last generator would pass this table; it fails on (b, c, e)
+@example((GF(3), "abcde", {(0, 1): {2: 2, 4: 2}, (0, 2): {3: 2}, (0, 4): {4: 1}, (1, 2): {0: 1, 3: 2}}, "added"))
 def test_validate_jacobi_matches_dense_reference(case):
     """The term-driven check gives the verdict of the walk over all triples,
     and names the same (first) failing triple."""
@@ -188,6 +205,91 @@ def test_validate_jacobi_matches_dense_reference(case):
         with pytest.raises(JacobiViolation) as exc:
             LieAlgebra._validate_jacobi(L)
         assert str(exc.value) == "Jacobi fails on basis triple (%d, %d, %d)" % bad
+
+
+SIMPLE_ROOT_TYPES = [("A", 4), ("B", 4), ("C", 3), ("D", 5), ("G", 2), ("F", 4), ("E", 6), ("E", 7)]
+
+
+@pytest.mark.parametrize("char", [0, 53])
+@pytest.mark.parametrize("type_,rank", SIMPLE_ROOT_TYPES)
+def test_generators_are_the_simple_root_elements(type_, rank, char):
+    """The greedy walk takes e_1..e_l, f_1..f_l and nothing else."""
+    A = chevalley(type_, rank, char)
+    units = [tuple(int(a == i) for a in range(rank)) for i in range(rank)]
+    simple = [A.root_index[u] for u in units] + [A.root_index[tuple(-a for a in u)] for u in units]
+    assert sorted(A.lie.generators) == sorted(simple)
+
+
+def test_generators_of_g2_in_characteristic_3():
+    """In characteristic 3 the simple root elements of G2 generate a proper
+    subalgebra, since [x_a1, x_2a1+a2] = +-3 x_3a1+a2 vanishes (roots in the
+    coordinates of the labels), so the walk also takes x_beta and x_-beta
+    for the long root beta = 3a1 + a2."""
+    A = chevalley("G", 2, 3)
+    assert [A.lie.labels[s] for s in A.lie.generators] == ["x[0,1]", "x[1,0]", "x[3,1]", "x[0,-1]", "x[-1,0]", "x[-3,-1]"]
+    simple = [A.root_index[r] for r in ((1, 0), (0, 1), (-1, 0), (0, -1))]
+    assert subalgebra_generated(A.lie, [A.lie.basis_element(s) for s in simple]).dim < A.lie.n
+
+
+def test_generators_of_the_sandwich_algebras():
+    for r in (3, 4):
+        assert sandwich(r).as_lie_algebra().generators == list(range(r))
+
+
+@pytest.mark.parametrize("char", [0, 3, 7, 101])
+@pytest.mark.parametrize("name", JACOBI_ALGEBRAS)
+def test_ad_closure_of_the_generators_is_the_algebra(name, char):
+    L = _jacobi_algebra(name, char)
+    assert subalgebra_generated(L, [L.basis_element(s) for s in L.generators]).dim == L.n
+
+
+def test_jacobi_check_computes_defects_of_the_generators_only(monkeypatch):
+    """E7's check sums the derivation defects of its 14 generators, not of
+    all 133 basis elements; a failing table still gets the full scan."""
+    seen = []
+    inner = liealg._derivation_defects
+
+    def spy(p, adj, above, i, floor):
+        seen.append(i)
+        return inner(p, adj, above, i, floor)
+
+    monkeypatch.setattr(liealg, "_derivation_defects", spy)
+    rs, labels, table = rootdata.integer_chevalley_data("E", 7)
+    L = LieAlgebra(QQ, labels, table)
+    assert len(L.generators) == 14 and seen == L.generators
+    seen.clear()
+    with pytest.raises(JacobiViolation):
+        LieAlgebra(QQ, ["a", "b", "c"], {(0, 1): {2: 1}, (0, 2): {0: 1}})
+    assert seen == [0, 0]
+
+
+IDEAL_ALGEBRAS = ("A2", "G2", "heisenberg", "takiff", "sl2+heisenberg")
+
+
+@st.composite
+def ideal_cases(draw):
+    """(L, seeds): an algebra of the list and one to three sparse random
+    elements of it."""
+    char = draw(st.sampled_from((0, 3, 101)))
+    L = _jacobi_algebra(draw(st.sampled_from(IDEAL_ALGEBRAS)), char)
+    seeds = []
+    for _ in range(draw(st.integers(1, 3))):
+        support = draw(st.sets(st.integers(0, L.n - 1), min_size=1, max_size=3))
+        seeds.append(L.element({i: draw(nonzero(char)) for i in support}))
+    return L, seeds
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(ideal_cases())
+def test_ideals_match_dense_reference(case):
+    """``ideal_generated`` expands by the generators of L and ``is_ideal``
+    brackets with them only; the reference expands by every basis element."""
+    L, seeds = case
+    ideal = dense_ideal_generated(L, seeds)
+    assert ideal_generated(L, seeds) == ideal
+    assert ideal.is_ideal()
+    span = Subspace.from_elements(L, seeds)
+    assert span.is_ideal() == (span.dim == ideal.dim)
 
 
 def test_sl3_from_matrix_generators():
