@@ -113,20 +113,15 @@ def cached_integer_table(type_, rank, cache_dir):
 # -- helpers ------------------------------------------------------------------
 
 
-def parse_type(type_str, rank=None):
-    """(letter, rank) from e.g. "G2", or from "G" and ``rank``; a rank given
-    both ways must agree."""
+def parse_type(type_str):
+    """(letter, rank) from a letter followed by digits, e.g. "G2"."""
     t = type_str.strip().upper()
     letter, digits = t[:1], t[1:]
     if not letter.isalpha() or (digits and not digits.isdigit()):
         raise InvalidRank("cannot read a type from %r" % type_str)
-    if rank is None:
-        if not digits:
-            raise InvalidRank("type %r needs a rank, e.g. G2 or --rank" % type_str)
-        return letter, int(digits)
-    if digits and int(digits) != rank:
-        raise InvalidRank("type %r disagrees with --rank %d" % (type_str, rank))
-    return letter, rank
+    if not digits:
+        raise InvalidRank("type %r has no rank: write it with its rank, e.g. G2" % type_str)
+    return letter, int(digits)
 
 
 def field_of_char(char):
@@ -191,13 +186,8 @@ def _mingen_one(spec):
 def cmd_mingen(args):
     if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
-    specs = []
-    for ts in args.type.split(","):
-        t, r = parse_type(ts, args.rank)
-        if t == "E" and r == 8 and not args.heavy:
-            raise UsageError("E8 is the heavyweight case; rerun with --heavy")
-        specs.append((t, r, args.char))
-    rep = Report("mingen", {"type": args.type, "rank": args.rank, "char": args.char})
+    specs = [parse_type(ts) + (args.char,) for ts in args.type.split(",")]
+    rep = Report("mingen", {"type": args.type, "char": args.char})
     if args.jobs > 1 and len(specs) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_mingen_one, specs))
@@ -213,7 +203,7 @@ def cmd_mingen(args):
 
 
 def cmd_radicals(args):
-    t, r = parse_type(args.type, args.rank)
+    t, r = parse_type(args.type)
     field = field_of_char(args.char)
     A = chevalley_algebra(t, r, field)
     rep = Report("radicals", {"type": "%s%d" % (t, r), "char": args.char})
@@ -269,7 +259,7 @@ def cmd_threegen(args):
 
 
 def cmd_rootgroups(args):
-    t, r = parse_type(args.type, args.rank)
+    t, r = parse_type(args.type)
     field = field_of_char(args.char)
     A = chevalley_algebra(t, r, field)
     rs = A.rootsystem
@@ -313,7 +303,7 @@ def _addt(a, b):
 
 
 def cmd_extremal_check(args):
-    t, r = parse_type(args.type, args.rank)
+    t, r = parse_type(args.type)
     field = field_of_char(args.char)
     A = chevalley_algebra(t, r, field)
     out = long_root_extremality_check(A)
@@ -366,15 +356,12 @@ def build_parser():
 
     p = sub.add_parser("mingen", help="certify minimal extremal generation t(g)")
     p.add_argument("--type", required=True, help="e.g. G2 or a comma list A2,B3")
-    p.add_argument("--rank", type=int, default=None)
     p.add_argument("--char", type=int, default=0)
-    p.add_argument("--heavy", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_mingen)
 
     p = sub.add_parser("radicals", help="the radical chain and form radicals")
     p.add_argument("--type", required=True)
-    p.add_argument("--rank", type=int, default=None)
     p.add_argument("--char", type=int, default=0)
     p.set_defaults(fn=cmd_radicals)
 
@@ -386,26 +373,25 @@ def build_parser():
 
     p = sub.add_parser("rootgroups", help="root group identities on representative pairs")
     p.add_argument("--type", required=True)
-    p.add_argument("--rank", type=int, default=None)
     p.add_argument("--char", type=int, default=0)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_rootgroups)
 
     p = sub.add_parser("extremal-check", help="long/short root extremality sweep")
     p.add_argument("--type", required=True)
-    p.add_argument("--rank", type=int, default=None)
     p.add_argument("--char", type=int, default=0)
     p.set_defaults(fn=cmd_extremal_check)
     return ap
 
 
 def _merge_value_flags(argv):
-    """Let '--edges -2,-2,-2' parse: merge values that look like options."""
+    """Let '--edges -2,-2,-2' parse: merge values that look like options.
+    A number such as '--seed -5' parses as it is."""
     out = []
     i = 0
     while i < len(argv):
         a = argv[i]
-        if a in ("--edges", "--central", "--seed") and i + 1 < len(argv):
+        if a in ("--edges", "--central") and i + 1 < len(argv):
             out.append("%s=%s" % (a, argv[i + 1]))
             i += 2
         else:

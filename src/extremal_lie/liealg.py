@@ -790,7 +790,8 @@ def sandwich_span_check(L, witnesses, form, raising=()):
         ("Rad(kappa)", rad_k),
     ]
     links = []
-    ok = san.is_ideal()
+    san_is_ideal = san.is_ideal()
+    ok = san_is_ideal
     for (na, a), (nb, b) in zip(chain, chain[1:]):
         inc = b.contains_subspace(a)
         links.append({"link": "%s <= %s" % (na, nb), "holds": inc, "strict": inc and b.dim > a.dim})
@@ -798,7 +799,7 @@ def sandwich_span_check(L, witnesses, form, raising=()):
     return {
         "dims": {name: s.dim for name, s in chain},
         "links": links,
-        "witness_span_is_ideal": san.is_ideal(),
+        "witness_span_is_ideal": san_is_ideal,
         "solvable_radical_certified": certified,
         "pass": ok,
     }

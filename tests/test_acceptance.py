@@ -1,11 +1,10 @@
 """Acceptance suite: one test per criterion, exact equality throughout.
 
 Each test prints a single [criterion N] PASS/FAIL line (visible with -s or in
-captured output).  The E8 leg of criterion 4 runs only when the environment
-variable EXTREMAL_LIE_HEAVY=1 is set; everything else runs unconditionally.
+captured output).  Every test runs unconditionally, the E8 leg of criterion 4
+included.
 """
 
-import os
 from fractions import Fraction
 
 import pytest
@@ -52,7 +51,6 @@ FLEET = [
     ("E", 6), ("E", 7),
 ]
 CHARS = (0, 5)
-HEAVY = os.environ.get("EXTREMAL_LIE_HEAVY") == "1"
 
 _form_cache = {}
 
@@ -108,13 +106,12 @@ def test_criterion_04_minimal_generation():
     _verdict(4, ok, "t(g) certified on the fleet over Q and GF(5): " + " ".join(rows))
 
 
-@pytest.mark.skipif(not HEAVY, reason="E8 runs only with EXTREMAL_LIE_HEAVY=1")
-def test_criterion_04_heavy_e8():
+def test_criterion_04_e8():
     ok = True
     for ch in CHARS:
         rep = mingen_certify("E", 8, field_of(ch))
         ok = ok and rep["pass"] and rep["lower_bound"] == rep["t_claimed"] == 5
-    _verdict(4, ok, "E8: t = 5 certified over Q and GF(5) (--heavy)")
+    _verdict(4, ok, "E8: t = 5 certified over Q and GF(5)")
 
 
 def test_criterion_05_long_root_extremality():

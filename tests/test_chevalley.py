@@ -1,6 +1,5 @@
 import io
 import json
-import os
 from collections import Counter
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -49,8 +48,6 @@ from helpers import (
     short_root_decomposition_check,
     simple_plus_lowest_generation_check,
 )
-
-HEAVY = os.environ.get("EXTREMAL_LIE_HEAVY") == "1"
 
 
 def test_dimensions():
@@ -270,7 +267,6 @@ RECIPE_TYPES = (
 )
 
 
-@pytest.mark.skipif(not HEAVY, reason="the recipe sweep (about 5 s per characteristic) runs only with EXTREMAL_LIE_HEAVY=1")
 @pytest.mark.parametrize("char", [0, 3, 5, 7])
 def test_mingen_recipe_sweep(char):
     # each recipe is checked as written: a wrong chain sign fails generation
@@ -278,7 +274,6 @@ def test_mingen_recipe_sweep(char):
     assert failed == []
 
 
-@pytest.mark.skipif(not HEAVY, reason="E8 runs only with EXTREMAL_LIE_HEAVY=1")
 @pytest.mark.parametrize("char", [0, 3])
 def test_mingen_recipe_e8(char):
     rep = mingen_certify("E", 8, field_of(char))

@@ -46,11 +46,15 @@ def test_mingen_g2(capsys):
     assert "overall: PASS" in out
 
 
-def test_mingen_e8_requires_heavy(capsys):
-    code, out, err = run_cli(capsys, "mingen", "--type", "E8")
-    assert code == 2
-    assert out == ""
-    assert err.splitlines() == ["E8 is the heavyweight case; rerun with --heavy"]
+def test_mingen_e8(capsys):
+    code, out, _ = run_cli(capsys, "--json", "mingen", "--type", "E8")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == [
+        "E8/char0 t", "E8/char0 generators extremal", "E8/char0 generation reaches dim 248", "E8/char0 lower bound",
+    ]
+    assert all(c["pass"] for c in checks)
+    assert checks[0]["actual"] == 5
 
 
 def test_mingen_jobs_flag(capsys):
@@ -255,12 +259,23 @@ def test_mingen_f4_char5(capsys):
     ["rootgroups", "--type", "A2", "--seed", "x"],
     ["mingen", "--char", "3"],
     ["mingen", "--type", "A2", "--jobs", "x"],
+    ["mingen", "--type", "E8", "--heavy"],
+    ["radicals", "--type", "G", "--rank", "2"],
+    ["extremal-check", "--type", "G"],
 ])
 def test_malformed_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_a_negative_seed_parses_with_or_without_equals(capsys):
+    code1, out1, _ = run_cli(capsys, "--json", "rootgroups", "--type", "A2", "--seed", "-5")
+    code2, out2, _ = run_cli(capsys, "--json", "rootgroups", "--type", "A2", "--seed=-5")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert json.loads(out1)["parameters"]["seed"] == -5
 
 
 def test_help_keeps_its_usage_text(capsys):
@@ -335,8 +350,6 @@ def test_rootgroups_e6_probe_finds_no_witness(capsys):
     assert byname["no forbidden chain found (probe)"]["pass"]
 
 
-HEAVY = os.environ.get("EXTREMAL_LIE_HEAVY") == "1"
-
 # (type, p, dim Rad(L), dim Rad(f)) at the primes that divide the dual Coxeter
 # number, where the Killing form vanishes on the Cartan subalgebra.  Rad(L) =
 # Rad(f) = Z(L), of dimension 1 for A_n with p | n + 1 and for E6 with p = 3
@@ -377,7 +390,6 @@ def test_radicals_certified_in_small_characteristic(capsys, shared_algebras, typ
     assert byname["Rad(f) dim"] == {"name": "Rad(f) dim", "expected": rad_f, "actual": rad_f, "pass": True}
 
 
-@pytest.mark.skipif(not HEAVY, reason="the full sweep runs only with EXTREMAL_LIE_HEAVY=1")
 @pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("type_", SWEEP_TYPES)
 def test_radicals_sweep_small_characteristic(capsys, type_, p):

@@ -41,6 +41,7 @@ COMMANDS = [
     ["threegen", "--edges", "-2,-2,0", "--char", "5"],
     ["mingen", "--type", "A4,B4,C3,D4,D5", "--char", "53"],
     ["mingen", "--type", "C3,D4"],
+    ["mingen", "--type", "E6,E7,E8", "--char", "53"],
 ]
 
 

@@ -1,5 +1,4 @@
 import hashlib
-import os
 from fractions import Fraction
 
 import pytest
@@ -17,7 +16,6 @@ from extremal_lie.liealg import LieAlgebra
 
 from helpers import fraction_inner, root_inner, root_pairing
 
-HEAVY = os.environ.get("EXTREMAL_LIE_HEAVY") == "1"
 
 ROOT_COUNTS = {
     ("A", 1): 2, ("A", 2): 6, ("A", 3): 12, ("A", 4): 20,
@@ -193,11 +191,7 @@ TABLE_DIGESTS = {
 
 # every type of rank <= 8; E8 takes about 4 s in the Fraction reference and
 # 0.2 s for its table
-RANK8_TYPES = [
-    pytest.param(t, n, marks=pytest.mark.skipif(not HEAVY, reason="E8 runs only with EXTREMAL_LIE_HEAVY=1"))
-    if (t, n) == ("E", 8) else (t, n)
-    for t, n in TABLE_DIGESTS
-]
+RANK8_TYPES = list(TABLE_DIGESTS)
 
 
 @pytest.mark.parametrize("type_, rank", RANK8_TYPES)

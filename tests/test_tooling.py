@@ -1,5 +1,6 @@
 """Checks on the package source itself."""
 
+import argparse
 import ast
 import os
 import subprocess
@@ -8,11 +9,12 @@ import sys
 import pytest
 
 import extremal_lie
+from extremal_lie import cli
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(extremal_lie.__file__))
 REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# demos/tables.py builds L_5 once (about 3 s on a 2-core host)
+# demos/tables.py builds L_5 once (about 0.7 s on a 2-core host)
 DEMOS = ("radical_chain.py", "root_groups.py", "three_generators.py", "minimal_generators.py", "tables.py")
 # a line a demo must print: sl3 over GF(3), where the Killing form vanishes
 DEMO_LINES = {"radical_chain.py": "Rad(L) dim: 1 (the center; certified maximal: True)"}
@@ -504,3 +506,68 @@ def test_unreached_helper_guard_finds_each_case(tmp_path):
     assert _unreached_helpers(str(tmp_path / "helpers.py"), paths) == [
         "recursive", "from_dead", "dead", "Unused",
     ]
+
+
+# Each option of the command line, keyed (subcommand, option), "" for the
+# top-level parser, with the reason it is there
+CLI_OPTIONS = {
+    ("", "--json"): "the machine-readable report, which the golden file and bench/ read",
+    ("tables", "which"): "the table to reproduce: lr, rr or rr-lengths",
+    ("tables", "--max-r"): "the largest r of the lr and rr tables, and the second spelling of --r",
+    ("tables", "--r"): "the one r of the rr-lengths profile",
+    ("tables", "--experimental"): "lets r go past the tabulated L_5 and R_4",
+    ("mingen", "--type"): "the type, or a comma list of types, to certify",
+    ("mingen", "--char"): "the characteristic of the field, 0 for Q",
+    ("mingen", "--jobs"): "worker processes for a type list: D10,C8,B9,A15,E8 took 2.7 s serial and 1.7 s "
+                          "with --jobs 2 (medians of 6 pairs on a 2-core host)",
+    ("radicals", "--type"): "the type of the Chevalley algebra",
+    ("radicals", "--char"): "the characteristic of the field, 0 for Q",
+    ("threegen", "--edges"): "the three edge scalars of the generating triangle",
+    ("threegen", "--central"): "the central scalar of the generating triangle",
+    ("threegen", "--char"): "the characteristic of the field, 0 for Q",
+    ("rootgroups", "--type"): "the type of the Chevalley algebra",
+    ("rootgroups", "--char"): "the characteristic of the field, 0 for Q",
+    ("rootgroups", "--seed"): "adds seed and -seed to the sampled root group parameters",
+    ("extremal-check", "--type"): "the type of the Chevalley algebra",
+    ("extremal-check", "--char"): "the characteristic of the field, 0 for Q",
+}
+
+
+def _parser_options(parser, command=""):
+    """(subcommand, option) of each option and positional argument of
+    ``parser`` and of its subparsers, ``--help`` left out; an option is
+    named by its longest spelling."""
+    found = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found += _parser_options(sub, name)
+        elif not isinstance(action, argparse._HelpAction):
+            found.append((command, max(action.option_strings, key=len, default=action.dest)))
+    return found
+
+
+def _unlisted_and_stale(parser, table):
+    """(the options of ``parser`` that ``table`` lacks, the entries of
+    ``table`` that name no option)."""
+    options = set(_parser_options(parser))
+    return sorted(options - set(table)), sorted(set(table) - options)
+
+
+def test_every_cli_option_has_a_reason():
+    """ROADMAP aim 2: the fewest knobs.  An option is added to the command
+    line together with its entry in ``CLI_OPTIONS``, and is dropped with it."""
+    assert _unlisted_and_stale(cli.build_parser(), CLI_OPTIONS) == ([], [])
+    assert all(reason.strip() for reason in CLI_OPTIONS.values())
+
+
+def test_cli_option_guard_finds_each_case():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--top", action="store_true")
+    sub = ap.add_subparsers(dest="command")
+    p = sub.add_parser("run")
+    p.add_argument("what")
+    p.add_argument("-n", "--count", type=int)
+    p.add_argument("--knob")
+    table = {("", "--top"): "r", ("run", "what"): "r", ("run", "--count"): "r", ("run", "--gone"): "r"}
+    assert _unlisted_and_stale(ap, table) == ([("run", "--knob")], [("run", "--gone")])
