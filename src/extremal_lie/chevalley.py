@@ -60,8 +60,6 @@ class ChevalleyAlgebra:
 
     def __init__(self, type_, rank, field):
         rs, labels, self.int_table = integer_chevalley_data(type_, rank)
-        if field.characteristic == 2:
-            raise ValueError("characteristic 2 is unsupported")
         self.rootsystem = rs
         self.field = field
         self.lie = LieAlgebra(field, labels, self.int_table)

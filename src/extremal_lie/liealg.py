@@ -21,6 +21,7 @@ from .linalg import (
     combine,
     flatten,
     kernel,
+    mat_inverse,
     mat_mul,
     poly_mul,
     rank,
@@ -375,27 +376,26 @@ def center(L):
     return Subspace.from_elements(L, kernel(L.field, list(rows), L.n))
 
 
-def derived_series(L, sub=None):
-    cur = sub if sub is not None else full_subspace(L)
+def _series(L, sub, derived):
+    """The derived series of ``sub`` (L when None) if ``derived``, else its
+    lower central series: the term after cur is [cur, cur], or [sub, cur].
+    It stops at 0 or when the dimension stops falling."""
+    cur = first = sub if sub is not None else full_subspace(L)
     out = [cur]
     while True:
-        nxt = cur.bracket_with(cur)
+        nxt = (cur if derived else first).bracket_with(cur)
         out.append(nxt)
         if nxt.dim == cur.dim or nxt.dim == 0:
             return out
         cur = nxt
+
+
+def derived_series(L, sub=None):
+    return _series(L, sub, True)
 
 
 def lower_central_series(L, sub=None):
-    first = sub if sub is not None else full_subspace(L)
-    cur = first
-    out = [cur]
-    while True:
-        nxt = first.bracket_with(cur)
-        out.append(nxt)
-        if nxt.dim == cur.dim or nxt.dim == 0:
-            return out
-        cur = nxt
+    return _series(L, sub, False)
 
 
 def is_solvable_subspace(sub):
@@ -532,47 +532,28 @@ def killing_form(L):
     return BilinearForm(L, rows)
 
 
-def extremal_form(L, spanning_set):
-    """The unique symmetric associative form with f(x, .) = f_x on the given
-    extremal spanning set, extended bilinearly to all of L.  The functionals
-    of an ``ExtremalSet`` of L are taken as proved; other elements are
-    proved extremal here."""
+def extremal_form(L, basis):
+    """The extremal form of L: the bilinear form f with f(s, .) = f_s for
+    each element s of ``basis``, an ``ExtremalSet`` of L from
+    ``extremal_closure``, checked symmetric and associative.
+
+    ``basis`` is a basis s_1..s_n of L with proved functionals f_1..f_n.
+    Write S for the s_a as rows and F for the f_a as rows {j: f_a(b_j)}.
+    With C = S^-1, b_i = sum_a C[i][a] s_a, so f(b_i, .) = sum_a C[i][a] f_a
+    and the Gram is G = C F.  (The Gram C F_mm C^T, with F_mm[a][b] =
+    f_a(s_b), is the same matrix: F_mm = F S^T and C S = I.)  Two things
+    need no check: f(s_a, .) = (S S^-1 F)[a] = f_a is an identity, and
+    S G S^T = F S^T has the entries f_a(s_b) with S invertible, so G is
+    symmetric exactly when f_a(s_b) = f_b(s_a) for all a, b, which
+    ``is_symmetric`` decides.  Raises WellDefinednessFailure when it is not,
+    and NotAssociative when f is not associative."""
+    if getattr(basis, "algebra", None) is not L or len(basis) != L.n:
+        raise ValueError("extremal_form takes an extremal basis of L from extremal_closure")
     f = L.field
-    spanning = [L.element(s) for s in spanning_set]
-    if isinstance(spanning_set, ExtremalSet) and spanning_set.algebra is L:
-        functionals = spanning_set.functionals
-    else:
-        functionals = []
-        for idx, s in enumerate(spanning):
-            fx = is_extremal(L, s)
-            if fx is None:
-                raise NotExtremal("spanning element %d is not extremal" % idx)
-            functionals.append(fx)
-    m = len(spanning)
-    coordinates = Coordinates(f, [s.coeffs for s in spanning], L.n)
-    if not coordinates.spans():
-        raise NotSpanning("extremal set does not span the algebra")
-    # F[a] = {b: f_a(s_b)}
-    frows = [canonical(f, {b: functionals[a](spanning[b]) for b in range(m)}) for a in range(m)]
-    # symmetry of f on extremal pairs (Lemma-level consistency of the input)
-    for a in range(m):
-        for b in range(a):
-            if frows[a].get(b, 0) != frows[b].get(a, 0):
-                raise WellDefinednessFailure("f_x(y) != f_y(x) on spanning pair (%d, %d)" % (a, b))
-    # Gram G[i][j] = sum_ab C[i][a] F[a][b] C[j][b], C[i] the coordinates of
-    # b_i over the spanning set: row i is sum_b (C F)[i][b] C^T[b]
-    coords = [coordinates.solve({i: 1}) for i in range(L.n)]
-    by_spanning = [{} for _ in range(m)]  # C^T
-    for i, row in enumerate(coords):
-        for a, c in row.items():
-            by_spanning[a][i] = c
-    form = BilinearForm(L, mat_mul(f, mat_mul(f, coords, frows), by_spanning))
-    # well-definedness: the bilinear extension must reproduce every f_x directly
-    for a, s in enumerate(spanning):
-        if combine(f, s.coeffs, form.rows) != functionals[a].values:
-            raise WellDefinednessFailure("bilinear extension disagrees with f_x")
+    inverse = mat_inverse(f, [s.coeffs for s in basis])
+    form = BilinearForm(L, mat_mul(f, inverse, [fx.values for fx in basis.functionals]))
     if not form.is_symmetric():
-        raise WellDefinednessFailure("extremal form not symmetric")
+        raise WellDefinednessFailure("extremal form not symmetric: f_x(y) != f_y(x) on the basis")
     if not form.is_associative():
         raise NotAssociative("extremal form not associative")
     return form
@@ -580,7 +561,10 @@ def extremal_form(L, spanning_set):
 
 class ExtremalSet(list):
     """Elements of ``algebra`` proved extremal, with their functionals:
-    ``functionals[i]`` is f_x for x = self[i]."""
+    ``functionals[i]`` is f_x for x = self[i].  Built by ``extremal_closure``,
+    it is a basis of ``algebra``: the closure keeps only elements that raise
+    the dimension of the span, and raises NotSpanning short of the whole
+    algebra."""
 
     def __init__(self, algebra, elements, functionals):
         super().__init__(elements)

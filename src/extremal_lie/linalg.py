@@ -323,10 +323,13 @@ def unflatten(v, size):
 
 
 def mat_inverse(field, a):
-    """The inverse of the square matrix ``a``; ValueError when singular."""
+    """The inverse of the square matrix ``a``: n rows with entries in columns
+    0..n-1.  ValueError when it is not square or is singular."""
     n = len(a)
     e = Echelon(field, 2 * n)
     for i, row in enumerate(a):
+        if any(not 0 <= j < n for j in row):
+            raise ValueError("matrix is not square")
         v = dict(row)
         v[n + i] = 1
         e.insert(v)

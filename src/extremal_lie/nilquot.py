@@ -461,7 +461,7 @@ def sandwich_algebra(r, field=QQ):
     """The universal Lie algebra on r sandwich generators, L_r = F/J."""
     if r < 1:
         raise ValueError("need r >= 1")
-    return GradedQuotient(_extend_until_empty(_CoverEngine(r, field=field, sandwich=True)))
+    return GradedQuotient(_extend_until_empty(_CoverEngine(r, field=field)))
 
 
 class AssocDims:
@@ -485,7 +485,7 @@ def _companion_engine(r, field):
     """L_{r+1} built only on the multidegrees whose last coordinate is at
     most 1 (see the module docstring), run to its first empty degree."""
     cap = (math.inf,) * r + (1,)
-    return _extend_until_empty(_CoverEngine(r + 1, field=field, sandwich=True, cap=cap))
+    return _extend_until_empty(_CoverEngine(r + 1, field=field, cap=cap))
 
 
 def assoc_dims_via_embedding(r, field=QQ):

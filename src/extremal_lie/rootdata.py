@@ -178,9 +178,6 @@ class RootSystem:
     def is_long(self, t):
         return tuple(t) in self._long
 
-    def height(self, t):
-        return sum(t)
-
     def _scaled_inner(self, s, t):
         """``_scale`` * (s, t), an int."""
         g = self._gram
@@ -194,9 +191,6 @@ class RootSystem:
         if v is None:
             v = self._norm[t] = self._scaled_inner(t, t)
         return v
-
-    def norm2(self, t):
-        return Fraction(self._scaled_norm(t), self._scale)
 
     def coroot_coords(self, alpha):
         """alpha-check over the simple coroots; integer coefficients:

@@ -65,11 +65,17 @@ class Field:
     prime p for GF(p).  Two fields are equal when their characteristics are.
 
     A raw value of the rationals is an ``int`` when integral and a
-    ``Fraction`` otherwise; of GF(p), an ``int`` in ``[0, p)``."""
+    ``Fraction`` otherwise; of GF(p), an ``int`` in ``[0, p)``.  Any other
+    characteristic raises: 2 CharacteristicTwoUnsupported, a non-prime
+    NotPrime."""
 
     __slots__ = ("characteristic",)
 
     def __init__(self, characteristic):
+        if characteristic == 2:
+            raise CharacteristicTwoUnsupported("characteristic 2 is unsupported")
+        if characteristic and not _is_prime(characteristic):
+            raise NotPrime("modulus %r is not prime" % (characteristic,))
         object.__setattr__(self, "characteristic", characteristic)
 
     def __setattr__(self, *a):
@@ -212,9 +218,6 @@ QQ = Field(0)
 
 
 def GF(p):
-    """The prime field of odd characteristic ``p``."""
-    if p == 2:
-        raise CharacteristicTwoUnsupported("characteristic 2 is unsupported")
-    if not _is_prime(p):
-        raise NotPrime("modulus %r is not prime" % (p,))
+    """The prime field of odd characteristic ``p`` (``Field`` rejects any
+    other)."""
     return Field(p)

@@ -27,7 +27,8 @@ before matrices became lists of sparse rows.  The tests hold the fast code
 to them.  ``echelon_basis`` (the dense basis rows of an ``Echelon``),
 ``grow_extremal_spanning``, ``line_is_fully_extremal``,
 ``graded_components`` and the root data accessors ``root_inner``,
-``root_pairing`` and ``cartan_element`` are ones that only the tests call.
+``root_norm2``, ``root_pairing`` and ``cartan_element`` are ones that only
+the tests call.
 So is the last section: the free mode of the cover engine
 (``free_nilpotent_quotient``), the direct route to R_r
 (``assoc_algebra_direct_dims`` on ``left_normed_expansions``), and the
@@ -530,6 +531,11 @@ def preserves_form(phi, form):
 def root_inner(rs, s, t):
     """The inner product (s, t) of two roots of ``rs``, from its integer Gram."""
     return Fraction(rs._scaled_inner(s, t), rs._scale)
+
+
+def root_norm2(rs, t):
+    """(t, t) for a root of ``rs``, from its memoised integer norm."""
+    return Fraction(rs._scaled_norm(t), rs._scale)
 
 
 def root_pairing(rs, beta, alpha):

@@ -5,7 +5,7 @@ the per-coefficient ``Field`` loops in ``helpers`` on small algebras over Q,
 GF(3) and GF(101): on true forms, on Gram matrices with one entry changed
 (symmetric or not, or off the generators of the algebra), and on rescaled
 tables.  The Gram of ``extremal_form`` is held to the dense matrix product
-on shuffled, rescaled spanning sets.  The center is also checked against
+on shuffled, rescaled extremal bases.  The center is also checked against
 the Cartan matrix, and the kernels against calling ``Field`` at all.
 """
 
@@ -19,7 +19,9 @@ from extremal_lie import rootdata
 from extremal_lie.chevalley import extremal_spanning_set
 from extremal_lie.liealg import (
     BilinearForm,
+    ExtremalFunctional,
     center,
+    extremal_closure,
     extremal_form,
     killing_form,
     sl2,
@@ -139,26 +141,40 @@ def spanning_set(name, char):
 
 
 @st.composite
-def extremal_spanning_cases(draw):
-    """(L, spanning): the extremal spanning set of a Chevalley algebra as it
-    is, with its functionals; or shuffled, each element times a nonzero
-    scalar, with some elements repeated (then the functionals are found
-    again, and the coordinates over the set are not unique)."""
+def extremal_basis_cases(draw):
+    """(L, basis): the extremal basis of a Chevalley algebra as its closure
+    gives it; or shuffled, each element times a nonzero scalar, and proved
+    extremal again by ``extremal_closure`` with nothing to expand."""
     char = draw(st.sampled_from(CHARS))
     name = draw(st.sampled_from(sorted(CHEVALLEY)))
     base = spanning_set(name, char)
+    L = base.algebra
     if draw(st.booleans()):
-        return base.algebra, base
+        return L, base
     order = draw(st.permutations(range(len(base))))
-    order += draw(st.lists(st.integers(0, len(base) - 1), max_size=3))
-    return base.algebra, [draw(nonzero(char)) * base[i] for i in order]
+    return L, extremal_closure(L, [draw(nonzero(char)) * base[i] for i in order], lambda v: ())
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=30)
-@given(extremal_spanning_cases())
+@given(extremal_basis_cases())
 def test_extremal_form_gram_matches_dense_reference(case):
-    L, spanning = case
-    assert dense(extremal_form(L, spanning).rows, L.n) == dense_extremal_gram(L, spanning)
+    L, basis = case
+    assert dense(extremal_form(L, basis).rows, L.n) == dense_extremal_gram(L, basis)
+
+
+@pytest.mark.parametrize("char", CHARS[::2])
+@pytest.mark.parametrize("type_, rank", [("A", 2), ("G", 2), ("E", 6)])
+def test_extremal_form_calls_no_functional(type_, rank, char, monkeypatch):
+    """The Gram is S^-1 F, read off the functionals' values: no f_x is
+    evaluated on an element (m^2 of them made the m x m table f_a(s_b))."""
+    A = chevalley(type_, rank, char)
+    basis = extremal_spanning_set(A)
+    calls = []
+    original = ExtremalFunctional.__call__
+    monkeypatch.setattr(ExtremalFunctional, "__call__", lambda fx, y: calls.append(1) or original(fx, y))
+    form = extremal_form(A.lie, basis)
+    assert calls == []
+    assert form.is_symmetric() and form.radical().dim == 0
 
 
 def is_canonical_raw(f, v):

@@ -7,6 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from extremal_lie.scalars import QQ, GF
 from extremal_lie.liealg import (
     Subspace,
+    ExtremalFunctional,
+    ExtremalSet,
     JacobiViolation,
     LieAlgebra,
     NotASandwich,
@@ -17,6 +19,7 @@ from extremal_lie.liealg import (
     ZeroElement,
     center,
     derived_series,
+    extremal_closure,
     extremal_form,
     ideal_generated,
     is_extremal,
@@ -346,9 +349,14 @@ def test_extremal_form_sl3_values():
     assert form.is_symmetric() and form.is_associative()
 
 
+def _basis_as_extremal_set(L):
+    """The basis of L, each element proved extremal by ``extremal_closure``."""
+    return extremal_closure(L, L.basis_elements(), lambda v: ())
+
+
 def test_extremal_form_zero_on_sandwich_algebra():
     L = sandwich(3).as_lie_algebra()
-    form = extremal_form(L, L.basis_elements())
+    form = extremal_form(L, _basis_as_extremal_set(L))
     assert not any(form.rows)
     assert form.radical().dim == L.n
 
@@ -366,23 +374,32 @@ def test_extremal_form_errors():
     L = sl2(QQ)
     e, h, f_ = L.basis_elements()
     with pytest.raises(NotSpanning):
-        extremal_form(L, [e, f_])
+        extremal_closure(L, [e, f_], lambda v: ())
     with pytest.raises(NotExtremal):
-        extremal_form(L, [e, h, f_])
+        extremal_closure(L, [e, h, f_], lambda v: ())
+    # the form takes an extremal basis of the algebra itself, and nothing else
+    span = grow_extremal_spanning(L, [e, f_])
+    M = sl2(QQ)
+    other = grow_extremal_spanning(M, [M.basis_element(0), M.basis_element(2)])
+    for wrong in ([e, h, f_], list(span), other, ExtremalSet(L, span[:2], span.functionals[:2])):
+        with pytest.raises(ValueError, match="extremal basis of L"):
+            extremal_form(L, wrong)
+    # a hand-built set that is not a basis: S is singular
+    with pytest.raises(ValueError, match="singular"):
+        extremal_form(L, ExtremalSet(L, [span[0]] * 3, [span.functionals[0]] * 3))
 
 
 def test_extremal_form_checks_the_functionals_it_is_handed():
     # the closure's functionals are not proved again, but a wrong one is
-    # still caught: f_e doubled breaks f_e(f) = f_f(e)
-    from extremal_lie.liealg import ExtremalFunctional, ExtremalSet
-
+    # still caught: f_e doubled breaks f_e(f) = f_f(e), so the Gram is not
+    # symmetric
     L = sl2(QQ)
     e, h, f_ = L.basis_elements()
     span = grow_extremal_spanning(L, [e, f_])
     assert isinstance(span, ExtremalSet) and span.functionals[0](f_) == -2
     fe = ExtremalFunctional(L, {j: 2 * v for j, v in span.functionals[0].values.items()})
     bad = ExtremalSet(L, list(span), [fe] + span.functionals[1:])
-    with pytest.raises(WellDefinednessFailure, match="on spanning pair"):
+    with pytest.raises(WellDefinednessFailure, match="not symmetric"):
         extremal_form(L, bad)
 
 
@@ -455,7 +472,7 @@ def test_generation_closures():
 
 def test_sandwich_span_check_l3():
     L = sandwich(3).as_lie_algebra()
-    form = extremal_form(L, L.basis_elements())
+    form = extremal_form(L, _basis_as_extremal_set(L))
     rep = sandwich_span_check(L, L.basis_elements(), form)
     assert rep["pass"]
     assert rep["dims"]["SanRad_lower_bound"] == 8  # the whole algebra
@@ -551,7 +568,7 @@ def test_radical_chain_on_fleet():
         form = extremal_form(A.lie, extremal_spanning_set(A))
         cases.append((A.lie, form, _raising(A), ch))
     L3 = sandwich(3).as_lie_algebra()
-    cases.append((L3, extremal_form(L3, L3.basis_elements()), (), 0))
+    cases.append((L3, extremal_form(L3, _basis_as_extremal_set(L3)), (), 0))
     M, _ = build_M(TriangleParams(QQ, -2, -2, 0, 0))
     cases.append((M, extremal_form(M, _extremal_span_m(M)), (), 0))
     for L, form, raising, ch in cases:

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from extremal_lie import linalg
@@ -64,6 +65,14 @@ def test_matrix_inverse_over_gf():
     inv = mat_inverse(f, m)
     prod = mat_mul(f, m, inv)
     assert prod == [{0: f.one}, {1: f.one}]
+
+
+def test_matrix_inverse_rejects_a_matrix_that_is_not_square():
+    # an entry in column n or beyond would land on the identity block of
+    # the augmented rows: [1 5] came back with the "inverse" [1]
+    for rows in ([{0: 1, 1: 5}], [{0: 1, 3: 1}, {1: 1}], [{0: 1}, {-1: 1}]):
+        with pytest.raises(ValueError, match="not square"):
+            mat_inverse(QQ, rows)
 
 
 def test_charpoly_matches_direct_expansion():

@@ -14,7 +14,7 @@ from extremal_lie.rootdata import (
 )
 from extremal_lie.liealg import LieAlgebra
 
-from helpers import fraction_inner, root_inner, root_pairing
+from helpers import fraction_inner, root_inner, root_norm2, root_pairing
 
 
 ROOT_COUNTS = {
@@ -51,7 +51,7 @@ def test_invalid_ranks_rejected():
 
 def test_highest_root_b3_by_height_enumeration():
     rs = RootSystem("B", 3)
-    heights = {root: rs.height(root) for root in rs.positive_roots}
+    heights = {root: sum(root) for root in rs.positive_roots}
     top = max(heights.values())
     maxima = [root for root, h in heights.items() if h == top]
     assert maxima == [rs.highest_root]
@@ -201,7 +201,7 @@ def test_integer_root_data_matches_fraction_reference(type_, rank):
     pos = rs.positive_roots
     norms = {t: fraction_inner(rs, t, t) for t in pos}
     for s in pos:
-        assert rs.norm2(s) == norms[s]
+        assert root_norm2(rs, s) == norms[s]
         assert rs.coroot_coords(s) == tuple(s[i] * d[i] / (norms[s] / 2) for i in range(rank))
         for t in pos:
             ip = fraction_inner(rs, s, t)

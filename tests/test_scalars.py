@@ -40,6 +40,16 @@ def test_composite_modulus_rejected():
         GF(91)
 
 
+def test_field_validates_its_characteristic():
+    """The field itself rejects what ``GF`` rejects, with the same errors."""
+    with pytest.raises(CharacteristicTwoUnsupported):
+        Field(2)
+    for bad in (9, 1, -3):
+        with pytest.raises(NotPrime):
+            Field(bad)
+    assert Field(0) == QQ and Field(101).characteristic == 101
+
+
 def test_sqrt_rationals():
     assert QQ.sqrt_raw(4) == 2 and type(QQ.sqrt_raw(4)) is int
     assert QQ.sqrt_raw(Fraction(9, 4)) == Fraction(3, 2)

@@ -113,11 +113,9 @@ def test_demo_runs(demo):
 # Module-level functions and methods that nothing in src/ or demos/ calls,
 # kept on purpose
 UNCALLED_ALLOWED = {
-    # public accessors of the root data
-    "RootSystem.height", "RootSystem.norm2",
     # span targets of bench/spans.py, which reports a missing target as absent;
     # cached_integer_table is also the set-up call of bench/child.py
-    "mat_inverse", "solve_in_span", "root_exponential", "cached_integer_table",
+    "solve_in_span", "root_exponential", "cached_integer_table",
     # argparse calls this override of ArgumentParser.error
     "_Parser.error",
 }
@@ -208,6 +206,7 @@ def test_uncalled_function_guard_finds_each_case(tmp_path):
 # kept on purpose, each with its reason
 UNSET_ALLOWED = {
     "_CoverEngine.extra_consistency": "the all-rows reference mode the engine tests compare with",
+    "_CoverEngine.sandwich": "False is the free mode whose Witt and necklace dimensions the tests check",
     "assoc_dims_via_embedding.field": "GF(p) tests set it; a --char for tables would too",
     "check_subalgebra_embedding.field": "GF(p) tests set it; a --char for tables would too",
     "spanning_set_check_4gen.field": "GF(p) tests set it; a --char for tables would too",
