@@ -482,18 +482,6 @@ def _d4_into_e(rs):
     return emb
 
 
-def mingen_generators(A):
-    """The recipe generators: exactly t(g) extremal elements."""
-    gens = _mingen_recipe(A).gens
-    t = minimal_generator_count(A.rootsystem.type, A.rootsystem.rank)
-    if len(gens) != t:
-        raise RuntimeError("recipe size %d != t = %d" % (len(gens), t))
-    for g in gens:
-        if is_extremal(A.lie, g) is None:
-            raise NotExtremal("a recipe generator is not extremal")
-    return gens
-
-
 def verify_generation(A, gens):
     dim = subalgebra_generated(A.lie, gens).dim
     return {"dim": dim, "expected": A.lie.n, "pass": dim == A.lie.n}

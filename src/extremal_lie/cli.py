@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -114,14 +115,15 @@ def cached_integer_table(type_, rank, cache_dir):
 
 
 def parse_type(type_str):
-    """(letter, rank) from a letter followed by digits, e.g. "G2"."""
-    t = type_str.strip().upper()
-    letter, digits = t[:1], t[1:]
-    if not letter.isalpha() or (digits and not digits.isdigit()):
+    """(letter, rank) from one ASCII letter followed by ASCII digits, e.g.
+    "G2"."""
+    m = re.fullmatch(r"([A-Za-z])([0-9]*)", type_str.strip())
+    if m is None:
         raise InvalidRank("cannot read a type from %r" % type_str)
+    letter, digits = m.groups()
     if not digits:
         raise InvalidRank("type %r has no rank: write it with its rank, e.g. G2" % type_str)
-    return letter, int(digits)
+    return letter.upper(), int(digits)
 
 
 def field_of_char(char):
@@ -189,7 +191,7 @@ def cmd_mingen(args):
     specs = [parse_type(ts) + (args.char,) for ts in args.type.split(",")]
     rep = Report("mingen", {"type": args.type, "char": args.char})
     if args.jobs > 1 and len(specs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(specs))) as pool:
             results = list(pool.map(_mingen_one, specs))
     else:
         results = [_mingen_one(s) for s in specs]

@@ -10,21 +10,17 @@ is safe.
 
 from __future__ import annotations
 
-from .scalars import QQ
 from .linalg import (
     Coordinates,
     Echelon,
     axpy,
     canonical,
-    charpoly,
     closure,
     combine,
     flatten,
     kernel,
     mat_inverse,
     mat_mul,
-    poly_mul,
-    rank,
     unflatten,
 )
 
@@ -482,11 +478,6 @@ class BilinearForm:
         self.algebra = algebra
         self.rows = rows
 
-    def value(self, u, v):
-        G = self.rows
-        s = sum(ci * cj * G[i].get(j, 0) for i, ci in u.coeffs.items() for j, cj in v.coeffs.items())
-        return self.algebra.field.raw(s)
-
     def radical(self):
         return Subspace.from_elements(self.algebra, kernel(self.algebra.field, self.rows, self.algebra.n))
 
@@ -696,59 +687,7 @@ def structural_subspaces(L, raising=()):
     }
 
 
-# -- spectral and chain checks --------------------------------------------------
-
-
-def phi_spectrum_check(L, x, y):
-    """Eigenvalue structure of phi = ad_x ad_y for extremal x (exact char poly).
-
-    phi is held by its columns phi(b_j) = [x,[y,b_j]], as the rows of phi
-    transposed: det(t - phi) = det(t - phi^T), and the rows of
-    (phi^T)^2 are the columns of phi^2."""
-    x = L.element(x)
-    y = L.element(y)
-    f = L.field
-    fx = is_extremal(L, x)
-    if fx is None:
-        raise PreconditionNotMet("x must be extremal")
-    fxy = fx(y)
-    kappa = killing_form(L)
-    basis = L.basis_elements()
-    if f.is_zero(fxy):
-        cols = [L.bracket(x, L.bracket(y, b)).coeffs for b in basis]
-        cp = charpoly(f, cols)
-        expected = [f.one]
-        for _ in range(L.n):
-            expected = poly_mul(f, expected, [f.zero, f.one])
-        kz = f.is_zero(kappa.value(x, y))
-        return {"case": "a", "all_eigenvalues_zero": cp == expected, "kappa_zero": kz, "pass": cp == expected and kz}
-    # rescale so that f(x, y') = -2
-    scale = f.div(f.raw(-2), fxy)
-    y2 = scale * y
-    s = rank(f, [L.bracket(x, b).coeffs for b in basis], L.n)
-    cols = [L.bracket(x, L.bracket(y2, b)).coeffs for b in basis]
-    cp = charpoly(f, cols)
-    expected = [f.one]
-    for root, mult in ((f.raw(2), 2), (f.raw(1), s - 2), (f.zero, L.n - s)):
-        for _ in range(mult):
-            expected = poly_mul(f, expected, [f.neg(root), f.one])
-    kap = kappa.value(x, y2)
-    # phi^2 + (1/2) f(x,y') phi maps into kx + k[x,y'], with f(x,y') = -2
-    target = Subspace.from_elements(L, [x, L.bracket(x, y2)])
-    img_ok = all(
-        target.contains(combine(f, {0: 1, 1: -1}, (sq, col)))
-        for sq, col in zip(mat_mul(f, cols, cols), cols)
-    )
-    ok = cp == expected and kap == f.raw(s + 2) and img_ok
-    return {
-        "case": "b",
-        "s": s,
-        "kappa": kap,
-        "kappa_expected": f.raw(s + 2),
-        "charpoly_matches": cp == expected,
-        "quadratic_image_ok": img_ok,
-        "pass": ok,
-    }
+# -- chain checks ---------------------------------------------------------------
 
 
 def sandwich_span_check(L, witnesses, form, raising=()):
@@ -807,18 +746,7 @@ def structure_constants_on(field, rows, width, bracket):
     return table, span
 
 
-# -- tiny standard algebras -----------------------------------------------------
-
-
-def sl2(field=QQ):
-    """Standard basis (e, h, f): [e,f]=h, [h,e]=2e, [h,f]=-2f."""
-    f = field
-    table = {
-        (0, 1): {0: f.raw(-2)},
-        (0, 2): {1: f.one},
-        (1, 2): {2: f.raw(-2)},
-    }
-    return LieAlgebra(f, ["e", "h", "f"], table)
+# -- matrix algebras ------------------------------------------------------------
 
 
 def commutator(field, a, b):

@@ -241,11 +241,8 @@ def closure(echelon, seeds, expand):
     return kept
 
 
-def rank(field, rows, width=None):
-    """The rank of the matrix ``rows``; ``width`` defaults to one past its
-    largest column."""
-    if width is None:
-        width = 1 + max((c for row in rows for c in row), default=-1)
+def rank(field, rows, width):
+    """The rank of the matrix ``rows`` with ``width`` columns."""
     return echelon_from_rows(field, width, rows).dim
 
 

@@ -75,13 +75,11 @@ constant is read at each call, so a test can lower it.
 Basis elements are labeled by left-nested words: the word (a_1, ..., a_s)
 stands for [[...[x_{a_1}, x_{a_2}], x_{a_3}], ..., x_{a_s}].  A finished L_r
 is read through the validated ``LieAlgebra`` of
-``GradedQuotient.as_lie_algebra``; its words for ``monomial`` are
-right-nested: (w_1, ..., w_s) stands for [x_{w_1},[x_{w_2},[...,x_{w_s}]]].
+``GradedQuotient.as_lie_algebra``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .scalars import QQ
@@ -414,10 +412,6 @@ class GradedQuotient:
                 self.multidegree_dims[md] = len(elts)
         self.relation_ranks = list(engine.relation_ranks)
 
-    @property
-    def nilpotency_class(self):
-        return len(self.dims_by_degree)
-
     def as_lie_algebra(self):
         """The quotient as a validated structure-constant algebra."""
         eng = self._engine
@@ -436,16 +430,6 @@ class GradedQuotient:
                 if row:
                     table[(a, b)] = row
         return LieAlgebra(self.field, labels, table)
-
-
-def monomial(L, word):
-    """The right-nested monomial [x_{w_1},[x_{w_2},[...,x_{w_s}]]] in the
-    algebra L of ``GradedQuotient.as_lie_algebra``, where x_i is basis
-    element i - 1 (the generators come first)."""
-    v = L.basis_element(word[-1] - 1)
-    for a in reversed(word[:-1]):
-        v = L.bracket(L.basis_element(a - 1), v)
-    return v
 
 
 def _extend_until_empty(eng):
@@ -497,94 +481,3 @@ def assoc_dims_via_embedding(r, field=QQ):
         if md[r] == 1:
             by_len[d - 1] = by_len.get(d - 1, 0) + len(elts)
     return AssocDims(r, [by_len.get(k, 0) for k in range(max(by_len) + 1)])
-
-
-def check_subalgebra_embedding(r, field=QQ):
-    """L_{r-1} sits inside L_r: multidegrees with last coordinate 0 match."""
-    if r < 2:
-        raise ValueError("need r >= 2")
-    big = sandwich_algebra(r, field=field)
-    small = sandwich_algebra(r - 1, field=field)
-    results = []
-    seen = set()
-    for md, dim in sorted(big.multidegree_dims.items()):
-        if md[r - 1] != 0:
-            continue
-        sub = md[: r - 1]
-        seen.add(sub)
-        expected = small.multidegree_dims.get(sub, 0)
-        results.append({"degree": list(sub), "dim": dim, "expected": expected, "pass": dim == expected})
-    for md, dim in sorted(small.multidegree_dims.items()):
-        if md not in seen:
-            results.append({"degree": list(md), "dim": 0, "expected": dim, "pass": False})
-    return {
-        "r": r,
-        "pass": all(row["pass"] for row in results),
-        "recovered_total": sum(row["dim"] for row in results),
-        "rows": results,
-    }
-
-
-# -- the 28 monomials spanning the 4-generator algebra ------------------------
-
-SPANNING_MONOMIALS_4GEN = [
-    (1,), (2,), (3,), (4,),
-    (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
-    (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 1, 3), (2, 1, 4), (2, 3, 4), (3, 1, 4), (3, 2, 4),
-    (1, 2, 3, 4), (1, 3, 2, 4), (2, 1, 3, 4), (2, 3, 1, 4), (3, 1, 2, 4), (3, 2, 1, 4),
-    (1, 2, 3, 1, 4), (2, 1, 3, 2, 4), (3, 1, 2, 3, 4), (4, 1, 2, 3, 4),
-]
-
-# Jacobi reductions used in the spanning proof; each list of (coeff, word) sums to 0.
-SPANNING_IDENTITIES_4GEN = [
-    [(1, (1, 2, 3, 4)), (-1, (1, 3, 2, 4)), (1, (1, 4, 2, 3))],
-    [(1, (2, 1, 3, 4)), (-1, (2, 3, 1, 4)), (1, (2, 4, 1, 3))],
-    [(1, (3, 1, 2, 4)), (-1, (3, 2, 1, 4)), (1, (3, 4, 1, 2))],
-    [(1, (4, 1, 2, 3)), (-1, (1, 4, 2, 3)), (1, "[[y,z],[u,x]]")],
-    [(1, (4, 2, 1, 3)), (-1, (2, 4, 1, 3)), (1, "[[x,z],[u,y]]")],
-    [(1, (4, 3, 1, 2)), (-1, (3, 4, 1, 2)), (1, "[[x,y],[u,z]]")],
-    [(1, (1, 2, 3, 4)), (-1, (2, 1, 3, 4)), (1, "[[z,u],[x,y]]")],
-    [(1, (1, 3, 2, 4)), (-1, (3, 1, 2, 4)), (1, "[[y,u],[x,z]]")],
-    [(1, (2, 3, 1, 4)), (-1, (3, 2, 1, 4)), (1, "[[x,u],[y,z]]")],
-]
-
-_GENERATOR_NAMES = {"x": 1, "y": 2, "z": 3, "u": 4}
-
-
-def _eval_identity_term(L, term):
-    """A term is a right-nested word or a string "[[a,b],[c,d]]"."""
-    if isinstance(term, tuple):
-        return monomial(L, term)
-    (a, b), (c, d) = [[_GENERATOR_NAMES[g] for g in pair.split(",")] for pair in term.strip("[]").split("],[")]
-    return L.bracket(monomial(L, (a, b)), monomial(L, (c, d)))
-
-
-def spanning_set_check_4gen(field=QQ):
-    """The 28 listed monomials are a basis of L_4, the nine Jacobi reductions
-    vanish, and every length-6 monomial evaluates to zero."""
-    L = sandwich_algebra(4, field=field).as_lie_algebra()
-    n = L.n
-    ech = Echelon(field, n)
-    inserted = 0
-    for word in SPANNING_MONOMIALS_4GEN:
-        if ech.insert(monomial(L, word).coeffs) is not None:
-            inserted += 1
-    identities_ok = []
-    for ident in SPANNING_IDENTITIES_4GEN:
-        total = L.zero()
-        for coeff, term in ident:
-            total = total + coeff * _eval_identity_term(L, term)
-        identities_ok.append(total.is_zero())
-    length6_zero = all(
-        monomial(L, word).is_zero() for word in itertools.product((1, 2, 3, 4), repeat=6)
-    )
-    return {
-        "rank": ech.dim,
-        "count": len(SPANNING_MONOMIALS_4GEN),
-        "is_basis": ech.dim == n == len(SPANNING_MONOMIALS_4GEN) == inserted,
-        "identities_zero": identities_ok,
-        "length6_all_reduce_to_zero": length6_zero,
-        "pass": ech.dim == n == inserted
-        and all(identities_ok)
-        and length6_zero,
-    }

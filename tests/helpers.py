@@ -20,22 +20,24 @@ exponential, its ad x_root columns read by a scan of the whole integer
 table, as ``chevalley`` built it before it applied the divided powers to one
 vector at a time; ``reference_extremal_spanning_set`` is the closure over
 those full maps.  ``dense_mat_mul``, ``dense_matrix_lie_algebra``,
-``dense_natural_representation``, ``dense_phi_spectrum_check`` and
-``dense_fourth_power_check`` are the matrix layer on dense lists of raw
-values, with one ``Field`` call per entry and the matrices of ad, as it ran
-before matrices became lists of sparse rows.  The tests hold the fast code
-to them.  ``echelon_basis`` (the dense basis rows of an ``Echelon``),
+``dense_natural_representation`` and ``dense_fourth_power_check`` are the
+matrix layer on dense lists of raw values, with one ``Field`` call per entry
+and the matrices of ad, as it ran before matrices became lists of sparse
+rows.  The tests hold the fast code to them.  ``dense_phi_spectrum_check``,
+on the same dense matrices, is the one check of the ad_x ad_y eigenvalue
+lemma.  ``echelon_basis`` (the dense basis rows of an ``Echelon``),
 ``grow_extremal_spanning``, ``line_is_fully_extremal``,
 ``graded_components`` and the root data accessors ``root_inner``,
 ``root_norm2``, ``root_pairing`` and ``cartan_element`` are ones that only
 the tests call.
 So is the last section: the free mode of the cover engine
 (``free_nilpotent_quotient``), the direct route to R_r
-(``assoc_algebra_direct_dims`` on ``left_normed_expansions``), and the
-checks of the paper's lemmas that no command reports (the B2/G2 short-root
-decompositions, generation by the simple roots and the lowest root, the
-fourth-power lemma, orthogonality of ideal direct sums, the two-generator
-trichotomy).
+(``assoc_algebra_direct_dims`` on ``left_normed_expansions``), the
+right-nested ``monomial`` of L_r, sl2, and the checks of the paper's lemmas
+that no command reports (L_{r-1} inside L_r, the 28 monomials spanning L_4,
+the B2/G2 short-root decompositions, generation by the simple roots and the
+lowest root, the fourth-power lemma, orthogonality of ideal direct sums, the
+two-generator trichotomy).
 """
 
 import itertools
@@ -515,6 +517,13 @@ def dense_ideal_generated(L, gens):
         sub = nxt
 
 
+def form_value(form, u, v):
+    """f(u, v) for the ``BilinearForm`` f, from its Gram rows."""
+    G = form.rows
+    s = sum(ci * cj * G[i].get(j, 0) for i, ci in u.coeffs.items() for j, cj in v.coeffs.items())
+    return form.algebra.field.raw(s)
+
+
 def preserves_form(phi, form):
     """Whether the automorphism ``phi`` keeps the bilinear form: f(phi b_i,
     phi b_j) equals the Gram entry f(b_i, b_j) on every basis pair."""
@@ -522,7 +531,7 @@ def preserves_form(phi, form):
     for i in range(L.n):
         fi = phi.apply(L.basis_element(i))
         for j in range(i, L.n):
-            v = form.value(fi, phi.apply(L.basis_element(j)))
+            v = form_value(form, fi, phi.apply(L.basis_element(j)))
             if not f.is_zero(f.sub(v, form.rows[i].get(j, f.zero))):
                 return False
     return True
@@ -1017,8 +1026,12 @@ def ad_matrix(L, a):
 
 
 def dense_phi_spectrum_check(L, x, y):
-    """Reference for ``liealg.phi_spectrum_check``: phi = ad_x ad_y as a
-    dense product of ad matrices, its square taken the same way."""
+    """The eigenvalue lemma for phi = ad_x ad_y, x extremal: all eigenvalues
+    0 when f(x, y) = 0 (case a); otherwise, with y rescaled to f(x, y) = -2
+    and s the rank of ad_x, eigenvalues 2, 1, 0 with multiplicities 2, s - 2,
+    n - s, kappa(x, y) = s + 2, and phi^2 - phi mapping into kx + k[x,y]
+    (case b).  phi is a dense product of ad matrices, its square taken the
+    same way."""
     from extremal_lie.liealg import PreconditionNotMet, Subspace, killing_form
     from extremal_lie.linalg import charpoly, poly_mul
 
@@ -1034,8 +1047,8 @@ def dense_phi_spectrum_check(L, x, y):
         phi = dense_mat_mul(f, ad_matrix(L, x), ad_matrix(L, y))
         cp = charpoly(f, sparse(phi))
         expected = [f.zero] * L.n + [f.one]
-        ok = cp == expected and f.is_zero(kappa.value(x, y))
-        return {"case": "a", "all_eigenvalues_zero": cp == expected, "kappa_zero": f.is_zero(kappa.value(x, y)), "pass": ok}
+        kz = f.is_zero(form_value(kappa, x, y))
+        return {"case": "a", "all_eigenvalues_zero": cp == expected, "kappa_zero": kz, "pass": cp == expected and kz}
     scale = f.div(f.raw(-2), fxy)
     y2 = scale * y
     adx = ad_matrix(L, x)
@@ -1049,7 +1062,7 @@ def dense_phi_spectrum_check(L, x, y):
     for root, mult in ((f.raw(2), 2), (f.raw(1), s - 2), (f.zero, L.n - s)):
         for _ in range(mult):
             expected = poly_mul(f, expected, [f.neg(root), f.one])
-    kap = kappa.value(x, y2)
+    kap = form_value(kappa, x, y2)
     comb = dense_mat_mul(f, phi, phi)
     minus_one = f.raw(-1)
     for i in range(L.n):
@@ -1152,6 +1165,104 @@ def assoc_algebra_direct_dims(r, max_len=8):
     while dims and dims[-1] == 0:
         dims.pop()
     return nilquot.AssocDims(r, dims)
+
+
+def monomial(L, word):
+    """The right-nested monomial [x_{w_1},[x_{w_2},[...,x_{w_s}]]] in the
+    algebra L of ``GradedQuotient.as_lie_algebra``, where x_i is basis
+    element i - 1 (the generators come first)."""
+    v = L.basis_element(word[-1] - 1)
+    for a in reversed(word[:-1]):
+        v = L.bracket(L.basis_element(a - 1), v)
+    return v
+
+
+def check_subalgebra_embedding(r):
+    """L_{r-1} sits inside L_r: multidegrees with last coordinate 0 match."""
+    big = nilquot.sandwich_algebra(r)
+    small = nilquot.sandwich_algebra(r - 1)
+    results = []
+    seen = set()
+    for md, dim in sorted(big.multidegree_dims.items()):
+        if md[r - 1] != 0:
+            continue
+        sub = md[: r - 1]
+        seen.add(sub)
+        expected = small.multidegree_dims.get(sub, 0)
+        results.append({"degree": list(sub), "dim": dim, "expected": expected, "pass": dim == expected})
+    for md, dim in sorted(small.multidegree_dims.items()):
+        if md not in seen:
+            results.append({"degree": list(md), "dim": 0, "expected": dim, "pass": False})
+    return {
+        "r": r,
+        "pass": all(row["pass"] for row in results),
+        "recovered_total": sum(row["dim"] for row in results),
+        "rows": results,
+    }
+
+
+# The 28 monomials spanning the 4-generator algebra
+SPANNING_MONOMIALS_4GEN = [
+    (1,), (2,), (3,), (4,),
+    (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
+    (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 1, 3), (2, 1, 4), (2, 3, 4), (3, 1, 4), (3, 2, 4),
+    (1, 2, 3, 4), (1, 3, 2, 4), (2, 1, 3, 4), (2, 3, 1, 4), (3, 1, 2, 4), (3, 2, 1, 4),
+    (1, 2, 3, 1, 4), (2, 1, 3, 2, 4), (3, 1, 2, 3, 4), (4, 1, 2, 3, 4),
+]
+
+# Jacobi reductions used in the spanning proof; each list of (coeff, word) sums to 0.
+SPANNING_IDENTITIES_4GEN = [
+    [(1, (1, 2, 3, 4)), (-1, (1, 3, 2, 4)), (1, (1, 4, 2, 3))],
+    [(1, (2, 1, 3, 4)), (-1, (2, 3, 1, 4)), (1, (2, 4, 1, 3))],
+    [(1, (3, 1, 2, 4)), (-1, (3, 2, 1, 4)), (1, (3, 4, 1, 2))],
+    [(1, (4, 1, 2, 3)), (-1, (1, 4, 2, 3)), (1, "[[y,z],[u,x]]")],
+    [(1, (4, 2, 1, 3)), (-1, (2, 4, 1, 3)), (1, "[[x,z],[u,y]]")],
+    [(1, (4, 3, 1, 2)), (-1, (3, 4, 1, 2)), (1, "[[x,y],[u,z]]")],
+    [(1, (1, 2, 3, 4)), (-1, (2, 1, 3, 4)), (1, "[[z,u],[x,y]]")],
+    [(1, (1, 3, 2, 4)), (-1, (3, 1, 2, 4)), (1, "[[y,u],[x,z]]")],
+    [(1, (2, 3, 1, 4)), (-1, (3, 2, 1, 4)), (1, "[[x,u],[y,z]]")],
+]
+
+_GENERATOR_NAMES = {"x": 1, "y": 2, "z": 3, "u": 4}
+
+
+def _eval_identity_term(L, term):
+    """A term is a right-nested word or a string "[[a,b],[c,d]]"."""
+    if isinstance(term, tuple):
+        return monomial(L, term)
+    (a, b), (c, d) = [[_GENERATOR_NAMES[g] for g in pair.split(",")] for pair in term.strip("[]").split("],[")]
+    return L.bracket(monomial(L, (a, b)), monomial(L, (c, d)))
+
+
+def spanning_set_check_4gen():
+    """The 28 listed monomials are a basis of L_4, the nine Jacobi reductions
+    vanish, and every length-6 monomial evaluates to zero."""
+    L = nilquot.sandwich_algebra(4).as_lie_algebra()
+    n = L.n
+    ech = Echelon(QQ, n)
+    inserted = 0
+    for word in SPANNING_MONOMIALS_4GEN:
+        if ech.insert(monomial(L, word).coeffs) is not None:
+            inserted += 1
+    identities_ok = []
+    for ident in SPANNING_IDENTITIES_4GEN:
+        total = L.zero()
+        for coeff, term in ident:
+            total = total + coeff * _eval_identity_term(L, term)
+        identities_ok.append(total.is_zero())
+    length6_zero = all(
+        monomial(L, word).is_zero() for word in itertools.product((1, 2, 3, 4), repeat=6)
+    )
+    return {
+        "rank": ech.dim,
+        "count": len(SPANNING_MONOMIALS_4GEN),
+        "is_basis": ech.dim == n == len(SPANNING_MONOMIALS_4GEN) == inserted,
+        "identities_zero": identities_ok,
+        "length6_all_reduce_to_zero": length6_zero,
+        "pass": ech.dim == n == inserted
+        and all(identities_ok)
+        and length6_zero,
+    }
 
 
 def short_root_decomposition_check(type_, field):
@@ -1293,7 +1404,7 @@ def direct_sum_orthogonality_check(L, part1_indices, part2_indices, spanning_set
         raise NotADirectSum("parts are not ideals")
     form = extremal_form(L, spanning_set)
     orth = all(
-        f.is_zero(form.value(L.basis_element(i), L.basis_element(j)))
+        f.is_zero(form_value(form, L.basis_element(i), L.basis_element(j)))
         for i in part1_indices
         for j in part2_indices
     )
@@ -1311,6 +1422,17 @@ def direct_sum_orthogonality_check(L, part1_indices, part2_indices, spanning_set
         if ech.dim != part.dim:
             proj_ok = False
     return {"orthogonal": orth, "projections_span_and_extremal": proj_ok, "pass": orth and proj_ok}
+
+
+def sl2(field=QQ):
+    """Standard basis (e, h, f): [e,f]=h, [h,e]=2e, [h,f]=-2f."""
+    f = field
+    table = {
+        (0, 1): {0: f.raw(-2)},
+        (0, 2): {1: f.one},
+        (1, 2): {2: f.raw(-2)},
+    }
+    return LieAlgebra(f, ["e", "h", "f"], table)
 
 
 def heisenberg(field=QQ):

@@ -21,7 +21,6 @@ from extremal_lie.chevalley import (
     extremal_spanning_set,
     long_root_extremality_check,
     mingen_certify,
-    mingen_generators,
     minimal_generator_count,
     natural_representation,
     root_exp_apply,
@@ -211,14 +210,14 @@ def test_simple_plus_lowest_generates():
 
 
 def test_mingen_generator_counts():
-    assert len(mingen_generators(chevalley("D", 4))) == 4
-    assert len(mingen_generators(chevalley("C", 3))) == 6
-    assert len(mingen_generators(chevalley("G", 2))) == 4
+    for type_, rank, t in (("D", 4, 4), ("C", 3, 6), ("G", 2, 4)):
+        rep = mingen_certify(type_, rank, QQ)
+        assert rep["generators"] == t and rep["generators_extremal"]
 
 
 def test_verify_generation_positive_and_negative():
     A = chevalley("A", 3)
-    gens = mingen_generators(A)
+    gens = chevalley_module._mingen_recipe(A).gens
     assert verify_generation(A, gens)["pass"]
     D = chevalley("D", 4)
     rs = D.rootsystem

@@ -65,6 +65,30 @@ def test_mingen_jobs_flag(capsys):
     assert "A1/char0" in out and "A2/char0" in out
 
 
+def test_mingen_jobs_pool_is_no_larger_than_the_type_list(capsys, monkeypatch):
+    """The pool gets a worker per type at most, however large --jobs is; a
+    fake executor records the size and maps serially, so no process starts."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    code, out, _ = run_cli(capsys, "mingen", "--type", "A1,A2", "--jobs", "64")
+    assert code == 0 and sizes == [2]
+    assert "A1/char0" in out and "A2/char0" in out
+
+
 def test_radicals_g2_char3(capsys):
     code, out, _ = run_cli(capsys, "--json", "radicals", "--type", "G2", "--char", "3")
     assert code == 0
@@ -262,6 +286,8 @@ def test_mingen_f4_char5(capsys):
     ["mingen", "--type", "E8", "--heavy"],
     ["radicals", "--type", "G", "--rank", "2"],
     ["extremal-check", "--type", "G"],
+    ["--json", "radicals", "--type", "A\u00b2"],
+    ["radicals", "--type", "A\u0661"],
 ])
 def test_malformed_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -24,8 +24,8 @@ from extremal_lie.liealg import (
     extremal_closure,
     extremal_form,
     killing_form,
-    sl2,
 )
+from extremal_lie.linalg import canonical
 from extremal_lie.scalars import QQ, Field, GF
 
 from helpers import (
@@ -40,6 +40,7 @@ from helpers import (
     heisenberg,
     nonzero,
     rescaled,
+    sl2,
     sparse,
 )
 
@@ -189,19 +190,19 @@ def is_canonical_raw(f, v):
 @pytest.mark.parametrize("char", CHARS)
 @pytest.mark.parametrize("name", sorted(CHEVALLEY))
 def test_functional_and_form_values_are_canonical_raw_values(name, char):
-    """f_x(y), form.value(u, v) and kappa(u, v) come back as raw values, on
-    elements scaled by 1/2 and 2 so that over Q the products are integral
-    Fractions."""
+    """f_x(y) comes back as a raw value on elements scaled by 1/2, and the
+    Gram rows of the extremal form and of kappa are canonical vectors (see
+    ``linalg``)."""
     span = spanning_set(name, char)
     L = span.algebra
     f = L.field
     halves = [Fraction(1, 2) * b for b in L.basis_elements()]
-    twos = [2 * b for b in L.basis_elements()]
     values = [fx(u) for fx in span.functionals for u in halves]
-    for form in (extremal_form(L, span), killing_form(L)):
-        values += [form.value(u, v) for u in halves for v in twos]
     assert all(is_canonical_raw(f, v) for v in values)
     assert any(not f.is_zero(v) for v in values)
+    for form in (extremal_form(L, span), killing_form(L)):
+        for row in form.rows:
+            assert row == canonical(f, row) and all(type(c) in (int, Fraction) for c in row.values())
 
 
 @st.composite

@@ -49,7 +49,7 @@ def test_kernel_exact():
     for v in kernel(QQ, rows, 3):
         for row in rows:
             assert sum(a * v.get(j, 0) for j, a in row.items()) == 0
-    assert rank(QQ, rows) + len(kernel(QQ, rows, 3)) == 3
+    assert rank(QQ, rows, 3) + len(kernel(QQ, rows, 3)) == 3
 
 
 def test_solve_in_span():

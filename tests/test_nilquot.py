@@ -9,13 +9,17 @@ from extremal_lie.linalg import Echelon, canonical
 from extremal_lie.scalars import QQ, GF
 
 from helpers import (
+    SPANNING_MONOMIALS_4GEN,
     DenseEchelon,
     assoc_algebra_direct_dims,
+    check_subalgebra_embedding,
     free_nilpotent_quotient,
     graded_components,
     graded_report,
     left_normed_expansions,
+    monomial,
     sandwich,
+    spanning_set_check_4gen,
     tensor_bracket,
     witt,
     witt_multidegree,
@@ -112,14 +116,14 @@ def test_left_normed_expansions_match_nested_tensor_brackets():
 
 
 def test_subalgebra_embedding():
-    assert nilquot.check_subalgebra_embedding(2)["pass"]
-    rep = nilquot.check_subalgebra_embedding(4)
+    assert check_subalgebra_embedding(2)["pass"]
+    rep = check_subalgebra_embedding(4)
     assert rep["pass"]
     assert rep["recovered_total"] == 8
 
 
 def test_spanning_set_check_4gen():
-    rep = nilquot.spanning_set_check_4gen()
+    rep = spanning_set_check_4gen()
     assert rep["rank"] == 28
     assert rep["is_basis"]
     assert all(rep["identities_zero"])
@@ -130,10 +134,10 @@ def test_spanning_set_check_4gen():
 def test_monomial_evaluation_in_l3():
     L = sandwich(3).as_lie_algebra()
     # [x1,[x1,x2]] is a defining relation, so it vanishes
-    assert nilquot.monomial(L, (1, 1, 2)).coeffs == {}
+    assert monomial(L, (1, 1, 2)).coeffs == {}
     # the eight spanning monomials are a basis
     words = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3), (2, 1, 3)]
-    vecs = [nilquot.monomial(L, w).coeffs for w in words]
+    vecs = [monomial(L, w).coeffs for w in words]
     seen = set()
     for v in vecs:
         assert v
@@ -174,7 +178,7 @@ def test_degree_cap_guard(monkeypatch):
 def test_bracket_in_quotient_multidegree_additive():
     q = sandwich(4)
     L = q.as_lie_algebra()
-    out = L.bracket(nilquot.monomial(L, (1, 2)), nilquot.monomial(L, (3, 4))).coeffs
+    out = L.bracket(monomial(L, (1, 2)), monomial(L, (3, 4))).coeffs
     assert out  # [[x1,x2],[x3,x4]] is nonzero in L_4
     # the basis of L runs by degree, so degree 4 is the fourth block
     lo = sum(q.dims_by_degree[:3])
@@ -191,13 +195,13 @@ def test_components_expose_words_and_ranks():
 
 def test_r3_count_from_spanning_monomial_list():
     # monomials of the 4-generator list containing the last letter exactly once
-    singles = [w for w in nilquot.SPANNING_MONOMIALS_4GEN if w.count(4) == 1]
+    singles = [w for w in SPANNING_MONOMIALS_4GEN if w.count(4) == 1]
     assert len(singles) == 19
     assert len(singles) == nilquot.assoc_dims_via_embedding(3).total_dim
 
 
 def test_subalgebra_embedding_r5_recovers_l4():
-    rep = nilquot.check_subalgebra_embedding(5)
+    rep = check_subalgebra_embedding(5)
     assert rep["pass"]
     assert rep["recovered_total"] == 28
 

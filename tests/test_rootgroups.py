@@ -6,7 +6,7 @@ import pytest
 
 from extremal_lie.scalars import QQ, GF
 from extremal_lie import chevalley as chevalley_module, cli, liealg, rootgroups
-from extremal_lie.liealg import PreconditionNotMet, is_extremal, sl2
+from extremal_lie.liealg import PreconditionNotMet, is_extremal
 from extremal_lie.rootgroups import (
     chain_nonexistence_probe,
     parameter_samples,
@@ -15,7 +15,7 @@ from extremal_lie.rootgroups import (
     verify_abstract_root_properties,
 )
 
-from helpers import RootGroupElement, chevalley, line_is_fully_extremal
+from helpers import RootGroupElement, chevalley, line_is_fully_extremal, sl2
 
 
 def test_root_group_depends_only_on_the_line():

@@ -6,18 +6,15 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 import extremal_lie
 from extremal_lie import cli
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(extremal_lie.__file__))
 REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# demos/tables.py builds L_5 once (about 0.7 s on a 2-core host)
-DEMOS = ("radical_chain.py", "root_groups.py", "three_generators.py", "minimal_generators.py", "tables.py")
-# a line a demo must print: sl3 over GF(3), where the Killing form vanishes
-DEMO_LINES = {"radical_chain.py": "Rad(L) dim: 1 (the center; certified maximal: True)"}
+# the callers that count as uses of a package function besides the package
+# itself: bench/ reaches code that no command does (see UNCALLED_ALLOWED)
+CALLER_DIRS = [os.path.join(REPO_DIR, "bench")]
 
 
 def test_no_assert_statements_in_package():
@@ -101,23 +98,21 @@ def test_report_check_guard_finds_each_pattern(tmp_path):
     assert _report_checks_that_cannot_fail(str(path)) == [1, 2, 3]
 
 
-@pytest.mark.parametrize("demo", DEMOS)
-def test_demo_runs(demo):
-    done = subprocess.run(
-        [sys.executable, os.path.join("demos", demo)], cwd=REPO_DIR, capture_output=True, text=True, timeout=300
-    )
-    assert done.returncode == 0, done.stderr
-    assert DEMO_LINES.get(demo, "") in done.stdout
+def test_package_init_holds_only_its_docstring():
+    """There is no package-level API: the modules are imported by name, and
+    the command line is the interface, so ``__init__`` re-exports nothing."""
+    with open(os.path.join(PACKAGE_DIR, "__init__.py")) as fh:
+        tree = ast.parse(fh.read())
+    assert ast.get_docstring(tree) and len(tree.body) == 1
 
 
-# Module-level functions and methods that nothing in src/ or demos/ calls,
-# kept on purpose
+# Module-level functions and methods that nothing in src/ or bench/ calls,
+# kept on purpose, each with its reason
 UNCALLED_ALLOWED = {
-    # span targets of bench/spans.py, which reports a missing target as absent;
-    # cached_integer_table is also the set-up call of bench/child.py
-    "solve_in_span", "root_exponential", "cached_integer_table",
-    # argparse calls this override of ArgumentParser.error
-    "_Parser.error",
+    "solve_in_span": "a span target of bench/spans.py, which reports a missing target as absent",
+    "root_exponential": "a span target of bench/spans.py, which reports a missing target as absent",
+    "charpoly": "a span target of bench/spans.py; tests/helpers.dense_phi_spectrum_check uses it",
+    "_Parser.error": "argparse calls this override of ArgumentParser.error",
 }
 
 
@@ -175,19 +170,20 @@ def _uncalled_functions(package_dir, other_dirs):
 def test_every_package_function_has_a_caller():
     """ROADMAP aim 2: no functions or classes that nothing uses.  Code only
     the tests use lives in tests/helpers."""
-    uncalled = _uncalled_functions(PACKAGE_DIR, [os.path.join(REPO_DIR, "demos")])
+    uncalled = _uncalled_functions(PACKAGE_DIR, CALLER_DIRS)
     assert sorted(u for u in uncalled if u.split(":")[1] not in UNCALLED_ALLOWED) == []
-    assert {u.split(":")[1] for u in uncalled} == UNCALLED_ALLOWED  # no stale entry
+    assert {u.split(":")[1] for u in uncalled} == set(UNCALLED_ALLOWED)  # no stale entry
+    assert all(reason.strip() for reason in UNCALLED_ALLOWED.values())
 
 
 def test_uncalled_function_guard_finds_each_case(tmp_path):
-    pkg, demos = tmp_path / "pkg", tmp_path / "demos"
+    pkg, bench = tmp_path / "pkg", tmp_path / "bench"
     pkg.mkdir()
-    demos.mkdir()
+    bench.mkdir()
     (pkg / "__init__.py").write_text("from .a import exported\n")
     (pkg / "a.py").write_text(
         "def exported():\n    pass\n\n\ndef called():\n    pass\n\n\ndef by_attribute():\n    pass\n\n\n"
-        "def by_demo():\n    pass\n\n\ndef recursive():\n    return recursive\n\n\n"
+        "def by_bench():\n    pass\n\n\ndef recursive():\n    return recursive\n\n\n"
         "class K:\n    def __init__(self):\n        self.by_self()\n\n"
         "    def by_self(self):\n        return called()\n\n"
         "    @property\n    def prop(self):\n        pass\n\n"
@@ -196,20 +192,18 @@ def test_uncalled_function_guard_finds_each_case(tmp_path):
         "class Planted(ValueError):\n    pass\n"
     )
     (pkg / "b.py").write_text("from . import a\n\nx = a.by_attribute\ny = a.K()\nshadowed = 1\n")
-    (demos / "d.py").write_text("from pkg.a import by_demo\n")
-    assert _uncalled_functions(str(pkg), [str(demos)]) == [
+    (bench / "d.py").write_text("from pkg.a import by_bench\n")
+    assert _uncalled_functions(str(pkg), [str(bench)]) == [
         "a.py:exported", "a.py:K.unused", "a.py:K.shadowed", "a.py:Planted",
     ]
 
 
-# Parameters with a default that no call in src/, demos/ or bench/ sets,
+# Parameters with a default that no call in src/ or bench/ sets,
 # kept on purpose, each with its reason
 UNSET_ALLOWED = {
     "_CoverEngine.extra_consistency": "the all-rows reference mode the engine tests compare with",
     "_CoverEngine.sandwich": "False is the free mode whose Witt and necklace dimensions the tests check",
     "assoc_dims_via_embedding.field": "GF(p) tests set it; a --char for tables would too",
-    "check_subalgebra_embedding.field": "GF(p) tests set it; a --char for tables would too",
-    "spanning_set_check_4gen.field": "GF(p) tests set it; a --char for tables would too",
     "root_exponential.s": "root_exponential is a span target of bench/spans.py, kept as it is",
     "structural_subspaces.raising": "structural_subspaces is a span target of bench/spans.py, kept as it is",
 }
@@ -279,18 +273,17 @@ def _unset_parameters(package_dir, other_dirs):
 def test_every_defaulted_parameter_is_set_by_a_caller():
     """ROADMAP aim 2: a switch or input form that only the tests set does
     not belong in src/; each parameter with a default is set by some call in
-    src/, demos/ or bench/, or is in ``UNSET_ALLOWED`` with its reason."""
-    others = [os.path.join(REPO_DIR, d) for d in ("demos", "bench")]
-    unset = {u.split(":")[1] for u in _unset_parameters(PACKAGE_DIR, others)}
+    src/ or bench/, or is in ``UNSET_ALLOWED`` with its reason."""
+    unset = {u.split(":")[1] for u in _unset_parameters(PACKAGE_DIR, CALLER_DIRS)}
     assert sorted(unset - set(UNSET_ALLOWED)) == []
     assert sorted(set(UNSET_ALLOWED) - unset) == []  # no stale entry
     assert all(reason.strip() for reason in UNSET_ALLOWED.values())
 
 
 def test_unset_parameter_guard_finds_each_case(tmp_path):
-    pkg, demos = tmp_path / "pkg", tmp_path / "demos"
+    pkg, bench = tmp_path / "pkg", tmp_path / "bench"
     pkg.mkdir()
-    demos.mkdir()
+    bench.mkdir()
     (pkg / "a.py").write_text(
         "def by_keyword(x, flag=False):\n    pass\n\n\n"
         "def by_position(x, n=1, m=2):\n    pass\n\n\n"
@@ -308,8 +301,8 @@ def test_unset_parameter_guard_finds_each_case(tmp_path):
         "a.by_star(1, *args)\nby_kwargs(1, **{})\n"
         "k = a.K(1, c=3)\nk.m(5)\nK.s()\n"
     )
-    (demos / "d.py").write_text("from pkg.a import never\n\nnever(1)\n")
-    assert _unset_parameters(str(pkg), [str(demos)]) == [
+    (bench / "d.py").write_text("from pkg.a import never\n\nnever(1)\n")
+    assert _unset_parameters(str(pkg), [str(bench)]) == [
         "a.py:by_position.m", "a.py:by_star.k", "a.py:never.mode", "a.py:K.b", "a.py:K.m.e", "a.py:K.s.d",
     ]
 
@@ -369,7 +362,7 @@ def test_dense_vector_guard_finds_each_case(tmp_path):
 
 
 # The modules of the package, lowest layer first: a module imports only
-# modules before it.  ``__init__`` re-exports the library and comes last.
+# modules before it.  ``__init__`` holds only the package docstring and comes last.
 LAYERS = ("scalars", "linalg", "liealg", "nilquot", "rootdata", "chevalley", "smallgen", "rootgroups", "cli", "__init__")
 
 
