@@ -71,20 +71,20 @@ class LieAlgebra:
         self.labels = list(labels)
         self.n = len(self.labels)
         self._table = {}  # (i, j), i < j -> canonical row, as given
-        self._brackets = {}  # (i, j) and (j, i) -> canonical row
+        self._adj = [{} for _ in range(self.n)]  # _adj[i]: {j: [b_i, b_j]}, nonzero rows
         for (i, j), row in table.items():
             if not 0 <= i < j < self.n:
                 raise ValueError("table keys must satisfy 0 <= i < j < n")
             row = canonical(field, row)
             if row:
-                self._table[(i, j)] = self._brackets[(i, j)] = row
-                self._brackets[(j, i)] = canonical(field, {k: -c for k, c in row.items()})
+                self._table[(i, j)] = self._adj[i][j] = row
+                self._adj[j][i] = canonical(field, {k: -c for k, c in row.items()})
         self.generators = self._ad_generators()
         self._validate_jacobi()
 
     def bracket_basis(self, i, j):
         """[b_i, b_j] as a sparse row (shared; do not mutate)."""
-        return self._brackets.get((i, j), {})
+        return self._adj[i].get(j, {})
 
     def _ad(self, s, v):
         """[b_s, v] for a sparse row v, as a canonical row."""
@@ -124,10 +124,8 @@ class LieAlgebra:
         its own) names the first failing triple in lexicographic order."""
         p = self.field.characteristic
         n = self.n
-        adj = [[] for _ in range(n)]  # adj[a]: (b, [b_a, b_b]) per nonzero bracket
+        adj = self._adj
         above = [[] for _ in range(n)]  # above[m]: (j, k, c_jk^m), j < k, nonzero
-        for (a, b), row in self._brackets.items():
-            adj[a].append((b, row))
         for (j, k), row in self._table.items():
             for m, c in row.items():
                 above[m].append((j, k, c))
@@ -166,11 +164,12 @@ class LieAlgebra:
         return AlgebraElement(self, {})
 
     def bracket(self, a, b):
-        pairs = self._brackets
+        adj = self._adj
         out = {}
         for i, ci in a.coeffs.items():
+            rows = adj[i]
             for j, cj in b.coeffs.items():
-                row = pairs.get((i, j))
+                row = rows.get(j)
                 if row:
                     axpy(out, ci * cj, row)
         return AlgebraElement(self, canonical(self.field, out))
@@ -191,16 +190,16 @@ def _derivation_defects(p, adj, above, i, floor):
     unreduced, as in ``axpy``.  The loops are written out because a call per
     term makes E7 construction measurably slower."""
     acc = {}  # (j, k, t) -> coefficient of b_t in D_i(j, k)
-    for m, row_im in adj[i]:
+    for m, row_im in adj[i].items():
         for j, k, c in above[m]:
             if j > floor:
                 for t, w in row_im.items():
                     key = (j, k, t)
                     acc[key] = acc.get(key, 0) + c * w
-    for x, row_ix in adj[i]:
+    for x, row_ix in adj[i].items():
         if x > floor:
             for m, r in row_ix.items():
-                for y, row_my in adj[m]:
+                for y, row_my in adj[m].items():
                     if y > floor and y != x:
                         j, k, s = (x, y, -r) if x < y else (y, x, r)
                         for t, w in row_my.items():
@@ -356,10 +355,11 @@ def _by_position(L, js):
     the coefficient of b_k in [b_i, b_j], over the nonzero ones with j in
     ``js``."""
     at = {}
-    for (i, j), row in L._brackets.items():
-        if j in js:
-            for k, c in row.items():
-                at.setdefault((j, k), {})[i] = c
+    for i, j in L._table:
+        for a, b in ((i, j), (j, i)):
+            if b in js:
+                for k, c in L._adj[a][b].items():
+                    at.setdefault((b, k), {})[a] = c
     return at
 
 
@@ -449,22 +449,34 @@ class ExtremalFunctional:
 
 
 def is_extremal(L, x):
-    """The functional f_x when im (ad_x)^2 lies in k.x; None otherwise."""
+    """The functional f_x when im (ad_x)^2 lies in k.x; None otherwise.
+
+    The columns c_j = [x, b_j] of ad_x are summed once, over the nonzero
+    brackets of x's support, and are not reduced: ad_x is linear, so
+    ad_x^2 b_j = [x, c_j] = sum_k (c_j)_k c_k, and this one sparse
+    combination of the columns, made canonical, is the vector [x, [x, b_j]]
+    that two brackets give.  It is compared with lambda_j x; None at the
+    first b_j that fails."""
     x = L.element(x)
     if x.is_zero():
         raise ZeroElement("extremality is defined for nonzero elements")
     f = L.field
-    ref = min(x.coeffs)
-    xr = x.coeffs[ref]
+    xc = x.coeffs
+    cols = [{} for _ in range(L.n)]
+    for i, c in xc.items():
+        for j, row in L._adj[i].items():
+            axpy(cols[j], c, row)
+    ref = min(xc)
+    xr = xc[ref]
     values = {}
-    for j in range(L.n):
-        w = L.bracket(x, L.bracket(x, L.basis_element(j)))
-        if w.is_zero():
+    for j, col in enumerate(cols):
+        w = combine(f, col, cols) if col else col
+        if not w:
             continue
-        lam = f.div(w.coeffs.get(ref, f.zero), xr)
+        lam = f.div(w.get(ref, f.zero), xr)
         expected = {}
-        axpy(expected, lam, x.coeffs)
-        if w.coeffs != canonical(f, expected):
+        axpy(expected, lam, xc)
+        if w != canonical(f, expected):
             return None
         values[j] = lam
     return ExtremalFunctional(L, values)
@@ -542,7 +554,8 @@ def extremal_form(L, basis):
         raise ValueError("extremal_form takes an extremal basis of L from extremal_closure")
     f = L.field
     inverse = mat_inverse(f, [s.coeffs for s in basis])
-    form = BilinearForm(L, mat_mul(f, inverse, [fx.values for fx in basis.functionals]))
+    gram = mat_mul(f, inverse, [fx.values for fx in basis.functionals])
+    form = BilinearForm(L, [{j: f.raw(x) for j, x in row.items()} for row in gram])
     if not form.is_symmetric():
         raise WellDefinednessFailure("extremal form not symmetric: f_x(y) != f_y(x) on the basis")
     if not form.is_associative():

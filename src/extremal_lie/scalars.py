@@ -4,10 +4,11 @@ A field value inside the package is a *raw* value, and only that; a
 ``Field`` is the arithmetic context that gives it meaning.  Over GF(p) a raw
 value is a canonical residue, an ``int`` in ``[0, p)``.  Over Q it is an
 ``int`` when it is integral and a ``Fraction`` otherwise: ``zero``, ``one``,
-``raw``, ``inv`` and ``sqrt_raw`` return an ``int`` whenever they can.
+``raw``, ``mul``, ``div``, ``inv`` and ``sqrt_raw`` return an ``int``
+whenever they can.
 Python's int and Fraction arithmetic mix exactly, and an integral Fraction
-equals and hashes like the int, so a sum or product that comes back as an
-integral ``Fraction`` is the same raw value.  ``Field.raw`` is the one place
+equals and hashes like the int, so a sum that comes back as an integral
+``Fraction`` is the same raw value.  ``Field.raw`` is the one place
 where an int or a Fraction becomes a raw value.  Text appears only at the
 command-line boundary: ``from_str`` reads an argument and ``to_str`` writes a
 report.  Fields are immutable and safe to share between threads.
@@ -24,7 +25,7 @@ from math import isqrt
 
 
 def _integral(q):
-    """A Fraction as an int when it is integral."""
+    """An int or a Fraction as an int when it is integral."""
     return q.numerator if q.denominator == 1 else q
 
 
@@ -110,7 +111,7 @@ class Field:
 
     def mul(self, a, b):
         p = self.characteristic
-        return a * b % p if p else a * b
+        return a * b % p if p else _integral(a * b)
 
     def neg(self, a):
         p = self.characteristic

@@ -10,7 +10,9 @@ triples that the Jacobi check made before it became term-driven and ran on
 the ad-generators only; ``dense_ideal_generated`` expands by every basis
 element, as ideal closure did before it expanded by the generators;
 ``dense_extremal_gram`` is the Gram of the extremal form as two dense matrix
-products, ``fraction_inner`` the inner product of roots with one
+products, ``bracket_is_extremal`` the extremality check with two brackets
+[x, [x, b_j]] per basis vector, as ``is_extremal`` ran before it combined
+the columns of ad_x, ``fraction_inner`` the inner product of roots with one
 ``Fraction`` per term, and ``FractionAutomorphism``/``fraction_exp_map``
 the exp-automorphisms on ``Fraction`` columns with two brackets per basis
 vector, as they were before the columns became integers over one
@@ -59,10 +61,12 @@ from extremal_lie.chevalley import (
 )
 from extremal_lie.liealg import (
     AlgebraElement,
+    ExtremalFunctional,
     LieAlgebra,
     NotSpanning,
     PreconditionNotMet,
     Subspace,
+    ZeroElement,
     extremal_closure,
     extremal_form,
     is_extremal,
@@ -589,6 +593,29 @@ def dense_extremal_gram(L, spanning):
     coords = dense([coordinates.solve({i: f.one}) for i in range(L.n)], len(elems))
     half = dense_mat_mul(f, coords, fvals)
     return dense_mat_mul(f, half, [list(col) for col in zip(*coords)])
+
+
+def bracket_is_extremal(L, x):
+    """Reference for ``liealg.is_extremal``: the same functional or None,
+    from two full brackets [x, [x, b_j]] per basis vector."""
+    x = L.element(x)
+    if x.is_zero():
+        raise ZeroElement("extremality is defined for nonzero elements")
+    f = L.field
+    ref = min(x.coeffs)
+    xr = x.coeffs[ref]
+    values = {}
+    for j in range(L.n):
+        w = L.bracket(x, L.bracket(x, L.basis_element(j)))
+        if w.is_zero():
+            continue
+        lam = f.div(w.coeffs.get(ref, f.zero), xr)
+        expected = {}
+        axpy(expected, lam, x.coeffs)
+        if w.coeffs != canonical(f, expected):
+            return None
+        values[j] = lam
+    return ExtremalFunctional(L, values)
 
 
 class FractionAutomorphism:

@@ -23,6 +23,7 @@ from extremal_lie.liealg import (
     center,
     extremal_closure,
     extremal_form,
+    is_extremal,
     killing_form,
 )
 from extremal_lie.linalg import canonical
@@ -203,6 +204,26 @@ def test_functional_and_form_values_are_canonical_raw_values(name, char):
     for form in (extremal_form(L, span), killing_form(L)):
         for row in form.rows:
             assert row == canonical(f, row) and all(type(c) in (int, Fraction) for c in row.values())
+
+
+@pytest.mark.parametrize("type_, rank", [("A", 2), ("G", 2), ("E", 6)])
+def test_rational_functional_values_and_gram_entries_hold_no_integral_fraction(type_, rank):
+    """Over Q the raw values that arithmetic makes are ints where integral:
+    the functional values of scaled long root elements (each f_x(b_j) a
+    quotient by the coefficient of x) and the entries of the extremal
+    form's Gram rows (products of S^-1 with the functionals)."""
+    A = chevalley(type_, rank)
+    rs = A.rootsystem
+    values = [
+        v
+        for t in rs.roots
+        if rs.is_long(t)
+        for s in (2, Fraction(1, 2), Fraction(-3, 2))
+        for v in is_extremal(A.lie, s * A.x(t)).values.values()
+    ]
+    gram = [v for row in extremal_form(A.lie, extremal_spanning_set(A)).rows for v in row.values()]
+    assert values and gram
+    assert all(is_canonical_raw(QQ, v) for v in values + gram)
 
 
 @st.composite

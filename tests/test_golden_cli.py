@@ -42,6 +42,8 @@ COMMANDS = [
     ["mingen", "--type", "A4,B4,C3,D4,D5", "--char", "53"],
     ["mingen", "--type", "C3,D4"],
     ["mingen", "--type", "E6,E7,E8", "--char", "53"],
+    ["extremal-check", "--type", "F4", "--char", "5"],
+    ["extremal-check", "--type", "G2", "--char", "3"],
 ]
 
 
