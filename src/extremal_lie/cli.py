@@ -176,7 +176,7 @@ def cmd_tables(args):
             rep.add_bool("R_%d lengths reached an empty degree below the cap" % r, False)
             return rep
         rep.add_known("R_%d lengths" % r, nilquot.R_LENGTHS, r, a.dims_by_length)
-        rep.add_bool("R_%d palindromic after identity (reported)" % r, a.palindromic_after_identity)
+        rep.report("R_%d palindromic after identity" % r, a.palindromic_after_identity)
     return rep
 
 
@@ -244,19 +244,18 @@ def cmd_threegen(args):
     edges = parse_scalars(field, args.edges, 3, "--edges")
     p = smallgen.TriangleParams(field, *edges, *parse_scalars(field, args.central, 1, "--central"))
     rep = Report("threegen", {"edges": args.edges, "central": args.central, "char": args.char})
-    trace = smallgen.normalize(p)
-    rep.add_bool("normalization replay consistent", trace.replay() == trace.final)
-    if trace.extension_required:
+    normal = smallgen.normalize(p)
+    if normal is None:
         rep.report("extension required (square root missing)", True)
         return rep
-    rep.add("central after normalization", "0", field.to_str(trace.final.central))
-    M, info = smallgen.build_M(trace.final)
+    rep.add("central after normalization", "0", field.to_str(normal.central))
+    M, case = smallgen.build_M(normal)
     rep.add("dim M", 8, M.n)
-    rep.add("case (nonzero edges)", trace.case, info["case"])
-    checks = smallgen.verify_3gen_structure(M, info["case"])
+    rep.add("case (nonzero edges)", normal.nonzero_edges(), case)
+    checks = smallgen.verify_3gen_structure(M, case)
     for key, val in sorted(checks.items()):
         if key != "pass":
-            rep.add_bool("case %d %s" % (info["case"], key), val)
+            rep.add_bool("case %d %s" % (case, key), val)
     return rep
 
 

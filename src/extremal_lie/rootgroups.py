@@ -137,7 +137,10 @@ def verify_abstract_root_properties(L, x, y, sample_params=None):
 
 def _condition_2prime(L, x, y, fx, fy):
     """(2'): 2[y,[x,z]] = f(x,z) y + f(y,z) x for all z, checked on the basis."""
-    return all(2 * L.bracket(y, L.bracket(x, z)) == fx(z) * y + fy(z) * x for z in L.basis_elements())
+    # the basis elements are built one at a time: all() stops at the first failing z
+    return all(
+        2 * L.bracket(y, L.bracket(x, z)) == fx(z) * y + fy(z) * x for z in map(L.basis_element, range(L.n))
+    )
 
 
 def strongcomm_check(L, x, y, sample_params=None):

@@ -2,13 +2,13 @@
 
 The three-generator algebra M is built on the eight spanning monomials
 x, y, z, [x,y], [x,z], [y,z], [x,[y,z]], [y,[x,z]] with a rewrite table:
-every bracket of two spanning monomials reduces by a fixed, ordered rule
-list (extremality, the two pivot identities of an extremal element, the two
+every bracket of two spanning monomials reduces by one identity
+(extremality, the two pivot identities of an extremal element, the two
 squaring identities of an extremal pair, the degree-six identity, and
-Jacobi/antisymmetry).  The table below records
-for each unordered pair which rule reduces it; a missing pair would raise
-RewriteIncomplete.  Construction validates the Jacobi identity, so a bad
-reduction cannot survive silently.
+Jacobi/antisymmetry), named in the comment above its group of
+``_pair_rules``.  Construction validates the Jacobi identity, and the
+generators' extremality and form values are checked after it
+(RewriteIncomplete), so a bad reduction cannot survive silently.
 """
 
 from __future__ import annotations
@@ -40,10 +40,6 @@ class RewriteIncomplete(RuntimeError):
     pass
 
 
-class CentralNotZero(ValueError):
-    pass
-
-
 MONOMIAL_LABELS = ["x", "y", "z", "[x,y]", "[x,z]", "[y,z]", "[x,[y,z]]", "[y,[x,z]]"]
 
 # index shorthands
@@ -60,7 +56,7 @@ def _half(field):
 
 
 def _pair_rules(field, a, b, c):
-    """The 28 reductions [m_i, m_j], i < j, as (rule name, sparse row).
+    """The 28 reductions [m_i, m_j], i < j, as sparse rows.
 
     Parameters: a = f(x,y), b = f(x,z), c = f(y,z); the central parameter
     f(x,[y,z]) is zero (enforced by the caller), which is what makes the
@@ -74,57 +70,49 @@ def _pair_rules(field, a, b, c):
         return canonical(f, {idx[key]: v for key, v in kw.items()})
 
     neg, mul = f.neg, f.mul
-    rules = {
+    return {
         # letter-letter brackets are basis monomials
-        (_X, _Y): ("basis", m(xy=f.one)),
-        (_X, _Z): ("basis", m(xz=f.one)),
-        (_Y, _Z): ("basis", m(yz=f.one)),
+        (_X, _Y): m(xy=f.one),
+        (_X, _Z): m(xz=f.one),
+        (_Y, _Z): m(yz=f.one),
         # extremality [u,[u,v]] = f_u(v) u
-        (_X, _XY): ("extremal", m(x=a)),
-        (_X, _XZ): ("extremal", m(x=b)),
-        (_Y, _YZ): ("extremal", m(y=c)),
-        (_Y, _XY): ("extremal", m(y=neg(a))),
-        (_Z, _XZ): ("extremal", m(z=neg(b))),
-        (_Z, _YZ): ("extremal", m(z=neg(c))),
+        (_X, _XY): m(x=a),
+        (_X, _XZ): m(x=b),
+        (_Y, _YZ): m(y=c),
+        (_Y, _XY): m(y=neg(a)),
+        (_Z, _XZ): m(z=neg(b)),
+        (_Z, _YZ): m(z=neg(c)),
         # remaining letter-pair brackets: basis or Jacobi
-        (_X, _YZ): ("basis", m(xyz=f.one)),
-        (_Y, _XZ): ("basis", m(yxz=f.one)),
-        (_Z, _XY): ("jacobi", m(yxz=f.one, xyz=neg(f.one))),
+        (_X, _YZ): m(xyz=f.one),
+        (_Y, _XZ): m(yxz=f.one),
+        (_Z, _XY): m(yxz=f.one, xyz=neg(f.one)),
         # letter-triple brackets: extremality or the nested-pivot identity
-        (_X, _XYZ): ("extremal", {}),
-        (_Y, _YXZ): ("extremal", {}),
-        (_X, _YXZ): ("pivot-nested", m(xy=neg(mul(h, b)), xz=neg(mul(h, a)))),
-        (_Y, _XYZ): ("pivot-nested", m(xy=mul(h, c), yz=neg(mul(h, a)))),
-        (_Z, _XYZ): ("pivot-nested", m(xz=neg(mul(h, c)), yz=neg(mul(h, b)))),
-        (_Z, _YXZ): ("pivot-nested", m(xz=neg(mul(h, c)), yz=neg(mul(h, b)))),
+        (_X, _XYZ): {},
+        (_Y, _YXZ): {},
+        (_X, _YXZ): m(xy=neg(mul(h, b)), xz=neg(mul(h, a))),
+        (_Y, _XYZ): m(xy=mul(h, c), yz=neg(mul(h, a))),
+        (_Z, _XYZ): m(xz=neg(mul(h, c)), yz=neg(mul(h, b))),
+        (_Z, _YXZ): m(xz=neg(mul(h, c)), yz=neg(mul(h, b))),
         # pair-pair brackets: the common-pivot identity
-        (_XY, _XZ): ("pivot-pairs", m(xy=mul(h, b), xz=neg(mul(h, a)))),
-        (_XY, _YZ): ("pivot-pairs", m(xy=mul(h, c), yz=mul(h, a))),
-        (_XZ, _YZ): ("pivot-pairs", m(xz=neg(mul(h, c)), yz=mul(h, b))),
+        (_XY, _XZ): m(xy=mul(h, b), xz=neg(mul(h, a))),
+        (_XY, _YZ): m(xy=mul(h, c), yz=mul(h, a)),
+        (_XZ, _YZ): m(xz=neg(mul(h, c)), yz=mul(h, b)),
         # pair-triple brackets: the squaring identities of two extremals
-        (_XY, _XYZ): ("square1", m(x=mul(h, mul(c, a)), xyz=neg(mul(h, a)))),
-        (_XY, _YXZ): ("square1", m(y=neg(mul(h, mul(b, a))), yxz=mul(h, a))),
-        (_XZ, _XYZ): ("square1", m(x=neg(mul(h, mul(c, b))), xyz=neg(mul(h, b)))),
-        (_XZ, _YXZ): (
-            "square2",
-            m(x=neg(mul(h, mul(b, c))), z=neg(mul(h, mul(b, a))), xyz=neg(b), yxz=mul(h, b)),
-        ),
-        (_YZ, _XYZ): (
-            "square2",
-            m(y=neg(mul(h, mul(c, b))), z=neg(mul(h, mul(c, a))), xyz=mul(h, c), yxz=neg(c)),
-        ),
-        (_YZ, _YXZ): ("square1", m(y=neg(mul(h, mul(b, c))), yxz=neg(mul(h, c)))),
+        (_XY, _XYZ): m(x=mul(h, mul(c, a)), xyz=neg(mul(h, a))),
+        (_XY, _YXZ): m(y=neg(mul(h, mul(b, a))), yxz=mul(h, a)),
+        (_XZ, _XYZ): m(x=neg(mul(h, mul(c, b))), xyz=neg(mul(h, b))),
+        (_XZ, _YXZ): m(x=neg(mul(h, mul(b, c))), z=neg(mul(h, mul(b, a))), xyz=neg(b), yxz=mul(h, b)),
+        (_YZ, _XYZ): m(y=neg(mul(h, mul(c, b))), z=neg(mul(h, mul(c, a))), xyz=mul(h, c), yxz=neg(c)),
+        (_YZ, _YXZ): m(y=neg(mul(h, mul(b, c))), yxz=neg(mul(h, c))),
         # triple-triple: the degree-six identity
-        (_XYZ, _YXZ): (
-            "degree6",
-            m(xy=neg(mul(h, mul(b, c))), xz=mul(h, mul(a, c)), yz=neg(mul(h, mul(a, b)))),
-        ),
+        (_XYZ, _YXZ): m(xy=neg(mul(h, mul(b, c))), xz=mul(h, mul(a, c)), yz=neg(mul(h, mul(a, b)))),
     }
-    return rules
 
 
 class TriangleParams:
-    """The four parameters of a triple of extremal generators."""
+    """The four parameters of a triple of extremal generators u_0, u_1, u_2:
+    the edges f(u_i, u_j), held at index i + j - 1 of ``edges()``, and the
+    central value f(u_0, [u_1, u_2])."""
 
     def __init__(self, field, edge_xy, edge_xz, edge_yz, central):
         self.field = field
@@ -152,187 +140,75 @@ class TriangleParams:
             f.to_str(v) for v in (self.edge_xy, self.edge_xz, self.edge_yz, self.central)
         )
 
-    def permute(self, sigma):
-        """Parameters of the reordered triple (u_{sigma[0]}, u_{sigma[1]}, u_{sigma[2]})."""
-        f = self.field
-        e = {frozenset((0, 1)): self.edge_xy, frozenset((0, 2)): self.edge_xz, frozenset((1, 2)): self.edge_yz}
-        parity = 1
-        s = list(sigma)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if s[i] > s[j]:
-                    parity = -parity
-        central = self.central if parity == 1 else f.neg(self.central)
-        return TriangleParams(
-            f,
-            e[frozenset((sigma[0], sigma[1]))],
-            e[frozenset((sigma[0], sigma[2]))],
-            e[frozenset((sigma[1], sigma[2]))],
-            central,
-        )
+
+def _even(pivot, target):
+    """Whether (pivot, other, target) is an even permutation of (0, 1, 2)."""
+    return target == (pivot + 2) % 3
 
 
-def exp_transform_params(params, s):
-    """Parameters of the triple (x, y, exp(x,s)z)."""
+def exp_transform_params(params, pivot, target, s):
+    """Parameters of the triple with u_target replaced by exp(u_pivot, s) u_target.
+
+    Let o be the third index, e(i, j) = f(u_i, u_j), and d = f(u_p, [u_o, u_t]),
+    the central value times the sign of the permutation (p, o, t).  Then
+    e(o, t) becomes e(o, t) - s d + s^2 e(p, o) e(p, t) / 2, d becomes
+    d - s e(p, o) e(p, t), and e(p, o), e(p, t) stay.
+    """
     f = params.field
     s = f.raw(s)
-    a, b, c, d = params.edge_xy, params.edge_xz, params.edge_yz, params.central
-    new_yz = f.add(f.sub(c, f.mul(s, d)), f.mul(_half(f), f.mul(f.mul(s, s), f.mul(a, b))))
-    new_central = f.sub(d, f.mul(s, f.mul(b, a)))
-    return TriangleParams(f, a, b, new_yz, new_central)
-
-
-def scale_params(params, alpha, beta, gamma):
-    """Parameters of (alpha x, beta y, gamma z); requires central = 0."""
-    f = params.field
-    if not f.is_zero(params.central):
-        raise CentralNotZero("scaling is only applied after the central parameter vanishes")
-    al, be, ga = (f.raw(v) for v in (alpha, beta, gamma))
-    if any(f.is_zero(v) for v in (al, be, ga)):
-        raise ValueError("scaling factors must be nonzero")
-    return TriangleParams(
-        f,
-        f.mul(f.mul(al, be), params.edge_xy),
-        f.mul(f.mul(al, ga), params.edge_xz),
-        f.mul(f.mul(be, ga), params.edge_yz),
-        f.zero,
-    )
-
-
-class NormalizationTrace:
-    """Steps is a list of ("exp", pivot, target, s), ("permute", sigma) and
-    ("scale", alpha, beta, gamma), with raw field values; replaying them on
-    the input parameters yields ``final``."""
-
-    def __init__(self, start, steps, final, extension_required=False):
-        self.start = start
-        self.steps = steps
-        self.final = final
-        self.extension_required = extension_required
-
-    @property
-    def case(self):
-        return self.final.nonzero_edges()
-
-    def replay(self):
-        p = self.start
-        for kind, *args in self.steps:
-            if kind == "exp":
-                p = _exp_step(p, *args)
-            elif kind == "permute":
-                p = p.permute(*args)
-            else:
-                p = scale_params(p, *args)
-        return p
-
-
-def _exp_step(params, pivot, target, s):
-    """Replace generator ``target`` by exp(u_pivot, s) u_target."""
-    other = next(k for k in range(3) if k not in (pivot, target))
-    sigma = (pivot, other, target)
-    q = exp_transform_params(params.permute(sigma), s)
-    inverse = [0, 0, 0]
-    for pos, orig in enumerate(sigma):
-        inverse[orig] = pos
-    return q.permute(tuple(inverse))
+    other = 3 - pivot - target
+    edges = list(params.edges())
+    e_po, e_pt, e_ot = edges[pivot + other - 1], edges[pivot + target - 1], edges[other + target - 1]
+    even = _even(pivot, target)
+    d = params.central if even else f.neg(params.central)
+    square = f.mul(_half(f), f.mul(f.mul(s, s), f.mul(e_po, e_pt)))
+    edges[other + target - 1] = f.add(f.sub(e_ot, f.mul(s, d)), square)
+    d = f.sub(d, f.mul(s, f.mul(e_pt, e_po)))
+    return TriangleParams(f, *edges, d if even else f.neg(d))
 
 
 def normalize(params):
-    """Transform to central = 0 with all nonzero edges equal to -2, one at xy
-    or two at xy and xz.
+    """The normal form of the triple, or None when it needs a square root
+    that the field lacks.
 
-    With three nonzero edges a, b, c it needs the square root of -2c/(ab);
-    over a field where it is missing the trace is returned with
-    extension_required = True.
+    Exp steps (``exp_transform_params``) clear the central value.  A
+    generator u_p on two nonzero edges is the pivot, the larger other index
+    the target, and s = d / (e(p, o) e(p, t)) clears d in one step.  With at
+    most one nonzero edge e(i, j) (or none: i, j = 0, 1), exp(u_i, 1) u_k
+    first makes e(j, k) = -d in the frame (i, j, k), so at most three steps
+    are taken.  The number n of nonzero edges then fixes the case.
+    Reordering the generators puts one nonzero edge at xy, two at xy and
+    xz, and scaling (x, y, z) by (alpha, beta, gamma) multiplies the edges
+    a, b, c by alpha beta, alpha gamma, beta gamma: beta = -2/a for one
+    edge; beta = -2/a, gamma = -2/b for two; alpha^2 = -2c/(ab),
+    beta = -2/(a alpha), gamma = -2/(b alpha) for three, where alpha may
+    be missing.  So the normal form is central 0 and edges (0,0,0),
+    (-2,0,0), (-2,-2,0) or (-2,-2,-2).
     """
     f = params.field
-    steps = []
     p = params
-    guard = 0
     while not f.is_zero(p.central):
-        guard += 1
-        if guard > 6:
-            raise RuntimeError("central reduction failed to terminate")
-        edges = {
-            frozenset((0, 1)): p.edge_xy,
-            frozenset((0, 2)): p.edge_xz,
-            frozenset((1, 2)): p.edge_yz,
-        }
-        pivot = None
-        for cand in range(3):
-            incident = [e for key, e in edges.items() if cand in key]
-            if all(not f.is_zero(e) for e in incident[:2]) and sum(
-                0 if f.is_zero(e) else 1 for e in incident
-            ) >= 2:
-                pivot = cand
-                break
-        if pivot is not None:
-            target = max(k for k in range(3) if k != pivot)
-            other = next(k for k in range(3) if k not in (pivot, target))
-            ep_t = edges[frozenset((pivot, target))]
-            ep_o = edges[frozenset((pivot, other))]
-            sigma = (pivot, other, target)
-            central_frame = p.permute(sigma).central
-            s = f.div(central_frame, f.mul(ep_t, ep_o))
-            steps.append(("exp", pivot, target, s))
-            p = _exp_step(p, pivot, target, s)
+        e = p.edges()
+        nonzero = [(i, j) for i, j in ((0, 1), (0, 2), (1, 2)) if not f.is_zero(e[i + j - 1])]
+        pivot = next((k for k in range(3) if sum(k in pair for pair in nonzero) == 2), None)
+        if pivot is None:
+            i, j = nonzero[0] if nonzero else (0, 1)
+            p = exp_transform_params(p, i, 3 - i - j, f.one)
             continue
-        # at most one nonzero edge: create one more edge first
-        nz = [key for key, e in edges.items() if not f.is_zero(e)]
-        if nz:
-            i, j = sorted(nz[0])
-            target = next(k for k in range(3) if k not in (i, j))
-            pivot = i
-        else:
-            pivot, target = 0, 2
-        steps.append(("exp", pivot, target, f.one))
-        p = _exp_step(p, pivot, target, f.one)
-    # move one nonzero edge to xy, two to xy and xz
-    sigma = _placement(f, p)
-    if sigma != (0, 1, 2):
-        steps.append(("permute", sigma))
-        p = p.permute(sigma)
-    # scale nonzero edges to -2
+        target = 1 if pivot == 2 else 2
+        other = 3 - pivot - target
+        s = f.div(p.central, f.mul(e[pivot + target - 1], e[pivot + other - 1]))
+        p = exp_transform_params(p, pivot, target, s if _even(pivot, target) else f.neg(s))
+    n = p.nonzero_edges()
     minus2 = f.raw(-2)
-    nz = p.nonzero_edges()
-    if nz and not all(f.is_zero(e) or e == minus2 for e in p.edges()):
-        a, b, c = p.edge_xy, p.edge_xz, p.edge_yz
-        al = be = ga = f.one
-        if nz < 3:
-            be = f.div(minus2, a)
-            if nz == 2:
-                ga = f.div(minus2, b)
-        else:
-            # al^2 = -2c/(ab), be = -2/(a al) and ga = -2/(b al) bring every
-            # edge to -2: only al needs a square root
-            al = f.sqrt_raw(f.div(f.mul(minus2, c), f.mul(a, b)))
-            if al is None:
-                return NormalizationTrace(params, steps, p, extension_required=True)
-            be = f.div(minus2, f.mul(a, al))
-            ga = f.div(minus2, f.mul(b, al))
-        steps.append(("scale", al, be, ga))
-        p = scale_params(p, al, be, ga)
-    if not all(f.is_zero(e) or e == minus2 for e in p.edges()):
-        raise RuntimeError("normalization left an edge other than 0 and -2")
-    return NormalizationTrace(params, steps, p)
-
-
-def _placement(f, p):
-    """The order of the generators that puts one nonzero edge at xy, or two
-    at xy and xz (the edges the case checks of ``verify_3gen_structure``
-    read); the identity order otherwise."""
-    nz = [k for k, e in zip(((0, 1), (0, 2), (1, 2)), p.edges()) if not f.is_zero(e)]
-    if len(nz) == 1:
-        i, j = nz[0]
-        return (i, j, 3 - i - j)
-    if len(nz) == 2:
-        shared = (set(nz[0]) & set(nz[1])).pop()
-        return (shared,) + tuple(k for k in range(3) if k != shared)
-    return (0, 1, 2)
+    if n == 3 and f.sqrt_raw(f.div(f.mul(minus2, p.edge_yz), f.mul(p.edge_xy, p.edge_xz))) is None:
+        return None
+    return TriangleParams(f, *(minus2 if k < n else 0 for k in range(3)), 0)
 
 
 def build_M(params):
-    """The universal dim-8 algebra with prescribed normalized parameters."""
+    """The universal dim-8 algebra with prescribed normalized parameters, and
+    its case (the number of nonzero edges)."""
     f = params.field
     if not f.is_zero(params.central):
         raise ValueError("build_M needs the central parameter reduced to zero")
@@ -341,18 +217,8 @@ def build_M(params):
         if not (f.is_zero(e) or e == minus2):
             raise ValueError("build_M needs nonzero edges normalized to -2")
     a, b, c = params.edge_xy, params.edge_xz, params.edge_yz
-    rules = _pair_rules(f, a, b, c)
-    table = {}
-    applied = {}
-    for i in range(8):
-        for j in range(i + 1, 8):
-            if (i, j) not in rules:
-                raise RewriteIncomplete("no rule reduces the pair (%d, %d)" % (i, j))
-            rule, row = rules[(i, j)]
-            applied[(i, j)] = rule
-            if row:
-                table[(i, j)] = row
-    M = LieAlgebra(f, list(MONOMIAL_LABELS), table)
+    rows = _pair_rules(f, a, b, c)
+    M = LieAlgebra(f, list(MONOMIAL_LABELS), {pair: row for pair, row in rows.items() if row})
     # generators are extremal with exactly the prescribed parameter values
     for idx, (other1, val1), (other2, val2) in (
         (_X, (_Y, a), (_Z, b)),
@@ -369,7 +235,7 @@ def build_M(params):
             or not f.is_zero(fx(M.basis_element(opposite)))
         ):
             raise RewriteIncomplete("generator %s has the wrong form values" % MONOMIAL_LABELS[idx])
-    return M, {"rules": applied, "case": params.nonzero_edges()}
+    return M, params.nonzero_edges()
 
 
 def sl3_example(field=QQ):

@@ -16,7 +16,12 @@ the columns of ad_x, ``fraction_inner`` the inner product of roots with one
 ``Fraction`` per term, and ``FractionAutomorphism``/``fraction_exp_map``
 the exp-automorphisms on ``Fraction`` columns with two brackets per basis
 vector, as they were before the columns became integers over one
-denominator.  ``preserves_bracket`` is the bracket oracle for an
+denominator.  ``round_trip_exp_step`` (on ``permuted_params``) is the exp
+step of the three-generator normalization as a reordering, the step in the
+identity frame and the reordering back, as ``smallgen`` made it before
+``exp_transform_params`` took a frame; ``four_sign_scaling`` (on
+``scale_params``) the three-edge scaling as a search over three square
+roots and four signs.  ``preserves_bracket`` is the bracket oracle for an
 ``Automorphism``.  ``reference_root_exponential`` is the full root
 exponential, its ad x_root columns read by a scan of the whole integer
 table, as ``chevalley`` built it before it applied the divided powers to one
@@ -73,6 +78,7 @@ from extremal_lie.liealg import (
     subalgebra_generated,
 )
 from extremal_lie.linalg import Echelon, axpy, canonical, combine, divide, echelon_from_rows
+from extremal_lie.smallgen import TriangleParams, exp_transform_params
 from extremal_lie import nilquot, rootdata
 
 
@@ -373,6 +379,73 @@ def eigenline_modules_irreducible(M, modules):
                 if all(line.contains(M.bracket(s, x)) for s in s_elts):
                     return False
     return True
+
+
+def permuted_params(params, sigma):
+    """Parameters of the reordered triple (u_sigma[0], u_sigma[1],
+    u_sigma[2]): ``smallgen.TriangleParams.permute`` as the package had it
+    before ``exp_transform_params`` took a frame."""
+    f = params.field
+    e = {frozenset((0, 1)): params.edge_xy, frozenset((0, 2)): params.edge_xz, frozenset((1, 2)): params.edge_yz}
+    parity = 1
+    for i in range(3):
+        for j in range(i + 1, 3):
+            if sigma[i] > sigma[j]:
+                parity = -parity
+    return TriangleParams(
+        f,
+        e[frozenset((sigma[0], sigma[1]))],
+        e[frozenset((sigma[0], sigma[2]))],
+        e[frozenset((sigma[1], sigma[2]))],
+        params.central if parity == 1 else f.neg(params.central),
+    )
+
+
+def round_trip_exp_step(params, pivot, target, s):
+    """exp(u_pivot, s) u_target by the permutation round trip the package
+    made before: reorder to (pivot, other, target), apply the step in the
+    identity frame (u_0 on u_2), reorder back."""
+    other = 3 - pivot - target
+    sigma = (pivot, other, target)
+    q = exp_transform_params(permuted_params(params, sigma), 0, 2, s)
+    inverse = [0, 0, 0]
+    for pos, orig in enumerate(sigma):
+        inverse[orig] = pos
+    return permuted_params(q, inverse)
+
+
+def scale_params(params, alpha, beta, gamma):
+    """Parameters of (alpha x, beta y, gamma z); requires central = 0."""
+    f = params.field
+    if not f.is_zero(params.central):
+        raise ValueError("scaling is only applied after the central parameter vanishes")
+    al, be, ga = (f.raw(v) for v in (alpha, beta, gamma))
+    if any(f.is_zero(v) for v in (al, be, ga)):
+        raise ValueError("scaling factors must be nonzero")
+    return TriangleParams(
+        f,
+        f.mul(f.mul(al, be), params.edge_xy),
+        f.mul(f.mul(al, ga), params.edge_xz),
+        f.mul(f.mul(be, ga), params.edge_yz),
+        f.zero,
+    )
+
+
+def four_sign_scaling(f, a, b, c):
+    """(extension required, final edges) of the three-edge scaling as
+    ``normalize`` found it before its closed form: square roots of
+    -2c/(ab), -2b/(ac) and -2a/(bc), then the one of four sign patterns
+    that brings every edge to -2."""
+    m2 = f.raw(-2)
+    roots = [f.sqrt_raw(f.div(f.mul(m2, u), f.mul(v, w))) for u, v, w in ((c, a, b), (b, a, c), (a, b, c))]
+    if None in roots:
+        return True, (a, b, c)
+    p = TriangleParams(f, a, b, c, 0)
+    for flips in ((1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1)):
+        q = scale_params(p, *(f.mul(f.raw(sign), root) for sign, root in zip(flips, roots)))
+        if all(e == m2 for e in q.edges()):
+            return False, q.edges()
+    raise AssertionError("no sign pattern brings every edge to -2")
 
 
 def _weight_lines(L, torus, sub):

@@ -185,9 +185,9 @@ def test_criterion_07_killing_and_radicals():
 def test_criterion_08_three_generator_theorem():
     ok = True
     for edges, case in [((0, 0, 0), 0), ((-2, 0, 0), 1), ((-2, -2, 0), 2), ((-2, -2, -2), 3)]:
-        M, info = build_M(TriangleParams(QQ, *edges, 0))
+        M, got = build_M(TriangleParams(QQ, *edges, 0))
         checks = verify_3gen_structure(M, case)
-        ok = ok and M.n == 8 and info["case"] == case and checks["pass"]
+        ok = ok and M.n == 8 and got == case and checks["pass"]
     _verdict(8, ok, "build_M: dim 8 in all four cases; L_3 and sl3 isomorphisms; radical claims")
 
 

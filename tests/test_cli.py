@@ -138,8 +138,7 @@ def _threegen_failures(capsys, char, patterns):
 @pytest.mark.parametrize("char", [0, 5, 7, 3])
 def test_threegen_accepts_any_edge_placement(capsys, char):
     """Every edge pattern in {0, 1, -2}^3, central 0 or 1, passes: the
-    normalization permutes the generators so that the case checks read the
-    nonzero edges where they expect them."""
+    normal form puts the nonzero edges where the case checks read them."""
     patterns = [p for p in EDGE_PATTERNS if not (char == 3 and _gf3_case2(*p))]
     assert _threegen_failures(capsys, char, patterns) == []
 
@@ -466,7 +465,7 @@ def test_unknown_values_are_reported_not_checked(capsys):
     code, out, _ = run_cli(capsys, "--json", "threegen", "--edges", "1/2,-3,5/4", "--central", "2")
     assert code == 0
     data = json.loads(out)
-    assert [c["name"] for c in data["checks"]] == ["normalization replay consistent"]
+    assert data["checks"] == []
     assert data["reported"] == [{"name": "extension required (square root missing)", "value": True}]
     code, out, _ = run_cli(capsys, "threegen", "--edges", "1/2,-3,5/4", "--central", "2")
     assert "INFO   extension required (square root missing): True" in out
@@ -486,4 +485,5 @@ def test_tables_beyond_known_values_are_reported(capsys, monkeypatch):
     assert data["reported"] == [{"name": "dim L_3", "value": 8}]
     code, out, _ = run_cli(capsys, "--json", "tables", "rr-lengths", "--r", "2")
     data = json.loads(out)
-    assert [c["name"] for c in data["reported"]] == ["R_2 lengths"]
+    assert data["checks"] == []
+    assert [c["name"] for c in data["reported"]] == ["R_2 lengths", "R_2 palindromic after identity"]

@@ -44,6 +44,8 @@ COMMANDS = [
     ["mingen", "--type", "E6,E7,E8", "--char", "53"],
     ["extremal-check", "--type", "F4", "--char", "5"],
     ["extremal-check", "--type", "G2", "--char", "3"],
+    ["threegen", "--edges", "0,0,0", "--central", "1"],
+    ["threegen", "--edges", "1,0,0", "--central", "5", "--char", "7"],
 ]
 
 

@@ -455,7 +455,7 @@ def test_structural_subspaces_sl2():
 
 
 def test_solvable_radical_case1():
-    M, info = build_M(TriangleParams(QQ, -2, 0, 0, 0))
+    M, _ = build_M(TriangleParams(QQ, -2, 0, 0, 0))
     rad, certified = solvable_radical(M)
     assert rad.dim == 5 and certified
 
@@ -480,7 +480,7 @@ def test_sandwich_span_check_l3():
 
 
 def test_sandwich_span_check_case2_strict():
-    M, info = build_M(TriangleParams(QQ, -2, -2, 0, 0))
+    M, _ = build_M(TriangleParams(QQ, -2, -2, 0, 0))
     span = _extremal_span_m(M)
     form = extremal_form(M, span)
     e = M.basis_element

@@ -14,19 +14,30 @@ from extremal_lie.smallgen import (
     _YZ,
     _Z,
     _modules_irreducible,
-    CentralNotZero,
+    _pair_rules,
     TriangleParams,
     build_M,
     exp_transform_params,
     isomorphic_by_monomials,
     normalize,
-    scale_params,
     sl3_example,
     verify_3gen_structure,
 )
 from extremal_lie.liealg import LieAlgebra, PreconditionNotMet, Subspace, is_extremal, center, lower_central_series
 
-from helpers import eigenline_modules_irreducible, form_value, grow_extremal_spanning, rng, two_gen_classify
+from helpers import (
+    eigenline_modules_irreducible,
+    form_value,
+    four_sign_scaling,
+    grow_extremal_spanning,
+    random_fraction,
+    rng,
+    round_trip_exp_step,
+    scale_params,
+    two_gen_classify,
+)
+
+FRAMES = [(pivot, target) for pivot in range(3) for target in range(3) if pivot != target]
 
 
 def test_two_gen_classification():
@@ -49,21 +60,41 @@ def test_two_gen_classification():
 
 def test_exp_transform_identity_at_zero():
     p = TriangleParams(QQ, -2, 3, Fraction(1, 2), 7)
-    assert exp_transform_params(p, 0) == p
+    assert all(exp_transform_params(p, pivot, target, 0) == p for pivot, target in FRAMES)
 
 
 def test_exp_transform_kills_central():
     p = TriangleParams(QQ, -2, -2, 0, 4)
     s = QQ.div(4, QQ.mul(-2, -2))  # central/(f_xz f_xy)
-    q = exp_transform_params(p, s)
+    q = exp_transform_params(p, 0, 2, s)
     assert QQ.is_zero(q.central)
     assert q.edge_xy == p.edge_xy and q.edge_xz == p.edge_xz
 
 
 def test_exp_transform_creates_edge():
     p = TriangleParams(QQ, -2, 0, 0, 1)
-    q = exp_transform_params(p, 1)
+    q = exp_transform_params(p, 0, 2, 1)
     assert not QQ.is_zero(q.edge_yz)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(7)], ids=["Q", "GF3", "GF7"])
+def test_exp_transform_frames_match_the_permutation_round_trip(field):
+    # the frame formula gives what reordering to (pivot, other, target),
+    # the step in the identity frame and the reordering back gave
+    r = rng("exp-frames-%d" % field.characteristic)
+
+    def draw():
+        return r.randrange(field.characteristic) if field.characteristic else random_fraction(r)
+
+    moved = 0
+    for _ in range(40):
+        p = TriangleParams(field, *(draw() for _ in range(4)))
+        s = draw()
+        for pivot, target in FRAMES:
+            q = exp_transform_params(p, pivot, target, s)
+            assert q == round_trip_exp_step(p, pivot, target, s)
+            moved += q != p
+    assert moved > 0
 
 
 def test_scale_params():
@@ -72,50 +103,27 @@ def test_scale_params():
     assert scale_params(p, -1, -1, -1) == p  # even products
     q = scale_params(TriangleParams(QQ, 1, 2, 3, 0), 1, -2, Fraction(1, 3))
     assert (q.edge_xy, q.edge_xz, q.edge_yz) == (Fraction(-2), Fraction(2, 3), Fraction(-2))
-    with pytest.raises(CentralNotZero):
+    with pytest.raises(ValueError):
         scale_params(TriangleParams(QQ, 1, 0, 0, 5), 1, 1, 1)
 
 
 def test_normalize_trivial_cases():
-    tr = normalize(TriangleParams(QQ, 0, 0, 0, 0))
-    assert tr.case == 0 and tr.steps == []
-    tr = normalize(TriangleParams(QQ, -2, -2, -2, 0))
-    assert tr.case == 3 and tr.steps == []
+    for edges in ((0, 0, 0), (-2, 0, 0), (-2, -2, 0), (-2, -2, -2)):
+        p = TriangleParams(QQ, *edges, 0)
+        assert normalize(p) == p
 
 
 def test_normalize_gf7_example():
-    tr = normalize(TriangleParams(GF(7), 1, 0, 0, 5))
-    assert not tr.extension_required
+    # exp(x, 1) z makes f(y,z) = -5; exp(y, 1) z, in the odd frame
+    # (1, 0, 2), clears the central value and makes f(x,z) = -1; then
+    # -2c/(ab) = 4 is a square in GF(7): case 3
     f = GF(7)
-    assert f.is_zero(tr.final.central)
-    assert tr.case >= 1
-    assert tr.replay() == tr.final
+    assert normalize(TriangleParams(f, 1, 0, 0, 5)) == TriangleParams(f, -2, -2, -2, 0)
 
 
 def test_normalize_extension_required():
-    tr = normalize(TriangleParams(QQ, -8, -2, -1, 0))
-    assert tr.extension_required
-    tr = normalize(TriangleParams(QQ, -2, -2, -8, 0))
-    assert not tr.extension_required
-    assert tr.case == 3
-    assert all(e == Fraction(-2) for e in tr.final.edges())
-
-
-def _four_sign_scaling(f, a, b, c):
-    """(extension required, final edges) of the three-edge scaling as
-    ``normalize`` found it before its closed form: square roots of
-    -2c/(ab), -2b/(ac) and -2a/(bc), then the one of four sign patterns
-    that brings every edge to -2."""
-    m2 = f.raw(-2)
-    roots = [f.sqrt_raw(f.div(f.mul(m2, u), f.mul(v, w))) for u, v, w in ((c, a, b), (b, a, c), (a, b, c))]
-    if None in roots:
-        return True, (a, b, c)
-    p = TriangleParams(f, a, b, c, 0)
-    for flips in ((1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1)):
-        q = scale_params(p, *(f.mul(f.raw(sign), root) for sign, root in zip(flips, roots)))
-        if all(e == m2 for e in q.edges()):
-            return False, q.edges()
-    raise AssertionError("no sign pattern brings every edge to -2")
+    assert normalize(TriangleParams(QQ, -8, -2, -1, 0)) is None
+    assert normalize(TriangleParams(QQ, -2, -2, -8, 0)) == TriangleParams(QQ, -2, -2, -2, 0)
 
 
 THREE_EDGE_Q_GRID = (1, -1, 2, -2, 3, -8, Fraction(1, 2), Fraction(-1, 2), 9, Fraction(-9, 2))
@@ -130,15 +138,15 @@ def test_three_edge_scaling_matches_the_four_sign_search():
     for f, values in fields:
         values = [f.raw(v) for v in values]
         for a, b, c in itertools.product(values, repeat=3):
-            tr = normalize(TriangleParams(f, a, b, c, 0))
-            assert (tr.extension_required, tr.final.edges()) == _four_sign_scaling(f, a, b, c)
-            assert tr.replay() == tr.final
-            verdicts.append(tr.extension_required)
+            normal = normalize(TriangleParams(f, a, b, c, 0))
+            got = (True, (a, b, c)) if normal is None else (False, normal.edges())
+            assert got == four_sign_scaling(f, a, b, c)
+            verdicts.append(normal is None)
     assert len(verdicts) == 4016
     assert 0 < sum(verdicts) < len(verdicts)
 
 
-def test_normalize_traces_replay():
+def test_normalize_reaches_a_normal_form():
     r = rng("normalize")
     for field in (QQ, GF(7), GF(11)):
         for _ in range(25):
@@ -149,12 +157,11 @@ def test_normalize_traces_replay():
                 field.raw(r.randint(-4, 4)),
                 field.raw(r.randint(-4, 4)),
             )
-            tr = normalize(p)
-            assert tr.replay() == tr.final
-            assert field.is_zero(tr.final.central) or tr.extension_required
-            if not tr.extension_required:
+            normal = normalize(p)
+            if normal is not None:
                 m2 = field.raw(-2)
-                assert all(field.is_zero(e) or e == m2 for e in tr.final.edges())
+                assert field.is_zero(normal.central)
+                assert all(field.is_zero(e) or e == m2 for e in normal.edges())
 
 
 def test_case_invariance_under_pretransforms():
@@ -163,18 +170,18 @@ def test_case_invariance_under_pretransforms():
     for _ in range(10):
         edges = [r.choice([0, -2]) for _ in range(3)]
         p = TriangleParams(QQ, *edges, 0)
-        base_case = normalize(p).case
-        q = exp_transform_params(p, Fraction(r.randint(-3, 3)))
-        tr = normalize(q)
-        if not tr.extension_required:
-            assert tr.case == base_case
+        base_case = normalize(p).nonzero_edges()
+        q = exp_transform_params(p, 0, 2, Fraction(r.randint(-3, 3)))
+        normal = normalize(q)
+        if normal is not None:
+            assert normal.nonzero_edges() == base_case
 
 
 def test_build_m_all_cases():
     for edges, case in [((0, 0, 0), 0), ((-2, 0, 0), 1), ((-2, -2, 0), 2), ((-2, -2, -2), 3)]:
-        M, info = build_M(TriangleParams(QQ, *edges, 0))
+        M, got = build_M(TriangleParams(QQ, *edges, 0))
         assert M.n == 8
-        assert info["case"] == case
+        assert got == case
         checks = verify_3gen_structure(M, case)
         assert checks["pass"], checks
         # generators carry exactly the prescribed parameter values
@@ -202,7 +209,7 @@ def test_case2_over_gf3_checks_the_central_line():
 
 
 def test_build_m_over_gf5():
-    M, info = build_M(TriangleParams(GF(5), -2, -2, -2, 0))
+    M, _ = build_M(TriangleParams(GF(5), -2, -2, -2, 0))
     assert M.n == 8
     assert verify_3gen_structure(M, 3)["pass"]
 
@@ -226,11 +233,8 @@ def test_sl3_example_realization():
 
 
 def test_rule_table_covers_all_pairs():
-    M, info = build_M(TriangleParams(QQ, -2, -2, -2, 0))
-    assert len(info["rules"]) == 28
-    assert set(info["rules"].values()) <= {
-        "basis", "extremal", "jacobi", "pivot-pairs", "pivot-nested", "square1", "square2", "degree6"
-    }
+    rows = _pair_rules(QQ, -2, -2, -2)
+    assert set(rows) == {(i, j) for i in range(8) for j in range(i + 1, 8)}
 
 
 def test_build_m_parameters_round_trip_through_extremal_form():
@@ -284,8 +288,8 @@ def test_modules_irreducible_matches_eigenline_reference(char):
         L, line, module = _sl2_with_modules(f, n)
         cases += [(L, [module]), (L, [line + module]), (L, [module[:-1]])]
     # case 1 of the three-generator theorem, with its two 2-dimensional modules
-    M, info = build_M(TriangleParams(f, -2, 0, 0, 0))
-    assert info["case"] == 1
+    M, case = build_M(TriangleParams(f, -2, 0, 0, 0))
+    assert case == 1
     e = M.basis_element
     cases.append((M, [[e(_XZ), e(_YXZ)], [e(_YZ), e(_XYZ)]]))
     verdicts = []

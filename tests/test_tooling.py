@@ -56,14 +56,21 @@ def test_invariants_hold_under_python_O():
 def _report_checks_that_cannot_fail(path):
     """Lines of ``rep.add(name, expected, actual)`` calls whose expected
     expression contains the actual one (``X.get(r, actual)``, ``actual``
-    itself), and of ``rep.add_bool(name, True)`` calls."""
+    itself), of ``rep.add_bool(name, True)`` calls, and of ``add`` or
+    ``add_bool`` calls whose name literal says "(reported)": a value that is
+    only reported goes to ``rep.report``."""
     with open(path) as fh:
         tree = ast.parse(fh.read(), filename=path)
     found = []
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
-        if node.func.attr == "add" and len(node.args) == 3:
+        if node.func.attr in ("add", "add_bool") and node.args and any(
+            isinstance(sub, ast.Constant) and isinstance(sub.value, str) and "(reported)" in sub.value
+            for sub in ast.walk(node.args[0])
+        ):
+            found.append(node.lineno)
+        elif node.func.attr == "add" and len(node.args) == 3:
             actual = ast.dump(node.args[2])
             if any(ast.dump(sub) == actual for sub in ast.walk(node.args[1])):
                 found.append(node.lineno)
@@ -94,8 +101,11 @@ def test_report_check_guard_finds_each_pattern(tmp_path):
         "rep.add_bool('e', False)\n"
         "rep.add_bool('f', ok)\n"
         "seen.add(x)\n"
+        "rep.add_bool('g %d (reported)' % r, ok)\n"
+        "rep.add('h (reported)', X[r], q.total_dim)\n"
+        "rep.report('i (reported)', ok)\n"
     )
-    assert _report_checks_that_cannot_fail(str(path)) == [1, 2, 3]
+    assert _report_checks_that_cannot_fail(str(path)) == [1, 2, 3, 8, 9]
 
 
 def test_package_init_holds_only_its_docstring():
