@@ -1,5 +1,5 @@
 """Chevalley Lie algebras over a chosen field: long-root extremality,
-exp-automorphisms, natural representations, and minimal extremal generation.
+exponentials, natural representations, and minimal extremal generation.
 
 The extra generators of the generation recipes are always computed as
 exp-compositions applied to root elements, evaluated in this package's own
@@ -8,19 +8,20 @@ sign convention, so every verification is convention-independent.
 A ``ChevalleyAlgebra`` is built one way, from type, rank and field, on the
 root system and integer constants of ``rootdata.integer_chevalley_data``.
 
-Root exponentials are applied to one vector at a time: exp(s ad x_root) v
+Exponentials are applied to one vector at a time, and no n x n map is
+composed.  exp(x, s) of an extremal x (``exp_map``) reads the columns of
+ad_x and the f_x of its extremality proof.  exp(s ad x_root) v
 sums, over the support of v, the divided powers ad^k x_root b_j / k! of the
 columns it reaches, each built once per algebra and kept on the
-``ChevalleyAlgebra``.  The n x n map is never built to move one vector.
-Those divided powers are integral (Carter, "Simple Groups of Lie Type",
-1972), so one integer column, reduced mod p or read over Q, serves every
-field; over GF(3), where 3! = 0, only they give exp.
+``ChevalleyAlgebra``.  Those divided powers are integral (Carter, "Simple
+Groups of Lie Type", 1972), so one integer column, reduced mod p or read
+over Q, serves every field; over GF(3), where 3! = 0, only they give exp.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .rootdata import NonIntegral, RootSystem, integer_chevalley_data
 from .liealg import (
@@ -39,7 +40,6 @@ from .linalg import (
     canonical,
     clear_denominators,
     closure,
-    combine,
     divide,
     echelon_from_rows,
     flatten,
@@ -118,132 +118,111 @@ def chevalley_algebra(type_, rank, field):
     return ChevalleyAlgebra(type_, rank, field)
 
 
-class Automorphism:
-    """Invertible bracket-preserving linear map C / den, stored as sparse
-    integer columns C (see ``linalg``) and one positive int ``den``.
+def _integral(vecs):
+    """(vecs', d) for dicts ``vecs`` of rationals: d is the lcm of all their
+    denominators and vecs' the dicts times d, of ints."""
+    d = lcm(*(v.denominator for vec in vecs for v in vec.values()))
+    return [{j: v.numerator * (d // v.denominator) for j, v in vec.items()} for vec in vecs], d
 
-    Over GF(p) ``den`` is 1 and the columns are canonical residues.  Over Q
-    the columns and ``den`` together are primitive, their gcd is 1, the same
-    convention as the rows of ``Echelon``, so equal maps have equal
-    ``(den, cols)``.  The constructor is the one place where columns of raw
-    values (possibly unreduced, possibly rational) become this form;
-    ``compose`` multiplies the denominators and normalises once, and
-    ``apply`` divides once at the end, so its images are canonical vectors.
-    ``exp_map`` hands the same map to every caller: treat it as immutable."""
 
-    def __init__(self, lie, cols, den=1):
-        if type(den) is not int or den < 1:
-            raise ValueError("the denominator of a map is a positive int")
-        f = lie.field
+class ExpMap:
+    """s -> exp(x, s) = 1 + s ad_x + (s^2/2) ad_x^2 for an extremal element
+    x, as the factors ``Exp`` that act on vectors (see ``exp_map``).
+
+    It reads the columns [x, b_j] of ad_x and the functional f_x that
+    ``is_extremal`` proved: ad_x^2 v = f_x(v) x, so ad_x^2 needs no column.
+    Over Q the columns, f_x and x are scaled to ints by the lcms dA, dF and
+    dX of their denominators, and with dT = dF dX and s = a/b a factor maps
+    the ints w to 2b^2 dA dT w + 2ab dT (dA ad_x w) + a^2 dA (dF f_x(w))(dX x),
+    which is 2b^2 dA dT exp(x, s) w."""
+
+    def __init__(self, L, x, fx):
+        self.lie = L
+        self.functional = fx
+        ad, fv, xv = L.ad_columns(x), fx.values, x.coeffs
+        if not L.field.characteristic:
+            ad, d_ad = _integral(ad)
+            (fv,), d_f = _integral([fv])
+            (xv,), d_x = _integral([xv])
+            self._scale = (d_ad, d_f * d_x)
+        # what a factor reads; a factor holds this, not the map, so that
+        # map and factors form no reference cycle and are freed at once
+        self._data = (L.field, ad, fv, xv)
+        self._memo = {}
+
+    def __call__(self, s):
+        s = self.lie.field.raw(s)
+        g = self._memo.get(s)
+        if g is None:
+            g = self._memo[s] = Exp(self, s)
+        return g
+
+
+class Exp:
+    """exp(x, s) for one extremal x and one parameter s: a factor of a group
+    word, applied to one vector at a time.  ``act`` maps a canonical dict w
+    of ints to den exp(x, s) w, canonical and of ints (``den`` is 1 over
+    GF(p)), so a word applied factor by factor divides once at its end."""
+
+    __slots__ = ("_data", "_c", "den")
+
+    def __init__(self, m, s):
+        self._data = m._data
+        f = m.lie.field
         if f.characteristic:
-            if den != 1:
-                raise ValueError("a map over GF(p) has denominator 1")
-            cols = [canonical(f, col) for col in cols]
+            self._c, self.den = (1, s, f.div(s * s, 2)), 1
         else:
-            cols, den = _primitive(cols, den)
-        self.lie = lie
-        self.cols = cols
-        self.den = den
+            d_ad, d_t = m._scale
+            a, b = s.numerator, s.denominator
+            self.den = 2 * b * b * d_ad * d_t
+            self._c = (self.den, 2 * a * b * d_t, a * a * d_ad)
 
-    def _image(self, coeffs):
-        """sum_k c_k C[k] for a dict of ints, unreduced."""
-        acc = {}
-        cols = self.cols
-        for k, c in coeffs.items():
-            axpy(acc, c, cols[k])
-        return acc
+    def act(self, w):
+        # the axpy loops are written out: a call per column made the
+        # root-group checks of D4 and B3 about 10% slower
+        c0, c1, c2 = self._c
+        f, ad, fv, xv = self._data
+        acc = {j: c0 * v for j, v in w.items()}
+        get = acc.get
+        g = 0
+        for k, v in w.items():
+            col = ad[k]
+            if col:
+                c = c1 * v
+                for j, a in col.items():
+                    acc[j] = get(j, 0) + c * a
+            if k in fv:
+                g += v * fv[k]
+        if g:
+            c = c2 * g
+            for j, a in xv.items():
+                acc[j] = get(j, 0) + c * a
+        return canonical(f, acc)
 
     def apply(self, elt):
-        L = self.lie
-        if L.field.characteristic:
-            return AlgebraElement(L, combine(L.field, elt.coeffs, self.cols))
-        coeffs, e = clear_denominators(elt.coeffs)
-        return AlgebraElement(L, divide(self._image(coeffs), self.den * e))
-
-    def compose(self, other):
-        """self after other."""
-        if other.lie is not self.lie:
-            raise ValueError("maps of different algebras do not compose")
-        cols = [self._image(col) for col in other.cols]
-        return Automorphism(self.lie, cols, self.den * other.den)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Automorphism)
-            and self.lie is other.lie
-            and self.den == other.den
-            and self.cols == other.cols
-        )
-
-    def is_identity(self):
-        return self.den == 1 and all(col == {j: 1} for j, col in enumerate(self.cols))
-
-
-def _primitive(cols, den):
-    """Rational columns over ``den`` as (integer columns, den'), the same
-    map, with no zero entries and the gcd of all entries and den' equal to 1."""
-    d = lcm(*(x.denominator for col in cols for x in col.values()))
-    if d != 1:
-        cols = [{j: x.numerator * (d // x.denominator) for j, x in col.items()} for col in cols]
-        den *= d
-    # every entry is integral now, but may still be an integral Fraction
-    g = gcd(den, *(x.numerator for col in cols for x in col.values()))
-    return [{j: x.numerator // g for j, x in col.items() if x} for col in cols], den // g
+        """exp(x, s) elt, canonical."""
+        if self._data[0].characteristic:
+            return AlgebraElement(elt.algebra, self.act(elt.coeffs))
+        w, e = clear_denominators(elt.coeffs)
+        return AlgebraElement(elt.algebra, divide(self.act(w), e * self.den))
 
 
 def exp_map(L, x):
-    """s -> exp(x, s) = 1 + s ad_x + (s^2/2) ad_x^2 for an extremal element x
-    of the ``LieAlgebra`` L.
-
-    Extremality is proved once; its by-product f_x gives ad_x^2 b_j =
-    f_x(b_j) x, the identity it checked, so the columns of ad_x need one
-    bracket each and those of ad_x^2 none.  Over Q both are scaled to
-    integers by the lcm D of their denominators, and exp(x, a/b) is built as
-    (2b^2 D e_j + 2ab D ad_x b_j + a^2 D ad_x^2 b_j) / (2b^2 D).  Each
-    parameter's map is built once and kept: a later call with the same raw
-    value returns the same ``Automorphism``.  Its attribute ``functional``
-    is f_x, so a caller that needs both proves x extremal once."""
+    """The ``ExpMap`` s -> exp(x, s) of an extremal element x of the
+    ``LieAlgebra`` L.  Extremality is proved once, and its by-product f_x,
+    with the columns of ad_x, is all a factor reads.  Each parameter's factor
+    is built once and kept: a later call with the same raw value returns the
+    same ``Exp``.  Its attribute ``functional`` is f_x, so a caller that needs
+    both proves x extremal once."""
     x = L.element(x)
     fx = is_extremal(L, x)
     if fx is None:
         raise NotExtremal("exp is defined at extremal elements")
-    f = L.field
-    p = f.characteristic
-    ad = []
-    for j in range(L.n):
-        two = {}
-        axpy(two, fx.values.get(j, 0), x.coeffs)
-        ad.append((L.bracket(x, L.basis_element(j)).coeffs, canonical(f, two)))
-    if not p:
-        d = lcm(*(v.denominator for pair in ad for vec in pair for v in vec.values()))
-        ad = [tuple({j: v.numerator * (d // v.denominator) for j, v in vec.items()} for vec in pair) for pair in ad]
-    memo = {}
-
-    def exp(s):
-        s = f.raw(s)
-        phi = memo.get(s)
-        if phi is None:
-            if p:
-                c0, c1, c2, den = 1, s, f.div(s * s, 2), 1
-            else:
-                a, b = s.numerator, s.denominator
-                den = 2 * b * b * d
-                c0, c1, c2 = den, 2 * a * b, a * a
-            cols = []
-            for j, (one, two) in enumerate(ad):
-                col = {j: c0}
-                axpy(col, c1, one)
-                axpy(col, c2, two)
-                cols.append(col)
-            phi = memo[s] = Automorphism(L, cols, den)
-        return phi
-
-    exp.functional = fx
-    return exp
+    return ExpMap(L, x, fx)
 
 
 def exp_automorphism(L, x, s):
-    """exp(x, s) for an extremal element x (see ``exp_map``)."""
+    """exp(x, s) for an extremal element x, as the factor ``exp_map`` gives."""
     return exp_map(L, x)(s)
 
 
@@ -272,12 +251,11 @@ def root_exp_apply(A, root, s, v):
 
 
 def root_exponential(A, root, s=1):
-    """exp(s ad x_root) with integral divided powers: an automorphism of the
-    Chevalley algebra over any field of characteristic != 2, its columns the
-    images of the basis vectors under ``root_exp_apply``."""
+    """exp(s ad x_root) with integral divided powers, an automorphism of the
+    Chevalley algebra over any field of characteristic != 2, as its n
+    columns: the images of the basis vectors under ``root_exp_apply``."""
     L = A.lie
-    cols = [root_exp_apply(A, root, s, L.basis_element(j)).coeffs for j in range(L.n)]
-    return Automorphism(L, cols)
+    return [root_exp_apply(A, root, s, L.basis_element(j)).coeffs for j in range(L.n)]
 
 
 # -- extremality reports --------------------------------------------------------

@@ -26,7 +26,6 @@ from .liealg import (
     NotAssociative,
     WellDefinednessFailure,
     extremal_form,
-    is_extremal,
     sandwich_span_check,
     structural_subspaces,  # noqa: F401 -- bench/tests checks the tracer rebinds this alias
 )
@@ -263,44 +262,23 @@ def cmd_rootgroups(args):
     t, r = parse_type(args.type)
     field = field_of_char(args.char)
     A = chevalley_algebra(t, r, field)
-    rs = A.rootsystem
     rep = Report("rootgroups", {"type": "%s%d" % (t, r), "char": args.char, "seed": args.seed})
     extra = () if args.seed is None else (args.seed, -args.seed)
     samples = rg.parameter_samples(field, seed_extra=extra)
-    long_roots = [root for root in rs.roots if rs.is_long(root)]
-    theta = rs.highest_root
-    pairs = [("same-line", A.x(theta), 2 * A.x(theta)), ("opposite", A.x(theta), A.x(tuple(-c for c in theta)))]
-    # the first commuting and the first f0-noncommuting pair of long roots (A1 has neither)
-    zero = tuple(0 for _ in theta)
-    for case, sum_ok in (
-        ("commuting", lambda s: s != zero and not rs.is_root(s)),
-        ("f0-noncommuting", lambda s: rs.is_root(s) and rs.is_long(s)),
-    ):
-        pair = next(((a, b) for a in long_roots for b in long_roots if a != b and sum_ok(_addt(a, b))), None)
-        if pair is not None:
-            pairs.append((case, A.x(pair[0]), A.x(pair[1])))
-    for expect_case, x, y in pairs:
+    for expect_case, x, y in rg.representative_pairs(A):
         out = rg.verify_abstract_root_properties(A.lie, x, y, sample_params=samples)
         rep.add("%s pair classified" % expect_case, expect_case, out["case"])
         rep.add_bool("%s properties" % expect_case, out["pass"])
-    x = A.x(theta)
-    fx = is_extremal(A.lie, x)
-    for b in long_roots:
-        z = A.lie.bracket(x, A.x(b))
-        if not z.is_zero() and field.is_zero(fx(A.x(b))):
-            out = rg.strongcomm_check(A.lie, x, z, sample_params=samples)
-            rep.add_bool("strongcomm conditions + product identity on (x, [x,y])", out["pass"])
-            line = rg.projective_line_check(A.lie, x, z, x + z, sample_params=samples)
-            rep.add_bool("projective line fully extremal", line["pass"])
-            break
-    pool = [A.x(root) for root in long_roots]
-    probe = rg.chain_nonexistence_probe(A.lie, pool)
+    pair = rg.strongcomm_pair(A)
+    if pair is not None:
+        x, z = pair
+        out = rg.strongcomm_check(A.lie, x, z, sample_params=samples)
+        rep.add_bool("strongcomm conditions + product identity on (x, [x,y])", out["pass"])
+        line = rg.projective_line_check(A.lie, x, z, x + z, sample_params=samples)
+        rep.add_bool("projective line fully extremal", line["pass"])
+    probe = rg.chain_nonexistence_probe(A)
     rep.add_bool("no forbidden chain found (probe)", probe["pass"])
     return rep
-
-
-def _addt(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def cmd_extremal_check(args):

@@ -163,6 +163,15 @@ class LieAlgebra:
     def zero(self):
         return AlgebraElement(self, {})
 
+    def ad_columns(self, x):
+        """The columns [x, b_j] of ad_x, summed over the nonzero brackets of
+        x's support and not reduced (see ``linalg.axpy``)."""
+        cols = [{} for _ in range(self.n)]
+        for i, c in x.coeffs.items():
+            for j, row in self._adj[i].items():
+                axpy(cols[j], c, row)
+        return cols
+
     def bracket(self, a, b):
         adj = self._adj
         out = {}
@@ -462,10 +471,7 @@ def is_extremal(L, x):
         raise ZeroElement("extremality is defined for nonzero elements")
     f = L.field
     xc = x.coeffs
-    cols = [{} for _ in range(L.n)]
-    for i, c in xc.items():
-        for j, row in L._adj[i].items():
-            axpy(cols[j], c, row)
+    cols = L.ad_columns(x)
     ref = min(xc)
     xr = xc[ref]
     values = {}

