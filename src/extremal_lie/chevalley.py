@@ -591,10 +591,7 @@ def mingen_certify(type_, rank, field):
         lower = nat["lower_bound"] if nat["pass"] else 0
     else:
         lower = dimension_lower_bound(A.lie.n)
-    report = {
-        "type": type_,
-        "rank": rank,
-        "char": field.characteristic,
+    return {
         "dim": A.lie.n,
         "t_claimed": t,
         "generators": len(gens),
@@ -604,4 +601,3 @@ def mingen_certify(type_, rank, field):
         "lower_bound": lower,
         "pass": gen["pass"] and extremal_ok and lower == t == len(gens),
     }
-    return report

@@ -17,7 +17,6 @@ import json
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .scalars import QQ, GF, CharacteristicTwoUnsupported, NotPrime
 from .rootdata import InvalidRank, cartan_nullity, integer_chevalley_data
@@ -151,17 +150,16 @@ def cmd_tables(args):
     if r < 1:
         raise UsageError("%s must be at least 1" % flag)
     if args.which in ("lr", "rr"):
-        # the builder is looked up at call time, so a rebound nilquot attribute is seen
         name, limit, build, dims = {
-            "lr": ("L", 5, "sandwich_algebra", nilquot.L_DIMS),
-            "rr": ("R", 4, "assoc_dims_via_embedding", nilquot.R_DIMS),
+            "lr": ("L", 5, nilquot.sandwich_algebra, nilquot.L_DIMS),
+            "rr": ("R", 4, nilquot.assoc_dims_via_embedding, nilquot.R_DIMS),
         }[args.which]
         for r in range(1, args.max_r + 1):
             if r > limit and not args.experimental:
                 rep.add_bool("dim %s_%d skipped (use --experimental beyond r=%d)" % (name, r, limit), False)
                 continue
             try:
-                q = getattr(nilquot, build)(r)
+                q = build(r)
             except nilquot.DegreeCapExceeded:
                 rep.add_bool("dim %s_%d reached an empty degree below the cap" % (name, r), False)
                 continue
@@ -179,23 +177,12 @@ def cmd_tables(args):
     return rep
 
 
-def _mingen_one(spec):
-    type_, rank, char = spec
-    return mingen_certify(type_, rank, field_of_char(char))
-
-
 def cmd_mingen(args):
-    if args.jobs < 1:
-        raise UsageError("--jobs must be at least 1")
-    specs = [parse_type(ts) + (args.char,) for ts in args.type.split(",")]
+    types = [parse_type(ts) for ts in args.type.split(",")]
     rep = Report("mingen", {"type": args.type, "char": args.char})
-    if args.jobs > 1 and len(specs) > 1:
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(specs))) as pool:
-            results = list(pool.map(_mingen_one, specs))
-    else:
-        results = [_mingen_one(s) for s in specs]
-    for row in results:
-        name = "%s%d/char%d" % (row["type"], row["rank"], row["char"])
+    for t, r in types:
+        row = mingen_certify(t, r, args.field)
+        name = "%s%d/char%d" % (t, r, args.field.characteristic)
         rep.add("%s t" % name, row["t_claimed"], row["generators"])
         rep.add_bool("%s generators extremal" % name, row["generators_extremal"])
         rep.add_bool("%s generation reaches dim %d" % (name, row["dim"]), row["generation_ok"])
@@ -205,7 +192,7 @@ def cmd_mingen(args):
 
 def cmd_radicals(args):
     t, r = parse_type(args.type)
-    field = field_of_char(args.char)
+    field = args.field
     A = chevalley_algebra(t, r, field)
     rep = Report("radicals", {"type": "%s%d" % (t, r), "char": args.char})
     try:
@@ -239,7 +226,7 @@ def cmd_radicals(args):
 
 
 def cmd_threegen(args):
-    field = field_of_char(args.char)
+    field = args.field
     edges = parse_scalars(field, args.edges, 3, "--edges")
     p = smallgen.TriangleParams(field, *edges, *parse_scalars(field, args.central, 1, "--central"))
     rep = Report("threegen", {"edges": args.edges, "central": args.central, "char": args.char})
@@ -260,17 +247,26 @@ def cmd_threegen(args):
 
 def cmd_rootgroups(args):
     t, r = parse_type(args.type)
-    field = field_of_char(args.char)
-    A = chevalley_algebra(t, r, field)
+    A = chevalley_algebra(t, r, args.field)
     rep = Report("rootgroups", {"type": "%s%d" % (t, r), "char": args.char, "seed": args.seed})
     extra = () if args.seed is None else (args.seed, -args.seed)
-    samples = rg.parameter_samples(field, seed_extra=extra)
+    samples = rg.parameter_samples(args.field, seed_extra=extra)
+    found = set()
     for expect_case, x, y in rg.representative_pairs(A):
+        found.add(expect_case)
         out = rg.verify_abstract_root_properties(A.lie, x, y, sample_params=samples)
         rep.add("%s pair classified" % expect_case, expect_case, out["case"])
         rep.add_bool("%s properties" % expect_case, out["pass"])
+    for case in ("commuting", "f0-noncommuting"):
+        if case not in found:
+            rep.report("%s pair skipped" % case, "no pair of long roots in this class")
     pair = rg.strongcomm_pair(A)
-    if pair is not None:
+    if pair is None:
+        rep.report(
+            "strongcomm pair and projective line skipped",
+            "no long root b with [x_theta, x_b] != 0 and f(x_theta, x_b) = 0",
+        )
+    else:
         x, z = pair
         out = rg.strongcomm_check(A.lie, x, z, sample_params=samples)
         rep.add_bool("strongcomm conditions + product identity on (x, [x,y])", out["pass"])
@@ -283,8 +279,7 @@ def cmd_rootgroups(args):
 
 def cmd_extremal_check(args):
     t, r = parse_type(args.type)
-    field = field_of_char(args.char)
-    A = chevalley_algebra(t, r, field)
+    A = chevalley_algebra(t, r, args.field)
     out = long_root_extremality_check(A)
     rep = Report("extremal-check", {"type": "%s%d" % (t, r), "char": args.char})
     n_long = sum(1 for row in out["rows"] if row["long"])
@@ -336,7 +331,6 @@ def build_parser():
     p = sub.add_parser("mingen", help="certify minimal extremal generation t(g)")
     p.add_argument("--type", required=True, help="e.g. G2 or a comma list A2,B3")
     p.add_argument("--char", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(fn=cmd_mingen)
 
     p = sub.add_parser("radicals", help="the radical chain and form radicals")
@@ -388,7 +382,7 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(_merge_value_flags(list(argv)))
         t0 = time.time()
-        field_of_char(getattr(args, "char", 0))
+        args.field = field_of_char(getattr(args, "char", 0))
         rep = args.fn(args)
     except _HelpShown:
         return 0

@@ -57,38 +57,6 @@ def test_mingen_e8(capsys):
     assert checks[0]["actual"] == 5
 
 
-def test_mingen_jobs_flag(capsys):
-    code, out, _ = run_cli(
-        capsys, "mingen", "--type", "A1,A2", "--jobs", "2"
-    )
-    assert code == 0
-    assert "A1/char0" in out and "A2/char0" in out
-
-
-def test_mingen_jobs_pool_is_no_larger_than_the_type_list(capsys, monkeypatch):
-    """The pool gets a worker per type at most, however large --jobs is; a
-    fake executor records the size and maps serially, so no process starts."""
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    code, out, _ = run_cli(capsys, "mingen", "--type", "A1,A2", "--jobs", "64")
-    assert code == 0 and sizes == [2]
-    assert "A1/char0" in out and "A2/char0" in out
-
-
 def test_radicals_g2_char3(capsys):
     code, out, _ = run_cli(capsys, "--json", "radicals", "--type", "G2", "--char", "3")
     assert code == 0
@@ -287,6 +255,7 @@ def test_mingen_f4_char5(capsys):
     ["extremal-check", "--type", "G"],
     ["--json", "radicals", "--type", "A\u00b2"],
     ["radicals", "--type", "A\u0661"],
+    ["mingen", "--type", "A1,A2", "--jobs", "2"],
 ])
 def test_malformed_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -366,6 +335,24 @@ def test_radicals_over_q_expects_zero_radicals(capsys, monkeypatch):
     assert code == 1
     byname = {c["name"]: c for c in json.loads(out)["checks"]}
     assert byname["Rad(L) dim"] == {"name": "Rad(L) dim", "expected": 0, "actual": 1, "pass": False}
+
+
+@pytest.mark.parametrize("argv, skipped", [
+    (["--type", "A1"], ["commuting pair skipped", "f0-noncommuting pair skipped"]),
+    (["--type", "B2", "--char", "5"], ["f0-noncommuting pair skipped"]),
+    (["--type", "C3"], ["f0-noncommuting pair skipped"]),
+])
+def test_rootgroups_names_what_the_type_lacks(capsys, argv, skipped):
+    """A pair class or the strongcomm pair that the type lacks is named under
+    ``reported``, and its checks are absent from ``checks``."""
+    code, out, _ = run_cli(capsys, "--json", "rootgroups", *argv)
+    assert code == 0
+    data = json.loads(out)
+    names = [entry["name"] for entry in data["reported"]]
+    assert names == skipped + ["strongcomm pair and projective line skipped"]
+    assert len(data["checks"]) == 11 - 2 * len(skipped) - 2
+    checked = {c["name"].split()[0] for c in data["checks"]}
+    assert checked.isdisjoint({"strongcomm", "projective"} | {name.split()[0] for name in skipped})
 
 
 def test_rootgroups_e6_probe_finds_no_witness(capsys):

@@ -53,6 +53,20 @@ def test_invariants_hold_under_python_O():
     assert len(done.stderr.splitlines()) == 1 and "Traceback" not in done.stderr
 
 
+def test_cli_import_starts_no_process_pool():
+    """Each command runs in one process: importing the CLI loads no
+    ``multiprocessing`` or ``concurrent`` module."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE_DIR))
+    script = (
+        "import sys\n"
+        "import extremal_lie.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def _report_checks_that_cannot_fail(path):
     """Lines of ``rep.add(name, expected, actual)`` calls whose expected
     expression contains the actual one (``X.get(r, actual)``, ``actual``
@@ -520,8 +534,6 @@ CLI_OPTIONS = {
     ("tables", "--experimental"): "lets r go past the tabulated L_5 and R_4",
     ("mingen", "--type"): "the type, or a comma list of types, to certify",
     ("mingen", "--char"): "the characteristic of the field, 0 for Q",
-    ("mingen", "--jobs"): "worker processes for a type list: D10,C8,B9,A15,E8 took 2.7 s serial and 1.7 s "
-                          "with --jobs 2 (medians of 6 pairs on a 2-core host)",
     ("radicals", "--type"): "the type of the Chevalley algebra",
     ("radicals", "--char"): "the characteristic of the field, 0 for Q",
     ("threegen", "--edges"): "the three edge scalars of the generating triangle",
