@@ -20,7 +20,6 @@ over Q, serves every field; over GF(3), where 3! = 0, only they give exp.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from .rootdata import NonIntegral, RootSystem, integer_chevalley_data
@@ -40,11 +39,11 @@ from .linalg import (
     canonical,
     clear_denominators,
     closure,
+    combine,
     divide,
     echelon_from_rows,
     flatten,
     kernel,
-    mat_mul,
     unflatten,
 )
 from .nilquot import L_DIMS
@@ -451,7 +450,7 @@ def _d4_into_e(rs):
     images = [2, 3, 4, 1]  # 0-indexed simple indices in E
 
     def emb(eps_dict):
-        coords = d4.root_from_eps({k: Fraction(c) for k, c in eps_dict.items()})
+        coords = d4.root_from_eps(eps_dict)
         vec = [0] * rs.rank
         for k, c in enumerate(coords):
             vec[images[k]] += c
@@ -481,9 +480,11 @@ def natural_representation(type_, rank, field):
     commutators, so g needs no closure and no structure constants.  ``pass``
     checks, on matrices, the premises of the bound: X lies in g and spans an
     inner ideal ([X,[X,Y]] in kX for every basis matrix Y, so X is
-    extremal), g is irreducible on the module (Burnside), and dim g is the
-    dimension of the Chevalley algebra of the type.  It does not check that
-    every extremal element of g has rank at most m."""
+    extremal), g is irreducible on the module (``_flag_irreducible`` on the
+    flag basis of ``_split_gram``, where the Borel subalgebra of g is upper
+    triangular), and dim g is the dimension of the Chevalley algebra of the
+    type.  It does not check that every extremal element of g has rank at
+    most m."""
     f = field
     basis, long_mat = _natural_module(f, type_, rank)
     size = len(long_mat)
@@ -494,7 +495,7 @@ def natural_representation(type_, rank, field):
     )
     dim_expected = len(integer_chevalley_data(type_, rank)[1])
     m = echelon_from_rows(f, size, long_mat).dim
-    irreducible = _burnside_irreducible(f, basis, size)
+    irreducible = _flag_irreducible(f, basis, size)
     return {
         "type": type_,
         "rank": rank,
@@ -511,14 +512,14 @@ def natural_representation(type_, rank, field):
 
 def _natural_module(f, type_, n):
     """(basis of g, a long-root matrix) for the natural module of a
-    classical type of rank n."""
+    classical type of rank n, on the basis of ``_split_gram``: E_01 for A,
+    E_0,N-1 for C, E_01 - E_N-2,N-1 for B and D."""
     if type_ not in ("A", "B", "C", "D"):
         raise UnsupportedType("natural representation is for classical types")
     size = {"A": n + 1, "B": 2 * n + 1}.get(type_, 2 * n)
     basis = trace_zero(f, size) if type_ == "A" else _matrices_preserving(f, _split_gram(f, type_, n))
-    entries = {"A": {(0, 1): 1}, "B": {(1, 2): 1, (n + 2, n + 1): -1},
-               "C": {(0, n): 1}, "D": {(0, 1): 1, (n + 1, n): -1}}
-    return basis, _matrix(size, {k: f.raw(v) for k, v in entries[type_].items()})
+    entries = {"A": {(0, 1): 1}, "C": {(0, size - 1): 1}}.get(type_, {(0, 1): 1, (size - 2, size - 1): -1})
+    return basis, _matrix(size, {k: f.raw(v) for k, v in entries.items()})
 
 
 def _matrix(size, entries):
@@ -531,18 +532,12 @@ def _matrix(size, entries):
 
 
 def _split_gram(f, type_, n):
-    """The Gram matrix of the split form of type B, C or D."""
+    """The Gram matrix of the split form of type B, C or D on the Witt basis
+    in flag order e_1..e_n, (e_0 for B,) f_n..f_1: the antidiagonal, with
+    -1 on its lower half for C."""
     size = 2 * n + 1 if type_ == "B" else 2 * n
-    off = 1 if type_ == "B" else 0
-    entries = {(0, 0): 1} if type_ == "B" else {}
-    for i in range(n):
-        if type_ == "C":
-            entries[(i, n + i)] = 1
-            entries[(n + i, i)] = f.raw(-1)
-        else:
-            entries[(off + i, off + n + i)] = 1
-            entries[(off + n + i, off + i)] = 1
-    return _matrix(size, entries)
+    minus = f.raw(-1) if type_ == "C" else 1
+    return _matrix(size, {(i, size - 1 - i): minus if i >= n else 1 for i in range(size)})
 
 
 def _matrices_preserving(f, gram):
@@ -564,18 +559,26 @@ def _matrices_preserving(f, gram):
     return [unflatten(v, size) for v in kernel(f, rows, size * size)]
 
 
-def _burnside_irreducible(f, mats, size):
-    """Associative closure spans all size x size matrices (Burnside)."""
-    kept = []
+def _flag_irreducible(f, mats, size):
+    """True only when the matrices ``mats`` act irreducibly on k^size, in
+    any characteristic: the common kernel K of those of ``mats`` that are
+    strictly upper triangular is a line, and its closure under ``mats`` is
+    k^size.
 
-    def expand(v):
-        m = unflatten(v, size)
-        kept.append(m)
-        return (flatten(p) for other in tuple(kept) for p in (mat_mul(f, other, m), mat_mul(f, m, other)))
-
-    ech = Echelon(f, size * size)
-    closure(ech, (flatten(m) for m in mats), expand)
-    return ech.dim == size * size
+    Those matrices generate an associative algebra in which every product
+    of size elements is 0.  So a nonzero subspace W stable under ``mats``
+    holds a nonzero vector that they all kill: the image of a nonzero w in
+    W under a longest product of them that does not kill w.  It lies in K,
+    so K is in W, and so is the closure of K.  The check can read False on
+    an irreducible module whose basis is in the wrong order; it never reads
+    True on a reducible one."""
+    upper = [m for m in mats if all(j > i for i, row in enumerate(m) for j in row)]
+    fixed = kernel(f, [row for m in upper for row in m], size)
+    if len(fixed) != 1:
+        return False
+    # the columns of each matrix m, so that m v is combine(f, v, columns)
+    columns = [unflatten({j * size + i: x for i, row in enumerate(m) for j, x in row.items()}, size) for m in mats]
+    return len(closure(Echelon(f, size), fixed, lambda v: (combine(f, v, c) for c in columns))) == size
 
 
 def mingen_certify(type_, rank, field):

@@ -126,6 +126,7 @@ class RootSystem:
         self._scale = lcm(*(x.denominator for x in d))
         self._gram = [[int(self._scale * di * aij) for aij in row] for di, row in zip(d, self.cartan)]
         self._norm = {}
+        self._by_eps = None  # epsilon coordinates -> root, see root_from_eps
         self._build_roots()
         self._classify()
 
@@ -211,60 +212,51 @@ class RootSystem:
     # -- epsilon coordinates (classical types and F4) ----------------------------
 
     def eps_dim(self):
-        return {"A": self.rank + 1, "B": self.rank, "C": self.rank, "D": self.rank, "F": 4}.get(self.type)
+        m = {"A": self.rank + 1, "B": self.rank, "C": self.rank, "D": self.rank, "F": 4}.get(self.type)
+        if m is None:
+            raise InvalidRank("no epsilon coordinates for type %s" % self.type)
+        return m
 
     def simple_eps(self, i):
         """Epsilon coordinates of alpha_{i+1} (0-indexed i), Bourbaki."""
         n = self.rank
         m = self.eps_dim()
-        if m is None:
-            raise InvalidRank("no epsilon coordinates for type %s" % self.type)
-        v = [Fraction(0)] * m
-        if self.type == "A":
-            v[i], v[i + 1] = Fraction(1), Fraction(-1)
-        elif self.type in ("B", "C", "D") and i < n - 1:
-            v[i], v[i + 1] = Fraction(1), Fraction(-1)
-        elif self.type == "B":
-            v[n - 1] = Fraction(1)
-        elif self.type == "C":
-            v[n - 1] = Fraction(2)
+        if self.type == "F":
+            half = Fraction(1, 2)
+            return [[0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 0, 1], [half, -half, -half, -half]][i]
+        v = [0] * m
+        if self.type == "A" or i < n - 1:
+            v[i], v[i + 1] = 1, -1
         elif self.type == "D":
-            v[n - 2], v[n - 1] = Fraction(1), Fraction(1)
-        elif self.type == "F":
-            v = [
-                [0, 1, -1, 0],
-                [0, 0, 1, -1],
-                [0, 0, 0, 1],
-                [Fraction(1, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(-1, 2)],
-            ][i]
-            v = [Fraction(x) for x in v]
+            v[n - 2], v[n - 1] = 1, 1
+        else:
+            v[n - 1] = 2 if self.type == "C" else 1
         return v
 
     def eps_coords(self, root):
         m = self.eps_dim()
-        v = [Fraction(0)] * m
+        v = [0] * m
         for i, c in enumerate(root):
             if c:
-                sv = self.simple_eps(i)
-                for j in range(m):
-                    v[j] += c * sv[j]
+                for j, x in enumerate(self.simple_eps(i)):
+                    v[j] += c * x
         return tuple(v)
 
     def root_from_eps(self, eps):
         """Root tuple with the given epsilon coordinates (dict index->coeff,
-        1-indexed, or full vector)."""
+        1-indexed, or full vector), looked up in a dict built on first use:
+        an int and the equal ``Fraction`` are the same key."""
         m = self.eps_dim()
         if isinstance(eps, dict):
-            v = [Fraction(0)] * m
-            for k, c in eps.items():
-                v[k - 1] = Fraction(c)
-            eps = tuple(v)
-        else:
-            eps = tuple(Fraction(c) for c in eps)
-        for t in self.roots:
-            if self.eps_coords(t) == eps:
-                return t
-        raise ValueError("no root with epsilon coordinates %r" % (eps,))
+            if not all(1 <= k <= m for k in eps):
+                raise ValueError("epsilon indices run over 1..%d, not %r" % (m, sorted(eps)))
+            eps = [eps.get(k, 0) for k in range(1, m + 1)]
+        if self._by_eps is None:
+            self._by_eps = {self.eps_coords(t): t for t in self.roots}
+        root = self._by_eps.get(tuple(eps))
+        if root is None:
+            raise ValueError("no root with epsilon coordinates %r" % (tuple(eps),))
+        return root
 
     def root_from_coeffs(self, coeffs):
         t = tuple(coeffs)

@@ -36,13 +36,15 @@ those full maps.  ``dense_mat_mul``, ``dense_matrix_lie_algebra``,
 ``dense_natural_representation`` and ``dense_fourth_power_check`` are the
 matrix layer on dense lists of raw values, with one ``Field`` call per entry
 and the matrices of ad, as it ran before matrices became lists of sparse
-rows.  The tests hold the fast code to them.  ``dense_phi_spectrum_check``,
-on the same dense matrices, is the one check of the ad_x ad_y eigenvalue
-lemma.  ``echelon_basis`` (the dense basis rows of an ``Echelon``),
-``grow_extremal_spanning``, ``line_is_fully_extremal``,
-``graded_components`` and the root data accessors ``root_inner``,
-``root_norm2``, ``root_pairing`` and ``cartan_element`` are ones that only
-the tests call.
+rows; ``dense_natural_representation`` decides irreducibility by Burnside's
+associative closure (``dense_burnside_irreducible``), as ``chevalley`` did
+before its flag check.  The tests hold the fast code to them.
+``dense_phi_spectrum_check``, on the same dense matrices, is the one check
+of the ad_x ad_y eigenvalue lemma.  ``echelon_basis`` (the dense basis
+rows of an ``Echelon``), ``grow_extremal_spanning``,
+``line_is_fully_extremal``, ``graded_components`` and the root data
+accessors ``root_inner``, ``root_norm2``, ``root_pairing`` and
+``cartan_element`` are ones that only the tests call.
 So is the last section: the free mode of the cover engine
 (``free_nilpotent_quotient``), the direct route to R_r
 (``assoc_algebra_direct_dims`` on ``left_normed_expansions``), the
@@ -1202,23 +1204,21 @@ def _sum_mats(f, a, b):
     return [[f.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def _split_gram(f, type_, n):
+def dense_split_gram(f, type_, n):
+    """The split form of type B, C or D on the Witt basis e_1..e_n, (e_0 for
+    B,) f_n..f_1: B(e_i, f_i) = 1 (B(e_0, e_0) = 1), and B(f_i, e_i) = -1
+    for C."""
     size = 2 * n + 1 if type_ == "B" else 2 * n
     g = [[f.zero] * size for _ in range(size)]
-    off = 1 if type_ == "B" else 0
-    if type_ == "B":
-        g[0][0] = f.one
     for i in range(n):
-        if type_ == "C":
-            g[i][n + i] = f.one
-            g[n + i][i] = f.raw(-1)
-        else:
-            g[off + i][off + n + i] = f.one
-            g[off + n + i][off + i] = f.one
+        g[i][size - 1 - i] = f.one
+        g[size - 1 - i][i] = f.raw(-1) if type_ == "C" else f.one
+    if type_ == "B":
+        g[n][n] = f.one
     return g
 
 
-def _matrices_preserving(f, gram):
+def dense_matrices_preserving(f, gram):
     """Basis of {X : X^T G + G X = 0}, from one dense row per (i, j)."""
     from extremal_lie.linalg import kernel
 
@@ -1235,7 +1235,9 @@ def _matrices_preserving(f, gram):
     return [[[v[i * size + j] for j in range(size)] for i in range(size)] for v in basis]
 
 
-def _burnside_irreducible(f, mats, size):
+def dense_burnside_irreducible(f, mats, size):
+    """The associative closure of ``mats`` spans all size x size matrices
+    (Burnside), the reference for ``chevalley._flag_irreducible``."""
     from extremal_lie.linalg import closure
 
     kept = []
@@ -1268,13 +1270,11 @@ def dense_natural_representation(type_, rank, field):
         long_mat = _unit_matrix(f, size, 0, 1)
     else:
         size = 2 * n + 1 if type_ == "B" else 2 * n
-        gens = _matrices_preserving(f, _split_gram(f, type_, n))
-        if type_ == "B":
-            long_mat = _sum_mats(f, _unit_matrix(f, size, 1, 2), _scale_mat(f, -1, _unit_matrix(f, size, n + 2, n + 1)))
-        elif type_ == "C":
-            long_mat = _unit_matrix(f, size, 0, n)
+        gens = dense_matrices_preserving(f, dense_split_gram(f, type_, n))
+        if type_ == "C":
+            long_mat = _unit_matrix(f, size, 0, size - 1)
         else:
-            long_mat = _sum_mats(f, _unit_matrix(f, size, 0, 1), _scale_mat(f, -1, _unit_matrix(f, size, n + 1, n)))
+            long_mat = _sum_mats(f, _unit_matrix(f, size, 0, 1), _scale_mat(f, -1, _unit_matrix(f, size, size - 2, size - 1)))
     L, mats, element_of = dense_matrix_lie_algebra(f, gens + [long_mat])
     expected_dim = {"A": n * n + 2 * n, "B": n * (2 * n + 1), "C": n * (2 * n + 1), "D": n * (2 * n - 1)}[type_]
     extremal = is_extremal(L, element_of(long_mat)) is not None
@@ -1282,7 +1282,7 @@ def dense_natural_representation(type_, rank, field):
     for row in long_mat:
         ech.insert(row)
     m = ech.dim
-    irreducible = _burnside_irreducible(f, mats, size)
+    irreducible = dense_burnside_irreducible(f, mats, size)
     report = {
         "type": type_,
         "rank": rank,

@@ -541,7 +541,7 @@ def test_natural_representation_matches_dense_reference(char):
 
 def test_natural_representation_builds_no_lie_algebra(monkeypatch):
     """The premises are checked on matrices: no ``LieAlgebra`` and no
-    structure constants are built, and the one closure is Burnside's."""
+    structure constants are built, and the one closure is the flag check's."""
     built, closures = [], []
     real_init, real_constants = liealg.LieAlgebra.__init__, liealg.structure_constants_on
     real_closure = chevalley_module.closure
@@ -568,11 +568,12 @@ def test_natural_representation_builds_no_lie_algebra(monkeypatch):
 
 
 def _degenerate_gram(real):
-    """``_split_gram`` with the pair of basis vectors 0 and n made null."""
+    """``_split_gram`` with the pair of basis vectors 0 and N - 1 (e_1 and
+    f_1) made null."""
 
     def gram(f, type_, n):
         g = real(f, type_, n)
-        g[0] = g[n] = {}
+        g[0] = g[-1] = {}
         return g
 
     return gram
@@ -588,6 +589,23 @@ def _with_long_root_matrix(real, entries):
     return module
 
 
+def _swap_01(m):
+    """The matrix m on the module basis with vectors 0 and 1 swapped."""
+    p = {0: 1, 1: 0}
+    return [{p.get(j, j): x for j, x in m[p.get(i, i)].items()} for i in range(len(m))]
+
+
+def _with_basis_vectors_01_swapped(real):
+    """``_natural_module`` on a basis out of flag order: the same g and
+    long-root matrix, with module basis vectors 0 and 1 swapped."""
+
+    def module(f, type_, n):
+        basis, long_mat = real(f, type_, n)
+        return [_swap_01(m) for m in basis], _swap_01(long_mat)
+
+    return module
+
+
 def _zero_gram(real):
     """``_split_gram`` replaced by the zero form, which every matrix
     preserves."""
@@ -595,12 +613,16 @@ def _zero_gram(real):
 
 
 @pytest.mark.parametrize("type_, attribute, planted, premise", [
-    # the zero Gram: g = gl(6), irreducible, and E_03 is extremal in it
+    # the zero Gram: g = gl(6), irreducible, and E_05 is extremal in it
     ("C", "_split_gram", _zero_gram, "dim"),
     # E_01 is not in so(8), yet [E_01, [E_01, Y]] = -2 Y_10 E_01 for every Y
     ("D", "_natural_module", lambda real: _with_long_root_matrix(real, lambda f, n: {(0, 1): 1}), "extremal_ok"),
-    # a diagonal matrix of so(8): ad_X^2 scales E_01 - E_54, off the line kX
-    ("D", "_natural_module", lambda real: _with_long_root_matrix(real, lambda f, n: {(0, 0): 1, (n, n): f.raw(-1)}), "extremal_ok"),
+    # a diagonal matrix of so(8): ad_X^2 fixes E_01 - E_67, off the line kX
+    ("D", "_natural_module", lambda real: _with_long_root_matrix(real, lambda f, n: {(0, 0): 1, (7, 7): f.raw(-1)}), "extremal_ok"),
+    # out of flag order, x_(e1-e2) and x_(e2-e1) are not upper triangular,
+    # so e_1 and e_2 are both killed by the upper triangular basis matrices
+    ("C", "_natural_module", _with_basis_vectors_01_swapped, "irreducible"),
+    ("D", "_natural_module", _with_basis_vectors_01_swapped, "irreducible"),
 ])
 def test_each_premise_of_the_natural_bound_can_fail(type_, attribute, planted, premise, monkeypatch):
     """One planted fault per premise of the bound for C3 or D4: the faulted
@@ -626,7 +648,7 @@ def test_degenerate_gram_fails_the_mingen_report(monkeypatch):
 
 def test_matrix_algebras_call_no_field_arithmetic(monkeypatch):
     """Building so(10) and sp(6) from matrices and deciding their
-    irreducibility makes no per-entry ``Field`` call."""
+    irreducibility by the flag check makes no per-entry ``Field`` call."""
     calls = []
     for name in ("add", "sub", "mul", "is_zero"):
         def counted(self, *args, _orig=getattr(Field, name), _name=name):
@@ -638,18 +660,17 @@ def test_matrix_algebras_call_no_field_arithmetic(monkeypatch):
     for type_, rank in (("D", 5), ("C", 3)):
         basis, _ = chevalley_module._natural_module(f, type_, rank)
         liealg.matrix_lie_algebra(f, basis)
-        assert chevalley_module._burnside_irreducible(f, basis, 2 * rank)
+        assert chevalley_module._flag_irreducible(f, basis, 2 * rank)
     assert calls == []
     f.is_zero(0)  # the counters are live
     assert calls == ["is_zero"]
 
 
-def test_burnside_irreducibility_check_can_fail():
-    """E_01 and E_10 generate all 2 x 2 matrices as an associative algebra
-    (E_01 E_10 = E_00, E_10 E_01 = E_11); E_01 alone, or with E_00, keeps
-    the line of the first basis vector invariant."""
+def test_flag_irreducibility_check_can_fail():
+    """E_01 kills the line K of the first basis vector.  E_10 moves K onto
+    the second basis vector; E_01 alone, or with E_00, keeps K invariant."""
     f = GF(5)
     e01, e10, e00 = [{1: 1}, {}], [{}, {0: 1}], [{0: 1}, {}]
-    assert chevalley_module._burnside_irreducible(f, [e01, e10], 2)
-    assert not chevalley_module._burnside_irreducible(f, [e01], 2)
-    assert not chevalley_module._burnside_irreducible(f, [e01, e00], 2)
+    assert chevalley_module._flag_irreducible(f, [e01, e10], 2)
+    assert not chevalley_module._flag_irreducible(f, [e01], 2)
+    assert not chevalley_module._flag_irreducible(f, [e01, e00], 2)

@@ -48,6 +48,7 @@ COMMANDS = [
     ["threegen", "--edges", "1,0,0", "--central", "5", "--char", "7"],
     ["rootgroups", "--type", "E7", "--char", "7"],
     ["rootgroups", "--type", "E8", "--char", "7"],
+    ["mingen", "--type", "D10,C8", "--char", "53"],
 ]
 
 

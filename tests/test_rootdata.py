@@ -66,6 +66,20 @@ def test_eps_round_trip():
             assert rs.root_from_eps(rs.eps_coords(root)) == root
 
 
+def test_root_from_eps_rejects_bad_indices_and_non_roots():
+    """An index outside 1..4 of D4 is an error, not a wrapped or missing
+    coordinate: {0: 1, 1: -1} is not read as -eps1 + eps4.  Neither a dict
+    nor a full vector of a non-root has a root, and E6 has no epsilon
+    coordinates."""
+    with pytest.raises(InvalidRank):
+        RootSystem("E", 6).root_from_eps({1: 1})
+    rs = RootSystem("D", 4)
+    assert rs.root_from_eps({4: 1, 1: -1}) == rs.root_from_eps((-1, 0, 0, 1))
+    for bad in ({0: 1, 1: -1}, {5: 1}, {1: 1}, (1, 1, 1, 0), (Fraction(1, 2),) * 4):
+        with pytest.raises(ValueError):
+            rs.root_from_eps(bad)
+
+
 def test_closure_under_negation():
     rs = RootSystem("F", 4)
     for root in rs.roots:

@@ -524,6 +524,53 @@ def test_unreached_helper_guard_finds_each_case(tmp_path):
     ]
 
 
+def _module_names(path):
+    """The names that the module-level statements of ``path`` define:
+    functions, classes and assignment targets, not imports."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update(sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name))
+    return out
+
+
+def _shadowed_names(helpers_path, package_dir):
+    """Module-level names of ``helpers_path`` that a module of
+    ``package_dir`` defines too, sorted."""
+    package = set()
+    for name in os.listdir(package_dir):
+        if name.endswith(".py"):
+            package |= _module_names(os.path.join(package_dir, name))
+    return sorted(_module_names(helpers_path) & package)
+
+
+def test_no_test_helper_shares_a_name_with_the_package():
+    """A reference in tests/helpers.py is named apart from the code it
+    checks (``dense_*``, ``reference_*``), so that a test which names one
+    of them reads the one it means."""
+    assert _shadowed_names(os.path.join(REPO_DIR, "tests", "helpers.py"), PACKAGE_DIR) == []
+
+
+def test_shadowed_name_guard_finds_each_case(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text(
+        "import os\n\nTABLE = 1\n\n\ndef f():\n    pass\n\n\n"
+        "class C:\n    def m(self):\n        pass\n"
+    )
+    (pkg / "b.py").write_text("X, Y = 1, 2\n")
+    (tmp_path / "helpers.py").write_text(
+        "import os\nfrom pkg.a import f\n\nTABLE = 2\nY: int = 3\n\n\n"
+        "def m():\n    pass\n\n\nclass C:\n    pass\n\n\ndef g():\n    X = 1\n"
+    )
+    assert _shadowed_names(str(tmp_path / "helpers.py"), str(pkg)) == ["C", "TABLE", "Y"]
+
+
 # Each option of the command line, keyed (subcommand, option), "" for the
 # top-level parser, with the reason it is there
 CLI_OPTIONS = {
