@@ -27,6 +27,7 @@ from .liealg import (
     AlgebraElement,
     LieAlgebra,
     NotExtremal,
+    NotNilpotent,
     commutator,
     extremal_closure,
     is_extremal,
@@ -100,7 +101,7 @@ class ChevalleyAlgebra:
                 raise NonIntegral("divided power of ad x_root is not integral")
             out.append({t: v // factorial for t, v in vec.items()})
         else:
-            raise RuntimeError("ad x_root is not nilpotent of small index")
+            raise NotNilpotent("ad x_root is not nilpotent of small index")
         self._divided[key] = out
         return out
 

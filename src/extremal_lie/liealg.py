@@ -57,6 +57,10 @@ class PreconditionNotMet(ValueError):
     pass
 
 
+class NotNilpotent(ValueError):
+    pass
+
+
 class LieAlgebra:
     """Lie algebra over an exact field, given by labeled basis and constants.
 
@@ -690,7 +694,7 @@ def nilradical(L, rad, extra_candidates=()):
             out = out.sum(c)
     if out.dim and not is_nilpotent_subspace(out):
         # sum of nilpotent ideals is nilpotent; reaching here means a bug
-        raise RuntimeError("nilradical candidate sum is not nilpotent")
+        raise NotNilpotent("nilradical candidate sum is not nilpotent")
     return out
 
 

@@ -3,15 +3,19 @@ constants under a fixed extraspecial-pair sign convention.
 
 Roots are integer coefficient tuples over the simple roots.  Signs: positive
 roots are ordered by (height, coefficients); for each non-simple positive
-root the extraspecial pair gets N = +(p+1); every other constant is forced
-from those by antisymmetry, N(-a,-b) = -N(a,b), and the cyclic relation
-N(a,b)/(c,c) = N(b,c)/(a,a) for a+b+c = 0.  ``CONVENTION_VERSION`` names this
+root the extraspecial pair gets N = +(p+1), and the other positive pairs with
+that sum are solved from it.  Each positive pair, once fixed, fills the rest
+of its zero-sum triple a+b+c = 0 by the cyclic relation
+N(a,b)/(c,c) = N(b,c)/(a,a) = N(c,a)/(b,b), then the swapped and negated
+pairs by antisymmetry and N(-a,-b) = -N(a,b): every constant is written
+once, when its positive pair is.  ``CONVENTION_VERSION`` names this
 convention; every ``ChevalleyConstants`` and ``ChevalleyAlgebra`` carries it.
 ``integer_chevalley_data`` memoises each type's roots and integer constants.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 
@@ -31,6 +35,10 @@ class InvalidRank(ValueError):
 
 class NonIntegral(ArithmeticError):
     """A quantity that the theory makes an integer came out fractional."""
+
+
+class RootStringMismatch(ArithmeticError):
+    """A solved constant has |N| other than p+1, p the root string down."""
 
 
 def _exact(num, den, what):
@@ -276,113 +284,97 @@ def _sub(s, t):
     return tuple(a - b for a, b in zip(s, t))
 
 
-def _add(s, t):
-    return tuple(a + b for a, b in zip(s, t))
-
-
 class ChevalleyConstants:
-    """N(alpha, beta) for all root pairs with alpha + beta a root."""
+    """N(alpha, beta) for all root pairs with alpha + beta a root, each
+    written once, from its positive pair.
+
+    Every ordered pair (alpha, beta) with alpha + beta a root lies in exactly
+    one zero-sum triple {alpha, beta, -alpha-beta}, and either two roots of
+    that triple are positive or two are negative.  So one positive pair
+    (a, b), with c = -a-b, fixes all twelve ordered entries of the triple
+    and of its negation:
+
+    - N(b, c) = N(a, b)(a,a)/(c,c) and N(c, a) = N(a, b)(b,b)/(c,c), by the
+      cyclic relation, both exact;
+    - antisymmetry N(y, x) = -N(x, y) gives the swapped pairs;
+    - N(-x, -y) = -N(x, y) gives the negated pairs.
+
+    ``_build`` fixes the positive pairs by their sums in root order.  The
+    extraspecial pair of a sum gets +(p+1).  Every other pair is solved
+    from constants of triples whose roots all have smaller height, so are
+    already written, and must come out +-(p+1) as well.  ``_sums`` maps
+    (i, j) to (k, N) with roots[i] + roots[j] = roots[k], in indices of
+    ``rs.roots``; ``N`` and ``integer_table`` only read it."""
 
     def __init__(self, rootsystem):
         self.rs = rootsystem
         self.convention_version = CONVENTION_VERSION
-        self._pos = {}  # (a, b) ordered positive pairs, a before b in root order
-        self._order = {t: k for k, t in enumerate(self.rs.positive_roots)}
+        self._index = {t: k for k, t in enumerate(rootsystem.roots)}
+        self._sums = {}
         self._build()
 
     def _build(self):
-        rs = self.rs
-        for gamma in rs.positive_roots:
-            if sum(gamma) < 2:
+        rs, index, sums = self.rs, self._index, self._sums
+        roots, npos = rs.roots, len(rs.positive_roots)
+        norm = [rs._scaled_norm(t) for t in roots]
+        neg = [k + npos for k in range(npos)] + list(range(npos))  # index of -roots[k]
+
+        def fix(a, b, c, n):
+            """Write the twelve entries of the triple a + b + c = 0 from N(a, b) = n."""
+            nbc = _exact(n * norm[a], norm[c], "a structure constant")
+            nca = _exact(n * norm[b], norm[c], "a structure constant")
+            for x, y, z, v in ((a, b, c, n), (b, c, a, nbc), (c, a, b, nca)):
+                sums[x, y], sums[y, x] = (neg[z], v), (neg[z], -v)
+                sums[neg[x], neg[y]], sums[neg[y], neg[x]] = (z, -v), (z, v)
+
+        height = [sum(t) for t in rs.positive_roots]  # ascending, as is root order
+        for g in range(npos):
+            # a before b means height(a) <= height(gamma)/2
+            gamma, below = roots[g], bisect_right(height, height[g] // 2)
+            pairs = [(a, b) for a in range(below) if a < (b := index.get(_sub(gamma, roots[a]), -1)) < npos]
+            if not pairs:
                 continue
-            pairs = []
-            for a in rs.positive_roots:
-                if self._order[a] >= self._order[gamma]:
-                    break
-                b = _sub(gamma, a)
-                if min(b) >= 0 and b in rs._root_set and self._order[a] < self._order[b]:
-                    pairs.append((a, b))
-            pairs.sort(key=lambda p: self._order[p[0]])
-            xi, eta = pairs[0]
-            self._pos[(xi, eta)] = rs.root_string_down(xi, eta) + 1
+            (xi, eta), c = pairs[0], neg[g]
+            n_xe = rs.root_string_down(roots[xi], roots[eta]) + 1
+            fix(xi, eta, c, n_xe)
             for a, b in pairs[1:]:
-                t1 = 0
-                d1 = _sub(eta, a)
-                if d1 in rs._root_set:
-                    t1 = self.N(eta, _neg(a)) * self.N(xi, d1)
-                t2 = 0
-                d2 = _sub(xi, a)
-                if d2 in rs._root_set:
-                    t2 = self.N(_neg(a), xi) * self.N(eta, d2)
-                num = -(t1 + t2) * rs._scaled_norm(gamma)
-                val = _exact(num, self._pos[(xi, eta)] * rs._scaled_norm(b), "a structure constant")
-                expected = rs.root_string_down(a, b) + 1
+                t = 0
+                if d1 := sums.get((eta, neg[a])):  # eta - a a root
+                    t += d1[1] * sums[xi, d1[0]][1]
+                if d2 := sums.get((neg[a], xi)):  # xi - a a root
+                    t += d2[1] * sums[eta, d2[0]][1]
+                val = _exact(-t * norm[g], n_xe * norm[b], "a structure constant")
+                expected = rs.root_string_down(roots[a], roots[b]) + 1
                 if abs(val) != expected:
-                    raise RuntimeError("extraspecial solve gave |N|=%d, want %d" % (abs(val), expected))
-                self._pos[(a, b)] = val
+                    raise RootStringMismatch("extraspecial solve gave |N|=%d, want %d" % (abs(val), expected))
+                fix(a, b, c, val)
 
     def N(self, alpha, beta):
-        """Structure constant for [x_alpha, x_beta] = N x_{alpha+beta}."""
-        rs = self.rs
-        alpha, beta = tuple(alpha), tuple(beta)
-        s = _add(alpha, beta)
-        if s not in rs._root_set:
-            return 0
-        pa, pb = min(alpha) >= 0, min(beta) >= 0
-        if pa and pb:
-            if self._order[alpha] < self._order[beta]:
-                return self._pos[(alpha, beta)]
-            return -self._pos[(beta, alpha)]
-        if not pa and not pb:
-            return -self.N(_neg(alpha), _neg(beta))
-        if not pa:
-            return -self.N(beta, alpha)
-        # alpha > 0 > beta
-        if min(s) >= 0:
-            # N(alpha,beta)/(s,s) = N(beta,-s)/(alpha,alpha); N(beta,-s) = -N(-beta,s)
-            num, den = -self.N(_neg(beta), s), rs._scaled_norm(alpha)
-        else:
-            # N(alpha,beta)/(s,s) = N(-s,alpha)/(beta,beta)
-            num, den = self.N(_neg(s), alpha), rs._scaled_norm(beta)
-        return _exact(num * rs._scaled_norm(s), den, "a structure constant")
+        """N in [x_alpha, x_beta] = N x_{alpha+beta}; 0 if alpha+beta is no root."""
+        entry = self._sums.get((self._index[tuple(alpha)], self._index[tuple(beta)]))
+        return entry[1] if entry else 0
 
     def integer_table(self):
         """Structure constants of the Chevalley algebra over the integers.
 
         Basis order: positive roots, negative roots (mirrored order), then
-        h_1..h_rank.  Returns (labels, {(i, j): {k: int}}) with i < j.
+        h_1..h_rank.  Returns (labels, {(i, j): {k: int}}) with i < j: the
+        entries of ``_sums`` and the pairs (x_a, x_-a) in sorted key order,
+        then the h-part.  A ``LieAlgebra`` keeps its rows in this order.
         """
         rs = self.rs
-        nroots = len(rs.roots)
-        index = {t: k for k, t in enumerate(rs.roots)}
-        labels = ["x[%s]" % ",".join(map(str, t)) for t in rs.roots] + [
-            "h%d" % (i + 1) for i in range(rs.rank)
-        ]
-        table = {}
-
-        def put(i, j, row):
-            if i == j or not row:
-                return
-            if i < j:
-                table[(i, j)] = row
-            else:
-                table[(j, i)] = {k: -c for k, c in row.items()}
-
-        zero = tuple(0 for _ in range(rs.rank))
-        for ia, a in enumerate(rs.roots):
-            for ib in range(ia + 1, nroots):
-                b = rs.roots[ib]
-                s = _add(a, b)
-                if s == zero:
-                    put(ia, ib, {nroots + i: c for i, c in enumerate(rs.coroot_coords(a)) if c})
-                elif s in rs._root_set:
-                    put(ia, ib, {index[s]: self.N(a, b)})
+        nroots, npos = len(rs.roots), len(rs.positive_roots)
+        labels = ["x[%s]" % ",".join(map(str, t)) for t in rs.roots] + ["h%d" % (i + 1) for i in range(rs.rank)]
+        rows = [((i, j), {k: n}) for (i, j), (k, n) in self._sums.items() if i < j]
+        for a in range(npos):
+            rows.append(((a, npos + a), {nroots + i: c for i, c in enumerate(rs.coroot_coords(rs.roots[a])) if c}))
+        table = dict(sorted(rows))
         for i in range(rs.rank):
             hi = nroots + i
-            for b in rs.roots:
+            for ib, b in enumerate(rs.roots):
                 c = sum(b[j] * rs.cartan[i][j] for j in range(rs.rank))
                 if c:
-                    put(hi, index[b], {index[b]: c})
+                    table[ib, hi] = {ib: -c}
         return labels, table
 
 
@@ -399,8 +391,9 @@ _INTEGER_DATA = {}
 
 def integer_chevalley_data(type_, rank):
     """``(root system, labels, table)`` of a type, the table as in
-    ``ChevalleyConstants.integer_table``: built once per process and shared
-    by every caller, which must not mutate them."""
+    ``ChevalleyConstants.integer_table``, read off the constants that each
+    positive pair writes for its zero-sum triple: built once per process and
+    shared by every caller, which must not mutate them."""
     if (type_, rank) not in _INTEGER_DATA:
         rs = root_system(type_, rank)
         _INTEGER_DATA[type_, rank] = (rs,) + chevalley_constants(rs).integer_table()

@@ -223,12 +223,60 @@ def test_integer_root_data_matches_fraction_reference(type_, rank):
             assert root_pairing(rs, s, t) == 2 * ip / norms[t]
 
 
-@pytest.mark.parametrize("type_, rank", RANK8_TYPES)
-def test_integer_table_digest_is_pinned(type_, rank):
+def _table_digest(type_, rank):
+    """The digest of ``TABLE_DIGESTS`` for the integer table of a type."""
     labels, table = chevalley_constants(RootSystem(type_, rank)).integer_table()
     rows = sorted((i, j, k, v) for (i, j), row in table.items() for k, v in row.items())
     assert all(type(v) is int for *_, v in rows)
-    assert hashlib.sha256(repr((labels, rows)).encode()).hexdigest() == TABLE_DIGESTS[(type_, rank)]
+    return hashlib.sha256(repr((labels, rows)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("type_, rank", RANK8_TYPES)
+def test_integer_table_digest_is_pinned(type_, rank):
+    assert _table_digest(type_, rank) == TABLE_DIGESTS[(type_, rank)]
+
+
+# the same digests for the large-rank ``mingen`` types, recorded with the
+# constants derived pair by pair on request, before each positive pair
+# filled its triple
+LARGE_RANK_DIGESTS = {
+    ("A", 24): "64ebf46dfb51377653d82a16e3ad7276152bd2c0a08392bb04e881a4e84941bb",
+    ("B", 12): "247561d617b83cdb925a5c944cee732f931c2b92ea658e47d31f36f2745610f0",
+    ("C", 12): "b6a28ee10965b641f772b9410e78fdc5e47075da76255066b881843e59638dfe",
+    ("D", 14): "d8d91b303ad8aea2e51693d06c01242ef95a69fc4056970cfab4135f8aae5e0a",
+}
+
+
+@pytest.mark.parametrize("type_, rank", list(LARGE_RANK_DIGESTS))
+def test_large_rank_integer_table_digest_is_pinned(type_, rank):
+    assert _table_digest(type_, rank) == LARGE_RANK_DIGESTS[(type_, rank)]
+
+
+@pytest.mark.parametrize("type_, rank", [("B", 3), ("C", 3), ("G", 2), ("F", 4), ("E", 6)])
+def test_each_zero_sum_triple_obeys_the_fill_rules(type_, rank):
+    """Over every zero-sum triple a + b + c = 0 of roots: the cyclic
+    relation N(a,b)/(c,c) = N(b,c)/(a,a) = N(c,a)/(b,b) with the norms of
+    the Fraction reference, antisymmetry and N(-x,-y) = -N(x,y) on its six
+    ordered pairs; and N = 0 exactly on the pairs whose sum is no root."""
+    rs = RootSystem(type_, rank)
+    cc = chevalley_constants(rs)
+    norm = {t: fraction_inner(rs, t, t) for t in rs.roots}
+    triples = 0
+    for a in rs.roots:
+        for b in rs.roots:
+            s = tuple(x + y for x, y in zip(a, b))
+            if not rs.is_root(s):
+                assert cc.N(a, b) == 0
+                continue
+            c = tuple(-x for x in s)
+            assert cc.N(a, b) != 0
+            assert cc.N(a, b) / norm[c] == Fraction(cc.N(b, c)) / norm[a] == Fraction(cc.N(c, a)) / norm[b]
+            for x, y in ((a, b), (b, c), (c, a)):
+                assert cc.N(y, x) == -cc.N(x, y)
+                assert cc.N(tuple(-v for v in x), tuple(-v for v in y)) == -cc.N(x, y)
+            triples += 1
+    # each triple {a, b, c} is met once per ordered pair of its roots
+    assert triples % 6 == 0 and triples > 0
 
 
 def test_pairing_and_coroot_coords_raise_on_a_remainder():

@@ -29,6 +29,40 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def _bare_runtime_errors(package_dir):
+    """``file:line`` of each ``raise RuntimeError``, called or not, in
+    ``package_dir``/*.py."""
+    found = []
+    for name in sorted(os.listdir(package_dir)):
+        if name.endswith(".py"):
+            with open(os.path.join(package_dir, name)) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Raise):
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
+                        found.append("%s:%d" % (name, node.lineno))
+    return found
+
+
+def test_no_bare_runtime_error_in_package():
+    """An invariant raises a typed exception of its module's error family,
+    which a caller can catch without catching every other runtime error."""
+    assert _bare_runtime_errors(PACKAGE_DIR) == []
+
+
+def test_bare_runtime_error_guard_finds_each_case(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "class Typed(RuntimeError):\n    pass\n\n\n"
+        "def a():\n    raise RuntimeError('called')\n\n\n"
+        "def b():\n    raise RuntimeError\n\n\n"
+        "def fine():\n    try:\n        raise Typed('x')\n    except RuntimeError:\n        raise\n\n\n"
+        "class K:\n    def c(self):\n        raise RuntimeError('in a method') from None\n"
+    )
+    (tmp_path / "notes.txt").write_text("raise RuntimeError('x')\n")
+    assert _bare_runtime_errors(str(tmp_path)) == ["m.py:6", "m.py:10", "m.py:22"]
+
+
 def test_invariants_hold_under_python_O():
     """Under ``python -O`` a bad table still raises JacobiViolation, and a
     malformed command still exits 2 with one stderr line."""
@@ -137,6 +171,7 @@ UNCALLED_ALLOWED = {
     "root_exponential": "a span target of bench/spans.py, which reports a missing target as absent",
     "charpoly": "a span target of bench/spans.py; tests/helpers.dense_phi_spectrum_check uses it",
     "_Parser.error": "argparse calls this override of ArgumentParser.error",
+    "ChevalleyConstants.N": "the constants by root pair, on which tests/test_rootdata.py checks the sign rules",
 }
 
 
