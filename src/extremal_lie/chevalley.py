@@ -62,8 +62,9 @@ class ChevalleyAlgebra:
         rs, labels, self.int_table = integer_chevalley_data(type_, rank)
         self.rootsystem = rs
         self.field = field
-        self.lie = LieAlgebra(field, labels, self.int_table)
         self.root_index = {t: k for k, t in enumerate(rs.roots)}
+        first = [self.root_index[a] for a in rs.simple_roots + [_neg(rs.highest_root)]]
+        self.lie = LieAlgebra(field, labels, self.int_table, first=first)
         self._divided = {}  # (root index, j) -> divided powers, see divided_powers
 
     @property

@@ -57,6 +57,10 @@ class PreconditionNotMet(ValueError):
     pass
 
 
+class InvalidGeneratorOrder(ValueError):
+    pass
+
+
 class NotNilpotent(ValueError):
     pass
 
@@ -67,10 +71,12 @@ class LieAlgebra:
     ``table`` maps pairs (i, j) with i < j to sparse rows {k: coefficient};
     antisymmetry fills in the rest.  ``generators`` lists basis indices S
     whose ad-closure is L: the least subspace that holds b_s for s in S and
-    is closed under v -> [b_s, v] for every s in S.
+    is closed under v -> [b_s, v] for every s in S.  ``first`` lists distinct
+    basis indices that the search for S tries before the rest (see
+    ``_ad_generators``).
     """
 
-    def __init__(self, field, labels, table):
+    def __init__(self, field, labels, table, first=()):
         self.field = field
         self.labels = list(labels)
         self.n = len(self.labels)
@@ -83,7 +89,10 @@ class LieAlgebra:
             if row:
                 self._table[(i, j)] = self._adj[i][j] = row
                 self._adj[j][i] = canonical(field, {k: -c for k, c in row.items()})
-        self.generators = self._ad_generators()
+        first = list(first)
+        if len(set(first)) != len(first) or not all(0 <= i < self.n for i in first):
+            raise InvalidGeneratorOrder("first must list distinct indices in 0..%d, not %r" % (self.n - 1, first))
+        self.generators = self._ad_generators(first)
         self._validate_jacobi()
 
     def bracket_basis(self, i, j):
@@ -94,17 +103,28 @@ class LieAlgebra:
         """[b_s, v] for a sparse row v, as a canonical row."""
         return self.bracket(self.basis_element(s), AlgebraElement(self, v)).coeffs
 
-    def _ad_generators(self):
-        """Basis indices whose ad-closure is L, taken greedily: b_i joins when
-        it is not in the ad-closure of those before it.  The closure then
+    def _ad_generators(self, first):
+        """Basis indices whose ad-closure is L, taken greedily from the
+        indices of ``first``, then from the rest in basis order: b_i joins
+        when it is not in the ad-closure of those before it.  The closure then
         grows by b_i, by [b_i, w] for the kept basis w of the old closure, and
         by ad of every generator on each new vector.  It needs no Jacobi
-        identity, and it ends full because it holds every b_i.  A Chevalley
-        algebra gives its 2l simple root elements, L_r its r generators."""
+        identity, and it ends full because it holds every b_i.  Correctness
+        rests on this closure alone; the order only decides how few are taken.
+
+        A Chevalley algebra puts its simple root elements e_1..e_l first, then
+        x_-theta for the highest root theta.  Over Q these l + 1 generate g:
+        in the loop algebra g (x) k[t, 1/t] the affine Chevalley generators
+        e_1..e_l and e_0 = x_-theta (x) t generate n_+ (x) 1 + g (x) t k[t]
+        (Kac, "Infinite-dimensional Lie algebras", ch. 7), and t -> 1 maps
+        that onto g and e_0 onto x_-theta.  Where they do not generate (G2
+        over GF(3)) the walk goes on through the basis.  E7 takes 8 of its
+        133 basis elements, L_r its r generators."""
         one = self.field.one
         ech = Echelon(self.field, self.n)
         gens, kept = [], []
-        for i in range(self.n):
+        taken = set(first)
+        for i in first + [i for i in range(self.n) if i not in taken]:
             if ech.dim == self.n:
                 break
             if not ech.contains({i: one}):

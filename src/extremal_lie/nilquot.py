@@ -41,7 +41,13 @@ a basis element z other than u (the symbol (v, i) was free, so its rewrite is
 expansion of [[u,x_i],v] minus that of [u, z], and the recursion of the
 expansion writes [u, z], through the definition of z, as exactly the first
 term minus the second: the row is the zero dict before it is built.  (When z
-is u, the third term is [u, u] = 0 instead, and the row is kept.)
+is u, the third term is [u, u] = 0 instead, and the row is kept.)  It is
+also skipped when v is a generator x_j and [x_j, x_i] is not +-u.  Then
+[x_j, x_i] is 0 (i = j) or +-z for the degree-2 element z defined as
+[x_i, x_j] or [x_j, x_i], and the expansion of [u, [x_i, x_j]] through that
+definition is [[u,x_i],x_j] - [[u,x_j],x_i], the first two terms with the
+sign that cancels them.  (The row with u = z is +- u's own antisymmetry
+row, and it is kept.)
 
 A block whose rows run out below the representative's rank, or whose width
 differs from it, raises ``OrbitRankMismatch``.  The verification mode
@@ -330,9 +336,11 @@ class _CoverEngine:
 
     def _zero_by_definition(self, u, v, i):
         """Whether [v, x_i] is the definition of a basis element other than
-        u; the Jacobi row of (u, v, x_i) is then the zero dict (see the
-        module docstring)."""
+        u, or v is a generator and [v, x_i] is not +-u; the Jacobi row of
+        (u, v, x_i) is then the zero dict (see the module docstring)."""
         g = self.gen_bracket[(v.index, i)]
+        if v.degree == 1:
+            return all(self.basis[w] is not u for w in g)
         if len(g) != 1:
             return False
         z = self.basis[next(iter(g))]

@@ -371,8 +371,9 @@ class ChevalleyConstants:
         table = dict(sorted(rows))
         for i in range(rs.rank):
             hi = nroots + i
+            cartan_row = [(j, a) for j, a in enumerate(rs.cartan[i]) if a]
             for ib, b in enumerate(rs.roots):
-                c = sum(b[j] * rs.cartan[i][j] for j in range(rs.rank))
+                c = sum(b[j] * a for j, a in cartan_row)
                 if c:
                     table[ib, hi] = {ib: -c}
         return labels, table

@@ -20,8 +20,8 @@ to each generator vector one factor at a time, exp(x, s) v = v + s[x, v] +
   their ad-closure, which is L.  Two words that agree on the generators
   are equal, and the test is an exact equivalence, not only sound.
 
-The generators are few: 8 of the 28 basis vectors for D4, 6 of 21 for B3,
-14 of 133 for E7, 16 of 248 for E8.  Within one check each suffix of a word
+The generators are few: 5 of the 28 basis vectors for D4, 4 of 21 for B3,
+8 of 133 for E7, 9 of 248 for E8.  Within one check each suffix of a word
 is applied once.  Over small prime fields the parameter checks are
 exhaustive; over the rationals a fixed deterministic sample set is used
 (the identities are polynomial in the parameters, of low degree).

@@ -472,7 +472,7 @@ def test_exp_map_keeps_one_map_per_parameter():
 
 def test_rootgroups_builds_each_exp_once(monkeypatch):
     """A rootgroups run builds no n-column map.  Every act of a factor is
-    either one step of a group word on a generator image (6 of B3's 21
+    either one step of a group word on a generator image (4 of B3's 21
     basis vectors) or one ``Exp.apply``, which property (2) makes once per
     pair and parameter; the one n-column builder, ``root_exponential``, is
     not called; and each (map, parameter) pair is one ``Exp``."""
@@ -510,7 +510,7 @@ def test_rootgroups_builds_each_exp_once(monkeypatch):
     with redirect_stdout(io.StringIO()):
         assert cli.main(["--json", "rootgroups", "--type", "B3", "--char", "0", "--seed", "5"]) == 0
     gens = len(chevalley("B", 3).lie.generators)
-    assert gens == 6 and set(steps) == {gens}
+    assert gens == 4 and set(steps) == {gens}
     assert 0 < applies[0] <= 4 * 8  # four pairs, eight parameters
     assert acts[0] == gens * len(steps) + applies[0]
     assert len(builds) > 500 and max(builds.values()) == 1

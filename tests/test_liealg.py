@@ -9,6 +9,7 @@ from extremal_lie.liealg import (
     Subspace,
     ExtremalFunctional,
     ExtremalSet,
+    InvalidGeneratorOrder,
     JacobiViolation,
     LieAlgebra,
     NotASandwich,
@@ -35,7 +36,7 @@ from extremal_lie.liealg import (
     zero_subspace,
 )
 from extremal_lie.smallgen import TriangleParams, build_M, sl3_example
-from extremal_lie.chevalley import extremal_spanning_set
+from extremal_lie.chevalley import ChevalleyAlgebra, extremal_spanning_set
 
 from extremal_lie.liealg import _no_solvable_ideal_certificate
 from extremal_lie import liealg, rootdata
@@ -216,22 +217,55 @@ SIMPLE_ROOT_TYPES = [("A", 4), ("B", 4), ("C", 3), ("D", 5), ("G", 2), ("F", 4),
 @pytest.mark.parametrize("char", [0, 53])
 @pytest.mark.parametrize("type_,rank", SIMPLE_ROOT_TYPES)
 def test_generators_are_the_simple_root_elements(type_, rank, char):
-    """The greedy walk takes e_1..e_l, f_1..f_l and nothing else."""
+    """The walk takes e_1..e_l, then x_-theta, and nothing else."""
     A = chevalley(type_, rank, char)
     units = [tuple(int(a == i) for a in range(rank)) for i in range(rank)]
-    simple = [A.root_index[u] for u in units] + [A.root_index[tuple(-a for a in u)] for u in units]
-    assert sorted(A.lie.generators) == sorted(simple)
+    lowest = tuple(-c for c in A.rootsystem.highest_root)
+    assert A.lie.generators == [A.root_index[u] for u in sorted(units)] + [A.root_index[lowest]]
 
 
 def test_generators_of_g2_in_characteristic_3():
-    """In characteristic 3 the simple root elements of G2 generate a proper
-    subalgebra, since [x_a1, x_2a1+a2] = +-3 x_3a1+a2 vanishes (roots in the
-    coordinates of the labels), so the walk also takes x_beta and x_-beta
-    for the long root beta = 3a1 + a2."""
+    """In characteristic 3 the simple root elements and x_-theta of G2
+    generate a proper subalgebra, so the walk also takes x_beta for the long
+    root beta = 3a1 + a2 (roots in the coordinates of the labels).  The
+    simple root elements alone, e_1, e_2, f_1 and f_2, generate a proper
+    subalgebra too, since [x_a1, x_2a1+a2] = +-3 x_3a1+a2 vanishes."""
     A = chevalley("G", 2, 3)
-    assert [A.lie.labels[s] for s in A.lie.generators] == ["x[0,1]", "x[1,0]", "x[3,1]", "x[0,-1]", "x[-1,0]", "x[-3,-1]"]
+    assert [A.lie.labels[s] for s in A.lie.generators] == ["x[0,1]", "x[1,0]", "x[-3,-2]", "x[3,1]"]
     simple = [A.root_index[r] for r in ((1, 0), (0, 1), (-1, 0), (0, -1))]
     assert subalgebra_generated(A.lie, [A.lie.basis_element(s) for s in simple]).dim < A.lie.n
+    assert subalgebra_generated(A.lie, [A.lie.basis_element(s) for s in A.lie.generators[:3]]).dim < A.lie.n
+
+
+# the types whose integer tables test_rootdata pins: every type of rank <= 8
+PINNED_TYPES = [(t, r) for t, low in (("A", 1), ("B", 2), ("C", 2), ("D", 4)) for r in range(low, 9)] + [
+    ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+
+
+@pytest.mark.parametrize("char", [0, 3, 5, 7])
+@pytest.mark.parametrize("type_,rank", PINNED_TYPES)
+def test_chevalley_generators_generate(type_, rank, char):
+    L = ChevalleyAlgebra(type_, rank, field_of(char)).lie
+    assert subalgebra_generated(L, [L.basis_element(s) for s in L.generators]).dim == L.n
+
+
+def test_first_indices_that_do_not_generate_are_completed():
+    """A ``first`` list whose elements generate a proper subalgebra (sl2
+    inside G2, on the long root a2) leaves the walk to go on through the
+    basis until the ad-closure is full."""
+    rs, labels, table = rootdata.integer_chevalley_data("G", 2)
+    root = {t: k for k, t in enumerate(rs.roots)}
+    first = [root[(0, 1)], root[(0, -1)]]
+    L = LieAlgebra(QQ, labels, table, first=first)
+    assert subalgebra_generated(L, [L.basis_element(s) for s in first]).dim == 3
+    assert L.generators[:2] == first and len(L.generators) > 2
+    assert subalgebra_generated(L, [L.basis_element(s) for s in L.generators]).dim == L.n
+
+
+@pytest.mark.parametrize("first", [[3], [-1], [0, 0], [1, 2, 1]])
+def test_first_indices_out_of_range_or_repeated_are_rejected(first):
+    with pytest.raises(InvalidGeneratorOrder):
+        LieAlgebra(QQ, "xyz", {(0, 1): {2: QQ.one}}, first=first)
 
 
 def test_generators_of_the_sandwich_algebras():
@@ -247,8 +281,9 @@ def test_ad_closure_of_the_generators_is_the_algebra(name, char):
 
 
 def test_jacobi_check_computes_defects_of_the_generators_only(monkeypatch):
-    """E7's check sums the derivation defects of its 14 generators, not of
-    all 133 basis elements; a failing table still gets the full scan."""
+    """E7's check sums the derivation defects of its 14 generators in basis
+    order, or 8 as a Chevalley algebra, not of all 133 basis elements; a
+    failing table still gets the full scan."""
     seen = []
     inner = liealg._derivation_defects
 
@@ -260,6 +295,9 @@ def test_jacobi_check_computes_defects_of_the_generators_only(monkeypatch):
     rs, labels, table = rootdata.integer_chevalley_data("E", 7)
     L = LieAlgebra(QQ, labels, table)
     assert len(L.generators) == 14 and seen == L.generators
+    seen.clear()
+    L = ChevalleyAlgebra("E", 7, QQ).lie
+    assert len(L.generators) == 8 and seen == L.generators
     seen.clear()
     with pytest.raises(JacobiViolation):
         LieAlgebra(QQ, ["a", "b", "c"], {(0, 1): {2: 1}, (0, 2): {0: 1}})
