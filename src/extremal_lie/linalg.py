@@ -2,14 +2,15 @@
 
 A vector is a sparse ``{index: raw value}`` dict.  It is *canonical* when it
 holds no zero entry and, over GF(p), every entry is a residue in ``[0, p)``
-(over Q an entry is an int or a Fraction).  A matrix is a list of canonical
-sparse rows.  Every vector and matrix that one layer hands to another
-(algebra elements, structure constants, automorphism columns, Gram rows,
-kernels, coordinates, the rows of L_r, matrix algebras) is in this form, so
-two vectors are equal exactly when their dicts are.  ``axpy`` adds a
-multiple of one vector into another with plain ``+`` and ``*`` and never
-reduces; ``canonical`` makes the result canonical once, at the end.  These
-two functions are where that rule is written down.  ``charpoly`` is the one
+(over Q an entry is an int, or a Fraction when it is not integral).  A
+matrix is a list of canonical sparse rows.  Every vector and matrix that
+one layer hands to another (algebra elements, structure constants,
+automorphism columns, Gram rows, kernels, coordinates, the rows of L_r,
+matrix algebras) is in this form, so two vectors are equal exactly when
+their dicts are.  ``axpy`` adds a multiple of one vector into another with
+plain ``+`` and ``*`` and never reduces; ``canonical`` makes the result
+canonical once, at the end.  These two functions are where that rule is
+written down.  ``charpoly`` is the one
 dense routine: it densifies its matrix internally, and polynomials are
 dense coefficient lists.
 
@@ -51,11 +52,12 @@ def axpy(acc, c, v):
 
 def canonical(field, acc):
     """The canonical vector of the dict ``acc``: its entries reduced mod p
-    over GF(p), its zeros dropped (see the module docstring)."""
+    over GF(p), integral ones as ints over Q, its zeros dropped (see the
+    module docstring)."""
     p = field.characteristic
     if p:
         return {j: r for j, x in acc.items() if (r := x % p)}
-    return {j: x for j, x in acc.items() if x}
+    return {j: x if type(x) is int or x.denominator != 1 else x.numerator for j, x in acc.items() if x}
 
 
 def combine(field, coeffs, vecs):

@@ -2,63 +2,41 @@
 
 The Witt formulas and the tensor-algebra expansion are independent of the
 code paths they check: expected dimensions and bracket values in the test
-files are frozen from these, not from the implementation.  The dense form
-kernels (``dense_is_associative``, ``dense_killing_gram``, ``dense_center``)
-are the per-coefficient ``Field`` loops the package ran before its form
-kernels became sparse, and ``dense_jacobi`` is the walk over all basis
-triples that the Jacobi check made before it became term-driven and ran on
-the ad-generators only; ``dense_ideal_generated`` expands by every basis
-element, as ideal closure did before it expanded by the generators;
-``dense_extremal_gram`` is the Gram of the extremal form as two dense matrix
-products, ``bracket_is_extremal`` the extremality check with two brackets
-[x, [x, b_j]] per basis vector, as ``is_extremal`` ran before it combined
-the columns of ad_x, ``fraction_inner`` the inner product of roots with one
-``Fraction`` per term, and ``FractionAutomorphism``/``fraction_exp_map``
-the exp-automorphisms on ``Fraction`` columns with two brackets per basis
-vector, as they were before the columns became integers over one
-denominator.  ``round_trip_exp_step`` (on ``permuted_params``) is the exp
-step of the three-generator normalization as a reordering, the step in the
-identity frame and the reordering back, as ``smallgen`` made it before
-``exp_transform_params`` took a frame; ``four_sign_scaling`` (on
-``scale_params``) the three-edge scaling as a search over three square
-roots and four signs.  ``Automorphism`` is the n-column integer map that
-``chevalley`` kept a group element as before group words were decided on
-the ad-generators; ``matrix_of`` makes one from any map, ``matrix_exp_map``,
-``matrix_root_properties`` and ``matrix_product_identity`` are the
-root-group identities on those full maps, and ``reference_chain_search``
-(on ``bracket_condition_2prime``) is the chain probe as a search over every
-pair, before it fixed x1 = x_theta.  ``preserves_bracket`` is the bracket
-oracle for an ``Automorphism``.  ``reference_root_exponential`` is the full root
-exponential, its ad x_root columns read by a scan of the whole integer
-table, as ``chevalley`` built it before it applied the divided powers to one
-vector at a time; ``reference_extremal_spanning_set`` is the closure over
-those full maps.  ``dense_mat_mul``, ``dense_matrix_lie_algebra``,
-``dense_natural_representation`` and ``dense_fourth_power_check`` are the
-matrix layer on dense lists of raw values, with one ``Field`` call per entry
-and the matrices of ad, as it ran before matrices became lists of sparse
-rows; ``dense_natural_representation`` decides irreducibility by Burnside's
-associative closure (``dense_burnside_irreducible``), as ``chevalley`` did
-before its flag check.  The tests hold the fast code to them.
-``dense_phi_spectrum_check``, on the same dense matrices, is the one check
-of the ad_x ad_y eigenvalue lemma.  ``echelon_basis`` (the dense basis
-rows of an ``Echelon``), ``grow_extremal_spanning``,
-``line_is_fully_extremal``, ``graded_components`` and the root data
-accessors ``root_inner``, ``root_norm2``, ``root_pairing`` and
-``cartan_element`` are ones that only the tests call.
-So is the last section: the free mode of the cover engine
-(``free_nilpotent_quotient``), the direct route to R_r
-(``assoc_algebra_direct_dims`` on ``left_normed_expansions``), the
-right-nested ``monomial`` of L_r, sl2, and the checks of the paper's lemmas
-that no command reports (L_{r-1} inside L_r, the 28 monomials spanning L_4,
-the B2/G2 short-root decompositions, generation by the simple roots and the
-lowest root, the fourth-power lemma, orthogonality of ideal direct sums, the
-two-generator trichotomy).
+files are frozen from these, not from the implementation.
+
+``Map`` is the one full linear map: a canonical column per basis vector,
+built from anything with ``apply`` (``Map.of``) or as ``Map.ad``, with
+``apply``, ``compose`` and equality.  The fast paths act on one vector at a
+time, and the tests hold them to maps: ``exp_reference`` is exp(x, s) =
+1 + s ad_x + s^2/2 ad_x^2 for ``chevalley.exp_map``, ``root_exp_reference``
+the divided powers of ``Map.ad`` over Q for ``root_exp_apply``.  On maps sit
+the bracket and form oracles (``preserves_bracket``, ``preserves_form``),
+the root-group identities on full products (``matrix_root_properties``,
+``matrix_product_identity``), the closure over full root exponentials
+(``reference_extremal_spanning_set``), and the ad_x ad_y eigenvalue and
+fourth-power lemmas (``dense_phi_spectrum_check``,
+``dense_fourth_power_check``).
+
+The other references are the package's code as it ran before it became
+fast: ``DenseEchelon`` (dense reduced rows), the dense form kernels
+(``dense_is_associative``, ``dense_killing_gram``, ``dense_center``),
+``dense_jacobi`` over every basis triple, ``dense_ideal_generated``,
+``dense_extremal_gram``, ``bracket_is_extremal`` with two brackets per
+basis vector, ``fraction_inner``, the exp step and scaling of the
+three-generator normalization (``round_trip_exp_step``,
+``four_sign_scaling``), the chain probe over every pair
+(``reference_chain_search``), and the matrix layer on dense lists
+(``dense_mat_mul``, ``dense_matrix_lie_algebra``,
+``dense_natural_representation`` with Burnside's closure).  The last
+section holds what only the tests reach: the free mode of the cover engine,
+the direct route to R_r, the right-nested ``monomial`` of L_r, sl2, and the
+checks of the paper's lemmas that no command reports.
 """
 
 import itertools
 import random
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 
 from hypothesis import strategies as st
 
@@ -75,6 +53,7 @@ from extremal_lie.liealg import (
     ExtremalFunctional,
     LieAlgebra,
     NotExtremal,
+    NotNilpotent,
     NotSpanning,
     PreconditionNotMet,
     Subspace,
@@ -82,9 +61,8 @@ from extremal_lie.liealg import (
     extremal_closure,
     extremal_form,
     is_extremal,
-    subalgebra_generated,
 )
-from extremal_lie.linalg import Echelon, axpy, canonical, clear_denominators, combine, divide, echelon_from_rows
+from extremal_lie.linalg import Echelon, axpy, canonical, combine, echelon_from_rows
 from extremal_lie.smallgen import TriangleParams, exp_transform_params
 from extremal_lie import nilquot, rootdata
 
@@ -698,190 +676,146 @@ def bracket_is_extremal(L, x):
     return ExtremalFunctional(L, values)
 
 
-# the coefficient of s^2 ad_x^2 in ``fraction_exp_map``; a test plants a wrong one
-EXP_HALF = Fraction(1, 2)
+# -- the full-map reference ----------------------------------------------------
 
 
-class FractionAutomorphism:
-    """Reference map: one canonical column of raw values (``Fraction`` over
-    Q) per basis vector, as ``Automorphism`` stored it before its columns
-    became integers over one common denominator."""
+class Map:
+    """A linear map of the ``LieAlgebra`` ``lie``: one canonical column of
+    raw values per basis vector, its image (``Fraction`` over Q where not
+    integral).  It is the one full-map reference of the tests; the fast
+    paths apply their maps to one vector at a time and are held to it."""
 
     def __init__(self, lie, cols):
         self.lie = lie
-        self.cols = cols
+        self.cols = [canonical(lie.field, col) for col in cols]
+
+    @classmethod
+    def of(cls, L, g):
+        """The map of g, anything with ``apply`` (such as a ``chevalley.Exp``
+        factor): the images of the basis vectors."""
+        return cls(L, [g.apply(b).coeffs for b in L.basis_elements()])
+
+    @classmethod
+    def ad(cls, L, x):
+        """ad_x, its columns the brackets [x, b_j]."""
+        x = L.element(x)
+        return cls(L, [L.bracket(x, b).coeffs for b in L.basis_elements()])
 
     def apply(self, elt):
         return AlgebraElement(self.lie, combine(self.lie.field, elt.coeffs, self.cols))
 
     def compose(self, other):
         """self after other."""
-        return FractionAutomorphism(self.lie, [self.apply(AlgebraElement(self.lie, col)).coeffs for col in other.cols])
+        if other.lie is not self.lie:
+            raise ValueError("maps of different algebras do not compose")
+        return Map(self.lie, [combine(self.lie.field, col, self.cols) for col in other.cols])
 
     def __eq__(self, other):
-        return isinstance(other, FractionAutomorphism) and self.lie is other.lie and self.cols == other.cols
+        return isinstance(other, Map) and self.lie is other.lie and self.cols == other.cols
 
     def is_identity(self):
         return all(col == {j: 1} for j, col in enumerate(self.cols))
 
 
-def fraction_exp_map(L, x):
-    """Reference for ``chevalley.exp_map``: s -> exp(x, s) as a
-    ``FractionAutomorphism``, with ad_x^2 b_j taken as a second bracket
-    [x, [x, b_j]] and the columns combined in field arithmetic."""
+# the coefficient of s^2 ad_x^2 in ``exp_reference``; a test plants a wrong one
+EXP_HALF = Fraction(1, 2)
+
+
+def exp_reference(L, x):
+    """Reference for ``chevalley.exp_map``: s -> exp(x, s) = 1 + s ad_x +
+    EXP_HALF s^2 ad_x^2 as a ``Map``, with ad_x^2 the square of ``Map.ad``
+    (not f_x(b_j) x), one map per parameter.  Its attribute ``functional``
+    is f_x."""
     x = L.element(x)
-    if is_extremal(L, x) is None:
+    fx = is_extremal(L, x)
+    if fx is None:
         raise NotExtremal("exp is defined at extremal elements")
     f = L.field
-    ad = []
-    for j in range(L.n):
-        one = L.bracket(x, L.basis_element(j))
-        ad.append((one.coeffs, L.bracket(x, one).coeffs))
-
-    def exp(s):
-        s = f.raw(s)
-        half_s2 = f.mul(f.mul(s, s), f.raw(EXP_HALF))
-        cols = []
-        for j, (one, two) in enumerate(ad):
-            col = {j: 1}
-            axpy(col, s, one)
-            axpy(col, half_s2, two)
-            cols.append(canonical(f, col))
-        return FractionAutomorphism(L, cols)
-
-    return exp
-
-
-def preserves_bracket(phi):
-    """The bracket oracle: whether the ``Automorphism`` phi =
-    C / den satisfies phi[b_i, b_j] = [phi b_i, phi b_j] for all i < j, that
-    is den C[b_i, b_j] = [C b_i, C b_j]."""
-    L = phi.lie
-    f, den = L.field, phi.den
-    images = [AlgebraElement(L, col) for col in phi.cols]
-    for i in range(L.n):
-        for j in range(i + 1, L.n):
-            lhs = combine(f, L.bracket_basis(i, j), phi.cols)
-            if den != 1:
-                lhs = {k: den * c for k, c in lhs.items()}
-            if lhs != L.bracket(images[i], images[j]).coeffs:
-                return False
-    return True
-
-
-class Automorphism:
-    """Invertible bracket-preserving linear map C / den, stored as sparse
-    integer columns C (see ``linalg``) and one positive int ``den``: the form
-    in which ``chevalley`` kept a group element before group words were
-    decided on the ad-generators.
-
-    Over GF(p) ``den`` is 1 and the columns are canonical residues.  Over Q
-    the columns and ``den`` together are primitive, their gcd is 1, the same
-    convention as the rows of ``Echelon``, so equal maps have equal
-    ``(den, cols)``.  The constructor is the one place where columns of raw
-    values (possibly unreduced, possibly rational) become this form;
-    ``compose`` multiplies the denominators and normalises once, and
-    ``apply`` divides once at the end, so its images are canonical vectors."""
-
-    def __init__(self, lie, cols, den=1):
-        if type(den) is not int or den < 1:
-            raise ValueError("the denominator of a map is a positive int")
-        f = lie.field
-        if f.characteristic:
-            if den != 1:
-                raise ValueError("a map over GF(p) has denominator 1")
-            cols = [canonical(f, col) for col in cols]
-        else:
-            cols, den = _primitive(cols, den)
-        self.lie = lie
-        self.cols = cols
-        self.den = den
-
-    def _image(self, coeffs):
-        """sum_k c_k C[k] for a dict of ints, unreduced."""
-        acc = {}
-        cols = self.cols
-        for k, c in coeffs.items():
-            axpy(acc, c, cols[k])
-        return acc
-
-    def apply(self, elt):
-        L = self.lie
-        if L.field.characteristic:
-            return AlgebraElement(L, combine(L.field, elt.coeffs, self.cols))
-        coeffs, e = clear_denominators(elt.coeffs)
-        return AlgebraElement(L, divide(self._image(coeffs), self.den * e))
-
-    def compose(self, other):
-        """self after other."""
-        if other.lie is not self.lie:
-            raise ValueError("maps of different algebras do not compose")
-        cols = [self._image(col) for col in other.cols]
-        return Automorphism(self.lie, cols, self.den * other.den)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Automorphism)
-            and self.lie is other.lie
-            and self.den == other.den
-            and self.cols == other.cols
-        )
-
-    def is_identity(self):
-        return self.den == 1 and all(col == {j: 1} for j, col in enumerate(self.cols))
-
-
-def _primitive(cols, den):
-    """Rational columns over ``den`` as (integer columns, den'), the same
-    map, with no zero entries and the gcd of all entries and den' equal to 1."""
-    d = lcm(*(x.denominator for col in cols for x in col.values()))
-    if d != 1:
-        cols = [{j: x.numerator * (d // x.denominator) for j, x in col.items()} for col in cols]
-        den *= d
-    # every entry is integral now, but may still be an integral Fraction
-    g = gcd(den, *(x.numerator for col in cols for x in col.values()))
-    return [{j: x.numerator // g for j, x in col.items() if x} for col in cols], den // g
-
-
-def matrix_of(L, g):
-    """The n-column ``Automorphism`` of g, anything with ``apply`` (such as
-    a ``chevalley.Exp`` factor): the images of the basis vectors."""
-    return Automorphism(L, [g.apply(b).coeffs for b in L.basis_elements()])
-
-
-def matrix_exp_map(L, x):
-    """s -> exp(x, s) as an ``Automorphism``, from the columns of
-    ``fraction_exp_map``, one map per parameter; its attribute
-    ``functional`` is f_x."""
-    ref = fraction_exp_map(L, x)
+    ad = Map.ad(L, x)
+    ad2 = ad.compose(ad)
     memo = {}
 
     def exp(s):
-        s = L.field.raw(s)
+        s = f.raw(s)
         if s not in memo:
-            memo[s] = Automorphism(L, ref(s).cols)
+            half_s2 = f.mul(f.mul(s, s), f.raw(EXP_HALF))
+            cols = []
+            for j, (one, two) in enumerate(zip(ad.cols, ad2.cols)):
+                col = {j: 1}
+                axpy(col, s, one)
+                axpy(col, half_s2, two)
+                cols.append(col)
+            memo[s] = Map(L, cols)
         return memo[s]
 
-    exp.functional = is_extremal(L, x)
+    exp.functional = fx
     return exp
+
+
+_divided_power_columns = {}
+
+
+def root_exp_reference(A, root, s):
+    """Reference for ``chevalley.root_exp_apply``: exp(s ad x_root) = 1 +
+    sum_k s^k ad^k x_root / k! as a ``Map`` of A.  The powers of ``Map.ad``
+    are taken on the type's algebra over Q and divided by k!, integrally
+    (kept per type, rank and root), then carried to A's field, where k! may
+    vanish (GF(3))."""
+    rs = A.rootsystem
+    key = (rs.type, rs.rank, tuple(root))
+    if key not in _divided_power_columns:
+        Q = chevalley(rs.type, rs.rank)
+        ad = Map.ad(Q.lie, Q.x(root))
+        power, divided = ad, []
+        for k in range(1, 8):
+            if not any(power.cols):
+                break
+            if any(v % factorial(k) for col in power.cols for v in col.values()):
+                raise NonIntegral("divided power of ad x_root is not integral")
+            divided.append([{t: v // factorial(k) for t, v in col.items()} for col in power.cols])
+            power = ad.compose(power)
+        else:
+            raise NotNilpotent("ad x_root is not nilpotent of small index")
+        _divided_power_columns[key] = divided
+    f = A.field
+    s = f.raw(s)
+    cols = [{j: 1} for j in range(A.lie.n)]
+    sk = f.one
+    for columns in _divided_power_columns[key]:
+        sk = f.mul(sk, s)
+        for col, d in zip(cols, columns):
+            axpy(col, sk, d)
+    return Map(A.lie, cols)
+
+
+def preserves_bracket(phi):
+    """The bracket oracle: whether the ``Map`` phi satisfies phi[b_i, b_j] =
+    [phi b_i, phi b_j] for all i < j."""
+    L = phi.lie
+    images = [AlgebraElement(L, col) for col in phi.cols]
+    return all(
+        combine(L.field, L.bracket_basis(i, j), phi.cols) == L.bracket(images[i], images[j]).coeffs
+        for i in range(L.n)
+        for j in range(i + 1, L.n)
+    )
 
 
 def matrix_root_properties(L, x, y, samples):
     """``rootgroups.verify_abstract_root_properties`` on full maps: each
-    word is a product of ``matrix_exp_map`` matrices, compared column by
-    column, as ``rootgroups`` decided the five properties before it
-    compared words on the generators.  The check list, without names."""
+    word is a product of ``exp_reference`` maps, compared column by column,
+    as ``rootgroups`` decided the five properties before it compared words
+    on the generators.  The check list, without names."""
     from extremal_lie.rootgroups import classify_pair
 
     f = L.field
-    ex, ey = matrix_exp_map(L, x), matrix_exp_map(L, y)
+    ex, ey = exp_reference(L, x), exp_reference(L, y)
     case = classify_pair(L, x, y, ex.functional)
     checks = [all(ey(s).compose(ey(t)) == ey(f.add(s, t)) for s in samples for t in samples)]
     ok = True
     for s in samples:
         g, ginv = ey(s), ey(f.neg(s))
         try:
-            ex2 = matrix_exp_map(L, ginv.apply(x))
+            ex2 = exp_reference(L, ginv.apply(x))
         except NotExtremal:
             ok = False
             continue
@@ -890,7 +824,7 @@ def matrix_root_properties(L, x, y, samples):
     if case in ("same-line", "commuting"):
         checks.append(all(ex(s).compose(ey(t)) == ey(t).compose(ex(s)) for s in samples for t in samples))
     elif case == "f0-noncommuting":
-        ez = matrix_exp_map(L, L.bracket(y, x))
+        ez = exp_reference(L, L.bracket(y, x))
         ok = all(
             ey(f.neg(t)).compose(ex(f.neg(s))).compose(ey(t)).compose(ex(s)) == ez(f.mul(t, s))
             for t in samples
@@ -901,7 +835,7 @@ def matrix_root_properties(L, x, y, samples):
         )
         checks.append(ok)
     else:
-        ey2 = matrix_exp_map(L, f.div(f.raw(-2), ex.functional(y)) * y)
+        ey2 = exp_reference(L, f.div(f.raw(-2), ex.functional(y)) * y)
         checks.append(
             all(
                 ey2(f.neg(s)).compose(ex(f.mul(f.inv(s), t))).compose(ey2(s))
@@ -918,12 +852,12 @@ def matrix_product_identity(L, x, y, samples):
     """The product identity of ``rootgroups.strongcomm_check`` on full maps:
     exp(y, t) exp(x, s) = exp(sx + ty, 1) for every sample pair."""
     f = L.field
-    ex, ey = matrix_exp_map(L, x), matrix_exp_map(L, y)
+    ex, ey = exp_reference(L, x), exp_reference(L, y)
     for s in samples:
         for t in samples:
             lhs = ey(t).compose(ex(s))
             v = s * x + t * y
-            if not (lhs.is_identity() if v.is_zero() else lhs == matrix_exp_map(L, v)(f.one)):
+            if not (lhs.is_identity() if v.is_zero() else lhs == exp_reference(L, v)(f.one)):
                 return False
     return True
 
@@ -953,62 +887,11 @@ def reference_chain_search(L, pool):
     return "no witness", None
 
 
-def rational_columns(phi):
-    """The columns of an ``Automorphism`` C / den as canonical raw
-    values, comparable with a ``FractionAutomorphism``'s."""
-    if phi.lie.field.characteristic:
-        return phi.cols
-    return [divide(col, phi.den) for col in phi.cols]
-
-
-def reference_int_ad_columns(A, root):
-    """Integer columns of ad x_root, from the integer structure constants."""
-    idx = A.root_index[tuple(root)]
-    n = A.lie.n
-    cols = [dict() for _ in range(n)]
-    for (i, j), row in A.int_table.items():
-        if i == idx:
-            cols[j] = dict(row)
-        elif j == idx:
-            cols[i] = {k: -v for k, v in row.items()}
-    return cols
-
-
-def reference_root_exponential(A, root, s=1):
-    """exp(s ad x_root) with integral divided powers: an automorphism of the
-    Chevalley algebra over any field of characteristic != 2."""
-    f = A.field
-    s = f.raw(s)
-    int_cols = reference_int_ad_columns(A, root)
-    n = A.lie.n
-    cols = []
-    for j in range(n):
-        col = {j: 1}
-        vec = {j: 1}  # (ad x_root)^k b_j over the integers
-        factorial, sk = 1, 1
-        for k in range(1, 8):
-            nxt = {}
-            for idx, c in vec.items():
-                axpy(nxt, c, int_cols[idx])
-            vec = canonical(QQ, nxt)
-            if not vec:
-                break
-            factorial *= k
-            sk = f.mul(sk, s)
-            if any(v % factorial for v in vec.values()):
-                raise NonIntegral("divided power of ad x_root is not integral")
-            axpy(col, sk, {t: v // factorial for t, v in vec.items()})
-        else:
-            raise RuntimeError("ad x_root is not nilpotent of small index")
-        cols.append(col)
-    return Automorphism(A.lie, cols)
-
-
 def reference_extremal_spanning_set(A):
     """``chevalley.extremal_spanning_set`` on the full maps of
-    ``reference_root_exponential``, all built before the closure starts."""
+    ``root_exp_reference``, all built before the closure starts."""
     rs = A.rootsystem
-    autos = [reference_root_exponential(A, root, s) for root in rs.roots for s in (1, -1)]
+    autos = [root_exp_reference(A, root, s) for root in rs.roots for s in (1, -1)]
     return extremal_closure(
         A.lie,
         [A.x(root) for root in rs.roots if rs.is_long(root)],
@@ -1298,24 +1181,14 @@ def dense_natural_representation(type_, rank, field):
     return report, L, mats
 
 
-def ad_matrix(L, a):
-    """The dense matrix of ad_a on the basis (columns are [a, b_j])."""
-    n = L.n
-    m = [[L.field.zero] * n for _ in range(n)]
-    for j in range(n):
-        for k, c in L.bracket(a, L.basis_element(j)).coeffs.items():
-            m[k][j] = c
-    return m
-
-
 def dense_phi_spectrum_check(L, x, y):
     """The eigenvalue lemma for phi = ad_x ad_y, x extremal: all eigenvalues
     0 when f(x, y) = 0 (case a); otherwise, with y rescaled to f(x, y) = -2
     and s the rank of ad_x, eigenvalues 2, 1, 0 with multiplicities 2, s - 2,
     n - s, kappa(x, y) = s + 2, and phi^2 - phi mapping into kx + k[x,y]
-    (case b).  phi is a dense product of ad matrices, its square taken the
-    same way."""
-    from extremal_lie.liealg import PreconditionNotMet, Subspace, killing_form
+    (case b).  phi is the ``Map`` product of the two ad maps, its charpoly
+    read from its columns (a matrix and its transpose share one)."""
+    from extremal_lie.liealg import killing_form
     from extremal_lie.linalg import charpoly, poly_mul
 
     x = L.element(x)
@@ -1327,32 +1200,24 @@ def dense_phi_spectrum_check(L, x, y):
     fxy = fx(y)
     kappa = killing_form(L)
     if f.is_zero(fxy):
-        phi = dense_mat_mul(f, ad_matrix(L, x), ad_matrix(L, y))
-        cp = charpoly(f, sparse(phi))
+        cp = charpoly(f, Map.ad(L, x).compose(Map.ad(L, y)).cols)
         expected = [f.zero] * L.n + [f.one]
         kz = f.is_zero(form_value(kappa, x, y))
         return {"case": "a", "all_eigenvalues_zero": cp == expected, "kappa_zero": kz, "pass": cp == expected and kz}
     scale = f.div(f.raw(-2), fxy)
     y2 = scale * y
-    adx = ad_matrix(L, x)
-    ech = DenseEchelon(f, L.n)
-    for row in adx:
-        ech.insert(row)
-    s = ech.dim
-    phi = dense_mat_mul(f, adx, ad_matrix(L, y2))
-    cp = charpoly(f, sparse(phi))
+    adx = Map.ad(L, x)
+    s = echelon_from_rows(f, L.n, adx.cols).dim
+    phi = adx.compose(Map.ad(L, y2))
+    cp = charpoly(f, phi.cols)
     expected = [f.one]
     for root, mult in ((f.raw(2), 2), (f.raw(1), s - 2), (f.zero, L.n - s)):
         for _ in range(mult):
             expected = poly_mul(f, expected, [f.neg(root), f.one])
     kap = form_value(kappa, x, y2)
-    comb = dense_mat_mul(f, phi, phi)
-    minus_one = f.raw(-1)
-    for i in range(L.n):
-        for j in range(L.n):
-            comb[i][j] = f.add(comb[i][j], f.mul(minus_one, phi[i][j]))
     target = Subspace.from_elements(L, [x, L.bracket(x, y2)])
-    img_ok = all(target.contains({i: comb[i][j] for i in range(L.n)}) for j in range(L.n))
+    # the columns of phi^2 - phi
+    img_ok = all(target.contains(combine(f, {0: 1, 1: -1}, pair)) for pair in zip(phi.compose(phi).cols, phi.cols))
     ok = cp == expected and kap == f.raw(s + 2) and img_ok
     return {
         "case": "b",
@@ -1366,8 +1231,8 @@ def dense_phi_spectrum_check(L, x, y):
 
 
 def dense_fourth_power_check(L, x, y, form):
-    """Reference for ``fourth_power_check``: the fourth power of the dense
-    matrix of ad_[x,y], as two dense squarings."""
+    """Reference for ``fourth_power_check``: the fourth power of the ``Map``
+    ad_[x,y], as two squarings."""
     x = L.element(x)
     y = L.element(y)
     if is_extremal(L, x) is None:
@@ -1380,11 +1245,9 @@ def dense_fourth_power_check(L, x, y, form):
     z = L.bracket(x, y)
     if z.is_zero():
         return {"bracket_zero": True, "fourth_power_zero": True, "pass": True}
-    m = ad_matrix(L, z)
-    f = L.field
-    sq = dense_mat_mul(f, m, m)
-    fourth = dense_mat_mul(f, sq, sq)
-    ok = all(all(f.is_zero(c) for c in row) for row in fourth)
+    ad = Map.ad(L, z)
+    square = ad.compose(ad)
+    ok = not any(square.compose(square).cols)
     return {"bracket_zero": False, "fourth_power_zero": ok, "pass": ok}
 
 
@@ -1559,7 +1422,7 @@ def short_root_decomposition_check(type_, field):
         rs = A.rootsystem
         e = rs.root_from_eps
         base = e({1: -1, 2: 1})  # -(eps1 - eps2), long
-        phi = Automorphism(A.lie, root_exponential(A, e({1: 1}), 1))  # exp at the short x_{eps1}
+        phi = Map(A.lie, root_exponential(A, e({1: 1}), 1))  # exp at the short x_{eps1}
         image = phi.apply(A.x(base))
         short = e({2: 1})
         long2 = e({1: 1, 2: 1})
@@ -1588,8 +1451,8 @@ def short_root_decomposition_check(type_, field):
         }
     A = ChevalleyAlgebra("G", 2, field)
     alpha, beta = (1, 0), (0, 1)  # alpha short, beta long
-    phi_plus = Automorphism(A.lie, root_exponential(A, alpha, 1))
-    phi_minus = Automorphism(A.lie, root_exponential(A, alpha, -1))
+    phi_plus = Map(A.lie, root_exponential(A, alpha, 1))
+    phi_minus = Map(A.lie, root_exponential(A, alpha, -1))
     xb = A.x(beta)
     combo = phi_plus.apply(xb) + phi_minus.apply(xb) - (2 * xb)
     target = A.root_index[(2, 1)]  # 2*alpha + beta, short
@@ -1623,15 +1486,6 @@ def _long_class_generates(A):
     except NotSpanning:
         return False
     return True
-
-
-def simple_plus_lowest_generation_check(A):
-    """Root elements of the simple roots plus the lowest root generate."""
-    rs = A.rootsystem
-    gens = [A.x(t) for t in rs.simple_roots]
-    gens.append(A.x(tuple(-c for c in rs.highest_root)))
-    dim = subalgebra_generated(A.lie, gens).dim
-    return {"generators": rs.rank + 1, "dim": dim, "pass": dim == A.lie.n}
 
 
 def fourth_power_check(L, x, y, form):

@@ -26,6 +26,7 @@ from extremal_lie import rootgroups as rg
 
 from helpers import (
     AntisymmetryViolation,
+    Map,
     chevalley,
     dense_phi_spectrum_check,
     field_of,
@@ -34,7 +35,6 @@ from helpers import (
     free_nilpotent_quotient,
     grow_extremal_spanning,
     lie_algebra_from_dense,
-    matrix_of,
     preserves_bracket,
     preserves_form,
     rng,
@@ -278,6 +278,6 @@ def test_criterion_10_property_suites_standalone():
     span = extremal_spanning_set(A)
     form = extremal_form(L, span)
     for base in (A.x((1, 0)), A.x((1, 1))):
-        phi = matrix_of(L, exp_automorphism(L, base, 2))
+        phi = Map.of(L, exp_automorphism(L, base, 2))
         ok = ok and preserves_bracket(phi) and preserves_form(phi, form)
     _verdict(10, ok, "standalone property suites: validators, Witt, Cor 3.4/3.8, form preservation")

@@ -80,6 +80,15 @@ def test_sl2_construction_and_dims():
     assert L.bracket(h, e) == 2 * e
 
 
+def test_integral_coefficients_are_ints_over_q():
+    # element arithmetic ends in linalg.canonical, which turns an integral
+    # Fraction into its int, so later products on the vector run on ints
+    L = sl2(QQ)
+    e, _, f = L.basis_elements()
+    for v, k in ((Fraction(1, 2) * (2 * e), 0), (L.bracket(Fraction(1, 2) * e, 2 * f), 1)):
+        assert v.coeffs == {k: 1} and type(v.coeffs[k]) is int
+
+
 def test_antisymmetry_violation_detected():
     f = QQ
     cube = [[[f.zero] * 2 for _ in range(2)] for _ in range(2)]
@@ -211,7 +220,8 @@ def test_validate_jacobi_matches_dense_reference(case):
         assert str(exc.value) == "Jacobi fails on basis triple (%d, %d, %d)" % bad
 
 
-SIMPLE_ROOT_TYPES = [("A", 4), ("B", 4), ("C", 3), ("D", 5), ("G", 2), ("F", 4), ("E", 6), ("E", 7)]
+SIMPLE_ROOT_TYPES = [
+    ("A", 2), ("A", 4), ("B", 4), ("C", 3), ("D", 4), ("D", 5), ("G", 2), ("F", 4), ("E", 6), ("E", 7)]
 
 
 @pytest.mark.parametrize("char", [0, 53])

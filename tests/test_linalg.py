@@ -231,7 +231,7 @@ def test_axpy_and_canonical_match_field_reference(case):
     got = canonical(field, acc)
     assert got == want
     p = field.characteristic
-    assert all(x != 0 and (not p or 0 < x < p) for x in got.values())
+    assert all(x != 0 and (0 < x < p if p else type(x) is int or x.denominator > 1) for x in got.values())
     assert canonical(field, got) == got
 
 

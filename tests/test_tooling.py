@@ -559,19 +559,23 @@ def test_unreached_helper_guard_finds_each_case(tmp_path):
     ]
 
 
-def _module_names(path):
-    """The names that the module-level statements of ``path`` define:
-    functions, classes and assignment targets, not imports."""
-    with open(path) as fh:
-        tree = ast.parse(fh.read(), filename=path)
+def _names_defined(body):
+    """The names that the statements ``body`` define: functions, classes and
+    assignment targets, not imports."""
     out = set()
-    for node in tree.body:
+    for node in body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             out.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             out.update(sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name))
     return out
+
+
+def _module_names(path):
+    """The names that the module-level statements of ``path`` define."""
+    with open(path) as fh:
+        return _names_defined(ast.parse(fh.read(), filename=path).body)
 
 
 def _shadowed_names(helpers_path, package_dir):
@@ -604,6 +608,36 @@ def test_shadowed_name_guard_finds_each_case(tmp_path):
         "def m():\n    pass\n\n\nclass C:\n    pass\n\n\ndef g():\n    X = 1\n"
     )
     assert _shadowed_names(str(tmp_path / "helpers.py"), str(pkg)) == ["C", "TABLE", "Y"]
+
+
+def _second_map_classes(helpers_path):
+    """Top-level classes of ``helpers_path`` other than ``Map`` whose body
+    defines both ``apply`` and ``compose``, by a def or an assignment."""
+    with open(helpers_path) as fh:
+        tree = ast.parse(fh.read(), filename=helpers_path)
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name != "Map" and {"apply", "compose"} <= _names_defined(node.body)
+    ]
+
+
+def test_tests_hold_one_map_class():
+    """``helpers.Map`` is the one full linear map of the tests; a second
+    class that applies and composes is a second form of it."""
+    assert _second_map_classes(os.path.join(REPO_DIR, "tests", "helpers.py")) == []
+
+
+def test_second_map_guard_finds_each_case(tmp_path):
+    (tmp_path / "helpers.py").write_text(
+        "class Map:\n    def apply(self, v):\n        pass\n\n    def compose(self, o):\n        pass\n\n\n"
+        "class Both:\n    def apply(self, v):\n        pass\n\n    @staticmethod\n    def compose(a, b):\n        pass\n\n\n"
+        "class Aliased:\n    def apply(self, v):\n        pass\n\n    compose = apply\n\n\n"
+        "class OnlyApply:\n    def apply(self, v):\n        pass\n\n\n"
+        "def outer():\n    class Nested:\n        def apply(self, v):\n            pass\n\n"
+        "        def compose(self, o):\n            pass\n"
+    )
+    assert _second_map_classes(str(tmp_path / "helpers.py")) == ["Both", "Aliased"]
 
 
 # Each option of the command line, keyed (subcommand, option), "" for the
