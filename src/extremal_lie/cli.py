@@ -149,15 +149,15 @@ def cmd_tables(args):
     flag, r = ("--max-r", args.max_r) if args.r is None else ("--r", args.r)
     if r < 1:
         raise UsageError("%s must be at least 1" % flag)
+    limit = 5 if args.which == "lr" else 4  # the tabulated L_5 and R_4
+    if r > limit and not args.experimental:
+        raise UsageError("%s beyond r=%d needs --experimental" % (args.which, limit))
     if args.which in ("lr", "rr"):
-        name, limit, build, dims = {
-            "lr": ("L", 5, nilquot.sandwich_algebra, nilquot.L_DIMS),
-            "rr": ("R", 4, nilquot.assoc_dims_via_embedding, nilquot.R_DIMS),
+        name, build, dims = {
+            "lr": ("L", nilquot.sandwich_algebra, nilquot.L_DIMS),
+            "rr": ("R", nilquot.assoc_dims_via_embedding, nilquot.R_DIMS),
         }[args.which]
         for r in range(1, args.max_r + 1):
-            if r > limit and not args.experimental:
-                rep.add_bool("dim %s_%d skipped (use --experimental beyond r=%d)" % (name, r, limit), False)
-                continue
             try:
                 q = build(r)
             except nilquot.DegreeCapExceeded:
@@ -165,8 +165,6 @@ def cmd_tables(args):
                 continue
             rep.add_known("dim %s_%d" % (name, r), dims, r, q.total_dim)
     else:  # rr-lengths
-        if r > 4 and not args.experimental:
-            raise UsageError("rr-lengths beyond r=4 needs --experimental")
         try:
             a = nilquot.assoc_dims_via_embedding(r)
         except nilquot.DegreeCapExceeded:

@@ -4,10 +4,10 @@ L_r is the quotient of the free Lie algebra on r generators by the ideal
 generated by all [f_i,[f_i,u]].  It is computed degree by degree: the degree-d
 component is presented by symbols [w, x_i] over the degree-(d-1) basis, and
 the relation space is spanned by the images of the defining relations together
-with the consistency rows (antisymmetry of every basis pair expanded through
-definitions, and the Jacobi instances involving a generator).  All relations
-are homogeneous in the multidegree, so elimination happens in small
-per-multidegree blocks; this is what makes r = 5 fast.
+with the consistency rows (the Jacobi instances involving a generator, and the
+antisymmetry of basis pairs).  All relations are homogeneous in the
+multidegree, so elimination happens in small per-multidegree blocks; this is
+what makes r = 5 fast.
 
 The rows are generated block by block, the cheap families first.  A block md
 draws its sandwich rows from the block md - 2e_i, then its antisymmetry rows
@@ -30,30 +30,73 @@ the representative's.  This is exact, whatever the order of the rows:
   which is unique for a subspace, so the basis words, the rewrites and the
   relation ranks are those of inserting every row.
 
-So the order only decides how soon a block stops.  The sandwich and
-antisymmetry rows are cheap to build and seldom zero, and on L_5 every block
-that is not a representative reaches its rank on them, before it builds a
-Jacobi row.
+So the order only decides how soon a block stops.  A representative stops
+only when its block of L is zero, and outside verification mode it is given
+only the complete family below: the sandwich rows, at degree 2 the
+antisymmetry rows, and the Jacobi rows.  Every other block draws the cheap
+two-sided antisymmetry rows after its sandwich rows, and on L_5 and the
+capped R_4 each of them reaches its rank before it builds a Jacobi row.
 
-A Jacobi instance (u, v, x_i) is skipped when [v, x_i] is the definition of
-a basis element z other than u (the symbol (v, i) was free, so its rewrite is
-{z: 1} with z.parent = v and z.gen = i).  Its row is [[u,v],x_i] minus the
-expansion of [[u,x_i],v] minus that of [u, z], and the recursion of the
-expansion writes [u, z], through the definition of z, as exactly the first
-term minus the second: the row is the zero dict before it is built.  (When z
-is u, the third term is [u, u] = 0 instead, and the row is kept.)  It is
-also skipped when v is a generator x_j and [x_j, x_i] is not +-u.  Then
-[x_j, x_i] is 0 (i = j) or +-z for the degree-2 element z defined as
-[x_i, x_j] or [x_j, x_i], and the expansion of [u, [x_i, x_j]] through that
-definition is [[u,x_i],x_j] - [[u,x_j],x_i], the first two terms with the
-sign that cancels them.  (The row with u = z is +- u's own antisymmetry
-row, and it is kept.)
+The complete family.  Order basis elements by (degree, -index), as
+``bracket_basis`` does, and write a > b for that order.  At degree 2 the
+symbols are V (x) V, V = L_1, and the relations are the symmetric tensors,
+the antisymmetry rows of the generator pairs.  Fix a degree d >= 3, let
+T = L_{<d} (in the capped case its blocks in the box, a downward-closed set
+that every bracket below respects), and let del(a ^ b ^ c) = [a,b] ^ c +
+[b,c] ^ a + [c,a] ^ b be the boundary of the exterior powers of T.
+
+1. The symbols T_{d-1} (x) V are T_{d-1} ^ V, a part of (^2 T)_d, and
+   L_d = (^2 T)_d / (del(^3 T)_d + S), S spanned by the sandwich elements
+   [u,x_i] ^ x_i.  The bracket maps (^2 T)_d onto L_d and kills both; and
+   T with the quotient added as its degree d satisfies the Jacobi identity
+   and the defining relations up to degree d, so it is the degree-<=d
+   quotient of F/J and the kernel is no larger.
+2. Let pi' : (^2 T)_d -> symbols map a ^ x_j (a of degree d-1) to the
+   symbol (a, j), and a ^ b with a > b and b = [b', x_j] defined in degree
+   at least 2 to pi'([a,b'] ^ x_j) - pi'([a,x_j] ^ b'): the expansion
+   through the definition of the smaller element, by recursion on its
+   degree.  ``_Expansion`` computes it.  pi' is the identity on symbols
+   and kills each definitional Jacobi element D(a, b) = del(a ^ b' ^ x_j)
+   = [a,b'] ^ x_j - a ^ b - [a,x_j] ^ b'.  D(a, b) is -a ^ b plus pairs
+   whose smaller element has lower degree, so the D(a, b) are independent,
+   as many as the pairs outside the symbols, and they span the kernel of
+   pi'.  That kernel lies in del(^3 T)_d, so L_d = symbols /
+   pi'(del(^3 T)_d + S): its rows are pi' of the sandwich elements and of
+   a spanning set of del(^3 T)_d.
+3. del(^3 T)_d is spanned by del of the triples that hold a generator,
+   whose pi' are the Jacobi rows.  Let a ^ b ^ c have its least degree
+   k >= 2 in c = [c', x_j].  In del del(a ^ b ^ c' ^ x_j) = 0 (it uses only
+   Jacobi identities inside T) the term of [c', x_j] is +-del(a ^ b ^ c);
+   the terms of [a,b], [a,c'] and [b,c'] are del of triples that hold x_j,
+   and those of [a,x_j] and [b,x_j] are del of triples that hold c', of
+   degree k - 1.  Induction on k.
+4. Each two-sided antisymmetry row, [u,v] through the definition of v plus
+   [v,u] through that of u (for u = v, [u,u] through the definition of u),
+   is congruent to pi'(u ^ v + v ^ u) = 0 modulo the Jacobi rows: a
+   one-step expansion of a ^ b through the definition of b is
+   pi'(a ^ b + D(a, b)) (pi'(a ^ b) for a generator b), and pi'(D(a, b))
+   is a Jacobi row.  So drawing one is sound, and a representative need
+   not draw it.
+5. Some Jacobi rows pi'(del(u ^ v ^ x_i)) = ([u,v], i) - pi'([u,x_i] ^ v)
+   - pi'(u ^ [v,x_i]) are the zero dict before they are built, and
+   ``_zero_by_definition`` skips them.  When v = x_i, the second term is
+   the symbol ([u,x_i], i) and the third is 0.  When [v, x_i] defines z
+   (the symbol (v, i) was free, so its rewrite is {z: 1}) and u > z, the
+   expansion of pi'(u ^ z) runs through the definition of z and writes
+   exactly the first term minus the second, from the same memo entries.
+   When v = x_j with j != i, the block of [x_j, x_i] holds one element z.
+   If z is defined as [x_j, x_i], this is the case before; if it is
+   defined as [x_i, x_j], then [x_j, x_i] = -z, and for u > z the
+   expansion of pi'(u ^ z), ([u,x_i], j) - ([u,x_j], i), cancels the first
+   two terms.  When u < z the expansion of u ^ z runs through the
+   definition of u instead, and when u = z the third term is 0: those
+   rows are kept (at degree 3, every triple of generators).
 
 A block whose rows run out below the representative's rank, or whose width
 differs from it, raises ``OrbitRankMismatch``.  The verification mode
-(``extra_consistency``) makes every block its own representative, builds
-every Jacobi instance, and adds the Jacobi rows on triples of degree at least
-2 each.
+(``extra_consistency``) makes every block its own representative, draws
+every family, builds every Jacobi instance, and adds the Jacobi rows on
+triples of degree at least 2 each.
 
 R_r is read off L_{r+1}: its length-k component is the sum of the multidegree
 blocks of L_{r+1} whose last coordinate is 1 and whose total degree is k+1.
@@ -87,6 +130,7 @@ is read through the validated ``LieAlgebra`` of
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 
 from .scalars import QQ
 from .linalg import Echelon, axpy, canonical
@@ -105,6 +149,9 @@ R_DIMS = {r: sum(p) for r, p in R_LENGTHS.items()}
 
 # The most degrees a construction extends before it raises DegreeCapExceeded
 MAX_DEGREE = 16
+
+# The one value of every zero bracket the engine hands out or memoises
+_ZERO = MappingProxyType({})
 
 
 class DegreeCapExceeded(RuntimeError):
@@ -138,6 +185,34 @@ def _word_bracket_str(word):
     return s
 
 
+class _Expansion:
+    """pi' of the module docstring on one block of the degree being built,
+    memoised: ``esym(a, b)`` is [a, b] written in the block's symbols,
+    through the definition of the smaller of a and b under the order
+    (degree, -index) of ``bracket_basis``, or as the symbol (a, j) when b
+    is the generator x_j.  It holds no reference to itself, so it and its
+    memo are freed with the block, and the engine with its last user."""
+
+    __slots__ = ("engine", "memo")
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.memo = {}
+
+    def __call__(self, a, b):
+        if a.index == b.index:
+            return _ZERO
+        key = (a.index, b.index)
+        got = self.memo.get(key)
+        if got is None:
+            if b.degree > 1 and (a.degree, -a.index) < (b.degree, -b.index):
+                got = _negated(self.engine.field, self(b, a))
+            else:
+                got = self.engine._esym_raw(a, b, self)
+            self.memo[key] = got
+        return got
+
+
 class _CoverEngine:
     """Degree-by-degree construction of F/J on r generators.
 
@@ -158,7 +233,7 @@ class _CoverEngine:
         self.by_degree = [[]]  # by_degree[d] = list of BasisElements
         self.by_mdeg = {}  # (degree, mdeg) -> list of BasisElements
         self.gen_bracket = {}  # (w_index, i) -> {basis_index: raw}  for [w, x_i]
-        self.pair_memo = {}
+        self.pair_memo = {}  # (u_index, v_index) -> [u, v]; every zero is _ZERO
         self.relation_ranks = []  # per degree starting at 2
         gens = []
         for i in range(1, r + 1):
@@ -173,25 +248,26 @@ class _CoverEngine:
     # -- resolved brackets at completed degrees --------------------------------
 
     def bracket_basis(self, u, v):
-        """[u, v] for basis elements, as {basis_index: raw}; degrees completed."""
+        """[u, v] for basis elements, as {basis_index: raw}, read-only;
+        degrees completed.  It expands through the definition of the smaller
+        of u and v under the order (degree, -index)."""
         if u.index == v.index:
-            return {}
-        out = {}
+            return _ZERO
         if (u.degree, -u.index) < (v.degree, -v.index):
-            axpy(out, -1, self.bracket_basis(v, u))
-            return canonical(self.field, out)
+            return _negated(self.field, self.bracket_basis(v, u))
         if v.degree == 1:
-            return self.gen_bracket.get((u.index, v.gen), {})
+            return self.gen_bracket.get((u.index, v.gen), _ZERO)
         key = (u.index, v.index)
         memo = self.pair_memo.get(key)
         if memo is not None:
             return memo
+        out = {}
         vp, j = v.parent, v.gen
         for w, c in self.bracket_basis(u, vp).items():
             axpy(out, c, self.gen_bracket.get((w, j), {}))
         for w, c in self.gen_bracket.get((u.index, j), {}).items():
             axpy(out, -c, self.bracket_basis(self.basis[w], vp))
-        out = self.pair_memo[key] = canonical(self.field, out)
+        out = self.pair_memo[key] = canonical(self.field, out) or _ZERO
         return out
 
     # -- degree step -----------------------------------------------------------
@@ -202,10 +278,10 @@ class _CoverEngine:
         The blocks of the degree are reduced in sorted order.  The first
         block of each orbit (see the module docstring) takes its rows until
         they run out or its echelon is full; every other block stops as soon
-        as it reaches the rank of its orbit's first block.  The memo of the
-        symbol expansions is cleared at each block: [a, b] and every
-        expansion its recursion asks for lie in the block mdeg a + mdeg b,
-        so no other block could read an entry."""
+        as it reaches the rank of its orbit's first block.  Each block gets
+        a fresh ``_Expansion``: [a, b] and every expansion its recursion asks
+        for lie in the block mdeg a + mdeg b, so no other block could read
+        an entry of its memo."""
         d = self.completed + 1
         f = self.field
         cap = self.cap or (math.inf,) * self.r
@@ -223,17 +299,6 @@ class _CoverEngine:
         lower = {}  # degree -> {mdeg: basis elements}, the nonempty blocks below d
         for (deg, md), elts in self.by_mdeg.items():
             lower.setdefault(deg, {})[md] = elts
-        esym_memo = {}
-
-        def esym(a, b):
-            """Symbol-level expansion of [a, b] via the definition of b."""
-            if a.index == b.index:
-                return {}
-            key = (a.index, b.index)
-            got = esym_memo.get(key)
-            if got is None:
-                got = esym_memo[key] = self._esym_raw(a, b, esym)
-            return got
 
         reps = {}  # orbit key -> (mdeg, Echelon) of its first block
         new_elts = []
@@ -248,9 +313,8 @@ class _CoverEngine:
                 raise OrbitRankMismatch("block %s has %d symbols, its orbit's first block %s has %d"
                                         % (md, e.width, rep_md, rep.width))
             goal = rep.dim if rep is not e else e.width
-            esym_memo.clear()
             if e.dim < goal:
-                for row in self._block_rows(d, md, lower, esym):
+                for row in self._block_rows(d, md, lower, _Expansion(self), rep is not e):
                     row = canonical(f, {sym_pos[key]: c for key, c in row.items()})
                     if row and e.insert(row) is not None and e.dim == goal:
                         break
@@ -283,15 +347,18 @@ class _CoverEngine:
         self.completed = d
         return len(new_elts)
 
-    def _block_rows(self, d, md, lower, esym):
+    def _block_rows(self, d, md, lower, esym, stops):
         """The relation rows of the degree-d block ``md``, as dicts over its
-        symbols (w_index, i), cheap families first: the sandwich rows, the
-        antisymmetry rows, the Jacobi rows with a generator (balanced degree
+        symbols (w_index, i), cheap families first: the sandwich rows; the
+        two-sided antisymmetry rows, at degree 2 (the rows of generator
+        pairs), in a block that ``stops`` at its orbit's rank, and in
+        verification mode; the Jacobi rows with a generator (balanced degree
         splits first; outside verification mode, none that
-        ``_zero_by_definition`` finds) and, in verification mode, the Jacobi
-        rows on heavier triples.  The order does not change the result (see
-        the module docstring).  ``lower`` maps each degree below d to its
-        nonempty blocks."""
+        ``_zero_by_definition`` finds); and, in verification mode, the
+        Jacobi rows on heavier triples.  Without the antisymmetry rows
+        (degree at least 3) they are the complete family of the module
+        docstring.  ``esym`` is the block's ``_Expansion`` and ``lower``
+        maps each degree below d to its nonempty blocks."""
         gb = self.gen_bracket
         empty = {}
 
@@ -314,14 +381,14 @@ class _CoverEngine:
                 if md[i - 1] >= 2:
                     for b in lower.get(d - 2, empty).get(_mdeg_add(md, i, -2), ()):
                         yield {(w, i): c for w, c in gb.get((b.index, i), empty).items()}
-        # antisymmetry of every pair, expanded through definitions
-        for a in range((d + 1) // 2, d):
-            for u, v in pairs(a, d - a, md, True):
-                if u is v:
-                    yield self._esym_raw(u, u, esym)
-                else:
-                    row = dict(esym(u, v))
-                    axpy(row, 1, esym(v, u))
+        # antisymmetry of every pair, each side expanded through the
+        # definition of its second element
+        if d == 2 or stops or self.extra_consistency:
+            for a in range((d + 1) // 2, d):
+                for u, v in pairs(a, d - a, md, True):
+                    row = dict(self._esym_raw(u, v, esym))
+                    if u is not v:
+                        axpy(row, 1, self._esym_raw(v, u, esym))
                     yield row
         # Jacobi instances [[u,v],x_i] = [[u,x_i],v] + [u,[v,x_i]]
         for a in range(d // 2, d - 1):
@@ -335,20 +402,23 @@ class _CoverEngine:
             yield from self._heavy_jacobi_rows(d, md, lower, esym)
 
     def _zero_by_definition(self, u, v, i):
-        """Whether [v, x_i] is the definition of a basis element other than
-        u, or v is a generator and [v, x_i] is not +-u; the Jacobi row of
-        (u, v, x_i) is then the zero dict (see the module docstring)."""
+        """Whether the Jacobi row of (u, v, x_i) is the zero dict: v is x_i,
+        or [v, x_i] = +-z with u > z, where z is the element that [v, x_i]
+        defines or, for a generator v, the degree-2 element of [v, x_i]
+        (see the module docstring)."""
+        if v.degree == 1 and v.gen == i:
+            return True
         g = self.gen_bracket[(v.index, i)]
-        if v.degree == 1:
-            return all(self.basis[w] is not u for w in g)
         if len(g) != 1:
             return False
         z = self.basis[next(iter(g))]
-        return z.parent is v and z.gen == i and z is not u
+        if v.degree > 1 and (z.parent is not v or z.gen != i):
+            return False
+        return (u.degree, -u.index) > (z.degree, -z.index)
 
     def _jacobi_row(self, u, v, i, esym):
         """The row of [[u,v],x_i] = [[u,x_i],v] + [u,[v,x_i]], expanded into
-        symbols."""
+        symbols: pi' of the boundary of u ^ v ^ x_i."""
         gb = self.gen_bracket
         row = {(w, i): c for w, c in self.bracket_basis(u, v).items()}
         for w, c in gb.get((u.index, i), {}).items():
@@ -358,14 +428,15 @@ class _CoverEngine:
         return row
 
     def _esym_raw(self, a, b, esym):
-        """[a, b] expanded into degree-d symbols via the definition of b."""
+        """[a, b] expanded into degree-d symbols through the definition of b,
+        the brackets of lower degree through ``esym``."""
         if b.degree == 1:
             return {(a.index, b.gen): self.field.one}
         vp, j = b.parent, b.gen
         out = {(w, j): c for w, c in self.bracket_basis(a, vp).items()}
         for w, c in self.gen_bracket.get((a.index, j), {}).items():
             axpy(out, -c, esym(self.basis[w], vp))
-        return canonical(self.field, out)
+        return canonical(self.field, out) or _ZERO
 
     def _heavy_jacobi_rows(self, d, md, lower, esym):
         """Jacobi rows of block ``md`` on triples of weight >= 2 each
@@ -394,6 +465,11 @@ class _CoverEngine:
                                     for z, cz in self.bracket_basis(v, w).items():
                                         axpy(row, -cz, esym(u, self.basis[z]))
                                     yield row
+
+
+def _negated(field, vec):
+    """-vec, canonical, or the shared zero."""
+    return canonical(field, {k: -c for k, c in vec.items()}) or _ZERO
 
 
 def _mdeg_add(md, i, k=1):

@@ -256,6 +256,10 @@ def test_mingen_f4_char5(capsys):
     ["--json", "radicals", "--type", "A\u00b2"],
     ["radicals", "--type", "A\u0661"],
     ["mingen", "--type", "A1,A2", "--jobs", "2"],
+    ["tables", "lr", "--max-r", "6"],
+    ["tables", "rr", "--max-r", "5"],
+    ["tables", "lr", "--max-r", "200000"],
+    ["tables", "rr", "--max-r", "99999999999999999999"],
 ])
 def test_malformed_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

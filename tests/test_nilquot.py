@@ -1,5 +1,8 @@
+import gc
 import hashlib
+import json
 import math
+import weakref
 from unittest import mock
 
 import pytest
@@ -318,8 +321,8 @@ def test_orbit_block_whose_rows_run_out_raises():
     a (2,0) that gets no rows stays below its rank 1."""
     rows = nilquot._CoverEngine._block_rows
 
-    def planted(self, d, md, lower, esym):
-        return iter(()) if md == (2, 0) else rows(self, d, md, lower, esym)
+    def planted(self, d, md, lower, esym, stops):
+        return iter(()) if md == (2, 0) else rows(self, d, md, lower, esym, stops)
 
     with mock.patch.object(nilquot._CoverEngine, "_block_rows", planted):
         with pytest.raises(nilquot.OrbitRankMismatch, match="reached rank 0"):
@@ -339,25 +342,121 @@ def test_orbit_block_of_other_width_raises():
         eng.extend()
 
 
+def _complete_family_only():
+    """A patch under which every block draws only the complete family: the
+    sandwich rows, the antisymmetry rows at degree 2 and the Jacobi rows,
+    as an orbit's representative does outside verification mode."""
+    rows = nilquot._CoverEngine._block_rows
+
+    def complete(self, d, md, lower, esym, stops):
+        return rows(self, d, md, lower, esym, False)
+
+    return mock.patch.object(nilquot._CoverEngine, "_block_rows", complete)
+
+
+def _unoriented_skip_rule(self, u, v, i):
+    """A planted fault: the skip rule of an expansion that always runs
+    through the second element, blind to the orientation (any u other than
+    z)."""
+    g = self.gen_bracket[(v.index, i)]
+    if v.degree == 1:
+        return all(self.basis[w] is not u for w in g)
+    if len(g) != 1:
+        return False
+    z = self.basis[next(iter(g))]
+    return z.parent is v and z.gen == i and z is not u
+
+
+# (name, fast build, all-rows build) of the complete-family check
+COMPLETE_FAMILY_CASES = [
+    ("L%d-%r" % (r, f), lambda r=r, f=f: nilquot.sandwich_algebra(r, field=f)._engine,
+     lambda r=r, f=f: _all_rows_engine(r, f))
+    for f in (QQ, GF(3), GF(101)) for r in (1, 2, 3, 4)
+] + [
+    ("R%d" % r, lambda r=r: nilquot._companion_engine(r, QQ),
+     lambda r=r: _all_rows_engine(r + 1, QQ, cap=(math.inf,) * r + (1,)))
+    for r in (1, 2, 3)
+] + [
+    ("free3-6", lambda: free_nilpotent_quotient(3, 6)._engine,
+     lambda: free_nilpotent_quotient(3, 6, extra_consistency=True)._engine),
+]
+
+
+def _state_or_mismatch(build):
+    """``_engine_state`` of the engine ``build`` returns, or the message of
+    the ``OrbitRankMismatch`` it raises."""
+    try:
+        return _engine_state(build())
+    except nilquot.OrbitRankMismatch as exc:
+        return str(exc)
+
+
+def _complete_family_matches(fast, slow):
+    """Whether ``fast``, with every block drawing only the complete family,
+    builds the engine state of ``slow``."""
+    with _complete_family_only():
+        got = _state_or_mismatch(fast)
+    return got == _engine_state(slow())
+
+
+@pytest.mark.parametrize("fast, slow", [c[1:] for c in COMPLETE_FAMILY_CASES],
+                         ids=[c[0] for c in COMPLETE_FAMILY_CASES])
+def test_complete_family_alone_matches_all_rows_engine(fast, slow):
+    """Every block, not only the representatives, draws only the complete
+    family; the blocks that stop at their orbit's rank reach it, and the
+    engine state is that of the all-rows engine."""
+    assert _complete_family_matches(fast, slow)
+
+
+def test_unoriented_skip_rule_fails_the_complete_family_and_the_table(capsys):
+    from extremal_lie import cli
+
+    cases = {name: builds for name, *builds in COMPLETE_FAMILY_CASES}
+    with mock.patch.object(nilquot._CoverEngine, "_zero_by_definition", _unoriented_skip_rule):
+        assert nilquot.sandwich_algebra(3).total_dim == 24
+        assert nilquot.sandwich_algebra(4).total_dim == 755
+        assert not _complete_family_matches(*cases["L3-QQ"])
+        assert not _complete_family_matches(*cases["L4-QQ"])
+        code = cli.main(["--json", "tables", "lr", "--max-r", "4"])
+    assert code == 1
+    checks = {c["name"]: c["pass"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks == {"dim L_1": True, "dim L_2": True, "dim L_3": False, "dim L_4": False}
+
+
+def test_zero_brackets_share_one_read_only_value():
+    eng = nilquot.sandwich_algebra(4)._engine
+    zeros = [vec for vec in eng.pair_memo.values() if not vec]
+    assert zeros and all(vec is nilquot._ZERO for vec in zeros)
+    u = eng.basis[0]
+    assert eng.bracket_basis(u, u) is nilquot._ZERO
+    with pytest.raises(TypeError):
+        eng.bracket_basis(u, u)[u.index] = 1
+    assert not nilquot._ZERO
+
+
+def test_an_engine_is_freed_without_the_cycle_collector():
+    """No expansion refers to itself, so an engine goes with its last
+    reference and does not wait, with all its memos, for a collection."""
+    gc.disable()
+    try:
+        full = weakref.ref(nilquot.sandwich_algebra(4)._engine)
+        capped = weakref.ref(nilquot._companion_engine(3, QQ))
+        assert full() is None and capped() is None
+    finally:
+        gc.enable()
+
+
 def _skipped_jacobi_rows(build):
     """Run ``build`` and return the canonical row of every Jacobi instance
-    the engine skipped, built when it was skipped with a memo of its own."""
+    the engine skipped, built when it was skipped through a fresh
+    ``_Expansion`` of the engine."""
     zero_by_definition = nilquot._CoverEngine._zero_by_definition
     rows = []
 
     def recording(self, u, v, i):
         skip = zero_by_definition(self, u, v, i)
         if skip:
-            memo = {}
-
-            def esym(a, b):
-                if a.index == b.index:
-                    return {}
-                if (a.index, b.index) not in memo:
-                    memo[(a.index, b.index)] = self._esym_raw(a, b, esym)
-                return memo[(a.index, b.index)]
-
-            rows.append(canonical(self.field, self._jacobi_row(u, v, i, esym)))
+            rows.append(canonical(self.field, self._jacobi_row(u, v, i, nilquot._Expansion(self))))
         return skip
 
     with mock.patch.object(nilquot._CoverEngine, "_zero_by_definition", recording):
@@ -368,21 +467,21 @@ def _skipped_jacobi_rows(build):
 @pytest.mark.parametrize("build, skips", [
     (lambda: nilquot.sandwich_algebra(1), 0),
     (lambda: nilquot.sandwich_algebra(2), 0),
-    (lambda: nilquot.sandwich_algebra(3), 3),
-    (lambda: nilquot.sandwich_algebra(4), 31),
+    (lambda: nilquot.sandwich_algebra(3), 1),
+    (lambda: nilquot.sandwich_algebra(4), 21),
     (lambda: nilquot.sandwich_algebra(1, field=GF(3)), 0),
     (lambda: nilquot.sandwich_algebra(2, field=GF(3)), 0),
-    (lambda: nilquot.sandwich_algebra(3, field=GF(3)), 3),
-    (lambda: nilquot.sandwich_algebra(4, field=GF(3)), 31),
+    (lambda: nilquot.sandwich_algebra(3, field=GF(3)), 1),
+    (lambda: nilquot.sandwich_algebra(4, field=GF(3)), 21),
     (lambda: nilquot._companion_engine(1, QQ), 0),
     (lambda: nilquot._companion_engine(2, QQ), 3),
-    (lambda: nilquot._companion_engine(3, QQ), 34),
-    (lambda: free_nilpotent_quotient(3, 6), 101),
+    (lambda: nilquot._companion_engine(3, QQ), 28),
+    (lambda: free_nilpotent_quotient(3, 6), 83),
 ], ids=["L1", "L2", "L3", "L4", "L1-GF3", "L2-GF3", "L3-GF3", "L4-GF3", "R1", "R2", "R3", "free3-6"])
 def test_skipped_jacobi_instances_expand_to_zero(build, skips):
-    """A Jacobi instance (u, v, x_i) whose [v, x_i] defines a basis element
-    other than u, or whose v is a generator with [v, x_i] not +-u, is
-    skipped, because its row is the zero dict."""
+    """A Jacobi instance (u, v, x_i) is skipped when v is x_i, or when
+    [v, x_i] is +-z for the element z it defines (for a generator v, the
+    degree-2 element) and u > z, because its row is then the zero dict."""
     rows = _skipped_jacobi_rows(build)
     assert len(rows) == skips
     assert all(row == {} for row in rows)
@@ -390,23 +489,34 @@ def test_skipped_jacobi_instances_expand_to_zero(build, skips):
 
 def test_skipped_jacobi_row_check_can_fail():
     """A wider skip drops rows that are not zero, and the check above sees
-    it; the engine state does not, because the sandwich and antisymmetry
-    rows alone reach every block's rank on these cases."""
+    it.  A representative draws no antisymmetry rows at degree 3 and up, so
+    the dropped rows change the engine state too."""
     zero_by_definition = nilquot._CoverEngine._zero_by_definition
 
-    def also_u_defined(self, u, v, i):  # [u, x_i] defines an element other than v
-        return zero_by_definition(self, u, v, i) or zero_by_definition(self, v, u, i)
+    def u_may_be_z(self, u, v, i):  # also when [v, x_i] is +-u
+        return zero_by_definition(self, u, v, i) or self.gen_bracket[(v.index, i)].keys() == {u.index}
 
-    def also_u_is_the_definition(self, u, v, i):  # [v, x_i] defines u itself
-        return zero_by_definition(self, None, v, i)
+    def degree_only(self, u, v, i):  # u >= z compared by degree alone
+        g = self.gen_bracket[(v.index, i)]
+        if v.degree == 1 and v.gen == i or len(g) != 1:
+            return zero_by_definition(self, u, v, i)
+        z = self.basis[next(iter(g))]
+        return zero_by_definition(self, u, v, i) or (
+            u.degree >= z.degree and u is not z and (v.degree == 1 or z.parent is v and z.gen == i))
 
-    for planted in (also_u_defined, also_u_is_the_definition):
+    def free36():
+        return free_nilpotent_quotient(3, 6)._engine
+
+    def l4():
+        return nilquot.sandwich_algebra(4)._engine
+
+    free_state, l4_state = _engine_state(free36()), _engine_state(l4())
+    for planted in (u_may_be_z, degree_only, _unoriented_skip_rule):
         with mock.patch.object(nilquot._CoverEngine, "_zero_by_definition", planted):
-            assert any(_skipped_jacobi_rows(lambda: free_nilpotent_quotient(3, 6))), planted.__name__
-    with mock.patch.object(nilquot._CoverEngine, "_zero_by_definition", also_u_defined):
-        assert any(_skipped_jacobi_rows(lambda: nilquot.sandwich_algebra(4)))
-        wide = nilquot.sandwich_algebra(4)._engine
-    assert _engine_state(wide) == _engine_state(nilquot.sandwich_algebra(4)._engine)
+            assert any(_skipped_jacobi_rows(free36)), planted.__name__
+            assert _state_or_mismatch(free36) != free_state, planted.__name__
+            if planted is not u_may_be_z:  # L_4 reaches no instance with [v, x_i] = +-u
+                assert _state_or_mismatch(l4) != l4_state, planted.__name__
 
 
 def _rows_drawn(build):
@@ -425,12 +535,14 @@ def _rows_drawn(build):
 
 
 def test_cheap_rows_first_row_counts_are_pinned():
-    """Sandwich and antisymmetry rows come before the Jacobi rows, and a
-    Jacobi row that is zero by definition is never built: L_5 draws 18,703
-    rows and the capped R_4 2,447 (36,070 and 5,841 with the Jacobi rows
-    second and every instance built)."""
-    assert _rows_drawn(lambda: nilquot.sandwich_algebra(5)) == 18703
-    assert _rows_drawn(lambda: nilquot._companion_engine(4, QQ)) == 2447
+    """Representatives draw only the complete family, the other blocks the
+    sandwich and antisymmetry rows before the Jacobi rows, and a Jacobi row
+    that is zero by definition is never built: L_5 draws 13,137 rows and the
+    capped R_4 1,863 (18,703 and 2,447 when representatives also draw the
+    antisymmetry rows; 36,070 and 5,841 with the Jacobi rows second and
+    every instance built)."""
+    assert _rows_drawn(lambda: nilquot.sandwich_algebra(5)) == 13137
+    assert _rows_drawn(lambda: nilquot._companion_engine(4, QQ)) == 1863
 
 
 def test_verification_mode_builds_every_jacobi_instance():
