@@ -49,6 +49,8 @@ COMMANDS = [
     ["rootgroups", "--type", "E7", "--char", "7"],
     ["rootgroups", "--type", "E8", "--char", "7"],
     ["mingen", "--type", "D10,C8", "--char", "53"],
+    ["radicals", "--type", "E6", "--char", "3"],
+    ["threegen", "--edges", "-2,-2,0", "--char", "3"],
 ]
 
 
