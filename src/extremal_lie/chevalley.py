@@ -543,22 +543,19 @@ def _split_gram(f, type_, n):
 
 
 def _matrices_preserving(f, gram):
-    """Basis of {X : X^T G + G X = 0}.  The (i, j) entry of X^T G + G X is
-    sum_k X[k][i] G[k][j] + G[i][k] X[k][j]; on X flattened row-major that
-    is one row per (i, j), two entries for a Gram with one entry per row and
-    column."""
+    """Basis of {X : X^T G + G X = 0}, the kernel of E_ab -> E_ab^T G +
+    G E_ab on flattened matrices (``linalg.flatten``).  An entry G[k][j] = g
+    adds g at (b, j) to the image of E_kb and at (k, b) to that of E_jb, for
+    every b: one pass over the Gram, two entries per image for a Gram with
+    one entry per row and column."""
     size = len(gram)
-    by_column = [{} for _ in range(size)]  # G^T
+    images = [{} for _ in range(size * size)]
     for k, row in enumerate(gram):
         for j, g in row.items():
-            by_column[j][k] = g
-    rows = []
-    for i in range(size):
-        for j in range(size):
-            acc = {k * size + i: g for k, g in by_column[j].items()}
-            axpy(acc, 1, {k * size + j: g for k, g in gram[i].items()})
-            rows.append(canonical(f, acc))
-    return [unflatten(v, size) for v in kernel(f, rows, size * size)]
+            for b in range(size):
+                axpy(images[k * size + b], g, {b * size + j: 1})
+                axpy(images[j * size + b], g, {k * size + b: 1})
+    return [unflatten(v, size) for v in kernel(f, [canonical(f, v) for v in images], size * size)]
 
 
 def _flag_irreducible(f, mats, size):
@@ -574,12 +571,14 @@ def _flag_irreducible(f, mats, size):
     so K is in W, and so is the closure of K.  The check can read False on
     an irreducible module whose basis is in the wrong order; it never reads
     True on a reducible one."""
-    upper = [m for m in mats if all(j > i for i, row in enumerate(m) for j in row)]
-    fixed = kernel(f, [row for m in upper for row in m], size)
-    if len(fixed) != 1:
-        return False
     # the columns of each matrix m, so that m v is combine(f, v, columns)
     columns = [unflatten({j * size + i: x for i, row in enumerate(m) for j, x in row.items()}, size) for m in mats]
+    upper = [c for m, c in zip(mats, columns) if all(j > i for i, row in enumerate(m) for j in row)]
+    # K, the kernel of e_j -> (m e_j) over the upper m, m e_j at the offset t * size
+    images = [{t * size + i: x for t, c in enumerate(upper) for i, x in c[j].items()} for j in range(size)]
+    fixed = kernel(f, images, len(upper) * size)
+    if len(fixed) != 1:
+        return False
     return len(closure(Echelon(f, size), fixed, lambda v: (combine(f, v, c) for c in columns))) == size
 
 

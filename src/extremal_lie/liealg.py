@@ -383,26 +383,17 @@ def ideal_generated(L, gens):
     return Subspace(L, ech)
 
 
-def _by_position(L, js):
-    """The structure constants indexed by position: (j, k) -> {i: c_ij^k},
-    the coefficient of b_k in [b_i, b_j], over the nonzero ones with j in
-    ``js``."""
-    at = {}
-    for i, j in L._table:
-        for a, b in ((i, j), (j, i)):
-            if b in js:
-                for k, c in L._adj[a][b].items():
-                    at.setdefault((b, k), {})[a] = c
-    return at
-
-
 def center(L):
-    """Z(L), the kernel of the rows {i: c_ij^k} for j in ``L.generators``:
-    x = sum x_i b_i is central when [x, b_j] = 0 for every generator j,
-    since the centralizer of x is a subalgebra, so it holds the ad-closure
-    of the generators, L."""
-    rows = _by_position(L, set(L.generators)).values()
-    return Subspace.from_elements(L, kernel(L.field, list(rows), L.n))
+    """Z(L), the kernel of x -> ([x, b_j]) over j in ``L.generators``: x is
+    central when [x, b_j] = 0 for every generator j, since the centralizer
+    of x is a subalgebra, so it holds the ad-closure of the generators, L.
+    The image of b_i holds [b_i, b_j] at the offset t * n of the t-th
+    generator j."""
+    n = L.n
+    images = [
+        {t * n + k: c for t, j in enumerate(L.generators) for k, c in L.bracket_basis(i, j).items()} for i in range(n)
+    ]
+    return Subspace.from_elements(L, kernel(L.field, images, len(L.generators) * n))
 
 
 def _series(L, sub, derived):
@@ -521,6 +512,9 @@ class BilinearForm:
         self.rows = rows
 
     def radical(self):
+        """The left radical {x : f(x, .) = 0}, the relations among the Gram
+        rows.  It is the right radical {y : f(., y) = 0} when f is symmetric,
+        and may differ from it when f is not."""
         return Subspace.from_elements(self.algebra, kernel(self.algebra.field, self.rows, self.algebra.n))
 
     def is_symmetric(self):
@@ -554,7 +548,11 @@ def killing_form(L):
     """kappa(x, y) = trace(ad_x ad_y).  Row i is kappa(b_i, .) = the sum over
     (l, k) of c_il^k {x: c_xk^l}, one sparse sum per row."""
     f, n = L.field, L.n
-    at = _by_position(L, range(n))
+    at = {}  # (j, k) -> {i: c_ij^k}, the coefficient of b_k in [b_i, b_j]
+    for i in range(n):
+        for j, row in L._adj[i].items():
+            for k, c in row.items():
+                at.setdefault((j, k), {})[i] = c
     rows = []
     for i in range(n):
         acc = {}
@@ -585,7 +583,7 @@ def extremal_form(L, basis):
     f = L.field
     inverse = mat_inverse(f, [s.coeffs for s in basis])
     gram = mat_mul(f, inverse, [fx.values for fx in basis.functionals])
-    form = BilinearForm(L, [{j: f.raw(x) for j, x in row.items()} for row in gram])
+    form = BilinearForm(L, gram)
     if not form.is_symmetric():
         raise WellDefinednessFailure("extremal form not symmetric: f_x(y) != f_y(x) on the basis")
     if not form.is_associative():
@@ -656,16 +654,12 @@ def _no_solvable_ideal_certificate(L, raising=(), kappa_rad=None):
         if nxt.dim == span.dim:
             raise PreconditionNotMet("the raising elements do not act nilpotently")
         span = nxt
-    # K' = {sum_i c_i b_i : sum_i c_i [e, b_i] = 0 for every e}, b a basis of Rad(kappa)
-    basis, rows = kappa_rad.basis(), {}
-    for t, e in enumerate(raising):
-        for i, b in enumerate(basis):
-            for k, c in L.bracket(e, b).coeffs.items():
-                rows.setdefault((t, k), {})[i] = c
+    # K' = {sum_i c_i b_i : sum_i c_i [e, b_i] = 0 for every e}, b a basis of
+    # Rad(kappa): the kernel of b -> ([e_t, b]), [e_t, b] at the offset t * n
+    n, basis = L.n, kappa_rad.basis()
+    images = [{t * n + k: c for t, e in enumerate(raising) for k, c in L.bracket(e, b).coeffs.items()} for b in basis]
     vecs = [b.coeffs for b in basis]
-    k_prime = Subspace.from_elements(
-        L, [combine(L.field, x, vecs) for x in kernel(L.field, list(rows.values()), len(basis))]
-    )
+    k_prime = Subspace.from_elements(L, [combine(L.field, x, vecs) for x in kernel(L.field, images, len(raising) * n)])
     for v in k_prime.basis():
         ideal = ideal_generated(L, [v])
         if is_solvable_subspace(ideal):
@@ -802,7 +796,8 @@ def commutator(field, a, b):
 
 def trace_zero(field, size):
     """The canonical basis of sl(size), the kernel of the trace."""
-    return [unflatten(v, size) for v in kernel(field, [{i * (size + 1): 1 for i in range(size)}], size * size)]
+    images = [{0: 1} if c % (size + 1) == 0 else {} for c in range(size * size)]  # E_ab -> tr E_ab
+    return [unflatten(v, size) for v in kernel(field, images, 1)]
 
 
 def matrix_lie_algebra(field, basis):

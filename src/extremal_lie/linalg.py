@@ -18,6 +18,11 @@ Everything here is deterministic: pivots are chosen left to right, rows are
 kept in fully reduced echelon form, so a subspace has a unique canonical
 basis.
 
+``Coordinates`` is the one augmented echelon [rows | identity]: it solves
+for coordinates in a span, and its relations among the rows are a kernel.
+A linear map is handed to ``kernel`` by its images, e_i -> ``images[i]``,
+and ``mat_inverse`` reads its rows off the same echelon.
+
 ``Echelon`` stores its rows sparse, as ``{column: value}`` dicts, in a form
 chosen per field so that elimination never builds a ``Fraction``:
 
@@ -248,28 +253,12 @@ def rank(field, rows, width):
     return echelon_from_rows(field, width, rows).dim
 
 
-def kernel(field, rows, width):
-    """The canonical basis of the right kernel {v : rows . v = 0} of the
-    matrix ``rows`` with ``width`` columns, as sparse rows."""
-    e = echelon_from_rows(field, width, rows)
-    reduced = {pc: e.row(pc) for pc in e.pivot_columns()}
-    basis = []
-    for c in range(width):
-        if c not in reduced:
-            v = {c: 1}
-            for pc, row in reduced.items():
-                if c in row:
-                    v[pc] = -row[c]
-            basis.append(v)
-    # already reduced echelon w.r.t. the free columns; canonicalize anyway
-    e = echelon_from_rows(field, width, basis)
-    return [e.row(c) for c in e.pivot_columns()]
-
-
 class Coordinates:
     """Coordinates of vectors in the span of the fixed sparse ``rows`` of
-    length ``width``.  The augmented echelon [rows | identity] is built
-    once; each query is one reduction against it."""
+    length ``width``, and the relations among the rows.  The augmented
+    echelon [rows | identity] is built once: a reduced row with its pivot
+    past ``width`` is (0 | c) with sum_i c_i rows_i = 0, and a solve is one
+    reduction against it."""
 
     def __init__(self, field, rows, width):
         self.field = field
@@ -280,9 +269,21 @@ class Coordinates:
             v[width + i] = 1
             self._aug.insert(v)
 
+    def _tail(self, c):
+        """The reduced row with pivot ``c``, past ``width``, as a vector in
+        the row indices."""
+        w = self.width
+        return {j - w: x for j, x in self._aug.row(c).items() if j >= w}
+
     def spans(self):
         """Whether the rows span all of k^width."""
         return sum(1 for c in self._aug.pivot_columns() if c < self.width) == self.width
+
+    def relations(self):
+        """The canonical basis of {c : sum_i c_i rows_i = 0}: the reduced rows
+        with their pivot past ``width`` are the reduced echelon form of that
+        subspace, which is unique."""
+        return [self._tail(c) for c in self._aug.pivot_columns() if c >= self.width]
 
     def solve(self, target):
         """The canonical coefficient dict c with sum_i c_i rows_i =
@@ -293,6 +294,13 @@ class Coordinates:
         if any(j < w for j in residual):
             return None
         return canonical(self.field, {j - w: -x for j, x in residual.items()})
+
+
+def kernel(field, images, width):
+    """The canonical basis of the kernel of the linear map that sends e_i to
+    ``images[i]``, a vector of length ``width``: the relations among the
+    images, as sparse vectors of length ``len(images)``."""
+    return Coordinates(field, images, width).relations()
 
 
 def solve_in_span(field, basis_rows, width, target):
@@ -323,18 +331,15 @@ def unflatten(v, size):
 
 def mat_inverse(field, a):
     """The inverse of the square matrix ``a``: n rows with entries in columns
-    0..n-1.  ValueError when it is not square or is singular."""
+    0..n-1.  ValueError when it is not square or is singular.  Row c of the
+    inverse is the tail of the reduced row with pivot c of [a | identity]."""
     n = len(a)
-    e = Echelon(field, 2 * n)
-    for i, row in enumerate(a):
-        if any(not 0 <= j < n for j in row):
-            raise ValueError("matrix is not square")
-        v = dict(row)
-        v[n + i] = 1
-        e.insert(v)
-    if e.pivot_columns()[: n] != list(range(n)) or e.dim != n:
+    if any(not 0 <= j < n for row in a for j in row):
+        raise ValueError("matrix is not square")
+    coords = Coordinates(field, a, n)
+    if not coords.spans():
         raise ValueError("matrix is singular")
-    return [{j - n: x for j, x in e.row(c).items() if j >= n} for c in range(n)]
+    return [coords._tail(c) for c in range(n)]
 
 
 # -- polynomials (dense coefficient lists, low degree first) -----------------

@@ -391,12 +391,10 @@ def _modules_irreducible(M, modules):
             for v in mod:
                 if span.solve(M.bracket(s, v).coeffs) is None:
                     return False  # not even a module
-        # row (a, k): the b_k-coefficients of [s, v], s = x (a = 0) or y (a = 1)
-        rows = {}
-        for c, v in enumerate(mod):
-            for a, s in enumerate(s_elts[:2]):
-                for k, w in M.bracket(s, v).coeffs.items():
-                    rows.setdefault((a, k), {})[c] = w
-        if kernel(f, list(rows.values()), len(mod)):
+        # the kernel of v -> ([x, v], [y, v]), [y, v] at the offset n
+        images = [
+            {a * M.n + k: w for a, s in enumerate(s_elts[:2]) for k, w in M.bracket(s, v).coeffs.items()} for v in mod
+        ]
+        if kernel(f, images, 2 * M.n):
             return False
     return True

@@ -18,7 +18,8 @@ fourth-power lemmas (``dense_phi_spectrum_check``,
 ``dense_fourth_power_check``).
 
 The other references are the package's code as it ran before it became
-fast: ``DenseEchelon`` (dense reduced rows), the dense form kernels
+fast: ``DenseEchelon`` (dense reduced rows) and ``dense_kernel`` on it
+(free columns, the old algorithm of ``linalg.kernel``), the dense form kernels
 (``dense_is_associative``, ``dense_killing_gram``, ``dense_center``),
 ``dense_jacobi`` over every basis triple, ``dense_ideal_generated``,
 ``dense_extremal_gram``, ``bracket_is_extremal`` with two brackets per
@@ -244,6 +245,26 @@ class DenseEchelon:
         return sorted(self.rows)
 
 
+def dense_kernel(f, images, width):
+    """Reference for ``linalg.kernel``, as the package computed it before it
+    read kernels off the augmented echelon: the null space of the dense
+    matrix whose column i is ``images[i]``, one vector per free column of its
+    reduced rows, made canonical on a second ``DenseEchelon``."""
+    n = len(images)
+    ech = DenseEchelon(f, n)
+    for k in range(width):
+        ech.insert([im.get(k, f.zero) for im in images])
+    basis = DenseEchelon(f, n)
+    for c in range(n):
+        if c not in ech.rows:
+            v = [f.zero] * n
+            v[c] = f.one
+            for pc, row in ech.rows.items():
+                v[pc] = f.neg(row[c])
+            basis.insert(v)
+    return [basis.row(c) for c in basis.pivot_columns()]
+
+
 class _UncheckedLieAlgebra(LieAlgebra):
     def _validate_jacobi(self):
         pass
@@ -326,13 +347,11 @@ def eigenvalue_candidates(f, m):
 def eigenvectors(f, elems, coords, lam):
     """A basis of the lam-eigenspace of the map T on the span of the
     elements ``elems``, where coords[i] are the coordinates of T(elems[i])."""
-    from extremal_lie.linalg import kernel
-
     d = len(elems)
-    # x with x . M = lam x, i.e. (M^T - lam) x = 0
-    mt = [{i: f.sub(coords[i].get(j, f.zero), lam if i == j else f.zero) for i in range(d)} for j in range(d)]
+    # x with sum_i x_i (coords[i] - lam e_i) = 0
+    images = [{j: f.sub(coords[i].get(j, f.zero), lam if i == j else f.zero) for j in range(d)} for i in range(d)]
     zero = elems[0].algebra.zero()
-    return [sum((c * elems[i] for i, c in x.items()), zero) for x in kernel(f, mt, d)]
+    return [sum((c * elems[i] for i, c in x.items()), zero) for x in dense_kernel(f, images, d)]
 
 
 def eigenline_modules_irreducible(M, modules):
@@ -550,20 +569,20 @@ def dense_killing_gram(L):
 
 
 def dense_center(L):
-    """Reference for ``liealg.center``: the kernel of the n blocks of n x n
-    dense rows, block j holding the matrix of x -> [x, b_j]."""
-    from extremal_lie.linalg import kernel
+    """Reference for ``liealg.center``: the kernel of x -> ([x, b_j]) over
+    every basis vector b_j, not only the generators, the image of b_i as n
+    dense blocks."""
     from extremal_lie.liealg import Subspace
 
-    f = L.field
-    rows = []
-    for j in range(L.n):
-        block = [[f.zero] * L.n for _ in range(L.n)]
-        for i in range(L.n):
+    f, n = L.field, L.n
+    images = []
+    for i in range(n):
+        image = [f.zero] * (n * n)
+        for j in range(n):
             for k, c in L.bracket_basis(i, j).items():
-                block[k][i] = c
-        rows.extend(block)
-    return Subspace.from_elements(L, kernel(f, sparse(rows), L.n))
+                image[j * n + k] = c
+        images.append(image)
+    return Subspace.from_elements(L, dense_kernel(f, sparse(images), n * n))
 
 
 def dense_ideal_generated(L, gens):
@@ -1102,19 +1121,16 @@ def dense_split_gram(f, type_, n):
 
 
 def dense_matrices_preserving(f, gram):
-    """Basis of {X : X^T G + G X = 0}, from one dense row per (i, j)."""
-    from extremal_lie.linalg import kernel
-
+    """Basis of {X : X^T G + G X = 0}, the kernel of X -> X^T G + G X on
+    the dense unit matrices E_ab."""
     size = len(gram)
-    rows = []
-    for i in range(size):
-        for j in range(size):
-            row = [f.zero] * (size * size)
-            for k in range(size):
-                row[k * size + i] = f.add(row[k * size + i], gram[k][j])
-                row[k * size + j] = f.add(row[k * size + j], gram[i][k])
-            rows.append(row)
-    basis = dense(kernel(f, sparse(rows), size * size), size * size)
+    images = []
+    for a in range(size):
+        for b in range(size):
+            unit, unit_t = _unit_matrix(f, size, a, b), _unit_matrix(f, size, b, a)
+            m = _sum_mats(f, dense_mat_mul(f, unit_t, gram), dense_mat_mul(f, gram, unit))
+            images.append([x for row in m for x in row])
+    basis = dense(dense_kernel(f, sparse(images), size * size), size * size)
     return [[[v[i * size + j] for j in range(size)] for i in range(size)] for v in basis]
 
 

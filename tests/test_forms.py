@@ -6,7 +6,8 @@ GF(3) and GF(101): on true forms, on Gram matrices with one entry changed
 (symmetric or not, or off the generators of the algebra), and on rescaled
 tables.  The Gram of ``extremal_form`` is held to the dense matrix product
 on shuffled, rescaled extremal bases.  The center is also checked against
-the Cartan matrix, and the kernels against calling ``Field`` at all.
+the Cartan matrix, the kernels against calling ``Field`` at all, and the
+form radical against a non-symmetric Gram, where it is the left radical.
 """
 
 from fractions import Fraction
@@ -20,6 +21,7 @@ from extremal_lie.chevalley import extremal_spanning_set
 from extremal_lie.liealg import (
     BilinearForm,
     ExtremalFunctional,
+    Subspace,
     center,
     extremal_closure,
     extremal_form,
@@ -30,6 +32,7 @@ from extremal_lie.linalg import canonical
 from extremal_lie.scalars import QQ, Field, GF
 
 from helpers import (
+    abelian,
     chevalley,
     dense,
     dense_center,
@@ -246,6 +249,16 @@ def test_killing_form_and_center_match_dense_reference(L):
         # integral constants give int entries over Q, residues over GF(p)
         assert all(type(c) is int for row in kappa.rows for c in row.values())
     assert center(L) == dense_center(L)
+
+
+def test_radical_is_the_left_radical():
+    # f(b_0, b_1) = 1 and every other value 0: f(b_1, .) = 0 but f(b_0, .)
+    # is not, while f(., b_0) = 0 but f(., b_1) is not
+    for field in (QQ, GF(3)):
+        L = abelian(field, 2)
+        b0, b1 = (Subspace.from_elements(L, [{i: 1}]) for i in range(2))
+        assert BilinearForm(L, [{1: 1}, {}]).radical() == b1
+        assert BilinearForm(L, [{}, {0: 1}]).radical() == b0
 
 
 # -- the center against the Cartan matrix ---------------------------------------

@@ -20,7 +20,7 @@ from extremal_lie.linalg import (
     solve_in_span,
 )
 
-from helpers import DenseEchelon, dense_mat_mul, echelon_basis, rng, sparse
+from helpers import DenseEchelon, dense_kernel, dense_mat_mul, echelon_basis, rng, sparse
 
 
 def _q(rows):
@@ -45,11 +45,14 @@ def test_echelon_insertion_order_irrelevant_for_canonical_basis():
 
 
 def test_kernel_exact():
-    rows = sparse([[1, 2, 3], [4, 5, 6]])
-    for v in kernel(QQ, rows, 3):
-        for row in rows:
-            assert sum(a * v.get(j, 0) for j, a in row.items()) == 0
-    assert rank(QQ, rows, 3) + len(kernel(QQ, rows, 3)) == 3
+    # e_0 -> (1, 4), e_1 -> (2, 5), e_2 -> (3, 6): e_0 - 2 e_1 + e_2 -> 0
+    images = sparse([[1, 4], [2, 5], [3, 6]])
+    assert kernel(QQ, images, 2) == [{0: 1, 1: -2, 2: 1}]
+    assert rank(QQ, images, 2) + len(kernel(QQ, images, 2)) == len(images)
+    for f in (QQ, GF(5)):
+        assert kernel(f, [{}, {}, {}], 4) == [{0: 1}, {1: 1}, {2: 1}]  # the zero map
+        assert kernel(f, sparse([[1, 0], [1, 1]]), 2) == []  # an injective map
+        assert kernel(f, [], 3) == []
 
 
 def test_solve_in_span():
@@ -172,6 +175,8 @@ def test_rank_and_kernel_match_dense_reference(mat):
     with _reference():
         want = (rank(field, vecs, width), kernel(field, vecs, width))
     assert got == want
+    assert got[1] == dense_kernel(field, vecs, width)
+    assert got[0] + len(got[1]) == len(vecs)
 
 
 @PROPERTY
