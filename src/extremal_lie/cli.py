@@ -142,6 +142,19 @@ def parse_scalars(field, text, count, flag):
 # -- subcommands ----------------------------------------------------------------
 
 
+def _build_or_fail(rep, name, build, r):
+    """``build(r)``, or None after a failed check named after ``name`` when
+    the engine stops short: it reached no empty degree below the cap, or a
+    block missed its orbit's rank (the message names the block)."""
+    try:
+        return build(r)
+    except nilquot.DegreeCapExceeded:
+        rep.add_bool("%s reached an empty degree below the cap" % name, False)
+    except nilquot.OrbitRankMismatch as exc:
+        rep.add_bool("%s: %s" % (name, exc), False)
+    return None
+
+
 def cmd_tables(args):
     rep = Report("tables", {"which": args.which, "max_r": args.max_r, "r": args.r})
     if args.which != "rr-lengths" and args.r is not None:
@@ -158,17 +171,12 @@ def cmd_tables(args):
             "rr": ("R", nilquot.assoc_dims_via_embedding, nilquot.R_DIMS),
         }[args.which]
         for r in range(1, args.max_r + 1):
-            try:
-                q = build(r)
-            except nilquot.DegreeCapExceeded:
-                rep.add_bool("dim %s_%d reached an empty degree below the cap" % (name, r), False)
-                continue
-            rep.add_known("dim %s_%d" % (name, r), dims, r, q.total_dim)
+            q = _build_or_fail(rep, "dim %s_%d" % (name, r), build, r)
+            if q is not None:
+                rep.add_known("dim %s_%d" % (name, r), dims, r, q.total_dim)
     else:  # rr-lengths
-        try:
-            a = nilquot.assoc_dims_via_embedding(r)
-        except nilquot.DegreeCapExceeded:
-            rep.add_bool("R_%d lengths reached an empty degree below the cap" % r, False)
+        a = _build_or_fail(rep, "R_%d lengths" % r, nilquot.assoc_dims_via_embedding, r)
+        if a is None:
             return rep
         rep.add_known("R_%d lengths" % r, nilquot.R_LENGTHS, r, a.dims_by_length)
         rep.report("R_%d palindromic after identity" % r, a.palindromic_after_identity)

@@ -4,16 +4,14 @@ L_r is the quotient of the free Lie algebra on r generators by the ideal
 generated by all [f_i,[f_i,u]].  It is computed degree by degree: the degree-d
 component is presented by symbols [w, x_i] over the degree-(d-1) basis, and
 the relation space is spanned by the images of the defining relations together
-with the consistency rows (the Jacobi instances involving a generator, and the
-antisymmetry of basis pairs).  All relations are homogeneous in the
-multidegree, so elimination happens in small per-multidegree blocks; this is
-what makes r = 5 fast.
+with the two-sided antisymmetry rows of basis pairs.  All relations are
+homogeneous in the multidegree, so elimination happens in small
+per-multidegree blocks; this is what makes r = 5 fast.
 
-The rows are generated block by block, the cheap families first.  A block md
-draws its sandwich rows from the block md - 2e_i, then its antisymmetry rows
-from the pairs of lower blocks that sum to md, then its Jacobi rows from the
-pairs that sum to md - e_i (balanced degree splits first).  Most blocks do
-not need all of their rows.  Call two blocks of a degree one orbit when a
+The rows are generated block by block.  A block md draws its sandwich rows
+from the block md - 2e_i, then its two-sided antisymmetry rows from the pairs
+of lower blocks that sum to md (balanced degree splits first).  Most blocks
+do not need all of their rows.  Call two blocks of a degree one orbit when a
 permutation of the coordinates that carry equal caps maps one onto the other
 (the key is sorted(zip(cap, md))); the first of them in sorted order is the
 orbit's representative.  The representative takes its rows until they run out
@@ -30,12 +28,9 @@ the representative's.  This is exact, whatever the order of the rows:
   which is unique for a subspace, so the basis words, the rewrites and the
   relation ranks are those of inserting every row.
 
-So the order only decides how soon a block stops.  A representative stops
-only when its block of L is zero, and outside verification mode it is given
-only the complete family below: the sandwich rows, at degree 2 the
-antisymmetry rows, and the Jacobi rows.  Every other block draws the cheap
-two-sided antisymmetry rows after its sandwich rows, and on L_5 and the
-capped R_4 each of them reaches its rank before it builds a Jacobi row.
+So the order only decides how soon a block stops.  Every block, the
+representatives included, draws the complete family below and nothing else:
+outside verification mode no Jacobi row is built.
 
 The complete family.  Order basis elements by (degree, -index), as
 ``bracket_basis`` does, and write a > b for that order.  At degree 2 the
@@ -55,48 +50,60 @@ that every bracket below respects), and let del(a ^ b ^ c) = [a,b] ^ c +
    symbol (a, j), and a ^ b with a > b and b = [b', x_j] defined in degree
    at least 2 to pi'([a,b'] ^ x_j) - pi'([a,x_j] ^ b'): the expansion
    through the definition of the smaller element, by recursion on its
-   degree.  ``_Expansion`` computes it.  pi' is the identity on symbols
-   and kills each definitional Jacobi element D(a, b) = del(a ^ b' ^ x_j)
-   = [a,b'] ^ x_j - a ^ b - [a,x_j] ^ b'.  D(a, b) is -a ^ b plus pairs
-   whose smaller element has lower degree, so the D(a, b) are independent,
+   degree.  ``_Expansion`` computes it.  For b = [b', x_j] of degree at
+   least 2 let D(a, b) = del(a ^ b' ^ x_j) = [a,b'] ^ x_j - a ^ b -
+   [a,x_j] ^ b', the definitional Jacobi element, and let Def be the span
+   of all of them, a and b in either order.  pi' is the identity on
+   symbols and kills D(a, b) for a > b.  Such a D(a, b) is -a ^ b plus
+   pairs whose smaller element has lower degree, so they are independent,
    as many as the pairs outside the symbols, and they span the kernel of
-   pi'.  That kernel lies in del(^3 T)_d, so L_d = symbols /
-   pi'(del(^3 T)_d + S): its rows are pi' of the sandwich elements and of
-   a spanning set of del(^3 T)_d.
-3. del(^3 T)_d is spanned by del of the triples that hold a generator,
-   whose pi' are the Jacobi rows.  Let a ^ b ^ c have its least degree
-   k >= 2 in c = [c', x_j].  In del del(a ^ b ^ c' ^ x_j) = 0 (it uses only
-   Jacobi identities inside T) the term of [c', x_j] is +-del(a ^ b ^ c);
-   the terms of [a,b], [a,c'] and [b,c'] are del of triples that hold x_j,
-   and those of [a,x_j] and [b,x_j] are del of triples that hold c', of
-   degree k - 1.  Induction on k.
-4. Each two-sided antisymmetry row, [u,v] through the definition of v plus
-   [v,u] through that of u (for u = v, [u,u] through the definition of u),
-   is congruent to pi'(u ^ v + v ^ u) = 0 modulo the Jacobi rows: a
-   one-step expansion of a ^ b through the definition of b is
-   pi'(a ^ b + D(a, b)) (pi'(a ^ b) for a generator b), and pi'(D(a, b))
-   is a Jacobi row.  So drawing one is sound, and a representative need
-   not draw it.
-5. Some Jacobi rows pi'(del(u ^ v ^ x_i)) = ([u,v], i) - pi'([u,x_i] ^ v)
-   - pi'(u ^ [v,x_i]) are the zero dict before they are built, and
-   ``_zero_by_definition`` skips them.  When v = x_i, the second term is
-   the symbol ([u,x_i], i) and the third is 0.  When [v, x_i] defines z
-   (the symbol (v, i) was free, so its rewrite is {z: 1}) and u > z, the
-   expansion of pi'(u ^ z) runs through the definition of z and writes
-   exactly the first term minus the second, from the same memo entries.
-   When v = x_j with j != i, the block of [x_j, x_i] holds one element z.
-   If z is defined as [x_j, x_i], this is the case before; if it is
-   defined as [x_i, x_j], then [x_j, x_i] = -z, and for u > z the
-   expansion of pi'(u ^ z), ([u,x_i], j) - ([u,x_j], i), cancels the first
-   two terms.  When u < z the expansion of u ^ z runs through the
-   definition of u instead, and when u = z the third term is 0: those
-   rows are kept (at degree 3, every triple of generators).
+   pi'.  That kernel lies in del(^3 T)_d, so L_d = symbols / Rel with
+   Rel = pi'(del(^3 T)_d + S); the sandwich rows are pi'(S).
+3. Rel = pi'(Def) + S, the Leibniz argument (Loday, "Une version non
+   commutative des algebres de Lie: les algebres de Leibniz", Enseign.
+   Math. 39, 1993).  A Lie algebra is a right Leibniz algebra with
+   [a,a] = 0, and in a Leibniz algebra the span I of the squares is a
+   two-sided ideal of right annihilators.  Let E be the Leibniz product on
+   the symbols Sym = T_{d-1} (x) V, computed through the definition of the
+   second factor: E(a, x_j) = (a, j) and E(a, [b', x_j]) = ([a,b'], j) -
+   E([a,x_j], b').
+   * The free Leibniz algebra is Leib_{d-1} (x) V in degree d, so
+     F_d = (F_{d-1} (x) V) / span{E(a,b) + E(b,a), E(a,a)}: the cross
+     terms with the squares vanish, because squares are right annihilators
+     and E(I, .) lands in I_{d-1} (x) V.
+   * For L = F/J, E(j, .) vanishes on Sym for j in J, and
+     E(b, [[u,x_i],x_i]) is the sandwich row of [b,u] by the Jacobi
+     identity below degree d.  So Rel is spanned by S and, over the basis
+     pairs, the E(u,v) + E(v,u) and the E(u,u): the square of a sum is a
+     sum of these, in every characteristic.
+   * By induction on deg b, E(a,b) = pi'(a ^ b + delta) with delta in Def:
+     E(a,b) = pi'([a,b'] ^ x_j) - pi'([a,x_j] ^ b' + delta') =
+     pi'(a ^ b + D(a,b) - delta').  So Rel lies in pi'(Def) + S, which
+     lies in Rel by step 2.
+   The two-sided antisymmetry row of a pair u > v is [u,v] through the
+   definition of v plus [v,u] through that of u: pi'(u ^ v) +
+   pi'(v ^ u + D(v,u)) = pi'(D(v,u)), and pi'(D(u,v)) = 0.  The diagonal
+   row of u, [u,u] through the definition of u, is pi'(D(u,u)).  So the
+   sandwich rows and the two-sided rows of all pairs, u = v included, span
+   Rel: they are the complete family.  The argument holds in every
+   characteristic, in free mode (S = 0) and in the capped box.
+4. ``_zero_pair`` finds the two-sided rows that are zero by definition,
+   and they are never built.  Take u > v with u = [u', x_k].  The pair's
+   row is pi'(D(v,u)) = pi'([v,u'] ^ x_k) - pi'(v ^ u) -
+   pi'([v,x_k] ^ u').  When [v, x_k] defines z (the symbol (v, k) was
+   free, so its rewrite is {z: 1}) and u' > z, pi' writes u' ^ z through
+   the definition of z, and D(v,u) = -D(u',z): the row is -pi'(D(u',z)) =
+   0, and the engine's expansion writes it as the zero dict, from the same
+   memo entries.  When u' < z or u' = z, pi' writes u' ^ z through another
+   definition, and the row is kept.
 
 A block whose rows run out below the representative's rank, or whose width
 differs from it, raises ``OrbitRankMismatch``.  The verification mode
-(``extra_consistency``) makes every block its own representative, draws
-every family, builds every Jacobi instance, and adds the Jacobi rows on
-triples of degree at least 2 each.
+(``extra_consistency``) makes every block its own representative, builds
+every two-sided row, the zero ones included, and adds the Jacobi rows:
+pi'(del(u ^ v ^ x_i)) of every triple with a generator, and those on
+triples of degree at least 2 each.  It is the all-rows reference of the
+tests.
 
 R_r is read off L_{r+1}: its length-k component is the sum of the multidegree
 blocks of L_{r+1} whose last coordinate is 1 and whose total degree is k+1.
@@ -164,7 +171,12 @@ class OrbitRankMismatch(RuntimeError):
 
 
 class BasisElement:
-    __slots__ = ("index", "degree", "mdeg", "parent", "gen", "word")
+    """A basis element of the engine: x_gen for a generator (no parent),
+    else defined as [parent, x_gen].  ``order`` is (degree << 40) - index:
+    a > b in the order (degree, -index) of the module docstring exactly
+    when a.order > b.order."""
+
+    __slots__ = ("index", "degree", "mdeg", "parent", "gen", "word", "order")
 
     def __init__(self, index, degree, mdeg, parent, gen, word):
         self.index = index
@@ -173,6 +185,7 @@ class BasisElement:
         self.parent = parent
         self.gen = gen
         self.word = word
+        self.order = (degree << 40) - index
 
     def __repr__(self):
         return "b%d<%s>" % (self.index, ".".join(map(str, self.word)))
@@ -205,7 +218,7 @@ class _Expansion:
         key = (a.index, b.index)
         got = self.memo.get(key)
         if got is None:
-            if b.degree > 1 and (a.degree, -a.index) < (b.degree, -b.index):
+            if b.degree > 1 and a.order < b.order:
                 got = _negated(self.engine.field, self(b, a))
             else:
                 got = self.engine._esym_raw(a, b, self)
@@ -253,7 +266,7 @@ class _CoverEngine:
         of u and v under the order (degree, -index)."""
         if u.index == v.index:
             return _ZERO
-        if (u.degree, -u.index) < (v.degree, -v.index):
+        if u.order < v.order:
             return _negated(self.field, self.bracket_basis(v, u))
         if v.degree == 1:
             return self.gen_bracket.get((u.index, v.gen), _ZERO)
@@ -275,26 +288,31 @@ class _CoverEngine:
     def extend(self):
         """Construct the next degree; returns the new component dimension.
 
-        The blocks of the degree are reduced in sorted order.  The first
-        block of each orbit (see the module docstring) takes its rows until
-        they run out or its echelon is full; every other block stops as soon
-        as it reaches the rank of its orbit's first block.  Each block gets
-        a fresh ``_Expansion``: [a, b] and every expansion its recursion asks
-        for lie in the block mdeg a + mdeg b, so no other block could read
-        an entry of its memo."""
+        The blocks of the degree are reduced in sorted order, each on the
+        rows of ``_block_rows``.  The first block of each orbit (see the
+        module docstring) takes its rows until they run out or its echelon
+        is full; every other block stops as soon as it reaches the rank of
+        its orbit's first block.  The symbol [w, x_i] is keyed by the int
+        w_index * (r + 1) + i until its rewrite goes into ``gen_bracket``
+        under (w_index, i).  Each block gets a fresh ``_Expansion``: [a, b]
+        and every expansion its recursion asks for lie in the block
+        mdeg a + mdeg b, so no other block could read an entry of its
+        memo."""
         d = self.completed + 1
         f = self.field
+        s = self.r + 1
         cap = self.cap or (math.inf,) * self.r
-        blocks = {}  # mdeg -> list of symbol keys (w_index, i)
+        blocks = {}  # mdeg -> list of symbol codes w_index * s + i
         sym_pos = {}
         for w in self.by_degree[d - 1]:
+            code = w.index * s
             for i in range(1, self.r + 1):
                 md = _mdeg_add(w.mdeg, i)
                 if md[i - 1] > cap[i - 1]:
                     continue
                 lst = blocks.setdefault(md, [])
-                sym_pos[(w.index, i)] = len(lst)
-                lst.append((w.index, i))
+                sym_pos[code + i] = len(lst)
+                lst.append(code + i)
 
         lower = {}  # degree -> {mdeg: basis elements}, the nonempty blocks below d
         for (deg, md), elts in self.by_mdeg.items():
@@ -314,7 +332,7 @@ class _CoverEngine:
                                         % (md, e.width, rep_md, rep.width))
             goal = rep.dim if rep is not e else e.width
             if e.dim < goal:
-                for row in self._block_rows(d, md, lower, _Expansion(self), rep is not e):
+                for row in self._block_rows(d, md, lower, _Expansion(self)):
                     row = canonical(f, {sym_pos[key]: c for key, c in row.items()})
                     if row and e.insert(row) is not None and e.dim == goal:
                         break
@@ -328,17 +346,17 @@ class _CoverEngine:
             for pos, key in enumerate(keys):
                 if pos in piv:
                     continue
-                w, i = key
+                w, i = divmod(key, s)
                 parent = self.basis[w]
                 elt = BasisElement(len(self.basis), d, md, parent, i, parent.word + (i,))
                 self.basis.append(elt)
                 new_elts.append(elt)
                 self.by_mdeg.setdefault((d, md), []).append(elt)
                 free_map[pos] = elt
-                rewrites[key] = {elt.index: f.one}
+                rewrites[w, i] = {elt.index: f.one}
             for pc in e.pivot_columns():
                 row = e.row(pc)
-                rewrites[keys[pc]] = canonical(
+                rewrites[divmod(keys[pc], s)] = canonical(
                     f, {free_map[pos].index: -row[pos] for pos in sorted(row) if pos != pc}
                 )
         self.gen_bracket.update(rewrites)
@@ -347,19 +365,19 @@ class _CoverEngine:
         self.completed = d
         return len(new_elts)
 
-    def _block_rows(self, d, md, lower, esym, stops):
+    def _block_rows(self, d, md, lower, esym):
         """The relation rows of the degree-d block ``md``, as dicts over its
-        symbols (w_index, i), cheap families first: the sandwich rows; the
-        two-sided antisymmetry rows, at degree 2 (the rows of generator
-        pairs), in a block that ``stops`` at its orbit's rank, and in
-        verification mode; the Jacobi rows with a generator (balanced degree
-        splits first; outside verification mode, none that
-        ``_zero_by_definition`` finds); and, in verification mode, the
-        Jacobi rows on heavier triples.  Without the antisymmetry rows
-        (degree at least 3) they are the complete family of the module
-        docstring.  ``esym`` is the block's ``_Expansion`` and ``lower``
-        maps each degree below d to its nonempty blocks."""
+        symbol codes w_index * (r + 1) + i: the sandwich rows, then the
+        two-sided antisymmetry rows of the pairs of lower blocks that sum to
+        md (balanced degree splits first, the diagonal pairs u = v
+        included).  They are the complete family of the module docstring;
+        outside verification mode the pairs that ``_zero_pair`` finds are
+        not built, and in verification mode every pair is built and the
+        Jacobi rows follow, with a generator and then on heavier triples.
+        ``esym`` is the block's ``_Expansion`` and ``lower`` maps each
+        degree below d to its nonempty blocks."""
         gb = self.gen_bracket
+        s = self.r + 1
         empty = {}
 
         def pairs(a, b, m, diagonal):
@@ -380,47 +398,54 @@ class _CoverEngine:
             for i in range(1, self.r + 1):
                 if md[i - 1] >= 2:
                     for b in lower.get(d - 2, empty).get(_mdeg_add(md, i, -2), ()):
-                        yield {(w, i): c for w, c in gb.get((b.index, i), empty).items()}
-        # antisymmetry of every pair, each side expanded through the
-        # definition of its second element
-        if d == 2 or stops or self.extra_consistency:
-            for a in range((d + 1) // 2, d):
-                for u, v in pairs(a, d - a, md, True):
-                    row = dict(self._esym_raw(u, v, esym))
-                    if u is not v:
-                        axpy(row, 1, self._esym_raw(v, u, esym))
-                    yield row
-        # Jacobi instances [[u,v],x_i] = [[u,x_i],v] + [u,[v,x_i]]
-        for a in range(d // 2, d - 1):
-            for i in range(1, self.r + 1):
-                if not md[i - 1]:
-                    continue
-                for u, v in pairs(a, d - 1 - a, _mdeg_add(md, i, -1), False):
-                    if self.extra_consistency or not self._zero_by_definition(u, v, i):
-                        yield self._jacobi_row(u, v, i, esym)
-        if self.extra_consistency:
+                        yield {w * s + i: c for w, c in gb.get((b.index, i), empty).items()}
+        # two-sided antisymmetry of every pair, the diagonal included
+        check = self.extra_consistency
+        for a in range((d + 1) // 2, d):
+            for u, v in pairs(a, d - a, md, True):
+                if check or not self._zero_pair(u, v):
+                    yield self._pair_row(u, v, esym)
+        if check:
+            # Jacobi instances [[u,v],x_i] = [[u,x_i],v] + [u,[v,x_i]]
+            for a in range(d // 2, d - 1):
+                for i in range(1, self.r + 1):
+                    if md[i - 1]:
+                        for u, v in pairs(a, d - 1 - a, _mdeg_add(md, i, -1), False):
+                            yield self._jacobi_row(u, v, i, esym)
             yield from self._heavy_jacobi_rows(d, md, lower, esym)
 
-    def _zero_by_definition(self, u, v, i):
-        """Whether the Jacobi row of (u, v, x_i) is the zero dict: v is x_i,
-        or [v, x_i] = +-z with u > z, where z is the element that [v, x_i]
-        defines or, for a generator v, the degree-2 element of [v, x_i]
+    def _pair_row(self, u, v, esym):
+        """The two-sided antisymmetry row of the pair u, v: [u,v] and [v,u]
+        each expanded through the definition of its second element, added;
+        for u = v, [u,u] alone."""
+        row = self._esym_raw(u, v, esym)
+        if u is not v:
+            row = dict(row)
+            axpy(row, 1, self._esym_raw(v, u, esym))
+        return row
+
+    def _zero_pair(self, u, v):
+        """Whether the two-sided antisymmetry row of the pair u, v is the
+        zero dict: for u > v, u = [u', x_k], [v, x_k] defines z and u' > z
         (see the module docstring)."""
-        if v.degree == 1 and v.gen == i:
-            return True
-        g = self.gen_bracket[(v.index, i)]
+        if u.order < v.order:
+            u, v = v, u
+        if u is v or u.degree == 1:
+            return False
+        k = u.gen
+        g = self.gen_bracket[(v.index, k)]
         if len(g) != 1:
             return False
         z = self.basis[next(iter(g))]
-        if v.degree > 1 and (z.parent is not v or z.gen != i):
-            return False
-        return (u.degree, -u.index) > (z.degree, -z.index)
+        return z.parent is v and z.gen == k and u.parent.order > z.order
 
     def _jacobi_row(self, u, v, i, esym):
         """The row of [[u,v],x_i] = [[u,x_i],v] + [u,[v,x_i]], expanded into
-        symbols: pi' of the boundary of u ^ v ^ x_i."""
+        symbols: pi' of the boundary of u ^ v ^ x_i (verification mode
+        only)."""
         gb = self.gen_bracket
-        row = {(w, i): c for w, c in self.bracket_basis(u, v).items()}
+        s = self.r + 1
+        row = {w * s + i: c for w, c in self.bracket_basis(u, v).items()}
         for w, c in gb.get((u.index, i), {}).items():
             axpy(row, -c, esym(self.basis[w], v))
         for w, c in gb.get((v.index, i), {}).items():
@@ -430,10 +455,11 @@ class _CoverEngine:
     def _esym_raw(self, a, b, esym):
         """[a, b] expanded into degree-d symbols through the definition of b,
         the brackets of lower degree through ``esym``."""
+        s = self.r + 1
         if b.degree == 1:
-            return {(a.index, b.gen): self.field.one}
+            return {a.index * s + b.gen: self.field.one}
         vp, j = b.parent, b.gen
-        out = {(w, j): c for w, c in self.bracket_basis(a, vp).items()}
+        out = {w * s + j: c for w, c in self.bracket_basis(a, vp).items()}
         for w, c in self.gen_bracket.get((a.index, j), {}).items():
             axpy(out, -c, esym(self.basis[w], vp))
         return canonical(self.field, out) or _ZERO

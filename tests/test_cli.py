@@ -315,6 +315,37 @@ def test_tables_report_a_degree_cap_as_a_failed_check(capsys, monkeypatch):
     ]
 
 
+def test_tables_report_an_orbit_rank_mismatch_as_a_failed_check(capsys, monkeypatch):
+    """A block of an orbit that gets no rows stays below its first block's
+    rank; the table names the block in a failed check, without a traceback."""
+    from extremal_lie import nilquot
+
+    rows = nilquot._CoverEngine._block_rows
+
+    def planted(self, d, md, lower, esym):
+        return iter(()) if md in ((2, 0), (2, 0, 0)) else rows(self, d, md, lower, esym)
+
+    monkeypatch.setattr(nilquot._CoverEngine, "_block_rows", planted)
+    code, out, err = run_cli(capsys, "--json", "tables", "lr", "--max-r", "2")
+    assert code == 1 and "Traceback" not in err
+    assert [(c["name"], c["pass"]) for c in json.loads(out)["checks"]] == [
+        ("dim L_1", True),
+        ("dim L_2: block (2, 0) reached rank 0, its orbit's first block (0, 2) has 1", False),
+    ]
+    code, out, _ = run_cli(capsys, "--json", "tables", "rr", "--max-r", "2")
+    assert code == 1
+    assert [(c["name"], c["pass"]) for c in json.loads(out)["checks"]] == [
+        ("dim R_1", True),
+        ("dim R_2: block (2, 0, 0) reached rank 0, its orbit's first block (0, 2, 0) has 1", False),
+    ]
+    code, out, _ = run_cli(capsys, "--json", "tables", "rr-lengths", "--r", "2")
+    assert code == 1
+    assert json.loads(out)["checks"] == [{
+        "name": "R_2 lengths: block (2, 0, 0) reached rank 0, its orbit's first block (0, 2, 0) has 1",
+        "expected": True, "actual": False, "pass": False,
+    }]
+
+
 def test_radicals_reports_failed_form_check(capsys, monkeypatch):
     from extremal_lie.liealg import BilinearForm
 

@@ -321,8 +321,8 @@ def test_orbit_block_whose_rows_run_out_raises():
     a (2,0) that gets no rows stays below its rank 1."""
     rows = nilquot._CoverEngine._block_rows
 
-    def planted(self, d, md, lower, esym, stops):
-        return iter(()) if md == (2, 0) else rows(self, d, md, lower, esym, stops)
+    def planted(self, d, md, lower, esym):
+        return iter(()) if md == (2, 0) else rows(self, d, md, lower, esym)
 
     with mock.patch.object(nilquot._CoverEngine, "_block_rows", planted):
         with pytest.raises(nilquot.OrbitRankMismatch, match="reached rank 0"):
@@ -342,29 +342,36 @@ def test_orbit_block_of_other_width_raises():
         eng.extend()
 
 
-def _complete_family_only():
-    """A patch under which every block draws only the complete family: the
-    sandwich rows, the antisymmetry rows at degree 2 and the Jacobi rows,
-    as an orbit's representative does outside verification mode."""
-    rows = nilquot._CoverEngine._block_rows
-
-    def complete(self, d, md, lower, esym, stops):
-        return rows(self, d, md, lower, esym, False)
-
-    return mock.patch.object(nilquot._CoverEngine, "_block_rows", complete)
+class _JacobiRowBuilt(Exception):
+    """Raised by the patched Jacobi row builders of ``_no_jacobi_rows``."""
 
 
-def _unoriented_skip_rule(self, u, v, i):
-    """A planted fault: the skip rule of an expansion that always runs
-    through the second element, blind to the orientation (any u other than
-    z)."""
-    g = self.gen_bracket[(v.index, i)]
-    if v.degree == 1:
-        return all(self.basis[w] is not u for w in g)
+def _no_jacobi_rows():
+    """A patch under which building a Jacobi row raises ``_JacobiRowBuilt``."""
+
+    def refuse(self, *args):
+        raise _JacobiRowBuilt
+
+    return mock.patch.multiple(nilquot._CoverEngine, _jacobi_row=refuse, _heavy_jacobi_rows=refuse)
+
+
+def _orientation_blind_skip(self, u, v):
+    """A planted fault: the skip of an expansion that always runs through
+    the definition of z, blind to the orientation (any u' other than z)."""
+    if u.order < v.order:
+        u, v = v, u
+    if u is v or u.degree == 1:
+        return False
+    g = self.gen_bracket[(v.index, u.gen)]
     if len(g) != 1:
         return False
     z = self.basis[next(iter(g))]
-    return z.parent is v and z.gen == i and z is not u
+    return z.parent is v and z.gen == u.gen and u.parent is not z
+
+
+def _no_diagonal_pairs(self, u, v, zero_pair=nilquot._CoverEngine._zero_pair):
+    """A planted fault: the diagonal pairs u = v are skipped too."""
+    return u is v or zero_pair(self, u, v)
 
 
 # (name, fast build, all-rows build) of the complete-family check
@@ -380,6 +387,7 @@ COMPLETE_FAMILY_CASES = [
     ("free3-6", lambda: free_nilpotent_quotient(3, 6)._engine,
      lambda: free_nilpotent_quotient(3, 6, extra_consistency=True)._engine),
 ]
+CASES = {name: builds for name, *builds in COMPLETE_FAMILY_CASES}
 
 
 def _state_or_mismatch(build):
@@ -391,36 +399,126 @@ def _state_or_mismatch(build):
         return str(exc)
 
 
-def _complete_family_matches(fast, slow):
-    """Whether ``fast``, with every block drawing only the complete family,
-    builds the engine state of ``slow``."""
-    with _complete_family_only():
-        got = _state_or_mismatch(fast)
-    return got == _engine_state(slow())
-
-
 @pytest.mark.parametrize("fast, slow", [c[1:] for c in COMPLETE_FAMILY_CASES],
                          ids=[c[0] for c in COMPLETE_FAMILY_CASES])
 def test_complete_family_alone_matches_all_rows_engine(fast, slow):
-    """Every block, not only the representatives, draws only the complete
-    family; the blocks that stop at their orbit's rank reach it, and the
-    engine state is that of the all-rows engine."""
-    assert _complete_family_matches(fast, slow)
+    """Every block draws only the sandwich and two-sided antisymmetry rows,
+    and no Jacobi row can be built; the blocks that stop at their orbit's
+    rank reach it, and the engine state is that of the all-rows engine."""
+    with _no_jacobi_rows():
+        got = _engine_state(fast())
+    assert got == _engine_state(slow())
+
+
+def test_no_jacobi_row_is_built_outside_verification_mode():
+    with _no_jacobi_rows():
+        nilquot.sandwich_algebra(4)
+        nilquot._companion_engine(3, QQ)
+        free_nilpotent_quotient(3, 6)
+        with pytest.raises(_JacobiRowBuilt):
+            _all_rows_engine(4, QQ)
 
 
 def test_unoriented_skip_rule_fails_the_complete_family_and_the_table(capsys):
+    """Skipping a pair whenever [v, x_k] defines some z other than u' drops
+    rows that are not zero: L_3 comes out too large, the blocks of L_4 miss
+    their orbit's rank, and ``tables lr`` fails both as checks."""
     from extremal_lie import cli
 
-    cases = {name: builds for name, *builds in COMPLETE_FAMILY_CASES}
-    with mock.patch.object(nilquot._CoverEngine, "_zero_by_definition", _unoriented_skip_rule):
-        assert nilquot.sandwich_algebra(3).total_dim == 24
-        assert nilquot.sandwich_algebra(4).total_dim == 755
-        assert not _complete_family_matches(*cases["L3-QQ"])
-        assert not _complete_family_matches(*cases["L4-QQ"])
+    with mock.patch.object(nilquot._CoverEngine, "_zero_pair", _orientation_blind_skip):
+        assert nilquot.sandwich_algebra(3).total_dim == 20
+        for name in ("L3-QQ", "free3-6"):
+            fast, slow = CASES[name]
+            assert _state_or_mismatch(fast) != _engine_state(slow()), name
         code = cli.main(["--json", "tables", "lr", "--max-r", "4"])
     assert code == 1
     checks = {c["name"]: c["pass"] for c in json.loads(capsys.readouterr().out)["checks"]}
-    assert checks == {"dim L_1": True, "dim L_2": True, "dim L_3": False, "dim L_4": False}
+    assert checks == {
+        "dim L_1": True,
+        "dim L_2": True,
+        "dim L_3": False,
+        "dim L_4: block (1, 2, 1, 1) reached rank 4, its orbit's first block (1, 1, 1, 2) has 6": False,
+    }
+
+
+def _skipped_pair_rows(build):
+    """Run ``build`` and return the canonical two-sided row of every pair
+    the engine skipped, built when it was skipped through a fresh
+    ``_Expansion`` of the engine."""
+    zero_pair = nilquot._CoverEngine._zero_pair
+    rows = []
+
+    def recording(self, u, v):
+        skip = zero_pair(self, u, v)
+        if skip:
+            rows.append(canonical(self.field, self._pair_row(u, v, nilquot._Expansion(self))))
+        return skip
+
+    with mock.patch.object(nilquot._CoverEngine, "_zero_pair", recording):
+        build()
+    return rows
+
+
+@pytest.mark.parametrize("build, skips", [
+    (lambda: nilquot.sandwich_algebra(1), 0),
+    (lambda: nilquot.sandwich_algebra(2), 0),
+    (lambda: nilquot.sandwich_algebra(3), 0),
+    (lambda: nilquot.sandwich_algebra(4), 4),
+    (lambda: nilquot.sandwich_algebra(5), 1683),
+    (lambda: nilquot.sandwich_algebra(1, field=GF(3)), 0),
+    (lambda: nilquot.sandwich_algebra(2, field=GF(3)), 0),
+    (lambda: nilquot.sandwich_algebra(3, field=GF(3)), 0),
+    (lambda: nilquot.sandwich_algebra(4, field=GF(3)), 4),
+    (lambda: nilquot._companion_engine(1, QQ), 0),
+    (lambda: nilquot._companion_engine(2, QQ), 0),
+    (lambda: nilquot._companion_engine(3, QQ), 2),
+    (lambda: nilquot._companion_engine(4, QQ), 209),
+    (lambda: free_nilpotent_quotient(3, 6), 21),
+], ids=["L1", "L2", "L3", "L4", "L5", "L1-GF3", "L2-GF3", "L3-GF3", "L4-GF3",
+        "R1", "R2", "R3", "R4", "free3-6"])
+def test_skipped_jacobi_instances_expand_to_zero(build, skips):
+    """The two-sided row of a pair u > v, u = [u', x_k], is pi' of the
+    definitional Jacobi instance D(v, u) = del(v ^ u' ^ x_k).  It is skipped
+    when [v, x_k] defines z and u' > z, because it is then the zero dict."""
+    rows = _skipped_pair_rows(build)
+    assert len(rows) == skips
+    assert all(row == {} for row in rows)
+
+
+def test_skipped_jacobi_row_check_can_fail():
+    """A wider skip drops rows that are not zero, and the check above sees
+    it; the dropped rows change the engine state, or a block misses its
+    orbit's rank."""
+
+    def l3():
+        return nilquot.sandwich_algebra(3)._engine
+
+    def l4():
+        return nilquot.sandwich_algebra(4)._engine
+
+    def l5():
+        return nilquot.sandwich_algebra(5)._engine
+
+    def r3():
+        return nilquot._companion_engine(3, QQ)
+
+    def free36():
+        return free_nilpotent_quotient(3, 6)._engine
+
+    states = {build: _engine_state(build()) for build in (l3, l4, r3, free36)}
+    with mock.patch.object(nilquot._CoverEngine, "_zero_pair", _orientation_blind_skip):
+        assert any(_skipped_pair_rows(free36))
+        for build in (l3, free36):
+            assert _engine_state(build()) != states[build], build.__name__
+        for build in (l4, r3):
+            with pytest.raises(nilquot.OrbitRankMismatch):
+                build()
+    l5_digest = _state_digest(l5())
+    with mock.patch.object(nilquot._CoverEngine, "_zero_pair", _no_diagonal_pairs):
+        assert any(_skipped_pair_rows(l3))
+        for build in (l3, l4, r3):
+            assert _state_or_mismatch(build) != states[build], build.__name__
+        assert _state_digest(l5()) != l5_digest
 
 
 def test_zero_brackets_share_one_read_only_value():
@@ -446,79 +544,6 @@ def test_an_engine_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-def _skipped_jacobi_rows(build):
-    """Run ``build`` and return the canonical row of every Jacobi instance
-    the engine skipped, built when it was skipped through a fresh
-    ``_Expansion`` of the engine."""
-    zero_by_definition = nilquot._CoverEngine._zero_by_definition
-    rows = []
-
-    def recording(self, u, v, i):
-        skip = zero_by_definition(self, u, v, i)
-        if skip:
-            rows.append(canonical(self.field, self._jacobi_row(u, v, i, nilquot._Expansion(self))))
-        return skip
-
-    with mock.patch.object(nilquot._CoverEngine, "_zero_by_definition", recording):
-        build()
-    return rows
-
-
-@pytest.mark.parametrize("build, skips", [
-    (lambda: nilquot.sandwich_algebra(1), 0),
-    (lambda: nilquot.sandwich_algebra(2), 0),
-    (lambda: nilquot.sandwich_algebra(3), 1),
-    (lambda: nilquot.sandwich_algebra(4), 21),
-    (lambda: nilquot.sandwich_algebra(1, field=GF(3)), 0),
-    (lambda: nilquot.sandwich_algebra(2, field=GF(3)), 0),
-    (lambda: nilquot.sandwich_algebra(3, field=GF(3)), 1),
-    (lambda: nilquot.sandwich_algebra(4, field=GF(3)), 21),
-    (lambda: nilquot._companion_engine(1, QQ), 0),
-    (lambda: nilquot._companion_engine(2, QQ), 3),
-    (lambda: nilquot._companion_engine(3, QQ), 28),
-    (lambda: free_nilpotent_quotient(3, 6), 83),
-], ids=["L1", "L2", "L3", "L4", "L1-GF3", "L2-GF3", "L3-GF3", "L4-GF3", "R1", "R2", "R3", "free3-6"])
-def test_skipped_jacobi_instances_expand_to_zero(build, skips):
-    """A Jacobi instance (u, v, x_i) is skipped when v is x_i, or when
-    [v, x_i] is +-z for the element z it defines (for a generator v, the
-    degree-2 element) and u > z, because its row is then the zero dict."""
-    rows = _skipped_jacobi_rows(build)
-    assert len(rows) == skips
-    assert all(row == {} for row in rows)
-
-
-def test_skipped_jacobi_row_check_can_fail():
-    """A wider skip drops rows that are not zero, and the check above sees
-    it.  A representative draws no antisymmetry rows at degree 3 and up, so
-    the dropped rows change the engine state too."""
-    zero_by_definition = nilquot._CoverEngine._zero_by_definition
-
-    def u_may_be_z(self, u, v, i):  # also when [v, x_i] is +-u
-        return zero_by_definition(self, u, v, i) or self.gen_bracket[(v.index, i)].keys() == {u.index}
-
-    def degree_only(self, u, v, i):  # u >= z compared by degree alone
-        g = self.gen_bracket[(v.index, i)]
-        if v.degree == 1 and v.gen == i or len(g) != 1:
-            return zero_by_definition(self, u, v, i)
-        z = self.basis[next(iter(g))]
-        return zero_by_definition(self, u, v, i) or (
-            u.degree >= z.degree and u is not z and (v.degree == 1 or z.parent is v and z.gen == i))
-
-    def free36():
-        return free_nilpotent_quotient(3, 6)._engine
-
-    def l4():
-        return nilquot.sandwich_algebra(4)._engine
-
-    free_state, l4_state = _engine_state(free36()), _engine_state(l4())
-    for planted in (u_may_be_z, degree_only, _unoriented_skip_rule):
-        with mock.patch.object(nilquot._CoverEngine, "_zero_by_definition", planted):
-            assert any(_skipped_jacobi_rows(free36)), planted.__name__
-            assert _state_or_mismatch(free36) != free_state, planted.__name__
-            if planted is not u_may_be_z:  # L_4 reaches no instance with [v, x_i] = +-u
-                assert _state_or_mismatch(l4) != l4_state, planted.__name__
-
-
 def _rows_drawn(build):
     """How many relation rows ``_block_rows`` yields while ``build`` runs."""
     rows = nilquot._CoverEngine._block_rows
@@ -535,16 +560,17 @@ def _rows_drawn(build):
 
 
 def test_cheap_rows_first_row_counts_are_pinned():
-    """Representatives draw only the complete family, the other blocks the
-    sandwich and antisymmetry rows before the Jacobi rows, and a Jacobi row
-    that is zero by definition is never built: L_5 draws 13,137 rows and the
-    capped R_4 1,863 (18,703 and 2,447 when representatives also draw the
-    antisymmetry rows; 36,070 and 5,841 with the Jacobi rows second and
-    every instance built)."""
-    assert _rows_drawn(lambda: nilquot.sandwich_algebra(5)) == 13137
-    assert _rows_drawn(lambda: nilquot._companion_engine(4, QQ)) == 1863
+    """Every block draws the sandwich rows, then the two-sided antisymmetry
+    rows, and a pair whose row is zero by definition is never built: L_5
+    draws 9,235 rows and the capped R_4 1,625.  Earlier engines drew more:
+    13,137 and 1,863 when an orbit's representative drew the Jacobi rows
+    in place of the antisymmetry rows (degree 3 and up), 18,703 and 2,447
+    when it drew both, and 36,070 and 5,841 with the Jacobi rows second in
+    every block and every Jacobi instance built."""
+    assert _rows_drawn(lambda: nilquot.sandwich_algebra(5)) == 9235
+    assert _rows_drawn(lambda: nilquot._companion_engine(4, QQ)) == 1625
 
 
 def test_verification_mode_builds_every_jacobi_instance():
-    assert _skipped_jacobi_rows(lambda: _all_rows_engine(4, QQ)) == []
-    assert _skipped_jacobi_rows(lambda: free_nilpotent_quotient(3, 6, extra_consistency=True)) == []
+    assert _skipped_pair_rows(lambda: _all_rows_engine(4, QQ)) == []
+    assert _skipped_pair_rows(lambda: free_nilpotent_quotient(3, 6, extra_consistency=True)) == []
