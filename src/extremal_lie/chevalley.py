@@ -20,8 +20,6 @@ over Q, serves every field; over GF(3), where 3! = 0, only they give exp.
 
 from __future__ import annotations
 
-from math import lcm
-
 from .rootdata import NonIntegral, RootSystem, integer_chevalley_data
 from .liealg import (
     AlgebraElement,
@@ -119,13 +117,6 @@ def chevalley_algebra(type_, rank, field):
     return ChevalleyAlgebra(type_, rank, field)
 
 
-def _integral(vecs):
-    """(vecs', d) for dicts ``vecs`` of rationals: d is the lcm of all their
-    denominators and vecs' the dicts times d, of ints."""
-    d = lcm(*(v.denominator for vec in vecs for v in vec.values()))
-    return [{j: v.numerator * (d // v.denominator) for j, v in vec.items()} for vec in vecs], d
-
-
 class ExpMap:
     """s -> exp(x, s) = 1 + s ad_x + (s^2/2) ad_x^2 for an extremal element
     x, as the factors ``Exp`` that act on vectors (see ``exp_map``).
@@ -142,9 +133,10 @@ class ExpMap:
         self.functional = fx
         ad, fv, xv = L.ad_columns(x), fx.values, x.coeffs
         if not L.field.characteristic:
-            ad, d_ad = _integral(ad)
-            (fv,), d_f = _integral([fv])
-            (xv,), d_x = _integral([xv])
+            ad, d_ad = clear_denominators(flatten(ad))
+            ad = unflatten(ad, L.n)
+            fv, d_f = clear_denominators(fv)
+            xv, d_x = clear_denominators(xv)
             self._scale = (d_ad, d_f * d_x)
         # what a factor reads; a factor holds this, not the map, so that
         # map and factors form no reference cycle and are freed at once
@@ -230,25 +222,19 @@ def exp_automorphism(L, x, s):
 def root_exp_apply(A, root, s, v):
     """exp(s ad x_root) v = sum_j v_j (b_j + sum_k s^k ad^k x_root b_j / k!),
     canonical, from the divided powers of the columns in v's support
-    (``ChevalleyAlgebra.divided_powers``); the map itself is never built."""
+    (``ChevalleyAlgebra.divided_powers``); the map itself is never built.
+    The sum runs on raw values with plain ``+`` and ``*`` and is made
+    canonical once, as ``linalg.axpy`` does."""
     f = A.field
     s = f.raw(s)
     idx = A.root_index[tuple(root)]
-    # v = w / e and s = a / b on ints (e = b = 1 over GF(p)); the image is
-    # accumulated times e b^K, K the largest k reached, and divided once
-    w, e = clear_denominators(v.coeffs)
-    a, b = s.numerator, s.denominator
-    columns = [(j, c, A.divided_powers(idx, j)) for j, c in w.items()]
-    top = max((len(ds) for _, _, ds in columns), default=0)
-    scale = [a**k * b ** (top - k) for k in range(top + 1)]
     acc = {}
-    for j, c, ds in columns:
-        acc[j] = acc.get(j, 0) + c * scale[0]
-        for k, d in enumerate(ds, 1):
-            axpy(acc, c * scale[k], d)
-    if f.characteristic:
-        return AlgebraElement(A.lie, canonical(f, acc))
-    return AlgebraElement(A.lie, divide(acc, e * b**top))
+    for j, c in v.coeffs.items():
+        acc[j] = acc.get(j, 0) + c
+        for d in A.divided_powers(idx, j):
+            c *= s
+            axpy(acc, c, d)
+    return AlgebraElement(A.lie, canonical(f, acc))
 
 
 def root_exponential(A, root, s=1):

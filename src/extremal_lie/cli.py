@@ -37,6 +37,10 @@ from .chevalley import (
 from . import rootgroups as rg
 from . import smallgen
 
+# The last tabulated r of L_r and of R_r, read from the tables once: past
+# them a table has no value to check and its construction does not finish
+_LAST_TABULATED = {"lr": max(nilquot.L_DIMS), "rr": max(nilquot.R_LENGTHS), "rr-lengths": max(nilquot.R_LENGTHS)}
+
 
 class UsageError(ValueError):
     """Malformed command-line input: exit code 2 with one line on stderr."""
@@ -162,9 +166,9 @@ def cmd_tables(args):
     flag, r = ("--max-r", args.max_r) if args.r is None else ("--r", args.r)
     if r < 1:
         raise UsageError("%s must be at least 1" % flag)
-    limit = 5 if args.which == "lr" else 4  # the tabulated L_5 and R_4
-    if r > limit and not args.experimental:
-        raise UsageError("%s beyond r=%d needs --experimental" % (args.which, limit))
+    limit = _LAST_TABULATED[args.which]
+    if r > limit:
+        raise UsageError("tables %s stops at r=%d, the last tabulated entry" % (args.which, limit))
     if args.which in ("lr", "rr"):
         name, build, dims = {
             "lr": ("L", nilquot.sandwich_algebra, nilquot.L_DIMS),
@@ -331,7 +335,6 @@ def build_parser():
     p.add_argument("which", choices=["lr", "rr", "rr-lengths"])
     p.add_argument("--max-r", type=int, default=4)
     p.add_argument("--r", type=int, default=None)
-    p.add_argument("--experimental", action="store_true")
     p.set_defaults(fn=cmd_tables)
 
     p = sub.add_parser("mingen", help="certify minimal extremal generation t(g)")

@@ -163,7 +163,8 @@ class LieAlgebra:
     # -- elements ----------------------------------------------------------------
 
     def element(self, coeffs):
-        """Element from a dict {index: value}, list of values, or label dict."""
+        """Element from a dict {index: value} or a list of values (an
+        ``AlgebraElement`` is returned as it is)."""
         f = self.field
         if isinstance(coeffs, AlgebraElement):
             return coeffs
@@ -173,8 +174,6 @@ class LieAlgebra:
         else:
             items = enumerate(coeffs)
         for k, v in items:
-            if isinstance(k, str):
-                k = self.labels.index(k)
             out[k] = f.raw(v)
         return AlgebraElement(self, canonical(f, out))
 

@@ -128,6 +128,11 @@ Every run, full or capped, extends at most ``MAX_DEGREE`` times; one that
 has not reached an empty degree by then raises ``DegreeCapExceeded``.  The
 constant is read at each call, so a test can lower it.
 
+The engine keeps its basis in one index, ``blocks`` (degree -> {multidegree:
+basis elements}, filled in build order, so a degree flattens to its elements
+in index order), and one int, w_index * (r + 1) + i, names the symbol
+[w, x_i] in the rows and in ``gen_bracket``.
+
 Basis elements are labeled by left-nested words: the word (a_1, ..., a_s)
 stands for [[...[x_{a_1}, x_{a_2}], x_{a_3}], ..., x_{a_s}].  A finished L_r
 is read through the validated ``LieAlgebra`` of
@@ -243,19 +248,15 @@ class _CoverEngine:
         self.extra_consistency = extra_consistency
         self.cap = cap
         self.basis = []  # all BasisElements, by global index
-        self.by_degree = [[]]  # by_degree[d] = list of BasisElements
-        self.by_mdeg = {}  # (degree, mdeg) -> list of BasisElements
-        self.gen_bracket = {}  # (w_index, i) -> {basis_index: raw}  for [w, x_i]
+        self.blocks = {1: {}}  # degree -> {mdeg: BasisElements}, nonempty, in build order
+        self.gen_bracket = {}  # symbol w_index * (r + 1) + i -> [w, x_i] as {basis_index: raw}
         self.pair_memo = {}  # (u_index, v_index) -> [u, v]; every zero is _ZERO
         self.relation_ranks = []  # per degree starting at 2
-        gens = []
         for i in range(1, r + 1):
             md = tuple(1 if j == i - 1 else 0 for j in range(r))
             b = BasisElement(len(self.basis), 1, md, None, i, (i,))
             self.basis.append(b)
-            gens.append(b)
-            self.by_mdeg.setdefault((1, md), []).append(b)
-        self.by_degree.append(gens)
+            self.blocks[1][md] = [b]
         self.completed = 1
 
     # -- resolved brackets at completed degrees --------------------------------
@@ -268,8 +269,9 @@ class _CoverEngine:
             return _ZERO
         if u.order < v.order:
             return _negated(self.field, self.bracket_basis(v, u))
+        gb, s = self.gen_bracket, self.r + 1
         if v.degree == 1:
-            return self.gen_bracket.get((u.index, v.gen), _ZERO)
+            return gb.get(u.index * s + v.gen, _ZERO)
         key = (u.index, v.index)
         memo = self.pair_memo.get(key)
         if memo is not None:
@@ -277,8 +279,8 @@ class _CoverEngine:
         out = {}
         vp, j = v.parent, v.gen
         for w, c in self.bracket_basis(u, vp).items():
-            axpy(out, c, self.gen_bracket.get((w, j), {}))
-        for w, c in self.gen_bracket.get((u.index, j), {}).items():
+            axpy(out, c, gb.get(w * s + j, _ZERO))
+        for w, c in gb.get(u.index * s + j, _ZERO).items():
             axpy(out, -c, self.bracket_basis(self.basis[w], vp))
         out = self.pair_memo[key] = canonical(self.field, out) or _ZERO
         return out
@@ -292,38 +294,36 @@ class _CoverEngine:
         rows of ``_block_rows``.  The first block of each orbit (see the
         module docstring) takes its rows until they run out or its echelon
         is full; every other block stops as soon as it reaches the rank of
-        its orbit's first block.  The symbol [w, x_i] is keyed by the int
-        w_index * (r + 1) + i until its rewrite goes into ``gen_bracket``
-        under (w_index, i).  Each block gets a fresh ``_Expansion``: [a, b]
+        its orbit's first block.  The symbol [w, x_i] is the int
+        w_index * (r + 1) + i, in the rows and as the key of its rewrite in
+        ``gen_bracket``.  Each block gets a fresh ``_Expansion``: [a, b]
         and every expansion its recursion asks for lie in the block
         mdeg a + mdeg b, so no other block could read an entry of its
-        memo."""
+        memo.  ``blocks[d]`` is set after the degree's last block, so
+        while the degree is built ``blocks`` holds the degrees below it."""
         d = self.completed + 1
         f = self.field
         s = self.r + 1
         cap = self.cap or (math.inf,) * self.r
-        blocks = {}  # mdeg -> list of symbol codes w_index * s + i
+        symbols = {}  # mdeg -> list of symbol codes w_index * s + i
         sym_pos = {}
-        for w in self.by_degree[d - 1]:
-            code = w.index * s
-            for i in range(1, self.r + 1):
-                md = _mdeg_add(w.mdeg, i)
-                if md[i - 1] > cap[i - 1]:
-                    continue
-                lst = blocks.setdefault(md, [])
-                sym_pos[code + i] = len(lst)
-                lst.append(code + i)
-
-        lower = {}  # degree -> {mdeg: basis elements}, the nonempty blocks below d
-        for (deg, md), elts in self.by_mdeg.items():
-            lower.setdefault(deg, {})[md] = elts
+        for elts in self.blocks[d - 1].values():
+            for w in elts:
+                code = w.index * s
+                for i in range(1, self.r + 1):
+                    md = _mdeg_add(w.mdeg, i)
+                    if md[i - 1] > cap[i - 1]:
+                        continue
+                    lst = symbols.setdefault(md, [])
+                    sym_pos[code + i] = len(lst)
+                    lst.append(code + i)
 
         reps = {}  # orbit key -> (mdeg, Echelon) of its first block
-        new_elts = []
+        new = {}  # mdeg -> basis elements, the nonempty blocks of degree d
         rewrites = {}
         total_rank = 0
-        for md in sorted(blocks):
-            keys = blocks[md]
+        for md in sorted(symbols):
+            keys = symbols[md]
             e = Echelon(f, len(keys))
             orbit = tuple(sorted(zip(cap, md)))
             rep_md, rep = (md, e) if self.extra_consistency else reps.setdefault(orbit, (md, e))
@@ -332,7 +332,7 @@ class _CoverEngine:
                                         % (md, e.width, rep_md, rep.width))
             goal = rep.dim if rep is not e else e.width
             if e.dim < goal:
-                for row in self._block_rows(d, md, lower, _Expansion(self)):
+                for row in self._block_rows(d, md, _Expansion(self)):
                     row = canonical(f, {sym_pos[key]: c for key, c in row.items()})
                     if row and e.insert(row) is not None and e.dim == goal:
                         break
@@ -350,22 +350,21 @@ class _CoverEngine:
                 parent = self.basis[w]
                 elt = BasisElement(len(self.basis), d, md, parent, i, parent.word + (i,))
                 self.basis.append(elt)
-                new_elts.append(elt)
-                self.by_mdeg.setdefault((d, md), []).append(elt)
+                new.setdefault(md, []).append(elt)
                 free_map[pos] = elt
-                rewrites[w, i] = {elt.index: f.one}
+                rewrites[key] = {elt.index: f.one}
             for pc in e.pivot_columns():
                 row = e.row(pc)
-                rewrites[divmod(keys[pc], s)] = canonical(
+                rewrites[keys[pc]] = canonical(
                     f, {free_map[pos].index: -row[pos] for pos in sorted(row) if pos != pc}
                 )
         self.gen_bracket.update(rewrites)
-        self.by_degree.append(new_elts)
+        self.blocks[d] = new
         self.relation_ranks.append(total_rank)
         self.completed = d
-        return len(new_elts)
+        return sum(map(len, new.values()))
 
-    def _block_rows(self, d, md, lower, esym):
+    def _block_rows(self, d, md, esym):
         """The relation rows of the degree-d block ``md``, as dicts over its
         symbol codes w_index * (r + 1) + i: the sandwich rows, then the
         two-sided antisymmetry rows of the pairs of lower blocks that sum to
@@ -374,8 +373,8 @@ class _CoverEngine:
         outside verification mode the pairs that ``_zero_pair`` finds are
         not built, and in verification mode every pair is built and the
         Jacobi rows follow, with a generator and then on heavier triples.
-        ``esym`` is the block's ``_Expansion`` and ``lower`` maps each
-        degree below d to its nonempty blocks."""
+        ``esym`` is the block's ``_Expansion``; the pairs come from
+        ``blocks``, which holds the degrees below d."""
         gb = self.gen_bracket
         s = self.r + 1
         empty = {}
@@ -383,8 +382,8 @@ class _CoverEngine:
         def pairs(a, b, m, diagonal):
             """(u, v) with deg u = a >= deg v = b and mdeg u + mdeg v = m; for
             a = b only v.index < u.index (<= when ``diagonal``)."""
-            vs_of = lower.get(b, empty)
-            for ma, us in lower.get(a, empty).items():
+            vs_of = self.blocks.get(b, empty)
+            for ma, us in self.blocks.get(a, empty).items():
                 vs = vs_of.get(tuple(x - y for x, y in zip(m, ma)))
                 if vs is None:
                     continue
@@ -397,8 +396,8 @@ class _CoverEngine:
         if self.sandwich:
             for i in range(1, self.r + 1):
                 if md[i - 1] >= 2:
-                    for b in lower.get(d - 2, empty).get(_mdeg_add(md, i, -2), ()):
-                        yield {w * s + i: c for w, c in gb.get((b.index, i), empty).items()}
+                    for b in self.blocks.get(d - 2, empty).get(_mdeg_add(md, i, -2), ()):
+                        yield {w * s + i: c for w, c in gb.get(b.index * s + i, empty).items()}
         # two-sided antisymmetry of every pair, the diagonal included
         check = self.extra_consistency
         for a in range((d + 1) // 2, d):
@@ -412,7 +411,7 @@ class _CoverEngine:
                     if md[i - 1]:
                         for u, v in pairs(a, d - 1 - a, _mdeg_add(md, i, -1), False):
                             yield self._jacobi_row(u, v, i, esym)
-            yield from self._heavy_jacobi_rows(d, md, lower, esym)
+            yield from self._heavy_jacobi_rows(d, md, esym)
 
     def _pair_row(self, u, v, esym):
         """The two-sided antisymmetry row of the pair u, v: [u,v] and [v,u]
@@ -433,7 +432,7 @@ class _CoverEngine:
         if u is v or u.degree == 1:
             return False
         k = u.gen
-        g = self.gen_bracket[(v.index, k)]
+        g = self.gen_bracket[v.index * (self.r + 1) + k]
         if len(g) != 1:
             return False
         z = self.basis[next(iter(g))]
@@ -446,9 +445,9 @@ class _CoverEngine:
         gb = self.gen_bracket
         s = self.r + 1
         row = {w * s + i: c for w, c in self.bracket_basis(u, v).items()}
-        for w, c in gb.get((u.index, i), {}).items():
+        for w, c in gb.get(u.index * s + i, _ZERO).items():
             axpy(row, -c, esym(self.basis[w], v))
-        for w, c in gb.get((v.index, i), {}).items():
+        for w, c in gb.get(v.index * s + i, _ZERO).items():
             axpy(row, -c, esym(u, self.basis[w]))
         return row
 
@@ -460,11 +459,11 @@ class _CoverEngine:
             return {a.index * s + b.gen: self.field.one}
         vp, j = b.parent, b.gen
         out = {w * s + j: c for w, c in self.bracket_basis(a, vp).items()}
-        for w, c in self.gen_bracket.get((a.index, j), {}).items():
+        for w, c in self.gen_bracket.get(a.index * s + j, _ZERO).items():
             axpy(out, -c, esym(self.basis[w], vp))
         return canonical(self.field, out) or _ZERO
 
-    def _heavy_jacobi_rows(self, d, md, lower, esym):
+    def _heavy_jacobi_rows(self, d, md, esym):
         """Jacobi rows of block ``md`` on triples of weight >= 2 each
         (verification mode only)."""
 
@@ -479,9 +478,9 @@ class _CoverEngine:
                 c = d - a - b
                 if c < 2:
                     continue
-                ws_of = lower.get(c, {})
-                for ma, us in lower.get(a, {}).items():
-                    for mb, vs in lower.get(b, {}).items():
+                ws_of = self.blocks.get(c, {})
+                for ma, us in self.blocks.get(a, {}).items():
+                    for mb, vs in self.blocks.get(b, {}).items():
                         ws = ws_of.get(tuple(x - y - z for x, y, z in zip(md, ma, mb)), ())
                         for u in us:
                             for v in vs:
@@ -512,33 +511,26 @@ class GradedQuotient:
         self.r = engine.r
         self.field = engine.field
         self._engine = engine
-        self.dims_by_degree = [len(engine.by_degree[d]) for d in range(1, engine.completed + 1)]
+        self.dims_by_degree = [sum(map(len, engine.blocks[d].values())) for d in range(1, engine.completed + 1)]
         while self.dims_by_degree and self.dims_by_degree[-1] == 0:
             self.dims_by_degree.pop()
         self.total_dim = sum(self.dims_by_degree)
-        self.multidegree_dims = {}
-        for (d, md), elts in engine.by_mdeg.items():
-            if elts:
-                self.multidegree_dims[md] = len(elts)
+        self.multidegree_dims = {md: len(elts) for bs in engine.blocks.values() for md, elts in bs.items()}
         self.relation_ranks = list(engine.relation_ranks)
 
     def as_lie_algebra(self):
-        """The quotient as a validated structure-constant algebra."""
+        """The quotient as a validated structure-constant algebra, on the
+        engine's basis in index order."""
         eng = self._engine
-        elts = [b for d in range(1, len(self.dims_by_degree) + 1) for b in eng.by_degree[d]]
-        index_of = {b.index: k for k, b in enumerate(elts)}
+        elts = eng.basis
         n = len(elts)
         labels = [_word_bracket_str(b.word) for b in elts]
         table = {}
         for a in range(n):
             for b in range(a + 1, n):
                 out = eng.bracket_basis(elts[a], elts[b])
-                row = {}
-                for k, c in out.items():
-                    if k in index_of:
-                        row[index_of[k]] = c
-                if row:
-                    table[(a, b)] = row
+                if out:
+                    table[(a, b)] = dict(out)
         return LieAlgebra(self.field, labels, table)
 
 
@@ -587,7 +579,8 @@ def assoc_dims_via_embedding(r, field=QQ):
     generator appears exactly once (length = total degree of the others)."""
     eng = _companion_engine(r, field)
     by_len = {}
-    for (d, md), elts in eng.by_mdeg.items():
-        if md[r] == 1:
-            by_len[d - 1] = by_len.get(d - 1, 0) + len(elts)
+    for d, bs in eng.blocks.items():
+        for md, elts in bs.items():
+            if md[r] == 1:
+                by_len[d - 1] = by_len.get(d - 1, 0) + len(elts)
     return AssocDims(r, [by_len.get(k, 0) for k in range(max(by_len) + 1)])

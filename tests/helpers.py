@@ -956,7 +956,7 @@ def graded_components(q):
     eng = q._engine
     out = []
     for d in range(1, len(q.dims_by_degree) + 1):
-        words = [b.word for b in eng.by_degree[d]] if d <= eng.completed else []
+        words = [b.word for elts in eng.blocks[d].values() for b in elts]
         out.append((words, q.relation_ranks[d - 2] if d >= 2 else 0))
     return out
 

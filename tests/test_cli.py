@@ -257,6 +257,7 @@ def test_mingen_f4_char5(capsys):
     ["radicals", "--type", "A\u0661"],
     ["mingen", "--type", "A1,A2", "--jobs", "2"],
     ["tables", "lr", "--max-r", "6"],
+    ["tables", "lr", "--max-r", "6", "--experimental"],
     ["tables", "rr", "--max-r", "5"],
     ["tables", "lr", "--max-r", "200000"],
     ["tables", "rr", "--max-r", "99999999999999999999"],
@@ -322,8 +323,8 @@ def test_tables_report_an_orbit_rank_mismatch_as_a_failed_check(capsys, monkeypa
 
     rows = nilquot._CoverEngine._block_rows
 
-    def planted(self, d, md, lower, esym):
-        return iter(()) if md in ((2, 0), (2, 0, 0)) else rows(self, d, md, lower, esym)
+    def planted(self, d, md, esym):
+        return iter(()) if md in ((2, 0), (2, 0, 0)) else rows(self, d, md, esym)
 
     monkeypatch.setattr(nilquot._CoverEngine, "_block_rows", planted)
     code, out, err = run_cli(capsys, "--json", "tables", "lr", "--max-r", "2")

@@ -59,7 +59,8 @@ def test_sandwich_dimensions_small():
 
 def test_sandwich_terminates_with_zero_component():
     q = sandwich(4)
-    assert q._engine.by_degree[-1] == []  # the run stopped at an empty degree
+    eng = q._engine
+    assert eng.blocks[eng.completed] == {}  # the run stopped at an empty degree
     assert all(d > 0 for d in q.dims_by_degree)
 
 
@@ -188,6 +189,31 @@ def test_bracket_in_quotient_multidegree_additive():
     assert all(lo <= k < lo + q.dims_by_degree[3] for k in out)
 
 
+@pytest.mark.parametrize("build", [
+    *(lambda r=r: sandwich(r) for r in (1, 2, 3, 4)),
+    lambda: nilquot.GradedQuotient(nilquot._companion_engine(3, QQ)),
+    lambda: free_nilpotent_quotient(3, 5),
+], ids=["L1", "L2", "L3", "L4", "R3-capped", "free3-5"])
+def test_blocks_flatten_to_the_basis_in_index_order(build):
+    """``as_lie_algebra`` builds its table on ``engine.basis`` and reads the
+    index a bracket returns as a place in it: each element's index is its
+    place, degrees never decrease along the basis, the blocks of a degree
+    flatten to that degree's slice of it, and the labels follow it."""
+    q = build()
+    eng = q._engine
+    basis = eng.basis
+    assert [b.index for b in basis] == list(range(len(basis)))
+    degrees = [b.degree for b in basis]
+    assert degrees == sorted(degrees)
+    lo = 0
+    for d in range(1, eng.completed + 1):
+        flat = [b for elts in eng.blocks[d].values() for b in elts]
+        assert flat == basis[lo:lo + len(flat)] and all(b.degree == d for b in flat), d
+        lo += len(flat)
+    assert lo == len(basis)
+    assert q.as_lie_algebra().labels == [nilquot._word_bracket_str(b.word) for b in basis]
+
+
 def test_components_expose_words_and_ranks():
     q = sandwich(3)
     comps = graded_components(q)
@@ -230,9 +256,11 @@ def _block_state(eng, keep=lambda md: True):
     """The engine's basis words per (degree, multidegree) block, and the
     rewrite of each symbol [w, x_i] as {word: coefficient}, on the blocks
     ``keep`` accepts."""
-    words = {key: [b.word for b in elts] for key, elts in eng.by_mdeg.items() if keep(key[1])}
+    words = {(d, md): [b.word for b in elts]
+             for d, bs in eng.blocks.items() for md, elts in bs.items() if keep(md)}
     rewrites = {}
-    for (w, i), vec in eng.gen_bracket.items():
+    for key, vec in eng.gen_bracket.items():
+        w, i = divmod(key, eng.r + 1)
         parent = eng.basis[w]
         if keep(nilquot._mdeg_add(parent.mdeg, i)):
             rewrites[parent.word + (i,)] = {eng.basis[k].word: c for k, c in vec.items()}
@@ -321,8 +349,8 @@ def test_orbit_block_whose_rows_run_out_raises():
     a (2,0) that gets no rows stays below its rank 1."""
     rows = nilquot._CoverEngine._block_rows
 
-    def planted(self, d, md, lower, esym):
-        return iter(()) if md == (2, 0) else rows(self, d, md, lower, esym)
+    def planted(self, d, md, esym):
+        return iter(()) if md == (2, 0) else rows(self, d, md, esym)
 
     with mock.patch.object(nilquot._CoverEngine, "_block_rows", planted):
         with pytest.raises(nilquot.OrbitRankMismatch, match="reached rank 0"):
@@ -331,13 +359,13 @@ def test_orbit_block_whose_rows_run_out_raises():
         # fault shows only as a basis word [x_1, x_1]
         eng = nilquot._CoverEngine(2, extra_consistency=True)
         eng.extend()
-        assert [b.word for b in eng.by_degree[2]] == [(2, 1), (1, 1)]
+        assert [b.word for elts in eng.blocks[2].values() for b in elts] == [(2, 1), (1, 1)]
 
 
 def test_orbit_block_of_other_width_raises():
     """x_1 listed twice doubles the symbols of block (2,0) but not of (0,2)."""
     eng = nilquot._CoverEngine(2)
-    eng.by_degree[1].append(eng.by_degree[1][0])
+    eng.blocks[1][(1, 0)].append(eng.blocks[1][(1, 0)][0])
     with pytest.raises(nilquot.OrbitRankMismatch, match="has 2 symbols"):
         eng.extend()
 
@@ -362,7 +390,7 @@ def _orientation_blind_skip(self, u, v):
         u, v = v, u
     if u is v or u.degree == 1:
         return False
-    g = self.gen_bracket[(v.index, u.gen)]
+    g = self.gen_bracket[v.index * (self.r + 1) + u.gen]
     if len(g) != 1:
         return False
     z = self.basis[next(iter(g))]

@@ -647,7 +647,6 @@ CLI_OPTIONS = {
     ("tables", "which"): "the table to reproduce: lr, rr or rr-lengths",
     ("tables", "--max-r"): "the largest r of the lr and rr tables, and the second spelling of --r",
     ("tables", "--r"): "the one r of the rr-lengths profile",
-    ("tables", "--experimental"): "lets r go past the tabulated L_5 and R_4",
     ("mingen", "--type"): "the type, or a comma list of types, to certify",
     ("mingen", "--char"): "the characteristic of the field, 0 for Q",
     ("radicals", "--type"): "the type of the Chevalley algebra",
