@@ -51,6 +51,8 @@ COMMANDS = [
     ["mingen", "--type", "D10,C8", "--char", "53"],
     ["radicals", "--type", "E6", "--char", "3"],
     ["threegen", "--edges", "-2,-2,0", "--char", "3"],
+    ["threegen", "--edges", "1,1,1", "--char", "7"],
+    ["threegen", "--edges", "1,1,-1", "--char", "7"],
 ]
 
 
