@@ -163,19 +163,12 @@ class LieAlgebra:
     # -- elements ----------------------------------------------------------------
 
     def element(self, coeffs):
-        """Element from a dict {index: value} or a list of values (an
-        ``AlgebraElement`` is returned as it is)."""
-        f = self.field
+        """Element from a dict {index: value} (an ``AlgebraElement`` is
+        returned as it is)."""
         if isinstance(coeffs, AlgebraElement):
             return coeffs
-        out = {}
-        if isinstance(coeffs, dict):
-            items = coeffs.items()
-        else:
-            items = enumerate(coeffs)
-        for k, v in items:
-            out[k] = f.raw(v)
-        return AlgebraElement(self, canonical(f, out))
+        f = self.field
+        return AlgebraElement(self, canonical(f, {k: f.raw(v) for k, v in coeffs.items()}))
 
     def basis_element(self, i):
         return AlgebraElement(self, {i: self.field.one})

@@ -4,8 +4,7 @@ A field value inside the package is a *raw* value, and only that; a
 ``Field`` is the arithmetic context that gives it meaning.  Over GF(p) a raw
 value is a canonical residue, an ``int`` in ``[0, p)``.  Over Q it is an
 ``int`` when it is integral and a ``Fraction`` otherwise: ``zero``, ``one``,
-``raw``, ``mul``, ``div``, ``inv`` and ``sqrt_raw`` return an ``int``
-whenever they can.
+``raw``, ``mul``, ``div`` and ``inv`` return an ``int`` whenever they can.
 Python's int and Fraction arithmetic mix exactly, and an integral Fraction
 equals and hashes like the int, so a sum that comes back as an integral
 ``Fraction`` is the same raw value.  ``Field.raw`` is the one place
@@ -133,30 +132,17 @@ class Field:
     def is_zero(self, a):
         return a == 0 if self.characteristic == 0 else a % self.characteristic == 0
 
-    # -- square roots ----------------------------------------------------------
+    # -- squares ---------------------------------------------------------------
 
-    def sqrt_raw(self, a):
-        """A canonical square root of ``a`` or None if ``a`` is not a square.
-
-        GF(p): the smaller of the two residues.  Rationals: the positive root
-        of a perfect-square fraction.
-        """
+    def is_square(self, a):
+        """Whether ``a`` is a square in this field: by Euler's criterion over
+        GF(p); over Q when ``a`` >= 0 and its numerator and denominator in
+        lowest terms are perfect squares."""
         p = self.characteristic
-        if p == 0:
-            a = Fraction(a)
-            if a < 0:
-                return None
-            rn, rd = isqrt(a.numerator), isqrt(a.denominator)
-            if rn * rn == a.numerator and rd * rd == a.denominator:
-                return _integral(Fraction(rn, rd))
-            return None
-        a %= p
-        if a == 0:
-            return 0
-        if pow(a, (p - 1) // 2, p) != 1:
-            return None
-        r = _sqrt_mod_prime(a, p)
-        return min(r, p - r)
+        if p:
+            return a % p == 0 or pow(a, (p - 1) // 2, p) == 1
+        a = Fraction(a)
+        return a >= 0 and all(isqrt(n) ** 2 == n for n in (a.numerator, a.denominator))
 
     # -- serialization ---------------------------------------------------------
 
@@ -190,29 +176,6 @@ class Field:
                 raise ZeroDivisionError("denominator divisible by %d" % p)
             return value.numerator * pow(den, -1, p) % p
         raise TypeError("%r is neither an int nor a Fraction" % (value,))
-
-
-def _sqrt_mod_prime(a, p):
-    """Tonelli-Shanks; assumes ``a`` is a nonzero quadratic residue mod odd p."""
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
 
 
 QQ = Field(0)

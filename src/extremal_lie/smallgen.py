@@ -201,7 +201,7 @@ def normalize(params):
         p = exp_transform_params(p, pivot, target, s if _even(pivot, target) else f.neg(s))
     n = p.nonzero_edges()
     minus2 = f.raw(-2)
-    if n == 3 and f.sqrt_raw(f.div(f.mul(minus2, p.edge_yz), f.mul(p.edge_xy, p.edge_xz))) is None:
+    if n == 3 and not f.is_square(f.div(f.mul(minus2, p.edge_yz), f.mul(p.edge_xy, p.edge_xz))):
         return None
     return TriangleParams(f, *(minus2 if k < n else 0 for k in range(3)), 0)
 

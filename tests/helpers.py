@@ -25,9 +25,9 @@ fast: ``DenseEchelon`` (dense reduced rows) and ``dense_kernel`` on it
 ``dense_extremal_gram``, ``bracket_is_extremal`` with two brackets per
 basis vector, ``fraction_inner``, the exp step and scaling of the
 three-generator normalization (``round_trip_exp_step``,
-``four_sign_scaling``), the chain probe over every pair
-(``reference_chain_search``), and the matrix layer on dense lists
-(``dense_mat_mul``, ``dense_matrix_lie_algebra``,
+``four_sign_scaling`` with its ``square_root`` by search), the chain probe
+over every pair (``reference_chain_search``), and the matrix layer on dense
+lists (``dense_mat_mul``, ``dense_matrix_lie_algebra``,
 ``dense_natural_representation`` with Burnside's closure).  The last
 section holds what only the tests reach: the free mode of the cover engine,
 the direct route to R_r, the right-nested ``monomial`` of L_r, sl2, and the
@@ -37,7 +37,7 @@ checks of the paper's lemmas that no command reports.
 import itertools
 import random
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, isqrt
 
 from hypothesis import strategies as st
 
@@ -435,13 +435,27 @@ def scale_params(params, alpha, beta, gamma):
     )
 
 
+def square_root(f, a):
+    """A square root of ``a`` in ``f``, or None: the least residue whose
+    square is ``a`` over GF(p) (by search), the nonnegative root of a
+    perfect-square fraction over Q (by ``isqrt``)."""
+    p = f.characteristic
+    if p:
+        return next((s for s in range(p) if s * s % p == a % p), None)
+    a = Fraction(a)
+    if a < 0:
+        return None
+    n, d = isqrt(a.numerator), isqrt(a.denominator)
+    return f.raw(Fraction(n, d)) if (n * n, d * d) == (a.numerator, a.denominator) else None
+
+
 def four_sign_scaling(f, a, b, c):
     """(extension required, final edges) of the three-edge scaling as
     ``normalize`` found it before its closed form: square roots of
     -2c/(ab), -2b/(ac) and -2a/(bc), then the one of four sign patterns
     that brings every edge to -2."""
     m2 = f.raw(-2)
-    roots = [f.sqrt_raw(f.div(f.mul(m2, u), f.mul(v, w))) for u, v, w in ((c, a, b), (b, a, c), (a, b, c))]
+    roots = [square_root(f, f.div(f.mul(m2, u), f.mul(v, w))) for u, v, w in ((c, a, b), (b, a, c), (a, b, c))]
     if None in roots:
         return True, (a, b, c)
     p = TriangleParams(f, a, b, c, 0)
@@ -1086,7 +1100,7 @@ def dense_matrix_lie_algebra(field, mats):
         coeffs = solve(flat(m))
         if coeffs is None:
             raise ValueError("matrix is not in the algebra")
-        return L.element(coeffs)
+        return L.element(dict(enumerate(coeffs)))
 
     return L, basis_mats, element_of
 

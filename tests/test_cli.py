@@ -496,17 +496,12 @@ def test_unknown_values_are_reported_not_checked(capsys):
     assert "reported" not in json.loads(out)
 
 
-def test_tables_beyond_known_values_are_reported(capsys, monkeypatch):
+def test_tables_are_keyed_without_gap_up_to_the_last_tabulated_r():
+    """``tables`` checks ``table[r]`` for every r it accepts, and refuses any
+    r past ``_LAST_TABULATED`` as a usage error (the past-the-table argvs of
+    ``test_malformed_input_exits_2_with_one_line``): so each table must hold
+    every r from 1 to that limit."""
     from extremal_lie import nilquot
 
-    monkeypatch.setattr(nilquot, "L_DIMS", {r: d for r, d in nilquot.L_DIMS.items() if r < 3})
-    monkeypatch.setattr(nilquot, "R_LENGTHS", {})
-    code, out, _ = run_cli(capsys, "--json", "tables", "lr", "--max-r", "3")
-    assert code == 0
-    data = json.loads(out)
-    assert [c["name"] for c in data["checks"]] == ["dim L_1", "dim L_2"]
-    assert data["reported"] == [{"name": "dim L_3", "value": 8}]
-    code, out, _ = run_cli(capsys, "--json", "tables", "rr-lengths", "--r", "2")
-    data = json.loads(out)
-    assert data["checks"] == []
-    assert [c["name"] for c in data["reported"]] == ["R_2 lengths", "R_2 palindromic after identity"]
+    for which, table in (("lr", nilquot.L_DIMS), ("rr", nilquot.R_DIMS), ("rr-lengths", nilquot.R_LENGTHS)):
+        assert sorted(table) == list(range(1, cli._LAST_TABULATED[which] + 1)), which

@@ -37,7 +37,7 @@ def same_verdict(L, x):
 def random_element(L, r):
     """A dense element with coefficients n or n/2, |n| <= 5 (2 is
     invertible in every characteristic used)."""
-    return L.element([Fraction(r.randint(-5, 5), r.randint(1, 2)) for _ in range(L.n)])
+    return L.element({j: Fraction(r.randint(-5, 5), r.randint(1, 2)) for j in range(L.n)})
 
 
 def pair_sums(L, elems, r, count):

@@ -50,40 +50,38 @@ def test_field_validates_its_characteristic():
     assert Field(0) == QQ and Field(101).characteristic == 101
 
 
-def test_sqrt_rationals():
-    assert QQ.sqrt_raw(4) == 2 and type(QQ.sqrt_raw(4)) is int
-    assert QQ.sqrt_raw(Fraction(9, 4)) == Fraction(3, 2)
-    assert QQ.sqrt_raw(2) is None
-    assert QQ.sqrt_raw(-4) is None
+def _assert_squares_exact(f, residues):
+    """``is_square`` agrees with the set of squares on every residue mod p."""
+    p = f.characteristic
+    squares = {a * a % p for a in range(p)}
+    assert len(squares) == (p + 1) // 2
+    for a in residues:
+        assert f.is_square(a) == (a in squares), (p, a)
 
 
-def test_sqrt_gf7_exhaustive():
-    f = GF(7)
-    squares = {}
-    for a in range(7):
-        squares.setdefault(a * a % 7, set()).add(a)
-    for a in range(7):
-        s = f.sqrt_raw(a)
-        if a in squares:
-            assert s is not None
-            assert s == min(squares[a])
-            assert f.mul(s, s) == a
-        else:
-            assert s is None
-    # the documented choices
-    assert f.sqrt_raw(2) == 3
-    assert f.sqrt_raw(3) is None
+def test_is_square_small_primes_exhaustive():
+    for p in (3, 5, 7, 11, 13):
+        _assert_squares_exact(GF(p), range(p))
+    # the documented examples: 2 = 3^2 is a square mod 7, 3 is not
+    assert GF(7).is_square(2) and not GF(7).is_square(3)
 
 
-def test_sqrt_large_prime_property():
-    f = GF(10007)
-    r = rng("sqrt")
-    for _ in range(50):
-        a = r.randrange(10007)
-        s = f.sqrt_raw(a)
-        if s is not None:
-            assert f.mul(s, s) == a
-            assert s <= 10007 - s
+def test_is_square_large_prime_exhaustive():
+    _assert_squares_exact(GF(10007), range(10007))
+
+
+def test_is_square_rationals():
+    """Every n/d with |n| <= 50, 1 <= d <= 50 is a square exactly when it is
+    one of (i/j)^2, i, j <= 7: negatives, zero, and fractions with a
+    non-square numerator or denominator included."""
+    squares = {Fraction(i, j) ** 2 for i in range(8) for j in range(1, 8)}
+    for n in range(-50, 51):
+        for d in range(1, 51):
+            q = Fraction(n, d)
+            assert QQ.is_square(QQ.raw(q)) == (q in squares), q
+    assert QQ.is_square(0) and QQ.is_square(4) and QQ.is_square(Fraction(9, 4))
+    for bad in (-4, 2, Fraction(-9, 4), Fraction(2, 9), Fraction(4, 3)):
+        assert not QQ.is_square(bad)
 
 
 def test_field_axioms_random_samples():
