@@ -207,7 +207,6 @@ def exp_map(L, x):
     is built once and kept: a later call with the same raw value returns the
     same ``Exp``.  Its attribute ``functional`` is f_x, so a caller that needs
     both proves x extremal once."""
-    x = L.element(x)
     fx = is_extremal(L, x)
     if fx is None:
         raise NotExtremal("exp is defined at extremal elements")

@@ -256,7 +256,7 @@ def cmd_rootgroups(args):
     found = set()
     for expect_case, x, y in rg.representative_pairs(A):
         found.add(expect_case)
-        out = rg.verify_abstract_root_properties(A.lie, x, y, sample_params=samples)
+        out = rg.verify_abstract_root_properties(A.lie, x, y, samples)
         rep.add("%s pair classified" % expect_case, expect_case, out["case"])
         rep.add_bool("%s properties" % expect_case, out["pass"])
     for case in ("commuting", "f0-noncommuting"):
@@ -270,9 +270,9 @@ def cmd_rootgroups(args):
         )
     else:
         x, z = pair
-        out = rg.strongcomm_check(A.lie, x, z, sample_params=samples)
+        out = rg.strongcomm_check(A.lie, x, z, samples)
         rep.add_bool("strongcomm conditions + product identity on (x, [x,y])", out["pass"])
-        line = rg.projective_line_check(A.lie, x, z, x + z, sample_params=samples)
+        line = rg.projective_line_check(A.lie, x, z, samples)
         rep.add_bool("projective line fully extremal", line["pass"])
     probe = rg.chain_nonexistence_probe(A)
     rep.add_bool("no forbidden chain found (probe)", probe["pass"])

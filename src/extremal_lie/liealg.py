@@ -80,14 +80,13 @@ class LieAlgebra:
         self.field = field
         self.labels = list(labels)
         self.n = len(self.labels)
-        self._table = {}  # (i, j), i < j -> canonical row, as given
         self._adj = [{} for _ in range(self.n)]  # _adj[i]: {j: [b_i, b_j]}, nonzero rows
         for (i, j), row in table.items():
             if not 0 <= i < j < self.n:
                 raise ValueError("table keys must satisfy 0 <= i < j < n")
             row = canonical(field, row)
             if row:
-                self._table[(i, j)] = self._adj[i][j] = row
+                self._adj[i][j] = row
                 self._adj[j][i] = canonical(field, {k: -c for k, c in row.items()})
         first = list(first)
         if len(set(first)) != len(first) or not all(0 <= i < self.n for i in first):
@@ -150,9 +149,11 @@ class LieAlgebra:
         n = self.n
         adj = self._adj
         above = [[] for _ in range(n)]  # above[m]: (j, k, c_jk^m), j < k, nonzero
-        for (j, k), row in self._table.items():
-            for m, c in row.items():
-                above[m].append((j, k, c))
+        for j in range(n):
+            for k, row in adj[j].items():
+                if j < k:
+                    for m, c in row.items():
+                        above[m].append((j, k, c))
         if any(_derivation_defects(p, adj, above, s, -1) for s in self.generators):
             for i in range(n):
                 failing = _derivation_defects(p, adj, above, i, i)
@@ -163,10 +164,7 @@ class LieAlgebra:
     # -- elements ----------------------------------------------------------------
 
     def element(self, coeffs):
-        """Element from a dict {index: value} (an ``AlgebraElement`` is
-        returned as it is)."""
-        if isinstance(coeffs, AlgebraElement):
-            return coeffs
+        """Element from a dict {index: value}, the values made raw."""
         f = self.field
         return AlgebraElement(self, canonical(f, {k: f.raw(v) for k, v in coeffs.items()}))
 
@@ -304,7 +302,7 @@ class Subspace:
         return [AlgebraElement(self.algebra, self._ech.row(c)) for c in self._ech.pivot_columns()]
 
     def contains(self, elt):
-        return self._ech.contains(elt.coeffs if isinstance(elt, AlgebraElement) else elt)
+        return self._ech.contains(elt.coeffs)
 
     def contains_subspace(self, other):
         return all(self.contains(v) for v in other.basis())
@@ -354,7 +352,7 @@ def _element_closure(L, seeds, expand):
     ech = Echelon(L.field, L.n)
     kept = closure(
         ech,
-        (L.element(s).coeffs for s in seeds),
+        (s.coeffs for s in seeds),
         lambda v: (w.coeffs for w in expand(AlgebraElement(L, v))),
     )
     return ech, [AlgebraElement(L, v) for v in kept]
@@ -362,7 +360,6 @@ def _element_closure(L, seeds, expand):
 
 def subalgebra_generated(L, gens):
     """Smallest subalgebra containing ``gens`` (left-normed closure)."""
-    gens = [L.element(g) for g in gens]
     ech, _ = _element_closure(L, gens, lambda v: (L.bracket(g, v) for g in gens))
     return Subspace(L, ech)
 
@@ -473,7 +470,6 @@ def is_extremal(L, x):
     combination of the columns, made canonical, is the vector [x, [x, b_j]]
     that two brackets give.  It is compared with lambda_j x; None at the
     first b_j that fails."""
-    x = L.element(x)
     if x.is_zero():
         raise ZeroElement("extremality is defined for nonzero elements")
     f = L.field
@@ -677,7 +673,7 @@ def _solvable_radical(L, kappa_rad, raising):
         Q, lift, project = quotient_algebra(L, R)
         if Q.n == 0:
             return R, True
-        cert = _no_solvable_ideal_certificate(Q, [project(L.element(e)) for e in raising], kappa_rad if Q is L else None)
+        cert = _no_solvable_ideal_certificate(Q, [project(e) for e in raising], kappa_rad if Q is L else None)
         if cert is True:
             return R, True
         if cert is None:
@@ -724,7 +720,6 @@ def sandwich_span_check(L, witnesses, form, raising=()):
     SanRad <= NilRad <= Rad(L) <= Rad(f) <= Rad(kappa)."""
     elems = []
     for idx, w in enumerate(witnesses):
-        w = L.element(w)
         fx = is_extremal(L, w)
         if fx is None or not fx.is_zero():
             raise NotASandwich("witness %d is not a sandwich" % idx)

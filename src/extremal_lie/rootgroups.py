@@ -51,11 +51,6 @@ def parameter_samples(field, seed_extra=()):
     return vals
 
 
-def _samples(field, sample_params):
-    """The given parameters, or ``parameter_samples``, as raw field values."""
-    return [field.raw(s) for s in (parameter_samples(field) if sample_params is None else sample_params)]
-
-
 class _Words:
     """Group words, tuples of ``chevalley.Exp`` factors with the rightmost
     acting first, applied to the generator vectors of L.  Images are pairs
@@ -131,11 +126,9 @@ def classify_pair(L, x, y, fx):
     return "opposite"
 
 
-def verify_abstract_root_properties(L, x, y, sample_params=None):
+def verify_abstract_root_properties(L, x, y, samples):
     """The five root-group properties, as identities of group words for
-    every sampled (or exhaustive) parameter pair."""
-    x = L.element(x)
-    y = L.element(y)
+    every pair of raw field values in ``samples`` (``parameter_samples``)."""
     f = L.field
     try:
         ex, ey = exp_map(L, x), exp_map(L, y)
@@ -143,7 +136,6 @@ def verify_abstract_root_properties(L, x, y, sample_params=None):
         raise NotExtremal("root group pairs need extremal elements") from None
     fx = ex.functional
     case = classify_pair(L, x, y, fx)
-    samples = _samples(f, sample_params)
     checks = []
 
     def record(prop, ok):
@@ -215,11 +207,10 @@ def _condition_2prime(L, x, y, fx, fy):
     return True
 
 
-def strongcomm_check(L, x, y, sample_params=None):
+def strongcomm_check(L, x, y, samples):
     """For commuting extremal x, y: the equivalent conditions for the line
-    kx + ky to consist of extremal elements, and the product identity."""
-    x = L.element(x)
-    y = L.element(y)
+    kx + ky to consist of extremal elements, and the product identity, over
+    the raw field values ``samples``."""
     f = L.field
     if not L.bracket(x, y).is_zero():
         raise PreconditionNotMet("strongcomm needs [x, y] = 0")
@@ -227,7 +218,6 @@ def strongcomm_check(L, x, y, sample_params=None):
         ex, ey = exp_map(L, x), exp_map(L, y)
     except NotExtremal:
         raise PreconditionNotMet("strongcomm needs extremal x, y") from None
-    samples = _samples(f, sample_params)
 
     cond2 = _condition_2prime(L, x, y, ex.functional, ey.functional)
     # (1)/(1'): extremality of sx + ty over the samples; exp(sx + ty, 1) of
@@ -272,36 +262,25 @@ def strongcomm_check(L, x, y, sample_params=None):
     }
 
 
-def _non_extremal_points(L, x, y, lambdas):
-    """The nonzero points x + lam y that are not extremal (lazily)."""
-    points = (x + lam * y for lam in lambdas)
-    return (p for p in points if not p.is_zero() and is_extremal(L, p) is None)
-
-
-def projective_line_check(L, x, y, third_point, sample_params=None):
-    """If three commuting extremal points lie on one projective line, every
-    nonzero point of the line is extremal (exhaustive over small GF(p))."""
+def projective_line_check(L, x, y, samples):
+    """If x, y and x + y are commuting extremal points of the projective
+    line through the independent x and y, every nonzero point of the line
+    is extremal: y and x + lam y for lam in the raw field values
+    ``samples`` are tested (exhaustive over small GF(p))."""
     f = L.field
-    x = L.element(x)
-    y = L.element(y)
-    third = L.element(third_point)
-    pts = [x, y, third]
-    for p in pts:
+    for p in (x, y, x + y):
         if is_extremal(L, p) is None:
             raise PreconditionNotMet("line points must be extremal")
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not L.bracket(pts[i], pts[j]).is_zero():
-                raise PreconditionNotMet("line points must commute pairwise")
-    ech = echelon_from_rows(f, L.n, [x.coeffs, y.coeffs])
-    if ech.dim != 2 or not ech.contains(third.coeffs):
-        raise PreconditionNotMet("the three points must span one projective line")
+    if not L.bracket(x, y).is_zero():
+        raise PreconditionNotMet("x and y must commute")
+    if echelon_from_rows(f, L.n, [x.coeffs, y.coeffs]).dim != 2:
+        raise PreconditionNotMet("x and y must be independent")
     # y is extremal (checked above); the other points are x + lam y
-    lambdas = _samples(f, sample_params)
-    bad = list(_non_extremal_points(L, x, y, lambdas))
+    points = (x + lam * y for lam in samples)
+    bad = [p for p in points if not p.is_zero() and is_extremal(L, p) is None]
     exhaustive = bool(f.characteristic and f.characteristic <= EXHAUSTIVE_CHAR_BOUND)
     return {
-        "points_checked": 1 + len(lambdas),
+        "points_checked": 1 + len(samples),
         "exhaustive": exhaustive,
         "non_extremal_points": bad,
         "pass": not bad,

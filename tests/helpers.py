@@ -132,13 +132,19 @@ def sandwich(r):
     return _sandwich_cache[r]
 
 
+def bracket_table(L):
+    """The nonzero brackets [b_i, b_j], i < j, of L as the table that
+    ``LieAlgebra`` takes: {(i, j): row}."""
+    return {(i, j): row for i in range(L.n) for j in range(i + 1, L.n) if (row := L.bracket_basis(i, j))}
+
+
 def rescaled(L, scales):
     """L on the basis scales[i] * b_i: c_ij^k becomes scales[i] scales[j] /
     scales[k] c_ij^k.  A valid table again, isomorphic to L."""
     f = L.field
     table = {
         (i, j): {k: f.div(f.mul(f.mul(scales[i], scales[j]), c), scales[k]) for k, c in row.items()}
-        for (i, j), row in L._table.items()
+        for (i, j), row in bracket_table(L).items()
     }
     return LieAlgebra(f, L.labels, table)
 
@@ -476,7 +482,6 @@ def _weight_lines(L, torus, sub):
     f = L.field
     spaces = [sub.basis()]
     for t in torus:
-        t = L.element(t)
         new_spaces = []
         for elems in spaces:
             if len(elems) == 1:
@@ -678,10 +683,9 @@ def dense_extremal_gram(L, spanning):
     from extremal_lie.linalg import Coordinates
 
     f = L.field
-    elems = [L.element(s) for s in spanning]
-    fvals = [[is_extremal(L, a)(b) for b in elems] for a in elems]
-    coordinates = Coordinates(f, [s.coeffs for s in elems], L.n)
-    coords = dense([coordinates.solve({i: f.one}) for i in range(L.n)], len(elems))
+    fvals = [[is_extremal(L, a)(b) for b in spanning] for a in spanning]
+    coordinates = Coordinates(f, [s.coeffs for s in spanning], L.n)
+    coords = dense([coordinates.solve({i: f.one}) for i in range(L.n)], len(spanning))
     half = dense_mat_mul(f, coords, fvals)
     return dense_mat_mul(f, half, [list(col) for col in zip(*coords)])
 
@@ -689,7 +693,6 @@ def dense_extremal_gram(L, spanning):
 def bracket_is_extremal(L, x):
     """Reference for ``liealg.is_extremal``: the same functional or None,
     from two full brackets [x, [x, b_j]] per basis vector."""
-    x = L.element(x)
     if x.is_zero():
         raise ZeroElement("extremality is defined for nonzero elements")
     f = L.field
@@ -731,7 +734,6 @@ class Map:
     @classmethod
     def ad(cls, L, x):
         """ad_x, its columns the brackets [x, b_j]."""
-        x = L.element(x)
         return cls(L, [L.bracket(x, b).coeffs for b in L.basis_elements()])
 
     def apply(self, elt):
@@ -759,7 +761,6 @@ def exp_reference(L, x):
     EXP_HALF s^2 ad_x^2 as a ``Map``, with ad_x^2 the square of ``Map.ad``
     (not f_x(b_j) x), one map per parameter.  Its attribute ``functional``
     is f_x."""
-    x = L.element(x)
     fx = is_extremal(L, x)
     if fx is None:
         raise NotExtremal("exp is defined at extremal elements")
@@ -955,12 +956,12 @@ def grow_extremal_spanning(L, seeds):
     return extremal_closure(L, seeds, expand)
 
 
-def line_is_fully_extremal(L, x, y, sample_params=None):
-    """Whether every sampled nonzero point of kx + ky is extremal (no
-    preconditions; used to exhibit failing lines)."""
-    from extremal_lie.rootgroups import _non_extremal_points, _samples
-
-    witness = next(_non_extremal_points(L, x, y, _samples(L.field, sample_params)), None)
+def line_is_fully_extremal(L, x, y, lambdas):
+    """Whether every nonzero point x + lam y, lam in ``lambdas``, is
+    extremal, the first that is not as the witness (no preconditions; used
+    to exhibit failing lines)."""
+    points = (x + lam * y for lam in lambdas)
+    witness = next((p for p in points if not p.is_zero() and is_extremal(L, p) is None), None)
     return {"fully_extremal": witness is None, "witness": witness}
 
 
@@ -1021,7 +1022,7 @@ def candidate_seeded_radical(L, raising=()):
         if Q.n == 0:
             return R, True
         cert = la._no_solvable_ideal_certificate(
-            Q, [project(L.element(e)) for e in raising], kappa_rad if Q is L else None
+            Q, [project(e) for e in raising], kappa_rad if Q is L else None
         )
         if cert is True or cert is None:
             return R, cert is True
@@ -1221,8 +1222,6 @@ def dense_phi_spectrum_check(L, x, y):
     from extremal_lie.liealg import killing_form
     from extremal_lie.linalg import charpoly, poly_mul
 
-    x = L.element(x)
-    y = L.element(y)
     f = L.field
     fx = is_extremal(L, x)
     if fx is None:
@@ -1247,7 +1246,10 @@ def dense_phi_spectrum_check(L, x, y):
     kap = form_value(kappa, x, y2)
     target = Subspace.from_elements(L, [x, L.bracket(x, y2)])
     # the columns of phi^2 - phi
-    img_ok = all(target.contains(combine(f, {0: 1, 1: -1}, pair)) for pair in zip(phi.compose(phi).cols, phi.cols))
+    img_ok = all(
+        target.contains(AlgebraElement(L, combine(f, {0: 1, 1: -1}, pair)))
+        for pair in zip(phi.compose(phi).cols, phi.cols)
+    )
     ok = cp == expected and kap == f.raw(s + 2) and img_ok
     return {
         "case": "b",
@@ -1263,8 +1265,6 @@ def dense_phi_spectrum_check(L, x, y):
 def dense_fourth_power_check(L, x, y, form):
     """Reference for ``fourth_power_check``: the fourth power of the ``Map``
     ad_[x,y], as two squarings."""
-    x = L.element(x)
-    y = L.element(y)
     if is_extremal(L, x) is None:
         raise PreconditionNotMet("x must be extremal")
     rad = form.radical()
@@ -1520,8 +1520,6 @@ def _long_class_generates(A):
 
 def fourth_power_check(L, x, y, form):
     """ad_{[x,y]}^4 = 0 for extremal x outside Rad(f) and y inside Rad(f)."""
-    x = L.element(x)
-    y = L.element(y)
     if is_extremal(L, x) is None:
         raise PreconditionNotMet("x must be extremal")
     rad = form.radical()
@@ -1549,11 +1547,9 @@ def direct_sum(L1, L2):
     if L1.field != L2.field:
         raise ValueError("mixed fields")
     labels = ["A." + s for s in L1.labels] + ["B." + s for s in L2.labels]
-    table = {}
-    for (i, j), row in L1._table.items():
-        table[(i, j)] = dict(row)
     off = L1.n
-    for (i, j), row in L2._table.items():
+    table = dict(bracket_table(L1))
+    for (i, j), row in bracket_table(L2).items():
         table[(i + off, j + off)] = {k + off: c for k, c in row.items()}
     return LieAlgebra(L1.field, labels, table)
 
@@ -1579,7 +1575,6 @@ def direct_sum_orthogonality_check(L, part1_indices, part2_indices, spanning_set
     for part, indices in ((p1, part1_indices), (p2, part2_indices)):
         ech = Echelon(f, L.n)
         for s in spanning_set:
-            s = L.element(s)
             proj = AlgebraElement(L, {k: c for k, c in s.coeffs.items() if k in indices})
             if proj.is_zero():
                 continue

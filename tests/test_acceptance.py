@@ -212,15 +212,16 @@ def test_criterion_09_root_group_identities():
                         f0pair = (A.x(a), A.x(b))
             pairs.append(("commuting", *commuting))
             pairs.append(("f0-noncommuting", *f0pair))
+            samples = rg.parameter_samples(A.field)
             for expect, u, v in pairs:
-                rep = rg.verify_abstract_root_properties(A.lie, u, v)
+                rep = rg.verify_abstract_root_properties(A.lie, u, v, samples)
                 ok = ok and rep["case"] == expect and rep["pass"]
             y = next(A.x(b) for b in rs.roots if rs.is_root(tuple(p + q for p, q in zip(theta, b))))
             z = A.lie.bracket(x, y)
-            sc = rg.strongcomm_check(A.lie, x, z)
+            sc = rg.strongcomm_check(A.lie, x, z, samples)
             ok = ok and sc["pass"] and sc["condition_2prime"]
             if ch == 5:
-                line = rg.projective_line_check(A.lie, x, z, x + z)
+                line = rg.projective_line_check(A.lie, x, z, samples)
                 ok = ok and line["exhaustive"] and line["pass"]
     _verdict(9, ok, "root group properties (1)-(5), strong commuting, line corollary")
 

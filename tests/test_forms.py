@@ -33,6 +33,7 @@ from extremal_lie.scalars import QQ, Field, GF
 
 from helpers import (
     abelian,
+    bracket_table,
     chevalley,
     dense,
     dense_center,
@@ -245,7 +246,7 @@ def rescaled_algebras(draw):
 def test_killing_form_and_center_match_dense_reference(L):
     kappa = killing_form(L)
     assert dense(kappa.rows, L.n) == dense_killing_gram(L)
-    if all(type(c) is int for row in L._table.values() for c in row.values()):
+    if all(type(c) is int for row in bracket_table(L).values() for c in row.values()):
         # integral constants give int entries over Q, residues over GF(p)
         assert all(type(c) is int for row in kappa.rows for c in row.values())
     assert center(L) == dense_center(L)

@@ -45,6 +45,7 @@ from helpers import (
     AntisymmetryViolation,
     NotADirectSum,
     abelian,
+    bracket_table,
     candidate_seeded_radical,
     cartan_element,
     chevalley,
@@ -129,7 +130,7 @@ def test_jacobi_on_rescaled_tables_matches_fraction_reference():
         c = [Fraction(r.choice([-1, 1]) * r.randint(1, 5), r.randint(1, 5)) for _ in range(n)]
         table = {
             (i, j): {k: Fraction(v) * c[i] * c[j] / c[k] for k, v in row.items()}
-            for (i, j), row in base._table.items()
+            for (i, j), row in bracket_table(base).items()
         }
         key = r.choice(sorted(table))
         bad = {ij: dict(row) for ij, row in table.items()}
@@ -181,7 +182,7 @@ def jacobi_tables(draw):
     f, n = L.field, L.n
     if name == "sl3-rescaled":
         L = rescaled(L, [f.raw(draw(nonzero(char))) for _ in range(n)])
-    table = {ij: dict(row) for ij, row in L._table.items()}
+    table = {ij: dict(row) for ij, row in bracket_table(L).items()}
     if variant == "outside":
         outside = [i for i in range(n) if i not in L.generators]
         j, k = draw(st.sampled_from([(j, k) for j in outside for k in outside if j < k]))

@@ -53,7 +53,7 @@ def test_parameter_samples():
 
 def test_properties_opposite_pair_sl2_gf5_exhaustive():
     L = sl2(GF(5))
-    rep = verify_abstract_root_properties(L, L.basis_element(0), L.basis_element(2))
+    rep = verify_abstract_root_properties(L, L.basis_element(0), L.basis_element(2), parameter_samples(L.field))
     assert rep["case"] == "opposite"
     assert rep["pass"]
 
@@ -61,7 +61,7 @@ def test_properties_opposite_pair_sl2_gf5_exhaustive():
 def test_properties_f0_pair_a2():
     for char in (5, 7):
         A = chevalley("A", 2, char)
-        rep = verify_abstract_root_properties(A.lie, A.x((1, 0)), A.x((0, 1)))
+        rep = verify_abstract_root_properties(A.lie, A.x((1, 0)), A.x((0, 1)), parameter_samples(A.field))
         assert rep["case"] == "f0-noncommuting"
         assert rep["pass"]
 
@@ -71,21 +71,21 @@ def test_properties_commuting_pair_a3():
     x = A.x((1, 0, 0))
     y = A.x((0, 0, 1))
     assert A.lie.bracket(x, y).is_zero()
-    rep = verify_abstract_root_properties(A.lie, x, y)
+    rep = verify_abstract_root_properties(A.lie, x, y, parameter_samples(A.field))
     assert rep["case"] == "commuting" and rep["pass"]
 
 
 def test_properties_same_line_pair():
     A = chevalley("A", 2, 5)
     x = A.x((1, 1))
-    rep = verify_abstract_root_properties(A.lie, x, 2 * x)
+    rep = verify_abstract_root_properties(A.lie, x, 2 * x, parameter_samples(A.field))
     assert rep["case"] == "same-line" and rep["pass"]
 
 
 def test_properties_d4_pairs():
     D = chevalley("D", 4, 5)
     theta = D.rootsystem.highest_root
-    rep = verify_abstract_root_properties(D.lie, D.x(theta), D.x(tuple(-c for c in theta)))
+    rep = verify_abstract_root_properties(D.lie, D.x(theta), D.x(tuple(-c for c in theta)), parameter_samples(D.field))
     assert rep["case"] == "opposite" and rep["pass"]
 
 
@@ -95,7 +95,7 @@ def test_strongcomm_qualifying_pair():
         A = chevalley("A", 2, char)
         x, y = A.x((1, 0)), A.x((0, 1))
         z = A.lie.bracket(x, y)
-        rep = strongcomm_check(A.lie, x, z)
+        rep = strongcomm_check(A.lie, x, z, parameter_samples(A.field))
         assert rep["condition_2prime"]
         assert rep["conditions_agree"]
         assert rep["product_identity"]
@@ -106,11 +106,11 @@ def test_strongcomm_failing_pair_d4():
     D = chevalley("D", 4)
     a = D.rootsystem.root_from_eps({1: 1, 2: -1})
     b = D.rootsystem.root_from_eps({3: 1, 4: -1})
-    rep = strongcomm_check(D.lie, D.x(a), D.x(b))
+    rep = strongcomm_check(D.lie, D.x(a), D.x(b), parameter_samples(D.field))
     assert not rep["condition_2prime"]
     assert rep["conditions_agree"]  # all three conditions fail together
     assert rep["pass"]
-    probe = line_is_fully_extremal(D.lie, D.x(a), D.x(b))
+    probe = line_is_fully_extremal(D.lie, D.x(a), D.x(b), parameter_samples(D.field))
     assert not probe["fully_extremal"]
     assert probe["witness"] is not None
 
@@ -118,14 +118,14 @@ def test_strongcomm_failing_pair_d4():
 def test_strongcomm_requires_commuting():
     A = chevalley("A", 2)
     with pytest.raises(PreconditionNotMet):
-        strongcomm_check(A.lie, A.x((1, 0)), A.x((0, 1)))
+        strongcomm_check(A.lie, A.x((1, 0)), A.x((0, 1)), parameter_samples(A.field))
 
 
 def test_strongcomm_zero_parameter_edge():
     A = chevalley("A", 2, 5)
     x, y = A.x((1, 0)), A.x((0, 1))
     z = A.lie.bracket(x, y)
-    rep = strongcomm_check(A.lie, x, z, sample_params=[0])
+    rep = strongcomm_check(A.lie, x, z, [A.field.zero])
     assert rep["pass"]
 
 
@@ -133,7 +133,7 @@ def test_projective_line_exhaustive_gf5():
     A = chevalley("A", 2, 5)
     x = A.x((1, 0))
     z = A.lie.bracket(x, A.x((0, 1)))
-    rep = projective_line_check(A.lie, x, z, x + z)
+    rep = projective_line_check(A.lie, x, z, parameter_samples(A.field))
     assert rep["exhaustive"]
     assert rep["points_checked"] == 6
     assert rep["pass"]
@@ -141,8 +141,12 @@ def test_projective_line_exhaustive_gf5():
 
 def test_projective_line_preconditions():
     A = chevalley("A", 2, 5)
+    samples = parameter_samples(A.field)
     with pytest.raises(PreconditionNotMet):
-        projective_line_check(A.lie, A.x((1, 0)), A.x((0, 1)), A.x((1, 1)))
+        projective_line_check(A.lie, A.x((1, 0)), A.x((0, 1)), samples)
+    x = A.x((1, 0))
+    with pytest.raises(PreconditionNotMet, match="independent"):
+        projective_line_check(A.lie, x, 2 * x, samples)
 
 
 def test_chain_nonexistence_probe():
@@ -176,14 +180,14 @@ def test_generator_words_match_the_full_matrix_reference(type_, rank, char):
     L = A.lie
     samples = parameter_samples(A.field)
     for case, x, y in _pairs(A):
-        fast = verify_abstract_root_properties(L, x, y, sample_params=samples)
+        fast = verify_abstract_root_properties(L, x, y, samples)
         ref = matrix_root_properties(L, x, y, samples)
         assert fast["case"] == ref["case"] == case
         assert [c["pass"] for c in fast["checks"]] == ref["checks"]
     pair = strongcomm_pair(A)
     assert (pair is None) == (type_ == "C")
     if pair is not None:
-        rep = strongcomm_check(L, *pair, sample_params=samples)
+        rep = strongcomm_check(L, *pair, samples)
         assert rep["condition_2prime"]
         assert rep["product_identity"] == matrix_product_identity(L, *pair, samples)
 
@@ -214,7 +218,7 @@ def _non_extremal_factor(monkeypatch, L, y):
             values[j] = lam
 
     def skips(M, v):
-        if M is L and M.element(v) == y:
+        if M is L and v == y:
             return ExtremalFunctional(L, values)
         return real(M, v)
 
@@ -236,7 +240,7 @@ def test_planted_wrong_half_reads_false_on_both_paths(monkeypatch, char):
     _wrong_half(monkeypatch)
     fast, ref = {}, {}
     for case, x, y in representative_pairs(A):
-        fast[case] = verify_abstract_root_properties(L, x, y, sample_params=samples)
+        fast[case] = verify_abstract_root_properties(L, x, y, samples)
         ref[case] = all(matrix_root_properties(L, x, y, samples)["checks"])
     assert {case for case, rep in fast.items() if not rep["pass"]} == {"same-line", "opposite"}
     assert sum(not c["pass"] for rep in fast.values() for c in rep["checks"]) == 4
@@ -257,7 +261,7 @@ def test_planted_non_extremal_factor_reads_false_on_both_paths(monkeypatch, type
     _non_extremal_factor(monkeypatch, L, y)
     samples = parameter_samples(A.field)
     x = A.x(rs.highest_root)
-    fast = verify_abstract_root_properties(L, x, y, sample_params=samples)
+    fast = verify_abstract_root_properties(L, x, y, samples)
     ref = matrix_root_properties(L, x, y, samples)
     assert [c["pass"] for c in fast["checks"]][:2] == ref["checks"][:2] == [False, False]
     assert not fast["pass"]

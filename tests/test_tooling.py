@@ -491,6 +491,60 @@ def test_layer_guard_finds_each_case(tmp_path):
     ]
 
 
+def _parameter_recoercions(package_dir):
+    """``module.function`` of each function of ``package_dir``/*.py that
+    hands ``.element(...)`` one of its parameters, or a name that a ``for``
+    loop or a comprehension binds from one: an element made again from what
+    the function was handed.  A function defined in another is searched as
+    part of it too, with the other's parameters."""
+    found = set()
+    for name in sorted(os.listdir(package_dir)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package_dir, name)) as fh:
+            tree = ast.parse(fh.read())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            a = fn.args
+            bound = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p}
+            loops = [node for node in ast.walk(fn) if isinstance(node, (ast.For, ast.comprehension))]
+            for _ in loops:  # a loop may iterate over what an earlier one bound
+                for loop in loops:
+                    if any(isinstance(n, ast.Name) and n.id in bound for n in ast.walk(loop.iter)):
+                        bound.update(n.id for n in ast.walk(loop.target) if isinstance(n, ast.Name))
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "element"
+                    and any(isinstance(arg, ast.Name) and arg.id in bound for arg in node.args)
+                ):
+                    found.add("%s.%s" % (name[:-3], fn.name))
+    return sorted(found)
+
+
+def test_no_element_is_made_again_from_a_parameter():
+    """``LieAlgebra.element`` makes an element from a dict, once, where the
+    values come in; every other function takes the ``AlgebraElement`` it is
+    handed as it is (ROADMAP aim 2, one element form)."""
+    assert _parameter_recoercions(PACKAGE_DIR) == []
+
+
+def test_parameter_recoercion_guard_finds_each_case(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def a(L, x):\n    x = L.element(x)\n    return x\n\n\n"
+        "def b(L, gens):\n    return [L.element(g) for g in gens]\n\n\n"
+        "def c(L, ws):\n    for i, w in enumerate(ws):\n        yield L.element(w)\n\n\n"
+        "class K:\n    def d(self, v, *, L):\n        return L.element(v).coeffs\n\n\n"
+        "def e(L, rows):\n    def inner():\n        return [L.element(r) for r in rows]\n\n    return inner\n\n\n"
+        "def fine(L, m, span):\n    coeffs = span.solve(m)\n"
+        "    return L.element(coeffs), L.element({0: m}), [L.element(r) for r in ROWS], L.elements(m)\n"
+    )
+    (tmp_path / "notes.txt").write_text("def f(L, x):\n    return L.element(x)\n")
+    assert _parameter_recoercions(str(tmp_path)) == ["m.a", "m.b", "m.c", "m.d", "m.e"]
+
+
 def _names_used(nodes):
     """Every name, attribute and imported name that occurs in ``nodes``."""
     out = set()
