@@ -53,6 +53,8 @@ COMMANDS = [
     ["threegen", "--edges", "-2,-2,0", "--char", "3"],
     ["threegen", "--edges", "1,1,1", "--char", "7"],
     ["threegen", "--edges", "1,1,-1", "--char", "7"],
+    ["radicals", "--type", "E6"],
+    ["radicals", "--type", "E7", "--char", "13"],
 ]
 
 
