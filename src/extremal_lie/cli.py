@@ -218,8 +218,8 @@ def cmd_radicals(args):
         rep.add("Rad(f) dim", 7, dims["Rad(f)"])
         rep.add_bool("Rad(L) < Rad(f) strict", dims["Rad(f)"] > dims["Rad(L)"])
     else:
-        # Rad(L) = Rad(f) = Z(L) (Hogeweij's tables; 0 over Q, where L is
-        # simple), and dim Z(L) is read off the Cartan matrix
+        # Rad(L) = Rad(f) = Z(L) (0 over Q, where L is simple); dim Z(L) is
+        # read off the Cartan matrix, by the argument of rootdata.cartan_nullity
         z = cartan_nullity(t, r, field.characteristic)
         rep.add("Rad(L) dim", z, dims["Rad(L)"])
         rep.add("Rad(f) dim", z, dims["Rad(f)"])

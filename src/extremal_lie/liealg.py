@@ -17,6 +17,7 @@ from .linalg import (
     canonical,
     closure,
     combine,
+    echelon_from_rows,
     flatten,
     kernel,
     mat_inverse,
@@ -289,10 +290,7 @@ class Subspace:
 
     @classmethod
     def from_elements(cls, algebra, elements):
-        e = Echelon(algebra.field, algebra.n)
-        for v in elements:
-            e.insert(v.coeffs if isinstance(v, AlgebraElement) else v)
-        return cls(algebra, e)
+        return cls(algebra, echelon_from_rows(algebra.field, algebra.n, (v.coeffs for v in elements)))
 
     @property
     def dim(self):
@@ -382,7 +380,7 @@ def center(L):
     images = [
         {t * n + k: c for t, j in enumerate(L.generators) for k, c in L.bracket_basis(i, j).items()} for i in range(n)
     ]
-    return Subspace.from_elements(L, kernel(L.field, images, len(L.generators) * n))
+    return Subspace(L, echelon_from_rows(L.field, n, kernel(L.field, images, len(L.generators) * n)))
 
 
 def _series(L, sub, derived):
@@ -503,7 +501,8 @@ class BilinearForm:
         """The left radical {x : f(x, .) = 0}, the relations among the Gram
         rows.  It is the right radical {y : f(., y) = 0} when f is symmetric,
         and may differ from it when f is not."""
-        return Subspace.from_elements(self.algebra, kernel(self.algebra.field, self.rows, self.algebra.n))
+        L = self.algebra
+        return Subspace(L, echelon_from_rows(L.field, L.n, kernel(L.field, self.rows, L.n)))
 
     def is_symmetric(self):
         G = self.rows
@@ -644,10 +643,10 @@ def _no_solvable_ideal_certificate(L, raising=(), kappa_rad=None):
         span = nxt
     # K' = {sum_i c_i b_i : sum_i c_i [e, b_i] = 0 for every e}, b a basis of
     # Rad(kappa): the kernel of b -> ([e_t, b]), [e_t, b] at the offset t * n
-    n, basis = L.n, kappa_rad.basis()
+    f, n, basis = L.field, L.n, kappa_rad.basis()
     images = [{t * n + k: c for t, e in enumerate(raising) for k, c in L.bracket(e, b).coeffs.items()} for b in basis]
     vecs = [b.coeffs for b in basis]
-    k_prime = Subspace.from_elements(L, [combine(L.field, x, vecs) for x in kernel(L.field, images, len(raising) * n)])
+    k_prime = Subspace(L, echelon_from_rows(f, n, [combine(f, x, vecs) for x in kernel(f, images, len(raising) * n)]))
     for v in k_prime.basis():
         ideal = ideal_generated(L, [v])
         if is_solvable_subspace(ideal):

@@ -15,23 +15,29 @@ the root-group identities on full products (``matrix_root_properties``,
 ``matrix_product_identity``), the closure over full root exponentials
 (``reference_extremal_spanning_set``), and the ad_x ad_y eigenvalue and
 fourth-power lemmas (``dense_phi_spectrum_check``,
-``dense_fourth_power_check``).
+``dense_fourth_power_check``, whose premises ``fourth_power_check`` shares).
 
 The other references are the package's code as it ran before it became
-fast: ``DenseEchelon`` (dense reduced rows) and ``dense_kernel`` on it
-(free columns, the old algorithm of ``linalg.kernel``), the dense form kernels
-(``dense_is_associative``, ``dense_killing_gram``, ``dense_center``),
+fast, on one dense layer that calls no ``linalg`` routine it stands in for:
+one dense product (``dense_mat_mul``), one dense row reduction
+(``DenseEchelon``, with ``dense_kernel`` on it: free columns, the old
+algorithm of ``linalg.kernel``), and one closure of flattened matrices on a
+``DenseEchelon`` (``dense_closure``), which is both the commutator closure
+of ``dense_matrix_lie_algebra`` and Burnside's associative closure in
+``dense_natural_representation``; ``dense_matrix`` builds the matrices they
+start from.  On that layer and on ``Map`` sit the dense form kernels
+(``dense_is_associative``, ``dense_killing_gram`` on the ``Map.ad``
+columns, ``dense_center``), the eigenline search (``eigenspaces``) of
+``eigenline_modules_irreducible`` and ``subset_certificate``,
 ``dense_jacobi`` over every basis triple, ``dense_ideal_generated``,
 ``dense_extremal_gram``, ``bracket_is_extremal`` with two brackets per
 basis vector, ``fraction_inner``, the exp step and scaling of the
 three-generator normalization (``round_trip_exp_step``,
-``four_sign_scaling`` with its ``square_root`` by search), the chain probe
-over every pair (``reference_chain_search``), and the matrix layer on dense
-lists (``dense_mat_mul``, ``dense_matrix_lie_algebra``,
-``dense_natural_representation`` with Burnside's closure).  The last
-section holds what only the tests reach: the free mode of the cover engine,
-the direct route to R_r, the right-nested ``monomial`` of L_r, sl2, and the
-checks of the paper's lemmas that no command reports.
+``four_sign_scaling`` with its ``square_root`` by search), and the chain
+probe over every pair (``reference_chain_search``).  The last section holds
+what only the tests reach: the free mode of the cover engine, the direct
+route to R_r, the right-nested ``monomial`` of L_r, sl2, and the checks of
+the paper's lemmas that no command reports.
 """
 
 import itertools
@@ -42,10 +48,11 @@ from math import factorial, gcd, isqrt
 from hypothesis import strategies as st
 
 from extremal_lie.scalars import QQ, GF
-from extremal_lie.rootdata import NonIntegral
+from extremal_lie.rootdata import NonIntegral, _symmetrizer
 from extremal_lie.chevalley import (
     ChevalleyAlgebra,
     UnsupportedType,
+    exp_map,
     extremal_spanning_set,
     root_exponential,
 )
@@ -62,10 +69,22 @@ from extremal_lie.liealg import (
     extremal_closure,
     extremal_form,
     is_extremal,
+    killing_form,
 )
-from extremal_lie.linalg import Echelon, axpy, canonical, combine, echelon_from_rows
-from extremal_lie.smallgen import TriangleParams, exp_transform_params
-from extremal_lie import nilquot, rootdata
+from extremal_lie.linalg import (
+    Coordinates,
+    Echelon,
+    axpy,
+    canonical,
+    charpoly,
+    closure,
+    combine,
+    echelon_from_rows,
+    poly_mul,
+)
+from extremal_lie.rootgroups import classify_pair
+from extremal_lie.smallgen import _X, _XY, _Y, TriangleParams, exp_transform_params
+from extremal_lie import liealg, nilquot, rootdata
 
 
 def mobius(n):
@@ -182,7 +201,7 @@ def dense(rows, width):
 
 
 def echelon_basis(e):
-    """The canonical basis rows of an ``Echelon`` (or ``DenseEchelon``) as
+    """The canonical basis rows of an ``Echelon`` or a ``DenseEchelon`` as
     dense lists, ordered by pivot column."""
     return dense([e.row(c) for c in e.pivot_columns()], e.width)
 
@@ -217,7 +236,8 @@ class DenseEchelon:
                 coef = v[c]
                 row = self.rows[c]
                 for j in range(c, self.width):
-                    v[j] = f.sub(v[j], f.mul(coef, row[j]))
+                    if row[j]:
+                        v[j] = f.sub(v[j], f.mul(coef, row[j]))
         return v
 
     def insert(self, vec):
@@ -231,7 +251,7 @@ class DenseEchelon:
         for c, row in self.rows.items():
             coef = row[piv]
             if not f.is_zero(coef):
-                self.rows[c] = [f.sub(row[j], f.mul(coef, v[j])) for j in range(self.width)]
+                self.rows[c] = [f.sub(x, f.mul(coef, y)) if y else x for x, y in zip(row, v)]
         self.rows[piv] = v
         return piv
 
@@ -243,9 +263,6 @@ class DenseEchelon:
 
     def row(self, c):
         return {j: x for j, x in enumerate(self.rows[c]) if not self.field.is_zero(x)}
-
-    def basis(self):
-        return [list(self.rows[c]) for c in sorted(self.rows)]
 
     def pivot_columns(self):
         return sorted(self.rows)
@@ -329,8 +346,6 @@ def eigenvalue_candidates(f, m):
     numerator and q the denominator of the lowest nonzero coefficient of the
     characteristic polynomial, up to numerator 10,000.  None beyond these
     bounds."""
-    from extremal_lie.linalg import charpoly
-
     if f.characteristic:
         if f.characteristic > 101:
             return None
@@ -350,14 +365,24 @@ def eigenvalue_candidates(f, m):
     return [f.raw(c) for c in sorted(cands)]
 
 
-def eigenvectors(f, elems, coords, lam):
-    """A basis of the lam-eigenspace of the map T on the span of the
-    elements ``elems``, where coords[i] are the coordinates of T(elems[i])."""
-    d = len(elems)
-    # x with sum_i x_i (coords[i] - lam e_i) = 0
-    images = [{j: f.sub(coords[i].get(j, f.zero), lam if i == j else f.zero) for j in range(d)} for i in range(d)]
-    zero = elems[0].algebra.zero()
-    return [sum((c * elems[i] for i, c in x.items()), zero) for x in dense_kernel(f, images, d)]
+def eigenspaces(L, t, elems):
+    """The eigenspaces of ad t on the span of the basis ``elems`` of L, each
+    as a list of elements: one per candidate eigenvalue
+    (``eigenvalue_candidates``) whose eigenspace is nonzero.  None if ad t
+    does not keep the span or the candidates are not known."""
+    f, d = L.field, len(elems)
+    span = Coordinates(f, [v.coeffs for v in elems], L.n)
+    coords = [span.solve(L.bracket(t, v).coeffs) for v in elems]  # [t, elems[i]] on the basis elems
+    cands = None if None in coords else eigenvalue_candidates(f, coords)
+    if cands is None:
+        return None
+    spaces = []
+    for lam in cands:
+        # x with sum_i x_i (coords[i] - lam e_i) = 0
+        images = [{j: f.sub(coords[i].get(j, f.zero), lam if i == j else f.zero) for j in range(d)} for i in range(d)]
+        if space := [sum((c * elems[i] for i, c in x.items()), L.zero()) for x in dense_kernel(f, images, d)]:
+            spaces.append(space)
+    return spaces
 
 
 def eigenline_modules_irreducible(M, modules):
@@ -366,28 +391,19 @@ def eigenline_modules_irreducible(M, modules):
     eigenline of ad [x,y], searched among ``eigenvalue_candidates``.  None
     where the candidates are not known (GF(p) with p > 101, or Q with a
     lowest charpoly coefficient above 10,000)."""
-    from extremal_lie.linalg import Coordinates
-    from extremal_lie.liealg import Subspace
-    from extremal_lie.smallgen import _X, _XY, _Y
-
-    f = M.field
     e = M.basis_element
     s_elts = [e(_X), e(_Y), e(_XY)]
     for mod in modules:
-        span = Coordinates(f, [v.coeffs for v in mod], M.n)
-        for s in s_elts:
-            for v in mod:
-                if span.solve(M.bracket(s, v).coeffs) is None:
-                    return False  # not even a module
-        coords = [span.solve(M.bracket(e(_XY), v).coeffs) for v in mod]
-        cands = eigenvalue_candidates(f, coords)
-        if cands is None:
+        span = Subspace.from_elements(M, mod)
+        if not all(span.contains(M.bracket(s, v)) for s in s_elts for v in mod):
+            return False  # not even a module
+        spaces = eigenspaces(M, e(_XY), mod)
+        if spaces is None:
             return None
-        for lam in cands:
-            for x in eigenvectors(f, mod, coords, lam):
-                line = Subspace.from_elements(M, [x])
-                if all(line.contains(M.bracket(s, x)) for s in s_elts):
-                    return False
+        for x in (x for space in spaces for x in space):
+            line = Subspace.from_elements(M, [x])
+            if all(line.contains(M.bracket(s, x)) for s in s_elts):
+                return False
     return True
 
 
@@ -477,31 +493,14 @@ def _weight_lines(L, torus, sub):
     decomposition is not multiplicity-free over the base field.  (The
     package used this for its no-solvable-ideal certificate before that
     certificate took the raising operators instead of a torus.)"""
-    from extremal_lie.linalg import Coordinates
-
-    f = L.field
     spaces = [sub.basis()]
     for t in torus:
         new_spaces = []
         for elems in spaces:
-            if len(elems) == 1:
-                new_spaces.append(elems)
-                continue
-            span = Coordinates(f, [e.coeffs for e in elems], L.n)
-            coords = [span.solve(L.bracket(t, e).coeffs) for e in elems]
-            if any(c is None for c in coords):
+            split = [elems] if len(elems) == 1 else eigenspaces(L, t, elems)
+            if split is None or sum(map(len, split)) != len(elems):
                 return None
-            cands = eigenvalue_candidates(f, coords)
-            if cands is None:
-                return None
-            found = 0
-            for lam in cands:
-                eig = eigenvectors(f, elems, coords, lam)
-                if eig:
-                    new_spaces.append(eig)
-                    found += len(eig)
-            if found != len(elems):
-                return None
+            new_spaces += split
         spaces = new_spaces
     if any(len(elems) != 1 for elems in spaces):
         return None
@@ -515,19 +514,12 @@ def subset_certificate(L, torus=None):
     basis-vector loop over Rad(kappa) it tries every subset of the weight
     lines of Rad(kappa) as a solvable ideal, and gives up (None) when
     Rad(kappa) has dimension above 12 or does not split into lines."""
-    from extremal_lie.liealg import (
-        Subspace,
-        ideal_generated,
-        is_solvable_subspace,
-        killing_form,
-    )
-
     kappa_rad = killing_form(L).radical()
     if kappa_rad.dim == 0:
         return True
     for v in kappa_rad.basis():
-        ideal = ideal_generated(L, [v])
-        if ideal.dim and is_solvable_subspace(ideal):
+        ideal = liealg.ideal_generated(L, [v])
+        if ideal.dim and liealg.is_solvable_subspace(ideal):
             return ideal
     if torus is not None and kappa_rad.dim <= 12:
         lines = _weight_lines(L, torus, kappa_rad)
@@ -535,7 +527,7 @@ def subset_certificate(L, torus=None):
             for size in range(1, len(lines) + 1):
                 for subset in itertools.combinations(lines, size):
                     sub = Subspace.from_elements(L, list(subset))
-                    if sub.dim and sub.is_ideal() and is_solvable_subspace(sub):
+                    if sub.dim and sub.is_ideal() and liealg.is_solvable_subspace(sub):
                         return sub
             return True
     return None
@@ -564,44 +556,30 @@ def dense_is_associative(form):
 
 def dense_killing_gram(L):
     """Reference for ``killing_form``: the Gram matrix of trace(ad_x ad_y),
-    entry by entry, from the matrices of ad_{b_i} as {(k, j): c} dicts."""
-    f = L.field
-    n = L.n
-    ad_rows = []  # ad_i as {(k, j): c} with [b_i, b_j] = sum c b_k
-    for i in range(n):
-        m = {}
-        for j in range(n):
-            for k, c in L.bracket_basis(i, j).items():
-                m[(k, j)] = c
-        ad_rows.append(m)
+    entry by entry, from the columns of ``Map.ad`` at the basis vectors:
+    trace(ad_i ad_j) sums ad_j[k][l] ad_i[l][k], column l of ad_j holding
+    the entries ad_j[k][l]."""
+    f, n = L.field, L.n
+    ads = [Map.ad(L, b).cols for b in L.basis_elements()]
     gram = [[f.zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
             s = f.zero
-            for (k, l), c in ad_rows[j].items():
-                d = ad_rows[i].get((l, k))
-                if d is not None:
-                    s = f.add(s, f.mul(c, d))
-            gram[i][j] = s
-            gram[j][i] = s
+            for l, col in enumerate(ads[j]):
+                for k, c in col.items():
+                    if l in ads[i][k]:
+                        s = f.add(s, f.mul(c, ads[i][k][l]))
+            gram[i][j] = gram[j][i] = s
     return gram
 
 
 def dense_center(L):
     """Reference for ``liealg.center``: the kernel of x -> ([x, b_j]) over
-    every basis vector b_j, not only the generators, the image of b_i as n
-    dense blocks."""
-    from extremal_lie.liealg import Subspace
-
-    f, n = L.field, L.n
-    images = []
-    for i in range(n):
-        image = [f.zero] * (n * n)
-        for j in range(n):
-            for k, c in L.bracket_basis(i, j).items():
-                image[j * n + k] = c
-        images.append(image)
-    return Subspace.from_elements(L, dense_kernel(f, sparse(images), n * n))
+    every basis vector b_j, not only the generators, [b_i, b_j] at the
+    offset j * n of the image of b_i."""
+    n = L.n
+    images = [{j * n + k: c for j in range(n) for k, c in L.bracket_basis(i, j).items()} for i in range(n)]
+    return Subspace(L, echelon_from_rows(L.field, n, dense_kernel(L.field, images, n * n)))
 
 
 def dense_ideal_generated(L, gens):
@@ -662,8 +640,6 @@ def fraction_inner(rs, s, t):
     """Reference for ``root_inner``: (s, t) = sum_ij s_i t_j d_i A[i][j]
     with one ``Fraction`` per term, as the package computed it before its root
     data became integral."""
-    from extremal_lie.rootdata import _symmetrizer
-
     d = _symmetrizer(rs.type, rs.rank)
     v = Fraction(0)
     for i in range(rs.rank):
@@ -679,9 +655,6 @@ def dense_extremal_gram(L, spanning):
     dense ``mat_mul`` products, C the coordinates of the basis over
     ``spanning`` and F[a][b] = f_a(s_b), as it was computed before the Gram
     became sparse."""
-    from extremal_lie.liealg import is_extremal
-    from extremal_lie.linalg import Coordinates
-
     f = L.field
     fvals = [[is_extremal(L, a)(b) for b in spanning] for a in spanning]
     coordinates = Coordinates(f, [s.coeffs for s in spanning], L.n)
@@ -839,8 +812,6 @@ def matrix_root_properties(L, x, y, samples):
     word is a product of ``exp_reference`` maps, compared column by column,
     as ``rootgroups`` decided the five properties before it compared words
     on the generators.  The check list, without names."""
-    from extremal_lie.rootgroups import classify_pair
-
     f = L.field
     ex, ey = exp_reference(L, x), exp_reference(L, y)
     case = classify_pair(L, x, y, ex.functional)
@@ -940,9 +911,6 @@ def grow_extremal_spanning(L, seeds):
     result is a spanning set of extremal elements whenever the closure fills
     the space; a stall raises NotSpanning.
     """
-    from extremal_lie.chevalley import exp_map
-    from extremal_lie.liealg import extremal_closure
-
     kept, autos = [], []
 
     def expand(x):
@@ -1010,23 +978,21 @@ def candidate_seeded_radical(L, raising=()):
     """Reference for ``liealg.solvable_radical``: R starts as the sum of the
     solvable ideals among center(L) and the derived series of Rad(kappa),
     then grows by the certificate's witnesses.  Returns (R, certified)."""
-    from extremal_lie import liealg as la
-
-    kappa_rad = la.killing_form(L).radical()
-    R = la.zero_subspace(L)
-    for c in [la.center(L)] + la.derived_series(L, kappa_rad):
-        if c.dim and c.is_ideal() and la.is_solvable_subspace(c):
+    kappa_rad = killing_form(L).radical()
+    R = liealg.zero_subspace(L)
+    for c in [liealg.center(L)] + liealg.derived_series(L, kappa_rad):
+        if c.dim and c.is_ideal() and liealg.is_solvable_subspace(c):
             R = R.sum(c)
     for _ in range(L.n + 1):
-        Q, lift, project = la.quotient_algebra(L, R)
+        Q, lift, project = liealg.quotient_algebra(L, R)
         if Q.n == 0:
             return R, True
-        cert = la._no_solvable_ideal_certificate(
+        cert = liealg._no_solvable_ideal_certificate(
             Q, [project(e) for e in raising], kappa_rad if Q is L else None
         )
         if cert is True or cert is None:
             return R, cert is True
-        R = la.ideal_generated(L, [lift(v) for v in cert.basis()] + R.basis())
+        R = liealg.ideal_generated(L, [lift(v) for v in cert.basis()] + R.basis())
     return R, False
 
 
@@ -1051,144 +1017,99 @@ def dense_mat_mul(field, a, b):
     return out
 
 
-def dense_matrix_lie_algebra(field, mats):
-    """Reference for ``liealg.matrix_lie_algebra`` on dense matrices: the
-    commutator closure on flattened dense vectors in a ``DenseEchelon``.
-    Coordinates are solved by ``linalg.Coordinates`` and read back dense."""
-    from extremal_lie.linalg import Coordinates, closure
-
-    f = field
-    size = len(mats[0])
-
-    def flat(m):
-        return [x for row in m for x in row]
-
-    def square(v):
-        return [v[i * size:(i + 1) * size] for i in range(size)]
-
-    def commutator(a, b):
-        ab, ba = dense_mat_mul(f, a, b), dense_mat_mul(f, b, a)
-        return [f.sub(x, y) for ra, rb in zip(ab, ba) for x, y in zip(ra, rb)]
-
-    kept = []
-
-    def expand(v):
-        m = square(v)
-        kept.append(m)
-        return (commutator(other, m) for other in tuple(kept))
-
-    ech = DenseEchelon(f, size * size)
-    closure(ech, ([f.raw(x) for x in flat(m)] for m in mats), expand)
-    rows = ech.basis()
-    basis_mats = [square(row) for row in rows]
-    n = len(basis_mats)
-    span = Coordinates(f, sparse(rows), size * size)
-
-    def solve(v):
-        coeffs = span.solve({j: x for j, x in enumerate(v) if not f.is_zero(x)})
-        return None if coeffs is None else dense([coeffs], n)[0]
-
-    table = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            coeffs = solve(commutator(basis_mats[a], basis_mats[b]))
-            if coeffs is None:
-                raise ValueError("matrix set is not closed under commutators")
-            table[(a, b)] = dict(enumerate(coeffs))
-    L = LieAlgebra(f, ["m%d" % i for i in range(n)], table)
-
-    def element_of(m):
-        coeffs = solve(flat(m))
-        if coeffs is None:
-            raise ValueError("matrix is not in the algebra")
-        return L.element(dict(enumerate(coeffs)))
-
-    return L, basis_mats, element_of
-
-
-def _unit_matrix(f, size, i, j):
+def dense_matrix(f, size, entries):
+    """The size x size dense matrix with the raw values of ``entries``,
+    {(i, j): value}, and zeros elsewhere."""
     m = [[f.zero] * size for _ in range(size)]
-    m[i][j] = f.one
+    for (i, j), c in entries.items():
+        m[i][j] = f.raw(c)
     return m
 
 
-def _scale_mat(f, c, m):
-    c = f.raw(c)
-    return [[f.mul(c, x) for x in row] for row in m]
+def _square(v, size):
+    """The size x size matrix, as rows, that the list ``v`` flattens row by row."""
+    return [v[i * size:(i + 1) * size] for i in range(size)]
 
 
-def _sum_mats(f, a, b):
-    return [[f.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def dense_closure(f, mats, products):
+    """The span of the size x size matrices ``mats``, flattened row by row,
+    closed under the matrices ``products(a, b)`` of every two kept matrices
+    a and b, a kept first (or a = b): a ``DenseEchelon`` of width size^2."""
+    size = len(mats[0])
+    kept = []
+
+    def expand(v):
+        m = _square(v, size)
+        kept.append(m)
+        return ([x for row in p for x in row] for other in tuple(kept) for p in products(other, m))
+
+    ech = DenseEchelon(f, size * size)
+    closure(ech, ([f.raw(x) for row in m for x in row] for m in mats), expand)
+    return ech
 
 
-def dense_split_gram(f, type_, n):
-    """The split form of type B, C or D on the Witt basis e_1..e_n, (e_0 for
-    B,) f_n..f_1: B(e_i, f_i) = 1 (B(e_0, e_0) = 1), and B(f_i, e_i) = -1
-    for C."""
-    size = 2 * n + 1 if type_ == "B" else 2 * n
-    g = [[f.zero] * size for _ in range(size)]
-    for i in range(n):
-        g[i][size - 1 - i] = f.one
-        g[size - 1 - i][i] = f.raw(-1) if type_ == "C" else f.one
-    if type_ == "B":
-        g[n][n] = f.one
-    return g
+def dense_matrix_lie_algebra(field, mats):
+    """Reference for ``liealg.matrix_lie_algebra`` on dense matrices: the
+    commutator closure of ``mats`` (``dense_closure``), its reduced rows the
+    basis.  A flattened matrix of the span has its entries at the pivot
+    columns as coordinates."""
+    f = field
+    size = len(mats[0])
+
+    def commutator(a, b):
+        ab, ba = dense_mat_mul(f, a, b), dense_mat_mul(f, b, a)
+        return [[f.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(ab, ba)]
+
+    ech = dense_closure(f, mats, lambda a, b: [commutator(a, b)])
+    pivots = ech.pivot_columns()
+    basis_mats = [_square(row, size) for row in echelon_basis(ech)]
+
+    def coordinates(m):
+        v = [x for row in m for x in row]
+        if not ech.contains(v):
+            raise ValueError("matrix is not in the algebra")
+        return {k: v[c] for k, c in enumerate(pivots)}
+
+    n = len(basis_mats)
+    table = {(a, b): coordinates(commutator(basis_mats[a], basis_mats[b])) for a in range(n) for b in range(a + 1, n)}
+    L = LieAlgebra(f, ["m%d" % i for i in range(n)], table)
+    return L, basis_mats, lambda m: L.element(coordinates(m))
 
 
 def dense_matrices_preserving(f, gram):
     """Basis of {X : X^T G + G X = 0}, the kernel of X -> X^T G + G X on
-    the dense unit matrices E_ab."""
+    the unit matrices E_ab: row b of E_ab^T G is row a of G, and column b of
+    G E_ab is column a of G."""
     size = len(gram)
     images = []
-    for a in range(size):
-        for b in range(size):
-            unit, unit_t = _unit_matrix(f, size, a, b), _unit_matrix(f, size, b, a)
-            m = _sum_mats(f, dense_mat_mul(f, unit_t, gram), dense_mat_mul(f, gram, unit))
-            images.append([x for row in m for x in row])
-    basis = dense(dense_kernel(f, sparse(images), size * size), size * size)
-    return [[[v[i * size + j] for j in range(size)] for i in range(size)] for v in basis]
-
-
-def dense_burnside_irreducible(f, mats, size):
-    """The associative closure of ``mats`` spans all size x size matrices
-    (Burnside), the reference for ``chevalley._flag_irreducible``."""
-    from extremal_lie.linalg import closure
-
-    kept = []
-
-    def expand(v):
-        m = [v[i * size:(i + 1) * size] for i in range(size)]
-        kept.append(m)
-        return (
-            [x for row in p for x in row]
-            for other in tuple(kept)
-            for p in (dense_mat_mul(f, other, m), dense_mat_mul(f, m, other))
-        )
-
-    ech = DenseEchelon(f, size * size)
-    closure(ech, ([x for row in m for x in row] for m in mats), expand)
-    return ech.dim == size * size
+    for a, b in itertools.product(range(size), repeat=2):
+        image = {b * size + j: x for j, x in enumerate(gram[a])}
+        for i in range(size):
+            image[i * size + b] = f.add(image.get(i * size + b, f.zero), gram[i][a])
+        images.append(image)
+    return [_square(v, size) for v in dense(dense_kernel(f, images, size * size), size * size)]
 
 
 def dense_natural_representation(type_, rank, field):
     """Reference for ``chevalley.natural_representation`` on dense
-    matrices.  Returns (report, algebra, basis matrices)."""
+    matrices.  Returns (report, algebra, basis matrices).  Types B, C and D
+    are the matrices that preserve the split form on the Witt basis e_1..e_n,
+    (e_0 for B,) f_n..f_1: B(e_i, f_i) = 1 (B(e_0, e_0) = 1), and B(f_i,
+    e_i) = -1 for C."""
     f = field
     n = rank
     if type_ == "A":
         size = n + 1
-        gens = []
-        for i in range(n):
-            gens.append(_unit_matrix(f, size, i, i + 1))
-            gens.append(_unit_matrix(f, size, i + 1, i))
-        long_mat = _unit_matrix(f, size, 0, 1)
+        gens = [dense_matrix(f, size, {ij: 1}) for i in range(n) for ij in ((i, i + 1), (i + 1, i))]
+        long_mat = dense_matrix(f, size, {(0, 1): 1})
     else:
         size = 2 * n + 1 if type_ == "B" else 2 * n
-        gens = dense_matrices_preserving(f, dense_split_gram(f, type_, n))
-        if type_ == "C":
-            long_mat = _unit_matrix(f, size, 0, size - 1)
-        else:
-            long_mat = _sum_mats(f, _unit_matrix(f, size, 0, 1), _scale_mat(f, -1, _unit_matrix(f, size, size - 2, size - 1)))
+        gram = {(n, n): 1} if type_ == "B" else {}
+        for i in range(n):
+            gram[(i, size - 1 - i)], gram[(size - 1 - i, i)] = 1, -1 if type_ == "C" else 1
+        gens = dense_matrices_preserving(f, dense_matrix(f, size, gram))
+        long_entries = {(0, size - 1): 1} if type_ == "C" else {(0, 1): 1, (size - 2, size - 1): -1}
+        long_mat = dense_matrix(f, size, long_entries)
     L, mats, element_of = dense_matrix_lie_algebra(f, gens + [long_mat])
     expected_dim = {"A": n * n + 2 * n, "B": n * (2 * n + 1), "C": n * (2 * n + 1), "D": n * (2 * n - 1)}[type_]
     extremal = is_extremal(L, element_of(long_mat)) is not None
@@ -1196,7 +1117,10 @@ def dense_natural_representation(type_, rank, field):
     for row in long_mat:
         ech.insert(row)
     m = ech.dim
-    irreducible = dense_burnside_irreducible(f, mats, size)
+    # Burnside: the module is irreducible when the associative closure of
+    # the basis matrices spans all size x size matrices
+    both_products = dense_closure(f, mats, lambda a, b: (dense_mat_mul(f, a, b), dense_mat_mul(f, b, a)))
+    irreducible = both_products.dim == size * size
     report = {
         "type": type_,
         "rank": rank,
@@ -1219,9 +1143,6 @@ def dense_phi_spectrum_check(L, x, y):
     n - s, kappa(x, y) = s + 2, and phi^2 - phi mapping into kx + k[x,y]
     (case b).  phi is the ``Map`` product of the two ad maps, its charpoly
     read from its columns (a matrix and its transpose share one)."""
-    from extremal_lie.liealg import killing_form
-    from extremal_lie.linalg import charpoly, poly_mul
-
     f = L.field
     fx = is_extremal(L, x)
     if fx is None:
@@ -1262,9 +1183,10 @@ def dense_phi_spectrum_check(L, x, y):
     }
 
 
-def dense_fourth_power_check(L, x, y, form):
-    """Reference for ``fourth_power_check``: the fourth power of the ``Map``
-    ad_[x,y], as two squarings."""
+def _fourth_power_report(L, x, y, form, vanishes):
+    """The report of the lemma ad_{[x,y]}^4 = 0, once its premises hold (x
+    extremal outside Rad(f), y inside Rad(f)), with ``vanishes(z)`` deciding
+    ad_z^4 = 0 for z = [x, y] nonzero."""
     if is_extremal(L, x) is None:
         raise PreconditionNotMet("x must be extremal")
     rad = form.radical()
@@ -1273,12 +1195,20 @@ def dense_fourth_power_check(L, x, y, form):
     if not rad.contains(y):
         raise PreconditionNotMet("y must lie in Rad(f)")
     z = L.bracket(x, y)
-    if z.is_zero():
-        return {"bracket_zero": True, "fourth_power_zero": True, "pass": True}
-    ad = Map.ad(L, z)
-    square = ad.compose(ad)
-    ok = not any(square.compose(square).cols)
-    return {"bracket_zero": False, "fourth_power_zero": ok, "pass": ok}
+    ok = z.is_zero() or vanishes(z)
+    return {"bracket_zero": z.is_zero(), "fourth_power_zero": ok, "pass": ok}
+
+
+def dense_fourth_power_check(L, x, y, form):
+    """Reference for ``fourth_power_check``: the fourth power of the ``Map``
+    ad_[x,y], as two squarings."""
+
+    def vanishes(z):
+        ad = Map.ad(L, z)
+        square = ad.compose(ad)
+        return not any(square.compose(square).cols)
+
+    return _fourth_power_report(L, x, y, form, vanishes)
 
 
 # -- routes and lemma checks that only the tests reach ---------------------------
@@ -1519,23 +1449,13 @@ def _long_class_generates(A):
 
 
 def fourth_power_check(L, x, y, form):
-    """ad_{[x,y]}^4 = 0 for extremal x outside Rad(f) and y inside Rad(f)."""
-    if is_extremal(L, x) is None:
-        raise PreconditionNotMet("x must be extremal")
-    rad = form.radical()
-    if rad.contains(x):
-        raise PreconditionNotMet("x must lie outside Rad(f)")
-    if not rad.contains(y):
-        raise PreconditionNotMet("y must lie in Rad(f)")
-    z = L.bracket(x, y)
-    if z.is_zero():
-        return {"bracket_zero": True, "fourth_power_zero": True, "pass": True}
-    ok = True
-    for v in L.basis_elements():
-        for _ in range(4):
-            v = L.bracket(z, v)
-        ok = ok and v.is_zero()
-    return {"bracket_zero": False, "fourth_power_zero": ok, "pass": ok}
+    """ad_{[x,y]}^4 = 0 for extremal x outside Rad(f) and y inside Rad(f),
+    by four brackets per basis vector."""
+
+    def vanishes(z):
+        return all(L.bracket(z, L.bracket(z, L.bracket(z, L.bracket(z, v)))).is_zero() for v in L.basis_elements())
+
+    return _fourth_power_report(L, x, y, form, vanishes)
 
 
 class NotADirectSum(ValueError):

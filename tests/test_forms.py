@@ -32,6 +32,7 @@ from extremal_lie.linalg import canonical
 from extremal_lie.scalars import QQ, Field, GF
 
 from helpers import (
+    DenseEchelon,
     abelian,
     bracket_table,
     chevalley,
@@ -257,7 +258,7 @@ def test_radical_is_the_left_radical():
     # is not, while f(., b_0) = 0 but f(., b_1) is not
     for field in (QQ, GF(3)):
         L = abelian(field, 2)
-        b0, b1 = (Subspace.from_elements(L, [{i: 1}]) for i in range(2))
+        b0, b1 = (Subspace.from_elements(L, [L.basis_element(i)]) for i in range(2))
         assert BilinearForm(L, [{1: 1}, {}]).radical() == b1
         assert BilinearForm(L, [{}, {0: 1}]).radical() == b0
 
@@ -278,24 +279,15 @@ DIAGRAMS = {
 
 
 def cartan_nullity(type_, rank, p):
-    """Dimension of the kernel of the Cartan matrix mod p."""
+    """Dimension of the kernel of the Cartan matrix mod p, by dense
+    elimination on the diagram's matrix."""
     a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
     for i, j, m in DIAGRAMS[type_](rank):
         a[i][j], a[j][i] = -m, -1
-    rows = [[x % p for x in row] for row in a]
-    r = 0
-    for c in range(rank):
-        piv = next((i for i in range(r, rank) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        for i in range(rank):
-            if i != r and rows[i][c]:
-                t = rows[i][c] * inv
-                rows[i] = [(x - t * y) % p for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return rank - r
+    ech = DenseEchelon(GF(p), rank)
+    for row in a:
+        ech.insert([x % p for x in row])
+    return rank - ech.dim
 
 
 @pytest.mark.parametrize(

@@ -17,15 +17,24 @@ REPO_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CALLER_DIRS = [os.path.join(REPO_DIR, "bench")]
 
 
+def _parsed_sources(*paths):
+    """(path, AST) of each ``*.py`` file directly in each directory of
+    ``paths``, and of each file of ``paths`` itself."""
+    for d in paths:
+        files = [os.path.join(d, n) for n in sorted(os.listdir(d)) if n.endswith(".py")] if os.path.isdir(d) else [d]
+        for path in files:
+            with open(path) as fh:
+                yield path, ast.parse(fh.read(), filename=path)
+
+
 def test_no_assert_statements_in_package():
     """Invariants raise typed exceptions: ``assert`` vanishes under ``python -O``."""
-    found = []
-    for name in sorted(os.listdir(PACKAGE_DIR)):
-        if name.endswith(".py"):
-            path = os.path.join(PACKAGE_DIR, name)
-            with open(path) as fh:
-                tree = ast.parse(fh.read(), filename=path)
-            found += ["%s:%d" % (name, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    found = [
+        "%s:%d" % (os.path.basename(path), node.lineno)
+        for path, tree in _parsed_sources(PACKAGE_DIR)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
     assert found == []
 
 
@@ -33,15 +42,12 @@ def _bare_runtime_errors(package_dir):
     """``file:line`` of each ``raise RuntimeError``, called or not, in
     ``package_dir``/*.py."""
     found = []
-    for name in sorted(os.listdir(package_dir)):
-        if name.endswith(".py"):
-            with open(os.path.join(package_dir, name)) as fh:
-                tree = ast.parse(fh.read())
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Raise):
-                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                    if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
-                        found.append("%s:%d" % (name, node.lineno))
+    for path, tree in _parsed_sources(package_dir):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "RuntimeError":
+                    found.append("%s:%d" % (os.path.basename(path), node.lineno))
     return found
 
 
@@ -107,8 +113,7 @@ def _report_checks_that_cannot_fail(path):
     itself), of ``rep.add_bool(name, True)`` calls, and of ``add`` or
     ``add_bool`` calls whose name literal says "(reported)": a value that is
     only reported goes to ``rep.report``."""
-    with open(path) as fh:
-        tree = ast.parse(fh.read(), filename=path)
+    [(_, tree)] = _parsed_sources(path)
     found = []
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
@@ -159,8 +164,7 @@ def test_report_check_guard_finds_each_pattern(tmp_path):
 def test_package_init_holds_only_its_docstring():
     """There is no package-level API: the modules are imported by name, and
     the command line is the interface, so ``__init__`` re-exports nothing."""
-    with open(os.path.join(PACKAGE_DIR, "__init__.py")) as fh:
-        tree = ast.parse(fh.read())
+    [(_, tree)] = _parsed_sources(os.path.join(PACKAGE_DIR, "__init__.py"))
     assert ast.get_docstring(tree) and len(tree.body) == 1
 
 
@@ -189,17 +193,6 @@ def _definitions(tree):
                     yield "%s.%s" % (node.name, item.name), item.name
 
 
-def _parsed_sources(package_dir, other_dirs):
-    """(path, AST) of each ``*.py`` file directly in ``package_dir`` and in
-    each of ``other_dirs``."""
-    for d in [package_dir] + list(other_dirs):
-        for name in sorted(os.listdir(d)):
-            if name.endswith(".py"):
-                path = os.path.join(d, name)
-                with open(path) as fh:
-                    yield path, ast.parse(fh.read(), filename=path)
-
-
 def _uncalled_functions(package_dir, other_dirs):
     """Module-level functions, classes and methods (see ``_definitions``) of
     ``package_dir``/*.py that no module of the package or of ``other_dirs``
@@ -207,7 +200,7 @@ def _uncalled_functions(package_dir, other_dirs):
     A method counts as named only by an attribute: a local variable of the
     same name is not a use.  Re-exports in ``__init__.py`` are not uses."""
     defined, named, attributes = [], set(), set()
-    for path, tree in _parsed_sources(package_dir, other_dirs):
+    for path, tree in _parsed_sources(package_dir, *other_dirs):
         if os.path.basename(path) == "__init__.py":
             continue
         if os.path.dirname(path) == package_dir:
@@ -307,7 +300,7 @@ def _unset_parameters(package_dir, other_dirs):
     ``*args`` (every position from the star on) or ``**kwargs`` (every
     parameter)."""
     defined, calls = [], {}
-    for path, tree in _parsed_sources(package_dir, other_dirs):
+    for path, tree in _parsed_sources(package_dir, *other_dirs):
         if os.path.dirname(path) == package_dir:
             defined += [(os.path.basename(path),) + p for p in _defaulted_parameters(tree)]
         for node in ast.walk(tree):
@@ -377,11 +370,8 @@ def _dense_vector_builds(package_dir):
     multiplies a list holding ``<x>.zero``: a dense field vector.  A nested
     function counts for the function it is defined in."""
     found = []
-    for name in sorted(os.listdir(package_dir)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(package_dir, name)) as fh:
-            tree = ast.parse(fh.read())
+    for path, tree in _parsed_sources(package_dir):
+        name = os.path.basename(path)
         units = []
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
@@ -448,11 +438,8 @@ def _layer_violations(package_dir, layers, package):
     import of the package made inside a function or class, where it would
     hide an import the layers forbid at the top."""
     found = []
-    for name in sorted(os.listdir(package_dir)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(package_dir, name)) as fh:
-            tree = ast.parse(fh.read())
+    for path, tree in _parsed_sources(package_dir):
+        name = os.path.basename(path)
         below = layers[:layers.index(name[:-3])] if name[:-3] in layers else ()
         top = set(map(id, tree.body))
         for node in ast.walk(tree):
@@ -498,11 +485,8 @@ def _parameter_recoercions(package_dir):
     the function was handed.  A function defined in another is searched as
     part of it too, with the other's parameters."""
     found = set()
-    for name in sorted(os.listdir(package_dir)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(package_dir, name)) as fh:
-            tree = ast.parse(fh.read())
+    for path, tree in _parsed_sources(package_dir):
+        name = os.path.basename(path)
         for fn in ast.walk(tree):
             if not isinstance(fn, ast.FunctionDef):
                 continue
@@ -565,13 +549,9 @@ def _unreached_helpers(helpers_path, test_paths):
     an attribute or an import; a reached helper reaches what its body names,
     and the module-level statements of the helpers file reach what they
     name.  A helper that only names itself is not reached."""
-    with open(helpers_path) as fh:
-        tree = ast.parse(fh.read(), filename=helpers_path)
+    [(_, tree)], tests = _parsed_sources(helpers_path), _parsed_sources(*test_paths)
     defs = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    roots = _names_used(node for node in tree.body if node not in defs.values())
-    for path in test_paths:
-        with open(path) as fh:
-            roots |= _names_used([ast.parse(fh.read(), filename=path)])
+    roots = _names_used(node for node in tree.body if node not in defs.values()) | _names_used(t for _, t in tests)
     todo, reached = [name for name in roots if name in defs], set()
     while todo:
         name = todo.pop()
@@ -626,20 +606,12 @@ def _names_defined(body):
     return out
 
 
-def _module_names(path):
-    """The names that the module-level statements of ``path`` define."""
-    with open(path) as fh:
-        return _names_defined(ast.parse(fh.read(), filename=path).body)
-
-
 def _shadowed_names(helpers_path, package_dir):
     """Module-level names of ``helpers_path`` that a module of
     ``package_dir`` defines too, sorted."""
-    package = set()
-    for name in os.listdir(package_dir):
-        if name.endswith(".py"):
-            package |= _module_names(os.path.join(package_dir, name))
-    return sorted(_module_names(helpers_path) & package)
+    [(_, helpers)] = _parsed_sources(helpers_path)
+    package = set().union(*(_names_defined(tree.body) for _, tree in _parsed_sources(package_dir)))
+    return sorted(_names_defined(helpers.body) & package)
 
 
 def test_no_test_helper_shares_a_name_with_the_package():
@@ -667,8 +639,7 @@ def test_shadowed_name_guard_finds_each_case(tmp_path):
 def _second_map_classes(helpers_path):
     """Top-level classes of ``helpers_path`` other than ``Map`` whose body
     defines both ``apply`` and ``compose``, by a def or an assignment."""
-    with open(helpers_path) as fh:
-        tree = ast.parse(fh.read(), filename=helpers_path)
+    [(_, tree)] = _parsed_sources(helpers_path)
     return [
         node.name
         for node in tree.body
