@@ -55,6 +55,8 @@ COMMANDS = [
     ["threegen", "--edges", "1,1,-1", "--char", "7"],
     ["radicals", "--type", "E6"],
     ["radicals", "--type", "E7", "--char", "13"],
+    ["radicals", "--type", "B3", "--char", "5"],
+    ["radicals", "--type", "C3", "--char", "3"],
 ]
 
 
