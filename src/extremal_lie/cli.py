@@ -19,7 +19,7 @@ import sys
 import time
 
 from .scalars import QQ, GF, CharacteristicTwoUnsupported, NotPrime
-from .rootdata import InvalidRank, cartan_nullity, integer_chevalley_data
+from .rootdata import InvalidRank, integer_chevalley_data, radical_dims
 from . import nilquot
 from .liealg import (
     NotAssociative,
@@ -205,24 +205,16 @@ def cmd_radicals(args):
     rep.add_bool("extremal form associative", broken is None)
     if form is None:
         return rep
-    chain = sandwich_span_check(A.lie, [], form, raising=[A.x(a) for a in A.rootsystem.simple_roots])
+    chain = sandwich_span_check(A.lie, form, raising=[A.x(a) for a in A.rootsystem.simple_roots])
     dims = chain["dims"]
-    holds = {link["link"]: link["holds"] for link in chain["links"]}
-    rep.add_bool("chain SanRad <= NilRad <= Rad(L) <= Rad(f) <= Rad(kappa)", chain["pass"])
-    rep.add_bool("Rad(f) <= Rad(kappa)", holds["Rad(f) <= Rad(kappa)"])
+    for name, holds in chain["links"]:
+        rep.add_bool(name, holds)
     if field.characteristic == 0:
         rep.add("Rad(f) = Rad(kappa) dims (char 0)", dims["Rad(kappa)"], dims["Rad(f)"])
-    rep.add_bool("Rad(L) <= Rad(f)", holds["Rad(L) <= Rad(f)"])
-    if (t, r, field.characteristic) == ("G", 2, 3):
-        rep.add("Rad(L) dim", 0, dims["Rad(L)"])
-        rep.add("Rad(f) dim", 7, dims["Rad(f)"])
-        rep.add_bool("Rad(L) < Rad(f) strict", dims["Rad(f)"] > dims["Rad(L)"])
-    else:
-        # Rad(L) = Rad(f) = Z(L) (0 over Q, where L is simple); dim Z(L) is
-        # read off the Cartan matrix, by the argument of rootdata.cartan_nullity
-        z = cartan_nullity(t, r, field.characteristic)
-        rep.add("Rad(L) dim", z, dims["Rad(L)"])
-        rep.add("Rad(f) dim", z, dims["Rad(f)"])
+    # Rad(L) = Z(L), and every expected dim is read off the integer root
+    # datum, by the argument of rootdata.radical_dims
+    for name, want in zip(("Rad(L)", "Rad(f)", "Rad(kappa)"), radical_dims(A.rootsystem, field.characteristic)):
+        rep.add("%s dim" % name, want, dims[name])
     rep.add_bool("solvable radical certified", chain["solvable_radical_certified"])
     return rep
 

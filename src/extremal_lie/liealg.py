@@ -50,10 +50,6 @@ class NotAssociative(WellDefinednessFailure):
     pass
 
 
-class NotASandwich(ValueError):
-    pass
-
-
 class PreconditionNotMet(ValueError):
     pass
 
@@ -681,14 +677,13 @@ def _solvable_radical(L, kappa_rad, raising):
     return R, False
 
 
-def nilradical(L, rad, extra_candidates=()):
+def nilradical(L, rad):
     """Largest nilpotent ideal found in the candidate lattice of the solvable
     ideal ``rad`` (a certified lower bound for the nilpotent radical)."""
     cands = [rad]
     cands.extend(derived_series(L, rad)[1:])
     cands.extend(lower_central_series(L, rad)[1:])
     cands.append(center(L))
-    cands.extend(extra_candidates)
     out = zero_subspace(L)
     for c in cands:
         if c.dim and c.is_ideal() and is_nilpotent_subspace(c):
@@ -714,40 +709,19 @@ def structural_subspaces(L, raising=()):
 # -- chain checks ---------------------------------------------------------------
 
 
-def sandwich_span_check(L, witnesses, form, raising=()):
-    """Ideal span of sandwich witnesses and the chain
-    SanRad <= NilRad <= Rad(L) <= Rad(f) <= Rad(kappa)."""
-    elems = []
-    for idx, w in enumerate(witnesses):
-        fx = is_extremal(L, w)
-        if fx is None or not fx.is_zero():
-            raise NotASandwich("witness %d is not a sandwich" % idx)
-        elems.append(w)
-    san = ideal_generated(L, elems)
+def sandwich_span_check(L, form, raising=()):
+    """The chain NilRad <= Rad(L) <= Rad(f) <= Rad(kappa), f the bilinear
+    form ``form``: the dims, each link with whether it holds, and whether
+    Rad(L) is certified.  ``raising`` is passed to ``_solvable_radical``.
+    The name stays while bench/spans.py traces it; the rename waits for the
+    benchmark to read the package's own phases (ROADMAP item 1b)."""
     rad_k = killing_form(L).radical()
     rad, certified = _solvable_radical(L, rad_k, raising)
-    nil = nilradical(L, rad, extra_candidates=[san])
-    rad_f = form.radical()
-    chain = [
-        ("SanRad_lower_bound", san),
-        ("NilRad", nil),
-        ("Rad(L)", rad),
-        ("Rad(f)", rad_f),
-        ("Rad(kappa)", rad_k),
-    ]
-    links = []
-    san_is_ideal = san.is_ideal()
-    ok = san_is_ideal
-    for (na, a), (nb, b) in zip(chain, chain[1:]):
-        inc = b.contains_subspace(a)
-        links.append({"link": "%s <= %s" % (na, nb), "holds": inc, "strict": inc and b.dim > a.dim})
-        ok = ok and inc
+    chain = [("NilRad", nilradical(L, rad)), ("Rad(L)", rad), ("Rad(f)", form.radical()), ("Rad(kappa)", rad_k)]
     return {
         "dims": {name: s.dim for name, s in chain},
-        "links": links,
-        "witness_span_is_ideal": san_is_ideal,
+        "links": [("%s <= %s" % (na, nb), b.contains_subspace(a)) for (na, a), (nb, b) in zip(chain, chain[1:])],
         "solvable_radical_certified": certified,
-        "pass": ok,
     }
 
 

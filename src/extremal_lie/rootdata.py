@@ -90,17 +90,6 @@ def cartan_matrix(type_, rank):
     return a
 
 
-def cartan_nullity(type_, rank, p):
-    """dim Z(L) of the Chevalley algebra of this type over a field of
-    characteristic p (0 for Q): rank minus the rank of the Cartan matrix
-    over that field.  Z(L) lies in the Cartan subalgebra (a root vector
-    component x_a of z would leave h_a in [x_-a, z]), and sum_j c_j h_j is
-    central exactly when every alpha_i(sum_j c_j h_j) = sum_j c_j A[j][i]
-    vanishes.  Only the Cartan matrix is read, not the structure constants."""
-    rows = [dict(enumerate(row)) for row in cartan_matrix(type_, rank)]
-    return rank - linalg_rank(GF(p) if p else QQ, rows, rank)
-
-
 def _symmetrizer(type_, rank):
     """d_i = (alpha_i, alpha_i)/2 with long roots normalized to norm 2."""
     one = Fraction(1)
@@ -282,6 +271,47 @@ def _neg(t):
 
 def _sub(s, t):
     return tuple(a - b for a, b in zip(s, t))
+
+
+def _nullity(field, rows):
+    """The dimension of the kernel of the square int matrix ``rows`` over ``field``."""
+    return len(rows) - linalg_rank(field, [dict(enumerate(row)) for row in rows], len(rows))
+
+
+def radical_dims(rs, p):
+    """(dim Z(L), dim Rad(f), dim Rad(kappa)) of the Chevalley algebra L of
+    the root system ``rs`` over a field of characteristic p (0 for Q), f
+    the extremal form and kappa the Killing form, read off the integer root
+    datum alone.
+
+    - Z(L) lies in the Cartan subalgebra (a root vector component x_a of z
+      would leave h_a in [x_-a, z]), and sum_j c_j h_j is central exactly
+      when every alpha_i(sum_j c_j h_j) = sum_j c_j A[j][i] vanishes: dim
+      Z(L) is the nullity of the Cartan matrix A mod p.
+    - On the Chevalley basis the invariant form G normalized by (theta,
+      theta) = 2 is integral.  G(x_a, x_-a) = m_a = (theta,theta)/(a,a) is
+      1, 2 or 3, G is 0 on the other root pairs, and on the Cartan
+      subalgebra G is the coroot Gram (alpha_i-check, alpha_j-check) =
+      A[i][j] m_j.
+    - f = c G with c = +-2, read off [x_theta, [x_theta, x_-theta]]: the
+      extremal closure S is made of images of long root elements under
+      integral automorphisms that preserve G, so f(s, .) = c G(s, .) for
+      each s in S, and S spans L.  So f = c G holds mod p too, and for odd p
+      Rad(f) is spanned by the x_a with p | m_a (the short root elements
+      when p divides the length ratio) and the kernel of the coroot Gram.
+    - kappa = 2 h-check G, an identity between integer matrices, where
+      h-check = 1 + the sum of the coefficients of theta-check over the
+      simple coroots.  So Rad(kappa) = L when p divides 2 h-check, and
+      Rad(kappa) = Rad(f) otherwise.
+    """
+    field = GF(p) if p else QQ
+    top = rs._scaled_norm(rs.highest_root)
+    pair = {a: top // rs._scaled_norm(a) for a in rs.roots}  # m_a
+    gram = [[c * pair[a] for c, a in zip(row, rs.simple_roots)] for row in rs.cartan]
+    rad_f = sum(1 for m in pair.values() if p and m % p == 0) + _nullity(field, gram)
+    h_dual = 1 + sum(rs.coroot_coords(rs.highest_root))
+    rad_kappa = len(rs.roots) + rs.rank if p and 2 * h_dual % p == 0 else rad_f
+    return _nullity(field, rs.cartan), rad_f, rad_kappa
 
 
 class ChevalleyConstants:

@@ -33,7 +33,7 @@ from .liealg import (
     trace_zero,
 )
 from . import nilquot
-from .rootdata import cartan_nullity
+from .rootdata import radical_dims, root_system
 
 
 class RewriteIncomplete(RuntimeError):
@@ -354,7 +354,8 @@ def verify_3gen_structure(M, case):
             Z = center(M)
             Q, _, project = quotient_algebra(M, Z)
             rad, certified = solvable_radical(Q, [project(M.element(r)) for r in _SL3_RAISING])
-            checks["radical"] = Z.dim == cartan_nullity("A", 2, f.characteristic) and rad.dim == 0 and certified
+            z = radical_dims(root_system("A", 2), f.characteristic)[0]
+            checks["radical"] = Z.dim == z and rad.dim == 0 and certified
     checks["pass"] = all(checks.values())
     return checks
 

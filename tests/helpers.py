@@ -36,8 +36,9 @@ three-generator normalization (``round_trip_exp_step``,
 ``four_sign_scaling`` with its ``square_root`` by search), and the chain
 probe over every pair (``reference_chain_search``).  The last section holds
 what only the tests reach: the free mode of the cover engine, the direct
-route to R_r, the right-nested ``monomial`` of L_r, sl2, and the checks of
-the paper's lemmas that no command reports.
+route to R_r, the right-nested ``monomial`` of L_r, the ideal of sandwich
+witnesses (``sandwich_ideal``), sl2, and the checks of the paper's lemmas
+that no command reports.
 """
 
 import itertools
@@ -652,13 +653,16 @@ def fraction_inner(rs, s, t):
 
 def dense_extremal_gram(L, spanning):
     """Reference for the Gram matrix of ``extremal_form``: C F C^T as two
-    dense ``mat_mul`` products, C the coordinates of the basis over
-    ``spanning`` and F[a][b] = f_a(s_b), as it was computed before the Gram
-    became sparse."""
-    f = L.field
+    dense products, F[a][b] = f_a(s_b) and C the coordinates of the basis
+    over ``spanning``, read off the reduced rows [I | C] of a
+    ``DenseEchelon`` of [S | I], as it was computed before the Gram became
+    sparse."""
+    f, n = L.field, L.n
     fvals = [[is_extremal(L, a)(b) for b in spanning] for a in spanning]
-    coordinates = Coordinates(f, [s.coeffs for s in spanning], L.n)
-    coords = dense([coordinates.solve({i: f.one}) for i in range(L.n)], len(spanning))
+    ech = DenseEchelon(f, n + len(spanning))
+    for a, s in enumerate(spanning):
+        ech.insert({**s.coeffs, n + a: f.one})
+    coords = [ech.rows[i][n:] for i in range(n)]
     half = dense_mat_mul(f, coords, fvals)
     return dense_mat_mul(f, half, [list(col) for col in zip(*coords)])
 
@@ -1456,6 +1460,21 @@ def fourth_power_check(L, x, y, form):
         return all(L.bracket(z, L.bracket(z, L.bracket(z, L.bracket(z, v)))).is_zero() for v in L.basis_elements())
 
     return _fourth_power_report(L, x, y, form, vanishes)
+
+
+class NotASandwich(ValueError):
+    """A witness that is not a sandwich: not extremal, or f_x != 0."""
+
+
+def sandwich_ideal(L, witnesses):
+    """The ideal that the sandwich ``witnesses`` generate, a lower bound for
+    the ideal that all sandwiches of L generate.  Raises NotASandwich on the
+    first witness that is not a sandwich."""
+    for idx, w in enumerate(witnesses):
+        fx = is_extremal(L, w)
+        if fx is None or not fx.is_zero():
+            raise NotASandwich("witness %d is not a sandwich" % idx)
+    return liealg.ideal_generated(L, witnesses)
 
 
 class NotADirectSum(ValueError):

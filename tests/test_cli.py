@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from extremal_lie import cli
+from extremal_lie import cli, liealg, rootdata
 from extremal_lie.rootdata import RootSystem, chevalley_constants, integer_chevalley_data
 
 
@@ -64,6 +64,7 @@ def test_radicals_g2_char3(capsys):
     byname = {c["name"]: c for c in data["checks"]}
     assert byname["Rad(L) dim"]["actual"] == 0
     assert byname["Rad(f) dim"]["actual"] == 7
+    assert byname["Rad(kappa) dim"]["actual"] == 7
     assert data["pass"]
 
 
@@ -401,9 +402,10 @@ def test_rootgroups_e6_probe_finds_no_witness(capsys):
 # (type, p, dim Rad(L), dim Rad(f)) at the primes that divide the dual Coxeter
 # number, where the Killing form vanishes on the Cartan subalgebra.  Rad(L) =
 # Rad(f) = Z(L), of dimension 1 for A_n with p | n + 1 and for E6 with p = 3
-# (the determinant of the Cartan matrix is n + 1, resp. 3), 0 otherwise; G2
-# in characteristic 3 has Rad(L) = 0 and Rad(f) = the 7-dimensional ideal of
-# the short root elements.
+# (the determinant of the Cartan matrix is n + 1, resp. 3), 0 otherwise.  G2
+# in characteristic 3 (3 divides the length ratio, not h-check = 4) has
+# Rad(L) = 0 and Rad(f) = the 7-dimensional ideal of the short root elements
+# and the kernel of the coroot Gram.
 SMALL_CHAR_RADICALS = [
     ("A2", 3, 1, 1), ("A4", 5, 1, 1), ("A5", 3, 1, 1), ("B3", 5, 0, 0), ("C4", 5, 0, 0),
     ("D4", 3, 0, 0), ("F4", 3, 0, 0), ("E6", 3, 1, 1), ("E7", 3, 0, 0), ("G2", 3, 0, 7),
@@ -482,6 +484,60 @@ def test_radicals_proves_each_spanning_element_extremal_once(capsys, monkeypatch
     code, _ = _radicals_checks(capsys, type_, p)
     assert code == 0
     assert 0 < len(calls) <= most
+
+
+def _length_ratio_two(monkeypatch):
+    """G2's short roots read with scaled norm 3 against the long roots' 6."""
+    real = RootSystem._scaled_norm
+    monkeypatch.setattr(RootSystem, "_scaled_norm", lambda self, t: 3 if real(self, t) == 2 else real(self, t))
+
+
+def _coxeter_number_for_dual(monkeypatch):
+    """theta-check read as theta, so 1 + its coefficients give h, not h-check."""
+    monkeypatch.setattr(RootSystem, "coroot_coords", lambda self, alpha: tuple(alpha))
+
+
+def _cartan_matrix_for_coroot_gram(monkeypatch):
+    """Each nullity read off G2's Cartan matrix, that of the coroot Gram too."""
+    real = rootdata._nullity
+    monkeypatch.setattr(rootdata, "_nullity", lambda field, rows: real(field, rootdata.cartan_matrix("G", 2)))
+
+
+def _solvable_radical_without_center(monkeypatch):
+    """Rad(L) without the basis vectors that lie in Z(L)."""
+    real = liealg._solvable_radical
+
+    def planted(L, kappa_rad, raising):
+        rad, certified = real(L, kappa_rad, raising)
+        z = liealg.center(L)
+        return liealg.Subspace.from_elements(L, [v for v in rad.basis() if not z.contains(v)]), certified
+
+    monkeypatch.setattr(liealg, "_solvable_radical", planted)
+
+
+# (type, p, planted fault, (expected, actual) of each check it makes read
+# False).  Where p does not divide 2h-check the rule sets Rad(kappa) =
+# Rad(f), so a fault in Rad(f) shows on both; on A2/3, Rad(L) = Z(L), so
+# dropping Z(L) leaves Rad(L) = 0
+RADICALS_FAULTS = [
+    ("G2", 3, _length_ratio_two, {"Rad(f) dim": (0, 7), "Rad(kappa) dim": (0, 7)}),
+    ("B3", 5, _coxeter_number_for_dual, {"Rad(kappa) dim": (0, 21)}),
+    ("G2", 3, _cartan_matrix_for_coroot_gram, {"Rad(f) dim": (6, 7), "Rad(kappa) dim": (6, 7)}),
+    ("A2", 3, _solvable_radical_without_center, {"NilRad <= Rad(L)": (True, False), "Rad(L) dim": (1, 0)}),
+]
+
+
+@pytest.mark.parametrize("type_, p, plant, failing", RADICALS_FAULTS, ids=lambda v: getattr(v, "__name__", None))
+def test_radicals_planted_fault_reads_false(capsys, monkeypatch, shared_algebras, type_, p, plant, failing):
+    """Each fault makes exactly the checks it reaches read False, and the
+    command exits 1.  The algebra is built before the fault is planted."""
+    from helpers import chevalley
+
+    chevalley(type_[0], int(type_[1:]), p)
+    plant(monkeypatch)
+    code, byname = _radicals_checks(capsys, type_, p)
+    assert code == 1
+    assert {name: (c["expected"], c["actual"]) for name, c in byname.items() if not c["pass"]} == failing
 
 
 def test_unknown_values_are_reported_not_checked(capsys):

@@ -6,7 +6,9 @@ GF(3) and GF(101): on true forms, on Gram matrices with one entry changed
 (symmetric or not, or off the generators of the algebra), and on rescaled
 tables.  The Gram of ``extremal_form`` is held to the dense matrix product
 on shuffled, rescaled extremal bases.  The center is also checked against
-the Cartan matrix, the kernels against calling ``Field`` at all, and the
+the Cartan matrix, the dims of ``rootdata.radical_dims`` against the
+diagram's Cartan matrix and coroot Gram and against the computed Z(L),
+Rad(f) and Rad(kappa), the kernels against calling ``Field`` at all, and the
 form radical against a non-symmetric Gram, where it is the left radical.
 """
 
@@ -14,10 +16,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from extremal_lie import rootdata
-from extremal_lie.chevalley import extremal_spanning_set
+from extremal_lie.chevalley import ChevalleyAlgebra, extremal_spanning_set
 from extremal_lie.liealg import (
     BilinearForm,
     ExtremalFunctional,
@@ -50,7 +52,7 @@ from helpers import (
     sparse,
 )
 
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=120)
+PROPERTY = settings(database=None, deadline=None, max_examples=120)
 CHARS = (0, 3, 101)
 CHEVALLEY = {"A2": ("A", 2), "B3": ("B", 3), "G2": ("G", 2)}
 ALGEBRAS = ("A2", "B3", "G2", "sl2", "heisenberg", "sl2+heisenberg")
@@ -123,6 +125,7 @@ def form_cases(draw):
 
 
 @PROPERTY
+@seed(0)
 @given(form_cases())
 # f(x, z) = 1 on the Heisenberg algebra: not associative, but it passes the
 # check that reads the Gram by column on the right, f([x,y],z) == f([y,z],x)
@@ -162,7 +165,8 @@ def extremal_basis_cases(draw):
     return L, extremal_closure(L, [draw(nonzero(char)) * base[i] for i in order], lambda v: ())
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@settings(database=None, deadline=None, max_examples=30)
+@seed(0)
 @given(extremal_basis_cases())
 def test_extremal_form_gram_matches_dense_reference(case):
     L, basis = case
@@ -243,6 +247,7 @@ def rescaled_algebras(draw):
 
 
 @PROPERTY
+@seed(0)
 @given(rescaled_algebras())
 def test_killing_form_and_center_match_dense_reference(L):
     kappa = killing_form(L)
@@ -263,10 +268,11 @@ def test_radical_is_the_left_radical():
         assert BilinearForm(L, [{}, {0: 1}]).radical() == b0
 
 
-# -- the center against the Cartan matrix ---------------------------------------
+# -- the radical dims against the root datum ------------------------------------
 
 # Dynkin diagrams, Bourbaki numbering from 0: (i, j, m) joins nodes i and j,
-# with A[i][j] = -m and A[j][i] = -1
+# alpha_i m times as long as alpha_j (squared lengths), so that A[i][j] = -1
+# and A[j][i] = -m
 DIAGRAMS = {
     "A": lambda n: [(i, i + 1, 1) for i in range(n - 1)],
     "B": lambda n: [(i, i + 1, 1) for i in range(n - 2)] + [(n - 2, n - 1, 2)],
@@ -274,20 +280,36 @@ DIAGRAMS = {
     "D": lambda n: [(i, i + 1, 1) for i in range(n - 2)] + [(n - 3, n - 1, 1)],
     "E": lambda n: [(0, 2, 1), (1, 3, 1)] + [(i, i + 1, 1) for i in range(2, n - 1)],
     "F": lambda n: [(0, 1, 1), (1, 2, 2), (2, 3, 1)],
-    "G": lambda n: [(0, 1, 3)],
+    "G": lambda n: [(1, 0, 3)],
 }
 
 
-def cartan_nullity(type_, rank, p):
-    """Dimension of the kernel of the Cartan matrix mod p, by dense
-    elimination on the diagram's matrix."""
-    a = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-    for i, j, m in DIAGRAMS[type_](rank):
-        a[i][j], a[j][i] = -m, -1
-    ech = DenseEchelon(GF(p), rank)
-    for row in a:
+def diagram_matrices(type_, rank):
+    """The Cartan matrix and the coroot Gram of the diagram.  With r_i =
+    (theta, theta)/(alpha_i, alpha_i), 1 on the long nodes, the coroot
+    alpha_i-check has squared length 2 r_i when (theta, theta) = 2, and two
+    joined coroots have inner product -max(r_i, r_j)."""
+    edges = DIAGRAMS[type_](rank)
+    cartan = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    norm = {0: Fraction(1)}
+    while len(norm) < rank:
+        for i, j, m in edges:
+            if i in norm or j in norm:
+                norm[i], norm[j] = (norm[i], norm[i] / m) if i in norm else (norm[j] * m, norm[j])
+    r = [int(max(norm.values()) / norm[i]) for i in range(rank)]
+    gram = [[2 * r[i] if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j, m in edges:
+        cartan[i][j], cartan[j][i] = -1, -m
+        gram[i][j] = gram[j][i] = -max(r[i], r[j])
+    return cartan, gram
+
+
+def nullity(matrix, p):
+    """Dimension of the kernel of the int matrix mod p, by dense elimination."""
+    ech = DenseEchelon(GF(p), len(matrix))
+    for row in matrix:
         ech.insert([x % p for x in row])
-    return rank - ech.dim
+    return len(matrix) - ech.dim
 
 
 @pytest.mark.parametrize(
@@ -301,19 +323,43 @@ def test_center_dimension_is_cartan_nullity_mod_p(type_, rank, p, dim):
     """The center of a Chevalley algebra over GF(p) is the part of the
     Cartan subalgebra killed by every simple root: sum c_i h_i with
     sum c_i A[i][j] = 0 mod p for all j."""
-    assert cartan_nullity(type_, rank, p) == dim
+    assert nullity(diagram_matrices(type_, rank)[0], p) == dim
     assert center(chevalley(type_, rank, p).lie).dim == dim
 
 
 @pytest.mark.parametrize("p", [0, 3, 5, 7, 11, 13])
 def test_rootdata_cartan_nullity_matches_reference(p):
-    """``rootdata.cartan_nullity``, the expected dim Z(L) of ``radicals``,
-    against the test's own Cartan matrices, on every type of rank <= 8."""
+    """The two nullities in ``rootdata.radical_dims`` against the test's own
+    matrices, on every type of rank <= 8: dim Z(L) is the nullity of the
+    Cartan matrix mod p, and dim Rad(f) the nullity of the coroot Gram mod p,
+    plus the short roots when p divides the length ratio."""
     types = [("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)] + [("C", n) for n in range(2, 9)]
     types += [("D", n) for n in range(4, 9)] + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
     for type_, rank in types:
-        want = cartan_nullity(type_, rank, p) if p else 0
-        assert rootdata.cartan_nullity(type_, rank, p) == want, (type_, rank, p)
+        rs = rootdata.root_system(type_, rank)
+        cartan, gram = diagram_matrices(type_, rank)
+        ratio = max(max(row) for row in gram) // 2
+        short = sum(1 for a in rs.roots if not rs.is_long(a)) if p and ratio % p == 0 else 0
+        want = (nullity(cartan, p), nullity(gram, p) + short) if p else (0, 0)
+        assert rootdata.radical_dims(rs, p)[:2] == want, (type_, rank, p)
+
+
+RANK_AT_MOST_6 = (
+    [("A", n) for n in range(1, 7)] + [("B", n) for n in range(2, 7)] + [("C", n) for n in range(3, 7)]
+    + [("D", n) for n in range(4, 7)] + [("E", 6), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("type_, rank", RANK_AT_MOST_6 + [("E", 7), ("E", 8)])
+def test_radical_dims_match_the_computed_radicals(type_, rank):
+    """``rootdata.radical_dims`` against Z(L), Rad(f) and Rad(kappa) computed
+    on the algebra: every type of rank <= 6 at every odd p < 20, and E7 and
+    E8 at p = 3, 5, 7, 153 cases in all."""
+    for p in (3, 5, 7) if rank > 6 else (3, 5, 7, 11, 13, 17, 19):
+        A = ChevalleyAlgebra(type_, rank, GF(p))
+        form = extremal_form(A.lie, extremal_spanning_set(A))
+        got = (center(A.lie).dim, form.radical().dim, killing_form(A.lie).radical().dim)
+        assert rootdata.radical_dims(A.rootsystem, p) == got, (type_, rank, p)
 
 
 # -- no per-coefficient Field calls ---------------------------------------------------

@@ -2,7 +2,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from extremal_lie.scalars import QQ, GF
 from extremal_lie.liealg import (
@@ -12,7 +12,6 @@ from extremal_lie.liealg import (
     InvalidGeneratorOrder,
     JacobiViolation,
     LieAlgebra,
-    NotASandwich,
     NotExtremal,
     NotSpanning,
     PreconditionNotMet,
@@ -44,6 +43,7 @@ from extremal_lie import liealg, rootdata
 from helpers import (
     AntisymmetryViolation,
     NotADirectSum,
+    NotASandwich,
     abelian,
     bracket_table,
     candidate_seeded_radical,
@@ -66,6 +66,7 @@ from helpers import (
     rescaled,
     rng,
     sandwich,
+    sandwich_ideal,
     sl2,
     subset_certificate,
     two_gen_classify,
@@ -201,7 +202,8 @@ def jacobi_tables(draw):
     return f, L.labels, table, variant
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@settings(database=None, deadline=None, max_examples=150)
+@seed(0)
 @given(jacobi_tables())
 # generators (a, b): ad_a is a derivation and ad_b is not, so a check that
 # skipped the last generator would pass this table; it fails on (b, c, e)
@@ -331,7 +333,8 @@ def ideal_cases(draw):
     return L, seeds
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@settings(database=None, deadline=None, max_examples=120)
+@seed(0)
 @given(ideal_cases())
 def test_ideals_match_dense_reference(case):
     """``ideal_generated`` expands by the generators of L and ``is_ideal``
@@ -522,10 +525,12 @@ def test_generation_closures():
 def test_sandwich_span_check_l3():
     L = sandwich(3).as_lie_algebra()
     form = extremal_form(L, _basis_as_extremal_set(L))
-    rep = sandwich_span_check(L, L.basis_elements(), form)
-    assert rep["pass"]
-    assert rep["dims"]["SanRad_lower_bound"] == 8  # the whole algebra
-    assert all(link["holds"] and not link["strict"] for link in rep["links"])
+    san = sandwich_ideal(L, L.basis_elements())
+    rep = sandwich_span_check(L, form)
+    assert san.is_ideal() and all(holds for _, holds in rep["links"])
+    assert structural_subspaces(L)["nilradical"].contains_subspace(san)
+    assert san.dim == 8  # the whole algebra
+    assert set(rep["dims"].values()) == {8}  # no link is strict
 
 
 def test_sandwich_span_check_case2_strict():
@@ -533,12 +538,11 @@ def test_sandwich_span_check_case2_strict():
     span = _extremal_span_m(M)
     form = extremal_form(M, span)
     e = M.basis_element
-    witnesses = [v for v in (e(5), e(6))]  # [y,z] and [x,[y,z]] are sandwiches
-    rep = sandwich_span_check(M, witnesses, form)
-    assert rep["pass"]
-    links = {link["link"]: link for link in rep["links"]}
-    assert links["SanRad_lower_bound <= NilRad"]["holds"]
-    assert rep["dims"]["SanRad_lower_bound"] < rep["dims"]["Rad(L)"]
+    san = sandwich_ideal(M, [e(5), e(6)])  # [y,z] and [x,[y,z]] are sandwiches
+    rep = sandwich_span_check(M, form)
+    assert san.is_ideal() and all(holds for _, holds in rep["links"])
+    assert structural_subspaces(M)["nilradical"].contains_subspace(san)
+    assert san.dim < rep["dims"]["Rad(L)"]
 
 
 def _extremal_span_m(M):
@@ -547,11 +551,8 @@ def _extremal_span_m(M):
 
 def test_sandwich_span_check_rejects_non_sandwich():
     L = sl2(QQ)
-    e, h, f_ = L.basis_elements()
-    span = grow_extremal_spanning(L, [e, f_])
-    form = extremal_form(L, span)
     with pytest.raises(NotASandwich):
-        sandwich_span_check(L, [e], form)
+        sandwich_ideal(L, [L.basis_element(0)])  # e, with f_e(f) != 0
 
 
 def test_fourth_power_check():
@@ -854,14 +855,16 @@ def phi_cases(draw):
     return A.lie, x, y
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@settings(database=None, deadline=None, max_examples=40)
+@seed(0)
 @given(phi_cases())
 def test_phi_spectrum_lemma_holds_on_random_pairs(case):
     L, x, y = case
     assert dense_phi_spectrum_check(L, x, y)["pass"]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@settings(database=None, deadline=None, max_examples=40)
+@seed(0)
 @given(st.sampled_from(("G2/3", "M")), st.data())
 def test_fourth_power_matches_dense_reference(name, data):
     L, form, outside, rad = _fourth_power_setting(name)

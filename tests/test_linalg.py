@@ -2,7 +2,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from extremal_lie import linalg
 from extremal_lie.scalars import QQ, GF
@@ -110,7 +110,7 @@ def test_mat_mul_matches_dense_reference_on_rectangular_matrices():
 
 # -- the sparse kernel against the dense Fraction reference --------------------
 
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+PROPERTY = settings(database=None, deadline=None, max_examples=150)
 FIELDS = (QQ, GF(3), GF(5), GF(101))
 
 
@@ -140,6 +140,7 @@ def _reference():
 
 
 @PROPERTY
+@seed(0)
 @given(matrices(), st.data())
 def test_echelon_matches_dense_reference(mat, data):
     field, width, rows = mat
@@ -161,6 +162,7 @@ def test_echelon_matches_dense_reference(mat, data):
 
 
 @PROPERTY
+@seed(0)
 @given(matrices())
 def test_rank_and_kernel_match_dense_reference(mat):
     field, width, rows = mat
@@ -174,6 +176,7 @@ def test_rank_and_kernel_match_dense_reference(mat):
 
 
 @PROPERTY
+@seed(0)
 @given(matrices(), st.data())
 def test_coordinates_match_dense_reference(mat, data):
     field, width, rows = mat
@@ -216,6 +219,7 @@ def raw_sums(draw):
 
 
 @PROPERTY
+@seed(0)
 @given(raw_sums())
 def test_axpy_and_canonical_match_field_reference(case):
     field, terms = case
@@ -235,6 +239,7 @@ def test_axpy_and_canonical_match_field_reference(case):
 
 
 @PROPERTY
+@seed(0)
 @given(matrices(square=True))
 def test_mat_inverse_matches_dense_reference(mat):
     field, _, rows = mat

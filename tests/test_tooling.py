@@ -725,3 +725,39 @@ def test_cli_option_guard_finds_each_case():
     p.add_argument("--knob")
     table = {("", "--top"): "r", ("run", "what"): "r", ("run", "--count"): "r", ("run", "--gone"): "r"}
     assert _unlisted_and_stale(ap, table) == ([("run", "--knob")], [("run", "--gone")])
+
+
+def _unseeded_property_tests(test_dir):
+    """``file:name`` of each function in ``test_dir``/*.py decorated with
+    ``given(...)`` but not with ``seed(...)``, written bare or as an
+    attribute (``hypothesis.given``)."""
+    found = []
+    for path, tree in _parsed_sources(test_dir):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                decorators = [d.func for d in node.decorator_list if isinstance(d, ast.Call)]
+                calls = {getattr(f, "id", getattr(f, "attr", None)) for f in decorators}
+                if "given" in calls and "seed" not in calls:
+                    found.append("%s:%s" % (os.path.basename(path), node.name))
+    return found
+
+
+def test_every_property_test_has_a_seed():
+    """A property test draws its examples from a fixed ``@seed``.  Under
+    ``derandomize=True`` Hypothesis seeds a test from a digest of its source,
+    so an edit to the body that changes no behaviour swaps its examples."""
+    assert _unseeded_property_tests(os.path.dirname(os.path.abspath(__file__))) == []
+
+
+def test_unseeded_property_test_guard_finds_each_case(tmp_path):
+    (tmp_path / "test_a.py").write_text(
+        "@given(st.integers())\ndef test_bare(x):\n    pass\n\n\n"
+        "@seed(0)\n@given(st.integers())\ndef test_seeded(x):\n    pass\n\n\n"
+        "@hypothesis.given(st.integers())\ndef test_attribute(x):\n    pass\n\n\n"
+        "@hypothesis.seed(1)\n@hypothesis.given(st.integers())\ndef test_attribute_seeded(x):\n    pass\n\n\n"
+        "@settings(max_examples=5)\n@given(st.integers())\ndef test_settings_only(x):\n    pass\n\n\n"
+        "def test_plain():\n    pass\n"
+    )
+    assert _unseeded_property_tests(str(tmp_path)) == [
+        "test_a.py:test_bare", "test_a.py:test_attribute", "test_a.py:test_settings_only",
+    ]
