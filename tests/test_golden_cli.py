@@ -57,6 +57,10 @@ COMMANDS = [
     ["radicals", "--type", "E7", "--char", "13"],
     ["radicals", "--type", "B3", "--char", "5"],
     ["radicals", "--type", "C3", "--char", "3"],
+    ["radicals", "--type", "A5", "--char", "3"],
+    ["radicals", "--type", "F4", "--char", "3"],
+    ["threegen", "--edges", "-2,-2,-2", "--char", "3"],
+    ["threegen", "--edges", "-2,0,0"],
 ]
 
 
