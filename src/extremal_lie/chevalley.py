@@ -39,6 +39,7 @@ from .linalg import (
     clear_denominators,
     closure,
     combine,
+    common_kernel,
     divide,
     echelon_from_rows,
     flatten,
@@ -559,9 +560,8 @@ def _flag_irreducible(f, mats, size):
     # the columns of each matrix m, so that m v is combine(f, v, columns)
     columns = [unflatten({j * size + i: x for i, row in enumerate(m) for j, x in row.items()}, size) for m in mats]
     upper = [c for m, c in zip(mats, columns) if all(j > i for i, row in enumerate(m) for j in row)]
-    # K, the kernel of e_j -> (m e_j) over the upper m, m e_j at the offset t * size
-    images = [{t * size + i: x for t, c in enumerate(upper) for i, x in c[j].items()} for j in range(size)]
-    fixed = kernel(f, images, len(upper) * size)
+    # K, the kernel of e_j -> (m e_j) over the upper m
+    fixed = common_kernel(f, [[c[j] for c in upper] for j in range(size)], size)
     if len(fixed) != 1:
         return False
     return len(closure(Echelon(f, size), fixed, lambda v: (combine(f, v, c) for c in columns))) == size

@@ -211,8 +211,9 @@ def cmd_radicals(args):
         rep.add_bool(name, holds)
     if field.characteristic == 0:
         rep.add("Rad(f) = Rad(kappa) dims (char 0)", dims["Rad(kappa)"], dims["Rad(f)"])
-    # Rad(L) = Z(L), and every expected dim is read off the integer root
-    # datum, by the argument of rootdata.radical_dims
+    # Rad(L) is read as Z(L), which "solvable radical certified" proves to be
+    # all of it; every expected dim is read off the integer root datum, by
+    # the argument of rootdata.radical_dims
     for name, want in zip(("Rad(L)", "Rad(f)", "Rad(kappa)"), radical_dims(A.rootsystem, field.characteristic)):
         rep.add("%s dim" % name, want, dims[name])
     rep.add_bool("solvable radical certified", chain["solvable_radical_certified"])

@@ -17,6 +17,7 @@ from .linalg import (
     canonical,
     closure,
     combine,
+    common_kernel,
     echelon_from_rows,
     flatten,
     kernel,
@@ -304,12 +305,6 @@ class Subspace:
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.algebra is other.algebra and self.basis() == other.basis()
 
-    def sum(self, other):
-        e = self._ech.copy()
-        for v in other.basis():
-            e.insert(v.coeffs)
-        return Subspace(self.algebra, e)
-
     def is_ideal(self):
         """[b_s, v] lies in the subspace W for every generator s and basis
         vector v of W.  That is enough: the x with [x, W] in W form a
@@ -327,10 +322,6 @@ class Subspace:
 
     def __repr__(self):
         return "Subspace(dim %d of %r)" % (self.dim, self.algebra)
-
-
-def zero_subspace(L):
-    return Subspace(L, Echelon(L.field, L.n))
 
 
 def full_subspace(L):
@@ -369,14 +360,9 @@ def ideal_generated(L, gens):
 def center(L):
     """Z(L), the kernel of x -> ([x, b_j]) over j in ``L.generators``: x is
     central when [x, b_j] = 0 for every generator j, since the centralizer
-    of x is a subalgebra, so it holds the ad-closure of the generators, L.
-    The image of b_i holds [b_i, b_j] at the offset t * n of the t-th
-    generator j."""
-    n = L.n
-    images = [
-        {t * n + k: c for t, j in enumerate(L.generators) for k, c in L.bracket_basis(i, j).items()} for i in range(n)
-    ]
-    return Subspace(L, echelon_from_rows(L.field, n, kernel(L.field, images, len(L.generators) * n)))
+    of x is a subalgebra, so it holds the ad-closure of the generators, L."""
+    images = [[L.bracket_basis(i, j) for j in L.generators] for i in range(L.n)]
+    return Subspace(L, echelon_from_rows(L.field, L.n, common_kernel(L.field, images, L.n)))
 
 
 def _series(L, sub, derived):
@@ -397,44 +383,13 @@ def derived_series(L, sub=None):
     return _series(L, sub, True)
 
 
-def lower_central_series(L, sub=None):
-    return _series(L, sub, False)
+def lower_central_series(L):
+    return _series(L, None, False)
 
 
 def is_solvable_subspace(sub):
     return derived_series(sub.algebra, sub)[-1].dim == 0
 
-
-def is_nilpotent_subspace(sub):
-    return lower_central_series(sub.algebra, sub)[-1].dim == 0
-
-
-def quotient_algebra(L, ideal):
-    """(Q, lift, project): Q = L/ideal on the non-pivot coordinates."""
-    if not ideal.dim:
-        return L, (lambda elt: elt), (lambda elt: elt)
-    f = L.field
-    piv = set(ideal._ech.pivot_columns())
-    keep = [i for i in range(L.n) if i not in piv]
-    pos = {i: t for t, i in enumerate(keep)}
-
-    def project_coeffs(v):
-        return {pos[i]: x for i, x in sorted(ideal._ech.reduce(v).items())}
-
-    table = {}
-    for a in range(len(keep)):
-        for b in range(a + 1, len(keep)):
-            w = L.bracket(L.basis_element(keep[a]), L.basis_element(keep[b]))
-            table[(a, b)] = project_coeffs(w.coeffs)
-    Q = LieAlgebra(f, [L.labels[i] for i in keep], table)
-
-    def project(elt):
-        return AlgebraElement(Q, project_coeffs(elt.coeffs))
-
-    def lift(qelt):
-        return AlgebraElement(L, {keep[i]: c for i, c in qelt.coeffs.items()})
-
-    return Q, lift, project
 
 
 # -- extremal machinery -------------------------------------------------------
@@ -604,32 +559,28 @@ def extremal_closure(L, seeds, expand):
 # -- structural subspaces -----------------------------------------------------
 
 
-def _no_solvable_ideal_certificate(L, raising=(), kappa_rad=None):
-    """True if L provably has no nonzero solvable ideal; a Subspace witness
-    if one is found; None when undecided.
+def _radical_is_center(L, Z, kappa_rad, raising):
+    """Whether Rad(L) = Z is proved, for Z = Z(L), Rad(kappa) = ``kappa_rad``
+    and raising elements e; False when it fails or is not certified.
 
-    The adjoint maps of the ``raising`` elements must generate a nilpotent
-    associative algebra; for a Chevalley algebra and its quotients, the
-    simple root elements e_i qualify, since each ad e_i raises height by one.
-    Let K' be the vectors of Rad(kappa) that every ad e kills.  Then:
+    Z is an abelian ideal, so Rad(L) = Z exactly when L/Z has no nonzero
+    abelian ideal A/Z.  Such an A lies in Rad(kappa): for a in A and any y,
+    ad_a ad_y maps L into A, A into [A, A] <= Z, and Z to 0 (ad_y kills Z),
+    so (ad_a ad_y)^3 = 0 and kappa(a, y) = 0.  The ad e must generate a
+    nilpotent associative algebra (the simple root elements e_i of a
+    Chevalley algebra do: each raises height by one); the chain V = L,
+    V <- span [e, V] must reach 0, or PreconditionNotMet is raised.  They
+    preserve A and Z, so by Engel some a in A outside Z has [e, a] in Z for
+    every e, and a lies in K = {v in Rad(kappa) : [e, v] in Z for all e}.
+    So:
 
-    * a nonzero solvable ideal contains a nonzero abelian ideal A (the last
-      nonzero term of its derived series), and A lies in Rad(kappa), since
-      ad_a ad_y squares to zero for a in A;
-    * the ad e map A to itself and generate a nilpotent algebra there, so
-      some nonzero v in A is killed by all of them (Engel): A meets K';
-    * the ideal generated by such a v lies in A, so it is abelian;
-    * so L has a nonzero solvable ideal exactly when some nonzero vector of
-      K' generates a solvable ideal.
-
-    The canonical basis vectors of K' are tried; when K' is a line, that
-    decides the question (with no raising elements, K' = Rad(kappa)).  When
-    Rad(kappa) is nonzero, the chain V = L, V <- span [e, V] must reach 0,
-    or PreconditionNotMet is raised.  ``kappa_rad`` is Rad(kappa), if known.
-    """
-    if kappa_rad is None:
-        kappa_rad = killing_form(L).radical()
-    if kappa_rad.dim == 0:
+    * Rad(kappa) = Z proves the claim, with no chain.  Otherwise K is larger
+      than Z, by the same Engel argument on the ideal Rad(kappa);
+    * when K/Z is a line spanned by v, every such a is a multiple of v
+      modulo Z, so the claim holds exactly when the ideal of v is not
+      abelian modulo Z: a bracket of two of its vectors lies outside Z;
+    * when K/Z has dimension 2 or more, the claim is not certified."""
+    if kappa_rad.dim == Z.dim:
         return True
     span = full_subspace(L)
     while span.dim:
@@ -637,91 +588,40 @@ def _no_solvable_ideal_certificate(L, raising=(), kappa_rad=None):
         if nxt.dim == span.dim:
             raise PreconditionNotMet("the raising elements do not act nilpotently")
         span = nxt
-    # K' = {sum_i c_i b_i : sum_i c_i [e, b_i] = 0 for every e}, b a basis of
-    # Rad(kappa): the kernel of b -> ([e_t, b]), [e_t, b] at the offset t * n
-    f, n, basis = L.field, L.n, kappa_rad.basis()
-    images = [{t * n + k: c for t, e in enumerate(raising) for k, c in L.bracket(e, b).coeffs.items()} for b in basis]
+    # K on the basis b of Rad(kappa): the kernel of b -> ([e, b] mod Z) over the e
+    f, basis = L.field, kappa_rad.basis()
+    images = [[Z._ech.reduce(L.bracket(e, b).coeffs) for e in raising] for b in basis]
     vecs = [b.coeffs for b in basis]
-    k_prime = Subspace(L, echelon_from_rows(f, n, [combine(f, x, vecs) for x in kernel(f, images, len(raising) * n)]))
-    for v in k_prime.basis():
-        ideal = ideal_generated(L, [v])
-        if is_solvable_subspace(ideal):
-            return ideal
-    return True if k_prime.dim == 1 else None
-
-
-def solvable_radical(L, raising=()):
-    """Largest solvable ideal found, with a maximality certificate when possible.
-
-    Returns (Subspace, certified: bool).  ``raising`` is passed, projected to
-    each quotient, to ``_no_solvable_ideal_certificate``.
-    """
-    return _solvable_radical(L, killing_form(L).radical(), raising)
-
-
-def _solvable_radical(L, kappa_rad, raising):
-    """R grows from 0 by the certificate's witness ideals only; each is a
-    solvable ideal of L/R, so R stays solvable and grows strictly until
-    L/R is certified to have no nonzero solvable ideal (R = Rad(L))."""
-    R = zero_subspace(L)
-    for _ in range(L.n + 1):
-        Q, lift, project = quotient_algebra(L, R)
-        if Q.n == 0:
-            return R, True
-        cert = _no_solvable_ideal_certificate(Q, [project(e) for e in raising], kappa_rad if Q is L else None)
-        if cert is True:
-            return R, True
-        if cert is None:
-            return R, False
-        R = ideal_generated(L, [lift(v) for v in cert.basis()] + R.basis())
-    return R, False
-
-
-def nilradical(L, rad):
-    """Largest nilpotent ideal found in the candidate lattice of the solvable
-    ideal ``rad`` (a certified lower bound for the nilpotent radical)."""
-    cands = [rad]
-    cands.extend(derived_series(L, rad)[1:])
-    cands.extend(lower_central_series(L, rad)[1:])
-    cands.append(center(L))
-    out = zero_subspace(L)
-    for c in cands:
-        if c.dim and c.is_ideal() and is_nilpotent_subspace(c):
-            out = out.sum(c)
-    if out.dim and not is_nilpotent_subspace(out):
-        # sum of nilpotent ideals is nilpotent; reaching here means a bug
-        raise NotNilpotent("nilradical candidate sum is not nilpotent")
-    return out
+    k = [AlgebraElement(L, combine(f, x, vecs)) for x in common_kernel(f, images, L.n)]
+    if len(k) > Z.dim + 1:
+        return False
+    ideal = ideal_generated(L, [next(v for v in k if not Z.contains(v))]).basis()
+    return any(not Z.contains(L.bracket(a, b)) for i, a in enumerate(ideal) for b in ideal[i + 1:])
 
 
 def structural_subspaces(L, raising=()):
-    rad, certified = solvable_radical(L, raising=raising)
-    return {
-        "center": center(L),
-        "derived_series": derived_series(L),
-        "lower_central_series": lower_central_series(L),
-        "solvable_radical": rad,
-        "solvable_radical_certified": certified,
-        "nilradical": nilradical(L, rad),
-    }
+    """Z(L), Rad(kappa), and whether Rad(L) = Z(L) is proved with the
+    raising elements ``raising`` (see ``_radical_is_center``)."""
+    Z, rad_k = center(L), killing_form(L).radical()
+    return {"center": Z, "killing_radical": rad_k, "radical_is_center": _radical_is_center(L, Z, rad_k, raising)}
 
 
 # -- chain checks ---------------------------------------------------------------
 
 
 def sandwich_span_check(L, form, raising=()):
-    """The chain NilRad <= Rad(L) <= Rad(f) <= Rad(kappa), f the bilinear
-    form ``form``: the dims, each link with whether it holds, and whether
-    Rad(L) is certified.  ``raising`` is passed to ``_solvable_radical``.
-    The name stays while bench/spans.py traces it; the rename waits for the
-    benchmark to read the package's own phases (ROADMAP item 1b)."""
-    rad_k = killing_form(L).radical()
-    rad, certified = _solvable_radical(L, rad_k, raising)
-    chain = [("NilRad", nilradical(L, rad)), ("Rad(L)", rad), ("Rad(f)", form.radical()), ("Rad(kappa)", rad_k)]
+    """The chain Rad(L) <= Rad(f) <= Rad(kappa), f the bilinear form
+    ``form`` and Rad(L) := Z(L): the dims, each link with whether it holds,
+    and whether Rad(L) = Z(L) is proved (``structural_subspaces`` with
+    ``raising``).  The name stays while bench/spans.py traces it; the rename
+    waits for the benchmark to read the package's own phases (ROADMAP item
+    1b)."""
+    sub = structural_subspaces(L, raising)
+    chain = [("Rad(L)", sub["center"]), ("Rad(f)", form.radical()), ("Rad(kappa)", sub["killing_radical"])]
     return {
         "dims": {name: s.dim for name, s in chain},
         "links": [("%s <= %s" % (na, nb), b.contains_subspace(a)) for (na, a), (nb, b) in zip(chain, chain[1:])],
-        "solvable_radical_certified": certified,
+        "solvable_radical_certified": sub["radical_is_center"],
     }
 
 

@@ -213,11 +213,6 @@ class Echelon:
     def pivot_columns(self):
         return sorted(self._rows)
 
-    def copy(self):
-        e = Echelon(self.field, self.width)
-        e._rows = {c: dict(r) for c, r in self._rows.items()}
-        return e
-
 
 def echelon_from_rows(field, width, rows):
     e = Echelon(field, width)
@@ -301,6 +296,15 @@ def kernel(field, images, width):
     ``images[i]``, a vector of length ``width``: the relations among the
     images, as sparse vectors of length ``len(images)``."""
     return Coordinates(field, images, width).relations()
+
+
+def common_kernel(field, images, width):
+    """The canonical basis of the kernel of x -> (m_1 x, ..., m_t x), for t
+    linear maps into k^width: ``images[i]`` lists m_1 e_i, ..., m_t e_i.
+    The stacked image of e_i holds m_s e_i at the offset s * width."""
+    t = len(images[0]) if images else 0
+    stacked = [{s * width + k: c for s, v in enumerate(ims) for k, c in v.items()} for ims in images]
+    return kernel(field, stacked, t * width)
 
 
 def solve_in_span(field, basis_rows, width, target):

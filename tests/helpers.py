@@ -28,13 +28,14 @@ of ``dense_matrix_lie_algebra`` and Burnside's associative closure in
 start from.  On that layer and on ``Map`` sit the dense form kernels
 (``dense_is_associative``, ``dense_killing_gram`` on the ``Map.ad``
 columns, ``dense_center``), the eigenline search (``eigenspaces``) of
-``eigenline_modules_irreducible`` and ``subset_certificate``,
-``dense_jacobi`` over every basis triple, ``dense_ideal_generated``,
-``dense_extremal_gram``, ``bracket_is_extremal`` with two brackets per
-basis vector, ``fraction_inner``, the exp step and scaling of the
-three-generator normalization (``round_trip_exp_step``,
-``four_sign_scaling`` with its ``square_root`` by search), and the chain
-probe over every pair (``reference_chain_search``).  The last section holds
+``eigenline_modules_irreducible``, ``dense_jacobi`` over every basis
+triple, ``dense_ideal_generated``, ``dense_extremal_gram``,
+``bracket_is_extremal`` with two brackets per basis vector,
+``fraction_inner``, the exp step and scaling of the three-generator
+normalization (``round_trip_exp_step``, ``four_sign_scaling`` with its
+``square_root`` by search), the chain probe over every pair
+(``reference_chain_search``), and the general search for Rad(L) on
+quotient algebras (``candidate_seeded_radical``).  The last section holds
 what only the tests reach: the free mode of the cover engine, the direct
 route to R_r, the right-nested ``monomial`` of L_r, the ideal of sandwich
 witnesses (``sandwich_ideal``), sl2, and the checks of the paper's lemmas
@@ -81,6 +82,7 @@ from extremal_lie.linalg import (
     closure,
     combine,
     echelon_from_rows,
+    kernel,
     poly_mul,
 )
 from extremal_lie.rootgroups import classify_pair
@@ -489,51 +491,6 @@ def four_sign_scaling(f, a, b, c):
     raise AssertionError("no sign pattern brings every edge to -2")
 
 
-def _weight_lines(L, torus, sub):
-    """Split ``sub`` into joint eigenlines of ad(t), t in torus; None if the
-    decomposition is not multiplicity-free over the base field.  (The
-    package used this for its no-solvable-ideal certificate before that
-    certificate took the raising operators instead of a torus.)"""
-    spaces = [sub.basis()]
-    for t in torus:
-        new_spaces = []
-        for elems in spaces:
-            split = [elems] if len(elems) == 1 else eigenspaces(L, t, elems)
-            if split is None or sum(map(len, split)) != len(elems):
-                return None
-            new_spaces += split
-        spaces = new_spaces
-    if any(len(elems) != 1 for elems in spaces):
-        return None
-    return [elems[0] for elems in spaces]
-
-
-def subset_certificate(L, torus=None):
-    """Reference for ``liealg._no_solvable_ideal_certificate``: the search
-    the package ran before it checked one ideal per weight line, and before
-    it took the raising operators in place of a torus.  After the same
-    basis-vector loop over Rad(kappa) it tries every subset of the weight
-    lines of Rad(kappa) as a solvable ideal, and gives up (None) when
-    Rad(kappa) has dimension above 12 or does not split into lines."""
-    kappa_rad = killing_form(L).radical()
-    if kappa_rad.dim == 0:
-        return True
-    for v in kappa_rad.basis():
-        ideal = liealg.ideal_generated(L, [v])
-        if ideal.dim and liealg.is_solvable_subspace(ideal):
-            return ideal
-    if torus is not None and kappa_rad.dim <= 12:
-        lines = _weight_lines(L, torus, kappa_rad)
-        if lines is not None:
-            for size in range(1, len(lines) + 1):
-                for subset in itertools.combinations(lines, size):
-                    sub = Subspace.from_elements(L, list(subset))
-                    if sub.dim and sub.is_ideal() and liealg.is_solvable_subspace(sub):
-                        return sub
-            return True
-    return None
-
-
 def dense_is_associative(form):
     """Reference for ``BilinearForm.is_associative``: f([b_i,b_j],b_k) ==
     f(b_i,[b_j,b_k]) on every basis triple, one ``Field`` call per term."""
@@ -630,11 +587,6 @@ def root_pairing(rs, beta, alpha):
     """<beta, alpha-check> = 2 (beta, alpha)/(alpha, alpha), from the integer
     Gram of ``rs``; NonIntegral when it is not an integer."""
     return rootdata._exact(2 * rs._scaled_inner(beta, alpha), rs._scaled_norm(alpha), "a Cartan integer")
-
-
-def cartan_element(A, i):
-    """h_i of the Chevalley algebra ``A`` for the i-th simple root (1-indexed)."""
-    return A.lie.basis_element(len(A.rootsystem.roots) + i - 1)
 
 
 def fraction_inner(rs, s, t):
@@ -978,21 +930,68 @@ def lie_algebra_from_dense(field, labels, cube):
     return LieAlgebra(field, labels, table)
 
 
+def reference_quotient(L, ideal):
+    """(Q, lift, project): Q = L/ideal on the non-pivot coordinates, a new
+    ``LieAlgebra`` with its own Jacobi check; L itself when the ideal is 0."""
+    if not ideal.dim:
+        return L, (lambda elt: elt), (lambda elt: elt)
+    piv = set(ideal._ech.pivot_columns())
+    keep = [i for i in range(L.n) if i not in piv]
+    pos = {i: t for t, i in enumerate(keep)}
+
+    def project_coeffs(v):
+        return {pos[i]: x for i, x in sorted(ideal._ech.reduce(v).items())}
+
+    n = len(keep)
+    table = {(a, b): project_coeffs(L.bracket_basis(keep[a], keep[b])) for a in range(n) for b in range(a + 1, n)}
+    Q = LieAlgebra(L.field, [L.labels[i] for i in keep], table)
+
+    def lift(q):
+        return AlgebraElement(L, {keep[i]: c for i, c in q.coeffs.items()})
+
+    def project(elt):
+        return AlgebraElement(Q, project_coeffs(elt.coeffs))
+
+    return Q, lift, project
+
+
+def reference_line_certificate(L, raising, kappa_rad):
+    """True if L provably has no nonzero solvable ideal, a solvable ideal
+    found as a witness, or None when undecided: the certificate the package
+    ran on each quotient before it proved Rad(L) = Z(L) in one pass.  Let K'
+    be the vectors of Rad(kappa) that every ad e kills, for raising elements
+    e that act nilpotently.  A nonzero solvable ideal holds a nonzero abelian
+    ideal, which lies in Rad(kappa) and meets K' (Engel), and the ideal of a
+    vector there is abelian.  So each canonical basis vector of K' is tried
+    as the generator of a solvable ideal, and when K' is a line that
+    decides."""
+    if kappa_rad.dim == 0:
+        return True
+    n, basis = L.n, kappa_rad.basis()
+    images = [{t * n + k: c for t, e in enumerate(raising) for k, c in L.bracket(e, b).coeffs.items()} for b in basis]
+    vecs = [b.coeffs for b in basis]
+    k_prime = [L.element(combine(L.field, x, vecs)) for x in kernel(L.field, images, len(raising) * n)]
+    for v in Subspace.from_elements(L, k_prime).basis():
+        ideal = liealg.ideal_generated(L, [v])
+        if liealg.is_solvable_subspace(ideal):
+            return ideal
+    return True if len(k_prime) == 1 else None
+
+
 def candidate_seeded_radical(L, raising=()):
-    """Reference for ``liealg.solvable_radical``: R starts as the sum of the
-    solvable ideals among center(L) and the derived series of Rad(kappa),
-    then grows by the certificate's witnesses.  Returns (R, certified)."""
+    """Reference for the claim Rad(L) = Z(L) of ``liealg.structural_subspaces``:
+    the general search for Rad(L) that the package ran before.  R starts as
+    the sum of the solvable ideals among Z(L) and the derived series of
+    Rad(kappa), then grows by the witnesses of ``reference_line_certificate``
+    on the quotients L/R, until L/R has none.  Returns (R, certified)."""
     kappa_rad = killing_form(L).radical()
-    R = liealg.zero_subspace(L)
-    for c in [liealg.center(L)] + liealg.derived_series(L, kappa_rad):
-        if c.dim and c.is_ideal() and liealg.is_solvable_subspace(c):
-            R = R.sum(c)
+    seeds = [liealg.center(L)] + liealg.derived_series(L, kappa_rad)
+    R = Subspace.from_elements(L, [v for c in seeds if c.is_ideal() and liealg.is_solvable_subspace(c)
+                                   for v in c.basis()])
     for _ in range(L.n + 1):
-        Q, lift, project = liealg.quotient_algebra(L, R)
-        if Q.n == 0:
-            return R, True
-        cert = liealg._no_solvable_ideal_certificate(
-            Q, [project(e) for e in raising], kappa_rad if Q is L else None
+        Q, lift, project = reference_quotient(L, R)
+        cert = reference_line_certificate(
+            Q, [project(e) for e in raising], kappa_rad if Q is L else killing_form(Q).radical()
         )
         if cert is True or cert is None:
             return R, cert is True

@@ -13,7 +13,7 @@ from extremal_lie.liealg import (
     extremal_form,
     is_extremal,
     killing_form,
-    solvable_radical,
+    structural_subspaces,
 )
 from extremal_lie.chevalley import (
     exp_automorphism,
@@ -169,12 +169,12 @@ def test_criterion_07_killing_and_radicals():
             ok = ok and rad_k.contains_subspace(rad_f)
             if ch == 0:
                 ok = ok and rad_f.dim == rad_k.dim
-            rad_l, _ = solvable_radical(Ax.lie, raising=[Ax.x(a) for a in Ax.rootsystem.simple_roots])
-            ok = ok and rad_f.contains_subspace(rad_l)
+            sub = structural_subspaces(Ax.lie, [Ax.x(a) for a in Ax.rootsystem.simple_roots])
+            ok = ok and sub["radical_is_center"] and rad_f.contains_subspace(sub["center"])
     G3 = chevalley("G", 2, 3)
     formg = extremal_form(G3.lie, extremal_spanning_set(G3))
-    radg, certified = solvable_radical(G3.lie, raising=[G3.x(a) for a in G3.rootsystem.simple_roots])
-    ok = ok and radg.dim == 0 and certified and formg.radical().dim == 7
+    subg = structural_subspaces(G3.lie, [G3.x(a) for a in G3.rootsystem.simple_roots])
+    ok = ok and subg["center"].dim == 0 and subg["radical_is_center"] and formg.radical().dim == 7
     ok = ok and fourth_power_check(G3.lie, G3.x((0, 1)), G3.x((1, 0)), formg)["pass"]
     M, _ = build_M(TriangleParams(QQ, -2, -2, 0, 0))
     formm = extremal_form(M, grow_extremal_spanning(M, [M.basis_element(i) for i in range(3)]))

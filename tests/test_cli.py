@@ -448,9 +448,9 @@ def test_radicals_sweep_small_characteristic(capsys, type_, p):
     assert byname["solvable radical certified"]["pass"]
 
 
-@pytest.mark.parametrize("type_, p, calls", [("B3", 53, 1), ("A2", 3, 2)])
+@pytest.mark.parametrize("type_, p, calls", [("B3", 53, 1), ("A2", 3, 1)])
 def test_radicals_computes_each_killing_form_once(capsys, monkeypatch, type_, p, calls):
-    # one Killing form for L, and one for L/Z(L) when the center is nonzero
+    # one Killing form, for L only: no quotient L/Z(L) is built
     from extremal_lie import liealg
 
     real, seen = liealg.killing_form, []
@@ -503,27 +503,28 @@ def _cartan_matrix_for_coroot_gram(monkeypatch):
     monkeypatch.setattr(rootdata, "_nullity", lambda field, rows: real(field, rootdata.cartan_matrix("G", 2)))
 
 
-def _solvable_radical_without_center(monkeypatch):
-    """Rad(L) without the basis vectors that lie in Z(L)."""
-    real = liealg._solvable_radical
+def _center_zero(monkeypatch):
+    """Z(L) read as 0."""
+    monkeypatch.setattr(liealg, "center", lambda L: liealg.Subspace.from_elements(L, []))
 
-    def planted(L, kappa_rad, raising):
-        rad, certified = real(L, kappa_rad, raising)
-        z = liealg.center(L)
-        return liealg.Subspace.from_elements(L, [v for v in rad.basis() if not z.contains(v)]), certified
 
-    monkeypatch.setattr(liealg, "_solvable_radical", planted)
+def _raising_cut_to_e1(monkeypatch):
+    """The certificate handed e_1 alone of the simple root elements."""
+    real = cli.sandwich_span_check
+    monkeypatch.setattr(cli, "sandwich_span_check", lambda L, form, raising: real(L, form, raising[:1]))
 
 
 # (type, p, planted fault, (expected, actual) of each check it makes read
 # False).  Where p does not divide 2h-check the rule sets Rad(kappa) =
-# Rad(f), so a fault in Rad(f) shows on both; on A2/3, Rad(L) = Z(L), so
-# dropping Z(L) leaves Rad(L) = 0
+# Rad(f), so a fault in Rad(f) shows on both.  On A2/3, Rad(L) is read as
+# Z(L), so a center read as 0 gives Rad(L) = 0, and Rad(kappa) = L then
+# leaves K/0 of dimension 2 (x_theta and the center), not certified
 RADICALS_FAULTS = [
     ("G2", 3, _length_ratio_two, {"Rad(f) dim": (0, 7), "Rad(kappa) dim": (0, 7)}),
     ("B3", 5, _coxeter_number_for_dual, {"Rad(kappa) dim": (0, 21)}),
     ("G2", 3, _cartan_matrix_for_coroot_gram, {"Rad(f) dim": (6, 7), "Rad(kappa) dim": (6, 7)}),
-    ("A2", 3, _solvable_radical_without_center, {"NilRad <= Rad(L)": (True, False), "Rad(L) dim": (1, 0)}),
+    ("A2", 3, _center_zero, {"Rad(L) dim": (1, 0), "solvable radical certified": (True, False)}),
+    ("E6", 3, _raising_cut_to_e1, {"solvable radical certified": (True, False)}),
 ]
 
 
@@ -538,6 +539,23 @@ def test_radicals_planted_fault_reads_false(capsys, monkeypatch, shared_algebras
     code, byname = _radicals_checks(capsys, type_, p)
     assert code == 1
     assert {name: (c["expected"], c["actual"]) for name, c in byname.items() if not c["pass"]} == failing
+
+
+def test_threegen_case2_radical_without_xyz_reads_false(capsys, monkeypatch):
+    """R without [x,[y,z]] is no ideal, so the Levi check of case 2 fails,
+    and no other check reads R."""
+    from extremal_lie import smallgen
+
+    real = smallgen._is_levi_radical
+
+    def planted(M, R):
+        return real(M, liealg.Subspace.from_elements(M, [v for v in R.basis() if v != M.basis_element(6)]))
+
+    monkeypatch.setattr(smallgen, "_is_levi_radical", planted)
+    code, out, _ = run_cli(capsys, "--json", "threegen", "--edges", "-2,-2,0")
+    assert code == 1
+    failing = {c["name"]: (c["expected"], c["actual"]) for c in json.loads(out)["checks"] if not c["pass"]}
+    assert failing == {"case 2 radical": (True, False)}
 
 
 def test_unknown_values_are_reported_not_checked(capsys):

@@ -26,19 +26,17 @@ from extremal_lie.liealg import (
     is_solvable_subspace,
     killing_form,
     lower_central_series,
-    quotient_algebra,
     sandwich_span_check,
-    solvable_radical,
     structural_subspaces,
     structure_constants_on,
     subalgebra_generated,
-    zero_subspace,
 )
-from extremal_lie.smallgen import TriangleParams, build_M, sl3_example
+from extremal_lie.smallgen import TriangleParams, _is_levi_radical, build_M, sl3_example
 from extremal_lie.chevalley import ChevalleyAlgebra, extremal_spanning_set
 
-from extremal_lie.liealg import _no_solvable_ideal_certificate
 from extremal_lie import liealg, rootdata
+
+from test_golden_cli import COMMANDS
 
 from helpers import (
     AntisymmetryViolation,
@@ -47,7 +45,6 @@ from helpers import (
     abelian,
     bracket_table,
     candidate_seeded_radical,
-    cartan_element,
     chevalley,
     dense_fourth_power_check,
     dense_ideal_generated,
@@ -63,12 +60,12 @@ from helpers import (
     heisenberg,
     lie_algebra_from_dense,
     nonzero,
+    reference_quotient,
     rescaled,
     rng,
     sandwich,
     sandwich_ideal,
     sl2,
-    subset_certificate,
     two_gen_classify,
     unchecked_lie_algebra,
 )
@@ -489,27 +486,30 @@ def test_radical_of_form_cases():
 
 
 def test_structural_subspaces_heisenberg():
+    # Rad(H) = H, nilpotent, is not the center: the certificate says no
     H = heisenberg(QQ)
     sub = structural_subspaces(H)
-    assert sub["center"].dim == 1
-    assert sub["derived_series"][1].dim == 1
-    assert sub["solvable_radical"].dim == 3
-    assert sub["nilradical"].dim == 3
-    assert sub["solvable_radical_certified"]
+    assert sub["center"].dim == 1 and sub["killing_radical"].dim == 3
+    assert not sub["radical_is_center"]
+    assert derived_series(H)[1].dim == 1 and lower_central_series(H)[-1].dim == 0
+    rad, certified = candidate_seeded_radical(H)
+    assert rad.dim == 3 and certified
 
 
 def test_structural_subspaces_sl2():
     sub = structural_subspaces(sl2(QQ))
-    assert sub["center"].dim == 0
-    assert sub["solvable_radical"].dim == 0
-    assert sub["nilradical"].dim == 0
-    assert sub["solvable_radical_certified"]
+    assert sub["center"].dim == 0 and sub["killing_radical"].dim == 0
+    assert sub["radical_is_center"]
 
 
 def test_solvable_radical_case1():
-    M, _ = build_M(TriangleParams(QQ, -2, 0, 0, 0))
-    rad, certified = solvable_radical(M)
-    assert rad.dim == 5 and certified
+    # threegen proves Rad(M) = R from a Levi complement in cases 1 and 2;
+    # the general search finds the same R
+    for edges in ((-2, 0, 0), (-2, -2, 0)):
+        for f in (QQ, GF(3)):
+            M, _ = build_M(TriangleParams(f, *(f.raw(a) for a in edges), 0))
+            rad, certified = candidate_seeded_radical(M)
+            assert rad.dim == 5 and certified and _is_levi_radical(M, rad), (edges, f)
 
 
 def test_generation_closures():
@@ -528,9 +528,12 @@ def test_sandwich_span_check_l3():
     san = sandwich_ideal(L, L.basis_elements())
     rep = sandwich_span_check(L, form)
     assert san.is_ideal() and all(holds for _, holds in rep["links"])
-    assert structural_subspaces(L)["nilradical"].contains_subspace(san)
-    assert san.dim == 8  # the whole algebra
-    assert set(rep["dims"].values()) == {8}  # no link is strict
+    assert san.dim == 8 and lower_central_series(L)[-1].dim == 0  # the whole algebra, nilpotent
+    # Rad(L) = L_3 is not its 2-dimensional center, and the report says so
+    assert rep["dims"] == {"Rad(L)": 2, "Rad(f)": 8, "Rad(kappa)": 8}
+    assert not rep["solvable_radical_certified"]
+    rad, certified = candidate_seeded_radical(L)
+    assert rad.dim == 8 and certified
 
 
 def test_sandwich_span_check_case2_strict():
@@ -541,8 +544,15 @@ def test_sandwich_span_check_case2_strict():
     san = sandwich_ideal(M, [e(5), e(6)])  # [y,z] and [x,[y,z]] are sandwiches
     rep = sandwich_span_check(M, form)
     assert san.is_ideal() and all(holds for _, holds in rep["links"])
-    assert structural_subspaces(M)["nilradical"].contains_subspace(san)
-    assert san.dim < rep["dims"]["Rad(L)"]
+    rad, certified = candidate_seeded_radical(M)
+    assert certified and rad.contains_subspace(san) and san.dim < rad.dim
+    # Z(M) = 0 and Rad(M) has dimension 5: not certified
+    assert rep["dims"]["Rad(L)"] == 0 and not rep["solvable_radical_certified"]
+    cur = san  # san is nilpotent
+    while cur.dim:
+        nxt = san.bracket_with(cur)
+        assert nxt.dim < cur.dim
+        cur = nxt
 
 
 def _extremal_span_m(M):
@@ -600,11 +610,11 @@ def test_direct_sum_sl3_with_abelian_line():
 
 def test_quotient_algebra():
     H = heisenberg(QQ)
-    Q, lift, project = quotient_algebra(H, center(H))
+    Q, lift, project = reference_quotient(H, center(H))
     assert Q.n == 2
     assert all(not Q.bracket_basis(i, j) for i in range(2) for j in range(2))
     # the quotient by the zero ideal is the algebra itself, not a rebuilt copy
-    Q, lift, project = quotient_algebra(H, zero_subspace(H))
+    Q, lift, project = reference_quotient(H, Subspace.from_elements(H, []))
     x = H.basis_element(0)
     assert Q is H and lift(x) == x and project(x) == x
 
@@ -627,7 +637,7 @@ def test_radical_chain_on_fleet():
         assert rad_k.contains_subspace(rad_f)
         if ch == 0:
             assert rad_f.dim == rad_k.dim and rad_f.contains_subspace(rad_k)
-        rad_l, _ = solvable_radical(L, raising=raising)
+        rad_l, _ = candidate_seeded_radical(L, raising=raising)
         assert rad_f.contains_subspace(rad_l)
         if ch not in (2, 3):
             assert rad_l.dim == rad_f.dim  # Rad(f) = Rad(L) away from char 3
@@ -709,10 +719,9 @@ def _raising(A):
 def _hidden_solvable_line():
     """G2 in char 3 plus the algebra [t, a] = a, with a replaced in the basis
     by a + x_s, x_s a short root vector.  Each echelon basis vector of
-    Rad(kappa) then generates a non-solvable ideal, while the weight line ka
-    of the torus (h1, h2, t) is a solvable ideal, and so is the line ka of
-    the vectors of Rad(kappa) killed by G2's e_1, e_2.  Returns (L, torus,
-    raising)."""
+    Rad(kappa) then generates a non-solvable ideal, while the line ka is a
+    solvable ideal, and so is ka + kt.  With G2's e_1, e_2 the vectors of
+    Rad(kappa) they kill find ka.  Returns (L, raising)."""
     G = chevalley("G", 2, 3)
     f = G.field
     L0 = direct_sum(G.lie, LieAlgebra(f, ["t", "a"], {(0, 1): {1: f.one}}))
@@ -722,88 +731,69 @@ def _hidden_solvable_line():
     rows = [b.coeffs for b in basis]
     table, _ = structure_constants_on(f, rows, L0.n, lambda i, j: L0.bracket(basis[i], basis[j]).coeffs)
     L = LieAlgebra(f, L0.labels, table)
-    torus = [L.basis_element(L0.labels.index(label)) for label in ("A.h1", "A.h2", "B.t")]
     # the basis vectors of L before the last one are those of L0
-    return L, torus, [L.basis_element(G.root_index[a]) for a in G.rootsystem.simple_roots]
-
-
-def test_line_certificate_matches_subset_search():
-    cases = []
-    for t, n, ch in (("G", 2, 3), ("A", 2, 3), ("B", 3, 7)):
-        A = chevalley(t, n, ch)
-        cases.append((A.lie, [cartan_element(A, i) for i in range(1, n + 1)], _raising(A)))
-    for f in (QQ, GF(5)):
-        T = _takiff(f)
-        D = direct_sum(sl2(f), heisenberg(f))
-        cases += [(T, [T.basis_element(1)], [T.basis_element(0)]), (D, [D.basis_element(1)], [D.basis_element(0)])]
-    hidden, torus, raising = _hidden_solvable_line()
-    # no echelon basis vector of Rad(kappa) finds its solvable ideal
-    assert not any(is_solvable_subspace(ideal_generated(hidden, [v])) for v in killing_form(hidden).radical().basis())
-    cases.append((hidden, torus, raising))
-    verdicts = []
-    for L, torus, raising in cases:
-        new = _no_solvable_ideal_certificate(L, raising)
-        old = subset_certificate(L, torus)
-        for cert in (new, old):
-            if isinstance(cert, Subspace):
-                assert cert.dim and cert.is_ideal() and is_solvable_subspace(cert)
-        verdict = "witness" if isinstance(new, Subspace) else new
-        if old is not None:
-            assert verdict == ("witness" if isinstance(old, Subspace) else old)
-        verdicts.append(verdict)
-    # G2 in char 3 and B3 in char 7 have none; A2 in char 3 has its center,
-    # which the old search missed (Rad(kappa) = L is not multiplicity-free
-    # under the torus); the extensions have solvable ideals
-    assert verdicts == [True, "witness", True] + ["witness"] * 5
+    assert not any(is_solvable_subspace(ideal_generated(L, [v])) for v in killing_form(L).radical().basis())
+    return L, [L.basis_element(G.root_index[a]) for a in G.rootsystem.simple_roots]
 
 
 @pytest.mark.parametrize("f", [QQ, GF(5)], ids=["Q", "GF5"])
 def test_certificate_rejects_raising_elements_that_are_not_nilpotent(f):
     T = _takiff(f)
     e, f_ = T.basis_element(0), T.basis_element(2)
-    assert killing_form(T).radical().dim == 3
-    assert isinstance(_no_solvable_ideal_certificate(T, [e]), Subspace)
+    # ad e kills the line kE of Rad(kappa), and its ideal (E, H, F) is abelian
+    sub = structural_subspaces(T, [e])
+    assert sub["killing_radical"].dim == 3 and sub["center"].dim == 0 and not sub["radical_is_center"]
     # e and f generate sl2, whose adjoint action is not nilpotent
     with pytest.raises(PreconditionNotMet):
-        _no_solvable_ideal_certificate(T, [e, f_])
+        structural_subspaces(T, [e, f_])
 
 
 def test_certificate_decides_a_line_of_kernel_vectors():
     # G2 in char 3: Rad(kappa) is the 7-dimensional ideal of the short root
-    # elements; the e_i kill only its top line, whose ideal is not solvable
+    # elements; the e_i kill only its top line, whose ideal is not abelian
     G = chevalley("G", 2, 3)
-    assert killing_form(G.lie).radical().dim == 7
-    assert _no_solvable_ideal_certificate(G.lie, _raising(G)) is True
-    # without the raising elements the seven basis vectors of Rad(kappa) decide nothing
-    assert _no_solvable_ideal_certificate(G.lie) is None
+    sub = structural_subspaces(G.lie, _raising(G))
+    assert sub["killing_radical"].dim == 7 and sub["center"].dim == 0 and sub["radical_is_center"]
+    # without the raising elements all seven dimensions remain: not certified
+    assert not structural_subspaces(G.lie)["radical_is_center"]
 
 
 def _radical_reference_cases():
-    """(name, L, raising): Chevalley algebras in small characteristic with
-    their e_i, and algebras with solvable ideals without raising elements."""
-    for t, n, ch in (("A", 2, 3), ("A", 5, 3), ("E", 6, 3), ("G", 2, 3), ("B", 3, 7)):
+    """(name, L, raising): Chevalley algebras in small characteristic and
+    every ``radicals`` type of the golden file, with their e_i, and algebras
+    with solvable ideals, without raising elements and, for the hidden line,
+    with G2's e_i."""
+    golden = {(a[2][0], int(a[2][1:]), int(a[4]) if len(a) > 3 else 0) for a in COMMANDS if a[0] == "radicals"}
+    small = (("A", 2, 3), ("A", 5, 3), ("E", 6, 3), ("G", 2, 3), ("B", 3, 7))
+    for t, n, ch in small + tuple(sorted(golden - set(small))):
         A = chevalley(t, n, ch)
         yield "%s%d/%d" % (t, n, ch), A.lie, _raising(A)
     for f in (QQ, GF(5)):
         yield "heisenberg/%d" % f.characteristic, heisenberg(f), ()
         yield "sl2+heisenberg/%d" % f.characteristic, direct_sum(sl2(f), heisenberg(f)), ()
         yield "takiff/%d" % f.characteristic, _takiff(f), ()
-    yield "hidden line", _hidden_solvable_line()[0], ()
+    hidden, raising = _hidden_solvable_line()
+    yield "hidden line", hidden, ()
+    yield "hidden line/e", hidden, raising
     yield "L_3", sandwich(3).as_lie_algebra(), ()
     for edges in ((-2, 0, 0), (-2, -2, 0), (-2, -2, -2)):
         yield "M%s" % (edges,), build_M(TriangleParams(QQ, *edges, 0))[0], ()
 
 
 def test_solvable_radical_matches_candidate_seeded_reference():
-    # R grown from 0 by witnesses alone ends where the candidate-seeded loop
-    # ends, certified or not (the hidden line without e_i is undecided)
+    # the one-pass certificate reads True exactly when the general search
+    # ends at Z(L), certified (the hidden line without e_i is undecided)
     seen = {}
     for name, L, raising in _radical_reference_cases():
-        rad, certified = solvable_radical(L, raising=raising)
-        assert (rad, certified) == candidate_seeded_radical(L, raising=raising), name
+        sub = structural_subspaces(L, raising)
+        rad, certified = candidate_seeded_radical(L, raising=raising)
+        assert sub["radical_is_center"] == (certified and rad == sub["center"]), name
         seen[name] = (rad.dim, certified)
-    assert seen["A2/3"] == seen["E6/3"] == (1, True) and seen["G2/3"] == (0, True)
-    assert seen["hidden line"] == (0, False) and seen["M(-2, 0, 0)"] == (5, True)
+    assert seen["A2/3"] == seen["E6/3"] == (1, True) and seen["G2/3"] == seen["B3/7"] == (0, True)
+    for f in (0, 5):
+        assert seen["takiff/%d" % f] == seen["sl2+heisenberg/%d" % f] == (3, True)
+    assert seen["hidden line"] == (0, False) and seen["hidden line/e"] == (2, True)
+    assert seen["M(-2, 0, 0)"] == (5, True)
 
 
 # -- phi and the fourth power against the dense ad matrices ---------------------

@@ -152,13 +152,10 @@ def test_echelon_matches_dense_reference(mat, data):
     assert echelon_basis(fast) == echelon_basis(slow)
     for c in fast.pivot_columns():
         assert fast.row(c) == slow.row(c)
-    copy = fast.copy()
     probes = data.draw(st.lists(st.lists(_entries(field), min_size=width, max_size=width), max_size=4))
     for vec in sparse(probes + rows):
         assert fast.reduce(vec) == slow.reduce(vec)
         assert fast.contains(vec) == slow.contains(vec)
-        copy.insert(vec)
-    assert echelon_basis(fast) == echelon_basis(slow)  # a copy's inserts leave the original alone
 
 
 @PROPERTY

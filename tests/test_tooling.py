@@ -257,7 +257,6 @@ UNSET_ALLOWED = {
     "_CoverEngine.sandwich": "False is the free mode whose Witt and necklace dimensions the tests check",
     "assoc_dims_via_embedding.field": "GF(p) tests set it; a --char for tables would too",
     "root_exponential.s": "root_exponential is a span target of bench/spans.py, kept as it is",
-    "structural_subspaces.raising": "structural_subspaces is a span target of bench/spans.py, kept as it is",
 }
 
 
